@@ -20,6 +20,7 @@ from wittkit.errors import (
     ComputationError,
     EvenPrimeUnsupported,
     InputError,
+    check,
 )
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.ratfunc import RatFunc
@@ -357,66 +358,75 @@ def _selftest_anchors(precision: Fraction):
     def trace_function():
         for a in (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2)):
             f = RatFunc.make(LaurentPoly.one(), [a, Fraction(-1)])
-            assert trace_chi(f) == 1 / a, f"chi(1/({a}-z)) != 1/{a}"
+            check(trace_chi(f) == 1 / a, f"chi(1/({a}-z)) != 1/{a}")
 
     def covering_sign():
         cov = covering_autometric(AutometricForm([[1]], [[-1]], 1))
-        assert cov.epsilon == -1, "covering must flip the symmetry"
+        check(cov.epsilon == -1, "covering must flip the symmetry")
         expected = RatFunc.make(LaurentPoly.const(Fraction(-1)),
                                 [Fraction(1), Fraction(1)])
-        assert cov.pairing[0, 0].class_equals(expected), \
-            "rank-one covering class is not -1/(1+z)"
+        check(cov.pairing[0, 0].class_equals(expected),
+              "rank-one covering class is not -1/(1+z)")
 
     def monodromy_roundtrip():
-        assert verify_roundtrip(AutometricForm([[1]], [[-1]], 1))
-        assert verify_roundtrip(AutometricForm(
-            [[0, 1], [1, 0]], [[2, 0], [0, Fraction(1, 2)]], 1))
+        check(verify_roundtrip(AutometricForm([[1]], [[-1]], 1)),
+              "rank-one round trip differs")
+        check(verify_roundtrip(AutometricForm(
+            [[0, 1], [1, 0]], [[2, 0], [0, Fraction(1, 2)]], 1)),
+            "hyperbolic round trip differs")
 
     def auxiliary_levels():
         form = FiniteLinkingForm(
             2, [1, 2, 5],
             [[Fraction(1, 2), 0, 0], [0, Fraction(1, 4), 0],
              [0, 0, Fraction(1, 32)]], 1)
-        assert auxiliary_modules(form) == {1: 1, 2: 1, 5: 1}
+        check(auxiliary_modules(form) == {1: 1, 2: 1, 5: 1},
+              "expected one auxiliary module at levels 1, 2 and 5")
 
     def boundary_lagrangian():
         parts = boundary_of_form([[4]], 1)
         form = parts[2]
-        assert form.orders == (2,), "boundary of (4) must be Z/4"
+        check(form.orders == (2,), "boundary of (4) must be Z/4")
         found = brute_force_lagrangians(form, "any")
-        assert found["witnesses"] == [[[2]]], "expected the subgroup <2>"
+        check(found["witnesses"] == [[[2]]], "expected the subgroup <2>")
         split = brute_force_lagrangians(form, "split")
-        assert split["exhausted"] and not split["witnesses"], \
-            "<2> is not a direct summand, no split lagrangian exists"
+        check(split["exhausted"] and not split["witnesses"],
+              "<2> is not a direct summand, no split lagrangian exists")
 
     def trefoil_pipeline():
         from wittkit.knots import KnotInput
         k = KnotInput("trefoil", [[-1, 1], [0, -1]], -1)
-        assert alexander_polynomial(k).ordinary()[0] == [1, -1, 1]
+        check(alexander_polynomial(k).ordinary()[0] == [1, -1, 1],
+              "trefoil Alexander polynomial is not 1 - z + z^2")
         ms = dw_multisignature_laurent(blanchfield_form(k), precision)
         values = [s for _, s in ms.entries()]
-        assert values == [-2], f"calibration: expected [-2], got {values}"
-        assert levine_tristram_signature(k, Fraction(2, 5), precision) == -2
+        check(values == [-2], f"calibration: expected [-2], got {values}")
+        check(levine_tristram_signature(k, Fraction(2, 5), precision) == -2,
+              "trefoil signature at turn 2/5 is not -2")
         report = analyze(k, precision)
-        assert report.slice_obstructed == "yes"
-        assert report.doubly_slice_obstructed == "yes"
+        check(report.slice_obstructed == "yes"
+              and report.doubly_slice_obstructed == "yes",
+              "trefoil must be slice and doubly-slice obstructed")
 
     def figure_eight_clear():
         from wittkit.knots import KnotInput
         k = KnotInput("figure-eight", [[1, 1], [0, -1]], -1)
-        assert alexander_polynomial(k).ordinary()[0] == [1, -3, 1]
+        check(alexander_polynomial(k).ordinary()[0] == [1, -3, 1],
+              "figure-eight Alexander polynomial is not 1 - 3z + z^2")
         report = analyze(k, precision)
-        assert report.multisignature.entries() == []
-        assert report.slice_obstructed == "no_obstruction_found"
-        assert report.doubly_slice_obstructed == "no_obstruction_found"
+        check(report.multisignature.entries() == []
+              and report.slice_obstructed == "no_obstruction_found"
+              and report.doubly_slice_obstructed == "no_obstruction_found",
+              "figure-eight must carry no obstruction")
 
     def mirror_witnesses():
         from wittkit.knots import KnotInput
         k = KnotInput("trefoil", [[-1, 1], [0, -1]], -1)
         report = analyze(connected_sum(k, knot_inverse(k)), precision)
-        assert report.doubly_slice_obstructed == "no_obstruction_found"
-        assert report.witnesses is not None, \
-            "hyperbolic witnesses must attach to K # -K"
+        check(report.doubly_slice_obstructed == "no_obstruction_found",
+              "K # -K must carry no doubly-slice obstruction")
+        check(report.witnesses is not None,
+              "hyperbolic witnesses must attach to K # -K")
 
     def lt_consistency():
         from wittkit.knots import KnotInput
@@ -424,10 +434,10 @@ def _selftest_anchors(precision: Fraction):
         sums = witt_forgetful_laurent(
             dw_multisignature_laurent(blanchfield_form(k), precision))
         jumps = lt_jumps(k, precision)
-        assert jumps, "trefoil has a unit-circle Alexander root"
+        check(jumps, "trefoil has a unit-circle Alexander root")
         for key, jump in jumps.items():
-            assert jump == sums.get(key, 0), \
-                f"jump {jump} != odd-level sum {sums.get(key, 0)} at {key}"
+            check(jump == sums.get(key, 0),
+                  f"jump {jump} != odd-level sum {sums.get(key, 0)} at {key}")
 
     return [
         ("trace-function", trace_function),

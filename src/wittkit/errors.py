@@ -17,6 +17,16 @@ class ComputationError(WittkitError):
     """Input was well formed but the requested computation is undefined on it."""
 
 
+class InvariantViolated(ComputationError):
+    """An identity that the method guarantees does not hold."""
+
+
+def check(ok, message: str) -> None:
+    """Raise InvariantViolated unless ok; unlike assert, kept under -O."""
+    if not ok:
+        raise InvariantViolated(message)
+
+
 # ---- exact algebra ----
 
 class SingularMatrix(ComputationError):

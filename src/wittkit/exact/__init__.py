@@ -12,7 +12,7 @@ from wittkit.exact.laurent import (
     in_multiplicative_set,
 )
 from wittkit.exact.ratfunc import RatFunc, series_expand
-from wittkit.exact.matrix import Matrix, invert_ratfunc_matrix
+from wittkit.exact.matrix import Matrix
 from wittkit.exact.snf import SNFResult, smith_normal_form
 from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.roots import CertifiedRoot, hermitian_signature_at_root
@@ -24,7 +24,6 @@ __all__ = [
     "RatFunc",
     "series_expand",
     "Matrix",
-    "invert_ratfunc_matrix",
     "SNFResult",
     "smith_normal_form",
     "factor_rational_poly",

@@ -81,18 +81,9 @@ class LaurentPoly:
     def coefficient(self, d: int) -> Fraction:
         return self.coeffs.get(d, Fraction(0))
 
-    def is_constant(self) -> bool:
-        return all(d == 0 for d in self.coeffs)
-
     def is_unit(self) -> bool:
         """Units of Q[z, z^-1] are the nonzero monomials c*z^k."""
         return len(self.coeffs) == 1
-
-    def leading_coeff(self) -> Fraction:
-        return self.coeffs[self.max_deg()]
-
-    def trailing_coeff(self) -> Fraction:
-        return self.coeffs[self.min_deg()]
 
     # ---- arithmetic ----
 
@@ -218,10 +209,6 @@ def _coerce(x) -> LaurentPoly:
     if isinstance(x, (int, Fraction)):
         return LaurentPoly.const(x)
     raise TypeError(f"cannot coerce {type(x)!r} to LaurentPoly")
-
-
-def lp_bar(p: LaurentPoly) -> LaurentPoly:
-    return p.bar()
 
 
 def is_self_conjugate(p: LaurentPoly) -> Optional[LaurentPoly]:

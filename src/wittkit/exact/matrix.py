@@ -1,10 +1,11 @@
 """Dense matrices over the rings used in this package.
 
 Entries are whatever supports ring arithmetic: Fraction (Z and Q),
-LaurentPoly (Q[z, z^-1]), RatFunc (Q(z)) or residue field elements.  The
-`ring` property reports a tag for serialization; operations themselves are
-generic.  Field-only operations (det, inverse, rank) require entries with
-division and are used with Fraction, RatFunc and residue elements.
+LaurentPoly (Q[z, z^-1]), RatFunc (Q(z)) or residue field elements;
+operations are generic.  Field-only operations (det, inverse, rank) require
+entries with division and are used with Fraction and residue elements.  A
+pencil x*I - y*A over Q[z, z^-1] is never inverted by elimination:
+`pencil_adjugate` gives its adjugate and determinant with no division.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from wittkit.errors import SingularMatrix
-from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.ratfunc import RatFunc
 
 
 class Matrix:
@@ -74,20 +73,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    @property
-    def ring(self) -> str:
-        for r in self.rows:
-            for x in r:
-                if isinstance(x, RatFunc):
-                    return "Q(z)"
-                if isinstance(x, LaurentPoly):
-                    return "Q[z,z^-1]"
-                if isinstance(x, Fraction):
-                    return "Q" if x.denominator != 1 else "Z"
-                if isinstance(x, int):
-                    return "Z"
-        return "Z"
-
     def __getitem__(self, key):
         i, j = key
         return self.rows[i][j]
@@ -97,9 +82,6 @@ class Matrix:
 
     def col(self, j: int) -> list:
         return [r[j] for r in self.rows]
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
 
     # ---- generic ops ----
 
@@ -251,26 +233,10 @@ class Matrix:
         return Matrix(inv)
 
     def charpoly(self) -> list:
-        """Coefficients [c_0, ..., c_n] of det(t*I - A), computed by the
-        Faddeev-LeVerrier recursion.  Entries need a ring structure together
-        with division by integers (all our entry types have it)."""
+        """Coefficients [c_0, ..., c_n] of det(t*I - A)."""
         if not self.is_square():
             raise ValueError("charpoly of non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return [Fraction(1)]
-        one = _one_like(self.rows[0][0])
-        zero = one - one
-        ident = Matrix.identity(n, one)
-        coeffs = [zero] * (n + 1)
-        coeffs[n] = one
-        m = ident
-        for k in range(1, n + 1):
-            am = self * m
-            ck = am.trace() * Fraction(-1, k)
-            coeffs[n - k] = ck
-            m = am + ident.scale(ck)
-        return coeffs
+        return _faddeev_leverrier(self)[0]
 
 
 def _dot(row, col):
@@ -290,28 +256,47 @@ def _as_field(x):
 def _one_like(x):
     if isinstance(x, (int, Fraction)):
         return Fraction(1)
-    if isinstance(x, LaurentPoly):
-        return LaurentPoly.one()
-    if isinstance(x, RatFunc):
-        return RatFunc.one()
-    one = getattr(x, "one", None)
-    if one is not None:
-        return one() if callable(one) else one
-    raise TypeError(f"no unit element for {type(x)!r}")
+    return x.one()
 
 
-def invert_ratfunc_matrix(m: Matrix) -> Matrix:
-    """Inverse over Q(z); LaurentPoly or Fraction entries are promoted to
-    RatFunc first.  Raises SingularMatrix when det = 0."""
-    promoted = m.map(_to_ratfunc)
-    return promoted.inverse()
+def _faddeev_leverrier(a: Matrix) -> tuple[list, list]:
+    """Coefficients [c_0, ..., c_n] of det(t*I - A) and the matrices
+    M_0, ..., M_{n-1} with adj(t*I - A) = sum M_k t^(n-1-k).  Entries need
+    a ring structure together with division by integers (all our entry
+    types have it)."""
+    n = a.nrows
+    if n == 0:
+        return [Fraction(1)], []
+    one = _one_like(a.rows[0][0])
+    zero = one - one
+    ident = Matrix.identity(n, one)
+    coeffs = [zero] * (n + 1)
+    coeffs[n] = one
+    ms = [ident]
+    for k in range(1, n + 1):
+        am = a * ms[-1]
+        ck = am.trace() * Fraction(-1, k)
+        coeffs[n - k] = ck
+        if k < n:
+            ms.append(am + ident.scale(ck))
+    return coeffs, ms
 
 
-def _to_ratfunc(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RatFunc.make(x)
-    if isinstance(x, (int, Fraction)):
-        return RatFunc.make(LaurentPoly.const(x))
-    raise TypeError(f"cannot promote {type(x)!r} to RatFunc")
+def pencil_adjugate(a: Matrix, x, y) -> tuple[Matrix, object]:
+    """(adj(x*I - y*A), det(x*I - y*A)) for square A and ring elements x, y
+    (LaurentPoly in practice).  Homogenizes the Faddeev-LeVerrier expansion
+    of adj(t*I - A) and det(t*I - A), so nothing is divided and the pencil
+    is never inverted: (x*I - y*A)^-1 = adj / det wherever det != 0."""
+    if not a.is_square():
+        raise ValueError("pencil of non-square matrix")
+    coeffs, ms = _faddeev_leverrier(a)
+    n = a.nrows
+    xp = [x ** k for k in range(n + 1)]
+    yp = [y ** k for k in range(n + 1)]
+    det = coeffs[0] * yp[n]
+    for k in range(1, n + 1):
+        det = det + coeffs[k] * xp[k] * yp[n - k]
+    weights = [xp[n - 1 - k] * yp[k] for k in range(n)]
+    adj = Matrix([[_dot([m.rows[i][j] for m in ms], weights)
+                   for j in range(n)] for i in range(n)])
+    return adj, det

@@ -1,28 +1,29 @@
 """Smith normal form over Z, Q[z] and Q[z,z^-1].
 
 Returns U, V with unit determinants and U*A*V = D diagonal, the diagonal
-entries forming a divisibility chain.  Over Z the divisors are nonnegative;
-over the polynomial rings they are monic, and in the Laurent ring any z^k
-factor is a unit and gets stripped.  Rank-deficient inputs keep explicit
-trailing zero divisors.
+entries forming a divisibility chain, and U_inv = U^-1.  Over Z the divisors
+are nonnegative; over the polynomial rings they are monic, and in the
+Laurent ring any z^k factor is a unit and gets stripped.  Rank-deficient
+inputs keep explicit trailing zero divisors.
 
 The algorithm is the classical one: move a minimal-norm entry to the pivot,
 clear its row and column by Euclidean steps, and restart whenever a division
 leaves a remainder; after clearing, any entry of the remaining block that the
 pivot does not divide is folded into the pivot row and the clearing repeats,
-which makes the divisibility chain hold by construction.
+which makes the divisibility chain hold by construction.  Each row
+operation applied to U has its inverse applied to U_inv as a column
+operation (Kannan and Bachem's transform-keeping SNF), so U_inv has entries
+in the base ring and no matrix is ever inverted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix, invert_ratfunc_matrix
-from wittkit.exact.ratfunc import RatFunc
+from wittkit.exact.matrix import Matrix
 
 
 class _IntOps:
@@ -50,8 +51,8 @@ class _IntOps:
         return e % p == 0
 
     def normalize_unit(self, d):
-        # returns (normalized, unit) with normalized = unit * d
-        return (-d, -1) if d < 0 else (d, 1)
+        # returns (unit, unit^-1) with unit * d normalized
+        return (-1, -1) if d < 0 else (1, 1)
 
     def one(self):
         return 1
@@ -101,8 +102,9 @@ class _PolyOps:
     def normalize_unit(self, d):
         d0, k = d.ordinary()
         lc = d0[-1]
-        u = LaurentPoly.monomial(Fraction(1) / lc, -k if self.z_unit else 0)
-        return u * d, u
+        k = k if self.z_unit else 0
+        return (LaurentPoly.monomial(Fraction(1) / lc, -k),
+                LaurentPoly.monomial(lc, k))
 
     def one(self):
         return LaurentPoly.one()
@@ -113,27 +115,15 @@ class SNFResult:
     ring: str
     A: Matrix
     U: Matrix
+    U_inv: Matrix
     V: Matrix
     D: Matrix
     divisors: list  # full diagonal, including trailing zeros
-    _u_inv: Optional[Matrix] = field(default=None, repr=False)
 
     @property
     def nonzero_divisors(self) -> list:
         ops = _ops_for(self.ring)
         return [d for d in self.divisors if not ops.is_zero(d)]
-
-    def u_inverse(self) -> Matrix:
-        """Inverse of U, with entries back in the base ring (U is unimodular
-        so the inverse has no denominators)."""
-        if self._u_inv is None:
-            if self.ring == "Z":
-                inv = Matrix.from_ints(self.U.rows).inverse()
-                self._u_inv = inv.map(lambda x: int(x))
-            else:
-                inv = invert_ratfunc_matrix(self.U)
-                self._u_inv = inv.map(lambda r: r.as_laurent())
-        return self._u_inv
 
 
 def _ops_for(ring: str):
@@ -153,12 +143,15 @@ def smith_normal_form(a: Matrix, ring: str = "Z") -> SNFResult:
     one = ops.one()
     zero = one - one
     u = [[one if i == j else zero for j in range(m)] for i in range(m)]
+    u_inv = [row[:] for row in u]
     v = [[one if i == j else zero for j in range(n)] for i in range(n)]
 
     def row_op(i, k, q):
-        # row i -= q * row k
+        # row i -= q * row k; undone on the right by col k += q * col i
         work[i] = [x - q * y for x, y in zip(work[i], work[k])]
         u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        for r in u_inv:
+            r[k] = r[k] + q * r[i]
 
     def col_op(j, k, q):
         # col j -= q * col k
@@ -170,6 +163,8 @@ def smith_normal_form(a: Matrix, ring: str = "Z") -> SNFResult:
     def swap_rows(i, k):
         work[i], work[k] = work[k], work[i]
         u[i], u[k] = u[k], u[i]
+        for r in u_inv:
+            r[i], r[k] = r[k], r[i]
 
     def swap_cols(j, k):
         for r in work:
@@ -177,9 +172,11 @@ def smith_normal_form(a: Matrix, ring: str = "Z") -> SNFResult:
         for r in v:
             r[j], r[k] = r[k], r[j]
 
-    def scale_row(i, unit):
+    def scale_row(i, unit, unit_inv):
         work[i] = [unit * x for x in work[i]]
         u[i] = [unit * x for x in u[i]]
+        for r in u_inv:
+            r[i] = r[i] * unit_inv
 
     for t in range(min(m, n)):
         while True:
@@ -226,22 +223,20 @@ def smith_normal_form(a: Matrix, ring: str = "Z") -> SNFResult:
                     break
             if offender is None:
                 break
-            row_i = offender
-            work[t] = [x + y for x, y in zip(work[t], work[row_i])]
-            u[t] = [x + y for x, y in zip(u[t], u[row_i])]
+            row_op(t, offender, -one)
 
         if not ops.is_zero(work[t][t]):
-            _, unit = ops.normalize_unit(work[t][t])
+            unit, unit_inv = ops.normalize_unit(work[t][t])
             if unit != one:
-                scale_row(t, unit)
+                scale_row(t, unit, unit_inv)
 
     divisors = [work[i][i] for i in range(min(m, n))]
-    res = SNFResult(
+    return SNFResult(
         ring=ops.ring,
         A=a,
         U=Matrix(u),
+        U_inv=Matrix(u_inv),
         V=Matrix(v),
         D=Matrix(work),
         divisors=divisors,
     )
-    return res

@@ -237,9 +237,6 @@ class FiniteLinkingForm:
     def is_homogeneous(self) -> bool:
         return len(set(self.orders)) <= 1
 
-    def gram_matrix(self) -> Matrix:
-        return Matrix([list(r) for r in self.gram])
-
     # -- constructions --
 
     def direct_sum(self, other: "FiniteLinkingForm") -> "FiniteLinkingForm":
@@ -608,14 +605,13 @@ def boundary_of_form(alpha, epsilon: int) -> dict[int, FiniteLinkingForm]:
     res = smith_normal_form(a)
     # alpha^{-1} = V D^{-1} U, and the coker basis transform U gives the
     # pairing matrix U^{-T} V D^{-1} on the Smith generators
-    u_inv = res.u_inverse()
     divisors = res.divisors
     n = a.nrows
     vd = Matrix(
         [[Fraction(res.V[i, j], divisors[j]) for j in range(n)]
          for i in range(n)]
     )
-    pairing = u_inv.map(Fraction).transpose() * vd
+    pairing = res.U_inv.map(Fraction).transpose() * vd
     keep = [i for i in range(n) if divisors[i] != 1]
     orders = [divisors[i] for i in keep]
     gram = [[_mod1(pairing[i, j]) for j in keep] for i in keep]

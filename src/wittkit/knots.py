@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from wittkit.errors import (
+    ComputationError,
     MixedSymmetry,
     NotAKnotForm,
     NotSymmetricCase,
@@ -22,11 +23,11 @@ from wittkit.errors import (
     SingularAtRoot,
     SingularForm,
     SingularSeifertForm,
+    check,
 )
 from wittkit.exact.factor import cyclotomic_polynomial, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
-from wittkit.exact.matrix import Matrix
-from wittkit.exact.ratfunc import RatFunc
+from wittkit.exact.matrix import Matrix, pencil_adjugate
 from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
@@ -121,23 +122,19 @@ def knot_inverse(k: KnotInput) -> KnotInput:
 
 
 def alexander_polynomial(k: KnotInput) -> LaurentPoly:
-    """det((1-e) + ez), shifted to an ordinary polynomial with nonzero
-    constant term and positive leading coefficient.  Evaluating the
-    determinant at 1 gives det(identity) = 1, so p(1) = +-1 exactly."""
-    f = k.seifert_form
-    n = f.rank
-    if n == 0:
+    """det((1-e) + ez) = det(I - (1-z) e), shifted to an ordinary
+    polynomial with nonzero constant term and positive leading coefficient.
+    Evaluating the determinant at 1 gives det(identity) = 1, so p(1) = +-1
+    exactly."""
+    if k.rank == 0:
         return LaurentPoly.one()
-    e = f.e
-    pres = Matrix([[LaurentPoly({0: (1 if i == j else 0) - e[i, j],
-                                 1: e[i, j]})
-                    for j in range(n)] for i in range(n)])
-    det = pres.map(RatFunc.make).det().as_laurent()
+    one = LaurentPoly.one()
+    _, det = pencil_adjugate(k.seifert_form.e, one, one - LaurentPoly.z())
     dense = det.ordinary()[0]
     if dense[-1] < 0:
         dense = [-c for c in dense]
     alex = LaurentPoly.from_dense(dense)
-    assert alex(Fraction(1)) in (1, -1)
+    check(alex(Fraction(1)) in (1, -1), "Alexander polynomial has p(1) != +-1")
     return alex
 
 
@@ -239,7 +236,7 @@ def _turn_in_y_gap(y_low: Fraction, y_high: Fraction) -> Fraction:
                 if y_low < probe.lo and probe.hi < y_high:
                     return t
             num += 1
-    raise ArithmeticError("no sampling angle found between roots")
+    raise ComputationError("no sampling angle found between roots")
 
 
 def lt_jumps(k: KnotInput,

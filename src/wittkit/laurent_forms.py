@@ -32,6 +32,7 @@ from wittkit.errors import (
     NotSelfConjugate,
     NotTorsion,
     SingularForm,
+    check,
 )
 from wittkit.exact import polys
 from wittkit.exact.factor import factor_rational_poly
@@ -369,7 +370,8 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
         aux = AuxiliaryHermitian(p, l, field, gram, 1, u)
         for i in range(len(idx)):
             for j in range(len(idx)):
-                assert aux.gram[i, j] == field.bar_elem(aux.gram[j, i])
+                check(aux.gram[i, j] == field.bar_elem(aux.gram[j, i]),
+                      "rescaled auxiliary form is not hermitian")
     if idx and aux.gram.det().is_zero():
         raise SingularForm("auxiliary form is singular over the residue field")
     return aux

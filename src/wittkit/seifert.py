@@ -11,17 +11,20 @@ through.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from wittkit.errors import (
     NotEInvariant,
     NotNearProjection,
     SingularAutometricForm,
     SingularSeifertForm,
+    check,
 )
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.matrix import Matrix, pencil_adjugate
 from wittkit.exact.ratfunc import RatFunc, series_expand
 from wittkit.exact.snf import smith_normal_form
+from wittkit.finite import _integral_solver
 from wittkit.laurent_forms import LaurentLinkingForm, LaurentModule, decompose_module
 
 
@@ -145,16 +148,14 @@ def _empty_covering(mode: str, epsilon: int) -> LaurentLinkingForm:
     return LaurentLinkingForm(module, [], epsilon, validate=False)
 
 
-def _snf_pairing(raw: Matrix, module) -> list:
-    """Rewrite a pairing matrix from the presentation basis into the kept
-    Smith basis: generators g_i are the columns of U^{-1}."""
-    res = module.basis_change
-    n = raw.nrows
-    u_rf = res.U.map(RatFunc.make)
-    u_inv = u_rf.inverse()
-    changed = u_inv.transpose() * raw * u_inv.bar()
-    return [[changed[i, j].frac_class() for j in module.kept_indices]
-            for i in module.kept_indices]
+def _snf_pairing(num: Matrix, den: LaurentPoly, module) -> list:
+    """Rewrite the pairing matrix num / den from the presentation basis into
+    the kept Smith basis: generators g_i are the kept columns of U^{-1}."""
+    g = Matrix([[row[i] for i in module.kept_indices]
+                for row in module.basis_change.U_inv.rows])
+    changed = g.transpose() * num * g.bar()
+    return [[RatFunc.make(x, den).frac_class() for x in row]
+            for row in changed.rows]
 
 
 def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
@@ -172,12 +173,12 @@ def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
         return _empty_covering("P", -f.epsilon)
     # theta extended conjugate-linearly in the second slot, so the inverted
     # presentation appears conjugated; this is the unique placement passing
-    # both the symmetry check and exact well-definedness
-    b_bar_inv = pres.bar().map(RatFunc.make).inverse()
-    theta_rf = f.theta.map(RatFunc.make)
-    scale = RatFunc.make(LaurentPoly({-1: Fraction(1), 0: Fraction(-1)}))
-    raw = (theta_rf * b_bar_inv).map(lambda x: scale * x)
-    return LaurentLinkingForm(module, _snf_pairing(raw, module), -f.epsilon)
+    # both the symmetry check and exact well-definedness.  The conjugated
+    # presentation (1-e) + ez^{-1} is the pencil I - (1 - z^{-1}) e.
+    scale = LaurentPoly({-1: Fraction(1), 0: Fraction(-1)})
+    adj, det = pencil_adjugate(e, LaurentPoly.one(), -scale)
+    pairing = _snf_pairing(f.theta * adj * scale, det, module)
+    return LaurentLinkingForm(module, pairing, -f.epsilon)
 
 
 def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
@@ -191,11 +192,11 @@ def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
     module = decompose_module(pres, "Q")
     if module.is_zero:
         return _empty_covering("Q", -f.epsilon)
-    a_bar_inv = pres.bar().map(RatFunc.make).inverse()
-    theta_rf = f.theta.map(RatFunc.make)
-    scale = RatFunc.make(LaurentPoly({-1: Fraction(-1)}))
-    raw = (theta_rf * a_bar_inv).map(lambda x: scale * x)
-    return LaurentLinkingForm(module, _snf_pairing(raw, module), -f.epsilon)
+    # the conjugated presentation z^{-1} - h is the pencil at (z^{-1}, 1)
+    adj, det = pencil_adjugate(f.h, LaurentPoly.z(-1), LaurentPoly.one())
+    scale = LaurentPoly({-1: Fraction(-1)})
+    pairing = _snf_pairing(f.theta * adj * scale, det, module)
+    return LaurentLinkingForm(module, pairing, -f.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +266,10 @@ def canonical_identification(f: AutometricForm,
     the original Q-basis of f, using that z acts as h on coker(z - h)."""
     n = f.rank
     h_inv = f.h.inverse()
-    res = cov.module.basis_change
-    u_inv = res.U.map(RatFunc.make).inverse()
+    u_inv = cov.module.basis_change.U_inv
     cols = []
     for pos, i in enumerate(cov.module.kept_indices):
-        lift = [u_inv[a, i].as_laurent() for a in range(n)]
+        lift = [u_inv[a, i] for a in range(n)]
         base = [Fraction(0)] * n
         base_vec = Matrix([[x] for x in base])
         for a, p in enumerate(lift):
@@ -304,7 +304,6 @@ def verify_roundtrip(f: AutometricForm) -> bool:
 
 def _solve_membership(basis: Matrix, vec: list, integral: bool) -> bool:
     """Is vec in the column span of basis (lattice span when integral)?"""
-    n = basis.nrows
     if basis.ncols == 0:
         return all(x == 0 for x in vec)
     aug = basis.hstack(Matrix([[v] for v in vec]))
@@ -312,29 +311,9 @@ def _solve_membership(basis: Matrix, vec: list, integral: bool) -> bool:
         return False
     if not integral:
         return True
-    scale = 1
-    for row in basis.rows + [vec]:
-        for x in row:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
+    scale = lcm(*(x.denominator for row in basis.rows + [vec] for x in row))
     int_basis = Matrix([[int(x * scale) for x in row] for row in basis.rows])
-    target = [int(x * scale) for x in vec]
-    res = smith_normal_form(int_basis, ring="Z")
-    moved = [sum(res.U[i, k] * target[k] for k in range(n))
-             for i in range(n)]
-    for i in range(n):
-        d = res.D[i, i] if i < res.D.ncols else 0
-        if d == 0:
-            if moved[i] != 0:
-                return False
-        elif moved[i] % d != 0:
-            return False
-    return True
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+    return _integral_solver(int_basis)([int(x * scale) for x in vec])
 
 
 def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
@@ -361,7 +340,6 @@ def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
         return "not_lagrangian"
     if not integral:
         return "split_lagrangian"
-    scale = 1
     int_basis = Matrix([[int(x) for x in row] for row in basis.rows])
     res = smith_normal_form(int_basis, ring="Z")
     div = [res.D[i, i] for i in range(min(res.D.nrows, res.D.ncols))]
@@ -434,7 +412,7 @@ def near_projection_decompose(k_rank: int, e) -> tuple[Matrix, Matrix]:
         e_k = e_k * e
         one_minus_k = one_minus_k * (ident - e)
     p_e = (e_k + one_minus_k).inverse() * e_k
-    assert p_e * p_e == p_e
+    check(p_e * p_e == p_e, "near projection is not idempotent")
     plus = _column_space_basis(p_e)
     minus = _column_space_basis(ident - p_e)
     return plus, minus

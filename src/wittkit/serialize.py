@@ -14,15 +14,10 @@ from fractions import Fraction
 from wittkit.errors import NotAKnotForm
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
-from wittkit.exact.ratfunc import RatFunc
 from wittkit.finite import FiniteLinkingForm
 from wittkit.knots import KnotInput, ObstructionReport
-from wittkit.laurent_forms import (
-    DWMultiSignatureLaurent,
-    LaurentLinkingForm,
-    decompose_module,
-)
-from wittkit.seifert import SeifertForm, SeifertSubmodule
+from wittkit.laurent_forms import DWMultiSignatureLaurent
+from wittkit.seifert import SeifertSubmodule
 
 
 def dumps(doc) -> str:
@@ -47,7 +42,7 @@ def parse_fraction(s) -> Fraction:
     return Fraction(s)
 
 
-# -- Laurent polynomials and rational functions --
+# -- Laurent polynomials --
 
 def laurent_to_json(p: LaurentPoly) -> dict:
     return {str(d): fraction_str(c) for d, c in sorted(p.coeffs.items())}
@@ -58,18 +53,6 @@ def laurent_from_json(obj) -> LaurentPoly:
         raise ValueError("a Laurent polynomial is a {degree: coefficient} "
                          "object")
     return LaurentPoly({int(d): parse_fraction(c) for d, c in obj.items()})
-
-
-def ratfunc_to_json(f: RatFunc) -> dict:
-    return {
-        "num": laurent_to_json(f.num),
-        "den": laurent_to_json(LaurentPoly.from_dense(f.den)),
-    }
-
-
-def ratfunc_from_json(obj) -> RatFunc:
-    return RatFunc.make(laurent_from_json(obj["num"]),
-                        laurent_from_json(obj["den"]))
 
 
 def _matrix_json(m: Matrix, cell) -> list:
@@ -109,48 +92,6 @@ def oracle_result_to_json(result: dict) -> dict:
                       for w in result["witnesses"]],
         "exhausted": bool(result["exhausted"]),
     }
-
-
-# -- Laurent linking forms --
-
-def laurent_form_to_json(form: LaurentLinkingForm) -> dict:
-    pres = form.module.presentation
-    return {
-        "presentation": _matrix_json(pres, laurent_to_json),
-        "pairing": _matrix_json(form.pairing, ratfunc_to_json),
-        "epsilon": form.epsilon,
-        "torsion": form.module.torsion_mode,
-    }
-
-
-def laurent_form_from_json(obj) -> LaurentLinkingForm:
-    module = decompose_module(
-        _rows_from_json(obj["presentation"], laurent_from_json),
-        obj["torsion"],
-    )
-    return LaurentLinkingForm(
-        module,
-        _rows_from_json(obj["pairing"], ratfunc_from_json),
-        int(obj["epsilon"]),
-    )
-
-
-# -- Seifert data --
-
-def seifert_to_json(form: SeifertForm) -> dict:
-    return {
-        "psi": _matrix_json(form.psi, _scalar),
-        "epsilon": form.epsilon,
-        "coefficients": form.coefficients,
-    }
-
-
-def seifert_from_json(obj) -> SeifertForm:
-    return SeifertForm(
-        _rows_from_json(obj["psi"], parse_fraction),
-        int(obj["epsilon"]),
-        obj.get("coefficients", "Z"),
-    )
 
 
 def submodule_to_json(sub: SeifertSubmodule) -> dict:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 from wittkit.errors import SearchSpaceTooLarge
 from wittkit.finite import FiniteLinkingForm
@@ -119,7 +119,7 @@ class _SearchContext:
 
     def closure(self, base: frozenset, x) -> frozenset:
         ord_x = max(
-            (o // _gcd(xi, o) for xi, o in zip(x, self.orders)), default=1)
+            (o // gcd(xi, o) for xi, o in zip(x, self.orders)), default=1)
         out = set()
         for h in base:
             step = h
@@ -127,12 +127,6 @@ class _SearchContext:
                 out.add(step)
                 step = self.add(step, x)
         return frozenset(out)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _isotropic_subgroups(ctx: _SearchContext):

@@ -3,9 +3,13 @@ and the selftest anchor suite."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wittkit
 from wittkit import cli, serialize
 
 TREFOIL_DOC = '{"name": "trefoil", "psi": [[-1, 1], [0, -1]], "epsilon": -1}'
@@ -245,3 +249,20 @@ class TestSelftest:
         out, _ = capsys.readouterr()
         assert code == 1
         assert "FAIL lt-consistency" in out
+
+    def test_corrupted_calibration_fails_under_optimize(self):
+        # python -O strips assert statements; the anchors must survive it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            wittkit.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        code = ("import sys\n"
+                "import wittkit.laurent_forms as lf\n"
+                "lf.SIGMA_SIGN = -1\n"
+                "from wittkit import cli\n"
+                "sys.exit(cli.main(['selftest']))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1
+        assert "FAIL lt-consistency" in proc.stdout

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wittkit.errors import (
+    ComputationError,
     MixedSymmetry,
     NotAKnotForm,
     NotSymmetricCase,
@@ -23,6 +24,7 @@ from wittkit.knots import (
     blanchfield_form,
     connected_sum,
     doubly_slice_obstruction,
+    _turn_in_y_gap,
     knot_inverse,
     levine_tristram_signature,
     lt_jumps,
@@ -250,6 +252,11 @@ class TestJumps:
                 assert jump == sums.get(key, 0)
                 checked += 1
         assert checked
+
+    def test_gap_too_narrow_is_a_typed_error(self):
+        y = Fraction(1, 3)
+        with pytest.raises(ComputationError):
+            _turn_in_y_gap(y, y + Fraction(1, 10**15))
 
 
 # -- obstruction flags --

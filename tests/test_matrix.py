@@ -1,5 +1,6 @@
 """Generic matrices over Q, Laurent polynomials, and rational functions."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from wittkit.errors import SingularMatrix
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix, invert_ratfunc_matrix
+from wittkit.exact.matrix import Matrix, pencil_adjugate
 from wittkit.exact.ratfunc import RatFunc
 
 F = Fraction
@@ -57,11 +58,32 @@ def test_charpoly_of_laurent_entries():
 
 def test_ratfunc_inverse():
     m = Matrix([[z - 1, LaurentPoly.one()], [LaurentPoly.zero(), z + 1]])
-    inv = invert_ratfunc_matrix(m)
+    inv = m.map(RatFunc.make).inverse()
     prod = inv * m.map(RatFunc.make)
     assert prod[0, 0] == RatFunc.one()
     assert prod[0, 1].is_zero()
     assert prod[1, 1] == RatFunc.one()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pencil_adjugate_matches_ratfunc_inverse(seed):
+    # oracle: invert x*I - y*A by Gauss-Jordan over Q(z), scale by its det
+    rng = random.Random(seed)
+    one = LaurentPoly.one()
+    pencils = [(z**-1, one), (one, one - z**-1), (one, one - z)]
+    for n in range(6):
+        a = Matrix([[F(rng.randint(-5, 5), rng.randint(1, 4))
+                     for _ in range(n)] for _ in range(n)])
+        if n > 1 and rng.random() < 0.5:  # rank-deficient A
+            a.rows[-1] = [2 * x for x in a.rows[0]]
+        for x, y in pencils:
+            adj, det = pencil_adjugate(a, x, y)
+            pencil = (Matrix.identity(n, one).scale(x)
+                      - a.map(lambda c: y * c)).map(RatFunc.make)
+            oracle_det = pencil.det()
+            assert RatFunc.make(det) == oracle_det
+            assert adj.map(RatFunc.make) == pencil.inverse().map(
+                lambda r: r * oracle_det)
 
 
 def test_block_diag_and_stack():

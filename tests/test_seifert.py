@@ -291,6 +291,68 @@ class TestCoveringAutometric:
                 dw_multisignature_laurent(c1.direct_sum(c2))
 
 
+def _q_z_pairing(theta, module, scale):
+    """The covering pairing by Gauss-Jordan over Q(z):
+    U^-T (scale * theta * B-bar^-1) U-bar^-1 on the kept Smith indices."""
+    b_bar_inv = module.presentation.bar().map(RatFunc.make).inverse()
+    raw = (theta.map(RatFunc.make) * b_bar_inv).map(lambda x: scale * x)
+    u_inv = module.basis_change.U.map(RatFunc.make).inverse()
+    changed = u_inv.transpose() * raw * u_inv.bar()
+    kept = module.kept_indices
+    return [[changed[i, j].frac_class() for j in kept] for i in kept]
+
+
+class TestCoveringAgainstQz:
+    def test_autometric_criterion_3_forms(self):
+        scale = RatFunc.make(LaurentPoly({-1: Fraction(-1)}))
+        # the first 50 forms of criterion 3's stream; the oracle is slow
+        rng = random.Random(301)
+        checked = 0
+        for _ in range(50):
+            f = random_autometric(rng, max_rank=4, bound=5)
+            cov = covering_autometric(f)
+            if not cov.module.is_zero:
+                assert cov.pairing.rows == _q_z_pairing(
+                    f.theta, cov.module, scale)
+                checked += 1
+        assert checked > 40
+
+    def test_non_cyclic_modules(self):
+        # f (+) 2f presents a module with two kept Smith indices
+        auto = RatFunc.make(LaurentPoly({-1: Fraction(-1)}))
+        seif = RatFunc.make(LaurentPoly({-1: Fraction(1), 0: Fraction(-1)}))
+        rng = random.Random(302)
+        double = [[2 * x for x in row] for row in TREFOIL]
+        summed = SeifertForm(TREFOIL, -1, "Z").direct_sum(
+            SeifertForm(double, -1, "Q"))
+        cases = [(covering_seifert(summed), summed.theta, seif)]
+        for _ in range(6):
+            f = random_autometric(rng, max_rank=2, bound=3)
+            f2 = f.direct_sum(
+                AutometricForm(f.theta.map(lambda x: 2 * x), f.h, f.epsilon))
+            cases.append((covering_autometric(f2), f2.theta, auto))
+        for cov, theta, scale in cases:
+            assert len(cov.module.kept_indices) > 1
+            assert cov.pairing.rows == _q_z_pairing(theta, cov.module, scale)
+
+    def test_seifert_random_forms(self):
+        scale = RatFunc.make(LaurentPoly({-1: Fraction(1), 0: Fraction(-1)}))
+        rng = random.Random(401)
+        checked = 0
+        while checked < 25:
+            n = rng.randint(1, 4)
+            psi = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            try:
+                f = SeifertForm(psi, rng.choice([1, -1]), "Q")
+            except SingularSeifertForm:
+                continue
+            cov = covering_seifert(f)
+            if not cov.module.is_zero:
+                assert cov.pairing.rows == _q_z_pairing(
+                    f.theta, cov.module, scale)
+                checked += 1
+
+
 class TestCoveringSeifertFunctoriality:
     def test_block_sums_to_direct_sums(self):
         rng = random.Random(17)

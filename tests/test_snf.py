@@ -1,7 +1,9 @@
 """Smith normal form over Z and over polynomial rings."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.exact.laurent import LaurentPoly
@@ -66,7 +68,59 @@ def test_integer_snf_invariants(a):
 
 def test_u_inverse_integer():
     res = smith_normal_form(Matrix.from_ints([[4, 2], [2, 8]]))
-    assert res.u_inverse() * res.U == Matrix.identity(2)
+    assert res.U_inv * res.U == Matrix.identity(2)
+
+
+def _check_u_inv(res, one):
+    ident = Matrix.identity(res.U.nrows, one)
+    assert res.U_inv * res.U == ident
+    assert res.U * res.U_inv == ident
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 0], [0, 3]],                       # 2 does not divide 3: fold
+    [[6, 0, 0], [0, 10, 0], [0, 0, 15]],    # folds at two pivots
+    [[1, 2], [2, 4]],                       # rank-deficient
+    [[0, 0], [0, 0]],
+    [[2, 4, 6]],                            # rectangular
+    [[2], [4], [7]],
+])
+def test_u_inv_integer_cases(rows):
+    res = smith_normal_form(Matrix.from_ints(rows))
+    _check_invariants(res)
+    _check_u_inv(res, 1)
+    assert all(isinstance(x, int) for row in res.U_inv.rows for x in row)
+
+
+@given(rand_int_matrix())
+def test_u_inv_integer_random(a):
+    _check_u_inv(smith_normal_form(a), 1)
+
+
+@pytest.mark.parametrize("rows", [
+    [[z - 2, 0], [0, z - 3]],                # coprime divisors: fold
+    [[z - 1, 1], [0, z - 1]],
+    [[z - 1, z**2 - 1], [1, z + 1]],         # rank-deficient
+    [[z, z - 1, 1 + z**-1]],                 # rectangular
+    [[2 * z**3, 0], [0, 3 * z**-2]],         # units with z-powers
+])
+def test_u_inv_laurent_cases(rows):
+    a = Matrix([[x if isinstance(x, LaurentPoly) else LaurentPoly.const(x)
+                 for x in row] for row in rows])
+    res = smith_normal_form(a, ring="Q[z,z^-1]")
+    _check_invariants(res)
+    _check_u_inv(res, LaurentPoly.one())
+
+
+def test_u_inv_laurent_random():
+    rng = random.Random(7)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a = Matrix([[LaurentPoly({k: rng.randint(-3, 3) for k in (-1, 0, 1)})
+                     for _ in range(n)] for _ in range(m)])
+        res = smith_normal_form(a, ring="Q[z,z^-1]")
+        _check_invariants(res)
+        _check_u_inv(res, LaurentPoly.one())
 
 
 # ---- polynomial rings ----
