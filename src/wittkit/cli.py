@@ -51,9 +51,11 @@ from wittkit.seifert import (
     trace_chi,
     verify_roundtrip,
 )
-from wittkit.subgroups import DEFAULT_SEARCH_BOUND, brute_force_lagrangians
-
-ORACLE_MODES = ("any", "split", "complementary_pair")
+from wittkit.subgroups import (
+    DEFAULT_SEARCH_BOUND,
+    MODES,
+    brute_force_lagrangians,
+)
 
 
 @dataclass
@@ -208,7 +210,7 @@ def _linking_text(doc: dict) -> str:
                 lines.append(f"  {q}: {'yes' if part[q] else 'no'}")
         if part["oracle"] is not None:
             lines.append(f"  oracle verdict: {part['verdict']}")
-            for mode in ORACLE_MODES:
+            for mode in MODES:
                 res = part["oracle"][mode]
                 lines.append(f"    {mode}: witnesses {res['witnesses']}")
         for note in part["notes"]:
@@ -234,19 +236,18 @@ def cmd_analyze(config: CliConfig) -> int:
 
 
 def _run_oracle(form: FiniteLinkingForm, bound: int) -> dict:
-    return {
-        mode: serialize.oracle_result_to_json(
-            brute_force_lagrangians(form, mode, bound))
-        for mode in ORACLE_MODES
-    }
+    found = brute_force_lagrangians(form, bound)
+    return {mode: serialize.oracle_result_to_json(found[mode])
+            for mode in MODES}
 
 
 def _oracle_verdict(results: dict) -> str:
-    if not results["any"]["witnesses"]:
+    lagrangian, split, pair = (results[mode]["witnesses"] for mode in MODES)
+    if not lagrangian:
         return "not metabolic"
-    if not results["split"]["witnesses"]:
+    if not split:
         return "metabolic, not split metabolic"
-    if results["complementary_pair"]["witnesses"]:
+    if pair:
         return "hyperbolic: complementary split lagrangians found"
     return "split metabolic, no complementary pair"
 
@@ -320,7 +321,7 @@ def cmd_oracle(config: CliConfig) -> int:
         _emit(config, serialize.dumps(out))
     else:
         lines = [f"verdict: {out['verdict']}"]
-        for mode in ORACLE_MODES:
+        for mode in MODES:
             lines.append(f"{mode}: witnesses {results[mode]['witnesses']}")
         _emit(config, "\n".join(lines) + "\n")
     return 0
@@ -387,10 +388,9 @@ def _selftest_anchors(precision: Fraction):
         parts = boundary_of_form([[4]], 1)
         form = parts[2]
         check(form.orders == (2,), "boundary of (4) must be Z/4")
-        found = brute_force_lagrangians(form, "any")
-        check(found["witnesses"] == [[[2]]], "expected the subgroup <2>")
-        split = brute_force_lagrangians(form, "split")
-        check(split["exhausted"] and not split["witnesses"],
+        found = brute_force_lagrangians(form)
+        check(found["any"]["witnesses"] == [[[2]]], "expected the subgroup <2>")
+        check(found["split"]["exhausted"] and not found["split"]["witnesses"],
               "<2> is not a direct summand, no split lagrangian exists")
 
     def trefoil_pipeline():

@@ -27,7 +27,7 @@ from wittkit.errors import (
 )
 from wittkit.exact.factor import cyclotomic_polynomial, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
-from wittkit.exact.matrix import Matrix, pencil_adjugate
+from wittkit.exact.matrix import Matrix
 from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
@@ -124,12 +124,13 @@ def knot_inverse(k: KnotInput) -> KnotInput:
 def alexander_polynomial(k: KnotInput) -> LaurentPoly:
     """det((1-e) + ez) = det(I - (1-z) e), shifted to an ordinary
     polynomial with nonzero constant term and positive leading coefficient.
-    Evaluating the determinant at 1 gives det(identity) = 1, so p(1) = +-1
-    exactly."""
-    if k.rank == 0:
-        return LaurentPoly.one()
-    one = LaurentPoly.one()
-    _, det = pencil_adjugate(k.seifert_form.e, one, one - LaurentPoly.z())
+    With det(t*I - e) = sum c_k t^k this is sum c_k (1-z)^(n-k), taken by
+    Horner's rule in 1 - z.  Evaluating the determinant at 1 gives
+    det(identity) = 1, so p(1) = +-1 exactly."""
+    s = LaurentPoly.one() - LaurentPoly.z()
+    det = LaurentPoly.zero()
+    for c in k.seifert_form.e.charpoly():
+        det = det * s + c
     dense = det.ordinary()[0]
     if dense[-1] < 0:
         dense = [-c for c in dense]

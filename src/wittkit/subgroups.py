@@ -5,8 +5,10 @@ stays isotropic exactly when the new generator self-annihilates and pairs to
 zero with the existing generators, so the search tree prunes early.
 Deduplication keys subgroups by the Hermite normal form of the lattice
 generated by the generator tuple together with the relation lattice; that
-key is also the deterministic witness order.  Any prime is allowed here,
-including 2.
+key is also the deterministic witness order.  One enumeration serves all
+three questions: `brute_force_lagrangians(form)` returns
+{mode: {"mode", "witnesses", "exhausted"}} for every mode in MODES.  Any
+prime is allowed here, including 2.
 """
 
 from __future__ import annotations
@@ -100,16 +102,18 @@ class _SearchContext:
         p = form.prime
         big = max(form.orders) if form.orders else 1
         self.q = p**big
-        self.pairing = [
-            [int(form.gram[i][j] * self.q) % self.q for j in range(form.rank)]
-            for i in range(form.rank)
+        self.columns = [
+            [int(form.gram[i][j] * self.q) % self.q for i in range(form.rank)]
+            for j in range(form.rank)
         ]
 
+    def functional(self, x) -> tuple:
+        """x^T N mod q, so that pair(x, y) = functional(x) . y mod q."""
+        return tuple(sum(a * b for a, b in zip(x, c)) % self.q
+                     for c in self.columns)
+
     def pair(self, x, y) -> int:
-        n = self.pairing
-        return sum(
-            x[i] * n[i][j] * y[j] for i in range(len(x)) for j in range(len(y))
-        ) % self.q
+        return sum(a * b for a, b in zip(self.functional(x), y)) % self.q
 
     def elements(self):
         return product(*[range(o) for o in self.orders])
@@ -130,27 +134,38 @@ class _SearchContext:
 
 
 def _isotropic_subgroups(ctx: _SearchContext):
-    """Every self-annihilating subgroup, as (hnf_key, element_set, gens)."""
+    """Every self-annihilating subgroup, as (hnf_key, element_set), in
+    breadth-first discovery order.  Each node carries the self-annihilating
+    elements orthogonal to its generators, and a child filters that list by
+    the new generator's functional x^T N: the form is epsilon-symmetric, so
+    x^T N y = 0 exactly when y^T N x = 0.  A child's key is the HNF of its
+    parent's key plus x.  When a child has index p over its parent, every
+    element of it outside the parent gives the same child, so those are
+    skipped."""
     n = ctx.form.rank
-    zero = (0,) * n
-    self_ann = [x for x in ctx.elements() if ctx.pair(x, x) == 0]
+    q = ctx.q
+    functional = {x: ctx.functional(x) for x in ctx.elements()
+                  if ctx.pair(x, x) == 0}
     start_key = _lattice_key([], ctx.orders)
-    seen = {start_key}
-    queue = deque([(start_key, frozenset({zero}), ())])
+    seen = {start_key: frozenset({(0,) * n})}
+    queue = deque([(start_key, seen[start_key], list(functional))])
     found = []
     while queue:
-        key, elems, gens = queue.popleft()
-        found.append((key, elems, gens))
-        for x in self_ann:
-            if x in elems:
+        key, elems, cands = queue.popleft()
+        found.append((key, elems))
+        covered = set(elems)
+        for x in cands:
+            if x in covered:
                 continue
-            if any(ctx.pair(x, g) for g in gens):
-                continue
-            new_key = _lattice_key(list(gens) + [x], ctx.orders)
-            if new_key in seen:
-                continue
-            seen.add(new_key)
-            queue.append((new_key, ctx.closure(elems, x), gens + (x,)))
+            new_key = tuple(tuple(r) for r in _hnf_rows([*key, x], n))
+            if new_key not in seen:
+                seen[new_key] = ctx.closure(elems, x)
+                f = functional[x]
+                queue.append((new_key, seen[new_key], [
+                    y for y in cands if not sum(a * b for a, b in zip(f, y)) % q
+                ]))
+            if len(seen[new_key]) == ctx.form.prime * len(elems):
+                covered |= seen[new_key]
     return found
 
 
@@ -179,10 +194,9 @@ def _is_pure(elems: frozenset, ctx: _SearchContext) -> bool:
 
 def brute_force_lagrangians(
     form: FiniteLinkingForm,
-    mode: str = "any",
     bound: int = DEFAULT_SEARCH_BOUND,
 ) -> dict:
-    """Exhaustive lagrangian search.
+    """Exhaustive lagrangian search: one enumeration answers every mode.
 
     mode "any": a subgroup with lambda|_L = 0 and |L|^2 = |T| (equivalently
     L = L-perp, since the form is nonsingular).
@@ -190,45 +204,30 @@ def brute_force_lagrangians(
     mode "complementary_pair": two lagrangians meeting trivially, so their
     internal direct sum is all of T.
 
-    Returns {"mode", "witnesses", "exhausted"}; witnesses hold generator
-    matrices (generators as columns), chosen minimal in HNF order, and are
-    empty when the exhaustive search certifies absence.
+    Returns {mode: {"mode", "witnesses", "exhausted"}} for each mode in
+    MODES; witnesses hold generator matrices (generators as columns), chosen
+    minimal in HNF order, and are empty when the exhaustive search certifies
+    absence.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
     ctx = _SearchContext(form, bound)
-    lagrangians = [
-        (key, elems)
-        for key, elems, _ in _isotropic_subgroups(ctx)
-        if len(elems) ** 2 == ctx.size
-    ]
-    lagrangians.sort(key=lambda t: t[0])
-
-    witnesses = []
-    if mode == "any":
-        if lagrangians:
-            witnesses.append(_witness_matrix(lagrangians[0][0], ctx.orders))
-    elif mode == "split":
-        for key, elems in lagrangians:
-            if _is_pure(elems, ctx):
-                witnesses.append(_witness_matrix(key, ctx.orders))
-                break
-    else:
-        zero = (0,) * form.rank
-        done = False
-        for key_a, elems_a in lagrangians:
-            if done:
-                break
-            for key_b, elems_b in lagrangians:
-                if len(elems_a) * len(elems_b) != ctx.size:
-                    continue
-                if elems_a & elems_b != {zero}:
-                    continue
-                witnesses.append(_witness_matrix(key_a, ctx.orders))
-                witnesses.append(_witness_matrix(key_b, ctx.orders))
-                done = True
-                break
-    return {"mode": mode, "witnesses": witnesses, "exhausted": True}
+    lagrangians = sorted(
+        (t for t in _isotropic_subgroups(ctx) if len(t[1]) ** 2 == ctx.size),
+        key=lambda t: t[0])
+    keys = {
+        "any": [key for key, _ in lagrangians[:1]],
+        "split": next(
+            ([key] for key, elems in lagrangians if _is_pure(elems, ctx)), []),
+        "complementary_pair": next(
+            ([key_a, key_b] for key_a, elems_a in lagrangians
+             for key_b, elems_b in lagrangians if len(elems_a & elems_b) == 1),
+            []),
+    }
+    return {
+        mode: {"mode": mode,
+               "witnesses": [_witness_matrix(k, ctx.orders) for k in keys[mode]],
+               "exhausted": True}
+        for mode in MODES
+    }
 
 
 def brute_force_isomorphism(

@@ -115,11 +115,9 @@ def test_criterion_05_oracle_agreement():
         for f in enumerate_symmetric_forms(p, cap):
             met = classify(f, "metabolic")
             hyp = classify(f, "hyperbolic")
-            assert met == bool(
-                brute_force_lagrangians(f, "any")["witnesses"]), f
-            assert hyp == bool(
-                brute_force_lagrangians(
-                    f, "complementary_pair")["witnesses"]), f
+            out = brute_force_lagrangians(f)
+            assert met == bool(out["any"]["witnesses"]), f
+            assert hyp == bool(out["complementary_pair"]["witnesses"]), f
             checked += 1
     _finish(5, 300, t0, f"classify agrees with the exhaustive oracle on "
                         f"{checked} forms (orders up to 3^5 and 5^4), "
@@ -134,7 +132,7 @@ def test_criterion_06_devissage_even_levels():
             if not f.is_homogeneous() or f.orders[0] % 2 != 0:
                 continue
             assert classify(f, "metabolic") is True, f
-            assert brute_force_lagrangians(f, "any")["witnesses"], f
+            assert brute_force_lagrangians(f)["any"]["witnesses"], f
             checked += 1
     assert checked
     _finish(6, 300, t0, f"all {checked} enumerated even-level homogeneous "
@@ -182,7 +180,7 @@ def test_criterion_08_witt_relation_2a_equals_2b():
             diff = aa.direct_sum(bb.negate())
             assert classify(diff, "metabolic") is True
             if p in (3, 5) and level == 1:
-                out = brute_force_lagrangians(diff, "any")
+                out = brute_force_lagrangians(diff)["any"]
                 assert out["exhausted"] and out["witnesses"], (p, level)
     _finish(8, 30, t0, "A + A and B + B carry equal Witt data at "
                        "p in {3, 5, 13}, oracle-confirmed at p = 3, 5")
@@ -195,9 +193,10 @@ def test_criterion_09_boundary_anchor():
     form = parts[2]
     assert form.orders == (2,)
     assert form.gram == ((Fraction(1, 4),),)
-    found = brute_force_lagrangians(form, "any")
+    out = brute_force_lagrangians(form)
+    found = out["any"]
     assert found["exhausted"] and found["witnesses"] == [[[2]]]
-    split = brute_force_lagrangians(form, "split")
+    split = out["split"]
     assert split["exhausted"] and not split["witnesses"]
     _finish(9, 10, t0, "boundary of (4) is (Z/4, xy/4): lagrangian <2> "
                        "exists, split lagrangian certified absent")

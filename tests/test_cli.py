@@ -10,11 +10,25 @@ import sys
 import pytest
 
 import wittkit
-from wittkit import cli, serialize
+from wittkit import cli, serialize, subgroups
 
 TREFOIL_DOC = '{"name": "trefoil", "psi": [[-1, 1], [0, -1]], "epsilon": -1}'
 Z4_DOC = '{"prime": 2, "orders": [2], "gram": [["1/4"]], "epsilon": 1}'
 Z9_DOC = '{"prime": 3, "orders": [2], "gram": [["1/9"]], "epsilon": 1}'
+
+
+@pytest.fixture
+def isotropic_searches(monkeypatch):
+    """Forms the lagrangian oracle enumerated, one entry per enumeration."""
+    searched = []
+    enumerate_once = subgroups._isotropic_subgroups
+
+    def counting(ctx):
+        searched.append(ctx.form)
+        return enumerate_once(ctx)
+
+    monkeypatch.setattr(subgroups, "_isotropic_subgroups", counting)
+    return searched
 
 
 def run_cli(args, stdin=None, monkeypatch=None, capsys=None):
@@ -183,6 +197,16 @@ class TestLinking:
         assert code == 0
         assert json.loads(out)["parts"][0]["hyperbolic"] is True
 
+    def test_one_search_per_part(self, monkeypatch, capsys,
+                                 isotropic_searches):
+        code, out, _ = run_cli(
+            ["linking", "--input", "-", "--search-bound", "100000"],
+            '{"alpha": [[12]], "epsilon": 1}', monkeypatch, capsys)
+        assert code == 0
+        parts = json.loads(out)["parts"]
+        assert [p["form"]["prime"] for p in parts] == [2, 3]
+        assert [f.prime for f in isotropic_searches] == [2, 3]
+
     def test_unrecognized_document(self, monkeypatch, capsys):
         code, _, err = run_cli(["linking", "--input", "-"],
                                '{"spam": 1}', monkeypatch, capsys)
@@ -206,6 +230,14 @@ class TestOracle:
                                doc, monkeypatch, capsys)
         assert code == 0
         assert json.loads(out)["verdict"].startswith("hyperbolic")
+
+    def test_one_search_for_all_modes(self, monkeypatch, capsys,
+                                      isotropic_searches):
+        code, out, _ = run_cli(["oracle", "--input", "-", "--format", "text"],
+                               Z4_DOC, monkeypatch, capsys)
+        assert code == 0
+        assert out.startswith("verdict: metabolic, not split metabolic")
+        assert len(isotropic_searches) == 1
 
 
 # -- catalog --

@@ -14,7 +14,8 @@ from wittkit.errors import (
     SingularAtRoot,
 )
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix
+from wittkit.catalog import catalog_knot, catalog_names
+from wittkit.exact.matrix import Matrix, pencil_adjugate
 from wittkit.knots import (
     CLASSICAL_CAVEAT,
     COMPLETENESS_CAVEAT,
@@ -152,6 +153,37 @@ class TestAlexander:
             k = random_skew_knot(rng)
             assert alexander_polynomial(k)(Fraction(1)) in (1, -1)
             assert dense_of(alexander_polynomial(k))[-1] > 0
+
+    def test_charpoly_route_matches_pencil_determinant(self):
+        knots = [catalog_knot(name) for name in catalog_names()]
+        rng = random.Random(11)
+        for rank in range(0, 9, 2):
+            for epsilon in (-1, 1):
+                knots += [seeded_seifert_knot(rng, rank, epsilon)
+                          for _ in range(3)]
+        for k in knots:
+            assert alexander_polynomial(k) == pencil_alexander(k), k.psi
+
+
+def seeded_seifert_knot(rng, rank, epsilon):
+    """psi = A + M - epsilon M^T with A the standard upper part, so
+    psi + epsilon psi^T = A + epsilon A^T is unimodular."""
+    m = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+    psi = [[m[i][j] - epsilon * m[j][i]
+            + (1 if i % 2 == 0 and j == i + 1 else 0)
+            for j in range(rank)] for i in range(rank)]
+    return KnotInput("seeded", psi, epsilon)
+
+
+def pencil_alexander(k):
+    """det((1-e) + ez) through the determinant of the adjugate pencil,
+    normalized as alexander_polynomial normalizes it."""
+    one = LaurentPoly.one()
+    _, det = pencil_adjugate(k.seifert_form.e, one, one - LaurentPoly.z())
+    dense = det.ordinary()[0]
+    if dense[-1] < 0:
+        dense = [-c for c in dense]
+    return LaurentPoly.from_dense(dense)
 
 
 # -- Blanchfield form --

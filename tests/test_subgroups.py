@@ -1,12 +1,15 @@
 """Brute-force lagrangian and isomorphism oracles."""
 
 import random
+from collections import deque
 from fractions import Fraction as F
+from itertools import product
 from math import prod
 
 import pytest
 
 from formbank import (
+    _partitions,
     apply_generator_change,
     diagonal_form,
     enumerate_symmetric_forms,
@@ -22,6 +25,12 @@ from wittkit.finite import (
     witt_class_fp,
 )
 from wittkit.subgroups import (
+    MODES,
+    _is_pure,
+    _isotropic_subgroups,
+    _lattice_key,
+    _SearchContext,
+    _witness_matrix,
     brute_force_isomorphism,
     brute_force_lagrangians,
 )
@@ -29,41 +38,38 @@ from wittkit.subgroups import (
 
 def test_quarter_form_has_lagrangian_but_no_split_one():
     f = FiniteLinkingForm(2, [2], [[F(1, 4)]], 1)
-    out = brute_force_lagrangians(f, "any")
-    assert out == {"mode": "any", "witnesses": [[[2]]], "exhausted": True}
-    assert brute_force_lagrangians(f, "split")["witnesses"] == []
+    out = brute_force_lagrangians(f)
+    assert list(out) == list(MODES)
+    assert out["any"] == {"mode": "any", "witnesses": [[[2]]],
+                          "exhausted": True}
+    assert out["split"]["witnesses"] == []
 
 
 def test_order_three_absence_certificate():
     f = FiniteLinkingForm(3, [1], [[F(1, 3)]], 1)
-    out = brute_force_lagrangians(f, "any")
+    out = brute_force_lagrangians(f)["any"]
     assert out["witnesses"] == []
     assert out["exhausted"] is True
 
 
 def test_hyperbolic_plane_coordinate_pair():
     f = FiniteLinkingForm(3, [2, 2], [[0, F(1, 9)], [F(1, 9), 0]], 1)
-    out = brute_force_lagrangians(f, "complementary_pair")
+    out = brute_force_lagrangians(f)["complementary_pair"]
     assert out["witnesses"] == [[[1], [0]], [[0], [1]]]
 
 
 def test_deep_cyclic_metabolic_not_hyperbolic():
     f = FiniteLinkingForm(3, [2], [[F(1, 9)]], 1)
-    assert brute_force_lagrangians(f, "any")["witnesses"] == [[[3]]]
-    assert brute_force_lagrangians(f, "complementary_pair")["witnesses"] == []
+    out = brute_force_lagrangians(f)
+    assert out["any"]["witnesses"] == [[[3]]]
+    assert out["complementary_pair"]["witnesses"] == []
 
 
 def test_search_bound_enforced():
     f = FiniteLinkingForm(2, [14], [[F(1, 2**14)]], 1)
     with pytest.raises(SearchSpaceTooLarge):
-        brute_force_lagrangians(f, "any")
-    assert brute_force_lagrangians(f, "any", bound=2**14)["exhausted"]
-
-
-def test_unknown_mode_rejected():
-    f = FiniteLinkingForm(3, [1], [[F(1, 3)]], 1)
-    with pytest.raises(ValueError):
-        brute_force_lagrangians(f, "metabolic")
+        brute_force_lagrangians(f)
+    assert brute_force_lagrangians(f, bound=2**14)["any"]["exhausted"]
 
 
 def _subgroup_elements(form, witness):
@@ -86,19 +92,21 @@ def _subgroup_elements(form, witness):
     return elems
 
 
+def _pairing(form, x, y):
+    """lambda(x, y) in Q/Z, straight from the Gram matrix."""
+    return sum(form.gram[i][j] * x[i] * y[j]
+               for i in range(form.rank) for j in range(form.rank)) % 1
+
+
 def _pairs_to_zero(form, elems):
-    return all(
-        sum(form.gram[i][j] * x[i] * y[j]
-            for i in range(form.rank) for j in range(form.rank)) % 1 == 0
-        for x in elems for y in elems
-    )
+    return all(_pairing(form, x, y) == 0 for x in elems for y in elems)
 
 
 def test_witnesses_are_honest_lagrangians():
     rng = random.Random(7)
     for f in enumerate_symmetric_forms(3, 4):
         g = apply_generator_change(f, random_automorphism(rng, f))
-        out = brute_force_lagrangians(g, "any")
+        out = brute_force_lagrangians(g)["any"]
         if not out["witnesses"]:
             continue
         elems = _subgroup_elements(g, out["witnesses"][0])
@@ -108,7 +116,7 @@ def test_witnesses_are_honest_lagrangians():
 
 def test_complementary_witnesses_meet_trivially():
     for f in enumerate_symmetric_forms(3, 4):
-        out = brute_force_lagrangians(f, "complementary_pair")
+        out = brute_force_lagrangians(f)["complementary_pair"]
         if not out["witnesses"]:
             continue
         a = _subgroup_elements(f, out["witnesses"][0])
@@ -123,18 +131,133 @@ def test_classify_matches_oracle_small_sweep():
         for f in enumerate_symmetric_forms(p, cap):
             met = classify(f, "metabolic")
             hyp = classify(f, "hyperbolic")
-            assert met == bool(
-                brute_force_lagrangians(f, "any")["witnesses"])
-            assert hyp == bool(
-                brute_force_lagrangians(f, "complementary_pair")["witnesses"])
+            out = brute_force_lagrangians(f)
+            assert met == bool(out["any"]["witnesses"])
+            assert hyp == bool(out["complementary_pair"]["witnesses"])
 
 
 def test_skew_forms_are_hyperbolic():
     for d in (1, 2):
         gram = [[0, F(1, 3**d)], [F(-1, 3**d) % 1, 0]]
         f = FiniteLinkingForm(3, [d, d], gram, -1)
-        assert brute_force_lagrangians(f, "complementary_pair")["witnesses"]
+        assert brute_force_lagrangians(f)["complementary_pair"]["witnesses"]
         assert classify(f, "hyperbolic")
+
+
+# ---------------------------------------------------------------------------
+# reference enumeration: every generator tested with the full pairing
+# ---------------------------------------------------------------------------
+
+def _reference_subgroups(ctx):
+    """The slow path: each candidate is paired with every generator, and
+    each key is the HNF of all generators plus the relation lattice."""
+    f = ctx.form
+    zero = (0,) * f.rank
+    self_ann = [x for x in ctx.elements() if _pairing(f, x, x) == 0]
+    start_key = _lattice_key([], ctx.orders)
+    seen = {start_key}
+    queue = deque([(start_key, frozenset({zero}), ())])
+    found = []
+    while queue:
+        key, elems, gens = queue.popleft()
+        found.append((key, elems))
+        for x in self_ann:
+            if x in elems:
+                continue
+            if any(_pairing(f, x, g) for g in gens):
+                continue
+            new_key = _lattice_key(list(gens) + [x], ctx.orders)
+            if new_key in seen:
+                continue
+            seen.add(new_key)
+            queue.append((new_key, ctx.closure(elems, x), gens + (x,)))
+    return found
+
+
+def _reference_witnesses(ctx, found, mode):
+    """One mode answered from its own sorted lagrangian list."""
+    lagrangians = sorted(
+        ((key, elems) for key, elems in found
+         if len(elems) ** 2 == ctx.size), key=lambda t: t[0])
+    witnesses = []
+    if mode == "any":
+        if lagrangians:
+            witnesses.append(_witness_matrix(lagrangians[0][0], ctx.orders))
+    elif mode == "split":
+        for key, elems in lagrangians:
+            if _is_pure(elems, ctx):
+                witnesses.append(_witness_matrix(key, ctx.orders))
+                break
+    else:
+        zero = (0,) * ctx.form.rank
+        for key_a, elems_a in lagrangians:
+            for key_b, elems_b in lagrangians:
+                if len(elems_a) * len(elems_b) != ctx.size:
+                    continue
+                if elems_a & elems_b != {zero}:
+                    continue
+                witnesses = [_witness_matrix(key_a, ctx.orders),
+                             _witness_matrix(key_b, ctx.orders)]
+                break
+            if witnesses:
+                break
+    return witnesses
+
+
+def _diagonal_2_forms(max_total):
+    """Diagonal 2-primary forms on groups of order up to 2^max_total, with
+    every odd unit at each level."""
+    for total in range(1, max_total + 1):
+        for shape in _partitions(total, total):
+            unit_choices = [range(1, 2**l, 2) for l in shape]
+            for units in product(*unit_choices):
+                yield diagonal_form(2, list(shape), list(units))
+
+
+def _skew_forms():
+    """Skew (epsilon = -1) forms: sums of hyperbolic planes (Z/p^d)^2 with
+    pairing 1/p^d, at odd p and at p = 2."""
+    for p, levels in ((2, (1,)), (2, (2,)), (2, (1, 1)), (3, (1,)),
+                      (3, (2,)), (3, (1, 1)), (5, (1,)), (7, (1,))):
+        n = 2 * len(levels)
+        gram = [[F(0)] * n for _ in range(n)]
+        orders = []
+        for b, d in enumerate(levels):
+            gram[2 * b][2 * b + 1] = F(1, p**d)
+            gram[2 * b + 1][2 * b] = F(-1, p**d) % 1
+            orders += [d, d]
+        yield FiniteLinkingForm(p, orders, gram, -1)
+
+
+def _reference_bank():
+    rng = random.Random(41)
+    bank = list(enumerate_symmetric_forms(3, 4))
+    bank += enumerate_symmetric_forms(5, 3)
+    bank += enumerate_symmetric_forms(7, 2)
+    bank += _diagonal_2_forms(4)
+    bank += _skew_forms()
+    moved = [apply_generator_change(f, random_automorphism(rng, f))
+             for f in bank if f.rank >= 2]
+    return bank + moved
+
+
+def test_enumeration_matches_reference():
+    """The functional-filtered enumeration discovers the same subgroups in
+    the same order as the slow path, and each mode gets the witnesses a
+    search of its own would give, also on non-diagonal presentations (where
+    the epsilon-symmetry the candidate filter relies on is not visible in
+    the Gram matrix's shape)."""
+    bank = _reference_bank()
+    assert any(f.prime == 2 for f in bank)
+    assert any(f.epsilon == -1 for f in bank)
+    for f in bank:
+        ctx = _SearchContext(f, 10**4)
+        ref = _reference_subgroups(ctx)
+        assert _isotropic_subgroups(ctx) == ref, f
+        out = brute_force_lagrangians(f)
+        for mode in MODES:
+            assert out[mode]["witnesses"] == \
+                _reference_witnesses(ctx, ref, mode), (f, mode)
 
 
 # ---------------------------------------------------------------------------
