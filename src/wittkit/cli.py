@@ -401,7 +401,7 @@ def _selftest_anchors(precision: Fraction):
         ms = dw_multisignature_laurent(blanchfield_form(k), precision)
         values = [s for _, s in ms.entries()]
         check(values == [-2], f"calibration: expected [-2], got {values}")
-        check(levine_tristram_signature(k, Fraction(2, 5), precision) == -2,
+        check(levine_tristram_signature(k, Fraction(2, 5)) == -2,
               "trefoil signature at turn 2/5 is not -2")
         report = analyze(k, precision)
         check(report.slice_obstructed == "yes"

@@ -11,7 +11,10 @@ reported theta endpoints, never in a decision.
 Signatures of hermitian matrices over a residue field are computed from the
 characteristic polynomial: its coefficients are fixed by the involution, so
 they rewrite as rational polynomials in y, and Descartes' rule (exact for
-real-rooted polynomials) counts eigenvalues of each sign at y0.
+real-rooted polynomials) counts eigenvalues of each sign at y0.  Symmetric
+rational matrices are diagonalized by congruence over Q instead.  A
+signature constant between the zeros of a polynomial g is taken at y0 or
+anywhere in `CertifiedRoot.free_bracket(g)` alike.
 """
 
 from __future__ import annotations
@@ -98,6 +101,21 @@ class CertifiedRoot:
                 return -1
             self._bisect()
 
+    def free_bracket(self, g) -> tuple[Fraction, Fraction]:
+        """A rational interval around y0 on which interval Horner shows g
+        has no zero: the bracket is padded, and the pad halves (and the
+        bracket bisects once wider) until it does.  Needs g(y0) != 0."""
+        if self.sign_of(g) == 0:
+            raise SingularForm("the polynomial vanishes at this root")
+        pad = Fraction(1)
+        while True:
+            a, b = _interval_horner(g, self.lo - pad, self.hi + pad)
+            if a > 0 or b < 0:
+                return self.lo - pad, self.hi + pad
+            pad /= 2
+            if pad < self.hi - self.lo:
+                self._bisect()
+
     def theta_interval(self) -> tuple[float, float]:
         """Float bracket for theta = arccos(y0/2); reporting only, padded so
         rounding cannot put the true value outside."""
@@ -169,13 +187,29 @@ def hermitian_signature_at_root(h: Matrix, root: CertifiedRoot) -> int:
 
 
 def signature_of_symmetric(m: Matrix) -> int:
-    """Signature of a nonsingular symmetric rational matrix."""
-    if m.nrows == 0:
-        return 0
-    coeffs = m.charpoly()
-    if coeffs[0] == 0:
-        raise SingularForm("symmetric form is singular")
-    return _descartes_signature([_sign(Fraction(c)) for c in coeffs])
+    """Signature of a nonsingular symmetric rational matrix by congruence
+    diagonalization.  With no nonzero diagonal entry left, adding row and
+    column j to row and column i makes a_ii = 2 a_ij nonzero; a zero block
+    left over means the form is singular."""
+    a = [[Fraction(x) for x in row] for row in m.rows]
+    sig = 0
+    while a:
+        k = next((i for i in range(len(a)) if a[i][i]), None)
+        if k is None:
+            k, j = next(((i, j) for i, row in enumerate(a)
+                         for j, x in enumerate(row) if x), (None, None))
+            if k is None:
+                raise SingularForm("symmetric form is singular")
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        row = a.pop(k)
+        piv = row.pop(k)
+        sig += 1 if piv > 0 else -1
+        row = [y / piv for y in row]
+        a = [[x - r[k] * y for x, y in zip(r[:k] + r[k + 1:], row)]
+             for r in a]
+    return sig
 
 
 def minimal_poly_of_2cos(numer: int, denom: int) -> tuple[list[Fraction], Fraction, Fraction]:

@@ -4,8 +4,10 @@ The report aggregates the Alexander polynomial, the rational Blanchfield
 form, its multisignature, certified Levine-Tristram signatures, and the
 slice / doubly-slice flags.  Everything is exact; angles on the unit circle
 enter as rational turns t (omega = e^{2 pi i t}) so signatures stay
-certified.  Vanishing obstructions are reported as "no_obstruction_found",
-never as a sliceness certificate, and every report carries that caveat.
+certified, and Levine-Tristram signatures are evaluated over Q, at a
+rational u = tan(pi t).  Vanishing obstructions are reported as
+"no_obstruction_found", never as a sliceness certificate, and every report
+carries that caveat.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from wittkit.errors import (
-    ComputationError,
     MixedSymmetry,
     NotAKnotForm,
     NotSymmetricCase,
@@ -25,14 +26,13 @@ from wittkit.errors import (
     SingularSeifertForm,
     check,
 )
-from wittkit.exact.factor import cyclotomic_polynomial, factor_rational_poly
+from wittkit.exact import polys
+from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix
-from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
     CertifiedRoot,
-    hermitian_signature_at_root,
     minimal_poly_of_2cos,
     signature_of_symmetric,
     unit_circle_roots,
@@ -121,17 +121,20 @@ def knot_inverse(k: KnotInput) -> KnotInput:
                      k.dimension_hint)
 
 
-def alexander_polynomial(k: KnotInput) -> LaurentPoly:
-    """det((1-e) + ez) = det(I - (1-z) e), shifted to an ordinary
-    polynomial with nonzero constant term and positive leading coefficient.
-    With det(t*I - e) = sum c_k t^k this is sum c_k (1-z)^(n-k), taken by
-    Horner's rule in 1 - z.  Evaluating the determinant at 1 gives
-    det(identity) = 1, so p(1) = +-1 exactly."""
-    s = LaurentPoly.one() - LaurentPoly.z()
+def _det_one_minus(k: KnotInput, s: LaurentPoly) -> LaurentPoly:
+    """det(I - s e) = sum c_k s^(n-k) by Horner, det(tI - e) = sum c_k t^k."""
     det = LaurentPoly.zero()
     for c in k.seifert_form.e.charpoly():
         det = det * s + c
-    dense = det.ordinary()[0]
+    return det
+
+
+def alexander_polynomial(k: KnotInput) -> LaurentPoly:
+    """det((1-e) + ez) = det(I - (1-z) e), shifted to an ordinary
+    polynomial with nonzero constant term and positive leading coefficient.
+    Evaluating the determinant at 1 gives det(identity) = 1, so p(1) = +-1
+    exactly."""
+    dense = _det_one_minus(k, 1 - LaurentPoly.z()).ordinary()[0]
     if dense[-1] < 0:
         dense = [-c for c in dense]
     alex = LaurentPoly.from_dense(dense)
@@ -143,48 +146,63 @@ def blanchfield_form(k: KnotInput) -> LaurentLinkingForm:
     return covering_seifert(k.seifert_form)
 
 
-def _as_turn(t) -> Fraction:
-    if isinstance(t, float):
+def _singular_poly_in_y(k: KnotInput) -> list:
+    """D(z) = det(z psi - psi^T) = det(theta) det((z + eps) e - eps I) in
+    y = z + 1/z, up to a constant.  theta is unimodular and alternating mod
+    2, so the rank n is even and D(1/z) = z^-n D(z) is palindromic."""
+    s = LaurentPoly.z() * k.epsilon + 1
+    return polys.palindromic_to_y(_det_one_minus(k, s).ordinary()[0])
+
+
+def _u_in_y_gap(y_low: Fraction, y_high: Fraction) -> Fraction:
+    """A rational u > 0 with y_low < y(u) = 2(1 - u^2)/(1 + u^2) < y_high;
+    y(u) = 2 cos(2 pi t) for u = tan(pi t).  u is sqrt((2 - y)/(2 + y)) at
+    the gap's midpoint y, cut to the fewest binary digits that land inside."""
+    if not -2 <= y_low < y_high <= 2:
+        raise ValueError("the y-gap must be a nonempty part of [-2, 2]")
+    y = (y_low + y_high) / 2
+    u2 = (2 - y) / (2 + y)
+    k = 0
+    while True:
+        u = Fraction(math.isqrt(u2.numerator * 4**k // u2.denominator), 2**k)
+        if y_low < 2 * (1 - u * u) / (1 + u * u) < y_high:
+            return u
+        k += 1
+
+
+def _signature_at_u(psi: Matrix, u: Fraction) -> int:
+    """Levine-Tristram signature at u = tan(pi t), 0 < t < 1/2.  There
+    (1-omega) psi + (1-conj(omega)) psi^T = 2 sin(pi t) cos(pi t) (u S + i K)
+    with S = psi + psi^T and K = psi^T - psi, whose signature is half that
+    of the real symmetric [[u S, -K], [K, u S]] (times u's denominator)."""
+    s = (psi + psi.transpose()).scale(u.numerator)
+    kk = (psi.transpose() - psi).scale(u.denominator)
+    return signature_of_symmetric(s.hstack(-kk).vstack(kk.hstack(s))) // 2
+
+
+def levine_tristram_signature(k: KnotInput, turn) -> int:
+    """Certified signature of (1-omega) psi + (1-conj(omega)) psi^T at
+    omega = e^{2 pi i turn}.  It is singular exactly where D_y, the
+    polynomial of `_singular_poly_in_y`, vanishes at y0 = 2 cos(2 pi turn);
+    otherwise the signature is taken over Q at a rational u whose y(u)
+    lies in a bracket of y0 on which D_y has no zero (at turn 1/2, y0 = -2
+    and the form is 2 S, the limit as u grows)."""
+    if isinstance(turn, float):
         raise TypeError(
             "pass the turn exactly (Fraction, int, or string), not a float")
-    return Fraction(t) % 1
-
-
-def levine_tristram_signature(k: KnotInput, turn,
-                              precision: Fraction = DEFAULT_PRECISION) -> int:
-    """Certified signature of (1-omega) psi + (1-conj(omega)) psi^T at
-    omega = e^{2 pi i turn}.  The matrix is hermitian over the cyclotomic
-    field of the turn's denominator, so the signature is decided exactly."""
-    t = _as_turn(turn)
-    if t > Fraction(1, 2):
-        t = 1 - t  # conjugate symmetry
-    psi = k.seifert_form.psi
-    n = k.rank
-    if n == 0:
+    t = Fraction(turn) % 1
+    t = min(t, 1 - t)  # conjugate symmetry
+    if k.rank == 0:
         return 0
     if t == 0:
         raise SingularAtRoot("omega = 1 degenerates the form")
-    if t == Fraction(1, 2):
-        m = (psi + psi.transpose()).map(lambda x: 2 * x)
-        if m.det() == 0:
-            raise SingularAtRoot("omega = -1 is an Alexander root")
-        return signature_of_symmetric(m)
-    d = t.denominator
-    phi = cyclotomic_polynomial(d)
-    field = ResidueField(phi)
-    herm = Matrix([
-        [field.from_laurent(LaurentPoly({
-            0: psi[i, j] + psi[j, i],
-            1: -psi[i, j],
-            -1: -psi[j, i]}))
-         for j in range(n)] for i in range(n)])
-    y_poly, lo, hi = minimal_poly_of_2cos(t.numerator, d)
-    root = CertifiedRoot(y_poly, lo, hi, LaurentPoly.from_dense(phi))
-    root.refine(precision)
+    root = CertifiedRoot(*minimal_poly_of_2cos(t.numerator, t.denominator))
     try:
-        return hermitian_signature_at_root(herm, root)
+        lo, hi = root.free_bracket(_singular_poly_in_y(k))
     except SingularForm:
         raise SingularAtRoot(f"omega at turn {t} is an Alexander root")
+    return _signature_at_u(k.psi, _u_in_y_gap(max(lo, Fraction(-2)),
+                                              min(hi, Fraction(2))))
 
 
 def _circle_roots_of_alexander(k: KnotInput, precision: Fraction):
@@ -216,35 +234,12 @@ def _circle_roots_of_alexander(k: KnotInput, precision: Fraction):
     return marked
 
 
-def _turn_in_y_gap(y_low: Fraction, y_high: Fraction) -> Fraction:
-    """A small-denominator rational turn t whose y = 2 cos(2 pi t) bracket
-    certifies strictly inside (y_low, y_high)."""
-    t_from = math.acos(min(1.0, max(-1.0, float(y_high) / 2))) / (2 * math.pi)
-    t_to = math.acos(min(1.0, max(-1.0, float(y_low) / 2))) / (2 * math.pi)
-    pad = (t_to - t_from) * 0.2
-    a_lo, a_hi = t_from + pad, t_to - pad
-    d = 1
-    while d < 10**6:
-        d += 1
-        num = math.ceil(a_lo * d)
-        while num / d <= a_hi:
-            t = Fraction(num, d)
-            if 0 < t < Fraction(1, 2):
-                y_poly, lo, hi = minimal_poly_of_2cos(t.numerator,
-                                                      t.denominator)
-                probe = CertifiedRoot(y_poly, lo, hi)
-                probe.refine(Fraction(1, 2**32))
-                if y_low < probe.lo and probe.hi < y_high:
-                    return t
-            num += 1
-    raise ComputationError("no sampling angle found between roots")
-
-
 def lt_jumps(k: KnotInput,
              precision: Fraction = DEFAULT_PRECISION) -> dict:
     """Jump of the Levine-Tristram signature across each unit-circle
     Alexander root, keyed like the multisignature entries: the signature is
-    sampled at certified angles strictly between consecutive roots.
+    taken at a rational u = tan(pi t) whose y(u) lies strictly between the
+    certified brackets of consecutive roots.
 
     Skew forms only.  The sampled matrix (1-w) psi + (1-conj(w)) psi^T
     degenerates exactly on the Alexander roots when epsilon = -1; for
@@ -256,19 +251,10 @@ def lt_jumps(k: KnotInput,
             "signature jumps across Alexander roots are defined for "
             "epsilon = -1 Seifert forms only")
     marked = _circle_roots_of_alexander(k, precision)
-    if not marked:
-        return {}
-    walls = [Fraction(2)]
-    for _key, _ridx, root in marked:
-        walls.append(root.hi)
-        walls.append(root.lo)
-    walls.append(Fraction(-2))
-    values = []
-    for g in range(len(marked) + 1):
-        y_high = walls[2 * g]
-        y_low = walls[2 * g + 1]
-        t = _turn_in_y_gap(y_low, y_high)
-        values.append(levine_tristram_signature(k, t, precision))
+    lows = [root.hi for _, _, root in marked] + [Fraction(-2)]
+    highs = [Fraction(2)] + [root.lo for _, _, root in marked]
+    values = [_signature_at_u(k.psi, _u_in_y_gap(y_low, y_high))
+              for y_low, y_high in zip(lows, highs)]
     return {
         (key, ridx): values[i + 1] - values[i]
         for i, (key, ridx, _root) in enumerate(marked)

@@ -1,6 +1,7 @@
 """Knot pipeline: Alexander polynomial, Blanchfield form, certified
 Levine-Tristram signatures, and the slice / doubly-slice flags."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,10 +13,20 @@ from wittkit.errors import (
     NotAKnotForm,
     NotSymmetricCase,
     SingularAtRoot,
+    SingularForm,
 )
+from wittkit.exact import polys, residue
+from wittkit.exact.factor import cyclotomic_polynomial
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.catalog import catalog_knot, catalog_names
 from wittkit.exact.matrix import Matrix, pencil_adjugate
+from wittkit.exact.roots import (
+    DEFAULT_PRECISION,
+    CertifiedRoot,
+    hermitian_signature_at_root,
+    minimal_poly_of_2cos,
+)
+from wittkit import knots
 from wittkit.knots import (
     CLASSICAL_CAVEAT,
     COMPLETENESS_CAVEAT,
@@ -25,7 +36,7 @@ from wittkit.knots import (
     blanchfield_form,
     connected_sum,
     doubly_slice_obstruction,
-    _turn_in_y_gap,
+    _u_in_y_gap,
     knot_inverse,
     levine_tristram_signature,
     lt_jumps,
@@ -37,6 +48,8 @@ from wittkit.laurent_forms import (
     dw_multisignature_laurent,
     witt_forgetful_laurent,
 )
+
+from test_roots import descartes_signature
 
 TREFOIL = [[-1, 1], [0, -1]]
 FIG8 = [[1, 1], [0, -1]]
@@ -245,6 +258,30 @@ class TestLevineTristram:
         for t in (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)):
             assert levine_tristram_signature(fig8(), t) == 0
 
+    def test_wide_turn_bracket_is_narrowed_past_a_root(self, monkeypatch):
+        # y0 = 2 cos(2 pi / 5) = 0.618 is the one root of y^2 + y - 1 in
+        # [0, 2]; det(z psi - psi^T) has a root there too, at y = 1 for the
+        # trefoil, so the signature must be taken on a narrower bracket
+        def wide(numer, denom):
+            y_poly, _, _ = minimal_poly_of_2cos(numer, denom)
+            return y_poly, Fraction(0), Fraction(2)
+
+        gaps = []
+
+        def u_in_gap(y_low, y_high):
+            gaps.append((y_low, y_high))
+            return _u_in_y_gap(y_low, y_high)
+
+        monkeypatch.setattr(knots, "minimal_poly_of_2cos", wide)
+        monkeypatch.setattr(knots, "_u_in_y_gap", u_in_gap)
+        sym = [[0, 1, 2, -6], [0, 0, -2, 5], [-2, 2, 0, -4], [6, -5, 5, 0]]
+        for k in (trefoil(), KnotInput("sym", sym, 1)):
+            t = Fraction(1, 5)
+            assert levine_tristram_signature(k, t) == \
+                cyclotomic_lt_signature(k, t)
+            d_y = knots._singular_poly_in_y(k)
+            assert not polys.isolate_real_roots(d_y, *gaps.pop())
+
     def test_symmetric_input_still_evaluates(self):
         k = KnotInput("sym", [[0, 1], [0, 0]], 1)
         assert levine_tristram_signature(k, Fraction(1, 3)) == 0
@@ -263,6 +300,7 @@ class TestJumps:
 
     def test_figure_eight_empty(self):
         assert lt_jumps(fig8()) == {}
+        assert lt_jumps(unknot()) == {}
 
     def test_mirror_sum_flat(self):
         k = connected_sum(trefoil(), knot_inverse(trefoil()))
@@ -285,10 +323,191 @@ class TestJumps:
                 checked += 1
         assert checked
 
-    def test_gap_too_narrow_is_a_typed_error(self):
-        y = Fraction(1, 3)
-        with pytest.raises(ComputationError):
-            _turn_in_y_gap(y, y + Fraction(1, 10**15))
+    def test_rational_u_lands_strictly_inside_the_gap(self):
+        def y_of(u):
+            return 2 * (1 - u * u) / (1 + u * u)
+
+        third = Fraction(1, 3)
+        gaps = [(third, third + Fraction(1, 10**15)),
+                (Fraction(2) - Fraction(1, 10**12), Fraction(2)),
+                (Fraction(1), Fraction(2)),
+                (Fraction(-2), Fraction(-2) + Fraction(1, 10**12)),
+                (Fraction(-2), Fraction(-1)),
+                (Fraction(-2), Fraction(2))]
+        for y_low, y_high in gaps:
+            u = _u_in_y_gap(y_low, y_high)
+            assert u > 0
+            assert y_low < y_of(u) < y_high
+
+    def test_empty_gap_is_rejected(self):
+        for y_low, y_high in ((Fraction(1), Fraction(1)),
+                              (Fraction(2), Fraction(2)),
+                              (Fraction(-3), Fraction(0))):
+            with pytest.raises(ValueError):
+                _u_in_y_gap(y_low, y_high)
+
+
+# -- the cyclotomic-field signatures, kept as oracles --
+
+def cyclotomic_lt_signature(k, turn, precision=DEFAULT_PRECISION):
+    """Levine-Tristram signature as a hermitian form over Q(zeta_d), d the
+    turn's denominator, with its sign pattern decided at the certified
+    root 2 cos(2 pi turn); the route wittkit took before it went over Q."""
+    t = Fraction(turn) % 1
+    if t > Fraction(1, 2):
+        t = 1 - t
+    psi = k.seifert_form.psi
+    n = k.rank
+    if n == 0:
+        return 0
+    if t == 0:
+        raise SingularAtRoot("omega = 1 degenerates the form")
+    if t == Fraction(1, 2):
+        m = (psi + psi.transpose()).map(lambda x: 2 * x)
+        if m.det() == 0:
+            raise SingularAtRoot("omega = -1 is an Alexander root")
+        return descartes_signature(m)
+    d = t.denominator
+    phi = cyclotomic_polynomial(d)
+    field = residue.ResidueField(phi)
+    herm = Matrix([
+        [field.from_laurent(LaurentPoly({
+            0: psi[i, j] + psi[j, i],
+            1: -psi[i, j],
+            -1: -psi[j, i]}))
+         for j in range(n)] for i in range(n)])
+    y_poly, lo, hi = minimal_poly_of_2cos(t.numerator, d)
+    root = CertifiedRoot(y_poly, lo, hi, LaurentPoly.from_dense(phi))
+    root.refine(precision)
+    try:
+        return hermitian_signature_at_root(herm, root)
+    except SingularForm:
+        raise SingularAtRoot(f"omega at turn {t} is an Alexander root")
+
+
+def turn_in_y_gap(y_low, y_high):
+    """A small-denominator rational turn t whose y = 2 cos(2 pi t) bracket
+    certifies strictly inside (y_low, y_high)."""
+    t_from = math.acos(min(1.0, max(-1.0, float(y_high) / 2))) / (2 * math.pi)
+    t_to = math.acos(min(1.0, max(-1.0, float(y_low) / 2))) / (2 * math.pi)
+    pad = (t_to - t_from) * 0.2
+    a_lo, a_hi = t_from + pad, t_to - pad
+    d = 1
+    while d < 10**6:
+        d += 1
+        num = math.ceil(a_lo * d)
+        while num / d <= a_hi:
+            t = Fraction(num, d)
+            if 0 < t < Fraction(1, 2):
+                y_poly, lo, hi = minimal_poly_of_2cos(t.numerator,
+                                                      t.denominator)
+                probe = CertifiedRoot(y_poly, lo, hi)
+                probe.refine(Fraction(1, 2**32))
+                if y_low < probe.lo and probe.hi < y_high:
+                    return t
+            num += 1
+    raise ComputationError("no sampling angle found between roots")
+
+
+def turn_search_lt_jumps(k, precision=DEFAULT_PRECISION):
+    """lt_jumps sampling the cyclotomic-field signature at a rational turn
+    found between consecutive certified Alexander-root brackets."""
+    marked = knots._circle_roots_of_alexander(k, precision)
+    walls = [Fraction(2)]
+    for _key, _ridx, root in marked:
+        walls += [root.hi, root.lo]
+    walls.append(Fraction(-2))
+    values = [cyclotomic_lt_signature(
+        k, turn_in_y_gap(walls[2 * g + 1], walls[2 * g]), precision)
+        for g in range(len(marked) + 1)]
+    return {(key, ridx): values[i + 1] - values[i]
+            for i, (key, ridx, _root) in enumerate(marked)}
+
+
+def lt_or_singular(signature, k, t):
+    try:
+        return signature(k, t)
+    except SingularAtRoot:
+        return "singular"
+
+
+# Seifert matrices with unit-circle roots of det(z psi - psi^T) at rational
+# turns: (epsilon, psi, denominators d whose primitive turns j/d are roots)
+SINGULAR_AT_TURNS = [
+    (-1, TREFOIL, (6,)),
+    (-1, [[0, 0, 2, 1], [-1, 0, -1, 0], [2, -1, 0, 1], [1, 0, 0, 0]], (6,)),
+    (-1, [[2, 0, 2, -1], [-1, 0, -1, 1], [2, -1, 2, -1], [-1, 1, -2, 2]],
+     (12,)),
+    (1, [[0, 1, 0, 1], [0, 0, 1, -1], [0, -1, 0, 0], [-1, 1, 1, 0]], (3,)),
+    (1, [[0, 0, -1, -1], [1, 0, -1, -1], [1, 1, 0, 1], [1, 1, 0, 0]], (12,)),
+]
+
+
+class TestAgainstCyclotomicOracle:
+    POINT_TURNS = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6))
+
+    def test_signatures_match(self):
+        rng = random.Random(2024)
+        plan = {2: (8, 5), 4: (2, 3), 6: (1, 1)}  # rank: (knots, turns)
+        compared = nonzero = 0
+        for rank, (count, draws) in plan.items():
+            for epsilon in (-1, 1):
+                for _ in range(count):
+                    k = seeded_seifert_knot(rng, rank, epsilon)
+                    turns = list(self.POINT_TURNS) + [Fraction(1, 2)]
+                    for _ in range(draws):
+                        d = rng.randint(2, 24)
+                        turns.append(Fraction(rng.randint(1, d - 1), d))
+                    for t in turns:
+                        want = lt_or_singular(cyclotomic_lt_signature, k, t)
+                        got = lt_or_singular(levine_tristram_signature, k, t)
+                        assert got == want, (k.psi, t)
+                        compared += 1
+                        nonzero += want not in (0, "singular")
+        assert compared > 150 and nonzero > 20
+
+    def test_singular_turns_match(self):
+        for epsilon, psi, dens in SINGULAR_AT_TURNS:
+            k = KnotInput("roots", psi, epsilon)
+            turns = [Fraction(j, d) for d in dens for j in range(1, d)
+                     if math.gcd(j, d) == 1]
+            for t in turns + list(self.POINT_TURNS) + [Fraction(1, 2)]:
+                want = lt_or_singular(cyclotomic_lt_signature, k, t)
+                if t.denominator in dens:
+                    assert want == "singular"
+                assert lt_or_singular(levine_tristram_signature, k, t) \
+                    == want, (psi, t)
+
+    def test_jumps_match(self):
+        rng = random.Random(2025)
+        sums = [connected_sum(trefoil(), trefoil()),
+                connected_sum(trefoil(), knot_inverse(trefoil()))]
+        sums += [KnotInput("roots", psi, -1)
+                 for eps, psi, _ in SINGULAR_AT_TURNS if eps == -1]
+        sums += [seeded_seifert_knot(rng, rank, -1)
+                 for rank in (2, 2, 2, 2, 4, 4)]
+        jumped = 0
+        for k in sums:
+            want = turn_search_lt_jumps(k)
+            assert lt_jumps(k) == want, k.psi
+            jumped += len(want)
+        assert jumped >= 8
+
+
+class TestWideRoots:
+    """The twist sums K_n # K_{n+1} (K_n = [[-1, 1], [0, -n]]) put their
+    Alexander roots where a sampling turn needs a large denominator."""
+
+    def test_no_cyclotomic_field_is_built(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a residue field was built")
+
+        monkeypatch.setattr(residue.ResidueField, "__init__", refuse)
+        k = connected_sum(KnotInput("K_1000", [[-1, 1], [0, -1000]], -1),
+                          KnotInput("K_1001", [[-1, 1], [0, -1001]], -1))
+        assert list(lt_jumps(k).values()) == [-2, -2]
+        for t in (Fraction(1, 8), Fraction(1, 3), Fraction(2, 5)):
+            assert levine_tristram_signature(k, t) == -4
 
 
 # -- obstruction flags --

@@ -1,6 +1,7 @@
 """Certified unit-circle roots and exact signature computations."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -168,6 +169,84 @@ def test_symmetric_signature():
     assert signature_of_symmetric(Matrix.from_ints([[2, 1], [1, 1]])) == 2
     with pytest.raises(SingularForm):
         signature_of_symmetric(Matrix.from_ints([[1, 1], [1, 1]]))
+    assert signature_of_symmetric(Matrix([])) == 0
+
+
+def descartes_signature(m):
+    """Signature of a symmetric rational matrix from the signs of its
+    characteristic polynomial (real-rooted, so Descartes' rule is exact)."""
+    coeffs = m.charpoly()
+    if coeffs[0] == 0:
+        raise SingularForm("symmetric form is singular")
+    signs = [(c > 0) - (c < 0) for c in coeffs]
+    flipped = [s if i % 2 == 0 else -s for i, s in enumerate(signs)]
+    return (polys.descartes_positive_roots(signs)
+            - polys.descartes_positive_roots(flipped))
+
+
+def test_symmetric_signature_matches_charpoly_route():
+    # congruence diagonalization against Descartes on the characteristic
+    # polynomial; permuted hyperbolic blocks and zero-diagonal matrices force
+    # the row-and-column fix, a repeated basis vector makes a singular form
+    rng = random.Random(41)
+    checked = singular = 0
+    for _ in range(160):
+        n = rng.randint(1, 8)
+        a = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)]
+        kind = rng.randrange(4)
+        if kind == 0:
+            a = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+        elif kind == 3:  # zero diagonal, dense off the diagonal
+            a = [[a[i][j] + a[j][i] if i != j else F(0) for j in range(n)]
+                 for i in range(n)]
+        else:
+            d = [[F(0)] * n for _ in range(n)]
+            for i in range(0, n - 1, 2):
+                d[i][i + 1] = d[i + 1][i] = F(rng.choice((-2, 1, 3)))
+            if n % 2:
+                d[n - 1][n - 1] = F(rng.choice((-1, 1)))
+            if kind == 1:  # signed permutation: every diagonal entry 0
+                perm = rng.sample(range(n), n)
+                c = [[F(rng.choice((-1, 1))) if j == perm[i] else F(0)
+                      for j in range(n)] for i in range(n)]
+            else:  # the last basis vector repeats the first
+                c = [[F(rng.randint(-2, 2)) for _ in range(n)]
+                     for _ in range(n)]
+                for i in range(n):
+                    c[i][i] = F(1)
+                    if n > 1:
+                        c[i][n - 1] = c[i][0]
+            a = (Matrix(c).transpose() * Matrix(d) * Matrix(c)).rows
+        m = Matrix(a)
+        try:
+            want = descartes_signature(m)
+        except SingularForm:
+            singular += 1
+            with pytest.raises(SingularForm):
+                signature_of_symmetric(m)
+            continue
+        assert signature_of_symmetric(m) == want, a
+        checked += 1
+    assert checked > 100 and singular > 5
+
+
+def test_free_bracket_excludes_a_nearby_zero():
+    # y0 = 2 cos(2 pi / 5) = 0.6180339887..., and g vanishes 1e-10 below it
+    root = CertifiedRoot(*minimal_poly_of_2cos(1, 5))
+    near = F(6180339886, 10**10)
+    lo, hi = root.free_bracket([-near, F(1)])
+    assert near < lo <= root.lo and root.hi <= hi
+    assert polys.eval_at(root.y_poly, lo) * polys.eval_at(root.y_poly, hi) < 0
+    # a point bracket (turn 1/4, y0 = 0) is widened, not past g's zero
+    point = CertifiedRoot(*minimal_poly_of_2cos(1, 4))
+    lo, hi = point.free_bracket([F(-1, 10**9), F(1)])
+    assert lo < 0 < hi < F(1, 10**9)
+    assert point.free_bracket([F(3)]) == (-1, 1)
+    # a zero at y0 itself has no free bracket
+    for r, g in ((root, root.y_poly), (point, [F(0), F(1)])):
+        with pytest.raises(SingularForm):
+            r.free_bracket(polys.mul(g, [F(2), F(1)]))
 
 
 # ---- rational turns ----
