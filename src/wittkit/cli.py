@@ -8,6 +8,7 @@ JSON output is deterministic (sorted keys); text output is a human summary.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -81,6 +82,7 @@ def parse_precision(text: str) -> Fraction:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wittkit",

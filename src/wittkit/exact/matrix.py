@@ -3,9 +3,7 @@
 Entries are whatever supports ring arithmetic: Fraction (Z and Q),
 LaurentPoly (Q[z, z^-1]), RatFunc (Q(z)) or residue field elements;
 operations are generic.  Field-only operations (det, inverse, rank) require
-entries with division and are used with Fraction and residue elements.  A
-pencil x*I - y*A over Q[z, z^-1] is never inverted by elimination:
-`pencil_adjugate` gives its adjugate and determinant with no division.
+entries with division and are used with Fraction and residue elements.
 """
 
 from __future__ import annotations
@@ -184,27 +182,28 @@ class Matrix:
                     a[i][j] = a[i][j] - factor * a[k][j]
         return det if sign == 1 else -det
 
-    def rank(self) -> int:
-        a = [[_as_field(x) for x in r] for r in self.rows]
-        m, n = self.nrows, self.ncols
-        rank = 0
-        row = 0
-        for col in range(n):
-            piv = next((i for i in range(row, m) if a[i][col]), None)
-            if piv is None:
+    def rref(self) -> tuple[list, list]:
+        """Rows of the reduced echelon form, zero rows dropped, in the order
+        they were found, and the pivot column of each."""
+        out, pivots = [], []
+        for r in self.rows:
+            r = [_as_field(x) for x in r]
+            for p, q in zip(pivots, out):
+                if f := r[p]:
+                    r = [x - f * y if y else x for x, y in zip(r, q)]
+            p = next((k for k, x in enumerate(r) if x), None)
+            if p is None:
                 continue
-            a[row], a[piv] = a[piv], a[row]
-            pv = a[row][col]
-            for i in range(m):
-                if i != row and a[i][col]:
-                    f = a[i][col] / pv
-                    for j in range(col, n):
-                        a[i][j] = a[i][j] - f * a[row][j]
-            rank += 1
-            row += 1
-            if row == m:
-                break
-        return rank
+            f = r[p]
+            r = [x / f if x else x for x in r]
+            out = [[x - q[p] * y if y else x for x, y in zip(q, r)]
+                   if q[p] else q for q in out]
+            out.append(r)
+            pivots.append(p)
+        return out, pivots
+
+    def rank(self) -> int:
+        return len(self.rref()[1])
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -212,25 +211,12 @@ class Matrix:
         n = self.nrows
         if n == 0:
             return Matrix([])
-        a = [[_as_field(x) for x in r] for r in self.rows]
-        one = _one_like(a[0][0])
-        zero = one - one
-        inv = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k]), None)
-            if piv is None:
-                raise SingularMatrix("matrix is singular")
-            a[k], a[piv] = a[piv], a[k]
-            inv[k], inv[piv] = inv[piv], inv[k]
-            pv = a[k][k]
-            a[k] = [x / pv for x in a[k]]
-            inv[k] = [x / pv for x in inv[k]]
-            for i in range(n):
-                if i != k and a[i][k]:
-                    f = a[i][k]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-                    inv[i] = [x - f * y for x, y in zip(inv[i], inv[k])]
-        return Matrix(inv)
+        out, pivots = self.hstack(
+            Matrix.identity(n, _one_like(self.rows[0][0]))).rref()
+        if max(pivots) >= n:
+            raise SingularMatrix("matrix is singular")
+        rows = dict(zip(pivots, out))
+        return Matrix([rows[i][n:] for i in range(n)])
 
     def charpoly(self) -> list:
         """Coefficients [c_0, ..., c_n] of det(t*I - A)."""
@@ -280,23 +266,3 @@ def _faddeev_leverrier(a: Matrix) -> tuple[list, list]:
         if k < n:
             ms.append(am + ident.scale(ck))
     return coeffs, ms
-
-
-def pencil_adjugate(a: Matrix, x, y) -> tuple[Matrix, object]:
-    """(adj(x*I - y*A), det(x*I - y*A)) for square A and ring elements x, y
-    (LaurentPoly in practice).  Homogenizes the Faddeev-LeVerrier expansion
-    of adj(t*I - A) and det(t*I - A), so nothing is divided and the pencil
-    is never inverted: (x*I - y*A)^-1 = adj / det wherever det != 0."""
-    if not a.is_square():
-        raise ValueError("pencil of non-square matrix")
-    coeffs, ms = _faddeev_leverrier(a)
-    n = a.nrows
-    xp = [x ** k for k in range(n + 1)]
-    yp = [y ** k for k in range(n + 1)]
-    det = coeffs[0] * yp[n]
-    for k in range(1, n + 1):
-        det = det + coeffs[k] * xp[k] * yp[n - k]
-    weights = [xp[n - 1 - k] * yp[k] for k in range(n)]
-    adj = Matrix([[_dot([m.rows[i][j] for m in ms], weights)
-                   for j in range(n)] for i in range(n)])
-    return adj, det

@@ -110,15 +110,15 @@ class LaurentModule:
     """Torsion module (+) A/(d_i) with its elementary divisor chain (units
     dropped, each d_i monic ordinary with nonzero constant term).
 
-    basis_change holds the Smith decomposition of the presentation and
-    kept_indices the diagonal positions whose divisors were not units, so
-    generators can be traced back to the presentation basis."""
+    A covering module is a Q-space V with z acting as an automorphism h;
+    basis_change is then the Q-basis P of V, columns h^a g_i (a < deg d_i)
+    in the coordinates of the presentation, which traces generators back
+    to the presentation basis.  It is None for other modules."""
 
     presentation: Matrix
     divisors: list
-    basis_change: object
+    basis_change: Matrix | None
     torsion_mode: str
-    kept_indices: list = None
 
     @property
     def rank(self) -> int:
@@ -152,13 +152,12 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
     res = smith_normal_form(m, ring="Q[z,z^-1]")
     if any(d.is_zero() for d in res.divisors):
         raise NotTorsion("presentation is singular over the fraction field")
-    kept = [i for i, d in enumerate(res.divisors) if not d.is_unit()]
-    divisors = [_monic_ordinary(res.divisors[i]) for i in kept]
+    divisors = [_monic_ordinary(d) for d in res.divisors if not d.is_unit()]
     if torsion_mode == "P":
         for d in divisors:
             if d(1) == 0:
                 raise NotPTorsion(f"divisor {d!r} vanishes at z = 1")
-    return LaurentModule(m, divisors, res, torsion_mode, kept)
+    return LaurentModule(m, divisors, None, torsion_mode)
 
 
 def level_multiplicities(module: LaurentModule, p) -> dict[int, int]:
@@ -205,10 +204,11 @@ class LaurentLinkingForm:
                 entry = lam[i, j]
                 if not entry.class_equals(lam[j, i].bar() * Fraction(eps)):
                     raise ValueError("pairing breaks epsilon-symmetry")
-                if not (entry * divisors[i]).is_laurent():
+                # entries are canonical: d kills one exactly when den | d
+                if polys.mod(_dense(divisors[i]), entry.den):
                     raise ValueError(
                         "pairing not annihilated by the row divisor")
-                if not (entry * divisors[j].bar()).is_laurent():
+                if polys.mod(_dense(divisors[j])[::-1], entry.den):
                     raise ValueError(
                         "pairing not annihilated by the column divisor")
         if not self._adjoint_bijective():

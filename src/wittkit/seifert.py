@@ -4,8 +4,11 @@ A Seifert form (K, psi) with psi + eps psi^T invertible covers a P-torsion
 linking form; an autometric form (K, theta, h) covers a Q-torsion one.  The
 trace function chi recovers the autometric form from its covering exactly,
 which is what verify_roundtrip certifies.  Both covering constructions flip
-the symmetry sign, and both record enough basis data to push submodules
-through.
+the symmetry sign.  Both modules are Q-spaces with z acting as an
+automorphism h: Q^n for (K, theta, h), Trotter's nonsingular part of e with
+h = 1 - e^-1 for a Seifert form.  A rational canonical decomposition of h
+over Q gives the generators, and the module records its Q-basis h^a g_i,
+through which submodules are pushed.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from wittkit.errors import (
     SingularSeifertForm,
     check,
 )
+from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix, pencil_adjugate
+from wittkit.exact.matrix import Matrix
 from wittkit.exact.ratfunc import RatFunc, series_expand
 from wittkit.exact.snf import smith_normal_form
 from wittkit.finite import _integral_solver
-from wittkit.laurent_forms import LaurentLinkingForm, LaurentModule, decompose_module
+from wittkit.laurent_forms import LaurentLinkingForm, LaurentModule
 
 
 def _q_matrix(rows) -> Matrix:
@@ -144,59 +148,146 @@ class SeifertSubmodule:
 # ---------------------------------------------------------------------------
 
 def _empty_covering(mode: str, epsilon: int) -> LaurentLinkingForm:
-    module = LaurentModule(Matrix([]), [], None, mode, [])
+    module = LaurentModule(Matrix([]), [], None, mode)
     return LaurentLinkingForm(module, [], epsilon, validate=False)
 
 
-def _snf_pairing(num: Matrix, den: LaurentPoly, module) -> list:
-    """Rewrite the pairing matrix num / den from the presentation basis into
-    the kept Smith basis: generators g_i are the kept columns of U^{-1}."""
-    g = Matrix([[row[i] for i in module.kept_indices]
-                for row in module.basis_change.U_inv.rows])
-    changed = g.transpose() * num * g.bar()
-    return [[RatFunc.make(x, den).frac_class() for x in row]
-            for row in changed.rows]
+def _apply(a: list, x: list) -> list:
+    return [sum(c * y for c, y in zip(row, x)) for row in a]
+
+
+def _krylov(h: list, v: list) -> tuple[list, list]:
+    """v, hv, ..., h^n v, and the local minimal polynomial of v (monic,
+    dense, degree D): the pivot columns of [v, hv, ..., h^n v] are the
+    first D, and column D is their combination."""
+    vecs = [v]
+    for _ in v:
+        vecs.append(_apply(h, vecs[-1]))
+    red, piv = Matrix(list(zip(*vecs))).rref()
+    d, rel = len(piv), dict(zip(piv, red))
+    return vecs, [-rel[t][d] for t in range(d)] + [Fraction(1)]
+
+
+def _coprime_part(a: list, b: list) -> list:
+    """a with every irreducible factor it shares with b divided out."""
+    g = polys.gcd(a, b)
+    while len(g) > 1:
+        a = polys.divmod_poly(a, g)[0]
+        g = polys.gcd(a, g)
+    return a
+
+
+def _frobenius(h: list) -> list:
+    """Rational canonical decomposition of h: (Krylov vectors of g_i, d_i),
+    d_1 | ... | d_r.  On the h-invariant V = span(span), gcd splitting
+    merges the spanning vectors into w with the minimal polynomial mu of h
+    on V: if lcm(mu, nu) = a b, a | mu and b | nu coprime, then (mu/a)(h) w
+    + (nu/b)(h) u has it.  C = <w> splits off with the complement
+    W = {x : phi(h^k x) = 0, k < D}, phi dual to h^(D-1) w on C's Krylov
+    basis: phi(h^(k+l) w) is anti-triangular with unit antidiagonal."""
+    ident = Matrix.identity(len(h))
+    span, dim, blocks = ident.rows, len(h), []
+    while dim:
+        vecs, mu = _krylov(h, span[0])
+        for u in span[1:]:
+            if len(mu) - 1 == dim:
+                break
+            powers, nu = _krylov(h, u)
+            if polys.mod(mu, nu):
+                # keep = mu / a and cut = nu / b applied to h
+                keep = _coprime_part(mu, polys.divmod_poly(
+                    mu, polys.gcd(mu, nu))[0])
+                cut = polys.divmod_poly(nu, _coprime_part(
+                    nu, polys.divmod_poly(mu, keep)[0]))[0]
+                vecs, mu = _krylov(h, [x + y for x, y in zip(
+                    _apply(list(zip(*vecs)), keep),
+                    _apply(list(zip(*powers)), cut))])
+        vecs = vecs[:len(mu) - 1]
+        blocks.insert(0, (vecs, mu))
+        dim -= len(vecs)
+        if dim:
+            k = Matrix(vecs)
+            rows = [((k * k.transpose()).inverse() * k).rows[-1]]
+            for _ in vecs[1:]:
+                rows.append(_apply(list(zip(*h)), rows[-1]))
+            k, phi = k.transpose(), Matrix(rows)
+            proj = ident - k * (phi * k).inverse() * phi
+            span = [x for x in (Matrix(span) * proj.transpose()).rows
+                    if any(x)]
+    return blocks
+
+
+def _fitting_power(e: Matrix) -> Matrix:
+    """(e(1-e))^k for a k >= n: invertible on its image, zero on a
+    complement."""
+    power, k = e * (Matrix.identity(e.nrows) - e), 1
+    while k < e.nrows:
+        power, k = power * power, 2 * k
+    return power
+
+
+def _pairing_entry(c: list, m: list, s: LaurentPoly) -> RatFunc:
+    d = len(m) - 1
+    num = [sum(m[a] * c[k - d + a] for a in range(d - k, d + 1))
+           for k in range(d)]
+    return RatFunc.make(s * LaurentPoly.from_dense(num), m[::-1]).frac_class()
+
+
+def _covering_form(pres: Matrix, mode: str, theta: Matrix, h: Matrix,
+                   embed, epsilon: int) -> LaurentLinkingForm:
+    """The covering form on coker(pres), a Q-space with z acting as h, in
+    coordinates that embed (None: identity) maps to the presentation's.
+    theta is theta(x, y) (Q mode) or theta(x, e^-1 y) = theta(x, (1-h) y)
+    (P mode), so lambda(g_i, g_j) = s z^-1 theta(g_i, (z^-1 - h)^-1 g_j),
+    s = -1 (Q) or 1 - z (P): theta is conjugate-linear in its second slot,
+    the one placement that is exactly symmetric and well defined.  For m = d_j of degree D, m(z^-1) - m(h) =
+    (z^-1 - h) sum_a m_a sum_{b<a} z^(b+1-a) h^b makes it s N / m*, with
+    m* = z^D m(1/z), N_k = sum_{a >= D-k} m_a theta(g_i, h^(k-D+a) g_j)."""
+    blocks = _frobenius(h.rows)
+    cols = [x for xs, _ in blocks for x in xs]
+    starts = [0]
+    for _, m in blocks[:-1]:
+        starts.append(starts[-1] + len(m) - 1)
+    basis = Matrix(cols).transpose()
+    gram = Matrix([cols[i] for i in starts]) * theta * basis
+    s = LaurentPoly.const(-1) if mode == "Q" else LaurentPoly({0: 1, 1: -1})
+    pairing = [[_pairing_entry(row[at:], m, s)
+                for at, (_, m) in zip(starts, blocks)] for row in gram.rows]
+    module = LaurentModule(
+        pres, [LaurentPoly.from_dense(m) for _, m in blocks],
+        basis if embed is None else embed * basis, mode)
+    return LaurentLinkingForm(module, pairing, epsilon)
 
 
 def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
     """Covering linking form -(1 - z^{-1}) theta(x, ((1-e) + ez)^{-1} y) on
-    the P-torsion module presented by (1-e) + ez; (-eps)-symmetric."""
-    n = f.rank
-    if n == 0:
-        return _empty_covering("P", -f.epsilon)
+    the P-torsion module presented by (1-e) + ez; (-eps)-symmetric.  The
+    pencil is unimodular on ker (e(1-e))^n, so the module is Trotter's
+    nonsingular part R = im (e(1-e))^n, where (1-e) + ez = e(z - h) with
+    h = 1 - e^-1."""
     e = f.e
-    pres = Matrix([[LaurentPoly({0: (1 if i == j else 0) - e[i, j],
-                                 1: e[i, j]})
-                    for j in range(n)] for i in range(n)])
-    module = decompose_module(pres, "P")
-    if module.is_zero:
+    basis, sel = _fitting_power(e).transpose().rref()
+    if not basis:
         return _empty_covering("P", -f.epsilon)
-    # theta extended conjugate-linearly in the second slot, so the inverted
-    # presentation appears conjugated; this is the unique placement passing
-    # both the symmetry check and exact well-definedness.  The conjugated
-    # presentation (1-e) + ez^{-1} is the pencil I - (1 - z^{-1}) e.
-    scale = LaurentPoly({-1: Fraction(1), 0: Fraction(-1)})
-    adj, det = pencil_adjugate(e, LaurentPoly.one(), -scale)
-    pairing = _snf_pairing(f.theta * adj * scale, det, module)
-    return LaurentLinkingForm(module, pairing, -f.epsilon)
+    pres = e.map(lambda x: LaurentPoly({0: -x, 1: x})) + Matrix.identity(
+        f.rank, LaurentPoly.one())
+    # R's basis vectors are 1 at their own index of sel and 0 at the others
+    b = Matrix(basis).transpose()
+    eb = (e * b).rows
+    e_inv = Matrix([eb[s] for s in sel]).inverse()
+    return _covering_form(pres, "P", b.transpose() * f.theta * b * e_inv,
+                          Matrix.identity(len(sel)) - e_inv, b, -f.epsilon)
 
 
 def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
     """Covering linking form -z^{-1} theta(x, (z - h)^{-1} y) on the
-    Q-torsion module presented by z - h; (-eps)-symmetric."""
-    n = f.rank
-    if n == 0:
+    Q-torsion module presented by z - h, which is Q^n with z acting as h;
+    (-eps)-symmetric."""
+    if f.rank == 0:
         return _empty_covering("Q", -f.epsilon)
-    pres = Matrix([[LaurentPoly({0: -f.h[i, j], 1: Fraction(1 if i == j else 0)})
-                    for j in range(n)] for i in range(n)])
-    module = decompose_module(pres, "Q")
-    if module.is_zero:
-        return _empty_covering("Q", -f.epsilon)
-    # the conjugated presentation z^{-1} - h is the pencil at (z^{-1}, 1)
-    adj, det = pencil_adjugate(f.h, LaurentPoly.z(-1), LaurentPoly.one())
-    scale = LaurentPoly({-1: Fraction(-1)})
-    pairing = _snf_pairing(f.theta * adj * scale, det, module)
-    return LaurentLinkingForm(module, pairing, -f.epsilon)
+    pres = f.h.map(lambda x: LaurentPoly.const(-x)) + Matrix.identity(
+        f.rank, LaurentPoly.z())
+    return _covering_form(pres, "Q", f.theta, f.h, None, -f.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +307,8 @@ def trace_chi(f) -> Fraction:
 def _companion(d: LaurentPoly) -> Matrix:
     dense, _ = d.ordinary()
     m = len(dense) - 1
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for a in range(m - 1):
-        out[a + 1][a] = Fraction(1)
-    for a in range(m):
-        out[a][m - 1] = -dense[a]
-    return Matrix(out)
+    return Matrix([[-dense[a] if b == m - 1 else Fraction(int(a == b + 1))
+                    for b in range(m)] for a in range(m)])
 
 
 def monodromy(form: LaurentLinkingForm) -> AutometricForm:
@@ -229,58 +316,27 @@ def monodromy(form: LaurentLinkingForm) -> AutometricForm:
     and theta recovered through the trace function; inverts
     covering_autometric up to the canonical basis identification.  The
     trace is applied to the conjugated pairing value, the orientation that
-    makes the round-trip exact rather than exact-up-to-sign."""
-    module = form.module
-    divisors = module.divisors
+    makes the round-trip exact rather than exact-up-to-sign:
+    theta[(i,a),(j,b)] = -chi(z^(a-b) lambda_ij), read off one expansion
+    of lambda_ij on each side."""
+    divisors = form.module.divisors
     dims = [len(d.ordinary()[0]) - 1 for d in divisors]
-    offsets = [sum(dims[:i]) for i in range(len(dims))]
-    total = sum(dims)
-    h = Matrix.block_diag([_companion(d) for d in divisors]) if divisors \
-        else Matrix([])
-    theta = [[Fraction(0)] * total for _ in range(total)]
-    for i in range(len(divisors)):
-        for j in range(len(divisors)):
-            lam = form.pairing[i, j]
-            for a in range(dims[i]):
-                for b in range(dims[j]):
-                    val = -trace_chi(lam * LaurentPoly.monomial(1, a - b))
-                    theta[offsets[i] + a][offsets[j] + b] = val
+    theta = []
+    for i, di in enumerate(dims):
+        sides = [(dj, *(series_expand(form.pairing[i, j], side, 1 - di, dj - 1)
+                        for side in ("minus", "plus")))
+                 for j, dj in enumerate(dims)]
+        theta += [[minus[b - a] - plus[b - a] for dj, minus, plus in sides
+                   for b in range(dj)] for a in range(di)]
+    h = Matrix.block_diag([_companion(d) for d in divisors])
     return AutometricForm(theta, h, -form.epsilon)
-
-
-def _poly_at_matrix(p: LaurentPoly, h: Matrix, h_inv: Matrix) -> Matrix:
-    n = h.nrows
-    out = Matrix.zeros(n, n)
-    for k, c in sorted(p.coeffs.items()):
-        pw = Matrix.identity(n)
-        step = h if k >= 0 else h_inv
-        for _ in range(abs(k)):
-            pw = pw * step
-        out = out + pw.map(lambda x: x * c)
-    return out
 
 
 def canonical_identification(f: AutometricForm,
                              cov: LaurentLinkingForm) -> Matrix:
-    """Columns express the monodromy basis z^a g_i of the covering module in
-    the original Q-basis of f, using that z acts as h on coker(z - h)."""
-    n = f.rank
-    h_inv = f.h.inverse()
-    u_inv = cov.module.basis_change.U_inv
-    cols = []
-    for pos, i in enumerate(cov.module.kept_indices):
-        lift = [u_inv[a, i] for a in range(n)]
-        base = [Fraction(0)] * n
-        base_vec = Matrix([[x] for x in base])
-        for a, p in enumerate(lift):
-            contrib = _poly_at_matrix(p, f.h, h_inv)
-            base_vec = base_vec + Matrix([[contrib[r, a]] for r in range(n)])
-        deg = len(cov.module.divisors[pos].ordinary()[0]) - 1
-        vec = base_vec
-        for _ in range(deg):
-            cols.append([vec[r, 0] for r in range(n)])
-            vec = f.h * vec
-    return Matrix(cols).transpose()
+    """The monodromy basis z^a g_i of cov = covering_autometric(f) in f's
+    Q-basis: the covering records it as the columns h^a g_i."""
+    return cov.module.basis_change
 
 
 def verify_roundtrip(f: AutometricForm) -> bool:
@@ -293,8 +349,7 @@ def verify_roundtrip(f: AutometricForm) -> bool:
     p = canonical_identification(f, cov)
     if p.nrows != f.rank or p.ncols != f.rank or p.det() == 0:
         return False
-    p_inv = p.inverse()
-    return (mono.h == p_inv * f.h * p
+    return (f.h * p == p * mono.h
             and mono.theta == p.transpose() * f.theta * p)
 
 
@@ -380,11 +435,25 @@ def is_complementary(f_sum: SeifertForm, a: SeifertSubmodule,
 def covering_submodule_image(cov: LaurentLinkingForm,
                              sub: SeifertSubmodule) -> Matrix:
     """Push a Seifert submodule through the covering: coordinates of its
-    basis vectors in the kept Smith generator basis."""
-    res = cov.module.basis_change
-    lifted = res.U * sub.basis.map(LaurentPoly.const)
-    return Matrix([[lifted[i, j] for j in range(sub.basis.ncols)]
-                   for i in cov.module.kept_indices])
+    basis vectors in the generator basis, sum_a c_a z^a for sum_a c_a h^a
+    g_i.  In P mode a vector's class is its part in R; the Fitting power
+    kills the other part and is injective on R, so the coordinates are
+    solved after applying it."""
+    module = cov.module
+    if module.is_zero:
+        return Matrix([])
+    p, vecs = module.basis_change, sub.basis
+    if module.torsion_mode == "P":
+        # the presentation is the pencil (1-e) + ez
+        kill = _fitting_power(module.presentation.map(lambda x: x.coefficient(1)))
+        p, vecs = kill * p, kill * vecs
+    # exact normal equations: p has full column rank, vecs lie in its span
+    coords = ((p.transpose() * p).inverse() * p.transpose() * vecs).transpose()
+    ends = [0]
+    for d in module.divisors:
+        ends.append(ends[-1] + len(d.ordinary()[0]) - 1)
+    return Matrix([[LaurentPoly.from_dense(c[a:b]) for c in coords.rows]
+                   for a, b in zip(ends, ends[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -400,30 +469,16 @@ def near_projection_decompose(k_rank: int, e) -> tuple[Matrix, Matrix]:
     if k_rank == 0:
         return Matrix([]), Matrix([])
     ident = Matrix.identity(k_rank)
-    prod = e * (ident - e)
-    power = ident
-    for _ in range(k_rank):
-        power = power * prod
-    if power != Matrix.zeros(k_rank, k_rank):
+    if _fitting_power(e) != Matrix.zeros(k_rank, k_rank):
         raise NotNearProjection("e(1-e) is not nilpotent")
-    e_k = ident
-    one_minus_k = ident
+    e_k, one_minus_k = ident, ident
     for _ in range(k_rank):
-        e_k = e_k * e
-        one_minus_k = one_minus_k * (ident - e)
+        e_k, one_minus_k = e_k * e, one_minus_k * (ident - e)
     p_e = (e_k + one_minus_k).inverse() * e_k
     check(p_e * p_e == p_e, "near projection is not idempotent")
-    plus = _column_space_basis(p_e)
-    minus = _column_space_basis(ident - p_e)
-    return plus, minus
+    return _column_space_basis(p_e), _column_space_basis(ident - p_e)
 
 
 def _column_space_basis(m: Matrix) -> Matrix:
-    cols = []
-    rank = 0
-    for j in range(m.ncols):
-        cand = cols + [[m[i, j] for i in range(m.nrows)]]
-        if Matrix(cand).rank() > rank:
-            cols = cand
-            rank += 1
-    return Matrix(cols).transpose() if cols else Matrix([])
+    rows = m.transpose().rref()[0]
+    return Matrix(rows).transpose() if rows else Matrix([])

@@ -259,6 +259,28 @@ class TestCatalog:
         assert knot.rank == 4
 
 
+class TestParserReuse:
+    def test_commands_in_one_process_match_fresh_runs(self, monkeypatch,
+                                                      capsys):
+        # the parser is built once per process and reused; a command must
+        # not see options or defaults left over from the one before it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            wittkit.__file__)))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        runs = [(["analyze", "--input", "-", "--format", "text"], TREFOIL_DOC),
+                (["linking", "--input", "-"], Z9_DOC),
+                (["analyze", "--input", "-"], TREFOIL_DOC)]
+        for args, doc in runs:
+            code, out, err = run_cli(args, doc, monkeypatch, capsys)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "wittkit.cli", *args], input=doc,
+                env=env, capture_output=True, text=True, timeout=300)
+            assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                        fresh.stderr)
+
+
 # -- selftest --
 
 class TestSelftest:

@@ -1,7 +1,9 @@
 """Knot pipeline: Alexander polynomial, Blanchfield form, certified
 Levine-Tristram signatures, and the slice / doubly-slice flags."""
 
+import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -19,7 +21,7 @@ from wittkit.exact import polys, residue
 from wittkit.exact.factor import cyclotomic_polynomial
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.catalog import catalog_knot, catalog_names
-from wittkit.exact.matrix import Matrix, pencil_adjugate
+from wittkit.exact.matrix import Matrix
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
     CertifiedRoot,
@@ -49,6 +51,7 @@ from wittkit.laurent_forms import (
     witt_forgetful_laurent,
 )
 
+from snf_oracle import pencil_adjugate
 from test_roots import descartes_signature
 
 TREFOIL = [[-1, 1], [0, -1]]
@@ -214,6 +217,25 @@ class TestBlanchfield:
 
     def test_unknot_is_zero(self):
         assert blanchfield_form(unknot()).module.is_zero
+
+    @pytest.mark.parametrize("name", ["scale-6", "scale-7"])
+    def test_large_ladder_knots(self, name):
+        # ranks 12 and 14 (the CI scaling step analyzes scale-7): each
+        # module is cyclic with the Alexander polynomial as its divisor
+        path = os.path.join(os.path.dirname(__file__), "fixtures",
+                            f"{name}.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        k = KnotInput(doc["name"], doc["psi"], doc["epsilon"])
+        cov = blanchfield_form(k)
+        alex = dense_of(alexander_polynomial(k))
+        assert dense_of(cov.module.total_divisor()) == [
+            c / alex[-1] for c in alex]
+        sums = witt_forgetful_laurent(dw_multisignature_laurent(cov))
+        jumps = lt_jumps(k)
+        for key in set(sums) | set(jumps):
+            assert jumps.get(key, 0) == sums.get(key, 0)
+        assert any(jumps.values()) == (name == "scale-6")
 
 
 # -- Levine-Tristram signatures --

@@ -17,6 +17,7 @@ from wittkit.exact.matrix import Matrix
 from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
+    LaurentModule,
     auxiliary_hermitian,
     decompose_module,
     dw_multisignature_laurent,
@@ -137,6 +138,33 @@ def test_annihilation_violation_rejected():
     with pytest.raises(ValueError):
         LaurentLinkingForm(m, [[RatFunc.make(ONE + Z**4, P6**2)]], 1)
 
+
+
+def test_symmetry_violation_names_the_check():
+    m = decompose_module(diag(P6, P6), "P")
+    lam = [[RatFunc.zero(), RatFunc.make(ONE, P6)],
+           [RatFunc.make(ONE, P6), RatFunc.zero()]]
+    with pytest.raises(ValueError, match="breaks epsilon-symmetry"):
+        LaurentLinkingForm(m, lam, 1)
+
+
+def off_diagonal_pair(entry, epsilon=1):
+    return [[RatFunc.zero(), entry],
+            [entry.bar() * Fraction(epsilon), RatFunc.zero()]]
+
+
+def test_row_divisor_violation_rejected():
+    # symmetric, but d_0 = P6 does not kill a pole of order two
+    m = decompose_module(diag(P6, P6**2), "P")
+    with pytest.raises(ValueError, match="not annihilated by the row"):
+        LaurentLinkingForm(m, off_diagonal_pair(RatFunc.make(ONE, P6**2)), 1)
+
+
+def test_column_divisor_violation_rejected():
+    # the row divisor P6^2 kills 1/P6^2, the column divisor P6 does not
+    m = LaurentModule(Matrix([]), [P6**2, P6], None, "P")
+    with pytest.raises(ValueError, match="not annihilated by the column"):
+        LaurentLinkingForm(m, off_diagonal_pair(RatFunc.make(ONE, P6**2)), 1)
 
 def test_singular_pairing_rejected():
     m = decompose_module([[P6]], "P")

@@ -24,6 +24,7 @@ from wittkit.laurent_forms import (
     is_lagrangian_submodule,
     level_multiplicities,
 )
+from wittkit import seifert
 from wittkit.seifert import (
     AutometricForm,
     SeifertForm,
@@ -40,6 +41,8 @@ from wittkit.seifert import (
     verify_roundtrip,
     verify_seifert_lagrangian,
 )
+
+from snf_oracle import snf_covering_autometric, snf_covering_seifert
 
 TREFOIL = [[-1, 1], [0, -1]]
 FIG8 = [[1, 1], [0, -1]]
@@ -293,13 +296,17 @@ class TestCoveringAutometric:
 
 def _q_z_pairing(theta, module, scale):
     """The covering pairing by Gauss-Jordan over Q(z):
-    U^-T (scale * theta * B-bar^-1) U-bar^-1 on the kept Smith indices."""
+    g^T (scale * theta * B-bar^-1) g on the generators g_i, the columns of
+    the module's Q-basis that start its cyclic blocks."""
     b_bar_inv = module.presentation.bar().map(RatFunc.make).inverse()
     raw = (theta.map(RatFunc.make) * b_bar_inv).map(lambda x: scale * x)
-    u_inv = module.basis_change.U.map(RatFunc.make).inverse()
-    changed = u_inv.transpose() * raw * u_inv.bar()
-    kept = module.kept_indices
-    return [[changed[i, j].frac_class() for j in kept] for i in kept]
+    starts = [0]
+    for d in module.divisors[:-1]:
+        starts.append(starts[-1] + len(d.ordinary()[0]) - 1)
+    g = Matrix([[row[k] for k in starts]
+                for row in module.basis_change.rows]).map(RatFunc.make)
+    changed = g.transpose() * raw * g
+    return [[x.frac_class() for x in row] for row in changed.rows]
 
 
 class TestCoveringAgainstQz:
@@ -318,7 +325,7 @@ class TestCoveringAgainstQz:
         assert checked > 40
 
     def test_non_cyclic_modules(self):
-        # f (+) 2f presents a module with two kept Smith indices
+        # f (+) 2f gives a module with two cyclic summands
         auto = RatFunc.make(LaurentPoly({-1: Fraction(-1)}))
         seif = RatFunc.make(LaurentPoly({-1: Fraction(1), 0: Fraction(-1)}))
         rng = random.Random(302)
@@ -332,7 +339,7 @@ class TestCoveringAgainstQz:
                 AutometricForm(f.theta.map(lambda x: 2 * x), f.h, f.epsilon))
             cases.append((covering_autometric(f2), f2.theta, auto))
         for cov, theta, scale in cases:
-            assert len(cov.module.kept_indices) > 1
+            assert cov.module.rank > 1
             assert cov.pairing.rows == _q_z_pairing(theta, cov.module, scale)
 
     def test_seifert_random_forms(self):
@@ -351,6 +358,78 @@ class TestCoveringAgainstQz:
                 assert cov.pairing.rows == _q_z_pairing(
                     f.theta, cov.module, scale)
                 checked += 1
+
+
+# genus-3 ladder knot of seed "scale-3" (bench/workloads.ladder_psi):
+# det psi = 0, so part of Q^6 dies in the covering module
+SCALE_3 = [[0, 0, 2, 1, -2, 2], [-1, 2, 0, 0, -2, 2], [2, 0, -1, 3, 2, -1],
+           [1, 0, 2, 2, -2, 1], [-2, -2, 2, -2, 0, -1], [2, 2, -1, 1, -2, -2]]
+
+# criterion-3 forms (seed-1 roundtrip workload, rank 2 #3 and rank 3 #28)
+# whose first basis vector is not cyclic for h
+E1_NOT_CYCLIC = [
+    ([[0, 2], [-2, 0]], [[-3, Fraction(4, 3)], [0, Fraction(-1, 3)]], -1),
+    ([[10, 0, -5], [0, 10, 6], [-5, 6, -6]],
+     [[Fraction(-1, 3), Fraction(-361, 40), Fraction(371, 80)],
+      [Fraction(-4, 3), Fraction(567, 40), Fraction(-517, 80)],
+      [Fraction(-8, 3), Fraction(1047, 20), Fraction(-997, 40)]], 1),
+]
+
+
+def assert_matches_smith(cov, oracle):
+    assert cov.module.divisors == oracle.module.divisors
+    assert dw_multisignature_laurent(cov) == dw_multisignature_laurent(oracle)
+
+
+class TestKrylovAgainstSmith:
+    """The Krylov covering modules against the Laurent Smith form path on
+    modules that are not cyclic, or whose first basis vector is not."""
+
+    def test_autometric_forms(self):
+        rng = random.Random(303)
+        forms = [AutometricForm(*args) for args in E1_NOT_CYCLIC]
+        for f in forms:
+            unit = [Fraction(int(j == 0)) for j in range(f.rank)]
+            # the local minimal polynomial of e_1 is not that of h
+            assert len(seifert._krylov(f.h.rows, unit)[1]) - 1 < f.rank
+        for _ in range(4):
+            f = random_autometric(rng, max_rank=2, bound=3)
+            forms.append(f.direct_sum(AutometricForm(
+                f.theta.map(lambda x: 2 * x), f.h, f.epsilon)))
+            # e_1 is an eigenvector of h, far from a cyclic vector
+            small = AutometricForm([[2]], [[-1]], 1) if f.epsilon == 1 \
+                else AutometricForm([[0, 1], [-1, 0]],
+                                    [[2, 0], [0, Fraction(1, 2)]], -1)
+            forms.append(small.direct_sum(random_autometric(
+                rng, f.epsilon, max_rank=3, bound=3)))
+        ranks = set()
+        for f in forms:
+            cov = covering_autometric(f)
+            assert_matches_smith(cov, snf_covering_autometric(f))
+            assert verify_roundtrip(f)
+            ranks.add(cov.module.rank)
+        assert max(ranks) > 1
+
+    @pytest.mark.parametrize("case", ["f+2f", "K#K", "scale-3"])
+    def test_seifert_forms(self, case):
+        trefoil = SeifertForm(TREFOIL, -1, "Z")
+        f = {"f+2f": trefoil.direct_sum(SeifertForm(
+                 [[2 * x for x in row] for row in TREFOIL], -1, "Q")),
+             "K#K": trefoil.direct_sum(trefoil),
+             "scale-3": SeifertForm(SCALE_3, -1, "Z")}[case]
+        cov = covering_seifert(f)
+        assert_matches_smith(cov, snf_covering_seifert(f))
+        if case == "scale-3":
+            assert f.psi.det() == 0
+            assert 0 < cov.module.dimension_q < f.rank
+        else:
+            assert cov.module.rank == 2
+        fsum = f.direct_sum(f.negate())
+        cov_sum = covering_seifert(fsum)
+        assert_matches_smith(cov_sum, snf_covering_seifert(fsum))
+        for sub in hyperbolic_witness_sum(f):
+            image = covering_submodule_image(cov_sum, sub)
+            assert is_lagrangian_submodule(cov_sum, image)
 
 
 class TestCoveringSeifertFunctoriality:
