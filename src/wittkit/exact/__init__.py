@@ -1,5 +1,7 @@
 """Exact arithmetic kernel: Laurent polynomials over Q, rational functions,
-matrices, Smith normal forms, factorization, and certified root data.
+matrices, the Smith normal form over Z, factorization, and certified root
+data.  Modules over Q[z, z^-1] need no Smith form here: `laurent_forms`
+reduces them to linear algebra over Q.
 
 Everything here computes with `fractions.Fraction`; no floats enter any
 arithmetic path.  Floats appear only in reporting helpers (approximate

@@ -1,7 +1,12 @@
 """Linking forms over the rational Laurent polynomial ring.
 
 A torsion module is presented by a square matrix with nonzero determinant
-and normalized to its elementary divisor chain d_1 | ... | d_r.  For each
+and normalized to its elementary divisor chain d_1 | ... | d_r.  No Euclid
+over Q[z, z^-1] finds the chain: every module here is a Q-space with z
+acting as an automorphism h (Trotter's reduction of a pencil
+(z - c) E + 1, reached from any presentation through its block companion
+pencil), and the rational canonical decomposition of h over Q gives the
+divisors, the same routine the covering functors use.  For each
 self-conjugate irreducible factor p and level l the pairing induces a
 hermitian form over Q[z]/(p); its signatures at the unit-circle roots of p
 assemble into the multisignature.  Conjugate factor pairs and factors with
@@ -32,6 +37,7 @@ from wittkit.errors import (
     NotSelfConjugate,
     NotTorsion,
     SingularForm,
+    SingularMatrix,
     check,
 )
 from wittkit.exact import polys
@@ -47,7 +53,6 @@ from wittkit.exact.roots import (
     signature_of_symmetric,
     unit_circle_roots,
 )
-from wittkit.exact.snf import smith_normal_form
 
 # Global orientation of every reported signature; fixed once by the trefoil
 # calibration (total odd-level signature -2 at theta = pi/3).
@@ -139,24 +144,149 @@ class LaurentModule:
         return out
 
 
+def _apply(a: list, x: list) -> list:
+    return [sum(c * y for c, y in zip(row, x)) for row in a]
+
+
+def _krylov(h: list, v: list) -> tuple[list, list]:
+    """v, hv, ..., h^n v, and the local minimal polynomial of v (monic,
+    dense, degree D): the pivot columns of [v, hv, ..., h^n v] are the
+    first D, and column D is their combination."""
+    vecs = [v]
+    for _ in v:
+        vecs.append(_apply(h, vecs[-1]))
+    red, piv = Matrix(list(zip(*vecs))).rref()
+    d, rel = len(piv), dict(zip(piv, red))
+    return vecs, [-rel[t][d] for t in range(d)] + [Fraction(1)]
+
+
+def _coprime_part(a: list, b: list) -> list:
+    """a with every irreducible factor it shares with b divided out."""
+    g = polys.gcd(a, b)
+    while len(g) > 1:
+        a = polys.divmod_poly(a, g)[0]
+        g = polys.gcd(a, g)
+    return a
+
+
+def _frobenius(h: list) -> list:
+    """Rational canonical decomposition of h: (Krylov vectors of g_i, d_i),
+    d_1 | ... | d_r.  On the h-invariant V = span(span), gcd splitting
+    merges the spanning vectors into w with the minimal polynomial mu of h
+    on V: if lcm(mu, nu) = a b, a | mu and b | nu coprime, then (mu/a)(h) w
+    + (nu/b)(h) u has it.  C = <w> splits off with the complement
+    W = {x : phi(h^k x) = 0, k < D}, phi dual to h^(D-1) w on C's Krylov
+    basis: phi(h^(k+l) w) is anti-triangular with unit antidiagonal."""
+    ident = Matrix.identity(len(h))
+    span, dim, blocks = ident.rows, len(h), []
+    while dim:
+        vecs, mu = _krylov(h, span[0])
+        for u in span[1:]:
+            if len(mu) - 1 == dim:
+                break
+            powers, nu = _krylov(h, u)
+            if polys.mod(mu, nu):
+                # keep = mu / a and cut = nu / b applied to h
+                keep = _coprime_part(mu, polys.divmod_poly(
+                    mu, polys.gcd(mu, nu))[0])
+                cut = polys.divmod_poly(nu, _coprime_part(
+                    nu, polys.divmod_poly(mu, keep)[0]))[0]
+                vecs, mu = _krylov(h, [x + y for x, y in zip(
+                    _apply(list(zip(*vecs)), keep),
+                    _apply(list(zip(*powers)), cut))])
+        vecs = vecs[:len(mu) - 1]
+        blocks.insert(0, (vecs, mu))
+        dim -= len(vecs)
+        if dim:
+            k = Matrix(vecs)
+            rows = [((k * k.transpose()).inverse() * k).rows[-1]]
+            for _ in vecs[1:]:
+                rows.append(_apply(list(zip(*h)), rows[-1]))
+            k, phi = k.transpose(), Matrix(rows)
+            proj = ident - k * (phi * k).inverse() * phi
+            span = [x for x in (Matrix(span) * proj.transpose()).rows
+                    if any(x)]
+    return blocks
+
+
+def _fitting_power(e: Matrix, c=1) -> Matrix:
+    """(e(1-ce))^k for a k past the nilpotent part's index: invertible on
+    its image, zero on a complement.  Squaring stops once the rank does
+    not fall, at once for a zero or an invertible e(1-ce)."""
+    power = e * (Matrix.identity(e.nrows) - e.scale(c))
+    rank = power.rank()
+    while 0 < rank < e.nrows:
+        square = power * power
+        square_rank = square.rank()
+        if square_rank == rank:
+            break
+        power, rank = square, square_rank
+    return power
+
+
+def _pencil_reduction(e: Matrix, c=1) -> tuple[Matrix, Matrix, Matrix]:
+    """The pencil (z - c) e + 1 over Q[z, z^-1].  On ker (e(1 - ce))^n it is
+    unimodular (e or 1 - ce is nilpotent there, the other invertible), so
+    that part dies in its cokernel; on R = im (e(1 - ce))^n it is e(z - h)
+    with h = c - (e|R)^-1 invertible.  Returns R's basis (columns),
+    (e|R)^-1 and h in its coordinates; all empty when R = 0."""
+    basis, sel = _fitting_power(e, c).transpose().rref()
+    if not basis:
+        return Matrix([]), Matrix([]), Matrix([])
+    # R's basis vectors are 1 at their own index of sel and 0 at the others
+    b = Matrix(basis).transpose()
+    eb = (e * b).rows
+    e_inv = Matrix([eb[s] for s in sel]).inverse()
+    return b, e_inv, Matrix.identity(len(sel)).scale(c) - e_inv
+
+
 def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
-    """Smith normal form over the Laurent ring; P mode additionally demands
-    every divisor be invertible at z = 1, the condition that makes 1 - z act
-    invertibly on the module."""
+    """Elementary divisors of the module an n x n presentation A presents,
+    by linear algebra over Q.  Scaling each row by a z-power unit makes
+    A = A_0 + ... + A_d z^d; the block companion pencil z B - C, with
+    B = diag(1, ..., 1, A_d) and C shifting block j + 1 into block j above
+    a last block row (-A_0, ..., -A_{d-1}), presents the same module
+    (d = 0 counts as d = 1 with A_1 = 0, so B = 0).  det(z B - C) has
+    degree at most N = n d, so if none of c = 0, ..., N makes c B - C
+    invertible, A is singular.  Otherwise z B - C = (c B - C)((z - c) E + 1)
+    with E = (c B - C)^-1 B, so the module is Q^m with z acting as the h of
+    `_pencil_reduction`, and the invariant factors of h are the divisors.
+    P mode additionally demands every divisor be invertible at z = 1, the
+    condition that makes 1 - z act invertibly on the module.  The cost is
+    cubic in N, so a presentation of high degree d is far slower here than
+    by Euclid over Q[z, z^-1]."""
     if torsion_mode not in ("P", "Q"):
         raise ValueError("torsion_mode must be 'P' or 'Q'")
     rows = presentation.rows if isinstance(presentation, Matrix) else presentation
     m = Matrix([[_as_laurent(x) for x in row] for row in rows])
     if m.nrows != m.ncols:
         raise ValueError("presentation must be square")
-    res = smith_normal_form(m, ring="Q[z,z^-1]")
-    if any(d.is_zero() for d in res.divisors):
+    n = m.nrows
+    low = [min((k for x in row for k in x.coeffs), default=0) for row in m.rows]
+    d = max([1] + [k - lo for row, lo in zip(m.rows, low)
+                   for x in row for k in x.coeffs])
+    coeffs = [Matrix([[x.coefficient(lo + k) for x in row]
+                      for row, lo in zip(m.rows, low)]) for k in range(d + 1)]
+    big_b = Matrix.block_diag([Matrix.identity(n)] * (d - 1) + [coeffs[d]])
+    # row i < n (d - 1) of C is the unit row e_(i + n)
+    big_c = Matrix(
+        [[Fraction(int(j == i + n)) for j in range(n * d)]
+         for i in range(n * (d - 1))]
+        + [[-x for a in coeffs[:d] for x in a.rows[r]] for r in range(n)])
+    for c in range(n * d + 1):
+        try:
+            pencil_inv = (big_b.scale(c) - big_c).inverse()
+        except SingularMatrix:
+            continue
+        break
+    else:
         raise NotTorsion("presentation is singular over the fraction field")
-    divisors = [_monic_ordinary(d) for d in res.divisors if not d.is_unit()]
+    h = _pencil_reduction(pencil_inv * big_b, c)[2]
+    divisors = [LaurentPoly.from_dense(mu) for _, mu in _frobenius(h.rows)]
     if torsion_mode == "P":
-        for d in divisors:
-            if d(1) == 0:
-                raise NotPTorsion(f"divisor {d!r} vanishes at z = 1")
+        for div in divisors:
+            if div(1) == 0:
+                raise NotPTorsion(f"divisor {div!r} vanishes at z = 1")
     return LaurentModule(m, divisors, None, torsion_mode)
 
 

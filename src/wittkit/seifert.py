@@ -23,13 +23,18 @@ from wittkit.errors import (
     SingularSeifertForm,
     check,
 )
-from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.ratfunc import RatFunc, series_expand
 from wittkit.exact.snf import smith_normal_form
 from wittkit.finite import _integral_solver
-from wittkit.laurent_forms import LaurentLinkingForm, LaurentModule
+from wittkit.laurent_forms import (
+    LaurentLinkingForm,
+    LaurentModule,
+    _fitting_power,
+    _frobenius,
+    _pencil_reduction,
+)
 
 
 def _q_matrix(rows) -> Matrix:
@@ -152,80 +157,6 @@ def _empty_covering(mode: str, epsilon: int) -> LaurentLinkingForm:
     return LaurentLinkingForm(module, [], epsilon, validate=False)
 
 
-def _apply(a: list, x: list) -> list:
-    return [sum(c * y for c, y in zip(row, x)) for row in a]
-
-
-def _krylov(h: list, v: list) -> tuple[list, list]:
-    """v, hv, ..., h^n v, and the local minimal polynomial of v (monic,
-    dense, degree D): the pivot columns of [v, hv, ..., h^n v] are the
-    first D, and column D is their combination."""
-    vecs = [v]
-    for _ in v:
-        vecs.append(_apply(h, vecs[-1]))
-    red, piv = Matrix(list(zip(*vecs))).rref()
-    d, rel = len(piv), dict(zip(piv, red))
-    return vecs, [-rel[t][d] for t in range(d)] + [Fraction(1)]
-
-
-def _coprime_part(a: list, b: list) -> list:
-    """a with every irreducible factor it shares with b divided out."""
-    g = polys.gcd(a, b)
-    while len(g) > 1:
-        a = polys.divmod_poly(a, g)[0]
-        g = polys.gcd(a, g)
-    return a
-
-
-def _frobenius(h: list) -> list:
-    """Rational canonical decomposition of h: (Krylov vectors of g_i, d_i),
-    d_1 | ... | d_r.  On the h-invariant V = span(span), gcd splitting
-    merges the spanning vectors into w with the minimal polynomial mu of h
-    on V: if lcm(mu, nu) = a b, a | mu and b | nu coprime, then (mu/a)(h) w
-    + (nu/b)(h) u has it.  C = <w> splits off with the complement
-    W = {x : phi(h^k x) = 0, k < D}, phi dual to h^(D-1) w on C's Krylov
-    basis: phi(h^(k+l) w) is anti-triangular with unit antidiagonal."""
-    ident = Matrix.identity(len(h))
-    span, dim, blocks = ident.rows, len(h), []
-    while dim:
-        vecs, mu = _krylov(h, span[0])
-        for u in span[1:]:
-            if len(mu) - 1 == dim:
-                break
-            powers, nu = _krylov(h, u)
-            if polys.mod(mu, nu):
-                # keep = mu / a and cut = nu / b applied to h
-                keep = _coprime_part(mu, polys.divmod_poly(
-                    mu, polys.gcd(mu, nu))[0])
-                cut = polys.divmod_poly(nu, _coprime_part(
-                    nu, polys.divmod_poly(mu, keep)[0]))[0]
-                vecs, mu = _krylov(h, [x + y for x, y in zip(
-                    _apply(list(zip(*vecs)), keep),
-                    _apply(list(zip(*powers)), cut))])
-        vecs = vecs[:len(mu) - 1]
-        blocks.insert(0, (vecs, mu))
-        dim -= len(vecs)
-        if dim:
-            k = Matrix(vecs)
-            rows = [((k * k.transpose()).inverse() * k).rows[-1]]
-            for _ in vecs[1:]:
-                rows.append(_apply(list(zip(*h)), rows[-1]))
-            k, phi = k.transpose(), Matrix(rows)
-            proj = ident - k * (phi * k).inverse() * phi
-            span = [x for x in (Matrix(span) * proj.transpose()).rows
-                    if any(x)]
-    return blocks
-
-
-def _fitting_power(e: Matrix) -> Matrix:
-    """(e(1-e))^k for a k >= n: invertible on its image, zero on a
-    complement."""
-    power, k = e * (Matrix.identity(e.nrows) - e), 1
-    while k < e.nrows:
-        power, k = power * power, 2 * k
-    return power
-
-
 def _pairing_entry(c: list, m: list, s: LaurentPoly) -> RatFunc:
     d = len(m) - 1
     num = [sum(m[a] * c[k - d + a] for a in range(d - k, d + 1))
@@ -265,18 +196,13 @@ def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
     pencil is unimodular on ker (e(1-e))^n, so the module is Trotter's
     nonsingular part R = im (e(1-e))^n, where (1-e) + ez = e(z - h) with
     h = 1 - e^-1."""
-    e = f.e
-    basis, sel = _fitting_power(e).transpose().rref()
-    if not basis:
+    b, e_inv, h = _pencil_reduction(f.e)
+    if not h.rows:
         return _empty_covering("P", -f.epsilon)
-    pres = e.map(lambda x: LaurentPoly({0: -x, 1: x})) + Matrix.identity(
+    pres = f.e.map(lambda x: LaurentPoly({0: -x, 1: x})) + Matrix.identity(
         f.rank, LaurentPoly.one())
-    # R's basis vectors are 1 at their own index of sel and 0 at the others
-    b = Matrix(basis).transpose()
-    eb = (e * b).rows
-    e_inv = Matrix([eb[s] for s in sel]).inverse()
     return _covering_form(pres, "P", b.transpose() * f.theta * b * e_inv,
-                          Matrix.identity(len(sel)) - e_inv, b, -f.epsilon)
+                          h, b, -f.epsilon)
 
 
 def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
@@ -396,7 +322,7 @@ def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
     if not integral:
         return "split_lagrangian"
     int_basis = Matrix([[int(x) for x in row] for row in basis.rows])
-    res = smith_normal_form(int_basis, ring="Z")
+    res = smith_normal_form(int_basis)
     div = [res.D[i, i] for i in range(min(res.D.nrows, res.D.ncols))]
     nonzero = [abs(d) for d in div if d != 0]
     if len(nonzero) == basis.ncols and all(d == 1 for d in nonzero):

@@ -1,5 +1,6 @@
 """Torsion modules and linking forms over the rational Laurent ring."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,8 @@ from wittkit.laurent_forms import (
     level_multiplicities,
     witt_forgetful_laurent,
 )
+
+from snf_oracle import snf_decompose_module
 
 Z = LaurentPoly.z()
 ONE = LaurentPoly.one()
@@ -104,6 +107,88 @@ def test_nonsquare_presentation_rejected():
 def test_bad_mode_rejected():
     with pytest.raises(ValueError):
         decompose_module([[P6]], "R")
+
+
+class TestDecomposeAgainstSmith:
+    """The Q-linear decompose_module against the Laurent Smith form: equal
+    divisors in order, or the same error on both sides."""
+
+    @staticmethod
+    def outcome(decompose, pres, mode):
+        try:
+            return decompose(pres, mode).divisors
+        except (NotTorsion, NotPTorsion) as err:
+            return type(err)
+
+    def check(self, pres, mode="Q"):
+        got = self.outcome(decompose_module, pres, mode)
+        assert got == self.outcome(snf_decompose_module, pres, mode)
+        return got
+
+    def test_random_presentations(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            pres = [[LaurentPoly({k: rng.choice([0, 0, -2, -1, 1, 2])
+                                  for k in range(-1, 3)})
+                     for _ in range(n)] for _ in range(n)]
+            self.check(pres, rng.choice("PQ"))
+
+    def test_z_power_units(self):
+        assert self.check(diag(Z**2, LaurentPoly.monomial(3, -1))) == []
+        assert self.check([[Z**-1 * P6]]) == [P6]
+        assert self.check([[Z, Z**-1 * P6], [NIL, Z**-1 * (Z - ONE)]]) \
+            == [Z - ONE]
+
+    def test_singular_constant_coefficient(self):
+        # A(0) is singular, so the companion is shifted to c != 0
+        k3 = LaurentPoly.const(3)
+        assert self.check([[ONE, ONE], [ONE, ONE + Z * (Z - k3)]]) == [Z - k3]
+        assert self.check([[ONE, ONE], [ONE, ONE + Z]]) == []
+
+    @pytest.mark.parametrize("pres", [
+        [[Z - ONE, Z**2 - ONE], [ONE, Z + ONE]],
+        [[NIL]],
+        diag(P6, NIL, ONE),
+        [[Z, Z**2, ONE], [ONE, Z, NIL], [Z + ONE, Z**2 + Z, ONE]],
+    ])
+    def test_rank_deficient(self, pres):
+        assert self.check(pres) is NotTorsion
+
+    def test_root_at_one_in_p_mode(self):
+        assert self.check(diag(Z - ONE, P6), "P") is NotPTorsion
+        assert self.check([[Z**2 - ONE, Z], [NIL, ONE]], "P") is NotPTorsion
+        assert self.check(diag(Z - ONE, P6), "Q") == [(Z - ONE) * P6]
+
+    def test_conjugated_chains(self):
+        rng = random.Random(5)
+        factors = [Z - LaurentPoly.const(2), P6, Z + ONE, P8]
+        longest = 0
+        for _ in range(6):
+            n = rng.randint(2, 3)
+            chain, acc = [], ONE
+            for _ in range(n):
+                acc = acc * rng.choice(factors + [ONE])
+                chain.append(acc)
+            pres = Matrix(diag(*chain))
+            for _ in range(2):
+                i, j = rng.sample(range(n), 2)
+                unit = LaurentPoly.monomial(rng.choice([-1, 1, 2]),
+                                            rng.randint(-1, 1))
+                pres = Matrix([[x + unit * pres[j, b] if a == i else x
+                                for b, x in enumerate(row)]
+                               for a, row in enumerate(pres.rows)])
+                i, j = rng.sample(range(n), 2)
+                pres = Matrix([[x + unit * row[j] if b == i else x
+                                for b, x in enumerate(row)]
+                               for row in pres.rows])
+            got = self.check(pres)
+            assert got == [d for d in chain if d != ONE]
+            longest = max(longest, len(got))
+        assert longest >= 2
+
+    def test_empty_presentation(self):
+        assert self.check([]) == []
 
 
 # -- level multiplicities --
