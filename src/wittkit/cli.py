@@ -30,7 +30,6 @@ from wittkit.finite import (
     FiniteLinkingForm,
     auxiliary_modules,
     boundary_of_form,
-    classify,
     dw_multisignature,
 )
 from wittkit.knots import (
@@ -281,8 +280,8 @@ def _linking_part(form: FiniteLinkingForm, config: CliConfig) -> dict:
              "discriminant": c.discriminant_class}
             for (p, l), c in ms.items()
         ]
-        part["metabolic"] = classify(form, "metabolic")
-        part["hyperbolic"] = classify(form, "hyperbolic")
+        part["metabolic"] = ms.is_metabolic
+        part["hyperbolic"] = ms.all_zero
     if want_oracle:
         results = _run_oracle(form, config.search_bound)
         part["oracle"] = results
@@ -295,8 +294,8 @@ def cmd_linking(config: CliConfig) -> int:
     if "prime" in doc:
         forms = [serialize.finite_form_from_json(doc)]
     elif "alpha" in doc:
-        alpha = [[int(x) for x in row] for row in doc["alpha"]]
-        parts = boundary_of_form(alpha, int(doc["epsilon"]))
+        alpha = [[serialize.parse_int(x) for x in row] for row in doc["alpha"]]
+        parts = boundary_of_form(alpha, serialize.parse_int(doc["epsilon"]))
         forms = [parts[p] for p in sorted(parts)]
     else:
         raise ValueError(

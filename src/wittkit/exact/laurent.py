@@ -175,9 +175,6 @@ class LaurentPoly:
         dense = [self.coeffs.get(d, Fraction(0)) for d in range(k, top + 1)]
         return dense, k
 
-    def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({d - 1: c * d for d, c in self.coeffs.items() if d != 0})
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.const(other)

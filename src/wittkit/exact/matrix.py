@@ -75,12 +75,6 @@ class Matrix:
         i, j = key
         return self.rows[i][j]
 
-    def row(self, i: int) -> list:
-        return list(self.rows[i])
-
-    def col(self, j: int) -> list:
-        return [r[j] for r in self.rows]
-
     # ---- generic ops ----
 
     def map(self, f: Callable) -> "Matrix":

@@ -167,6 +167,11 @@ class DWMultiSignatureZ:
     def all_zero(self) -> bool:
         return all(c.is_zero for c in self.entries.values())
 
+    @property
+    def is_metabolic(self) -> bool:
+        """Zero in the single Witt group: every odd-level sum vanishes."""
+        return all(c.is_zero for c in forgetful_witt(self).values())
+
     def __add__(self, other: "DWMultiSignatureZ") -> "DWMultiSignatureZ":
         out = dict(self.entries)
         for (p, l), c in other.entries.items():
@@ -569,7 +574,7 @@ def classify(form: FiniteLinkingForm, question: str) -> bool:
         raise EvenPrimeUnsupported("classification requires odd p")
     ms = dw_multisignature(form.mixed_orders(), form.gram, form.epsilon)
     if question == "metabolic":
-        return all(c.is_zero for c in forgetful_witt(ms).values())
+        return ms.is_metabolic
     if question == "hyperbolic":
         return ms.all_zero
     raise ValueError("question must be 'metabolic' or 'hyperbolic'")

@@ -41,12 +41,11 @@ from wittkit.laurent_forms import (
     SIGMA_SIGN,
     DWMultiSignatureLaurent,
     LaurentLinkingForm,
+    LaurentModule,
     dw_multisignature_laurent,
-    witt_forgetful_laurent,
 )
 from wittkit.seifert import (
     SeifertForm,
-    SeifertSubmodule,
     covering_seifert,
     hyperbolic_witness_sum,
     is_complementary,
@@ -121,25 +120,29 @@ def knot_inverse(k: KnotInput) -> KnotInput:
                      k.dimension_hint)
 
 
-def _det_one_minus(k: KnotInput, s: LaurentPoly) -> LaurentPoly:
-    """det(I - s e) = sum c_k s^(n-k) by Horner, det(tI - e) = sum c_k t^k."""
+def _det_one_minus(k: KnotInput) -> LaurentPoly:
+    """D(z) = det(z psi - psi^T) = det(theta) det((z + eps) e - eps I) up
+    to a constant, as det(I - (1 + eps z) e) by Horner on det(tI - e)."""
+    s = LaurentPoly.z() * k.epsilon + 1
     det = LaurentPoly.zero()
     for c in k.seifert_form.e.charpoly():
         det = det * s + c
     return det
 
 
-def alexander_polynomial(k: KnotInput) -> LaurentPoly:
-    """det((1-e) + ez) = det(I - (1-z) e), shifted to an ordinary
-    polynomial with nonzero constant term and positive leading coefficient.
-    Evaluating the determinant at 1 gives det(identity) = 1, so p(1) = +-1
-    exactly."""
-    dense = _det_one_minus(k, 1 - LaurentPoly.z()).ordinary()[0]
-    if dense[-1] < 0:
-        dense = [-c for c in dense]
-    alex = LaurentPoly.from_dense(dense)
-    check(alex(Fraction(1)) in (1, -1), "Alexander polynomial has p(1) != +-1")
+def _module_order(module: LaurentModule) -> LaurentPoly:
+    """The divisors' product over |its value at 1|: det((1-e) + ez) up to
+    c z^k (Trotter's reduction), so integral with p(1) = +-1."""
+    order = module.total_divisor()
+    alex = order * Fraction(1, abs(order(1)))
+    check(all(c.denominator == 1 for c in alex.coeffs.values()),
+          "Alexander polynomial is not integral")
     return alex
+
+
+def alexander_polynomial(k: KnotInput) -> LaurentPoly:
+    """The Blanchfield module's order, with positive leading coefficient."""
+    return _module_order(blanchfield_form(k).module)
 
 
 def blanchfield_form(k: KnotInput) -> LaurentLinkingForm:
@@ -147,11 +150,10 @@ def blanchfield_form(k: KnotInput) -> LaurentLinkingForm:
 
 
 def _singular_poly_in_y(k: KnotInput) -> list:
-    """D(z) = det(z psi - psi^T) = det(theta) det((z + eps) e - eps I) in
-    y = z + 1/z, up to a constant.  theta is unimodular and alternating mod
-    2, so the rank n is even and D(1/z) = z^-n D(z) is palindromic."""
-    s = LaurentPoly.z() * k.epsilon + 1
-    return polys.palindromic_to_y(_det_one_minus(k, s).ordinary()[0])
+    """`_det_one_minus`'s D(z) in y = z + 1/z.  theta is unimodular and
+    alternating mod 2, so the rank n is even and D(1/z) = z^-n D(z) is
+    palindromic."""
+    return polys.palindromic_to_y(_det_one_minus(k).ordinary()[0])
 
 
 def _u_in_y_gap(y_low: Fraction, y_high: Fraction) -> Fraction:
@@ -206,10 +208,9 @@ def levine_tristram_signature(k: KnotInput, turn) -> int:
 
 
 def _circle_roots_of_alexander(k: KnotInput, precision: Fraction):
-    """Unit-circle Alexander roots as (key, root_index, CertifiedRoot),
-    ordered by increasing angle, with pairwise disjoint y-brackets."""
-    alex = alexander_polynomial(k)
-    _, factors = factor_rational_poly(alex)
+    """Unit-circle roots of `_det_one_minus` as (key, root_index,
+    CertifiedRoot), ordered by increasing angle, with disjoint y-brackets."""
+    _, factors = factor_rational_poly(_det_one_minus(k))
     marked = []
     for p, _mult in factors:
         if is_self_conjugate(p) is None:
@@ -261,26 +262,14 @@ def lt_jumps(k: KnotInput,
     }
 
 
-def obstruction_flags(ms: DWMultiSignatureLaurent) -> tuple[str, str]:
-    """(slice, doubly-slice) flags: the slice-type test sees only the
-    odd-level sums, the doubly-slice test every signature entry."""
-    forget = witt_forgetful_laurent(ms)
-    slice_flag = "yes" if any(v != 0 for v in forget.values()) \
-        else "no_obstruction_found"
-    ds_flag = "yes" if not ms.all_zero else "no_obstruction_found"
-    return slice_flag, ds_flag
-
-
 def slice_obstruction(k: KnotInput,
                       precision: Fraction = DEFAULT_PRECISION) -> str:
-    ms = dw_multisignature_laurent(blanchfield_form(k), precision)
-    return obstruction_flags(ms)[0]
+    return analyze(k, precision).slice_obstructed
 
 
 def doubly_slice_obstruction(k: KnotInput,
                              precision: Fraction = DEFAULT_PRECISION) -> str:
-    ms = dw_multisignature_laurent(blanchfield_form(k), precision)
-    return obstruction_flags(ms)[1]
+    return analyze(k, precision).doubly_slice_obstructed
 
 
 def rochlin_invariant(k: KnotInput) -> int:
@@ -313,11 +302,12 @@ def _mirror_halves(psi: Matrix) -> Matrix | None:
 
 def analyze(k: KnotInput,
             precision: Fraction = DEFAULT_PRECISION) -> ObstructionReport:
-    """Full report; deterministic given the input and precision."""
-    alex = alexander_polynomial(k)
-    _, factorization = factor_rational_poly(alex)
-    ms = dw_multisignature_laurent(blanchfield_form(k), precision)
-    slice_flag, ds_flag = obstruction_flags(ms)
+    """Full report; deterministic given the input and precision.  Every
+    entry reads one Blanchfield form and its one multisignature."""
+    form = blanchfield_form(k)
+    ms = dw_multisignature_laurent(form, precision)
+    slice_flag, ds_flag = ("no_obstruction_found" if clear else "yes"
+                           for clear in (ms.is_metabolic, ms.all_zero))
     notes = [COMPLETENESS_CAVEAT]
     if k.dimension_hint == 1:
         notes.append(CLASSICAL_CAVEAT)
@@ -347,8 +337,8 @@ def analyze(k: KnotInput,
 
     return ObstructionReport(
         name=k.name,
-        alexander=alex,
-        factorization=factorization,
+        alexander=_module_order(form.module),
+        factorization=form.module.factors,
         multisignature=ms,
         slice_obstructed=slice_flag,
         doubly_slice_obstructed=ds_flag,

@@ -29,8 +29,9 @@ fields, plain signatures at z = +-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from wittkit.errors import (
     NotPTorsion,
@@ -142,6 +143,11 @@ class LaurentModule:
         for d in self.divisors:
             out = out * d
         return out
+
+    @cached_property
+    def factors(self) -> list:
+        """Monic irreducible factors of the order, with multiplicities."""
+        return factor_rational_poly(self.total_divisor())[1]
 
 
 def _apply(a: list, x: list) -> list:
@@ -527,6 +533,11 @@ class DWMultiSignatureLaurent:
     def all_zero(self) -> bool:
         return all(s == 0 for s in self.signatures.values())
 
+    @property
+    def is_metabolic(self) -> bool:
+        """Zero in the single Witt group: every odd-level sum vanishes."""
+        return not any(witt_forgetful_laurent(self).values())
+
     def entries(self):
         return sorted(self.signatures.items())
 
@@ -602,11 +613,8 @@ def dw_multisignature_laurent(
     of every self-conjugate factor, at every occupied level."""
     module = form.module
     out = DWMultiSignatureLaurent()
-    if module.is_zero:
-        return out
-    _, factors = factor_rational_poly(module.total_divisor())
     seen_pairs = set()
-    for p, _mult in factors:
+    for p, _mult in module.factors:
         pk = _factor_key(p)
         if is_self_conjugate(p) is None:
             partner = _factor_key(_monic_ordinary(p.bar()))

@@ -42,6 +42,13 @@ def parse_fraction(s) -> Fraction:
     return Fraction(s)
 
 
+def parse_int(s) -> int:
+    f = parse_fraction(s)
+    if f.denominator != 1:
+        raise ValueError(f"expected an integer, got {s!r}")
+    return int(f)
+
+
 # -- Laurent polynomials --
 
 def laurent_to_json(p: LaurentPoly) -> dict:
@@ -78,10 +85,10 @@ def finite_form_to_json(form: FiniteLinkingForm) -> dict:
 
 def finite_form_from_json(obj) -> FiniteLinkingForm:
     return FiniteLinkingForm(
-        int(obj["prime"]),
-        [int(l) for l in obj["orders"]],
+        parse_int(obj["prime"]),
+        [parse_int(l) for l in obj["orders"]],
         _rows_from_json(obj["gram"], parse_fraction),
-        int(obj["epsilon"]),
+        parse_int(obj["epsilon"]),
     )
 
 
@@ -118,8 +125,8 @@ def knot_from_json(obj) -> KnotInput:
     return KnotInput(
         obj.get("name", "knot"),
         _rows_from_json(obj["psi"], parse_fraction),
-        int(obj["epsilon"]),
-        None if hint is None else int(hint),
+        parse_int(obj["epsilon"]),
+        None if hint is None else parse_int(hint),
     )
 
 

@@ -10,7 +10,10 @@ import sys
 import pytest
 
 import wittkit
-from wittkit import cli, serialize, subgroups
+from wittkit import cli, finite, serialize, subgroups
+from wittkit.finite import classify
+
+from formbank import enumerate_symmetric_forms
 
 TREFOIL_DOC = '{"name": "trefoil", "psi": [[-1, 1], [0, -1]], "epsilon": -1}'
 Z4_DOC = '{"prime": 2, "orders": [2], "gram": [["1/4"]], "epsilon": 1}'
@@ -211,6 +214,72 @@ class TestLinking:
         code, _, err = run_cli(["linking", "--input", "-"],
                                '{"spam": 1}', monkeypatch, capsys)
         assert code == 2
+
+    def test_one_multisignature_per_part(self, monkeypatch, capsys):
+        built = []
+        build = finite.dw_multisignature
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(finite, "dw_multisignature", counting)
+        monkeypatch.setattr(cli, "dw_multisignature", counting)
+        code, out, _ = run_cli(["linking", "--input", "-"],
+                               '{"alpha": [[45]], "epsilon": 1}',
+                               monkeypatch, capsys)
+        assert code == 0
+        parts = json.loads(out)["parts"]
+        assert [p["form"]["prime"] for p in parts] == [3, 5]
+        assert len(built) == 2
+
+    def test_verdicts_match_classify(self, monkeypatch, capsys):
+        for form in enumerate_symmetric_forms(3, 5):
+            doc = serialize.dumps(serialize.finite_form_to_json(form))
+            code, out, _ = run_cli(["linking", "--input", "-"], doc,
+                                   monkeypatch, capsys)
+            assert code == 0
+            part = json.loads(out)["parts"][0]
+            assert part["metabolic"] == classify(form, "metabolic"), doc
+            assert part["hyperbolic"] == classify(form, "hyperbolic"), doc
+
+
+# integer fields given as floats or booleans, which int() would truncate
+# or read as 0 and 1
+BAD_INTEGER_DOCS = [
+    ("linking", '{"prime": 3.9, "orders": [2], "gram": [["1/9"]], '
+                '"epsilon": 1}'),
+    ("linking", '{"prime": 3, "orders": [2.0], "gram": [["1/9"]], '
+                '"epsilon": 1}'),
+    ("linking", '{"prime": 3, "orders": [2], "gram": [["1/9"]], '
+                '"epsilon": true}'),
+    ("oracle", '{"prime": 3.9, "orders": [2], "gram": [["1/9"]], '
+               '"epsilon": 1}'),
+    ("linking", '{"alpha": [[4.5]], "epsilon": 1}'),
+    ("linking", '{"alpha": [[true]], "epsilon": 1}'),
+    ("linking", '{"alpha": [[0, 3], [-3, 0]], "epsilon": -1.2}'),
+    ("analyze", '{"psi": [[-1, 1], [0, -1]], "epsilon": -1.2}'),
+    ("analyze", '{"psi": [[0, 1], [0, 0]], "epsilon": true}'),
+    ("analyze", '{"psi": [[-1, 1], [0, -1]], "epsilon": -1, '
+                '"dimension_hint": 1.5}'),
+]
+
+
+@pytest.mark.parametrize("command,doc", BAD_INTEGER_DOCS)
+def test_integer_fields_refuse_floats_and_booleans(command, doc,
+                                                   monkeypatch, capsys):
+    code, _, err = run_cli([command, "--input", "-"], doc,
+                           monkeypatch, capsys)
+    assert code == 2
+    assert "input error" in err
+
+
+def test_integer_fields_accept_integral_strings():
+    form = serialize.finite_form_from_json(
+        {"prime": "3", "orders": ["4/2"], "gram": [["1/9"]], "epsilon": "1"})
+    assert (form.prime, form.orders, form.epsilon) == (3, (2,), 1)
+    with pytest.raises(ValueError):
+        serialize.parse_int("5/2")
 
 
 class TestOracle:

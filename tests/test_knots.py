@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from wittkit.errors import (
     SingularForm,
 )
 from wittkit.exact import polys, residue
-from wittkit.exact.factor import cyclotomic_polynomial
+from wittkit.exact.factor import cyclotomic_polynomial, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.catalog import catalog_knot, catalog_names
 from wittkit.exact.matrix import Matrix
@@ -53,6 +54,7 @@ from wittkit.laurent_forms import (
 
 from snf_oracle import pencil_adjugate
 from test_roots import descartes_signature
+from test_seifert import SCALE_3
 
 TREFOIL = [[-1, 1], [0, -1]]
 FIG8 = [[1, 1], [0, -1]]
@@ -170,13 +172,24 @@ class TestAlexander:
             assert alexander_polynomial(k)(Fraction(1)) in (1, -1)
             assert dense_of(alexander_polynomial(k))[-1] > 0
 
-    def test_charpoly_route_matches_pencil_determinant(self):
+    def test_module_order_matches_pencil_determinant(self):
         knots = [catalog_knot(name) for name in catalog_names()]
         rng = random.Random(11)
         for rank in range(0, 9, 2):
             for epsilon in (-1, 1):
                 knots += [seeded_seifert_knot(rng, rank, epsilon)
                           for _ in range(3)]
+        # det psi = 0, so Trotter's reduction drops a kernel
+        scale3 = KnotInput("scale-3", SCALE_3, -1)
+        assert scale3.psi.det() == 0
+        assert blanchfield_form(scale3).module.dimension_q < scale3.rank
+        # K # K and K # -K of a genus-2 knot: modules that are not cyclic
+        genus2 = seeded_seifert_knot(random.Random(12), 4, -1)
+        sums = [connected_sum(genus2, genus2),
+                connected_sum(genus2, knot_inverse(genus2))]
+        for k in sums:
+            assert blanchfield_form(k).module.rank == 2
+        knots += [scale3, *sums, unknot()]
         for k in knots:
             assert alexander_polynomial(k) == pencil_alexander(k), k.psi
 
@@ -530,6 +543,58 @@ class TestWideRoots:
         assert list(lt_jumps(k).values()) == [-2, -2]
         for t in (Fraction(1, 8), Fraction(1, 3), Fraction(2, 5)):
             assert levine_tristram_signature(k, t) == -4
+
+
+# -- one computation per invariant --
+
+def count_calls(monkeypatch, name, original):
+    """Calls of `original` through every wittkit module binding it as
+    `name`."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("wittkit")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+class TestOneComputation:
+    def test_analyze_factors_once_and_takes_no_determinant(self,
+                                                           monkeypatch):
+        factored = count_calls(monkeypatch, "factor_rational_poly",
+                               factor_rational_poly)
+        determinants = count_calls(monkeypatch, "_det_one_minus",
+                                   knots._det_one_minus)
+        for k in (trefoil(), fig8(), unknot(),
+                  KnotInput("level-2", LEVEL2, -1),
+                  KnotInput("sym", upper_half(E8), 1),
+                  connected_sum(trefoil(), knot_inverse(trefoil()))):
+            factored.clear()
+            report = analyze(k)
+            assert len(factored) == 1, k.name
+            assert report.alexander == alexander_polynomial(k)
+        assert determinants == []
+
+    def test_lt_jumps_builds_no_covering_form(self, monkeypatch):
+        cases = [connected_sum(trefoil(), trefoil()),
+                 KnotInput("scale-3", SCALE_3, -1)]
+        sums = [witt_forgetful_laurent(
+            dw_multisignature_laurent(blanchfield_form(k))) for k in cases]
+
+        def refuse(*args):
+            raise AssertionError("lt_jumps built a covering form")
+
+        monkeypatch.setattr(knots, "blanchfield_form", refuse)
+        monkeypatch.setattr(knots, "covering_seifert", refuse)
+        jumps = [lt_jumps(k) for k in cases]
+        assert list(jumps[0].values()) == [-4]
+        for got, want in zip(jumps, sums):
+            assert got == {key: want.get(key, 0) for key in got}
 
 
 # -- obstruction flags --
