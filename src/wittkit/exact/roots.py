@@ -12,9 +12,7 @@ Signatures of hermitian matrices over a residue field are computed from the
 characteristic polynomial: its coefficients are fixed by the involution, so
 they rewrite as rational polynomials in y, and Descartes' rule (exact for
 real-rooted polynomials) counts eigenvalues of each sign at y0.  Symmetric
-rational matrices are diagonalized by congruence over Q instead.  A
-signature constant between the zeros of a polynomial g is taken at y0 or
-anywhere in `CertifiedRoot.free_bracket(g)` alike.
+rational matrices are diagonalized by congruence over Q instead.
 """
 
 from __future__ import annotations
@@ -70,7 +68,11 @@ class CertifiedRoot:
         return self.lo == self.hi
 
     def refine(self, width: Fraction) -> None:
-        """Shrink the bracket below `width` by bisection."""
+        """Shrink the bracket below `width` by bisection.  A width <= 0 is
+        refused unless the bracket is a point: an irrational root's
+        bracket never gets there."""
+        if width <= 0 and not self.is_rational:
+            raise ValueError("refinement width must be positive")
         while self.hi - self.lo > width:
             self._bisect()
 
@@ -100,21 +102,6 @@ class CertifiedRoot:
             if b < 0:
                 return -1
             self._bisect()
-
-    def free_bracket(self, g) -> tuple[Fraction, Fraction]:
-        """A rational interval around y0 on which interval Horner shows g
-        has no zero: the bracket is padded, and the pad halves (and the
-        bracket bisects once wider) until it does.  Needs g(y0) != 0."""
-        if self.sign_of(g) == 0:
-            raise SingularForm("the polynomial vanishes at this root")
-        pad = Fraction(1)
-        while True:
-            a, b = _interval_horner(g, self.lo - pad, self.hi + pad)
-            if a > 0 or b < 0:
-                return self.lo - pad, self.hi + pad
-            pad /= 2
-            if pad < self.hi - self.lo:
-                self._bisect()
 
     def theta_interval(self) -> tuple[float, float]:
         """Float bracket for theta = arccos(y0/2); reporting only, padded so
@@ -210,38 +197,3 @@ def signature_of_symmetric(m: Matrix) -> int:
         a = [[x - r[k] * y for x, y in zip(r[:k] + r[k + 1:], row)]
              for r in a]
     return sig
-
-
-def minimal_poly_of_2cos(numer: int, denom: int) -> tuple[list[Fraction], Fraction, Fraction]:
-    """Minimal polynomial of y0 = 2*cos(2*pi*numer/denom) together with an
-    isolating rational bracket.  Used for signatures at algebraic points of
-    the unit circle given by a rational turn."""
-    from wittkit.exact.factor import cyclotomic_polynomial
-
-    if denom <= 0:
-        raise ValueError("denominator must be positive")
-    numer %= denom
-    g = math.gcd(numer, denom)
-    numer, denom = numer // g, denom // g
-    if denom == 1:  # theta = 0
-        return [Fraction(-2), Fraction(1)], Fraction(2), Fraction(2)
-    if denom == 2:  # theta = pi
-        return [Fraction(2), Fraction(1)], Fraction(-2), Fraction(-2)
-    phi = cyclotomic_polynomial(denom)
-    y_poly = polys.monic(polys.palindromic_to_y(phi))
-    if polys.deg(y_poly) == 1:
-        y0 = -y_poly[0]
-        return y_poly, y0, y0
-    # bracket 2*cos(2*pi*numer/denom): the float center is accurate to a few
-    # ulps, so once the window around it holds a single root it is the right
-    # one; the window never shrinks to the float-error scale for the moduli
-    # this can see in practice
-    center = Fraction(2 * math.cos(2 * math.pi * numer / denom))
-    width = Fraction(1, 2**20)
-    while width >= Fraction(1, 2**48):
-        roots = polys.isolate_real_roots(y_poly, center - width, center + width)
-        if len(roots) == 1:
-            a, b = roots[0]
-            return y_poly, a, b
-        width /= 2
-    raise ValueError("failed to isolate the requested root")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from wittkit.errors import (
     MixedSymmetry,
@@ -22,18 +23,15 @@ from wittkit.errors import (
     NotSymmetricCase,
     SignatureNotDivisibleBy8,
     SingularAtRoot,
-    SingularForm,
     SingularSeifertForm,
     check,
 )
 from wittkit.exact import polys
-from wittkit.exact.factor import factor_rational_poly
+from wittkit.exact.factor import cyclotomic_polynomial, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
-    CertifiedRoot,
-    minimal_poly_of_2cos,
     signature_of_symmetric,
     unit_circle_roots,
 )
@@ -89,6 +87,10 @@ class KnotInput:
     @property
     def rank(self) -> int:
         return self.psi.nrows
+
+    @cached_property
+    def lt_steps(self) -> SignatureSteps:
+        return SignatureSteps(self)
 
 
 @dataclass
@@ -149,13 +151,6 @@ def blanchfield_form(k: KnotInput) -> LaurentLinkingForm:
     return covering_seifert(k.seifert_form)
 
 
-def _singular_poly_in_y(k: KnotInput) -> list:
-    """`_det_one_minus`'s D(z) in y = z + 1/z.  theta is unimodular and
-    alternating mod 2, so the rank n is even and D(1/z) = z^-n D(z) is
-    palindromic."""
-    return polys.palindromic_to_y(_det_one_minus(k).ordinary()[0])
-
-
 def _u_in_y_gap(y_low: Fraction, y_high: Fraction) -> Fraction:
     """A rational u > 0 with y_low < y(u) = 2(1 - u^2)/(1 + u^2) < y_high;
     y(u) = 2 cos(2 pi t) for u = tan(pi t).  u is sqrt((2 - y)/(2 + y)) at
@@ -182,13 +177,89 @@ def _signature_at_u(psi: Matrix, u: Fraction) -> int:
     return signature_of_symmetric(s.hstack(-kk).vstack(kk.hstack(s))) // 2
 
 
+def _two_cos_bracket(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Rational lo < 2 cos(2 pi t) < hi for 0 < t < 1/2, in integer fixed
+    point with unit 2^-bits: pi by Machin's formula 16 atan(1/5) -
+    4 atan(1/239), then cos x, x = 2 pi t <= pi/2, by its Taylor series.
+    Every floor division errs by under one unit and every alternating tail
+    is below its first omitted term, so the error bound `err` is a few
+    units per bit and hi - lo = 4 err 2^-bits."""
+    sign = 1
+    if t > Fraction(1, 4):  # cos(pi - x) = -cos x
+        t, sign = Fraction(1, 2) - t, -1
+    one = 1 << bits
+    pi = err = 0
+    for coeff, x in ((16, 5), (-4, 239)):
+        power, k = one // x, 0  # floor(one / x^(2k+1)), exactly
+        while power:
+            pi += coeff * (-1) ** k * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        err += abs(coeff) * (k + 1)
+    x = 2 * pi * t.numerator // t.denominator  # off by < err/2 + 1 units
+    total = term = one
+    k = 0
+    while term:  # each term off by < 3 units (x/one < 1.6)
+        k += 1
+        term = term * x // one * x // one // ((2 * k - 1) * (2 * k))
+        total += (-1) ** k * term
+    err += 3 * k + 3
+    lo, hi = Fraction(2 * (total - err), one), Fraction(2 * (total + err), one)
+    return (lo, hi) if sign == 1 else (-hi, -lo)
+
+
+class SignatureSteps:
+    """The Levine-Tristram signature of one knot as a step function of
+    y = 2 cos(2 pi t), built once per `KnotInput` (its `lt_steps`).
+    `dense` is D = `_det_one_minus` with z^k cleared; `roots` are the
+    unit-circle roots of D's factors as (key, root_index, CertifiedRoot)
+    with disjoint y-brackets, by decreasing y (increasing angle), refined
+    only as far as separation needs; gap i lies below i of them, and its
+    signature is taken once, at a rational u = tan(pi t) inside it."""
+
+    def __init__(self, k: KnotInput):
+        self.psi = k.psi
+        det = _det_one_minus(k)
+        self.dense = det.ordinary()[0]
+        self.roots = _circle_roots(det)
+        self._values = {}
+
+    def value(self, gap: int) -> int:
+        if gap not in self._values:
+            roots = [root for _, _, root in self.roots]
+            y_high = roots[gap - 1].lo if gap else Fraction(2)
+            y_low = roots[gap].hi if gap < len(roots) else Fraction(-2)
+            self._values[gap] = _signature_at_u(self.psi,
+                                                _u_in_y_gap(y_low, y_high))
+        return self._values[gap]
+
+    def gap_at(self, t: Fraction) -> int:
+        """The gap holding y0 = 2 cos(2 pi t), 0 < t <= 1/2, when y0 is
+        no root: y0 is exact for t in {1/2, 1/3, 1/4, 1/6}; otherwise its
+        enclosure and the brackets it meets narrow until they part."""
+        exact = {2: -2, 3: -1, 4: 0, 6: 1}.get(t.denominator)
+        bits = 64
+        lo, hi = ((Fraction(exact),) * 2 if exact is not None
+                  else _two_cos_bracket(t, bits))
+        while True:
+            clash = [root for _, _, root in self.roots
+                     if root.lo <= hi and lo <= root.hi]
+            if not clash:
+                return sum(root.lo > hi for _, _, root in self.roots)
+            for root in clash:
+                root.refine((root.hi - root.lo) / 2)
+            if all(root.hi - root.lo < hi - lo for root in clash):
+                bits *= 2
+                lo, hi = _two_cos_bracket(t, bits)
+
+
 def levine_tristram_signature(k: KnotInput, turn) -> int:
     """Certified signature of (1-omega) psi + (1-conj(omega)) psi^T at
-    omega = e^{2 pi i turn}.  It is singular exactly where D_y, the
-    polynomial of `_singular_poly_in_y`, vanishes at y0 = 2 cos(2 pi turn);
-    otherwise the signature is taken over Q at a rational u whose y(u)
-    lies in a bracket of y0 on which D_y has no zero (at turn 1/2, y0 = -2
-    and the form is 2 S, the limit as u grows)."""
+    omega = e^{2 pi i turn}: singular exactly where D = `_det_one_minus`
+    vanishes, and otherwise the value of `k.lt_steps` on the gap holding
+    y0 = 2 cos(2 pi turn).  A primitive d-th root of unity is a root of D
+    only if phi(d) <= deg D, and phi(d) >= sqrt(d/2), so D is divided by
+    the cyclotomic Phi_d only for d <= 2 (deg D)^2."""
     if isinstance(turn, float):
         raise TypeError(
             "pass the turn exactly (Fraction, int, or string), not a float")
@@ -198,25 +269,27 @@ def levine_tristram_signature(k: KnotInput, turn) -> int:
         return 0
     if t == 0:
         raise SingularAtRoot("omega = 1 degenerates the form")
-    root = CertifiedRoot(*minimal_poly_of_2cos(t.numerator, t.denominator))
-    try:
-        lo, hi = root.free_bracket(_singular_poly_in_y(k))
-    except SingularForm:
+    steps = k.lt_steps
+    d = t.denominator
+    if (d <= 2 * polys.deg(steps.dense) ** 2
+            and not polys.mod(steps.dense, cyclotomic_polynomial(d))):
         raise SingularAtRoot(f"omega at turn {t} is an Alexander root")
-    return _signature_at_u(k.psi, _u_in_y_gap(max(lo, Fraction(-2)),
-                                              min(hi, Fraction(2))))
+    return steps.value(steps.gap_at(t))
 
 
-def _circle_roots_of_alexander(k: KnotInput, precision: Fraction):
-    """Unit-circle roots of `_det_one_minus` as (key, root_index,
-    CertifiedRoot), ordered by increasing angle, with disjoint y-brackets."""
-    _, factors = factor_rational_poly(_det_one_minus(k))
+def _circle_roots(det: LaurentPoly) -> list:
+    """Unit-circle roots of `det`'s factors as (key, root_index,
+    CertifiedRoot), ordered by increasing angle, with disjoint y-brackets;
+    refining to width 4 leaves each isolating bracket as it is."""
+    _, factors = factor_rational_poly(det)
     marked = []
     for p, _mult in factors:
         if is_self_conjugate(p) is None:
             continue
         key = tuple(p.ordinary()[0])
-        for ridx, root in enumerate(unit_circle_roots(p, precision)):
+        for ridx, root in enumerate(unit_circle_roots(p, Fraction(4))):
+            while not root.is_rational and (root.lo == -2 or root.hi == 2):
+                root.refine((root.hi - root.lo) / 2)  # keep end gaps open
             marked.append((key, ridx, root))
     # distinct irreducible factors never share a root, so refinement
     # eventually separates every pair of brackets
@@ -227,7 +300,7 @@ def _circle_roots_of_alexander(k: KnotInput, precision: Fraction):
             for j in range(i + 1, len(marked)):
                 a, b = marked[i][2], marked[j][2]
                 if a.lo <= b.hi and b.lo <= a.hi:
-                    width = max(a.hi - a.lo, b.hi - b.lo, precision)
+                    width = max(a.hi - a.lo, b.hi - b.lo)
                     a.refine(width / 4)
                     b.refine(width / 4)
                     changed = True
@@ -238,9 +311,10 @@ def _circle_roots_of_alexander(k: KnotInput, precision: Fraction):
 def lt_jumps(k: KnotInput,
              precision: Fraction = DEFAULT_PRECISION) -> dict:
     """Jump of the Levine-Tristram signature across each unit-circle
-    Alexander root, keyed like the multisignature entries: the signature is
-    taken at a rational u = tan(pi t) whose y(u) lies strictly between the
-    certified brackets of consecutive roots.
+    Alexander root, keyed like the multisignature entries: the difference
+    of `k.lt_steps` on the gaps on either side.  `precision` must be
+    positive; the brackets are refined only as far as separation needs,
+    so it does not change the answer.
 
     Skew forms only.  The sampled matrix (1-w) psi + (1-conj(w)) psi^T
     degenerates exactly on the Alexander roots when epsilon = -1; for
@@ -251,15 +325,11 @@ def lt_jumps(k: KnotInput,
         raise ValueError(
             "signature jumps across Alexander roots are defined for "
             "epsilon = -1 Seifert forms only")
-    marked = _circle_roots_of_alexander(k, precision)
-    lows = [root.hi for _, _, root in marked] + [Fraction(-2)]
-    highs = [Fraction(2)] + [root.lo for _, _, root in marked]
-    values = [_signature_at_u(k.psi, _u_in_y_gap(y_low, y_high))
-              for y_low, y_high in zip(lows, highs)]
-    return {
-        (key, ridx): values[i + 1] - values[i]
-        for i, (key, ridx, _root) in enumerate(marked)
-    }
+    if precision <= 0:
+        raise ValueError("precision must be positive")
+    steps = k.lt_steps
+    return {(key, ridx): steps.value(i + 1) - steps.value(i)
+            for i, (key, ridx, _root) in enumerate(steps.roots)}
 
 
 def slice_obstruction(k: KnotInput,

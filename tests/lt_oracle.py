@@ -1,0 +1,183 @@
+"""Oracles for the Levine-Tristram step function in `wittkit.knots`.
+
+The per-call route it replaced: the minimal polynomial of
+y0 = 2 cos(2 pi t) from the cyclotomic polynomial Phi_d, an isolating
+bracket of y0 from a float window, the knot's polynomial D_y rebuilt on
+every call, and a padded bracket of y0 free of D_y's zeros, in which the
+signature is taken over Q at a rational u = tan(pi t).  Below it, the older
+route over the cyclotomic field Q(zeta_d): the hermitian form's sign pattern
+decided at the certified root, signatures by Descartes' rule."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+from wittkit.errors import ComputationError, SingularAtRoot, SingularForm
+from wittkit.exact import polys, residue
+from wittkit.exact.factor import cyclotomic_polynomial
+from wittkit.exact.laurent import LaurentPoly
+from wittkit.exact.matrix import Matrix
+from wittkit.exact.roots import (
+    DEFAULT_PRECISION,
+    CertifiedRoot,
+    _interval_horner,
+    hermitian_signature_at_root,
+)
+from wittkit.knots import _det_one_minus, _signature_at_u, _u_in_y_gap
+
+
+def minimal_poly_of_2cos(numer: int, denom: int) -> tuple[list[Fraction], Fraction, Fraction]:
+    """Minimal polynomial of y0 = 2*cos(2*pi*numer/denom) together with an
+    isolating rational bracket."""
+    if denom <= 0:
+        raise ValueError("denominator must be positive")
+    numer %= denom
+    g = math.gcd(numer, denom)
+    numer, denom = numer // g, denom // g
+    if denom == 1:  # theta = 0
+        return [Fraction(-2), Fraction(1)], Fraction(2), Fraction(2)
+    if denom == 2:  # theta = pi
+        return [Fraction(2), Fraction(1)], Fraction(-2), Fraction(-2)
+    phi = cyclotomic_polynomial(denom)
+    y_poly = polys.monic(polys.palindromic_to_y(phi))
+    if polys.deg(y_poly) == 1:
+        y0 = -y_poly[0]
+        return y_poly, y0, y0
+    # bracket 2*cos(2*pi*numer/denom): the float center is accurate to a few
+    # ulps, so once the window around it holds a single root it is the right
+    # one; the window never shrinks to the float-error scale for the moduli
+    # this can see in practice
+    center = Fraction(2 * math.cos(2 * math.pi * numer / denom))
+    width = Fraction(1, 2**20)
+    while width >= Fraction(1, 2**48):
+        roots = polys.isolate_real_roots(y_poly, center - width, center + width)
+        if len(roots) == 1:
+            a, b = roots[0]
+            return y_poly, a, b
+        width /= 2
+    raise ValueError("failed to isolate the requested root")
+
+
+# the Sturm isolation at d = 199 takes seconds; tests ask for the same few
+# turns on many knots
+_cached_minimal_poly = lru_cache(maxsize=None)(minimal_poly_of_2cos)
+
+
+def free_bracket(root: CertifiedRoot, g) -> tuple[Fraction, Fraction]:
+    """A rational interval around the root's y0 on which interval Horner
+    shows g has no zero: the bracket is padded, and the pad halves (and the
+    bracket bisects once wider) until it does.  Needs g(y0) != 0."""
+    if root.sign_of(g) == 0:
+        raise SingularForm("the polynomial vanishes at this root")
+    pad = Fraction(1)
+    while True:
+        a, b = _interval_horner(g, root.lo - pad, root.hi + pad)
+        if a > 0 or b < 0:
+            return root.lo - pad, root.hi + pad
+        pad /= 2
+        if pad < root.hi - root.lo:
+            root._bisect()
+
+
+def singular_poly_in_y(k) -> list:
+    """`_det_one_minus`'s D(z) in y = z + 1/z.  theta is unimodular and
+    alternating mod 2, so the rank n is even and D(1/z) = z^-n D(z) is
+    palindromic."""
+    return polys.palindromic_to_y(_det_one_minus(k).ordinary()[0])
+
+
+def per_call_lt_signature(k, turn, d_y=None) -> int:
+    """Signature of (1-omega) psi + (1-conj(omega)) psi^T at
+    omega = e^{2 pi i turn}, rebuilt from scratch: singular exactly where
+    D_y vanishes at y0 = 2 cos(2 pi turn); otherwise taken at a rational u
+    whose y(u) lies in a bracket of y0 free of D_y's zeros.  A caller
+    asking for many turns of one knot may pass `singular_poly_in_y(k)`."""
+    if isinstance(turn, float):
+        raise TypeError("pass the turn exactly, not a float")
+    t = Fraction(turn) % 1
+    t = min(t, 1 - t)
+    if k.rank == 0:
+        return 0
+    if t == 0:
+        raise SingularAtRoot("omega = 1 degenerates the form")
+    root = CertifiedRoot(*_cached_minimal_poly(t.numerator, t.denominator))
+    try:
+        lo, hi = free_bracket(root, d_y or singular_poly_in_y(k))
+    except SingularForm:
+        raise SingularAtRoot(f"omega at turn {t} is an Alexander root")
+    return _signature_at_u(k.psi, _u_in_y_gap(max(lo, Fraction(-2)),
+                                              min(hi, Fraction(2))))
+
+
+def descartes_signature(m):
+    """Signature of a symmetric rational matrix from the signs of its
+    characteristic polynomial (real-rooted, so Descartes' rule is exact)."""
+    coeffs = m.charpoly()
+    if coeffs[0] == 0:
+        raise SingularForm("symmetric form is singular")
+    signs = [(c > 0) - (c < 0) for c in coeffs]
+    flipped = [s if i % 2 == 0 else -s for i, s in enumerate(signs)]
+    return (polys.descartes_positive_roots(signs)
+            - polys.descartes_positive_roots(flipped))
+
+
+def cyclotomic_lt_signature(k, turn, precision=DEFAULT_PRECISION):
+    """Levine-Tristram signature as a hermitian form over Q(zeta_d), d the
+    turn's denominator, with its sign pattern decided at the certified
+    root 2 cos(2 pi turn); the route wittkit took before it went over Q."""
+    t = Fraction(turn) % 1
+    if t > Fraction(1, 2):
+        t = 1 - t
+    psi = k.seifert_form.psi
+    n = k.rank
+    if n == 0:
+        return 0
+    if t == 0:
+        raise SingularAtRoot("omega = 1 degenerates the form")
+    if t == Fraction(1, 2):
+        m = (psi + psi.transpose()).map(lambda x: 2 * x)
+        if m.det() == 0:
+            raise SingularAtRoot("omega = -1 is an Alexander root")
+        return descartes_signature(m)
+    d = t.denominator
+    phi = cyclotomic_polynomial(d)
+    field = residue.ResidueField(phi)
+    herm = Matrix([
+        [field.from_laurent(LaurentPoly({
+            0: psi[i, j] + psi[j, i],
+            1: -psi[i, j],
+            -1: -psi[j, i]}))
+         for j in range(n)] for i in range(n)])
+    y_poly, lo, hi = _cached_minimal_poly(t.numerator, d)
+    root = CertifiedRoot(y_poly, lo, hi, LaurentPoly.from_dense(phi))
+    root.refine(precision)
+    try:
+        return hermitian_signature_at_root(herm, root)
+    except SingularForm:
+        raise SingularAtRoot(f"omega at turn {t} is an Alexander root")
+
+
+def turn_in_y_gap(y_low, y_high):
+    """A small-denominator rational turn t whose y = 2 cos(2 pi t) bracket
+    certifies strictly inside (y_low, y_high)."""
+    t_from = math.acos(min(1.0, max(-1.0, float(y_high) / 2))) / (2 * math.pi)
+    t_to = math.acos(min(1.0, max(-1.0, float(y_low) / 2))) / (2 * math.pi)
+    pad = (t_to - t_from) * 0.2
+    a_lo, a_hi = t_from + pad, t_to - pad
+    d = 1
+    while d < 10**6:
+        d += 1
+        num = math.ceil(a_lo * d)
+        while num / d <= a_hi:
+            t = Fraction(num, d)
+            if 0 < t < Fraction(1, 2):
+                y_poly, lo, hi = _cached_minimal_poly(t.numerator,
+                                                      t.denominator)
+                probe = CertifiedRoot(y_poly, lo, hi)
+                probe.refine(Fraction(1, 2**32))
+                if y_low < probe.lo and probe.hi < y_high:
+                    return t
+            num += 1
+    raise ComputationError("no sampling angle found between roots")

@@ -11,24 +11,17 @@ from fractions import Fraction
 import pytest
 
 from wittkit.errors import (
-    ComputationError,
     MixedSymmetry,
     NotAKnotForm,
     NotSymmetricCase,
     SingularAtRoot,
-    SingularForm,
 )
 from wittkit.exact import polys, residue
 from wittkit.exact.factor import cyclotomic_polynomial, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.catalog import catalog_knot, catalog_names
 from wittkit.exact.matrix import Matrix
-from wittkit.exact.roots import (
-    DEFAULT_PRECISION,
-    CertifiedRoot,
-    hermitian_signature_at_root,
-    minimal_poly_of_2cos,
-)
+from wittkit.exact.roots import DEFAULT_PRECISION
 from wittkit import knots
 from wittkit.knots import (
     CLASSICAL_CAVEAT,
@@ -52,8 +45,13 @@ from wittkit.laurent_forms import (
     witt_forgetful_laurent,
 )
 
+from lt_oracle import (
+    cyclotomic_lt_signature,
+    per_call_lt_signature,
+    singular_poly_in_y,
+    turn_in_y_gap,
+)
 from snf_oracle import pencil_adjugate
-from test_roots import descartes_signature
 from test_seifert import SCALE_3
 
 TREFOIL = [[-1, 1], [0, -1]]
@@ -105,6 +103,18 @@ def random_skew_knot(rng, max_rank=4):
 
 def dense_of(p):
     return p.ordinary()[0]
+
+
+def roots_strictly_inside(g, lo, hi):
+    """Isolating brackets of the real roots of g in the open (lo, hi)."""
+    found = polys.isolate_real_roots(g, lo, hi)
+    if found and polys.eval_at(g, hi) == 0:
+        found.pop()  # the last bracket ends at hi and holds only that root
+    return found
+
+
+# T(2, 5): its Alexander polynomial is Phi_10, irrational roots at 1/10, 3/10
+T25 = [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]]
 
 
 # -- input validation --
@@ -294,12 +304,18 @@ class TestLevineTristram:
             assert levine_tristram_signature(fig8(), t) == 0
 
     def test_wide_turn_bracket_is_narrowed_past_a_root(self, monkeypatch):
-        # y0 = 2 cos(2 pi / 5) = 0.618 is the one root of y^2 + y - 1 in
-        # [0, 2]; det(z psi - psi^T) has a root there too, at y = 1 for the
-        # trefoil, so the signature must be taken on a narrower bracket
-        def wide(numer, denom):
-            y_poly, _, _ = minimal_poly_of_2cos(numer, denom)
-            return y_poly, Fraction(0), Fraction(2)
+        # y0 = 2 cos(2 pi / 5) = 0.618; a first enclosure [0, 2] of it
+        # crosses the trefoil's root at y = 1 and the sym knot's root
+        # bracket [3/2, 2] (root sqrt(23/6) = 1.958), so the enclosure and
+        # those brackets must narrow until they part before the gap is read
+        exact_bracket = knots._two_cos_bracket
+        enclosures = []
+
+        def wide_first(t, bits):
+            enclosures.append(bits)
+            if len(enclosures) == 1:
+                return Fraction(0), Fraction(2)
+            return exact_bracket(t, bits)
 
         gaps = []
 
@@ -307,15 +323,20 @@ class TestLevineTristram:
             gaps.append((y_low, y_high))
             return _u_in_y_gap(y_low, y_high)
 
-        monkeypatch.setattr(knots, "minimal_poly_of_2cos", wide)
+        monkeypatch.setattr(knots, "_two_cos_bracket", wide_first)
         monkeypatch.setattr(knots, "_u_in_y_gap", u_in_gap)
         sym = [[0, 1, 2, -6], [0, 0, -2, 5], [-2, 2, 0, -4], [6, -5, 5, 0]]
+        t = Fraction(1, 5)
+        y0 = 2 * math.cos(2 * math.pi * t)
         for k in (trefoil(), KnotInput("sym", sym, 1)):
-            t = Fraction(1, 5)
+            enclosures.clear()
             assert levine_tristram_signature(k, t) == \
                 cyclotomic_lt_signature(k, t)
-            d_y = knots._singular_poly_in_y(k)
-            assert not polys.isolate_real_roots(d_y, *gaps.pop())
+            assert len(enclosures) >= 2  # the wide enclosure was replaced
+            y_low, y_high = gaps.pop()
+            assert y_low < y0 < y_high
+            assert roots_strictly_inside(singular_poly_in_y(k),
+                                         y_low, y_high) == []
 
     def test_symmetric_input_still_evaluates(self):
         k = KnotInput("sym", [[0, 1], [0, 0]], 1)
@@ -382,72 +403,14 @@ class TestJumps:
                 _u_in_y_gap(y_low, y_high)
 
 
-# -- the cyclotomic-field signatures, kept as oracles --
-
-def cyclotomic_lt_signature(k, turn, precision=DEFAULT_PRECISION):
-    """Levine-Tristram signature as a hermitian form over Q(zeta_d), d the
-    turn's denominator, with its sign pattern decided at the certified
-    root 2 cos(2 pi turn); the route wittkit took before it went over Q."""
-    t = Fraction(turn) % 1
-    if t > Fraction(1, 2):
-        t = 1 - t
-    psi = k.seifert_form.psi
-    n = k.rank
-    if n == 0:
-        return 0
-    if t == 0:
-        raise SingularAtRoot("omega = 1 degenerates the form")
-    if t == Fraction(1, 2):
-        m = (psi + psi.transpose()).map(lambda x: 2 * x)
-        if m.det() == 0:
-            raise SingularAtRoot("omega = -1 is an Alexander root")
-        return descartes_signature(m)
-    d = t.denominator
-    phi = cyclotomic_polynomial(d)
-    field = residue.ResidueField(phi)
-    herm = Matrix([
-        [field.from_laurent(LaurentPoly({
-            0: psi[i, j] + psi[j, i],
-            1: -psi[i, j],
-            -1: -psi[j, i]}))
-         for j in range(n)] for i in range(n)])
-    y_poly, lo, hi = minimal_poly_of_2cos(t.numerator, d)
-    root = CertifiedRoot(y_poly, lo, hi, LaurentPoly.from_dense(phi))
-    root.refine(precision)
-    try:
-        return hermitian_signature_at_root(herm, root)
-    except SingularForm:
-        raise SingularAtRoot(f"omega at turn {t} is an Alexander root")
-
-
-def turn_in_y_gap(y_low, y_high):
-    """A small-denominator rational turn t whose y = 2 cos(2 pi t) bracket
-    certifies strictly inside (y_low, y_high)."""
-    t_from = math.acos(min(1.0, max(-1.0, float(y_high) / 2))) / (2 * math.pi)
-    t_to = math.acos(min(1.0, max(-1.0, float(y_low) / 2))) / (2 * math.pi)
-    pad = (t_to - t_from) * 0.2
-    a_lo, a_hi = t_from + pad, t_to - pad
-    d = 1
-    while d < 10**6:
-        d += 1
-        num = math.ceil(a_lo * d)
-        while num / d <= a_hi:
-            t = Fraction(num, d)
-            if 0 < t < Fraction(1, 2):
-                y_poly, lo, hi = minimal_poly_of_2cos(t.numerator,
-                                                      t.denominator)
-                probe = CertifiedRoot(y_poly, lo, hi)
-                probe.refine(Fraction(1, 2**32))
-                if y_low < probe.lo and probe.hi < y_high:
-                    return t
-            num += 1
-    raise ComputationError("no sampling angle found between roots")
-
+# -- the cyclotomic-field signatures (lt_oracle), kept as oracles --
 
 def turn_search_lt_jumps(k, precision=DEFAULT_PRECISION):
     """lt_jumps sampling the cyclotomic-field signature at a rational turn
     found between consecutive certified Alexander-root brackets."""
-    marked = knots._circle_roots_of_alexander(k, precision)
+    marked = knots._circle_roots(knots._det_one_minus(k))
+    for _key, _ridx, root in marked:
+        root.refine(precision)
     walls = [Fraction(2)]
     for _key, _ridx, root in marked:
         walls += [root.hi, root.lo]
@@ -543,6 +506,188 @@ class TestWideRoots:
         assert list(lt_jumps(k).values()) == [-2, -2]
         for t in (Fraction(1, 8), Fraction(1, 3), Fraction(2, 5)):
             assert levine_tristram_signature(k, t) == -4
+
+
+# -- one step function per knot, against the per-call route --
+
+def turns_up_to(max_denom):
+    return sorted({Fraction(a, d) for d in range(1, max_denom + 1)
+                   for a in range(1, d // 2 + 1)})
+
+
+def mobius(n):
+    result, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def cyclotomic_y_poly(d):
+    """Integer Y, constant term first, with Phi_d(z) = z^m Y(z + 1/z), in
+    integers: Phi_d is the product of (z^e - 1)^mu(d/e) over e | d, the
+    divisions exact, and z^j + z^-j = Q_j(y) with Q_{j+1} = y Q_j - Q_{j-1}."""
+    phi = [1]
+    for sign in (1, -1):
+        for e in range(1, d + 1):
+            if d % e or mobius(d // e) != sign:
+                continue
+            if sign == 1:  # times z^e - 1
+                phi = [(phi[i - e] if i >= e else 0)
+                       - (phi[i] if i < len(phi) else 0)
+                       for i in range(len(phi) + e)]
+            else:  # over z^e - 1: p = q (z^e - 1), so q_i = q_(i-e) - p_i
+                quot = []
+                for i in range(len(phi) - e):
+                    quot.append((quot[i - e] if i >= e else 0) - phi[i])
+                phi = quot
+    m = (len(phi) - 1) // 2
+    y_poly = [phi[m]] + [0] * m
+    q_prev, q = [2], [0, 1]
+    for j in range(1, m + 1):
+        for i, c in enumerate(q):
+            y_poly[i] += phi[m + j] * c
+        nxt = [0] + q
+        for i, c in enumerate(q_prev):
+            nxt[i] -= c
+        q_prev, q = q, nxt
+    return y_poly
+
+
+def y_poly_sign(y_poly, y):
+    """Sign of an integer polynomial at a rational y = n / m (m > 0), as
+    the sign of sum c_i n^i m^(deg - i)."""
+    n, m = y.numerator, y.denominator
+    acc, scale = 0, 1
+    for c in reversed(y_poly):
+        acc = acc * n + c * scale
+        scale *= m
+    return (acc > 0) - (acc < 0)
+
+
+class TestStepFunction:
+    def test_matches_per_call_oracle(self):
+        rng = random.Random(2026)
+        turns = turns_up_to(30) + [Fraction(1, 97), Fraction(1, 199)]
+        compared = nonzero = 0
+        for rank in range(0, 9, 2):
+            for epsilon in (-1, 1):
+                k = seeded_seifert_knot(rng, rank, epsilon)
+                d_y = singular_poly_in_y(k)
+                for t in turns:
+                    want = lt_or_singular(
+                        lambda k, t: per_call_lt_signature(k, t, d_y), k, t)
+                    got = lt_or_singular(levine_tristram_signature, k, t)
+                    assert got == want, (k.psi, t)
+                    compared += 1
+                    nonzero += want not in (0, "singular")
+        assert compared > 1000 and nonzero > 150
+
+    def test_singular_turns_match(self):
+        cases = [(trefoil(), [Fraction(1, 6)]),
+                 (KnotInput("T(2,5)", T25, -1),
+                  [Fraction(1, 10), Fraction(3, 10)])]
+        for k, singular in cases:
+            for t in turns_up_to(12):
+                want = lt_or_singular(per_call_lt_signature, k, t)
+                assert (want == "singular") == (t in singular), (k.name, t)
+                assert lt_or_singular(cyclotomic_lt_signature, k, t) == want
+                assert lt_or_singular(levine_tristram_signature, k, t) \
+                    == want, (k.name, t)
+
+    def test_call_order_does_not_matter(self):
+        turns = [Fraction(1, 10), Fraction(1, 7), Fraction(1, 5),
+                 Fraction(2, 7), Fraction(1, 3), Fraction(3, 7),
+                 Fraction(1, 199)]
+        rng = random.Random(2027)
+        psis = [T25, TREFOIL] + [seeded_seifert_knot(rng, 4, -1).psi.rows
+                                 for _ in range(3)]
+        for psi in psis:
+            first, second = KnotInput("a", psi, -1), KnotInput("b", psi, -1)
+            before = [lt_or_singular(levine_tristram_signature, first, t)
+                      for t in turns]
+            jumps = lt_jumps(first)
+            after = [lt_or_singular(levine_tristram_signature, first, t)
+                     for t in turns]
+            assert lt_jumps(second) == jumps
+            late = [lt_or_singular(levine_tristram_signature, second, t)
+                    for t in turns]
+            assert before == after == late, psi
+            assert before == [lt_or_singular(per_call_lt_signature, first, t)
+                              for t in turns]
+
+    def test_enclosure_is_certified(self):
+        # the y-polynomial of Phi_d has degree phi(d)/2, all its roots real:
+        # as many disjoint enclosures, each with a sign change across it,
+        # hold one root each.  isolate_real_roots says the same directly
+        # where it is cheap (one call takes 0.25 s at d = 199).
+        for d in range(5, 251):
+            if d == 6:
+                continue
+            y_poly = cyclotomic_y_poly(d)
+            if d <= 30:
+                assert y_poly == polys.monic(polys.palindromic_to_y(
+                    cyclotomic_polynomial(d)))
+            turns = [Fraction(a, d) for a in range(1, d // 2 + 1)
+                     if math.gcd(a, d) == 1]
+            assert len(turns) == polys.deg(y_poly)
+            widths = []
+            for bits in (64, 96):
+                brackets = sorted(knots._two_cos_bracket(t, bits)
+                                  for t in turns)
+                for (lo, hi), nxt in zip(brackets, brackets[1:] + [None]):
+                    assert lo < hi and (nxt is None or hi < nxt[0])
+                    assert y_poly_sign(y_poly, lo) * \
+                        y_poly_sign(y_poly, hi) < 0, (d, bits)
+                    if d <= 30:
+                        assert len(polys.isolate_real_roots(
+                            y_poly, lo, hi)) == 1
+                widths.append(max(hi - lo for lo, hi in brackets))
+            assert widths[1] < widths[0] * Fraction(1, 2**30)
+        # and each enclosure holds its own turn's root, not a conjugate's
+        for t in turns_up_to(60):
+            if t.denominator in (1, 2, 3, 4, 6):
+                continue
+            lo, hi = knots._two_cos_bracket(t, 64)
+            y0 = 2 * math.cos(2 * math.pi * t)
+            assert lo - Fraction(1, 10**12) < y0 < hi + Fraction(1, 10**12)
+
+    def test_one_build_per_knot(self, monkeypatch):
+        determinants = count_calls(monkeypatch, "_det_one_minus",
+                                   knots._det_one_minus)
+        factored = count_calls(monkeypatch, "factor_rational_poly",
+                               factor_rational_poly)
+        cyclotomics = count_calls(monkeypatch, "cyclotomic_polynomial",
+                                  cyclotomic_polynomial)
+        k = KnotInput("T(2,5)", T25, -1)  # deg D = 4, so d <= 32 is checked
+        values = {}
+        for t in (Fraction(1, 8), Fraction(1, 33), Fraction(2, 5),
+                  Fraction(1, 97), Fraction(3, 40), Fraction(1, 1009)):
+            cyclotomics.clear()
+            values[t] = levine_tristram_signature(k, t)
+            assert bool(cyclotomics) == (t.denominator <= 32), t
+        phi10 = (1, -1, 1, -1, 1)
+        assert lt_jumps(k) == {(phi10, 0): -2, (phi10, 1): -2}
+        assert len(determinants) == 1
+        assert len(factored) == 1
+        # the roots of Phi_10 sit at turns 1/10 and 3/10
+        assert values == {t: -2 * (t > Fraction(1, 10))
+                          - 2 * (t > Fraction(3, 10)) for t in values}
+
+    def test_nonpositive_precision_is_refused(self):
+        # the roots of T(2,5) are irrational, so a width <= 0 would bisect
+        # their brackets forever
+        k = KnotInput("T(2,5)", T25, -1)
+        with pytest.raises(ValueError):
+            analyze(k, Fraction(0))
+        for precision in (0, -1):
+            with pytest.raises(ValueError):
+                lt_jumps(k, precision)
+        assert list(lt_jumps(k).values()) == [-2, -2]
 
 
 # -- one computation per invariant --

@@ -14,10 +14,11 @@ from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
     CertifiedRoot,
     hermitian_signature_at_root,
-    minimal_poly_of_2cos,
     signature_of_symmetric,
     unit_circle_roots,
 )
+
+from lt_oracle import descartes_signature, free_bracket, minimal_poly_of_2cos
 
 F = Fraction
 z = LaurentPoly.z()
@@ -117,6 +118,21 @@ def test_sign_of_rational_point():
     assert root.sign_of([F(1), F(7)]) == 1
 
 
+def test_refine_rejects_a_width_that_never_comes():
+    # an irrational root's bracket never reaches width 0: refine and
+    # unit_circle_roots refuse it instead of bisecting forever
+    root = unit_circle_roots(z**4 + 1)[0]
+    for width in (F(0), F(-1)):
+        with pytest.raises(ValueError):
+            root.refine(width)
+        with pytest.raises(ValueError):
+            unit_circle_roots(z**4 + 1, width)
+    # a point bracket is already as narrow as it gets
+    point = unit_circle_roots(z**2 - z + 1, F(0))[0]
+    point.refine(F(0))
+    assert point.lo == point.hi == 1
+
+
 def test_refine_narrows():
     root = unit_circle_roots(z**4 + 1)[0]
     root.refine(F(1, 2**100))
@@ -172,18 +188,6 @@ def test_symmetric_signature():
     assert signature_of_symmetric(Matrix([])) == 0
 
 
-def descartes_signature(m):
-    """Signature of a symmetric rational matrix from the signs of its
-    characteristic polynomial (real-rooted, so Descartes' rule is exact)."""
-    coeffs = m.charpoly()
-    if coeffs[0] == 0:
-        raise SingularForm("symmetric form is singular")
-    signs = [(c > 0) - (c < 0) for c in coeffs]
-    flipped = [s if i % 2 == 0 else -s for i, s in enumerate(signs)]
-    return (polys.descartes_positive_roots(signs)
-            - polys.descartes_positive_roots(flipped))
-
-
 def test_symmetric_signature_matches_charpoly_route():
     # congruence diagonalization against Descartes on the characteristic
     # polynomial; permuted hyperbolic blocks and zero-diagonal matrices force
@@ -235,21 +239,21 @@ def test_free_bracket_excludes_a_nearby_zero():
     # y0 = 2 cos(2 pi / 5) = 0.6180339887..., and g vanishes 1e-10 below it
     root = CertifiedRoot(*minimal_poly_of_2cos(1, 5))
     near = F(6180339886, 10**10)
-    lo, hi = root.free_bracket([-near, F(1)])
+    lo, hi = free_bracket(root, [-near, F(1)])
     assert near < lo <= root.lo and root.hi <= hi
     assert polys.eval_at(root.y_poly, lo) * polys.eval_at(root.y_poly, hi) < 0
     # a point bracket (turn 1/4, y0 = 0) is widened, not past g's zero
     point = CertifiedRoot(*minimal_poly_of_2cos(1, 4))
-    lo, hi = point.free_bracket([F(-1, 10**9), F(1)])
+    lo, hi = free_bracket(point, [F(-1, 10**9), F(1)])
     assert lo < 0 < hi < F(1, 10**9)
-    assert point.free_bracket([F(3)]) == (-1, 1)
+    assert free_bracket(point, [F(3)]) == (-1, 1)
     # a zero at y0 itself has no free bracket
     for r, g in ((root, root.y_poly), (point, [F(0), F(1)])):
         with pytest.raises(SingularForm):
-            r.free_bracket(polys.mul(g, [F(2), F(1)]))
+            free_bracket(r, polys.mul(g, [F(2), F(1)]))
 
 
-# ---- rational turns ----
+# ---- rational turns (the per-call route, kept as an oracle) ----
 
 def test_minimal_poly_of_rational_turns():
     yp, lo, hi = minimal_poly_of_2cos(1, 6)
