@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
+from wittkit.errors import check
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 
@@ -366,8 +367,8 @@ def factor_rational_poly(p: LaurentPoly) -> tuple[LaurentPoly, list[tuple[Lauren
         prod = prod * f**m
     # whatever is left over is the unit c * z^k
     quot_dense, rem = polys.divmod_poly(dense, prod.ordinary()[0])
-    if rem or polys.deg(quot_dense) != 0:
-        raise AssertionError("factorization lost a factor")
+    check(not rem and polys.deg(quot_dense) == 0,
+          "factorization lost a factor")
     unit_scalar = quot_dense[0]
     unit = LaurentPoly.monomial(unit_scalar, k)
     return unit, factors

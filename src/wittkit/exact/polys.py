@@ -121,6 +121,9 @@ def ext_gcd(p: Sequence, q: Sequence) -> tuple[Poly, Poly, Poly]:
         a, b = b, rem
         sa, sb = sb, sub(sa, mul(quot, sb))
         ta, tb = tb, sub(ta, mul(quot, tb))
+        if b:  # a monic remainder keeps the coefficients small
+            inv = 1 / b[-1]
+            b, sb, tb = scal(inv, b), scal(inv, sb), scal(inv, tb)
     if not a:
         return [], [], []
     lc = a[-1]
@@ -237,40 +240,25 @@ def isolate_real_roots(p: Sequence, lo, hi) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def descartes_positive_roots(coeffs: Sequence) -> int:
-    """Sign variation count of the coefficient list.  For a polynomial with
-    all real roots this equals the number of positive roots (with
-    multiplicity), which is the only case we use it in."""
-    return _sign_changes(list(coeffs))
+# ---- the substitution y = z + 1/z ----
 
-
-# ---- Chebyshev-style bases for the substitution y = z + 1/z ----
-
-def chebyshev_q(j: int) -> Poly:
-    """Q_j with z^j + z^-j = Q_j(z + 1/z):  Q_0 = 2, Q_1 = y,
-    Q_{j+1} = y*Q_j - Q_{j-1}."""
-    a, b = [Fraction(2)], [Fraction(0), Fraction(1)]
-    if j == 0:
-        return a
-    for _ in range(j - 1):
-        a, b = b, sub(mul([Fraction(0), Fraction(1)], b), a)
-    return b
-
-
-def chebyshev_s(j: int) -> Poly:
-    """S_j with (z^j - z^-j)/(z - 1/z) = S_j(z + 1/z) for j >= 1, extended to
-    all integers by S_0 = 0 and S_{-j} = -S_j:  S_1 = 1, S_2 = y,
-    S_{j+1} = y*S_j - S_{j-1}."""
-    if j == 0:
-        return []
-    if j < 0:
-        return neg(chebyshev_s(-j))
-    a, b = [Fraction(1)], [Fraction(0), Fraction(1)]
-    if j == 1:
-        return a
-    for _ in range(j - 2):
-        a, b = b, sub(mul([Fraction(0), Fraction(1)], b), a)
-    return b
+def cos_poly(coeffs: Sequence, offset: int = 0) -> Poly:
+    """g with g(2 cos t) = sum_k c_k cos((k + offset) t): the real part at
+    z = e^{it} of sum_k c_k z^(k + offset).  One walk of the recurrence
+    Q_0 = 2, Q_1 = y, Q_{j+1} = y Q_j - Q_{j-1}, where
+    Q_j(z + 1/z) = z^j + z^-j."""
+    weights: dict[int, Fraction] = {}
+    for k, c in enumerate(coeffs):
+        if c:
+            j = abs(k + offset)
+            weights[j] = weights.get(j, Fraction(0)) + Fraction(c, 2)
+    out: Poly = []
+    prev, cur = [Fraction(0), Fraction(1)], [Fraction(2)]  # Q_{-1}, Q_0
+    for j in range(max(weights, default=-1) + 1):
+        if weights.get(j):
+            out = add(out, scal(weights[j], cur))
+        prev, cur = cur, sub([Fraction(0)] + cur, prev)
+    return out
 
 
 def palindromic_to_y(p: Sequence) -> Poly:
@@ -283,7 +271,4 @@ def palindromic_to_y(p: Sequence) -> Poly:
     m = n // 2
     if any(p[i] != p[n - i] for i in range(m)):
         raise ValueError("polynomial is not palindromic")
-    out = [p[m]]
-    for j in range(1, m + 1):
-        out = add(out, scal(p[m + j], chebyshev_q(j)))
-    return trim(out)
+    return cos_poly(p, -m)

@@ -1,11 +1,10 @@
 """Residue fields Q[z]/(d) for monic irreducible d with d(0) != 0.
 
 When d is self-conjugate (equal to its own reversal up to the forced scalar)
-the field carries the involution z -> 1/z, and the involution-fixed elements
-form a subfield generated by y = z + 1/z.  Signature computations need those
-fixed elements rewritten as rational polynomials in y, because y is the
-quantity that takes real values at unit-circle roots of d; the linear algebra
-for that rewrite is cached per field.
+the field carries the involution z -> 1/z, computed as a coefficient
+reversal times z^-(n-1), a power cached per field.  Signatures never solve
+for the involution-fixed subfield: an element's value at a unit-circle root
+of d is read from its real part written in y = z + 1/z (`polys.cos_poly`).
 
 Elements are immutable dense coefficient tuples of length < deg(d).
 """
@@ -13,6 +12,7 @@ Elements are immutable dense coefficient tuples of length < deg(d).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from wittkit.exact import polys
 
@@ -32,8 +32,6 @@ class ResidueField:
         self._z_inv = polys.trim([-c / mod[0] for c in mod[1:]])
         rev = polys.monic(list(reversed(mod)))
         self.self_conjugate = rev == mod
-        self._y_columns = None
-        self._y_min_poly = None
 
     # -- element constructors --
 
@@ -61,81 +59,21 @@ class ResidueField:
 
     # -- involution --
 
+    @cached_property
+    def _z_inv_top(self) -> "ResidueElem":
+        """z^-(n-1) for n = deg(d), so that bar(e) = rev_n(e) * z^-(n-1):
+        n - 1 steps of e / z = e_0 z^-1 + (e - e_0) / z, with no reduction."""
+        e = [Fraction(1)]
+        for _ in range(self.degree - 1):
+            e = polys.add(e[1:], polys.scal(e[0], self._z_inv))
+        return ResidueElem(self, tuple(e))
+
     def bar_elem(self, e: "ResidueElem") -> "ResidueElem":
         if not self.self_conjugate:
             raise ValueError("involution requires a self-conjugate modulus")
-        zinv = ResidueElem(self, tuple(self._z_inv))
-        out = self.zero()
-        for c in reversed(e.coeffs):
-            out = out * zinv + c
-        return out
-
-    # -- the fixed subfield Q(y), y = z + 1/z --
-
-    @property
-    def fixed_degree(self) -> int:
-        """Degree of Q(y) over Q.  Self-conjugate irreducibles are either
-        z -/+ 1 or have even degree."""
-        return 1 if self.degree == 1 else self.degree // 2
-
-    def y_elem(self) -> "ResidueElem":
-        return self.gen() + ResidueElem(self, tuple(self._z_inv))
-
-    def _columns(self):
-        if self._y_columns is None:
-            m = self.fixed_degree
-            cols = []
-            power = self.one()
-            y = self.y_elem()
-            for _ in range(m):
-                cols.append(list(power.coeffs) + [Fraction(0)] * (
-                    self.degree - len(power.coeffs)))
-                power = power * y
-            self._y_columns = cols
-        return self._y_columns
-
-    def express_in_y(self, e: "ResidueElem") -> list[Fraction]:
-        """Dense coefficients g with e = g(y), or ValueError if e is not
-        fixed by the involution."""
-        cols = self._columns()
-        m = len(cols)
-        # solve the degree x m system by elimination on an augmented matrix
-        aug = [[cols[j][i] for j in range(m)] + [
-            e.coeffs[i] if i < len(e.coeffs) else Fraction(0)]
-            for i in range(self.degree)]
-        sol = [Fraction(0)] * m
-        row = 0
-        pivots = []
-        for col in range(m):
-            piv = next((r for r in range(row, self.degree) if aug[r][col]), None)
-            if piv is None:
-                continue
-            aug[row], aug[piv] = aug[piv], aug[row]
-            pv = aug[row][col]
-            aug[row] = [x / pv for x in aug[row]]
-            for r in range(self.degree):
-                if r != row and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-            pivots.append(col)
-            row += 1
-        for r in range(row, self.degree):
-            if aug[r][m]:
-                raise ValueError("element is not in the fixed subfield")
-        for r, col in enumerate(pivots):
-            sol[col] = aug[r][m]
-        return polys.trim(sol)
-
-    def y_minimal_poly(self) -> list[Fraction]:
-        """Monic minimal polynomial of y = z + 1/z over Q."""
-        if self._y_min_poly is None:
-            if self.degree == 1:
-                a = -self.modulus[0]  # the root of z - a
-                self._y_min_poly = polys.trim([-(a + 1 / a), Fraction(1)])
-            else:
-                self._y_min_poly = polys.monic(
-                    polys.palindromic_to_y(self.modulus))
-        return self._y_min_poly
+        pad = (Fraction(0),) * (self.degree - len(e.coeffs))
+        rev = polys.trim(pad + e.coeffs[::-1])
+        return self._z_inv_top * ResidueElem(self, tuple(rev))
 
 
 class ResidueElem:

@@ -8,11 +8,11 @@ polynomial divides g, and otherwise interval arithmetic on a shrinking
 bracket eventually certifies the sign.  Floating point appears only in the
 reported theta endpoints, never in a decision.
 
-Signatures of hermitian matrices over a residue field are computed from the
-characteristic polynomial: its coefficients are fixed by the involution, so
-they rewrite as rational polynomials in y, and Descartes' rule (exact for
-real-rooted polynomials) counts eigenvalues of each sign at y0.  Symmetric
-rational matrices are diagonalized by congruence over Q instead.
+Signatures come from one congruence diagonalization, over Q for symmetric
+rational matrices and over a residue field with its involution for
+hermitian ones.  A hermitian pivot is fixed by the involution, so it is real
+at the root and equal to its real part there, a rational polynomial in y
+(`polys.cos_poly`) whose sign at y0 is certified as above.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from wittkit.errors import SingularForm
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
-from wittkit.exact.residue import ResidueField
 
 DEFAULT_PRECISION = Fraction(1, 2**64)
 
@@ -148,37 +147,14 @@ def unit_circle_roots(
     return out
 
 
-def _descartes_signature(coeff_signs: list[int]) -> int:
-    """Signature from the signs of the characteristic polynomial
-    coefficients (constant term first), valid for real-rooted polynomials
-    with nonzero constant term."""
-    n_pos = polys.descartes_positive_roots(coeff_signs)
-    flipped = [s if i % 2 == 0 else -s for i, s in enumerate(coeff_signs)]
-    n_neg = polys.descartes_positive_roots(flipped)
-    return n_pos - n_neg
-
-
-def hermitian_signature_at_root(h: Matrix, root: CertifiedRoot) -> int:
-    """Signature of a hermitian matrix over Q[z]/(factor) at the embedding
-    z -> e^{i*theta}.  Entries must be ResidueElem over a self-conjugate
-    field; the matrix must satisfy bar(h)^T == h."""
-    if h.nrows == 0:
-        return 0
-    field: ResidueField = h[0, 0].field
-    coeffs = h.charpoly()
-    in_y = [field.express_in_y(c) for c in coeffs]
-    if root.sign_of(in_y[0]) == 0:
-        raise SingularForm("hermitian form is singular at this root")
-    signs = [root.sign_of(g) for g in in_y]
-    return _descartes_signature(signs)
-
-
-def signature_of_symmetric(m: Matrix) -> int:
-    """Signature of a nonsingular symmetric rational matrix by congruence
-    diagonalization.  With no nonzero diagonal entry left, adding row and
-    column j to row and column i makes a_ii = 2 a_ij nonzero; a zero block
-    left over means the form is singular."""
-    a = [[Fraction(x) for x in row] for row in m.rows]
+def _congruence_signature(a: list, bar, sign) -> int:
+    """Signature of the hermitian matrix with rows `a` (consumed) over a
+    field with involution `bar`, each pivot's sign given by `sign`.  With no
+    nonzero diagonal entry left, adding c times row j and bar(c) times
+    column j to row and column i makes a_ii = c bar(a_ij) + bar(c) a_ij:
+    c = 1 unless a_ij + bar(a_ij) = 0 (never over Q), else c = a_ij, which
+    gives 2 a_ij bar(a_ij).  A zero block left over means the form is
+    singular."""
     sig = 0
     while a:
         k = next((i for i in range(len(a)) if a[i][i]), None)
@@ -186,14 +162,37 @@ def signature_of_symmetric(m: Matrix) -> int:
             k, j = next(((i, j) for i, row in enumerate(a)
                          for j, x in enumerate(row) if x), (None, None))
             if k is None:
-                raise SingularForm("symmetric form is singular")
-            a[k] = [x + y for x, y in zip(a[k], a[j])]
+                raise SingularForm("form is singular")
+            e, ebar = a[k][j], bar(a[k][j])
+            c, cbar = (1, 1) if e + ebar else (e, ebar)
+            a[k] = [x + c * y for x, y in zip(a[k], a[j])]
             for row in a:
-                row[k] += row[j]
+                row[k] += row[j] * cbar
         row = a.pop(k)
         piv = row.pop(k)
-        sig += 1 if piv > 0 else -1
-        row = [y / piv for y in row]
-        a = [[x - r[k] * y for x, y in zip(r[:k] + r[k + 1:], row)]
-             for r in a]
+        sig += sign(piv)
+        if a:  # an inverse in a large residue field is costly
+            inv = 1 / piv
+            row = [y * inv for y in row]
+            a = [[x - r[k] * y for x, y in zip(r[:k] + r[k + 1:], row)]
+                 for r in a]
     return sig
+
+
+def hermitian_signature_at_root(h: Matrix, root: CertifiedRoot) -> int:
+    """Signature of a hermitian matrix over Q[z]/(factor) at the embedding
+    z -> e^{i*theta}.  Entries must be ResidueElem over a self-conjugate
+    field; a matrix with bar(h)^T != h is refused with ValueError."""
+    if h != h.bar().transpose():
+        raise ValueError("matrix is not hermitian")
+    return _congruence_signature(
+        [list(row) for row in h.rows], lambda x: x.bar(),
+        lambda piv: root.sign_of(polys.cos_poly(piv.coeffs)))
+
+
+def signature_of_symmetric(m: Matrix) -> int:
+    """Signature of a nonsingular symmetric rational matrix by congruence
+    diagonalization."""
+    return _congruence_signature(
+        [[Fraction(x) for x in row] for row in m.rows], lambda x: x,
+        lambda piv: 1 if piv > 0 else -1)

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from wittkit.errors import (
     NotPTorsion,
@@ -51,7 +52,6 @@ from wittkit.exact.roots import (
     DEFAULT_PRECISION,
     CertifiedRoot,
     hermitian_signature_at_root,
-    signature_of_symmetric,
     unit_circle_roots,
 )
 
@@ -444,14 +444,14 @@ class AuxiliaryHermitian:
 def _hilbert90_unit(field: ResidueField, v):
     """u with v = u / bar(u): u = c0 + v bar(c0) works for the first probe
     c0 making it nonzero."""
-    probes = [field.one(), field.gen()]
-    probes.append(field.one() + field.gen())
-    probes.extend(field.gen() ** k for k in range(2, field.degree + 1))
-    for c0 in probes:
-        u = c0 + v * field.bar_elem(c0)
-        if not u.is_zero():
-            return u
-    raise ArithmeticError("no nonzero Hilbert-90 probe; involution broken")
+    gen = field.gen()
+    # the powers are built only if the first probes fail, which is rare
+    probes = chain((field.one(), gen, field.one() + gen),
+                   (gen ** k for k in range(2, field.degree + 1)))
+    u = next((u for u in (c0 + v * c0.bar() for c0 in probes)
+              if not u.is_zero()), None)
+    check(u is not None, "no nonzero Hilbert-90 probe; involution broken")
+    return u
 
 
 def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermitian:
@@ -476,8 +476,7 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
     for i in idx:
         dense_d = _dense(module.divisors[i])
         q, r = polys.divmod_poly(dense_d, _dense(p_pow))
-        if r:
-            raise ArithmeticError("valuation bookkeeping broke")
+        check(not r, "valuation bookkeeping broke")
         cof[i] = LaurentPoly.from_dense(q)
 
     entries = []
@@ -501,13 +500,11 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
         aux = AuxiliaryHermitian(p, l, field, gram0, sym, None)
     else:
         u = _hilbert90_unit(field, v)
-        ubar = field.bar_elem(u)
-        gram = gram0.map(lambda x: ubar * x)
-        aux = AuxiliaryHermitian(p, l, field, gram, 1, u)
-        for i in range(len(idx)):
-            for j in range(len(idx)):
-                check(aux.gram[i, j] == field.bar_elem(aux.gram[j, i]),
-                      "rescaled auxiliary form is not hermitian")
+        ubar = u.bar()
+        aux = AuxiliaryHermitian(p, l, field, gram0.map(lambda x: ubar * x),
+                                 1, u)
+        check(aux.gram == aux.gram.bar().transpose(),
+              "rescaled auxiliary form is not hermitian")
     if idx and aux.gram.det().is_zero():
         raise SingularForm("auxiliary form is singular over the residue field")
     return aux
@@ -586,22 +583,16 @@ class DWMultiSignatureLaurent:
 
 
 def _phase_sign(u, shift: int, root: CertifiedRoot, epsilon: int) -> int:
-    """Certified sign of u(e^{i theta}) e^{-i shift theta} (epsilon +1,
-    where that number is real) or of its ratio to i (epsilon -1, where it
-    is purely imaginary and sin theta > 0 keeps the sign readable)."""
-    acc: list = []
-    for j, c in enumerate(u.coeffs):
-        if c == 0:
-            continue
-        k = j - shift
-        if epsilon == 1:
-            term = polys.scal(Fraction(c, 2), polys.chebyshev_q(abs(k)))
-        else:
-            term = polys.scal(Fraction(c), polys.chebyshev_s(k))
-        acc = polys.add(acc, term)
-    s = root.sign_of(acc)
-    if s == 0:
-        raise ArithmeticError("normalizing unit vanished at a root")
+    """Certified sign of w = u(e^{i theta}) e^{-i shift theta} (epsilon +1,
+    where w is real) or of w / i (epsilon -1, where w is purely imaginary):
+    there the real part of w (e^{-i theta} - e^{i theta}) = -2i sin(theta) w
+    is read instead, which has the sign of w / i since sin theta > 0."""
+    coeffs, offset = list(u.coeffs), -shift
+    if epsilon == -1:  # times z^-1 - z = z^-1 (1 - z^2)
+        coeffs = polys.mul(coeffs, polys.from_ints([1, 0, -1]))
+        offset -= 1
+    s = root.sign_of(polys.cos_poly(coeffs, offset))
+    check(s != 0, "normalizing unit vanished at a root")
     return s
 
 
@@ -634,13 +625,8 @@ def dw_multisignature_laurent(
             aux = auxiliary_hermitian(form, p, l)
             if deg == 1:
                 if aux.symmetry == 1:
-                    plain = Matrix([
-                        [aux.gram[i, j].coeffs[0] if aux.gram[i, j].coeffs
-                         else Fraction(0) for j in range(aux.rank)]
-                        for i in range(aux.rank)
-                    ])
-                    out.signatures[(pk, 0, l)] = (
-                        SIGMA_SIGN * signature_of_symmetric(plain))
+                    out.signatures[(pk, 0, l)] = SIGMA_SIGN * (
+                        hermitian_signature_at_root(aux.gram, roots[0]))
                 else:
                     out.rank_only[(pk, l)] = aux.rank
                 continue
@@ -652,9 +638,8 @@ def dw_multisignature_laurent(
                     # localizing p^l at this root's real quadratic rescales
                     # the level form by prod (y0 - y_other)^l = g'(y0)^l
                     orient = root.sign_of(polys.derivative(root.y_poly))
-                    if orient == 0:
-                        raise ArithmeticError(
-                            "square factor leaked into the root data")
+                    check(orient != 0,
+                          "square factor leaked into the root data")
                 sig = hermitian_signature_at_root(aux.gram, root)
                 out.signatures[(pk, ridx, l)] = (
                     SIGMA_SIGN * flip * orient * 2 * sig)

@@ -5,8 +5,9 @@ y0 = 2 cos(2 pi t) from the cyclotomic polynomial Phi_d, an isolating
 bracket of y0 from a float window, the knot's polynomial D_y rebuilt on
 every call, and a padded bracket of y0 free of D_y's zeros, in which the
 signature is taken over Q at a rational u = tan(pi t).  Below it, the older
-route over the cyclotomic field Q(zeta_d): the hermitian form's sign pattern
-decided at the certified root, signatures by Descartes' rule."""
+route over the cyclotomic field Q(zeta_d): the hermitian form diagonalized
+there by `hermitian_signature_at_root`, each pivot's sign decided at the
+certified root, so it also checks that route against the one over Q."""
 
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ from wittkit.exact.roots import (
     hermitian_signature_at_root,
 )
 from wittkit.knots import _det_one_minus, _signature_at_u, _u_in_y_gap
+
+import hermitian_oracle
 
 
 def minimal_poly_of_2cos(numer: int, denom: int) -> tuple[list[Fraction], Fraction, Fraction]:
@@ -117,10 +120,8 @@ def descartes_signature(m):
     coeffs = m.charpoly()
     if coeffs[0] == 0:
         raise SingularForm("symmetric form is singular")
-    signs = [(c > 0) - (c < 0) for c in coeffs]
-    flipped = [s if i % 2 == 0 else -s for i, s in enumerate(signs)]
-    return (polys.descartes_positive_roots(signs)
-            - polys.descartes_positive_roots(flipped))
+    return hermitian_oracle.descartes_signature(
+        [(c > 0) - (c < 0) for c in coeffs])
 
 
 def cyclotomic_lt_signature(k, turn, precision=DEFAULT_PRECISION):

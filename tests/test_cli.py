@@ -14,6 +14,7 @@ from wittkit import cli, finite, serialize, subgroups
 from wittkit.finite import classify
 
 from formbank import enumerate_symmetric_forms
+from test_factor import drop_last_factor
 
 TREFOIL_DOC = '{"name": "trefoil", "psi": [[-1, 1], [0, -1]], "epsilon": -1}'
 Z4_DOC = '{"prime": 2, "orders": [2], "gram": [["1/4"]], "epsilon": 1}'
@@ -90,6 +91,13 @@ class TestAnalyze:
                                doc, monkeypatch, capsys)
         assert code == 2
         assert "singular" in err
+
+    def test_invariant_violation_exits_3(self, monkeypatch, capsys):
+        drop_last_factor(monkeypatch)
+        code = cli.main(["analyze", "--catalog", "trefoil"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert "computation failed: factorization lost a factor" in err
 
     def test_unknown_catalog_name(self, capsys):
         code = cli.main(["analyze", "--catalog", "no-such-knot"])

@@ -6,6 +6,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from wittkit.errors import InvariantViolated
+from wittkit.exact import factor
 from wittkit.exact.factor import cyclotomic_polynomial, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 
@@ -19,6 +21,13 @@ def rand_int_poly():
     ).filter(lambda cs: any(cs)).map(
         lambda cs: LaurentPoly.from_dense([F(c) for c in cs])
     )
+
+
+def drop_last_factor(monkeypatch):
+    """Make the factorization lose the last irreducible factor it finds."""
+    found = factor._factor_primitive_int
+    monkeypatch.setattr(factor, "_factor_primitive_int",
+                        lambda f: found(f)[:-1])
 
 
 def reassemble(unit, factors):
@@ -112,3 +121,10 @@ def test_cyclotomic_product_is_z_n_minus_one():
             prod = polys.mul(prod, cyclotomic_polynomial(d))
     expect = [F(-1)] + [F(0)] * (n - 1) + [F(1)]
     assert prod == expect
+
+
+def test_lost_factor_is_an_invariant_violation(monkeypatch):
+    drop_last_factor(monkeypatch)
+    for p in (z**2 - z + 1, (z - 1) * (z**2 + 1), 3 * z**-2 * (z + 2)):
+        with pytest.raises(InvariantViolated, match="lost a factor"):
+            factor_rational_poly(p)

@@ -1,10 +1,12 @@
-"""Dense rational polynomial helpers: division, gcd, Yun, Sturm, Chebyshev."""
+"""Dense rational polynomial helpers: division, gcd, Yun, Sturm, cos_poly."""
 
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
 from wittkit.exact import polys
+
+from hermitian_oracle import descartes_positive_roots
 
 F = Fraction
 
@@ -71,28 +73,38 @@ def test_sturm_handles_multiple_roots():
 def test_descartes_on_real_rooted():
     # (x-1)(x-2)(x+3) = x^3 - 7x + 6  ->  two positive roots
     p = polys.from_ints([6, -7, 0, 1])
-    assert polys.descartes_positive_roots(p) == 2
+    assert descartes_positive_roots(p) == 2
 
 
 # ---- y = z + 1/z substitution ----
 
 def test_chebyshev_q_identity():
-    # z^j + z^-j evaluated at z = 3 must equal Q_j(3 + 1/3)
+    # cos_poly(c, offset)(z + 1/z) = sum_k c_k (z^j + z^-j) / 2 with
+    # j = k + offset, at a rational z off the unit circle
     zval = F(3)
     y = zval + 1 / zval
-    for j in range(6):
-        assert polys.eval_at(polys.chebyshev_q(j), y) == zval**j + zval**-j
+    for j in range(-5, 6):
+        assert polys.eval_at(polys.cos_poly([F(1)], j), y) == (
+            zval**j + zval**-j) / 2
+    c = [F(2), F(0), F(-1, 3), F(5)]
+    for offset in (-4, -1, 0, 2):
+        want = sum(ck * (zval**(k + offset) + zval**-(k + offset)) / 2
+                   for k, ck in enumerate(c))
+        assert polys.eval_at(polys.cos_poly(c, offset), y) == want
+    assert polys.cos_poly([]) == [] and polys.cos_poly([F(0)], 3) == []
+    # opposite offsets cancel in an odd combination
+    assert polys.cos_poly([F(1), F(0), F(-1)], -1) == []
 
 
 def test_chebyshev_s_identity():
+    # the sine family through cos_poly: the symmetrization of
+    # z^j (z^-1 - z) is (z^-1 - z)(z^j - z^-j) / 2
     zval = F(2)
     y = zval + 1 / zval
-    denom = zval - 1 / zval
-    for j in range(1, 6):
-        expect = (zval**j - zval**-j) / denom
-        assert polys.eval_at(polys.chebyshev_s(j), y) == expect
-    assert polys.chebyshev_s(0) == []
-    assert polys.chebyshev_s(-2) == polys.neg(polys.chebyshev_s(2))
+    for j in range(-5, 6):
+        got = polys.eval_at(polys.cos_poly([F(1), F(0), F(-1)], j - 1), y)
+        assert got == (1 / zval - zval) * (zval**j - zval**-j) / 2
+    assert polys.cos_poly([F(1), F(0), F(-1)], -1) == []
 
 
 def test_palindromic_to_y():

@@ -18,6 +18,7 @@ from wittkit.exact.roots import (
     unit_circle_roots,
 )
 
+from hermitian_oracle import express_in_y
 from lt_oracle import descartes_signature, free_bracket, minimal_poly_of_2cos
 
 F = Fraction
@@ -33,22 +34,25 @@ def _theta_contains(root, value):
 
 def test_involution_fixed_field():
     field = ResidueField([F(1), F(-1), F(1)])  # z^2 - z + 1
-    y = field.y_elem()
+    y = field.from_laurent(z + z**-1)
     assert y.bar() == y
     # the fixed subfield is Q here, and y = z + (1 - z) = 1 in this field
-    assert field.express_in_y(y) == [F(1)]
+    assert y == field.one()
     gen = field.gen()
     assert gen.bar() == field.from_laurent(z**-1)
-    with pytest.raises(ValueError):
-        field.express_in_y(gen)  # z itself is not involution-fixed
+    assert gen.bar() != gen  # z itself is not involution-fixed
+    assert gen.bar().bar() == gen
 
 
 def test_express_in_y_quartic():
+    # the oracle's fixed-subfield solver
     field = ResidueField([F(1), F(0), F(0), F(0), F(1)])  # z^4 + 1
-    y = field.y_elem()
-    assert field.express_in_y(y) == [F(0), F(1)]
-    assert field.express_in_y(y * y) == [F(2)]  # y^2 = 2 in this field
-    assert field.express_in_y(y * y - 3) == [F(-1)]
+    y = field.from_laurent(z + z**-1)
+    assert express_in_y(field, y) == [F(0), F(1)]
+    assert express_in_y(field, y * y) == [F(2)]  # y^2 = 2 in this field
+    assert express_in_y(field, y * y - 3) == [F(-1)]
+    with pytest.raises(ValueError):
+        express_in_y(field, field.gen())
 
 
 def test_field_inverse():
@@ -59,10 +63,12 @@ def test_field_inverse():
 
 
 def test_y_minimal_poly():
+    # the minimal polynomial of y = z + 1/z is the modulus written in y
     field = ResidueField([F(1), F(0), F(0), F(0), F(1)])
-    assert field.y_minimal_poly() == [F(-2), F(0), F(1)]  # y^2 - 2
-    lin = ResidueField([F(-1), F(1)])  # z - 1
-    assert lin.y_minimal_poly() == [F(-2), F(1)]
+    assert polys.palindromic_to_y(field.modulus) == [F(-2), F(0), F(1)]
+    assert [r.y_poly for r in unit_circle_roots(z**4 + 1)] == [
+        [F(-2), F(0), F(1)]] * 2
+    assert unit_circle_roots(z - 1)[0].y_poly == [F(-2), F(1)]
 
 
 # ---- root enumeration ----
@@ -165,7 +171,8 @@ def test_hermitian_signature_y_dependent():
     # [[y, 0], [0, 1]] at theta = pi/4 (y = sqrt 2 > 0): signature 2
     field = ResidueField([F(1), F(0), F(0), F(0), F(1)])
     root_small, root_big = unit_circle_roots(z**4 + 1)
-    h = Matrix([[field.y_elem(), field.zero()], [field.zero(), field.one()]])
+    y = field.from_laurent(z + z**-1)
+    h = Matrix([[y, field.zero()], [field.zero(), field.one()]])
     assert hermitian_signature_at_root(h, root_small) == 2
     # at theta = 3pi/4, y = -sqrt 2 < 0: signature 0
     assert hermitian_signature_at_root(h, root_big) == 0

@@ -1,0 +1,218 @@
+"""Signatures at a unit-circle root against the route they replaced.
+
+`hermitian_signature_at_root` is one congruence diagonalization whose
+pivots are read through `polys.cos_poly`; `hermitian_oracle` keeps the
+characteristic polynomial, fixed-subfield and Descartes route it replaced,
+and the Chebyshev sums behind the old `palindromic_to_y` and `_phase_sign`.
+Every comparison asks for equal answers, or `SingularForm` on both sides."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from wittkit import laurent_forms
+from wittkit.errors import InvariantViolated, SingularForm
+from wittkit.exact import polys
+from wittkit.exact.factor import cyclotomic_polynomial
+from wittkit.exact.laurent import LaurentPoly
+from wittkit.exact.matrix import Matrix
+from wittkit.exact.residue import ResidueElem, ResidueField
+from wittkit.exact.roots import hermitian_signature_at_root, unit_circle_roots
+from wittkit.laurent_forms import dw_multisignature_laurent
+
+import hermitian_oracle as oracle
+from test_laurent_forms import P6, P12, ONE, Z, cyclic_block
+
+# self-conjugate moduli: z - 1, z + 1, Phi_3, Phi_5, Phi_12, Phi_15, and
+# the Alexander polynomial of the knot 6_2, which is not cyclotomic and
+# has one root pair on the unit circle
+MODULI = [[-1, 1], [1, 1]] \
+    + [cyclotomic_polynomial(d) for d in (3, 5, 12, 15)] + [[1, -3, 3, -3, 1]]
+
+
+def fields_with_roots():
+    out = []
+    for m in MODULI:
+        field = ResidueField(m)
+        roots = unit_circle_roots(LaurentPoly.from_dense(field.modulus))
+        assert roots
+        out.append((field, roots))
+    return out
+
+
+def rand_elem(rng, field):
+    return field.elem([F(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in range(field.degree)])
+
+
+def rand_hermitian(rng, field, n, kind):
+    """A hermitian n x n matrix: dense, with zero diagonal, with zero
+    diagonal and purely imaginary entries e - bar(e), or singular."""
+    h = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            e = rand_elem(rng, field)
+            if kind == "imaginary":
+                e = e - e.bar()
+            if i == j:
+                e = field.zero() if kind in ("zero-diagonal", "imaginary") \
+                    else e + e.bar()
+            h[i][j], h[j][i] = e, e.bar()
+    h = Matrix(h)
+    if kind == "singular":
+        # C^* h C with the last column of C repeating the first
+        c = [[rand_elem(rng, field) for _ in range(n)] for _ in range(n)]
+        for row in c:
+            row[-1] = row[0]
+        c = Matrix(c)
+        h = c.bar().transpose() * h * c
+    return h
+
+
+def outcome(signature, *args):
+    try:
+        return signature(*args)
+    except SingularForm:
+        return "singular"
+
+
+def horner_bar(field, e):
+    """The involution by Horner's rule in 1/z, as `bar_elem` once did."""
+    zinv = ResidueElem(field, tuple(field._z_inv))
+    out = field.zero()
+    for c in reversed(e.coeffs):
+        out = out * zinv + c
+    return out
+
+
+# ---- hermitian signatures ----
+
+def test_hermitian_signature_matches_charpoly_route():
+    rng = random.Random(1010)
+    kinds = ("dense", "zero-diagonal", "imaginary", "singular")
+    tally = {"singular": 0, "signature": 0}
+    for field, roots in fields_with_roots():
+        for trial in range(20):  # every (size, kind) pair once
+            n = trial % 5
+            h = rand_hermitian(rng, field, n, kinds[trial % 4])
+            in_y = oracle.charpoly_in_y(h)
+            for root in roots:
+                want = outcome(oracle.descartes_signature_at_root, in_y, root)
+                assert outcome(hermitian_signature_at_root, h, root) == want, (
+                    field.modulus, h)
+                tally["singular" if want == "singular" else "signature"] += 1
+    assert tally["singular"] > 30 and tally["signature"] > 120
+
+
+def test_purely_imaginary_off_diagonal():
+    # a_ij + bar(a_ij) = 0 rules out c = 1; c = a_ij makes the pivot
+    # 2 a_ij bar(a_ij), so the hyperbolic plane still gives 0
+    field = ResidueField(cyclotomic_polynomial(5))
+    w = field.from_laurent(Z - Z**-1)
+    h = Matrix([[field.zero(), w], [w.bar(), field.zero()]])
+    for root in unit_circle_roots(LaurentPoly.from_dense(field.modulus)):
+        assert hermitian_signature_at_root(h, root) == 0
+        assert oracle.charpoly_signature_at_root(h, root) == 0
+    zero = Matrix([[field.zero()] * 2] * 2)
+    with pytest.raises(SingularForm):
+        hermitian_signature_at_root(zero, root)
+
+
+def test_non_hermitian_input_rejected():
+    field = ResidueField(cyclotomic_polynomial(5))
+    root = unit_circle_roots(LaurentPoly.from_dense(field.modulus))[0]
+    for rows in ([[field.gen()]],
+                 [[field.one(), field.gen()], [field.gen(), field.one()]],
+                 [[field.zero(), field.one()],
+                  [field.elem([2]), field.zero()]]):
+        with pytest.raises(ValueError):
+            hermitian_signature_at_root(Matrix(rows), root)
+
+
+def test_bar_matches_horner():
+    rng = random.Random(77)
+    moduli = MODULI + [cyclotomic_polynomial(d) for d in (7, 20, 21)] \
+        + [[1, 1, -1, 1, 1]]
+    for m in moduli:
+        field = ResidueField(m)
+        assert field.self_conjugate
+        for _ in range(8):
+            e = rand_elem(rng, field)
+            assert e.bar() == horner_bar(field, e)
+            assert e.bar().bar() == e
+        assert field.zero().bar() == field.zero()
+    with pytest.raises(ValueError):
+        ResidueField([2, -3, 1]).gen().bar()  # (z - 1)(z - 2) reversed differs
+
+
+# ---- the substitution y = z + 1/z ----
+
+def test_palindromic_to_y_matches_chebyshev_sum():
+    rng = random.Random(5)
+    for _ in range(150):
+        m = rng.randint(0, 10)
+        # a nonzero end coefficient keeps the degree at 2m
+        half = [F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))]
+        half += [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
+        p = half + half[-2::-1]
+        assert polys.palindromic_to_y(p) == oracle.palindromic_to_y(p)
+    for d in range(1, 121):
+        p = cyclotomic_polynomial(d)
+        if d <= 2:  # z -/+ 1 has odd degree
+            for f in (polys.palindromic_to_y, oracle.palindromic_to_y):
+                with pytest.raises(ValueError):
+                    f(p)
+            continue
+        assert polys.palindromic_to_y(p) == oracle.palindromic_to_y(p), d
+    with pytest.raises(ValueError):
+        polys.palindromic_to_y([F(1), F(2), F(3)])
+
+
+def test_phase_sign_matches_chebyshev_sum():
+    rng = random.Random(9)
+
+    def sign_or_zero(f, *args):
+        try:
+            return f(*args)
+        except (ArithmeticError, InvariantViolated):
+            return 0
+
+    checked = 0
+    for field, roots in fields_with_roots():
+        if field.degree == 1:
+            continue  # sin theta = 0 there; no phase to read
+        for _ in range(15):
+            u = rand_elem(rng, field)
+            shift = rng.randint(-6, 6)
+            for root in roots:
+                for epsilon in (1, -1):
+                    args = (u, shift, root, epsilon)
+                    assert sign_or_zero(laurent_forms._phase_sign, *args) == \
+                        sign_or_zero(oracle.phase_sign, *args), (u, args)
+                    checked += 1
+    assert checked > 200
+
+
+def test_multisignature_matches_old_helpers(monkeypatch):
+    forms = [
+        cyclic_block(P6, 1, ONE),
+        cyclic_block(P6, 2, ONE),
+        cyclic_block(P6, 1, ONE, epsilon=-1),
+        cyclic_block(P6, 2, ONE + Z, epsilon=-1),
+        cyclic_block(P12, 1, ONE),
+        cyclic_block(P12, 2, ONE - Z),
+        cyclic_block(Z - ONE, 2, ONE, mode="Q"),
+        cyclic_block(P6, 1, ONE + Z).direct_sum(cyclic_block(P6, 1, Z**2)),
+        cyclic_block(P6, 1, ONE).direct_sum(cyclic_block(P6, 2, ONE)),
+        cyclic_block(P12, 1, ONE).direct_sum(cyclic_block(P12, 2, ONE)),
+        cyclic_block(P6, 2, Z, epsilon=-1),
+    ]
+    new = [dw_multisignature_laurent(f) for f in forms]
+    monkeypatch.setattr(laurent_forms, "hermitian_signature_at_root",
+                        oracle.charpoly_signature_at_root)
+    monkeypatch.setattr(laurent_forms, "_phase_sign", oracle.phase_sign)
+    old = [dw_multisignature_laurent(f) for f in forms]
+    assert new == old
+    assert sum(len(ms.signatures) for ms in new) >= 12
+
