@@ -56,10 +56,6 @@ class SingularOverFractionField(ComputationError):
     pass
 
 
-class NotAnSLagrangian(ComputationError):
-    pass
-
-
 # ---- Laurent linking forms ----
 
 class NotTorsion(ComputationError):
@@ -85,10 +81,6 @@ class SingularAutometricForm(InputError):
 
 
 class NotEInvariant(ComputationError):
-    pass
-
-
-class NotNearProjection(ComputationError):
     pass
 
 

@@ -8,11 +8,7 @@ arithmetic path.  Floats appear only in reporting helpers (approximate
 angles).
 """
 
-from wittkit.exact.laurent import (
-    LaurentPoly,
-    is_self_conjugate,
-    in_multiplicative_set,
-)
+from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.ratfunc import RatFunc, series_expand
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.snf import SNFResult, smith_normal_form
@@ -22,7 +18,6 @@ from wittkit.exact.roots import CertifiedRoot, hermitian_signature_at_root
 __all__ = [
     "LaurentPoly",
     "is_self_conjugate",
-    "in_multiplicative_set",
     "RatFunc",
     "series_expand",
     "Matrix",

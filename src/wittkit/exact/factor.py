@@ -181,63 +181,19 @@ def _zmod(a, m):
     return _ptrim([c % m for c in a])
 
 
-def _zmul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % m
-    return _ptrim(out)
-
-
-def _zsub(a, b, m):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _ptrim(out)
-
-
-def _zadd(a, b, m):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return _ptrim(out)
-
-
-def _zdivmod_monic(a, b, m):
-    """divmod by a monic polynomial with coefficients mod m."""
-    a = _zmod(a, m)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] % m
-        k = len(a) - len(b)
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = (a[k + i] - c * y) % m
-        a = _ptrim(a)
-    return _ptrim(q), a
-
-
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic step: from f = g*h and s*g + t*h = 1 (mod m) to the same
-    relations mod m^2, with g, h monic."""
+    relations mod m^2, with g, h monic.  The modulus m^2 is not prime, but
+    the mod-p helpers only invert leading coefficients, which are 1 here."""
     m2 = m * m
-    e = _zsub(f, _zmul(g, h, m2), m2)
-    q, r = _zdivmod_monic(_zmul(s, e, m2), h, m2)
-    g1 = _zadd(_zadd(g, _zmul(t, e, m2), m2), _zmul(q, g, m2), m2)
-    h1 = _zadd(h, r, m2)
-    b = _zsub(_zadd(_zmul(s, g1, m2), _zmul(t, h1, m2), m2), [1], m2)
-    c, d = _zdivmod_monic(_zmul(s, b, m2), h1, m2)
-    s1 = _zsub(s, d, m2)
-    t1 = _zsub(_zsub(t, _zmul(t, b, m2), m2), _zmul(c, g1, m2), m2)
+    e = _psub(f, _pmul(g, h, m2), m2)
+    q, r = _pdivmod(_pmul(s, e, m2), h, m2)
+    g1 = _padd(_padd(g, _pmul(t, e, m2), m2), _pmul(q, g, m2), m2)
+    h1 = _padd(h, r, m2)
+    b = _psub(_padd(_pmul(s, g1, m2), _pmul(t, h1, m2), m2), [1], m2)
+    c, d = _pdivmod(_pmul(s, b, m2), h1, m2)
+    s1 = _psub(s, d, m2)
+    t1 = _psub(_psub(t, _pmul(t, b, m2), m2), _pmul(c, g1, m2), m2)
     return g1, h1, s1, t1
 
 
@@ -318,7 +274,7 @@ def _factor_squarefree_monic_int(f: list[int]) -> list[list[int]]:
         for combo in itertools.combinations(remaining, size):
             prod = [1]
             for i in combo:
-                prod = _zmul(prod, lifted[i], target)
+                prod = _pmul(prod, lifted[i], target)
             cand = _symmetric(prod, target)
             quot = _int_divides(cand, current)
             if quot is not None:

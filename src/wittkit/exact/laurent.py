@@ -222,23 +222,3 @@ def is_self_conjugate(p: LaurentPoly) -> Optional[LaurentPoly]:
             return LaurentPoly.monomial(sign, k)
     return None
 
-
-def in_multiplicative_set(p: LaurentPoly, mode: str, integral: bool = False) -> bool:
-    """Membership tests for the two localizing sets used by the coverings.
-
-    mode "charpoly": extreme coefficients must be units.  Over Q every
-    nonzero coefficient is a unit, so this only excludes zero.
-
-    mode "alexander": p(1) must be a unit; in integral mode p must have
-    integer coefficients with p(1) = +-1.
-    """
-    if p.is_zero():
-        return False
-    if mode == "charpoly":
-        return True
-    if mode == "alexander":
-        v = p(1)
-        if integral:
-            return all(c.denominator == 1 for c in p.coeffs.values()) and v in (1, -1)
-        return v != 0
-    raise ValueError(f"unknown multiplicative set {mode!r}")

@@ -332,16 +332,6 @@ def lt_jumps(k: KnotInput,
             for i, (key, ridx, _root) in enumerate(steps.roots)}
 
 
-def slice_obstruction(k: KnotInput,
-                      precision: Fraction = DEFAULT_PRECISION) -> str:
-    return analyze(k, precision).slice_obstructed
-
-
-def doubly_slice_obstruction(k: KnotInput,
-                             precision: Fraction = DEFAULT_PRECISION) -> str:
-    return analyze(k, precision).doubly_slice_obstructed
-
-
 def rochlin_invariant(k: KnotInput) -> int:
     """(signature / 8) mod 2 of the symmetrized Seifert matrix; defined
     only in the symmetric case, where that signature must be divisible

@@ -391,29 +391,14 @@ class LaurentLinkingForm:
         )
         # concatenated divisors sorted by degree; not a divisibility chain
         # in general, which nothing downstream requires
-        divisors = sorted(
-            self.module.divisors + other.module.divisors,
-            key=lambda d: (len(_dense(d)), _dense(d)),
-        )
+        divs = self.module.divisors + other.module.divisors
+        perm = sorted(range(len(divs)),
+                      key=lambda k: (len(_dense(divs[k])), _dense(divs[k])))
+        divisors = [divs[k] for k in perm]
         module = LaurentModule(pres, divisors, None, self.module.torsion_mode)
-        r1, r2 = self.module.rank, other.module.rank
-        perm = sorted(
-            range(r1 + r2),
-            key=lambda k: (
-                len(_dense((self.module.divisors + other.module.divisors)[k])),
-                _dense((self.module.divisors + other.module.divisors)[k]),
-            ),
-        )
-        zero = RatFunc.zero()
-        combined = [[zero] * (r1 + r2) for _ in range(r1 + r2)]
-        for a in range(r1):
-            for b in range(r1):
-                combined[a][b] = self.pairing[a, b]
-        for a in range(r2):
-            for b in range(r2):
-                combined[r1 + a][r1 + b] = other.pairing[a, b]
-        gram = [[combined[perm[i]][perm[j]] for j in range(r1 + r2)]
-                for i in range(r1 + r2)]
+        combined = Matrix.block_diag([self.pairing, other.pairing],
+                                     RatFunc.zero())
+        gram = [[combined[i, j] for j in perm] for i in perm]
         return LaurentLinkingForm(module, gram, self.epsilon, validate=False)
 
     def negate(self) -> "LaurentLinkingForm":
@@ -644,72 +629,6 @@ def dw_multisignature_laurent(
                 out.signatures[(pk, ridx, l)] = (
                     SIGMA_SIGN * flip * orient * 2 * sig)
     return out
-
-
-def is_hyperbolic_over_R(form: LaurentLinkingForm) -> bool:
-    """The real-coefficient double Witt class vanishes exactly when every
-    signature entry does; skew real-residue levels never obstruct."""
-    return dw_multisignature_laurent(form).all_zero
-
-
-def submodule_dimension_q(module: LaurentModule, cols: Matrix) -> int:
-    """Q-dimension of the submodule generated by the given column vectors
-    (Laurent entries, coordinates in the divisor basis).  The span of the
-    z-orbit stabilizes because multiplication by z is a linear bijection."""
-    fields = [ResidueField(_dense(d)) for d in module.divisors]
-    dims = [f.degree for f in fields]
-    offsets = [sum(dims[:i]) for i in range(len(dims))]
-    total = sum(dims)
-
-    def flatten(blocks):
-        out = [Fraction(0)] * total
-        for i, e in enumerate(blocks):
-            for a, c in enumerate(e.coeffs):
-                out[offsets[i] + a] = c
-        return out
-
-    vecs = []
-    for j in range(cols.ncols):
-        vecs.append([fields[i].from_laurent(cols[i, j])
-                     for i in range(len(fields))])
-    if not vecs or total == 0:
-        return 0
-    span = [flatten(v) for v in vecs]
-    rank = Matrix(span).rank()
-    frontier = vecs
-    while True:
-        frontier = [[fields[i].gen() * e for i, e in enumerate(v)]
-                    for v in frontier]
-        span.extend(flatten(v) for v in frontier)
-        new_rank = Matrix(span).rank()
-        if new_rank == rank:
-            return rank
-        rank = new_rank
-
-
-def is_lagrangian_submodule(form: LaurentLinkingForm, cols) -> bool:
-    """Whether the submodule generated by the columns is a lagrangian: the
-    pairing vanishes on it and it fills half the Q-dimension, which for a
-    nonsingular form forces it to equal its own annihilator."""
-    if not isinstance(cols, Matrix):
-        cols = Matrix([[_as_laurent(x) for x in row] for row in cols])
-    module = form.module
-    r = module.rank
-    if cols.nrows != r:
-        raise ValueError("column vectors do not live in the module")
-    for i in range(cols.ncols):
-        for j in range(cols.ncols):
-            acc = RatFunc.zero()
-            for a in range(r):
-                for b in range(r):
-                    acc = acc + form.pairing[a, b] * (
-                        cols[a, i] * cols[b, j].bar())
-            if not acc.is_laurent():
-                return False
-    total = module.dimension_q
-    if total % 2 != 0:
-        return False
-    return submodule_dimension_q(module, cols) == total // 2
 
 
 def witt_forgetful_laurent(ms: DWMultiSignatureLaurent) -> dict:

@@ -8,7 +8,7 @@ the symmetry sign.  Both modules are Q-spaces with z acting as an
 automorphism h: Q^n for (K, theta, h), Trotter's nonsingular part of e with
 h = 1 - e^-1 for a Seifert form.  A rational canonical decomposition of h
 over Q gives the generators, and the module records its Q-basis h^a g_i,
-through which submodules are pushed.
+which `canonical_identification` returns.
 """
 
 from __future__ import annotations
@@ -18,10 +18,8 @@ from math import lcm
 
 from wittkit.errors import (
     NotEInvariant,
-    NotNearProjection,
     SingularAutometricForm,
     SingularSeifertForm,
-    check,
 )
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
@@ -31,7 +29,6 @@ from wittkit.finite import _integral_solver
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
-    _fitting_power,
     _frobenius,
     _pencil_reduction,
 )
@@ -356,55 +353,3 @@ def is_complementary(f_sum: SeifertForm, a: SeifertSubmodule,
     if f_sum.coefficients == "Z":
         return abs(det) == 1
     return det != 0
-
-
-def covering_submodule_image(cov: LaurentLinkingForm,
-                             sub: SeifertSubmodule) -> Matrix:
-    """Push a Seifert submodule through the covering: coordinates of its
-    basis vectors in the generator basis, sum_a c_a z^a for sum_a c_a h^a
-    g_i.  In P mode a vector's class is its part in R; the Fitting power
-    kills the other part and is injective on R, so the coordinates are
-    solved after applying it."""
-    module = cov.module
-    if module.is_zero:
-        return Matrix([])
-    p, vecs = module.basis_change, sub.basis
-    if module.torsion_mode == "P":
-        # the presentation is the pencil (1-e) + ez
-        kill = _fitting_power(module.presentation.map(lambda x: x.coefficient(1)))
-        p, vecs = kill * p, kill * vecs
-    # exact normal equations: p has full column rank, vecs lie in its span
-    coords = ((p.transpose() * p).inverse() * p.transpose() * vecs).transpose()
-    ends = [0]
-    for d in module.divisors:
-        ends.append(ends[-1] + len(d.ordinary()[0]) - 1)
-    return Matrix([[LaurentPoly.from_dense(c[a:b]) for c in coords.rows]
-                   for a, b in zip(ends, ends[1:])])
-
-
-# ---------------------------------------------------------------------------
-# near projections
-# ---------------------------------------------------------------------------
-
-def near_projection_decompose(k_rank: int, e) -> tuple[Matrix, Matrix]:
-    """Split the space as K+ (+) K- with 1-e nilpotent on K+ and e nilpotent
-    on K-, via the projection (e^k + (1-e)^k)^{-1} e^k."""
-    e = _q_matrix(e)
-    if e.nrows != k_rank or e.ncols != k_rank:
-        raise ValueError("e must be k_rank x k_rank")
-    if k_rank == 0:
-        return Matrix([]), Matrix([])
-    ident = Matrix.identity(k_rank)
-    if _fitting_power(e) != Matrix.zeros(k_rank, k_rank):
-        raise NotNearProjection("e(1-e) is not nilpotent")
-    e_k, one_minus_k = ident, ident
-    for _ in range(k_rank):
-        e_k, one_minus_k = e_k * e, one_minus_k * (ident - e)
-    p_e = (e_k + one_minus_k).inverse() * e_k
-    check(p_e * p_e == p_e, "near projection is not idempotent")
-    return _column_space_basis(p_e), _column_space_basis(ident - p_e)
-
-
-def _column_space_basis(m: Matrix) -> Matrix:
-    rows = m.transpose().rref()[0]
-    return Matrix(rows).transpose() if rows else Matrix([])

@@ -1,4 +1,4 @@
-"""Brute-force oracles on finite linking forms.
+"""The brute-force lagrangian search on finite linking forms.
 
 Lagrangian search enumerates isotropic subgroups only: a subgroup extension
 stays isotropic exactly when the new generator self-annihilates and pairs to
@@ -228,57 +228,3 @@ def brute_force_lagrangians(
                "exhausted": True}
         for mode in MODES
     }
-
-
-def brute_force_isomorphism(
-    f: FiniteLinkingForm,
-    g: FiniteLinkingForm,
-    bound: int = DEFAULT_SEARCH_BOUND,
-):
-    """Backtracking search for a pairing-preserving group isomorphism,
-    returned as an integer matrix C (columns = images of f's generators)
-    with C^T gram_g C = gram_f in Q/Z, or None.
-    """
-    if (f.prime, f.epsilon) != (g.prime, g.epsilon):
-        return None
-    if sorted(f.orders) != sorted(g.orders):
-        return None
-    ctx = _SearchContext(g, bound)
-    n = f.rank
-    q = ctx.q
-    target = [
-        [int(f.gram[i][j] * q) % q for j in range(n)] for i in range(n)
-    ]
-    elements = list(ctx.elements())
-    candidates = []
-    for i in range(n):
-        order_i = f.mixed_orders()[i]
-        cand = [
-            x for x in elements
-            if all((order_i * xj) % o == 0 for xj, o in zip(x, ctx.orders))
-            and ctx.pair(x, x) == target[i][i]
-        ]
-        candidates.append(cand)
-
-    full_key = _lattice_key(
-        [[1 if j == i else 0 for j in range(n)] for i in range(n)],
-        ctx.orders,
-    )
-    chosen: list = []
-
-    def extend(i: int):
-        if i == n:
-            return _lattice_key(chosen, ctx.orders) == full_key
-        for x in candidates[i]:
-            if all(
-                ctx.pair(x, chosen[k]) == target[i][k] for k in range(i)
-            ):
-                chosen.append(x)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if not extend(0):
-        return None
-    return [[chosen[j][i] for j in range(n)] for i in range(n)]

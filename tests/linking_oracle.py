@@ -1,0 +1,275 @@
+"""Oracles on finite linking forms and integral boundaries.
+
+Slow, exhaustive or structural routes that `wittkit.finite` and
+`wittkit.subgroups` no longer need, kept to check them against:
+
+- `homogeneous_split`: an orthogonal splitting into pieces of one level,
+  whose multisignatures must add up to the whole form's.
+- `brute_force_isomorphism`: a backtracking search for a pairing-preserving
+  group isomorphism between two forms, any prime, including 2.
+- `verify_boundary_complementary`: exactness of the sequence a pair of
+  complementary S-lagrangians of an integral form must give.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from wittkit.errors import (
+    ComputationError,
+    SingularForm,
+    SingularOverFractionField,
+)
+from wittkit.exact.matrix import Matrix
+from wittkit.exact.snf import smith_normal_form
+from wittkit.finite import (
+    FiniteLinkingForm,
+    _as_int_matrix,
+    _den_exp,
+    _integral_solver,
+    _mod1,
+)
+from wittkit.subgroups import DEFAULT_SEARCH_BOUND, _SearchContext, _lattice_key
+
+
+class NotAnSLagrangian(ComputationError):
+    pass
+
+
+# ---------------------------------------------------------------------------
+# homogeneous splitting
+# ---------------------------------------------------------------------------
+
+def homogeneous_split(form: FiniteLinkingForm) -> list[tuple[int, FiniteLinkingForm]]:
+    """Orthogonal splitting into pieces with all generators of one order,
+    returned as (level, form) with levels ascending.
+
+    Top-down: at each step the maximal level L of the remaining module admits
+    a Gram entry with denominator exactly p^L (else the form is singular);
+    the lowest such diagonal entry splits off a rank-1 piece, otherwise the
+    lowest row-major off-diagonal entry anchors a rank-2 piece.  The
+    orthogonalization coefficients are integers, so generator orders are
+    preserved.
+    """
+    p, eps = form.prime, form.epsilon
+    levels = list(form.orders)
+    gram = [list(r) for r in form.gram]
+    pieces: dict[int, list] = {}
+
+    def record(level, block):
+        pieces.setdefault(level, []).append(block)
+
+    while levels:
+        big = max(levels)
+        m = len(levels)
+        diag = next(
+            (i for i in range(m) if _den_exp(gram[i][i], p) == big), None)
+        if diag is not None:
+            i = diag
+            a = (gram[i][i] * p**big).numerator % p**big  # unit mod p
+            inv = pow(a, -1, p**big)
+            keep = [k for k in range(m) if k != i]
+            coeff = {}
+            for k in keep:
+                b = int(gram[k][i] * p**big)  # integer: denom exp <= big
+                coeff[k] = b * inv % p**big
+            new_gram = [
+                [
+                    _mod1(
+                        gram[a1][b1]
+                        - coeff[b1] * gram[a1][i]
+                        - coeff[a1] * gram[i][b1]
+                        + coeff[a1] * coeff[b1] * gram[i][i]
+                    )
+                    for b1 in keep
+                ]
+                for a1 in keep
+            ]
+            record(big, [[gram[i][i]]])
+            levels = [levels[k] for k in keep]
+            gram = new_gram
+            continue
+        off = None
+        for i in range(m):
+            for j in range(m):
+                if j != i and _den_exp(gram[i][j], p) == big:
+                    off = (min(i, j), max(i, j))
+                    break
+            if off is not None:
+                break
+        if off is None:
+            raise SingularForm("no Gram entry realizes the maximal level")
+        i, j = off
+        q = p**big
+        mat = [
+            [int(gram[i][i] * q) % q, int(gram[j][i] * q) % q],
+            [int(gram[i][j] * q) % q, int(gram[j][j] * q) % q],
+        ]
+        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+        det_inv = pow(det % q, -1, q)
+        keep = [k for k in range(m) if k not in (i, j)]
+        coeff = {}
+        for k in keep:
+            r0 = int(gram[k][i] * q) % q
+            r1 = int(gram[k][j] * q) % q
+            ak = det_inv * (mat[1][1] * r0 - mat[0][1] * r1) % q
+            bk = det_inv * (-mat[1][0] * r0 + mat[0][0] * r1) % q
+            coeff[k] = (ak, bk)
+
+        def adjusted(a1, b1):
+            aa, ba = coeff[a1]
+            ab, bb = coeff[b1]
+            val = (
+                gram[a1][b1]
+                - ab * gram[a1][i] - bb * gram[a1][j]
+                - aa * gram[i][b1] - ba * gram[j][b1]
+                + aa * ab * gram[i][i] + aa * bb * gram[i][j]
+                + ba * ab * gram[j][i] + ba * bb * gram[j][j]
+            )
+            return _mod1(val)
+
+        new_gram = [[adjusted(a1, b1) for b1 in keep] for a1 in keep]
+        record(big, [[gram[i][i], gram[i][j]], [gram[j][i], gram[j][j]]])
+        levels = [levels[k] for k in keep]
+        gram = new_gram
+
+    out = []
+    for level in sorted(pieces):
+        blocks = pieces[level]
+        size = sum(len(b) for b in blocks)
+        gram_l = [[Fraction(0)] * size for _ in range(size)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                for j, x in enumerate(row):
+                    gram_l[at + i][at + j] = x
+            at += len(b)
+        out.append(
+            (level,
+             FiniteLinkingForm(p, [level] * size, gram_l, eps))
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# isomorphism search
+# ---------------------------------------------------------------------------
+
+def brute_force_isomorphism(
+    f: FiniteLinkingForm,
+    g: FiniteLinkingForm,
+    bound: int = DEFAULT_SEARCH_BOUND,
+):
+    """Backtracking search for a pairing-preserving group isomorphism,
+    returned as an integer matrix C (columns = images of f's generators)
+    with C^T gram_g C = gram_f in Q/Z, or None.
+    """
+    if (f.prime, f.epsilon) != (g.prime, g.epsilon):
+        return None
+    if sorted(f.orders) != sorted(g.orders):
+        return None
+    ctx = _SearchContext(g, bound)
+    n = f.rank
+    q = ctx.q
+    target = [
+        [int(f.gram[i][j] * q) % q for j in range(n)] for i in range(n)
+    ]
+    elements = list(ctx.elements())
+    candidates = []
+    for i in range(n):
+        order_i = f.mixed_orders()[i]
+        cand = [
+            x for x in elements
+            if all((order_i * xj) % o == 0 for xj, o in zip(x, ctx.orders))
+            and ctx.pair(x, x) == target[i][i]
+        ]
+        candidates.append(cand)
+
+    full_key = _lattice_key(
+        [[1 if j == i else 0 for j in range(n)] for i in range(n)],
+        ctx.orders,
+    )
+    chosen: list = []
+
+    def extend(i: int):
+        if i == n:
+            return _lattice_key(chosen, ctx.orders) == full_key
+        for x in candidates[i]:
+            if all(
+                ctx.pair(x, chosen[k]) == target[i][k] for k in range(i)
+            ):
+                chosen.append(x)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not extend(0):
+        return None
+    return [[chosen[j][i] for j in range(n)] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# boundary-complementary verification
+# ---------------------------------------------------------------------------
+
+def _kernel_basis(mat: Matrix) -> list[list[int]]:
+    """Basis of the integer kernel, as column vectors."""
+    res = smith_normal_form(mat)
+    n = mat.ncols
+    out = []
+    for j in range(n):
+        d = res.divisors[j] if j < len(res.divisors) else 0
+        if d == 0:
+            out.append([res.V[i, j] for i in range(n)])
+    return out
+
+
+def _check_s_lagrangian(alpha: Matrix, j: Matrix) -> None:
+    n = alpha.nrows
+    if n % 2 != 0:
+        raise NotAnSLagrangian("odd rank admits no S-lagrangian")
+    if j.nrows != n or j.ncols != n // 2:
+        raise NotAnSLagrangian("basis matrix must be n x n/2")
+    if j.rank() != n // 2:
+        raise NotAnSLagrangian("submodule does not halve the rank over Q")
+    prod = j.transpose() * alpha * j
+    if any(prod[i, k] != 0 for i in range(j.ncols) for k in range(j.ncols)):
+        raise NotAnSLagrangian("alpha does not vanish on the submodule")
+
+
+def verify_boundary_complementary(alpha, lplus, lminus) -> bool:
+    """Exactness of
+        0 -> L+ (+) L- -> K (+) K^* -> L+^* (+) L-^* -> 0
+    with maps [[j+, j-], [0, alpha j-]] and [[-j+^T alpha, j+^T], [0, j-^T]].
+    Preconditions (S-lagrangian checks) raise; exactness failures return
+    False."""
+    a = _as_int_matrix(alpha)
+    jp = _as_int_matrix(lplus)
+    jm = _as_int_matrix(lminus)
+    if a.nrows and Matrix.from_ints(a.rows).det() == 0:
+        raise SingularOverFractionField("alpha is singular over Q")
+    _check_s_lagrangian(a, jp)
+    _check_s_lagrangian(a, jm)
+    n = a.nrows
+    r = n // 2
+    zero_nr = Matrix.zeros(n, r, 0)
+    zero_rn = Matrix.zeros(r, n, 0)
+    phi = jp.hstack(jm).vstack(zero_nr.hstack(a * jm))
+    psi = ((-1 * (jp.transpose() * a)).hstack(jp.transpose())).vstack(
+        zero_rn.hstack(jm.transpose())
+    )
+    if any(x != 0 for row in (psi * phi).rows for x in row):
+        return False
+    if phi.rank() != 2 * r:
+        return False
+    res = smith_normal_form(psi)
+    divs = res.nonzero_divisors
+    if len(divs) != 2 * r or any(d != 1 for d in divs):
+        return False  # psi not onto
+    # im(phi) sits inside ker(psi) already; exactness needs the reverse
+    member = _integral_solver(phi)
+    for vec in _kernel_basis(psi):
+        if not member(vec):
+            return False
+    return True

@@ -13,9 +13,13 @@ from formbank import (
     nonsquare_unit,
     random_automorphism,
 )
+from linking_oracle import (
+    NotAnSLagrangian,
+    homogeneous_split,
+    verify_boundary_complementary,
+)
 from wittkit.errors import (
     EvenPrimeUnsupported,
-    NotAnSLagrangian,
     SingularForm,
     SingularOverFractionField,
 )
@@ -32,10 +36,7 @@ from wittkit.finite import (
     classify,
     dw_multisignature,
     forgetful_witt,
-    half_unit,
-    homogeneous_split,
     primary_decompose,
-    verify_boundary_complementary,
     witt_class_fp,
 )
 
@@ -72,13 +73,6 @@ def test_rejects_singular_gram():
 def test_skew_diagonal_must_vanish():
     with pytest.raises(ValueError):
         FiniteLinkingForm(3, [1, 1], [[F(1, 3), F(1, 3)], [F(2, 3), 0]], -1)
-
-
-def test_half_unit():
-    assert half_unit(3, 2) == 5
-    assert (2 * half_unit(5, 3)) % 125 == 1
-    with pytest.raises(EvenPrimeUnsupported):
-        half_unit(2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,11 @@ from wittkit.knots import (
     analyze,
     blanchfield_form,
     connected_sum,
-    doubly_slice_obstruction,
     _u_in_y_gap,
     knot_inverse,
     levine_tristram_signature,
     lt_jumps,
     rochlin_invariant,
-    slice_obstruction,
 )
 from wittkit.laurent_forms import (
     SIGMA_SIGN,
@@ -744,37 +742,40 @@ class TestOneComputation:
 
 # -- obstruction flags --
 
+def _flags(k: KnotInput) -> tuple[str, str]:
+    """(slice, doubly-slice) flags, from one analyze."""
+    report = analyze(k)
+    return report.slice_obstructed, report.doubly_slice_obstructed
+
+
 class TestObstructions:
     def test_trefoil_obstructed(self):
-        assert slice_obstruction(trefoil()) == "yes"
-        assert doubly_slice_obstruction(trefoil()) == "yes"
+        assert _flags(trefoil()) == ("yes", "yes")
 
     def test_figure_eight_clear(self):
-        assert slice_obstruction(fig8()) == "no_obstruction_found"
-        assert doubly_slice_obstruction(fig8()) == "no_obstruction_found"
+        assert _flags(fig8()) == ("no_obstruction_found",
+                                  "no_obstruction_found")
 
     def test_unknot_clear(self):
-        assert slice_obstruction(unknot()) == "no_obstruction_found"
-        assert doubly_slice_obstruction(unknot()) == "no_obstruction_found"
+        assert _flags(unknot()) == ("no_obstruction_found",
+                                    "no_obstruction_found")
 
     def test_mirror_sum_clear(self):
         k = connected_sum(trefoil(), knot_inverse(trefoil()))
-        assert slice_obstruction(k) == "no_obstruction_found"
-        assert doubly_slice_obstruction(k) == "no_obstruction_found"
+        assert _flags(k) == ("no_obstruction_found", "no_obstruction_found")
 
     def test_even_level_separates_the_two_flags(self):
         k = KnotInput("level-2", LEVEL2, -1)
         ms = dw_multisignature_laurent(blanchfield_form(k))
         assert {key[2] for key in ms.signatures if ms.signatures[key]} == {2}
-        assert slice_obstruction(k) == "no_obstruction_found"
-        assert doubly_slice_obstruction(k) == "yes"
+        assert _flags(k) == ("no_obstruction_found", "yes")
 
     def test_hierarchy(self):
         rng = random.Random(9)
         for _ in range(10):
-            k = random_skew_knot(rng)
-            if slice_obstruction(k) == "yes":
-                assert doubly_slice_obstruction(k) == "yes"
+            slice_flag, doubly_flag = _flags(random_skew_knot(rng))
+            if slice_flag == "yes":
+                assert doubly_flag == "yes"
 
 
 # -- residue invariant of symmetric forms --

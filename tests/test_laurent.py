@@ -5,11 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wittkit.exact.laurent import (
-    LaurentPoly,
-    in_multiplicative_set,
-    is_self_conjugate,
-)
+from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 
 z = LaurentPoly.z()
 
@@ -105,17 +101,3 @@ def test_self_conjugate_rejects_generic():
 def test_plus_one_is_palindromic():
     assert is_self_conjugate(z + 1) == z
 
-
-# ---- multiplicative sets ----
-
-def test_charpoly_mode_accepts_all_nonzero():
-    assert in_multiplicative_set(z - 1, "charpoly")
-    assert not in_multiplicative_set(LaurentPoly.zero(), "charpoly")
-
-
-def test_alexander_mode_requires_nonvanishing_at_one():
-    assert not in_multiplicative_set(z - 1, "alexander")
-    assert in_multiplicative_set(z**2 - z + 1, "alexander")
-    assert in_multiplicative_set(z**2 - 3 * z + 1, "alexander", integral=True)
-    # p(1) = 3 is neither 1 nor -1, so it fails the integral refinement
-    assert not in_multiplicative_set(z + 2, "alexander", integral=True)

@@ -22,7 +22,6 @@ from wittkit.laurent_forms import (
     auxiliary_hermitian,
     decompose_module,
     dw_multisignature_laurent,
-    is_hyperbolic_over_R,
     level_multiplicities,
     witt_forgetful_laurent,
 )
@@ -389,8 +388,8 @@ def test_zero_module_multisignature():
 
 def test_sum_with_negative_is_hyperbolic():
     f = cyclic_block(P6, 1, ONE)
-    assert not is_hyperbolic_over_R(f)
-    assert is_hyperbolic_over_R(f.direct_sum(f.negate()))
+    assert not dw_multisignature_laurent(f).all_zero
+    assert dw_multisignature_laurent(f.direct_sum(f.negate())).all_zero
 
 
 def test_signatures_add_under_direct_sum():
@@ -406,8 +405,8 @@ def test_opposite_residue_blocks_cancel():
     plus = cyclic_block(P6, 1, ONE)
     minus = cyclic_block(P6, 1, ONE - Z)
     assert dw_multisignature_laurent(minus) == -dw_multisignature_laurent(plus)
-    assert is_hyperbolic_over_R(plus.direct_sum(minus))
-    assert not is_hyperbolic_over_R(plus.direct_sum(plus))
+    assert dw_multisignature_laurent(plus.direct_sum(minus)).all_zero
+    assert not dw_multisignature_laurent(plus.direct_sum(plus)).all_zero
 
 
 def test_forgetful_sums_odd_levels_only():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from wittkit.errors import (
     NotEInvariant,
-    NotNearProjection,
     NotPTorsion,
     SingularAutometricForm,
     SingularSeifertForm,
@@ -22,7 +21,6 @@ from wittkit.laurent_forms import (
     _krylov,
     decompose_module,
     dw_multisignature_laurent,
-    is_lagrangian_submodule,
     level_multiplicities,
 )
 from wittkit.seifert import (
@@ -32,16 +30,20 @@ from wittkit.seifert import (
     canonical_identification,
     covering_autometric,
     covering_seifert,
-    covering_submodule_image,
     hyperbolic_witness_sum,
     is_complementary,
     monodromy,
-    near_projection_decompose,
     trace_chi,
     verify_roundtrip,
     verify_seifert_lagrangian,
 )
 
+from covering_oracle import (
+    NotNearProjection,
+    covering_submodule_image,
+    is_lagrangian_submodule,
+    near_projection_decompose,
+)
 from snf_oracle import snf_covering_autometric, snf_covering_seifert
 
 TREFOIL = [[-1, 1], [0, -1]]

@@ -16,6 +16,7 @@ from formbank import (
     nonsquare_unit,
     random_automorphism,
 )
+from linking_oracle import brute_force_isomorphism
 from wittkit.errors import SearchSpaceTooLarge
 from wittkit.finite import (
     FiniteLinkingForm,
@@ -31,7 +32,6 @@ from wittkit.subgroups import (
     _lattice_key,
     _SearchContext,
     _witness_matrix,
-    brute_force_isomorphism,
     brute_force_lagrangians,
 )
 
