@@ -220,11 +220,13 @@ class Matrix:
 
 
 def _dot(row, col):
+    # the first product fixes the result's type; zero terms are skipped
     it = zip(row, col)
     a, b = next(it)
     total = a * b
     for a, b in it:
-        total = total + a * b
+        if a and b:
+            total = total + a * b
     return total
 
 

@@ -213,16 +213,16 @@ def series_expand(f: RatFunc, side: str, lo: int, hi: int) -> dict[int, Fraction
     if side == "plus":
         # 1/den = sum_{j>=0} b_j z^j, driven by den(0) != 0
         need = hi - num_degs[0]
-        b = _plus_inverse_coeffs(den, max(need, -1))
+        b = _inverse_coeffs(den, max(need, -1))
         for r, a in f.num.coeffs.items():
             for d in range(lo, hi + 1):
                 j = d - r
                 if 0 <= j <= need:
                     out[d] += a * b[j]
     else:
-        # 1/den = sum_{j>=0} c_j z^(-D-j), driven by the leading coefficient
+        # 1/den = sum_{j>=0} c_j z^(-D-j): the same recurrence on den reversed
         need = num_degs[-1] - D - lo
-        c = _minus_inverse_coeffs(den, max(need, -1))
+        c = _inverse_coeffs(den[::-1], max(need, -1))
         for r, a in f.num.coeffs.items():
             for d in range(lo, hi + 1):
                 j = r - D - d
@@ -231,30 +231,10 @@ def series_expand(f: RatFunc, side: str, lo: int, hi: int) -> dict[int, Fraction
     return out
 
 
-def _plus_inverse_coeffs(den: list, upto: int) -> list[Fraction]:
-    q0 = den[0]
-    b = []
-    for j in range(upto + 1):
-        if j == 0:
-            b.append(Fraction(1) / q0)
-            continue
-        s = Fraction(0)
-        for i in range(1, min(j, polys.deg(den)) + 1):
-            s += den[i] * b[j - i]
-        b.append(-s / q0)
-    return b
-
-
-def _minus_inverse_coeffs(den: list, upto: int) -> list[Fraction]:
-    D = polys.deg(den)
-    qD = den[D]
-    c = []
-    for j in range(upto + 1):
-        if j == 0:
-            c.append(Fraction(1) / qD)
-            continue
-        s = Fraction(0)
-        for i in range(1, min(j, D) + 1):
-            s += den[D - i] * c[j - i]
-        c.append(-s / qD)
-    return c
+def _inverse_coeffs(den: list, upto: int) -> list[Fraction]:
+    """b_0, ..., b_upto with 1/den = sum_j b_j z^j in Q[[z]]; den(0) != 0."""
+    b = [1 / den[0]]
+    for j in range(1, upto + 1):
+        b.append(-sum(den[i] * b[j - i]
+                      for i in range(1, min(j, len(den) - 1) + 1)) / den[0])
+    return b[:upto + 1]

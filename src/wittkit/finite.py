@@ -152,9 +152,6 @@ class DWMultiSignatureZ:
     def items(self):
         return sorted(self.entries.items())
 
-    def support(self):
-        return sorted(self.entries)
-
     @property
     def all_zero(self) -> bool:
         return all(c.is_zero for c in self.entries.values())
@@ -223,10 +220,6 @@ class FiniteLinkingForm:
     @property
     def rank(self) -> int:
         return len(self.orders)
-
-    @property
-    def order(self) -> int:
-        return self.prime ** sum(self.orders)
 
     def mixed_orders(self) -> list[int]:
         return [self.prime**l for l in self.orders]

@@ -44,6 +44,7 @@ from wittkit.laurent_forms import (
 )
 from wittkit.seifert import (
     SeifertForm,
+    _seifert_module,
     covering_seifert,
     hyperbolic_witness_sum,
     is_complementary,
@@ -143,8 +144,9 @@ def _module_order(module: LaurentModule) -> LaurentPoly:
 
 
 def alexander_polynomial(k: KnotInput) -> LaurentPoly:
-    """The Blanchfield module's order, with positive leading coefficient."""
-    return _module_order(blanchfield_form(k).module)
+    """The Blanchfield module's order, with positive leading coefficient;
+    the pairing is not built."""
+    return _module_order(_seifert_module(k.seifert_form)[0])
 
 
 def blanchfield_form(k: KnotInput) -> LaurentLinkingForm:

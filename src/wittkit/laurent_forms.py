@@ -45,7 +45,7 @@ from wittkit.errors import (
 from wittkit.exact import polys
 from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.matrix import Matrix, _dot
 from wittkit.exact.ratfunc import RatFunc
 from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
@@ -131,10 +131,6 @@ class LaurentModule:
         return len(self.divisors)
 
     @property
-    def dimension_q(self) -> int:
-        return sum(len(_dense(d)) - 1 for d in self.divisors)
-
-    @property
     def is_zero(self) -> bool:
         return not self.divisors
 
@@ -151,7 +147,7 @@ class LaurentModule:
 
 
 def _apply(a: list, x: list) -> list:
-    return [sum(c * y for c, y in zip(row, x)) for row in a]
+    return [_dot(row, x) for row in a]
 
 
 def _krylov(h: list, v: list) -> tuple[list, list]:
@@ -234,16 +230,16 @@ def _pencil_reduction(e: Matrix, c=1) -> tuple[Matrix, Matrix, Matrix]:
     """The pencil (z - c) e + 1 over Q[z, z^-1].  On ker (e(1 - ce))^n it is
     unimodular (e or 1 - ce is nilpotent there, the other invertible), so
     that part dies in its cokernel; on R = im (e(1 - ce))^n it is e(z - h)
-    with h = c - (e|R)^-1 invertible.  Returns R's basis (columns),
-    (e|R)^-1 and h in its coordinates; all empty when R = 0."""
+    with h = c - (e|R)^-1 invertible.  Returns R's basis (columns), e|R
+    and h in its coordinates; all empty when R = 0."""
     basis, sel = _fitting_power(e, c).transpose().rref()
     if not basis:
         return Matrix([]), Matrix([]), Matrix([])
     # R's basis vectors are 1 at their own index of sel and 0 at the others
     b = Matrix(basis).transpose()
     eb = (e * b).rows
-    e_inv = Matrix([eb[s] for s in sel]).inverse()
-    return b, e_inv, Matrix.identity(len(sel)).scale(c) - e_inv
+    e_r = Matrix([eb[s] for s in sel])
+    return b, e_r, Matrix.identity(len(sel)).scale(c) - e_r.inverse()
 
 
 def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
@@ -377,35 +373,6 @@ class LaurentLinkingForm:
                 cols.append(col)
         big = Matrix([[cols[j][i] for j in range(total)] for i in range(total)])
         return big.det() != 0
-
-    # -- constructions --
-
-    def direct_sum(self, other: "LaurentLinkingForm") -> "LaurentLinkingForm":
-        if self.epsilon != other.epsilon:
-            raise ValueError("direct sum needs matching symmetry")
-        if self.module.torsion_mode != other.module.torsion_mode:
-            raise ValueError("direct sum needs matching torsion mode")
-        pres = Matrix.block_diag(
-            [self.module.presentation, other.module.presentation],
-            LaurentPoly.zero(),
-        )
-        # concatenated divisors sorted by degree; not a divisibility chain
-        # in general, which nothing downstream requires
-        divs = self.module.divisors + other.module.divisors
-        perm = sorted(range(len(divs)),
-                      key=lambda k: (len(_dense(divs[k])), _dense(divs[k])))
-        divisors = [divs[k] for k in perm]
-        module = LaurentModule(pres, divisors, None, self.module.torsion_mode)
-        combined = Matrix.block_diag([self.pairing, other.pairing],
-                                     RatFunc.zero())
-        gram = [[combined[i, j] for j in perm] for i in perm]
-        return LaurentLinkingForm(module, gram, self.epsilon, validate=False)
-
-    def negate(self) -> "LaurentLinkingForm":
-        gram = [[-self.pairing[i, j] for j in range(self.module.rank)]
-                for i in range(self.module.rank)]
-        return LaurentLinkingForm(self.module, gram, self.epsilon,
-                                  validate=False)
 
 
 # ---------------------------------------------------------------------------

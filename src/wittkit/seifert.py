@@ -20,6 +20,7 @@ from wittkit.errors import (
     NotEInvariant,
     SingularAutometricForm,
     SingularSeifertForm,
+    check,
 )
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
@@ -149,9 +150,29 @@ class SeifertSubmodule:
 # covering functors
 # ---------------------------------------------------------------------------
 
-def _empty_covering(mode: str, epsilon: int) -> LaurentLinkingForm:
-    module = LaurentModule(Matrix([]), [], None, mode)
-    return LaurentLinkingForm(module, [], epsilon, validate=False)
+def _covering_module(pres: Matrix, mode: str, h: Matrix,
+                     embed=None) -> tuple[LaurentModule, list]:
+    """coker(pres), a Q-space with z acting as h, with the Krylov blocks of
+    `_frobenius`; embed (None: identity) maps the Q-basis into pres's."""
+    blocks = _frobenius(h.rows)
+    basis = Matrix([x for xs, _ in blocks for x in xs]).transpose()
+    module = LaurentModule(
+        pres, [LaurentPoly.from_dense(m) for _, m in blocks],
+        basis if embed is None else embed * basis, mode)
+    return module, blocks
+
+
+def _seifert_module(f: SeifertForm) -> tuple[LaurentModule, list, tuple]:
+    """The covering module of f, presented by (1-e) + ez: Trotter's
+    nonsingular part R with z acting as h = 1 - (e|R)^-1; also its Krylov
+    blocks and `_pencil_reduction`'s (b, e|R, h).  No pairing is built."""
+    reduction = _pencil_reduction(f.e)
+    b, _, h = reduction
+    if not h.rows:
+        return LaurentModule(Matrix([]), [], None, "P"), [], reduction
+    pres = f.e.map(lambda x: LaurentPoly({0: -x, 1: x})) + Matrix.identity(
+        f.rank, LaurentPoly.one())
+    return (*_covering_module(pres, "P", h, b), reduction)
 
 
 def _pairing_entry(c: list, m: list, s: LaurentPoly) -> RatFunc:
@@ -161,30 +182,48 @@ def _pairing_entry(c: list, m: list, s: LaurentPoly) -> RatFunc:
     return RatFunc.make(s * LaurentPoly.from_dense(num), m[::-1]).frac_class()
 
 
-def _covering_form(pres: Matrix, mode: str, theta: Matrix, h: Matrix,
-                   embed, epsilon: int) -> LaurentLinkingForm:
-    """The covering form on coker(pres), a Q-space with z acting as h, in
-    coordinates that embed (None: identity) maps to the presentation's.
-    theta is theta(x, y) (Q mode) or theta(x, e^-1 y) = theta(x, (1-h) y)
-    (P mode), so lambda(g_i, g_j) = s z^-1 theta(g_i, (z^-1 - h)^-1 g_j),
-    s = -1 (Q) or 1 - z (P): theta is conjugate-linear in its second slot,
-    the one placement that is exactly symmetric and well defined.  For m = d_j of degree D, m(z^-1) - m(h) =
-    (z^-1 - h) sum_a m_a sum_{b<a} z^(b+1-a) h^b makes it s N / m*, with
-    m* = z^D m(1/z), N_k = sum_{a >= D-k} m_a theta(g_i, h^(k-D+a) g_j)."""
-    blocks = _frobenius(h.rows)
+def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
+                   h: Matrix, epsilon: int,
+                   isometric: bool) -> LaurentLinkingForm:
+    """The epsilon-symmetric covering form on a `_covering_module`,
+    certified over Q and built unchecked.  theta is the form on its Q-space
+    (on R in P mode); isometric says that h preserves it.  With
+    A = (z^-1 - h)^-1, lambda(x, y) = s z^-1 theta'(x, A y), where s = -1
+    and theta' = theta (Q mode) or s = 1 - z and theta'(x, y) =
+    theta(x, (1-h) y) = theta(x, e^-1 y) (P mode): conjugate-linear in y,
+    the one placement that is exactly symmetric and well defined.  For
+    m = d_j of degree D, m(z^-1) - m(h) = (z^-1 - h) sum_a m_a sum_{b<a}
+    z^(b+1-a) h^b makes lambda(g_i, g_j) = s N / m*, with m* = z^D m(1/z)
+    and N_k = sum_{a >= D-k} m_a theta'(g_i, h^(k-D+a) g_j).
+
+    The three checks below stand in for `_validate` over Q(z): theta
+    (-epsilon)-symmetric and nonsingular, and h an isometry of it, give,
+    modulo Q[z, z^-1],
+    - symmetry: h's adjoint is h^-1, and (z - h^-1)^-1 = z^-1 - z^-2 A and
+      h^-1 A = z (h^-1 + A) turn bar lambda(y, x) into epsilon lambda(x, y);
+    - annihilation: these and A h = z^-1 A - 1 give lambda(h x, y) =
+      z lambda(x, y) = lambda(x, h^-1 y), so d_i(h) g_i = 0 = d_j(h) g_j
+      make d_i and d_j* kill entry ij;
+    - a bijective adjoint: expanding A at z = 0 and at z = oo gives
+      chi(lambda(x, y)) = theta(x, c y), c = -1 (Q) or -(1-h)^2 h^-1 (P),
+      invertible, so lambda(x, -) = 0 forces x = 0, and the module and its
+      dual have the same dimension over Q."""
+    check(theta == theta.transpose().scale(-epsilon),
+          "covering theta is not symmetric")
+    check(theta.det() != 0, "covering theta is singular")
+    check(isometric, "h is not an isometry of the covering theta")
+    s = LaurentPoly.const(-1)
+    if module.torsion_mode == "P":
+        s = LaurentPoly({0: 1, 1: -1})
+        theta = theta * (Matrix.identity(h.nrows) - h)
     cols = [x for xs, _ in blocks for x in xs]
     starts = [0]
     for _, m in blocks[:-1]:
         starts.append(starts[-1] + len(m) - 1)
-    basis = Matrix(cols).transpose()
-    gram = Matrix([cols[i] for i in starts]) * theta * basis
-    s = LaurentPoly.const(-1) if mode == "Q" else LaurentPoly({0: 1, 1: -1})
+    gram = Matrix([cols[i] for i in starts]) * theta * Matrix(cols).transpose()
     pairing = [[_pairing_entry(row[at:], m, s)
                 for at, (_, m) in zip(starts, blocks)] for row in gram.rows]
-    module = LaurentModule(
-        pres, [LaurentPoly.from_dense(m) for _, m in blocks],
-        basis if embed is None else embed * basis, mode)
-    return LaurentLinkingForm(module, pairing, epsilon)
+    return LaurentLinkingForm(module, pairing, epsilon, validate=False)
 
 
 def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
@@ -192,14 +231,16 @@ def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
     the P-torsion module presented by (1-e) + ez; (-eps)-symmetric.  The
     pencil is unimodular on ker (e(1-e))^n, so the module is Trotter's
     nonsingular part R = im (e(1-e))^n, where (1-e) + ez = e(z - h) with
-    h = 1 - e^-1."""
-    b, e_inv, h = _pencil_reduction(f.e)
-    if not h.rows:
-        return _empty_covering("P", -f.epsilon)
-    pres = f.e.map(lambda x: LaurentPoly({0: -x, 1: x})) + Matrix.identity(
-        f.rank, LaurentPoly.one())
-    return _covering_form(pres, "P", b.transpose() * f.theta * b * e_inv,
-                          h, b, -f.epsilon)
+    h = 1 - e^-1.  psi = theta e gives e^T theta = theta (1 - e); on R this
+    linear identity and (1 - h) e|R = 1 make h an isometry of theta|R."""
+    module, blocks, (b, e_r, h) = _seifert_module(f)
+    if module.is_zero:
+        return LaurentLinkingForm(module, [], -f.epsilon, validate=False)
+    theta = b.transpose() * f.theta * b
+    ident = Matrix.identity(h.nrows)
+    isometric = (e_r.transpose() * theta == theta * (ident - e_r)
+                 and (ident - h) * e_r == ident)
+    return _covering_form(module, blocks, theta, h, -f.epsilon, isometric)
 
 
 def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
@@ -207,10 +248,13 @@ def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
     Q-torsion module presented by z - h, which is Q^n with z acting as h;
     (-eps)-symmetric."""
     if f.rank == 0:
-        return _empty_covering("Q", -f.epsilon)
+        return LaurentLinkingForm(LaurentModule(Matrix([]), [], None, "Q"),
+                                  [], -f.epsilon, validate=False)
+    isometric = f.h.transpose() * f.theta * f.h == f.theta
     pres = f.h.map(lambda x: LaurentPoly.const(-x)) + Matrix.identity(
         f.rank, LaurentPoly.z())
-    return _covering_form(pres, "Q", f.theta, f.h, None, -f.epsilon)
+    module, blocks = _covering_module(pres, "Q", f.h)
+    return _covering_form(module, blocks, f.theta, f.h, -f.epsilon, isometric)
 
 
 # ---------------------------------------------------------------------------

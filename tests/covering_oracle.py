@@ -7,6 +7,8 @@ the near-projection splitting of a Seifert form's space.
   that a Seifert lagrangian covers a lagrangian of the linking form.
 - `near_projection_decompose` splits the space as K+ (+) K- for an e with
   e(1-e) nilpotent.
+- `module_dimension_q`, `laurent_direct_sum` and `laurent_negate` are what
+  only tests need of modules and linking forms over Q[z, z^-1].
 """
 
 from __future__ import annotations
@@ -30,6 +32,39 @@ from wittkit.seifert import SeifertSubmodule, _q_matrix
 
 class NotNearProjection(ComputationError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# modules and forms
+# ---------------------------------------------------------------------------
+
+def module_dimension_q(module: LaurentModule) -> int:
+    return sum(len(_dense(d)) - 1 for d in module.divisors)
+
+
+def laurent_direct_sum(a: LaurentLinkingForm,
+                       b: LaurentLinkingForm) -> LaurentLinkingForm:
+    if a.epsilon != b.epsilon:
+        raise ValueError("direct sum needs matching symmetry")
+    if a.module.torsion_mode != b.module.torsion_mode:
+        raise ValueError("direct sum needs matching torsion mode")
+    pres = Matrix.block_diag(
+        [a.module.presentation, b.module.presentation], LaurentPoly.zero())
+    # concatenated divisors sorted by degree; not a divisibility chain in
+    # general, which nothing downstream requires
+    divs = a.module.divisors + b.module.divisors
+    perm = sorted(range(len(divs)),
+                  key=lambda k: (len(_dense(divs[k])), _dense(divs[k])))
+    module = LaurentModule(pres, [divs[k] for k in perm], None,
+                           a.module.torsion_mode)
+    combined = Matrix.block_diag([a.pairing, b.pairing], RatFunc.zero())
+    gram = [[combined[i, j] for j in perm] for i in perm]
+    return LaurentLinkingForm(module, gram, a.epsilon, validate=False)
+
+
+def laurent_negate(f: LaurentLinkingForm) -> LaurentLinkingForm:
+    gram = [[-x for x in row] for row in f.pairing.rows]
+    return LaurentLinkingForm(f.module, gram, f.epsilon, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +149,7 @@ def is_lagrangian_submodule(form: LaurentLinkingForm, cols) -> bool:
                         cols[a, i] * cols[b, j].bar())
             if not acc.is_laurent():
                 return False
-    total = module.dimension_q
+    total = module_dimension_q(module)
     if total % 2 != 0:
         return False
     return submodule_dimension_q(module, cols) == total // 2

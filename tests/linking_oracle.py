@@ -36,6 +36,16 @@ class NotAnSLagrangian(ComputationError):
     pass
 
 
+def form_order(f: FiniteLinkingForm) -> int:
+    """|T| = p^(l_1 + ... + l_r)."""
+    return f.prime ** sum(f.orders)
+
+
+def multisignature_support(ms) -> list:
+    """The (prime, level) keys of a `DWMultiSignatureZ`, sorted."""
+    return sorted(ms.entries)
+
+
 # ---------------------------------------------------------------------------
 # homogeneous splitting
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from formbank import (
 )
 from linking_oracle import (
     NotAnSLagrangian,
+    form_order,
     homogeneous_split,
+    multisignature_support,
     verify_boundary_complementary,
 )
 from wittkit.errors import (
@@ -95,7 +97,7 @@ def test_primary_parts_are_orthogonal_and_exhaust_order():
     assert sorted(parts) == [2, 3, 5]
     total = 1
     for f in parts.values():
-        total *= f.order
+        total *= form_order(f)
     assert total == 12 * 45
 
 
@@ -245,14 +247,14 @@ def test_doubled_cyclic_classes_agree():
 
 def test_multisignature_opposite_cyclic_pair():
     ms = dw_multisignature([3, 3], [[F(1, 3), 0], [0, F(2, 3)]], 1)
-    assert ms.support() == [(3, 1)]
+    assert multisignature_support(ms) == [(3, 1)]
     assert ms.get(3, 1).is_zero  # present even though the class vanishes
     assert ms.all_zero
 
 
 def test_multisignature_deep_cyclic():
     ms = dw_multisignature([9], [[F(1, 9)]], 1)
-    assert ms.support() == [(3, 2)]
+    assert multisignature_support(ms) == [(3, 2)]
     assert not ms.all_zero
 
 

@@ -49,6 +49,7 @@ from lt_oracle import (
     singular_poly_in_y,
     turn_in_y_gap,
 )
+from covering_oracle import module_dimension_q
 from snf_oracle import pencil_adjugate
 from test_seifert import SCALE_3
 
@@ -190,7 +191,7 @@ class TestAlexander:
         # det psi = 0, so Trotter's reduction drops a kernel
         scale3 = KnotInput("scale-3", SCALE_3, -1)
         assert scale3.psi.det() == 0
-        assert blanchfield_form(scale3).module.dimension_q < scale3.rank
+        assert module_dimension_q(blanchfield_form(scale3).module) < scale3.rank
         # K # K and K # -K of a genus-2 knot: modules that are not cyclic
         genus2 = seeded_seifert_knot(random.Random(12), 4, -1)
         sums = [connected_sum(genus2, genus2),

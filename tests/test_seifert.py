@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, assume
 from hypothesis import strategies as st
 
+from wittkit import cli, seifert
 from wittkit.errors import (
+    InvariantViolated,
     NotEInvariant,
     NotPTorsion,
     SingularAutometricForm,
@@ -23,6 +25,7 @@ from wittkit.laurent_forms import (
     dw_multisignature_laurent,
     level_multiplicities,
 )
+from wittkit.knots import KnotInput, alexander_polynomial
 from wittkit.seifert import (
     AutometricForm,
     SeifertForm,
@@ -42,6 +45,8 @@ from covering_oracle import (
     NotNearProjection,
     covering_submodule_image,
     is_lagrangian_submodule,
+    laurent_direct_sum,
+    module_dimension_q,
     near_projection_decompose,
 )
 from snf_oracle import snf_covering_autometric, snf_covering_seifert
@@ -293,7 +298,7 @@ class TestCoveringAutometric:
                 merged[key] = merged.get(key, 0) + cnt
             assert elementary_divisor_counts(cs.module) == merged
             assert dw_multisignature_laurent(cs) == \
-                dw_multisignature_laurent(c1.direct_sum(c2))
+                dw_multisignature_laurent(laurent_direct_sum(c1, c2))
 
 
 def _q_z_pairing(theta, module, scale):
@@ -423,7 +428,7 @@ class TestKrylovAgainstSmith:
         assert_matches_smith(cov, snf_covering_seifert(f))
         if case == "scale-3":
             assert f.psi.det() == 0
-            assert 0 < cov.module.dimension_q < f.rank
+            assert 0 < module_dimension_q(cov.module) < f.rank
         else:
             assert cov.module.rank == 2
         fsum = f.direct_sum(f.negate())
@@ -454,7 +459,7 @@ class TestCoveringSeifertFunctoriality:
                 merged[key] = merged.get(key, 0) + cnt
             assert elementary_divisor_counts(cs.module) == merged
             assert dw_multisignature_laurent(cs) == \
-                dw_multisignature_laurent(c1.direct_sum(c2))
+                dw_multisignature_laurent(laurent_direct_sum(c1, c2))
             done += 1
 
 
@@ -498,6 +503,129 @@ class TestMonodromy:
         got = mono.h.charpoly()
         # normalize leading coefficients before comparing
         assert [c / got[-1] for c in got] == [c / want[-1] for c in want]
+
+
+def ladder_psi(rng, genus, bound=2):
+    """The genus-ladder recipe of the benchmark: a standard symplectic
+    upper part plus a random symmetric matrix."""
+    n = 2 * genus
+    psi = [[int(j == i + 1 and i % 2 == 0) for j in range(n)]
+           for i in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s = rng.randint(-bound, bound)
+            psi[i][j] += s
+            if i != j:
+                psi[j][i] += s
+    return psi
+
+
+class TestCoveringCertificate:
+    """Covering forms are certified over Q and built without the Q(z)
+    `_validate`; that full check must pass on every one of them."""
+
+    def test_autometric_coverings_pass_full_validation(self):
+        rng = random.Random(301)
+        ranks = set()
+        for _ in range(40):
+            f = random_autometric(rng, max_rank=6, bound=5)
+            covering_autometric(f)._validate()
+            ranks.add(f.rank)
+        assert ranks == set(range(1, 7))
+
+    def test_ladder_coverings_pass_full_validation(self):
+        # psi - psi^T is unimodular; psi + psi^T rarely is, so the
+        # epsilon = +1 forms are taken over Q
+        rng = random.Random(12)
+        checked = 0
+        for genus in range(1, 7):
+            for eps, coefficients in ((-1, "Z"), (1, "Q")):
+                while True:
+                    try:
+                        f = SeifertForm(ladder_psi(rng, genus), eps,
+                                        coefficients)
+                    except SingularSeifertForm:
+                        continue
+                    break
+                cov = covering_seifert(f)
+                cov._validate()
+                checked += not cov.module.is_zero
+        assert checked >= 10
+
+    def test_alexander_polynomial_builds_no_pairing(self, monkeypatch):
+        k = KnotInput("scale-3", SCALE_3, -1)
+        want = alexander_polynomial(k)
+
+        def refuse(*args):
+            raise AssertionError("the pairing was built")
+
+        monkeypatch.setattr(seifert, "_covering_form", refuse)
+        assert alexander_polynomial(k) == want
+
+
+class TestCertificateMutations:
+    """A covering built from a corrupted theta or h must fail the Q-side
+    check with InvariantViolated (exit code 3), also under python -O."""
+
+    @staticmethod
+    def _autometric():
+        return AutometricForm([[1, 0], [0, -2]], [[3, 4], [2, 3]], 1)
+
+    def test_asymmetric_theta(self):
+        f = self._autometric()
+        f.theta = f.theta + frac_matrix([[0, 1], [0, 0]])
+        with pytest.raises(InvariantViolated, match="symmetric"):
+            covering_autometric(f)
+
+    def test_singular_theta(self):
+        f = self._autometric()
+        f.theta = frac_matrix([[1, 1], [1, 1]])
+        with pytest.raises(InvariantViolated, match="singular"):
+            covering_autometric(f)
+
+    def test_h_not_an_isometry(self):
+        f = self._autometric()
+        f.h = f.h.scale(2)
+        with pytest.raises(InvariantViolated, match="isometry"):
+            covering_autometric(f)
+
+    def test_seifert_theta_not_symmetric(self):
+        f = SeifertForm(TREFOIL, -1, "Z")
+        f.theta = f.theta + frac_matrix([[1, 0], [0, 0]])
+        with pytest.raises(InvariantViolated, match="symmetric"):
+            covering_seifert(f)
+
+    @staticmethod
+    def _corrupt_reduction(monkeypatch, part):
+        """Make `_pencil_reduction` hand the covering a singular theta|R
+        (R's basis collapsed), a wrong e|R, or an h that is not
+        1 - (e|R)^-1."""
+        reduce = seifert._pencil_reduction
+
+        def corrupted(e, c=1):
+            b, e_r, h = reduce(e, c)
+            if part == "theta":
+                b = Matrix([[row[0]] * len(row) for row in b.rows])
+            elif part == "e":
+                e_r = e_r.scale(2)
+            else:
+                h = h.scale(2)
+            return b, e_r, h
+
+        monkeypatch.setattr(seifert, "_pencil_reduction", corrupted)
+
+    @pytest.mark.parametrize("part, message", [
+        ("theta", "singular"), ("e", "isometry"), ("h", "isometry")])
+    def test_corrupted_reduction(self, monkeypatch, part, message):
+        self._corrupt_reduction(monkeypatch, part)
+        with pytest.raises(InvariantViolated, match=message):
+            covering_seifert(SeifertForm(TREFOIL, -1, "Z"))
+
+    @pytest.mark.parametrize("part", ["theta", "e", "h"])
+    def test_analyze_exits_3(self, monkeypatch, capsys, part):
+        self._corrupt_reduction(monkeypatch, part)
+        assert cli.main(["analyze", "--catalog", "trefoil"]) == 3
+        assert "covering theta" in capsys.readouterr().err
 
 
 class TestRoundTrip:

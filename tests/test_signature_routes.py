@@ -22,6 +22,7 @@ from wittkit.exact.roots import hermitian_signature_at_root, unit_circle_roots
 from wittkit.laurent_forms import dw_multisignature_laurent
 
 import hermitian_oracle as oracle
+from covering_oracle import laurent_direct_sum
 from test_laurent_forms import P6, P12, ONE, Z, cyclic_block
 
 # self-conjugate moduli: z - 1, z + 1, Phi_3, Phi_5, Phi_12, Phi_15, and
@@ -203,9 +204,12 @@ def test_multisignature_matches_old_helpers(monkeypatch):
         cyclic_block(P12, 1, ONE),
         cyclic_block(P12, 2, ONE - Z),
         cyclic_block(Z - ONE, 2, ONE, mode="Q"),
-        cyclic_block(P6, 1, ONE + Z).direct_sum(cyclic_block(P6, 1, Z**2)),
-        cyclic_block(P6, 1, ONE).direct_sum(cyclic_block(P6, 2, ONE)),
-        cyclic_block(P12, 1, ONE).direct_sum(cyclic_block(P12, 2, ONE)),
+        laurent_direct_sum(cyclic_block(P6, 1, ONE + Z),
+                           cyclic_block(P6, 1, Z**2)),
+        laurent_direct_sum(cyclic_block(P6, 1, ONE),
+                           cyclic_block(P6, 2, ONE)),
+        laurent_direct_sum(cyclic_block(P12, 1, ONE),
+                           cyclic_block(P12, 2, ONE)),
         cyclic_block(P6, 2, Z, epsilon=-1),
     ]
     new = [dw_multisignature_laurent(f) for f in forms]
