@@ -2,13 +2,18 @@
 
 Entries are whatever supports ring arithmetic: Fraction (Z and Q),
 LaurentPoly (Q[z, z^-1]), RatFunc (Q(z)) or residue field elements;
-operations are generic.  Field-only operations (det, inverse, rank) require
-entries with division and are used with Fraction and residue elements.
+operations are generic, but a product of Fraction matrices takes integer
+dot products (`_products`).  Field-only operations (det, inverse, rank)
+require entries with division and are used with Fraction and residue
+elements.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from wittkit.errors import SingularMatrix
@@ -38,6 +43,7 @@ class Matrix:
 
     @classmethod
     def from_ints(cls, rows) -> "Matrix":
+        rows = rows.rows if isinstance(rows, Matrix) else rows
         return cls([[Fraction(x) for x in r] for r in rows])
 
     @classmethod
@@ -107,17 +113,13 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
-            ot = other.transpose().rows
-            return Matrix(
-                [[_dot(r, c) for c in ot] for r in self.rows]
-            )
+            return Matrix(_products(self.rows, other.transpose().rows))
         return self.map(lambda x: x * other)
 
     def __rmul__(self, other):
         return self.map(lambda x: other * x)
 
-    def scale(self, c) -> "Matrix":
-        return self.map(lambda x: c * x)
+    scale = __rmul__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -228,6 +230,23 @@ def _dot(row, col):
         if a and b:
             total = total + a * b
     return total
+
+
+def _products(rows, cols) -> list:
+    """[[_dot(r, c) for c in cols] for r in rows].  If every entry is a
+    Fraction, each row and column is scaled to integers by the lcm of its
+    denominators: an entry is an integer dot product, where a zero term
+    costs an int product, and one Fraction(num, d_row * d_col), one gcd."""
+    if not all(type(x) is Fraction for v in chain(rows, cols) for x in v):
+        return [[_dot(r, c) for c in cols] for r in rows]
+    right = [_integral(c) for c in cols]
+    return [[Fraction(sum(map(mul, nums, c)), d * dc) for c, dc in right]
+            for nums, d in map(_integral, rows)]
+
+
+def _integral(v) -> tuple[list, int]:
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 def _as_field(x):

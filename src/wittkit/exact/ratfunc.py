@@ -160,21 +160,14 @@ class RatFunc:
             zm = polys.mod([Fraction(0)] * m + [Fraction(1)], den)
             c = polys.mod(polys.mul(c, zm), den)
         elif m < 0:
-            zinv = _z_inverse_mod(den)
+            # den = 0 mod den, so z^-1 = -(den - den(0)) / (den(0) z)
+            zinv = [-x / den[0] for x in den[1:]]
             for _ in range(-m):
                 c = polys.mod(polys.mul(c, zinv), den)
         return RatFunc.make(LaurentPoly.from_dense(c), den)
 
     def class_equals(self, other) -> bool:
         return self.frac_class() == _to_rf(other).frac_class()
-
-
-def _z_inverse_mod(den: list) -> list:
-    # den(0) != 0 by canonical form, so z is a unit mod den
-    g, s, _ = polys.ext_gcd([Fraction(0), Fraction(1)], den)
-    if polys.deg(g) != 0:
-        raise ValueError("z not invertible modulo denominator")
-    return polys.mod(s, den)
 
 
 def _to_lp(x) -> LaurentPoly:

@@ -45,7 +45,7 @@ from wittkit.errors import (
 from wittkit.exact import polys
 from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
-from wittkit.exact.matrix import Matrix, _dot
+from wittkit.exact.matrix import Matrix, _products
 from wittkit.exact.ratfunc import RatFunc
 from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
@@ -147,7 +147,7 @@ class LaurentModule:
 
 
 def _apply(a: list, x: list) -> list:
-    return [_dot(row, x) for row in a]
+    return [row[0] for row in _products(a, [x])]
 
 
 def _krylov(h: list, v: list) -> tuple[list, list]:

@@ -22,6 +22,7 @@ from wittkit.errors import (
     SingularSeifertForm,
     check,
 )
+from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.ratfunc import RatFunc, series_expand
@@ -33,12 +34,6 @@ from wittkit.laurent_forms import (
     _frobenius,
     _pencil_reduction,
 )
-
-
-def _q_matrix(rows) -> Matrix:
-    if isinstance(rows, Matrix):
-        rows = rows.rows
-    return Matrix([[Fraction(x) for x in row] for row in rows])
 
 
 def _is_integral(m: Matrix) -> bool:
@@ -59,7 +54,7 @@ class SeifertForm:
             raise ValueError("epsilon must be +1 or -1")
         if coefficients not in ("Z", "Q"):
             raise ValueError("coefficients must be 'Z' or 'Q'")
-        psi = _q_matrix(psi)
+        psi = Matrix.from_ints(psi)
         if not psi.is_square():
             raise ValueError("psi must be square")
         if coefficients == "Z" and not _is_integral(psi):
@@ -99,8 +94,8 @@ class AutometricForm:
     def __init__(self, theta, h, epsilon: int):
         if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
-        theta = _q_matrix(theta)
-        h = _q_matrix(h)
+        theta = Matrix.from_ints(theta)
+        h = Matrix.from_ints(h)
         if not theta.is_square() or theta.shape != h.shape:
             raise ValueError("theta and h must be square of equal size")
         if theta != theta.transpose().map(lambda x: x * epsilon):
@@ -117,15 +112,6 @@ class AutometricForm:
     def rank(self) -> int:
         return self.theta.nrows
 
-    def direct_sum(self, other: "AutometricForm") -> "AutometricForm":
-        if self.epsilon != other.epsilon:
-            raise ValueError("direct sum needs matching symmetry")
-        return AutometricForm(
-            Matrix.block_diag([self.theta, other.theta]),
-            Matrix.block_diag([self.h, other.h]),
-            self.epsilon,
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, AutometricForm)
@@ -140,7 +126,7 @@ class SeifertSubmodule:
     against the ambient form."""
 
     def __init__(self, basis):
-        basis = _q_matrix(basis)
+        basis = Matrix.from_ints(basis)
         if basis.ncols and basis.rank() != basis.ncols:
             raise ValueError("basis columns are dependent")
         self.basis = basis
@@ -175,11 +161,13 @@ def _seifert_module(f: SeifertForm) -> tuple[LaurentModule, list, tuple]:
     return (*_covering_module(pres, "P", h, b), reduction)
 
 
-def _pairing_entry(c: list, m: list, s: LaurentPoly) -> RatFunc:
+def _pairing_entry(c: list, m: list, s: list) -> RatFunc:
     d = len(m) - 1
     num = [sum(m[a] * c[k - d + a] for a in range(d - k, d + 1))
            for k in range(d)]
-    return RatFunc.make(s * LaurentPoly.from_dense(num), m[::-1]).frac_class()
+    # m*(0) = 1, so s N mod m* is the class of s N / m* up to a common factor
+    rem = polys.mod(polys.mul(s, num), m[::-1])
+    return RatFunc.make(LaurentPoly.from_dense(rem), m[::-1])
 
 
 def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
@@ -212,9 +200,9 @@ def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
           "covering theta is not symmetric")
     check(theta.det() != 0, "covering theta is singular")
     check(isometric, "h is not an isometry of the covering theta")
-    s = LaurentPoly.const(-1)
+    s = [Fraction(-1)]
     if module.torsion_mode == "P":
-        s = LaurentPoly({0: 1, 1: -1})
+        s = [Fraction(1), Fraction(-1)]
         theta = theta * (Matrix.identity(h.nrows) - h)
     cols = [x for xs, _ in blocks for x in xs]
     starts = [0]
@@ -350,9 +338,9 @@ def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
     integral = f.coefficients == "Z"
     if integral and not _is_integral(basis):
         raise ValueError("Z-coefficient submodule with non-integral basis")
+    img = f.e * basis
     for j in range(basis.ncols):
-        img = f.e * Matrix([[basis[i, j]] for i in range(n)])
-        if not _solve_membership(basis, [img[i, 0] for i in range(n)],
+        if not _solve_membership(basis, [row[j] for row in img.rows],
                                  integral):
             raise NotEInvariant("e does not preserve the submodule")
     if basis.transpose() * f.psi * basis != Matrix.zeros(

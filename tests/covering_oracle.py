@@ -8,7 +8,10 @@ the near-projection splitting of a Seifert form's space.
 - `near_projection_decompose` splits the space as K+ (+) K- for an e with
   e(1-e) nilpotent.
 - `module_dimension_q`, `laurent_direct_sum` and `laurent_negate` are what
-  only tests need of modules and linking forms over Q[z, z^-1].
+  only tests need of modules and linking forms over Q[z, z^-1], and
+  `autometric_direct_sum` what they need of autometric forms.
+- `pairing_entry_oracle` is a covering pairing entry canonicalized in two
+  passes, `RatFunc.make` and then `frac_class`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from wittkit.laurent_forms import (
     _dense,
     _fitting_power,
 )
-from wittkit.seifert import SeifertSubmodule, _q_matrix
+from wittkit.seifert import AutometricForm, SeifertSubmodule
 
 
 class NotNearProjection(ComputationError):
@@ -65,6 +68,24 @@ def laurent_direct_sum(a: LaurentLinkingForm,
 def laurent_negate(f: LaurentLinkingForm) -> LaurentLinkingForm:
     gram = [[-x for x in row] for row in f.pairing.rows]
     return LaurentLinkingForm(f.module, gram, f.epsilon, validate=False)
+
+
+def autometric_direct_sum(a: AutometricForm,
+                          b: AutometricForm) -> AutometricForm:
+    if a.epsilon != b.epsilon:
+        raise ValueError("direct sum needs matching symmetry")
+    return AutometricForm(Matrix.block_diag([a.theta, b.theta]),
+                          Matrix.block_diag([a.h, b.h]), a.epsilon)
+
+
+def pairing_entry_oracle(c: list, m: list, s: list) -> RatFunc:
+    """`seifert._pairing_entry`'s s N / m* modulo Q[z, z^-1]: reduced to
+    lowest terms first, then to its class."""
+    d = len(m) - 1
+    num = [sum(m[a] * c[k - d + a] for a in range(d - k, d + 1))
+           for k in range(d)]
+    sn = LaurentPoly.from_dense(s) * LaurentPoly.from_dense(num)
+    return RatFunc.make(sn, m[::-1]).frac_class()
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +183,7 @@ def is_lagrangian_submodule(form: LaurentLinkingForm, cols) -> bool:
 def near_projection_decompose(k_rank: int, e) -> tuple[Matrix, Matrix]:
     """Split the space as K+ (+) K- with 1-e nilpotent on K+ and e nilpotent
     on K-, via the projection (e^k + (1-e)^k)^{-1} e^k."""
-    e = _q_matrix(e)
+    e = Matrix.from_ints(e)
     if e.nrows != k_rank or e.ncols != k_rank:
         raise ValueError("e must be k_rank x k_rank")
     if k_rank == 0:

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from wittkit.errors import SingularMatrix
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.matrix import Matrix, _dot
 from wittkit.exact.ratfunc import RatFunc
+from wittkit.laurent_forms import _apply
 
 from snf_oracle import pencil_adjugate
 
@@ -106,3 +107,117 @@ def test_rank():
 def test_bar_is_entrywise():
     m = Matrix([[z, z**2]])
     assert m.bar() == Matrix([[z**-1, z**-2]])
+
+
+# ---- Fraction products against the generic route ----
+
+def product_oracle(a, b):
+    """a * b by a triple loop over Fraction arithmetic, entry by entry."""
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            total = a[i, 0] * b[0, j]
+            for k in range(1, a.ncols):
+                total = total + a[i, k] * b[k, j]
+            row.append(total)
+        out.append(row)
+    return Matrix(out)
+
+
+def dot_route(a, b):
+    """a * b through `_dot`, the route every non-Fraction product takes."""
+    cols = b.transpose().rows
+    return Matrix([[_dot(r, c) for c in cols] for r in a.rows])
+
+
+def entry_types(m):
+    return [[type(x) for x in row] for row in m.rows]
+
+
+def rand_fraction_matrix(rng, m, n, bits):
+    def entry():
+        if rng.random() < 0.3:
+            return F(0)
+        return F(rng.randint(-2 ** bits, 2 ** bits),
+                 rng.randint(1, 2 ** bits))
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.5:
+        rows[rng.randrange(m)] = [F(0)] * n
+    if n > 1 and rng.random() < 0.5:
+        j = rng.randrange(n)
+        for row in rows:
+            row[j] = F(0)
+    return Matrix(rows)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fraction_product_matches_oracle(seed):
+    rng = random.Random(seed)
+    shapes = [(1, 1, 1), (1, 4, 3), (3, 2, 5), (4, 4, 4), (5, 1, 2),
+              (2, 6, 1)]
+    for m, k, n in shapes:
+        for bits in (3, 100):
+            a = rand_fraction_matrix(rng, m, k, bits)
+            b = rand_fraction_matrix(rng, k, n, bits)
+            prod = a * b
+            assert prod == product_oracle(a, b)
+            assert all(t is Fraction for row in entry_types(prod)
+                       for t in row)
+            col = [row[0] for row in b.rows]
+            assert _apply(a.rows, col) == [row[0] for row in prod.rows]
+
+
+def test_fraction_product_of_zeros_and_negatives():
+    a = Matrix([[F(-1, 3), F(0)], [F(0), F(0)]])
+    b = Matrix([[F(0), F(-5, 7)], [F(2), F(0)]])
+    assert a * b == product_oracle(a, b) == Matrix(
+        [[F(0), F(5, 21)], [F(0), F(0)]])
+    zero = Matrix.zeros(3, 2)
+    prod = zero * Matrix.zeros(2, 4)
+    assert prod == Matrix.zeros(3, 4)
+    assert all(t is Fraction for row in entry_types(prod) for t in row)
+    # near-100-bit denominators that cancel in the sum
+    d = 2 ** 100 - 3
+    x = Matrix([[F(1, d), F(-1, d)]])
+    y = Matrix([[F(d, 7)], [F(d, 7)]])
+    assert x * y == Matrix([[F(0)]])
+
+
+def test_fraction_product_with_an_empty_side():
+    empty = Matrix([])
+    two_by_zero = Matrix([[], []])
+    three_by_two = Matrix.from_ints([[1, 2], [3, 4], [5, 6]])
+    cases = [(empty, empty, Matrix([])),
+             (two_by_zero, empty, Matrix([[], []])),
+             (three_by_two, two_by_zero, Matrix([[], [], []]))]
+    for a, b, want in cases:
+        assert a * b == product_oracle(a, b) == want
+    assert _apply([], []) == []
+
+
+def test_other_entry_types_take_the_dot_route():
+    ints_a = Matrix([[1, 2], [3, 4]])
+    ints_b = Matrix([[0, -1], [5, 0]])
+    prod = ints_a * ints_b
+    assert prod == dot_route(ints_a, ints_b) == Matrix([[10, -1], [20, -3]])
+    assert all(t is int for row in entry_types(prod) for t in row)
+    assert _apply(ints_a.rows, [1, 1]) == [3, 7]
+    assert all(type(x) is int for x in _apply(ints_a.rows, [1, 1]))
+    mixed_a = Matrix([[1, F(1, 2)], [F(-2, 3), 0]])
+    mixed_b = Matrix([[2, 0], [F(3, 5), 1]])
+    for a, b in ((mixed_a, mixed_b), (mixed_a, ints_b), (ints_a, mixed_b)):
+        prod = a * b
+        want = dot_route(a, b)
+        assert prod == want
+        assert entry_types(prod) == entry_types(want)
+    laurent_a = Matrix([[z, LaurentPoly.one()], [LaurentPoly.zero(), z**-1]])
+    laurent_b = Matrix([[z - 1, LaurentPoly.zero()], [z**2, z]])
+    rat_a = laurent_a.map(RatFunc.make)
+    rat_b = Matrix([[RatFunc.make(z, z - 2), RatFunc.one()],
+                    [RatFunc.zero(), RatFunc.make(1, z + 3)]])
+    for a, b in ((laurent_a, laurent_b), (rat_a, rat_b)):
+        prod = a * b
+        want = dot_route(a, b)
+        assert prod == want
+        assert entry_types(prod) == entry_types(want)

@@ -1,5 +1,6 @@
 """Rational functions: canonical form, class representatives, series tails."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,24 @@ def test_frac_class_reduces_degree():
     c = f.frac_class()
     assert c.num.min_deg() >= 0
     assert c.num.max_deg() < 2
+
+
+def test_frac_class_of_negative_powers():
+    # z^-1 / (z - 3) = -1 / (3 z) + (1/3) / (z - 3)
+    assert RatFunc.make(z**-1, z - 3).frac_class() == RatFunc.make(
+        F(1, 3), z - 3)
+    rng = random.Random(7)
+    for _ in range(40):
+        middle = [F(rng.randint(-4, 4)) for _ in range(rng.randint(0, 3))]
+        den = LaurentPoly.from_dense(
+            [F(rng.choice([-3, -1, 1, 2]))] + middle + [F(1)])
+        num = LaurentPoly({k: F(rng.randint(-5, 5), rng.randint(1, 3))
+                           for k in range(-5, 4)})
+        f = RatFunc.make(num, den)
+        c = f.frac_class()
+        assert (f - c).is_laurent()
+        assert c.is_zero() or (c.num.min_deg() >= 0
+                               and c.num.max_deg() < len(c.den) - 1)
 
 
 # ---- series expansions at both completions ----

@@ -43,11 +43,13 @@ from wittkit.seifert import (
 
 from covering_oracle import (
     NotNearProjection,
+    autometric_direct_sum,
     covering_submodule_image,
     is_lagrangian_submodule,
     laurent_direct_sum,
     module_dimension_q,
     near_projection_decompose,
+    pairing_entry_oracle,
 )
 from snf_oracle import snf_covering_autometric, snf_covering_seifert
 
@@ -187,7 +189,7 @@ class TestAutometricForm:
         a = AutometricForm([[1]], [[-1]], 1)
         b = AutometricForm([[0, 1], [-1, 0]], [[1, 1], [0, 1]], -1)
         with pytest.raises(ValueError):
-            a.direct_sum(b)
+            autometric_direct_sum(a, b)
 
 
 class TestSeifertSubmodule:
@@ -292,7 +294,7 @@ class TestCoveringAutometric:
             f1 = random_autometric(rng, eps, max_rank=2, bound=3)
             f2 = random_autometric(rng, eps, max_rank=2, bound=3)
             c1, c2 = covering_autometric(f1), covering_autometric(f2)
-            cs = covering_autometric(f1.direct_sum(f2))
+            cs = covering_autometric(autometric_direct_sum(f1, f2))
             merged = elementary_divisor_counts(c1.module)
             for key, cnt in elementary_divisor_counts(c2.module).items():
                 merged[key] = merged.get(key, 0) + cnt
@@ -342,8 +344,8 @@ class TestCoveringAgainstQz:
         cases = [(covering_seifert(summed), summed.theta, seif)]
         for _ in range(6):
             f = random_autometric(rng, max_rank=2, bound=3)
-            f2 = f.direct_sum(
-                AutometricForm(f.theta.map(lambda x: 2 * x), f.h, f.epsilon))
+            f2 = autometric_direct_sum(f, AutometricForm(
+                f.theta.map(lambda x: 2 * x), f.h, f.epsilon))
             cases.append((covering_autometric(f2), f2.theta, auto))
         for cov, theta, scale in cases:
             assert cov.module.rank > 1
@@ -383,6 +385,60 @@ E1_NOT_CYCLIC = [
 ]
 
 
+MODES = {"Q": [Fraction(-1)], "P": [Fraction(1), Fraction(-1)]}
+
+
+def block_coords(num, m):
+    """c with `_pairing_entry`'s N equal to num: N_k = sum_{j <= k}
+    m_(d-k+j) c_j is unit triangular in c, m being monic."""
+    d = len(m) - 1
+    c = []
+    for k in range(d):
+        c.append(num[k] - sum(m[d - k + j] * c[j] for j in range(k)))
+    return c
+
+
+class TestPairingEntry:
+    """`_pairing_entry`'s one canonicalization against `make` followed by
+    `frac_class`."""
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_random_blocks(self, mode):
+        rng = random.Random(f"pairing-{mode}")
+        for _ in range(60):
+            d = rng.randint(1, 6)
+            m = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(d)] + [Fraction(1)]
+            if not m[0]:
+                m[0] = Fraction(1)
+            c = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                 for _ in range(d + rng.randint(0, 2))]
+            assert seifert._pairing_entry(c, m, MODES[mode]) == \
+                pairing_entry_oracle(c, m, MODES[mode])
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_common_factor_with_m_star(self, mode):
+        # m = (z - 2)(z^2 + z + 3), m* = (1 - 2z)(3z^2 + z + 1); N = 1 - 2z
+        m = [Fraction(-6), Fraction(1), Fraction(-1), Fraction(1)]
+        c = block_coords([Fraction(1), Fraction(-2), Fraction(0)], m)
+        got = seifert._pairing_entry(c, m, MODES[mode])
+        assert got == pairing_entry_oracle(c, m, MODES[mode])
+        assert len(got.den) - 1 == 2
+
+    def test_numerators_reducing_to_zero(self):
+        # m = (z - 1)(z - 3): (1 - z) (1 - 3z) = m*, a Laurent polynomial
+        m = [Fraction(3), Fraction(-4), Fraction(1)]
+        c = block_coords([Fraction(5), Fraction(-15)], m)
+        for mode, want_zero in (("P", True), ("Q", False)):
+            got = seifert._pairing_entry(c, m, MODES[mode])
+            assert got == pairing_entry_oracle(c, m, MODES[mode])
+            assert got.is_zero() is want_zero
+        for mode in MODES:
+            zero = seifert._pairing_entry([Fraction(0)] * 2, m, MODES[mode])
+            assert zero == pairing_entry_oracle(
+                [Fraction(0)] * 2, m, MODES[mode]) == RatFunc.zero()
+
+
 def assert_matches_smith(cov, oracle):
     assert cov.module.divisors == oracle.module.divisors
     assert dw_multisignature_laurent(cov) == dw_multisignature_laurent(oracle)
@@ -401,13 +457,13 @@ class TestKrylovAgainstSmith:
             assert len(_krylov(f.h.rows, unit)[1]) - 1 < f.rank
         for _ in range(4):
             f = random_autometric(rng, max_rank=2, bound=3)
-            forms.append(f.direct_sum(AutometricForm(
+            forms.append(autometric_direct_sum(f, AutometricForm(
                 f.theta.map(lambda x: 2 * x), f.h, f.epsilon)))
             # e_1 is an eigenvector of h, far from a cyclic vector
             small = AutometricForm([[2]], [[-1]], 1) if f.epsilon == 1 \
                 else AutometricForm([[0, 1], [-1, 0]],
                                     [[2, 0], [0, Fraction(1, 2)]], -1)
-            forms.append(small.direct_sum(random_autometric(
+            forms.append(autometric_direct_sum(small, random_autometric(
                 rng, f.epsilon, max_rank=3, bound=3)))
         ranks = set()
         for f in forms:
@@ -490,7 +546,7 @@ class TestMonodromy:
         eps = 1
         f1 = random_autometric(rng, eps, max_rank=2, bound=3)
         f2 = random_autometric(rng, eps, max_rank=2, bound=3)
-        fs = f1.direct_sum(f2)
+        fs = autometric_direct_sum(f1, f2)
         mono = monodromy(covering_autometric(fs))
         want = [Fraction(1)]
         for part in (f1, f2):
