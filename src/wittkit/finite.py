@@ -271,23 +271,13 @@ def _adjoint_is_iso(mixed_orders: list[int], gram) -> bool:
     """The adjoint sends generator j to sum_i (n_i * gram[i][j]) chi_i in
     T^ = (+) Z/n_i; it is onto iff [N | diag(n)] has all SNF divisors 1."""
     n = len(mixed_orders)
-    if n == 0:
-        return True
-    cols = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = Fraction(gram[i][j]) * mixed_orders[i]
-            if v.denominator != 1:
-                return False
-            row.append(int(v))
-        cols.append(row)
-    stacked = Matrix.from_ints(cols).hstack(
-        Matrix([[mixed_orders[i] if i == j else 0 for j in range(n)]
-                for i in range(n)]).map(Fraction)
-    )
-    res = smith_normal_form(stacked.map(lambda x: int(x)))
-    divs = res.nonzero_divisors
+    rows = []
+    for i, o in enumerate(mixed_orders):
+        if any(o % x.denominator for x in gram[i]):
+            return False
+        rows.append([x.numerator * (o // x.denominator) for x in gram[i]]
+                    + [o if j == i else 0 for j in range(n)])
+    divs = smith_normal_form(Matrix(rows)).nonzero_divisors
     return len(divs) == n and all(d == 1 for d in divs)
 
 

@@ -5,10 +5,13 @@ stays isotropic exactly when the new generator self-annihilates and pairs to
 zero with the existing generators, so the search tree prunes early.
 Deduplication keys subgroups by the Hermite normal form of the lattice
 generated by the generator tuple together with the relation lattice; that
-key is also the deterministic witness order.  One enumeration serves all
-three questions: `brute_force_lagrangians(form)` returns
-{mode: {"mode", "witnesses", "exhausted"}} for every mode in MODES.  Any
-prime is allowed here, including 2.
+key is also the deterministic witness order, and a child's key is its
+parent's with one row inserted.  Candidate sets and element sets are int
+bitmasks over the self-annihilating elements, which one linear table of the
+functionals x^T N finds.  One enumeration serves all three questions:
+`brute_force_lagrangians(form)` returns {mode: {"mode", "witnesses",
+"exhausted"}} for every mode in MODES.  Any prime is allowed here,
+including 2.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import product
 from math import gcd, prod
+from operator import add, mod, mul
 
 from wittkit.errors import SearchSpaceTooLarge
 from wittkit.finite import FiniteLinkingForm
@@ -26,53 +30,54 @@ MODES = ("any", "split", "complementary_pair")
 
 
 # ---------------------------------------------------------------------------
-# integer row Hermite normal form (unique echelon form)
+# integer row Hermite normal form (unique echelon form), one row at a time
 # ---------------------------------------------------------------------------
 
-def _hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    mat = [list(r) for r in rows]
-    m = len(mat)
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        while True:
-            nz = [i for i in range(r, m) if mat[i][c]]
-            if not nz:
+def _insert(key: tuple, x, orders) -> tuple:
+    """The HNF of the lattice spanned by the full-rank HNF `key` and x, where
+    the lattice of `key` contains diag(orders).
+
+    x is reduced column by column against the pivot rows; where the pivot d
+    does not divide x's entry a, one unimodular Euclid step on the two rows
+    puts gcd(d, a) on the pivot, and what is left of x is taken mod orders
+    (which changes nothing in the lattice) and is done with once it is 0.
+    The entries above each pivot are then reduced into [0, pivot).  The HNF
+    is unique, so this is the key that the whole generator list would get."""
+    rows = list(key)
+    n = len(rows)
+    first = n
+    for c in range(n):
+        h = rows[c]
+        a, d = x[c], h[c]
+        if a % d:
+            g = gcd(d, a)
+            dd, aa = d // g, a // g
+            t = pow(aa, -1, dd)
+            rows[c] = [(1 - t * aa) // dd * u + t * v for u, v in zip(h, x)]
+            x = [(dd * v - aa * u) % o for u, v, o in zip(h, x, orders)]
+            first = min(first, c)
+            if not any(x):
                 break
-            i0 = min(nz, key=lambda i: abs(mat[i][c]))
-            if i0 != r:
-                mat[r], mat[i0] = mat[i0], mat[r]
-            piv = mat[r][c]
-            clean = True
-            for i in range(r + 1, m):
-                if mat[i][c]:
-                    q = mat[i][c] // piv
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-                    if mat[i][c]:
-                        clean = False
-            if clean:
-                break
-        if r < m and mat[r][c]:
-            if mat[r][c] < 0:
-                mat[r] = [-a for a in mat[r]]
-            piv = mat[r][c]
-            for i in range(r):
-                q = mat[i][c] // piv
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
-            r += 1
-    return mat[:r]
+        elif a:
+            x = [v - a // d * u for u, v in zip(h, x)]
+    for c in range(first, n):
+        piv = rows[c]
+        for i in range(c):
+            k = rows[i][c] // piv[c]
+            if k:
+                rows[i] = [u - k * v for u, v in zip(rows[i], piv)]
+    return tuple(map(tuple, rows))
 
 
 def _lattice_key(gens, mixed_orders) -> tuple:
     """HNF basis of the preimage lattice of the subgroup generated by `gens`
     inside (+) Z/n_i; a canonical subgroup identifier."""
     n = len(mixed_orders)
-    rows = [list(g) for g in gens]
-    rows += [[mixed_orders[i] if j == i else 0 for j in range(n)]
-             for i in range(n)]
-    return tuple(tuple(r) for r in _hnf_rows(rows, n))
+    key = tuple(tuple(o if j == i else 0 for j in range(n))
+                for i, o in enumerate(mixed_orders))
+    for g in gens:
+        key = _insert(key, g, mixed_orders)
+    return key
 
 
 def _witness_matrix(key: tuple, mixed_orders) -> list[list[int]]:
@@ -99,73 +104,78 @@ class _SearchContext:
         if self.size > bound:
             raise SearchSpaceTooLarge(
                 f"|T| = {self.size} exceeds the search bound {bound}")
-        p = form.prime
-        big = max(form.orders) if form.orders else 1
-        self.q = p**big
-        self.columns = [
-            [int(form.gram[i][j] * self.q) % self.q for i in range(form.rank)]
-            for j in range(form.rank)
-        ]
-
-    def functional(self, x) -> tuple:
-        """x^T N mod q, so that pair(x, y) = functional(x) . y mod q."""
-        return tuple(sum(a * b for a, b in zip(x, c)) % self.q
-                     for c in self.columns)
+        self.q = form.prime ** max(form.orders, default=1)
+        # row i of N = q * gram mod q, so pair(x, y) = x^T N y mod q
+        self.rows = [[int(x * self.q) % self.q for x in row]
+                     for row in form.gram]
 
     def pair(self, x, y) -> int:
-        return sum(a * b for a, b in zip(self.functional(x), y)) % self.q
+        return sum(a * sum(map(mul, r, y)) for a, r in zip(x, self.rows)) % self.q
 
     def elements(self):
         return product(*[range(o) for o in self.orders])
-
-    def add(self, x, y):
-        return tuple((a + b) % o for a, b, o in zip(x, y, self.orders))
 
     def closure(self, base: frozenset, x) -> frozenset:
         ord_x = max(
             (o // gcd(xi, o) for xi, o in zip(x, self.orders)), default=1)
         out = set()
         for h in base:
-            step = h
             for _ in range(ord_x):
-                out.add(step)
-                step = self.add(step, x)
+                out.add(h)
+                h = tuple(map(mod, map(add, h, x), self.orders))
         return frozenset(out)
 
 
 def _isotropic_subgroups(ctx: _SearchContext):
     """Every self-annihilating subgroup, as (hnf_key, element_set), in
-    breadth-first discovery order.  Each node carries the self-annihilating
-    elements orthogonal to its generators, and a child filters that list by
-    the new generator's functional x^T N: the form is epsilon-symmetric, so
-    x^T N y = 0 exactly when y^T N x = 0.  A child's key is the HNF of its
-    parent's key plus x.  When a child has index p over its parent, every
-    element of it outside the parent gives the same child, so those are
-    skipped."""
-    n = ctx.form.rank
+    breadth-first discovery order.
+
+    The self-annihilating elements are numbered in enumeration order, and a
+    node's candidates (the self-annihilating elements orthogonal to its
+    generators), its element set and the elements it has covered are int
+    masks over that numbering.  A child's candidates are its parent's ANDed
+    with the new generator x's orthogonality mask, built once per x from its
+    functional x^T N: the form is epsilon-symmetric, so x^T N y = 0 exactly
+    when y^T N x = 0.  A child's key is its parent's with x inserted.  When
+    a child has index p over its parent, every element of it outside the
+    parent gives the same child, so those are skipped."""
     q = ctx.q
-    functional = {x: ctx.functional(x) for x in ctx.elements()
-                  if ctx.pair(x, x) == 0}
+    # x^T N for every x in T, in `elements` order and unreduced: each
+    # coordinate step adds one multiple of a row of N
+    funcs = [(0,) * ctx.form.rank]
+    for o, row in zip(ctx.orders, ctx.rows):
+        steps = [[a * r for r in row] for a in range(o)]
+        funcs = [tuple(map(add, f, s)) for f in funcs for s in steps]
+    table = [(x, f) for x, f in zip(ctx.elements(), funcs)
+             if not sum(map(mul, x, f)) % q]
+    cands = [x for x, _ in table]
+    index = {x: i for i, x in enumerate(cands)}
+    orth = {}
     start_key = _lattice_key([], ctx.orders)
-    seen = {start_key: frozenset({(0,) * n})}
-    queue = deque([(start_key, seen[start_key], list(functional))])
+    seen = {start_key: 1}  # the zero element comes first
+    queue = deque([(start_key, frozenset(cands[:1]), (1 << len(cands)) - 1)])
     found = []
     while queue:
-        key, elems, cands = queue.popleft()
+        key, elems, todo = queue.popleft()
         found.append((key, elems))
-        covered = set(elems)
-        for x in cands:
-            if x in covered:
-                continue
-            new_key = tuple(tuple(r) for r in _hnf_rows([*key, x], n))
-            if new_key not in seen:
-                seen[new_key] = ctx.closure(elems, x)
-                f = functional[x]
-                queue.append((new_key, seen[new_key], [
-                    y for y in cands if not sum(a * b for a, b in zip(f, y)) % q
-                ]))
-            if len(seen[new_key]) == ctx.form.prime * len(elems):
-                covered |= seen[new_key]
+        index_p = ctx.form.prime * len(elems)
+        rest = todo & ~seen[key]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            new_key = _insert(key, cands[i], ctx.orders)
+            child = seen.get(new_key)
+            if child is None:
+                grown = ctx.closure(elems, cands[i])
+                child = seen[new_key] = sum(1 << index[y] for y in grown)
+                if i not in orth:
+                    f = table[i][1]
+                    orth[i] = sum(1 << j for j, y in enumerate(cands)
+                                  if not sum(map(mul, f, y)) % q)
+                queue.append((new_key, grown, todo & orth[i]))
+            if child.bit_count() == index_p:
+                rest &= ~child
     return found
 
 

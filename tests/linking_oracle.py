@@ -9,10 +9,16 @@ Slow, exhaustive or structural routes that `wittkit.finite` and
   group isomorphism between two forms, any prime, including 2.
 - `verify_boundary_complementary`: exactness of the sequence a pair of
   complementary S-lagrangians of an integral form must give.
+- `_hnf_rows` and `list_filter_subgroups`: the integer row Hermite normal
+  form of a whole generator list, and the isotropic subgroup enumeration
+  that filters candidate lists by dot products and keys each child by the
+  HNF of its parent's key plus the new generator, which
+  `wittkit.subgroups` replaced by bitmasks and one-row insertion.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from wittkit.errors import (
@@ -217,6 +223,91 @@ def brute_force_isomorphism(
     if not extend(0):
         return None
     return [[chosen[j][i] for j in range(n)] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# isotropic subgroups by list filtering and whole-list HNF keys
+# ---------------------------------------------------------------------------
+
+def _hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
+    mat = [list(r) for r in rows]
+    m = len(mat)
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        while True:
+            nz = [i for i in range(r, m) if mat[i][c]]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(mat[i][c]))
+            if i0 != r:
+                mat[r], mat[i0] = mat[i0], mat[r]
+            piv = mat[r][c]
+            clean = True
+            for i in range(r + 1, m):
+                if mat[i][c]:
+                    q = mat[i][c] // piv
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+                    if mat[i][c]:
+                        clean = False
+            if clean:
+                break
+        if r < m and mat[r][c]:
+            if mat[r][c] < 0:
+                mat[r] = [-a for a in mat[r]]
+            piv = mat[r][c]
+            for i in range(r):
+                q = mat[i][c] // piv
+                if q:
+                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[r])]
+            r += 1
+    return mat[:r]
+
+
+def list_filter_subgroups(ctx: _SearchContext):
+    """Every self-annihilating subgroup, as (hnf_key, element_set), in
+    breadth-first discovery order.  Each node carries the self-annihilating
+    elements orthogonal to its generators, and a child filters that list by
+    the new generator's functional x^T N: the form is epsilon-symmetric, so
+    x^T N y = 0 exactly when y^T N x = 0.  A child's key is the HNF of its
+    parent's key plus x.  When a child has index p over its parent, every
+    element of it outside the parent gives the same child, so those are
+    skipped."""
+    n = ctx.form.rank
+    q = ctx.q
+    columns = [[int(ctx.form.gram[i][j] * q) % q for i in range(n)]
+               for j in range(n)]
+
+    def dual(x) -> tuple:
+        """x^T N mod q, so that pair(x, y) = dual(x) . y mod q."""
+        return tuple(sum(a * b for a, b in zip(x, c)) % q for c in columns)
+
+    functional = {x: dual(x) for x in ctx.elements()
+                  if not sum(a * b for a, b in zip(dual(x), x)) % q}
+    diag = [[o if j == i else 0 for j in range(n)]
+            for i, o in enumerate(ctx.orders)]
+    start_key = tuple(tuple(r) for r in _hnf_rows(diag, n))
+    seen = {start_key: frozenset({(0,) * n})}
+    queue = deque([(start_key, seen[start_key], list(functional))])
+    found = []
+    while queue:
+        key, elems, cands = queue.popleft()
+        found.append((key, elems))
+        covered = set(elems)
+        for x in cands:
+            if x in covered:
+                continue
+            new_key = tuple(tuple(r) for r in _hnf_rows([*key, x], n))
+            if new_key not in seen:
+                seen[new_key] = ctx.closure(elems, x)
+                f = functional[x]
+                queue.append((new_key, seen[new_key], [
+                    y for y in cands if not sum(a * b for a, b in zip(f, y)) % q
+                ]))
+            if len(seen[new_key]) == ctx.form.prime * len(elems):
+                covered |= seen[new_key]
+    return found
 
 
 # ---------------------------------------------------------------------------

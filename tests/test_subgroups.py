@@ -16,7 +16,11 @@ from formbank import (
     nonsquare_unit,
     random_automorphism,
 )
-from linking_oracle import brute_force_isomorphism
+from linking_oracle import (
+    _hnf_rows,
+    brute_force_isomorphism,
+    list_filter_subgroups,
+)
 from wittkit.errors import SearchSpaceTooLarge
 from wittkit.finite import (
     FiniteLinkingForm,
@@ -258,6 +262,92 @@ def test_enumeration_matches_reference():
         for mode in MODES:
             assert out[mode]["witnesses"] == \
                 _reference_witnesses(ctx, ref, mode), (f, mode)
+
+
+# ---------------------------------------------------------------------------
+# one-row HNF insertion and the mask enumeration against the slow routes
+# ---------------------------------------------------------------------------
+
+def _whole_list_key(gens, orders):
+    """The key as one HNF of every generator plus the relation lattice."""
+    n = len(orders)
+    diag = [[o if j == i else 0 for j in range(n)]
+            for i, o in enumerate(orders)]
+    return tuple(tuple(r) for r in _hnf_rows([list(g) for g in gens] + diag, n))
+
+
+def _random_generators(rng, orders, count):
+    """Generators of five kinds: reduced, zero, already in the lattice of the
+    earlier ones, with entries of both signs, and with entries above the
+    orders."""
+    gens = []
+    for _ in range(count):
+        kind = rng.randrange(5) if gens else rng.choice((0, 1, 3, 4))
+        if kind == 1:
+            g = [0] * len(orders)
+        elif kind == 2:
+            coeffs = [rng.randint(-3, 3) for _ in gens]
+            g = [sum(a * h[i] for a, (_, h) in zip(coeffs, gens))
+                 + rng.randint(-2, 2) * o for i, o in enumerate(orders)]
+        elif kind == 3:
+            g = [rng.randint(-3 * o, 3 * o) for o in orders]
+        elif kind == 4:
+            g = [rng.randint(o, 4 * o) for o in orders]
+        else:
+            g = [rng.randrange(o) for o in orders]
+        gens.append((kind, g))
+    return gens
+
+
+def test_insertion_matches_whole_list_hnf():
+    """Folding one-row insertions from diag(orders) gives the HNF that the
+    whole generator list gets, on mixed orders p^l (l <= 3) at p = 2, 3, 5;
+    a vector already in the lattice leaves the key unchanged."""
+    rng = random.Random(14)
+    assert _lattice_key([], []) == _whole_list_key([], []) == ()
+    kinds = set()
+    for p in (2, 3, 5):
+        for _ in range(80):
+            orders = [p ** rng.randint(1, 3) for _ in range(rng.randint(1, 4))]
+            gens = _random_generators(rng, orders, rng.randint(1, 6))
+            key = _lattice_key([], orders)
+            for k, (kind, _) in enumerate(gens):
+                prefix = [g for _, g in gens[:k + 1]]
+                grown = _lattice_key(prefix, orders)
+                assert grown == _whole_list_key(prefix, orders), \
+                    (orders, prefix)
+                if kind in (1, 2):
+                    assert grown == key, (orders, prefix)
+                key = grown
+                kinds.add(kind)
+    assert kinds == {0, 1, 2, 3, 4}
+
+
+def _large_forms():
+    rng = random.Random(14)
+    mixed = diagonal_form(3, [2, 2, 1, 1], [1, 1, 1, 2])
+    return [
+        diagonal_form(3, [1] * 5, [1] * 5),
+        diagonal_form(3, [1] * 6, [1] * 5 + [2]),
+        diagonal_form(5, [1] * 4, [1, 1, 1, 2]),
+        diagonal_form(2, [1] * 6, [1] * 6),
+        next(f for f in _skew_forms() if (f.prime, f.orders) == (3, (1,) * 4)),
+        apply_generator_change(mixed, random_automorphism(rng, mixed)),
+    ]
+
+
+def test_mask_enumeration_matches_list_filter_on_large_forms():
+    """The mask enumeration discovers the same subgroups, with the same keys
+    and in the same order, as the list-filter enumeration with whole-list
+    HNF keys, on forms too large for the reference search."""
+    forms = _large_forms()
+    assert any(f.epsilon == -1 for f in forms)
+    moved = forms[-1]
+    assert any(moved.gram[i][j] for i in range(moved.rank)
+               for j in range(moved.rank) if i != j)
+    for f in forms:
+        ctx = _SearchContext(f, 10**4)
+        assert _isotropic_subgroups(ctx) == list_filter_subgroups(ctx), f
 
 
 # ---------------------------------------------------------------------------
