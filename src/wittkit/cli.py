@@ -274,7 +274,7 @@ def _linking_part(form: FiniteLinkingForm, config: CliConfig) -> dict:
             "p = 2: no multisignature; classification below comes from "
             "the exhaustive lagrangian search")
     else:
-        ms = dw_multisignature(form.mixed_orders(), form.gram, form.epsilon)
+        ms = dw_multisignature(form)
         part["multisignature"] = [
             {"prime": p, "level": l, "rank_mod_2": c.rank_mod_2,
              "discriminant": c.discriminant_class}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from operator import index
 
 from wittkit.errors import (
     EvenPrimeUnsupported,
@@ -30,10 +30,17 @@ from wittkit.exact.matrix import Matrix
 from wittkit.exact.snf import smith_normal_form
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, isqrt(n) + 1))
+def _factor(m: int) -> dict[int, int]:
+    """{p: v_p(m)} by trial division; {} for m < 2."""
+    out, d = {}, 2
+    while d * d <= m:
+        while m % d == 0:
+            out[d] = out.get(d, 0) + 1
+            m //= d
+        d += 1
+    if m > 1:
+        out[m] = 1
+    return out
 
 
 def _mod1(x) -> Fraction:
@@ -182,38 +189,24 @@ class FiniteLinkingForm:
     """Nonsingular epsilon-symmetric linking form on (+) Z/p^{l_i}."""
 
     def __init__(self, prime: int, orders, gram, epsilon: int, validate: bool = True):
-        if not _is_prime(prime):
+        if _factor(index(prime)) != {prime: 1}:
             raise ValueError(f"{prime} is not prime")
         if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
         orders = [int(l) for l in orders]
         if any(l < 1 for l in orders):
             raise ValueError("generator orders must be positive prime powers")
-        n = len(orders)
-        g = [[_mod1(x) for x in row] for row in gram]
-        if len(g) != n or any(len(r) != n for r in g):
-            raise ValueError("gram shape does not match the generator count")
         self.prime = prime
         self.orders = tuple(orders)
-        self.gram = tuple(tuple(r) for r in g)
+        self.gram = tuple(tuple(_mod1(x) for x in row) for row in gram)
         self.epsilon = epsilon
         if validate:
             self._validate()
 
     def _validate(self):
-        p, eps = self.prime, self.epsilon
-        for i in range(self.rank):
-            for j in range(self.rank):
-                x = self.gram[i][j]
-                k = _den_exp(x, p)
-                if k < 0:
-                    raise ValueError("gram denominators must be powers of p")
-                if k > min(self.orders[i], self.orders[j]):
-                    raise ValueError("pairing not annihilated by generator orders")
-                if _mod1(x - eps * self.gram[j][i]) != 0:
-                    raise ValueError("gram breaks epsilon-symmetry")
-        if not _adjoint_is_iso([p**l for l in self.orders], self.gram):
-            raise SingularForm("adjoint T -> T^ is not an isomorphism")
+        if any(_den_exp(x, self.prime) < 0 for row in self.gram for x in row):
+            raise ValueError("gram denominators must be powers of p")
+        _check_pairing(self.mixed_orders(), self.gram, self.epsilon)
 
     # -- basic queries --
 
@@ -267,16 +260,30 @@ class FiniteLinkingForm:
                 f"epsilon={self.epsilon:+d})")
 
 
+def _check_pairing(mixed_orders: list[int], gram, epsilon: int) -> None:
+    """Raise unless the reduced gram is an epsilon-symmetric pairing on
+    (+) Z/n_i that the orders annihilate and whose adjoint is bijective."""
+    n = len(mixed_orders)
+    if len(gram) != n or any(len(r) != n for r in gram):
+        raise ValueError("gram shape does not match the generator count")
+    for i, o in enumerate(mixed_orders):
+        for j, x in enumerate(gram[i]):
+            if _mod1(x - epsilon * gram[j][i]) != 0:
+                raise ValueError("gram breaks epsilon-symmetry")
+            if (x * o).denominator != 1:
+                raise ValueError("pairing not annihilated by generator orders")
+    if not _adjoint_is_iso(mixed_orders, gram):
+        raise SingularForm("adjoint T -> T^ is not an isomorphism")
+
+
 def _adjoint_is_iso(mixed_orders: list[int], gram) -> bool:
     """The adjoint sends generator j to sum_i (n_i * gram[i][j]) chi_i in
-    T^ = (+) Z/n_i; it is onto iff [N | diag(n)] has all SNF divisors 1."""
+    T^ = (+) Z/n_i (integers: `_check_pairing` checked the annihilation
+    first); it is onto iff [N | diag(n)] has all SNF divisors 1."""
     n = len(mixed_orders)
-    rows = []
-    for i, o in enumerate(mixed_orders):
-        if any(o % x.denominator for x in gram[i]):
-            return False
-        rows.append([x.numerator * (o // x.denominator) for x in gram[i]]
-                    + [o if j == i else 0 for j in range(n)])
+    rows = [[x.numerator * (o // x.denominator) for x in gram[i]]
+            + [o if j == i else 0 for j in range(n)]
+            for i, o in enumerate(mixed_orders)]
     divs = smith_normal_form(Matrix(rows)).nonzero_divisors
     return len(divs) == n and all(d == 1 for d in divs)
 
@@ -288,52 +295,33 @@ def _adjoint_is_iso(mixed_orders: list[int], gram) -> bool:
 def primary_decompose(orders, gram, epsilon: int) -> dict[int, FiniteLinkingForm]:
     """Split a pairing on (+) Z/n_i into orthogonal p-primary linking forms.
 
-    The p-part is generated by (n_i / p^{v_p(n_i)}) g_i; pairings between
-    different primary parts are integral, hence vanish in Q/Z.
+    A mixed-order presentation is checked here, once, by `_check_pairing`.
+    The p-part is generated by c_a g_a, c_a = n_a / p^{v_a}, for each a with
+    v_a = v_p(n_a) > 0, and is built unchecked: the whole-pairing checks
+    imply each part's `_validate`, because
+    - the parts are orthogonal, as pairings across primes are integral
+      (both orders kill them), so T = (+) T_p is an orthogonal sum;
+    - T^ splits the same way and the adjoint maps T_p into T_p^, so it is
+      bijective exactly when each part's adjoint is;
+    - p^{v_a} c_a c_b g_ab = n_a c_b g_ab is integral, and so is p^{v_b}
+      c_a c_b g_ab by the symmetry, so the part's entries have p-power
+      denominators that its orders annihilate; c_a c_b (g_ab - epsilon
+      g_ba) is integral, so the part is epsilon-symmetric.
     """
     orders = [int(n) for n in orders]
     if any(n < 1 for n in orders):
         raise ValueError("orders must be positive")
-    n = len(orders)
     g = [[_mod1(x) for x in row] for row in gram]
-    for i in range(n):
-        for j in range(n):
-            if _mod1(g[i][j] - epsilon * g[j][i]) != 0:
-                raise ValueError("gram breaks epsilon-symmetry")
-            if (g[i][j] * orders[i]).denominator != 1:
-                raise ValueError("pairing not annihilated by generator orders")
-    if not _adjoint_is_iso(orders, g):
-        raise SingularForm("adjoint T -> T^ is not an isomorphism")
-
-    primes = set()
-    for m in orders:
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                primes.add(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            primes.add(m)
-
+    _check_pairing(orders, g, epsilon)
+    factors = [_factor(m) for m in orders]
     out = {}
-    for p in sorted(primes):
-        idx, exps, cofs = [], [], []
-        for i, m in enumerate(orders):
-            v = 0
-            while m % p == 0:
-                m //= p
-                v += 1
-            if v:
-                idx.append(i)
-                exps.append(v)
-                cofs.append(orders[i] // p**v)
-        sub = [
-            [_mod1(g[a][b] * cofs[ii] * cofs[jj]) for jj, b in enumerate(idx)]
-            for ii, a in enumerate(idx)
-        ]
-        out[p] = FiniteLinkingForm(p, exps, sub, epsilon)
+    for p in sorted(set().union(*factors)):
+        idx = [i for i, f in enumerate(factors) if p in f]
+        exps = [factors[i][p] for i in idx]
+        cofs = [orders[i] // p**v for i, v in zip(idx, exps)]
+        sub = [[_mod1(g[a][b] * ca * cb) for b, cb in zip(idx, cofs)]
+               for a, ca in zip(idx, cofs)]
+        out[p] = FiniteLinkingForm(p, exps, sub, epsilon, validate=False)
     return out
 
 
@@ -353,7 +341,8 @@ def auxiliary_form(form: FiniteLinkingForm, l: int) -> AuxiliaryFormFp:
     """Level-l auxiliary F_p form: entries p^l * gram[i][j] mod p over the
     exact-level-l generators.  The value is presentation-independent because
     orthogonalization against other levels changes the entries by multiples
-    of p after the p^l scaling."""
+    of p after the p^l scaling.  It is nonsingular when the form is;
+    `witt_class_fp` takes its determinant and raises `SingularForm` if not."""
     p = form.prime
     if p == 2:
         raise EvenPrimeUnsupported(
@@ -365,13 +354,7 @@ def auxiliary_form(form: FiniteLinkingForm, l: int) -> AuxiliaryFormFp:
     gram = tuple(
         tuple(int(form.gram[a][b] * scale) % p for b in idx) for a in idx
     )
-    aux = AuxiliaryFormFp(p, l, gram, form.epsilon)
-    if idx:
-        det = Matrix.from_ints([list(r) for r in gram]).det()
-        if int(det) % p == 0:
-            raise SingularForm("auxiliary form is singular; source was not "
-                               "a nonsingular linking form")
-    return aux
+    return AuxiliaryFormFp(p, l, gram, form.epsilon)
 
 
 def witt_class_fp(prime: int, gram, symmetry: int = 1) -> WittClassFp:
@@ -397,19 +380,20 @@ def witt_class_fp(prime: int, gram, symmetry: int = 1) -> WittClassFp:
     return WittClassFp(prime, n % 2, "square" if s == 1 else "nonsquare")
 
 
-def dw_multisignature(orders, gram, epsilon: int) -> DWMultiSignatureZ:
-    """sigma_{p,l} for every (p, l) with a nonzero level part.  The input is
-    a mixed-order presentation; any 2-primary part is rejected."""
-    parts = primary_decompose(orders, gram, epsilon)
-    if 2 in parts:
+def dw_multisignature(form: FiniteLinkingForm) -> DWMultiSignatureZ:
+    """sigma_{p,l} for every level l with a nonzero level part of one
+    validated p-primary form, p odd.  The form is not checked again: a
+    mixed-order presentation is checked and split by `primary_decompose`,
+    and the multisignature of the whole is the sum over its parts."""
+    p = form.prime
+    if p == 2:
         raise EvenPrimeUnsupported(
             "multisignature is defined away from p = 2; "
             "use brute_force_lagrangians for the 2-primary part")
     entries = {}
-    for p, part in parts.items():
-        for l in auxiliary_modules(part):
-            aux = auxiliary_form(part, l)
-            entries[(p, l)] = witt_class_fp(p, aux.gram, aux.v)
+    for l in auxiliary_modules(form):
+        aux = auxiliary_form(form, l)
+        entries[(p, l)] = witt_class_fp(p, aux.gram, aux.v)
     return DWMultiSignatureZ(entries)
 
 
@@ -425,14 +409,14 @@ def forgetful_witt(ms: DWMultiSignatureZ) -> dict[int, WittClassFp]:
 
 
 def classify(form: FiniteLinkingForm, question: str) -> bool:
-    """Decide metabolic or hyperbolic at an odd prime.
+    """Decide metabolic or hyperbolic for one validated p-primary form at an
+    odd prime, from its multisignature (which raises at p = 2); a
+    mixed-order presentation is split by `primary_decompose` first.
 
-    Metabolic == the odd-level Witt sum vanishes at every prime; hyperbolic
-    == every sigma_{p,l} is the zero class (stably hyperbolic == hyperbolic).
+    Metabolic == the odd-level Witt sum vanishes; hyperbolic == every
+    sigma_{p,l} is the zero class (stably hyperbolic == hyperbolic).
     """
-    if form.prime == 2:
-        raise EvenPrimeUnsupported("classification requires odd p")
-    ms = dw_multisignature(form.mixed_orders(), form.gram, form.epsilon)
+    ms = dw_multisignature(form)
     if question == "metabolic":
         return ms.is_metabolic
     if question == "hyperbolic":

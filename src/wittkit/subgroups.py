@@ -109,13 +109,10 @@ class _SearchContext:
         self.rows = [[int(x * self.q) % self.q for x in row]
                      for row in form.gram]
 
-    def pair(self, x, y) -> int:
-        return sum(a * sum(map(mul, r, y)) for a, r in zip(x, self.rows)) % self.q
-
     def elements(self):
         return product(*[range(o) for o in self.orders])
 
-    def closure(self, base: frozenset, x) -> frozenset:
+    def closure(self, base, x) -> frozenset:
         ord_x = max(
             (o // gcd(xi, o) for xi, o in zip(x, self.orders)), default=1)
         out = set()
@@ -126,19 +123,30 @@ class _SearchContext:
         return frozenset(out)
 
 
-def _isotropic_subgroups(ctx: _SearchContext):
-    """Every self-annihilating subgroup, as (hnf_key, element_set), in
-    breadth-first discovery order.
+def _elements(mask: int, cands) -> list:
+    """The elements of `cands` whose bits are set in `mask`."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(cands[low.bit_length() - 1])
+        mask ^= low
+    return out
 
-    The self-annihilating elements are numbered in enumeration order, and a
-    node's candidates (the self-annihilating elements orthogonal to its
-    generators), its element set and the elements it has covered are int
-    masks over that numbering.  A child's candidates are its parent's ANDed
-    with the new generator x's orthogonality mask, built once per x from its
-    functional x^T N: the form is epsilon-symmetric, so x^T N y = 0 exactly
-    when y^T N x = 0.  A child's key is its parent's with x inserted.  When
-    a child has index p over its parent, every element of it outside the
-    parent gives the same child, so those are skipped."""
+
+def _isotropic_subgroups(ctx: _SearchContext):
+    """Every self-annihilating subgroup, as (hnf_key, element_mask) in
+    breadth-first discovery order, and the list `cands` the masks index.
+
+    `cands` holds the self-annihilating elements in enumeration order, so
+    bit 0 is the zero element.  A node's candidates (those orthogonal to its
+    generators), its elements and the elements it has covered are masks.  A
+    child's candidates are its parent's ANDed with the new generator x's
+    orthogonality mask, built once per x from its functional x^T N: the form
+    is epsilon-symmetric, so x^T N y = 0 exactly when y^T N x = 0.  A child's
+    key is its parent's with x inserted, and its elements the closure of the
+    parent's, decoded only for a parent with a new child.  When a child has
+    index p over its parent, every element of it outside the parent gives
+    the same child, so those are skipped."""
     q = ctx.q
     # x^T N for every x in T, in `elements` order and unreduced: each
     # coordinate step adds one multiple of a row of N
@@ -153,13 +161,14 @@ def _isotropic_subgroups(ctx: _SearchContext):
     orth = {}
     start_key = _lattice_key([], ctx.orders)
     seen = {start_key: 1}  # the zero element comes first
-    queue = deque([(start_key, frozenset(cands[:1]), (1 << len(cands)) - 1)])
+    queue = deque([(start_key, 1, (1 << len(cands)) - 1)])
     found = []
     while queue:
-        key, elems, todo = queue.popleft()
-        found.append((key, elems))
-        index_p = ctx.form.prime * len(elems)
-        rest = todo & ~seen[key]
+        key, mask, todo = queue.popleft()
+        found.append((key, mask))
+        elems = None
+        index_p = ctx.form.prime * mask.bit_count()
+        rest = todo & ~mask
         while rest:
             low = rest & -rest
             rest ^= low
@@ -167,19 +176,21 @@ def _isotropic_subgroups(ctx: _SearchContext):
             new_key = _insert(key, cands[i], ctx.orders)
             child = seen.get(new_key)
             if child is None:
+                if elems is None:
+                    elems = _elements(mask, cands)
                 grown = ctx.closure(elems, cands[i])
                 child = seen[new_key] = sum(1 << index[y] for y in grown)
                 if i not in orth:
                     f = table[i][1]
                     orth[i] = sum(1 << j for j, y in enumerate(cands)
                                   if not sum(map(mul, f, y)) % q)
-                queue.append((new_key, grown, todo & orth[i]))
+                queue.append((new_key, child, todo & orth[i]))
             if child.bit_count() == index_p:
                 rest &= ~child
-    return found
+    return found, cands
 
 
-def _is_pure(elems: frozenset, ctx: _SearchContext) -> bool:
+def _is_pure(elems, ctx: _SearchContext) -> bool:
     """Pure subgroups (H intersect p^k T = p^k H for all k) are exactly the
     direct summands of a finite abelian p-group."""
     p = ctx.form.prime
@@ -220,16 +231,19 @@ def brute_force_lagrangians(
     absence.
     """
     ctx = _SearchContext(form, bound)
+    found, cands = _isotropic_subgroups(ctx)
     lagrangians = sorted(
-        (t for t in _isotropic_subgroups(ctx) if len(t[1]) ** 2 == ctx.size),
+        (t for t in found if t[1].bit_count() ** 2 == ctx.size),
         key=lambda t: t[0])
     keys = {
         "any": [key for key, _ in lagrangians[:1]],
         "split": next(
-            ([key] for key, elems in lagrangians if _is_pure(elems, ctx)), []),
+            ([key] for key, mask in lagrangians
+             if _is_pure(_elements(mask, cands), ctx)), []),
+        # two lagrangians meet trivially when they share bit 0 (zero) only
         "complementary_pair": next(
-            ([key_a, key_b] for key_a, elems_a in lagrangians
-             for key_b, elems_b in lagrangians if len(elems_a & elems_b) == 1),
+            ([key_a, key_b] for key_a, a in lagrangians
+             for key_b, b in lagrangians if a & b == 1),
             []),
     }
     return {

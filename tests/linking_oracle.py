@@ -3,6 +3,8 @@
 Slow, exhaustive or structural routes that `wittkit.finite` and
 `wittkit.subgroups` no longer need, kept to check them against:
 
+- `mixed_multisignature`: the multisignature of a mixed-order
+  presentation, as the sum over the parts `primary_decompose` returns.
 - `homogeneous_split`: an orthogonal splitting into pieces of one level,
   whose multisignatures must add up to the whole form's.
 - `brute_force_isomorphism`: a backtracking search for a pairing-preserving
@@ -29,11 +31,14 @@ from wittkit.errors import (
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.snf import smith_normal_form
 from wittkit.finite import (
+    DWMultiSignatureZ,
     FiniteLinkingForm,
     _as_int_matrix,
     _den_exp,
     _integral_solver,
     _mod1,
+    dw_multisignature,
+    primary_decompose,
 )
 from wittkit.subgroups import DEFAULT_SEARCH_BOUND, _SearchContext, _lattice_key
 
@@ -50,6 +55,15 @@ def form_order(f: FiniteLinkingForm) -> int:
 def multisignature_support(ms) -> list:
     """The (prime, level) keys of a `DWMultiSignatureZ`, sorted."""
     return sorted(ms.entries)
+
+
+def mixed_multisignature(orders, gram, epsilon: int) -> DWMultiSignatureZ:
+    """The multisignature of a pairing on (+) Z/n_i: the sum of the primary
+    parts' multisignatures, so a 2-primary part raises."""
+    total = DWMultiSignatureZ({})
+    for part in primary_decompose(orders, gram, epsilon).values():
+        total = total + dw_multisignature(part)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +185,12 @@ def homogeneous_split(form: FiniteLinkingForm) -> list[tuple[int, FiniteLinkingF
 # isomorphism search
 # ---------------------------------------------------------------------------
 
+def _pair(ctx: _SearchContext, x, y) -> int:
+    """lambda(x, y) = x^T N y mod q."""
+    return sum(a * b * r for a, row in zip(x, ctx.rows)
+               for b, r in zip(y, row)) % ctx.q
+
+
 def brute_force_isomorphism(
     f: FiniteLinkingForm,
     g: FiniteLinkingForm,
@@ -197,7 +217,7 @@ def brute_force_isomorphism(
         cand = [
             x for x in elements
             if all((order_i * xj) % o == 0 for xj, o in zip(x, ctx.orders))
-            and ctx.pair(x, x) == target[i][i]
+            and _pair(ctx, x, x) == target[i][i]
         ]
         candidates.append(cand)
 
@@ -212,7 +232,7 @@ def brute_force_isomorphism(
             return _lattice_key(chosen, ctx.orders) == full_key
         for x in candidates[i]:
             if all(
-                ctx.pair(x, chosen[k]) == target[i][k] for k in range(i)
+                _pair(ctx, x, chosen[k]) == target[i][k] for k in range(i)
             ):
                 chosen.append(x)
                 if extend(i + 1):

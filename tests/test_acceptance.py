@@ -174,8 +174,8 @@ def test_criterion_08_witt_relation_2a_equals_2b():
         for level in (1, 2):
             aa = diagonal_form(p, [level, level], [1, 1])
             bb = diagonal_form(p, [level, level], [u, u])
-            ms_a = dw_multisignature(aa.mixed_orders(), aa.gram, 1)
-            ms_b = dw_multisignature(bb.mixed_orders(), bb.gram, 1)
+            ms_a = dw_multisignature(aa)
+            ms_b = dw_multisignature(bb)
             assert ms_a == ms_b, (p, level)
             diff = aa.direct_sum(bb.negate())
             assert classify(diff, "metabolic") is True

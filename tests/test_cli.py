@@ -241,6 +241,24 @@ class TestLinking:
         assert [p["form"]["prime"] for p in parts] == [3, 5]
         assert len(built) == 2
 
+    @pytest.mark.parametrize("doc", [Z9_DOC, '{"alpha": [[45]], "epsilon": 1}'])
+    def test_each_input_checked_once(self, doc, monkeypatch, capsys):
+        """The adjoint of a `linking` input is checked where it enters: in
+        `FiniteLinkingForm` for a finite form, in `primary_decompose` for a
+        boundary; its parts and the multisignature read the checked form."""
+        checks = []
+        check = finite._adjoint_is_iso
+
+        def counting(*args):
+            checks.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(finite, "_adjoint_is_iso", counting)
+        code, _, _ = run_cli(["linking", "--input", "-"], doc,
+                             monkeypatch, capsys)
+        assert code == 0
+        assert len(checks) == 1
+
     def test_verdicts_match_classify(self, monkeypatch, capsys):
         for form in enumerate_symmetric_forms(3, 5):
             doc = serialize.dumps(serialize.finite_form_to_json(form))

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from formbank import (
     apply_generator_change,
@@ -17,6 +18,7 @@ from linking_oracle import (
     NotAnSLagrangian,
     form_order,
     homogeneous_split,
+    mixed_multisignature,
     multisignature_support,
     verify_boundary_complementary,
 )
@@ -72,6 +74,16 @@ def test_rejects_singular_gram():
         FiniteLinkingForm(3, [1], [[F(0)]], 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda gram: FiniteLinkingForm(3, [1, 1], gram, 1),
+    lambda gram: primary_decompose([3, 5], gram, 1),
+])
+@pytest.mark.parametrize("gram", [[[F(1, 3)]], [[F(1, 3), 0], [0]]])
+def test_rejects_gram_of_wrong_shape(build, gram):
+    with pytest.raises(ValueError):
+        build(gram)
+
+
 def test_skew_diagonal_must_vanish():
     with pytest.raises(ValueError):
         FiniteLinkingForm(3, [1, 1], [[F(1, 3), F(1, 3)], [F(2, 3), 0]], -1)
@@ -106,6 +118,88 @@ def test_primary_decompose_rejects_singular():
         primary_decompose([9], [[F(1, 3)]], 1)
 
 
+def test_primary_decompose_rejects_cross_prime_entry():
+    # 1/7 pairs Z/3 with Z/5 but neither order kills it; no primary part
+    # carries the cross entry, so only the whole-pairing check sees it
+    with pytest.raises(ValueError):
+        primary_decompose([3, 5], [[F(1, 3), F(1, 7)], [F(1, 7), F(1, 5)]], 1)
+
+
+def test_primary_decompose_rejects_singular_cross_prime_pairing():
+    # the 3-part of Z/15 pairs nonsingularly, but the 5-part, generated by
+    # 3g, has self-linking 9/3 = 0
+    with pytest.raises(SingularForm):
+        primary_decompose([15], [[F(1, 3)]], 1)
+
+
+@st.composite
+def nonsingular_integral_forms(draw):
+    epsilon = draw(st.sampled_from([1, -1]))
+    n = draw(st.sampled_from([2, 4] if epsilon == -1 else [1, 2, 3]))
+    entries = st.integers(-6, 6)
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = draw(entries) if i != j or epsilon == 1 else 0
+            a[i][j], a[j][i] = x, epsilon * x
+    assume(Matrix.from_ints(a).det() != 0)
+    return a, epsilon
+
+
+@given(nonsingular_integral_forms())
+@settings(max_examples=80, deadline=None)
+def test_boundary_parts_pass_their_own_checks(form):
+    """`primary_decompose` builds the parts unchecked; the whole-pairing
+    checks imply each part's, on the mixed presentations of boundaries."""
+    alpha, epsilon = form
+    parts = boundary_of_form(alpha, epsilon)
+    for part in parts.values():
+        part._validate()
+    order = prod(form_order(part) for part in parts.values())
+    assert order == abs(Matrix.from_ints(alpha).det())
+
+
+def _merged_presentation(rng, f, g):
+    """A mixed presentation of f (+) g: the first k generators of f and of
+    g are merged into generators x_i + y_i of order p^a q^b, and the
+    generators are shuffled."""
+    k = rng.randint(0, min(f.rank, g.rank))
+    gens = [(i, i) for i in range(k)]
+    gens += [(i, None) for i in range(k, f.rank)]
+    gens += [(None, j) for j in range(k, g.rank)]
+    rng.shuffle(gens)
+    fo, go = f.mixed_orders(), g.mixed_orders()
+    orders = [(fo[i] if i is not None else 1) * (go[j] if j is not None else 1)
+              for i, j in gens]
+    gram = [[(f.gram[i][i2] if None not in (i, i2) else 0)
+             + (g.gram[j][j2] if None not in (j, j2) else 0)
+             for i2, j2 in gens] for i, j in gens]
+    return orders, gram
+
+
+@given(st.sampled_from([(2, 3), (3, 5), (3, 7), (5, 7)]),
+       st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_merged_primary_parts_pass_their_own_checks(primes, seed, data):
+    """Block sums of primary forms at two primes, under a change of
+    generators that merges and shuffles them: every part passes its own
+    checks, and the multisignature is the sum of the two forms'."""
+    rng = random.Random(seed)
+    p, q = primes
+    f, g = (data.draw(small_forms(primes=(r,))) for r in (p, q))
+    f = apply_generator_change(f, random_automorphism(rng, f))
+    g = apply_generator_change(g, random_automorphism(rng, g))
+    orders, gram = _merged_presentation(rng, f, g)
+    parts = primary_decompose(orders, gram, 1)
+    assert sorted(parts) == [p, q]
+    for part, whole in ((parts[p], f), (parts[q], g)):
+        part._validate()
+        assert sorted(part.orders) == sorted(whole.orders)
+    if p != 2:
+        assert mixed_multisignature(orders, gram, 1) == \
+            dw_multisignature(f) + dw_multisignature(g)
+
+
 # ---------------------------------------------------------------------------
 # homogeneous splitting
 # ---------------------------------------------------------------------------
@@ -138,11 +232,10 @@ def test_split_preserves_multisignature():
          [F(2, 3), F(1, 9), F(2, 9)]],
         1,
     )
-    whole = dw_multisignature(f.mixed_orders(), f.gram, 1)
+    whole = dw_multisignature(f)
     split_sum = DWMultiSignatureZ({})
     for _, piece in homogeneous_split(f):
-        split_sum = split_sum + dw_multisignature(
-            piece.mixed_orders(), piece.gram, 1)
+        split_sum = split_sum + dw_multisignature(piece)
     assert whole == split_sum
 
 
@@ -246,29 +339,30 @@ def test_doubled_cyclic_classes_agree():
 # ---------------------------------------------------------------------------
 
 def test_multisignature_opposite_cyclic_pair():
-    ms = dw_multisignature([3, 3], [[F(1, 3), 0], [0, F(2, 3)]], 1)
+    ms = dw_multisignature(
+        FiniteLinkingForm(3, [1, 1], [[F(1, 3), 0], [0, F(2, 3)]], 1))
     assert multisignature_support(ms) == [(3, 1)]
     assert ms.get(3, 1).is_zero  # present even though the class vanishes
     assert ms.all_zero
 
 
 def test_multisignature_deep_cyclic():
-    ms = dw_multisignature([9], [[F(1, 9)]], 1)
+    ms = dw_multisignature(FiniteLinkingForm(3, [2], [[F(1, 9)]], 1))
     assert multisignature_support(ms) == [(3, 2)]
     assert not ms.all_zero
 
 
 def test_multisignature_rejects_two_part():
     with pytest.raises(EvenPrimeUnsupported):
-        dw_multisignature([6], [[F(1, 6)]], 1)
+        mixed_multisignature([6], [[F(1, 6)]], 1)
 
 
 def test_forgetful_keeps_odd_levels_only():
     ms = dw_multisignature(
-        [3, 9], [[F(1, 3), 0], [0, F(1, 9)]], 1)
+        FiniteLinkingForm(3, [1, 2], [[F(1, 3), 0], [0, F(1, 9)]], 1))
     fw = forgetful_witt(ms)
     assert fw[3] == witt_class_fp(3, [[1]])
-    ms_even = dw_multisignature([9], [[F(1, 9)]], 1)
+    ms_even = dw_multisignature(FiniteLinkingForm(3, [2], [[F(1, 9)]], 1))
     assert forgetful_witt(ms_even)[3].is_zero
 
 
@@ -329,9 +423,8 @@ def test_multisignature_additive(f, g):
     for i in range(m):
         for j in range(m):
             gram[n + i][n + j] = g.gram[i][j]
-    left = dw_multisignature(orders, gram, 1)
-    right = dw_multisignature(f.mixed_orders(), f.gram, 1) + dw_multisignature(
-        g.mixed_orders(), g.gram, 1)
+    left = mixed_multisignature(orders, gram, 1)
+    right = dw_multisignature(f) + dw_multisignature(g)
     assert left == right
 
 
@@ -341,8 +434,7 @@ def test_multisignature_presentation_invariant(f, seed):
     rng = random.Random(seed)
     cols = random_automorphism(rng, f)
     g = apply_generator_change(f, cols)
-    assert dw_multisignature(g.mixed_orders(), g.gram, 1) == dw_multisignature(
-        f.mixed_orders(), f.gram, 1)
+    assert dw_multisignature(g) == dw_multisignature(f)
 
 
 @given(small_forms(), st.integers(0, 2**32 - 1))
@@ -352,8 +444,8 @@ def test_split_pieces_sum_to_original_class(f, seed):
     g = apply_generator_change(f, random_automorphism(rng, f))
     total = DWMultiSignatureZ({})
     for _, piece in homogeneous_split(g):
-        total = total + dw_multisignature(piece.mixed_orders(), piece.gram, 1)
-    assert total == dw_multisignature(g.mixed_orders(), g.gram, 1)
+        total = total + dw_multisignature(piece)
+    assert total == dw_multisignature(g)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,13 @@ def _reference_subgroups(ctx):
     return found
 
 
+def _decoded_subgroups(ctx):
+    """The mask enumeration as (hnf_key, element_set) pairs."""
+    found, cands = _isotropic_subgroups(ctx)
+    return [(key, frozenset(x for i, x in enumerate(cands) if mask >> i & 1))
+            for key, mask in found]
+
+
 def _reference_witnesses(ctx, found, mode):
     """One mode answered from its own sorted lagrangian list."""
     lagrangians = sorted(
@@ -257,7 +264,7 @@ def test_enumeration_matches_reference():
     for f in bank:
         ctx = _SearchContext(f, 10**4)
         ref = _reference_subgroups(ctx)
-        assert _isotropic_subgroups(ctx) == ref, f
+        assert _decoded_subgroups(ctx) == ref, f
         out = brute_force_lagrangians(f)
         for mode in MODES:
             assert out[mode]["witnesses"] == \
@@ -347,7 +354,7 @@ def test_mask_enumeration_matches_list_filter_on_large_forms():
                for j in range(moved.rank) if i != j)
     for f in forms:
         ctx = _SearchContext(f, 10**4)
-        assert _isotropic_subgroups(ctx) == list_filter_subgroups(ctx), f
+        assert _decoded_subgroups(ctx) == list_filter_subgroups(ctx), f
 
 
 # ---------------------------------------------------------------------------
