@@ -70,9 +70,11 @@ class CliConfig:
 
 
 def parse_precision(text: str) -> Fraction:
-    """Accept "num/den" or "2^-k"."""
+    """Accept "num/den" or "2^-k" with k a nonnegative integer."""
     text = text.strip()
     if text.startswith("2^-"):
+        if not text[3:].isdecimal():
+            raise ValueError("in 2^-k, k must be a nonnegative integer")
         value = Fraction(1, 2 ** int(text[3:]))
     else:
         value = Fraction(text)

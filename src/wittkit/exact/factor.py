@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 
 from wittkit.errors import check
@@ -358,18 +357,3 @@ def _factor_primitive_int(f: list[int]) -> list[list[int]]:
         out.append(prim)
     return out
 
-
-@lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> tuple[Fraction, ...]:
-    result = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # z^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            result = polys.divmod_poly(result, list(_cyclotomic(d)))[0]
-    return tuple(result)
-
-
-def cyclotomic_polynomial(n: int) -> list[Fraction]:
-    """Dense coefficients of the n-th cyclotomic polynomial."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return list(_cyclotomic(n))

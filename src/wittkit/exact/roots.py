@@ -8,11 +8,18 @@ polynomial divides g, and otherwise interval arithmetic on a shrinking
 bracket eventually certifies the sign.  Floating point appears only in the
 reported theta endpoints, never in a decision.
 
+When every root of a monic integral factor of degree n lies on the circle
+(one root for n = 1, n/2 pairs otherwise), the factor is a cyclotomic
+Phi_e by Kronecker's theorem, with e at most 2 n^2 since phi(e) >=
+sqrt(e/2); `knots` reads the singular Levine-Tristram turns from this.
+
 Signatures come from one congruence diagonalization, over Q for symmetric
 rational matrices and over a residue field with its involution for
 hermitian ones.  A hermitian pivot is fixed by the involution, so it is real
 at the root and equal to its real part there, a rational polynomial in y
-(`polys.cos_poly`) whose sign at y0 is certified as above.
+(`polys.cos_poly`) whose sign at y0 is certified as above.  A hermitian
+form is diagonalized once and its pivots are read at every root of the
+field's modulus.
 """
 
 from __future__ import annotations
@@ -147,15 +154,15 @@ def unit_circle_roots(
     return out
 
 
-def _congruence_signature(a: list, bar, sign) -> int:
-    """Signature of the hermitian matrix with rows `a` (consumed) over a
-    field with involution `bar`, each pivot's sign given by `sign`.  With no
+def _congruence_pivots(a: list, bar) -> list:
+    """Pivots of a congruence diagonalization of the hermitian matrix with
+    rows `a` (consumed) over a field with involution `bar`.  With no
     nonzero diagonal entry left, adding c times row j and bar(c) times
     column j to row and column i makes a_ii = c bar(a_ij) + bar(c) a_ij:
     c = 1 unless a_ij + bar(a_ij) = 0 (never over Q), else c = a_ij, which
     gives 2 a_ij bar(a_ij).  A zero block left over means the form is
     singular."""
-    sig = 0
+    pivots = []
     while a:
         k = next((i for i in range(len(a)) if a[i][i]), None)
         if k is None:
@@ -170,29 +177,30 @@ def _congruence_signature(a: list, bar, sign) -> int:
                 row[k] += row[j] * cbar
         row = a.pop(k)
         piv = row.pop(k)
-        sig += sign(piv)
+        pivots.append(piv)
         if a:  # an inverse in a large residue field is costly
             inv = 1 / piv
             row = [y * inv for y in row]
             a = [[x - r[k] * y for x, y in zip(r[:k] + r[k + 1:], row)]
                  for r in a]
-    return sig
+    return pivots
 
 
-def hermitian_signature_at_root(h: Matrix, root: CertifiedRoot) -> int:
-    """Signature of a hermitian matrix over Q[z]/(factor) at the embedding
-    z -> e^{i*theta}.  Entries must be ResidueElem over a self-conjugate
-    field; a matrix with bar(h)^T != h is refused with ValueError."""
+def hermitian_signature_at_root(h: Matrix, roots: list) -> list[int]:
+    """Signatures of a hermitian matrix over Q[z]/(factor), one per root in
+    `roots`, at the embeddings z -> e^{i*theta}: one diagonalization, each
+    pivot's real part in y taken once and its sign read at every root.
+    Entries must be ResidueElem over a self-conjugate field; a matrix with
+    bar(h)^T != h is refused with ValueError."""
     if h != h.bar().transpose():
         raise ValueError("matrix is not hermitian")
-    return _congruence_signature(
-        [list(row) for row in h.rows], lambda x: x.bar(),
-        lambda piv: root.sign_of(polys.cos_poly(piv.coeffs)))
+    pivots = [polys.cos_poly(piv.coeffs) for piv in _congruence_pivots(
+        [list(row) for row in h.rows], lambda x: x.bar())]
+    return [sum(root.sign_of(g) for g in pivots) for root in roots]
 
 
 def signature_of_symmetric(m: Matrix) -> int:
     """Signature of a nonsingular symmetric rational matrix by congruence
     diagonalization."""
-    return _congruence_signature(
-        [[Fraction(x) for x in row] for row in m.rows], lambda x: x,
-        lambda piv: 1 if piv > 0 else -1)
+    return sum(1 if piv > 0 else -1 for piv in _congruence_pivots(
+        [[Fraction(x) for x in row] for row in m.rows], lambda x: x))

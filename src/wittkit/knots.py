@@ -26,8 +26,7 @@ from wittkit.errors import (
     SingularSeifertForm,
     check,
 )
-from wittkit.exact import polys
-from wittkit.exact.factor import cyclotomic_polynomial, factor_rational_poly
+from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.roots import (
@@ -212,18 +211,19 @@ def _two_cos_bracket(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 
 class SignatureSteps:
     """The Levine-Tristram signature of one knot as a step function of
-    y = 2 cos(2 pi t), built once per `KnotInput` (its `lt_steps`).
-    `dense` is D = `_det_one_minus` with z^k cleared; `roots` are the
-    unit-circle roots of D's factors as (key, root_index, CertifiedRoot)
-    with disjoint y-brackets, by decreasing y (increasing angle), refined
-    only as far as separation needs; gap i lies below i of them, and its
-    signature is taken once, at a rational u = tan(pi t) inside it."""
+    y = 2 cos(2 pi t), built once per `KnotInput` (its `lt_steps`) from
+    one factorization of D = `_det_one_minus`.  `roots` are the unit-circle
+    roots of D's factors as (key, root_index, CertifiedRoot) with disjoint
+    y-brackets, by decreasing y (increasing angle), refined only as far as
+    separation needs; gap i lies below i of them, and its signature is
+    taken once, at a rational u = tan(pi t) inside it.  `cyclotomic` is
+    the set of e with Phi_e | D: a monic integral factor p with all its
+    roots on the circle is some Phi_e (Kronecker), and e is the order of
+    z mod p, at most 2 (deg p)^2 since phi(e) >= sqrt(e/2)."""
 
     def __init__(self, k: KnotInput):
         self.psi = k.psi
-        det = _det_one_minus(k)
-        self.dense = det.ordinary()[0]
-        self.roots = _circle_roots(det)
+        self.roots, self.cyclotomic = _circle_roots(_det_one_minus(k))
         self._values = {}
 
     def value(self, gap: int) -> int:
@@ -259,9 +259,11 @@ def levine_tristram_signature(k: KnotInput, turn) -> int:
     """Certified signature of (1-omega) psi + (1-conj(omega)) psi^T at
     omega = e^{2 pi i turn}: singular exactly where D = `_det_one_minus`
     vanishes, and otherwise the value of `k.lt_steps` on the gap holding
-    y0 = 2 cos(2 pi turn).  A primitive d-th root of unity is a root of D
-    only if phi(d) <= deg D, and phi(d) >= sqrt(d/2), so D is divided by
-    the cyclotomic Phi_d only for d <= 2 (deg D)^2."""
+    y0 = 2 cos(2 pi turn).  omega is a primitive d-th root of unity, a
+    root of D exactly when Phi_d is one of D's factors, so the singular
+    test is a lookup of d in `k.lt_steps.cyclotomic`: the factors whose
+    roots all lie on the circle, cyclotomic by Kronecker's theorem, each
+    with its order e <= 2 (deg Phi_e)^2 since phi(e) >= sqrt(e/2)."""
     if isinstance(turn, float):
         raise TypeError(
             "pass the turn exactly (Fraction, int, or string), not a float")
@@ -272,24 +274,35 @@ def levine_tristram_signature(k: KnotInput, turn) -> int:
     if t == 0:
         raise SingularAtRoot("omega = 1 degenerates the form")
     steps = k.lt_steps
-    d = t.denominator
-    if (d <= 2 * polys.deg(steps.dense) ** 2
-            and not polys.mod(steps.dense, cyclotomic_polynomial(d))):
+    if t.denominator in steps.cyclotomic:
         raise SingularAtRoot(f"omega at turn {t} is an Alexander root")
     return steps.value(steps.gap_at(t))
 
 
-def _circle_roots(det: LaurentPoly) -> list:
+def _circle_roots(det: LaurentPoly) -> tuple[list, set]:
     """Unit-circle roots of `det`'s factors as (key, root_index,
-    CertifiedRoot), ordered by increasing angle, with disjoint y-brackets;
-    refining to width 4 leaves each isolating bracket as it is."""
+    CertifiedRoot), ordered by increasing angle, with disjoint y-brackets,
+    and the set of e with Phi_e | det; refining to width 4 leaves each
+    isolating bracket as it is."""
     _, factors = factor_rational_poly(det)
-    marked = []
+    marked, cyclotomic = [], set()
     for p, _mult in factors:
         if is_self_conjugate(p) is None:
             continue
         key = tuple(p.ordinary()[0])
-        for ridx, root in enumerate(unit_circle_roots(p, Fraction(4))):
+        roots = unit_circle_roots(p, Fraction(4))
+        n = len(key) - 1
+        # Kronecker: monic, integral, every root on the circle (one root
+        # for n = 1, n/2 pairs otherwise), so p = Phi_e, e = ord(z mod p)
+        if 2 * len(roots) >= n and all(c.denominator == 1 for c in key):
+            one = power = [1] + [0] * (n - 1)  # z^e mod p, low degree first
+            for e in range(1, 2 * n * n + 1):
+                power = [a - power[-1] * c.numerator
+                         for a, c in zip([0] + power[:-1], key)]
+                if power == one:
+                    cyclotomic.add(e)
+                    break
+        for ridx, root in enumerate(roots):
             while not root.is_rational and (root.lo == -2 or root.hi == 2):
                 root.refine((root.hi - root.lo) / 2)  # keep end gaps open
             marked.append((key, ridx, root))
@@ -307,7 +320,7 @@ def _circle_roots(det: LaurentPoly) -> list:
                     b.refine(width / 4)
                     changed = True
     marked.sort(key=lambda item: (-item[2].hi, -item[2].lo))
-    return marked
+    return marked, cyclotomic
 
 
 def lt_jumps(k: KnotInput,

@@ -409,7 +409,8 @@ def _hilbert90_unit(field: ResidueField, v):
 def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermitian:
     """Level-l auxiliary form at a self-conjugate irreducible factor: on the
     divisor classes of exact p-valuation l, the residue of p^l lambda(u_i,
-    u_j) mod p, normalized to a hermitian form by a Hilbert-90 unit."""
+    u_j) mod p, normalized to a hermitian form by a Hilbert-90 unit;
+    `hermitian_signature_at_root` checks that it is hermitian."""
     p = _monic_ordinary(_as_laurent(p))
     unit_p = is_self_conjugate(p)
     if unit_p is None:
@@ -455,8 +456,6 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
         ubar = u.bar()
         aux = AuxiliaryHermitian(p, l, field, gram0.map(lambda x: ubar * x),
                                  1, u)
-        check(aux.gram == aux.gram.bar().transpose(),
-              "rescaled auxiliary form is not hermitian")
     if idx and aux.gram.det().is_zero():
         raise SingularForm("auxiliary form is singular over the residue field")
     return aux
@@ -575,15 +574,15 @@ def dw_multisignature_laurent(
             out.roots[(pk, ridx)] = root
         for l in levels:
             aux = auxiliary_hermitian(form, p, l)
+            if aux.symmetry != 1:  # z = +-1 with a skew form
+                out.rank_only[(pk, l)] = aux.rank
+                continue
+            sigs = hermitian_signature_at_root(aux.gram, roots)
             if deg == 1:
-                if aux.symmetry == 1:
-                    out.signatures[(pk, 0, l)] = SIGMA_SIGN * (
-                        hermitian_signature_at_root(aux.gram, roots[0]))
-                else:
-                    out.rank_only[(pk, l)] = aux.rank
+                out.signatures[(pk, 0, l)] = SIGMA_SIGN * sigs[0]
                 continue
             half = deg // 2
-            for ridx, root in enumerate(roots):
+            for ridx, (root, sig) in enumerate(zip(roots, sigs)):
                 flip = _phase_sign(aux.unit, half * l, root, form.epsilon)
                 orient = 1
                 if l % 2:
@@ -592,7 +591,6 @@ def dw_multisignature_laurent(
                     orient = root.sign_of(polys.derivative(root.y_poly))
                     check(orient != 0,
                           "square factor leaked into the root data")
-                sig = hermitian_signature_at_root(aux.gram, root)
                 out.signatures[(pk, ridx, l)] = (
                     SIGMA_SIGN * flip * orient * 2 * sig)
     return out

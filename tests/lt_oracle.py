@@ -1,7 +1,10 @@
 """Oracles for the Levine-Tristram step function in `wittkit.knots`.
 
-The per-call route it replaced: the minimal polynomial of
-y0 = 2 cos(2 pi t) from the cyclotomic polynomial Phi_d, an isolating
+The cyclotomic polynomial Phi_d, by dividing z^d - 1 by every Phi_e with
+e | d, e < d, gives the division test "Phi_d divides D" against which the
+step function's singular turns, read off D's factors, are checked.  The
+per-call route the step function replaced: the minimal polynomial of
+y0 = 2 cos(2 pi t) from Phi_d, an isolating
 bracket of y0 from a float window, the knot's polynomial D_y rebuilt on
 every call, and a padded bracket of y0 free of D_y's zeros, in which the
 signature is taken over Q at a rational u = tan(pi t).  Below it, the older
@@ -17,7 +20,6 @@ from functools import lru_cache
 
 from wittkit.errors import ComputationError, SingularAtRoot, SingularForm
 from wittkit.exact import polys, residue
-from wittkit.exact.factor import cyclotomic_polynomial
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.roots import (
@@ -29,6 +31,22 @@ from wittkit.exact.roots import (
 from wittkit.knots import _det_one_minus, _signature_at_u, _u_in_y_gap
 
 import hermitian_oracle
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[Fraction, ...]:
+    result = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # z^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            result = polys.divmod_poly(result, list(_cyclotomic(d)))[0]
+    return tuple(result)
+
+
+def cyclotomic_polynomial(n: int) -> list[Fraction]:
+    """Dense coefficients of the n-th cyclotomic polynomial."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return list(_cyclotomic(n))
 
 
 def minimal_poly_of_2cos(numer: int, denom: int) -> tuple[list[Fraction], Fraction, Fraction]:
@@ -155,7 +173,7 @@ def cyclotomic_lt_signature(k, turn, precision=DEFAULT_PRECISION):
     root = CertifiedRoot(y_poly, lo, hi, LaurentPoly.from_dense(phi))
     root.refine(precision)
     try:
-        return hermitian_signature_at_root(herm, root)
+        return hermitian_signature_at_root(herm, [root])[0]
     except SingularForm:
         raise SingularAtRoot(f"omega at turn {t} is an Alexander root")
 

@@ -158,6 +158,11 @@ class TestPrecision:
         assert cli.main(["analyze", "--catalog", "trefoil",
                          "--precision", "fast"]) == 2
         capsys.readouterr()
+        # a negative exponent once made 2 ** k a float and a TypeError
+        for text in ("2^--3", "2^-1.5", "2^-"):
+            assert cli.main(["analyze", "--catalog", "trefoil",
+                             "--precision", text]) == 2, text
+            capsys.readouterr()
 
 
 # -- linking and oracle --

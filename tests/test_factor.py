@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittkit.errors import InvariantViolated
 from wittkit.exact import factor
-from wittkit.exact.factor import cyclotomic_polynomial, factor_rational_poly
+from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 
 F = Fraction
@@ -100,27 +100,6 @@ def test_multiplicity_tracking():
     assert mults[tuple(sorted((z - 1).coeffs.items()))] == 3
     assert mults[tuple(sorted((z + 1).coeffs.items()))] == 2
     assert reassemble(unit, factors) == p
-
-
-# ---- cyclotomic polynomials ----
-
-def test_cyclotomic_small():
-    assert cyclotomic_polynomial(1) == [F(-1), F(1)]
-    assert cyclotomic_polynomial(2) == [F(1), F(1)]
-    assert cyclotomic_polynomial(6) == [F(1), F(-1), F(1)]
-    assert cyclotomic_polynomial(12) == [F(1), F(0), F(-1), F(0), F(1)]
-
-
-def test_cyclotomic_product_is_z_n_minus_one():
-    n = 12
-    prod = [F(1)]
-    from wittkit.exact import polys
-
-    for d in range(1, n + 1):
-        if n % d == 0:
-            prod = polys.mul(prod, cyclotomic_polynomial(d))
-    expect = [F(-1)] + [F(0)] * (n - 1) + [F(1)]
-    assert prod == expect
 
 
 def test_lost_factor_is_an_invariant_violation(monkeypatch):

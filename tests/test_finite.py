@@ -272,8 +272,10 @@ def test_auxiliary_form_rejects_even_prime():
 
 
 def test_auxiliary_gram_symmetry_enforced():
+    # the gram claims v = -1 but is symmetric; the Witt class refuses it
+    aux = AuxiliaryFormFp(3, 1, ((0, 1), (1, 0)), -1)
     with pytest.raises(ValueError):
-        AuxiliaryFormFp(3, 1, ((0, 1), (1, 0)), -1)
+        witt_class_fp(aux.prime, aux.gram, aux.v)
 
 
 # ---------------------------------------------------------------------------

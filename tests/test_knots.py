@@ -17,7 +17,7 @@ from wittkit.errors import (
     SingularAtRoot,
 )
 from wittkit.exact import polys, residue
-from wittkit.exact.factor import cyclotomic_polynomial, factor_rational_poly
+from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.catalog import catalog_knot, catalog_names
 from wittkit.exact.matrix import Matrix
@@ -45,6 +45,7 @@ from wittkit.laurent_forms import (
 
 from lt_oracle import (
     cyclotomic_lt_signature,
+    cyclotomic_polynomial,
     per_call_lt_signature,
     singular_poly_in_y,
     turn_in_y_gap,
@@ -407,7 +408,7 @@ class TestJumps:
 def turn_search_lt_jumps(k, precision=DEFAULT_PRECISION):
     """lt_jumps sampling the cyclotomic-field signature at a rational turn
     found between consecutive certified Alexander-root brackets."""
-    marked = knots._circle_roots(knots._det_one_minus(k))
+    marked, _ = knots._circle_roots(knots._det_one_minus(k))
     for _key, _ridx, root in marked:
         root.refine(precision)
     walls = [Fraction(2)]
@@ -489,6 +490,91 @@ class TestAgainstCyclotomicOracle:
             assert lt_jumps(k) == want, k.psi
             jumped += len(want)
         assert jumped >= 8
+
+
+# -- singular turns from D's own factors, against division by Phi_d --
+
+def torus_2q(q):
+    """Seifert matrix of the torus knot T(2, q), q odd: its Alexander
+    polynomial (z^q + 1)/(z + 1) is the product of Phi_2e over e | q,
+    e > 1."""
+    return [[-1 if i == j else int(j == i + 1) for j in range(q - 1)]
+            for i in range(q - 1)]
+
+
+def phi_divides_d(k, max_denom=120):
+    """The d <= max_denom with Phi_d | D = `_det_one_minus`, by division."""
+    dense = dense_of(knots._det_one_minus(k))
+    return {d for d in range(1, max_denom + 1)
+            if not polys.mod(dense, cyclotomic_polynomial(d))}
+
+
+class TestSingularTurns:
+    """`levine_tristram_signature` is singular at a turn a/d exactly when
+    Phi_d divides D; the step function reads this off D's factors, the
+    oracle divides D by Phi_d.  The class also runs under python -O, where
+    a detection resting on an assert would vanish."""
+
+    def check(self, k, turns):
+        want = phi_divides_d(k)
+        assert k.lt_steps.cyclotomic == want, k.psi
+        for t in turns:
+            got = lt_or_singular(levine_tristram_signature, k, t)
+            assert (got == "singular") == (t.denominator in want), (k.psi, t)
+        return want
+
+    def test_named_knots_at_every_turn(self):
+        phi12 = KnotInput("Phi_12", SINGULAR_AT_TURNS[2][1], -1)
+        t25 = KnotInput("T(2,5)", T25, -1)
+        cases = [
+            (trefoil(), {6}),
+            (t25, {10}),
+            (phi12, {12}),
+            (KnotInput("T(2,7)", torus_2q(7), -1), {14}),
+            (KnotInput("T(2,9)", torus_2q(9), -1), {6, 18}),
+            (KnotInput("T(2,15)", torus_2q(15), -1), {6, 10, 30}),
+            (connected_sum(trefoil(), knot_inverse(trefoil())), {6}),
+            (connected_sum(t25, knot_inverse(t25)), {10}),
+            (connected_sum(phi12, knot_inverse(phi12)), {12}),
+            (KnotInput("eps+1", SINGULAR_AT_TURNS[3][1], 1), {3}),
+            (KnotInput("eps+1", SINGULAR_AT_TURNS[4][1], 1), {12}),
+            (KnotInput("E8", upper_half(E8), 1), {15}),
+        ]
+        turns = turns_up_to(120)
+        for k, want in cases:
+            assert self.check(k, turns) == want, k.name
+
+    def test_genus_one_ladder_set(self):
+        # every genus-1 ladder knot [[a, b + 1], [b, c]], a, b, c in
+        # [-2, 2], for each epsilon whose symmetrization is unimodular; the
+        # twist knots among them have non-integral factors with both roots
+        # on the circle, which are not cyclotomic
+        r = range(-2, 3)
+        turns = [Fraction(1, d) for d in range(2, 121)]
+        tally = {"cyclotomic": 0, "circle roots, not cyclotomic": 0}
+        for psi in [[[a, b + 1], [b, c]] for a in r for b in r for c in r]:
+            for epsilon in (-1, 1):
+                try:
+                    k = KnotInput("genus 1", psi, epsilon)
+                except NotAKnotForm:
+                    continue
+                if self.check(k, turns):
+                    tally["cyclotomic"] += 1
+                elif k.lt_steps.roots:
+                    tally["circle roots, not cyclotomic"] += 1
+        assert tally["cyclotomic"] >= 4
+        assert tally["circle roots, not cyclotomic"] >= 16
+        twist = KnotInput("5_2", [[-1, 1], [0, -2]], -1)
+        assert len(twist.lt_steps.roots) == 1
+        assert twist.lt_steps.cyclotomic == set()
+
+    def test_seeded_knots_both_epsilons(self):
+        rng = random.Random(2028)
+        turns = [Fraction(1, d) for d in range(2, 121)]
+        for rank in (2, 4, 6):
+            for epsilon in (-1, 1):
+                for _ in range(4):
+                    self.check(seeded_seifert_knot(rng, rank, epsilon), turns)
 
 
 class TestWideRoots:
@@ -660,15 +746,17 @@ class TestStepFunction:
                                    knots._det_one_minus)
         factored = count_calls(monkeypatch, "factor_rational_poly",
                                factor_rational_poly)
-        cyclotomics = count_calls(monkeypatch, "cyclotomic_polynomial",
-                                  cyclotomic_polynomial)
-        k = KnotInput("T(2,5)", T25, -1)  # deg D = 4, so d <= 32 is checked
+        k = KnotInput("T(2,5)", T25, -1)
         values = {}
         for t in (Fraction(1, 8), Fraction(1, 33), Fraction(2, 5),
                   Fraction(1, 97), Fraction(3, 40), Fraction(1, 1009)):
-            cyclotomics.clear()
             values[t] = levine_tristram_signature(k, t)
-            assert bool(cyclotomics) == (t.denominator <= 32), t
+        # the singular turns come from D's factors: no wittkit module
+        # builds a cyclotomic polynomial
+        assert not [mod for mod in list(sys.modules.values())
+                    if getattr(mod, "__name__", "").startswith("wittkit")
+                    and hasattr(mod, "cyclotomic_polynomial")]
+        assert k.lt_steps.cyclotomic == {10}
         phi10 = (1, -1, 1, -1, 1)
         assert lt_jumps(k) == {(phi10, 0): -2, (phi10, 1): -2}
         assert len(determinants) == 1

@@ -19,7 +19,12 @@ from wittkit.exact.roots import (
 )
 
 from hermitian_oracle import express_in_y
-from lt_oracle import descartes_signature, free_bracket, minimal_poly_of_2cos
+from lt_oracle import (
+    cyclotomic_polynomial,
+    descartes_signature,
+    free_bracket,
+    minimal_poly_of_2cos,
+)
 
 F = Fraction
 z = LaurentPoly.z()
@@ -153,9 +158,9 @@ def test_hermitian_signature_definite():
     field = ResidueField([F(1), F(-1), F(1)])
     root = unit_circle_roots(z**2 - z + 1)[0]
     h = Matrix([[field.one(), field.zero()], [field.zero(), field.elem([-1])]])
-    assert hermitian_signature_at_root(h, root) == 0
+    assert hermitian_signature_at_root(h, [root])[0] == 0
     h2 = Matrix([[field.one()]])
-    assert hermitian_signature_at_root(h2, root) == 1
+    assert hermitian_signature_at_root(h2, [root])[0] == 1
 
 
 def test_hermitian_signature_off_diagonal():
@@ -164,18 +169,19 @@ def test_hermitian_signature_off_diagonal():
     root = unit_circle_roots(z**2 - z + 1)[0]
     h = Matrix([[field.zero(), field.gen()],
                 [field.from_laurent(z**-1), field.zero()]])
-    assert hermitian_signature_at_root(h, root) == 0
+    assert hermitian_signature_at_root(h, [root])[0] == 0
 
 
 def test_hermitian_signature_y_dependent():
-    # [[y, 0], [0, 1]] at theta = pi/4 (y = sqrt 2 > 0): signature 2
+    # [[y, 0], [0, 1]] at theta = pi/4 (y = sqrt 2 > 0): signature 2;
+    # at theta = 3pi/4, y = -sqrt 2 < 0: signature 0
     field = ResidueField([F(1), F(0), F(0), F(0), F(1)])
     root_small, root_big = unit_circle_roots(z**4 + 1)
     y = field.from_laurent(z + z**-1)
     h = Matrix([[y, field.zero()], [field.zero(), field.one()]])
-    assert hermitian_signature_at_root(h, root_small) == 2
-    # at theta = 3pi/4, y = -sqrt 2 < 0: signature 0
-    assert hermitian_signature_at_root(h, root_big) == 0
+    assert hermitian_signature_at_root(h, [root_small, root_big]) == [2, 0]
+    assert hermitian_signature_at_root(h, [root_big]) == [0]
+    assert hermitian_signature_at_root(h, []) == []
 
 
 def test_singular_hermitian_raises():
@@ -183,7 +189,7 @@ def test_singular_hermitian_raises():
     root = unit_circle_roots(z**2 - z + 1)[0]
     h = Matrix([[field.zero()]])
     with pytest.raises(SingularForm):
-        hermitian_signature_at_root(h, root)
+        hermitian_signature_at_root(h, [root])
 
 
 def test_symmetric_signature():
@@ -261,6 +267,23 @@ def test_free_bracket_excludes_a_nearby_zero():
 
 
 # ---- rational turns (the per-call route, kept as an oracle) ----
+
+def test_cyclotomic_small():
+    assert cyclotomic_polynomial(1) == [F(-1), F(1)]
+    assert cyclotomic_polynomial(2) == [F(1), F(1)]
+    assert cyclotomic_polynomial(6) == [F(1), F(-1), F(1)]
+    assert cyclotomic_polynomial(12) == [F(1), F(0), F(-1), F(0), F(1)]
+
+
+def test_cyclotomic_product_is_z_n_minus_one():
+    n = 12
+    prod = [F(1)]
+    for d in range(1, n + 1):
+        if n % d == 0:
+            prod = polys.mul(prod, cyclotomic_polynomial(d))
+    expect = [F(-1)] + [F(0)] * (n - 1) + [F(1)]
+    assert prod == expect
+
 
 def test_minimal_poly_of_rational_turns():
     yp, lo, hi = minimal_poly_of_2cos(1, 6)

@@ -1,9 +1,10 @@
 """Signatures at a unit-circle root against the route they replaced.
 
 `hermitian_signature_at_root` is one congruence diagonalization whose
-pivots are read through `polys.cos_poly`; `hermitian_oracle` keeps the
-characteristic polynomial, fixed-subfield and Descartes route it replaced,
-and the Chebyshev sums behind the old `palindromic_to_y` and `_phase_sign`.
+pivots are read through `polys.cos_poly` at every root of the field;
+`hermitian_oracle` keeps the characteristic polynomial, fixed-subfield and
+Descartes route it replaced, and the Chebyshev sums behind the old
+`palindromic_to_y` and `_phase_sign`.
 Every comparison asks for equal answers, or `SingularForm` on both sides."""
 
 import random
@@ -14,7 +15,7 @@ import pytest
 from wittkit import laurent_forms
 from wittkit.errors import InvariantViolated, SingularForm
 from wittkit.exact import polys
-from wittkit.exact.factor import cyclotomic_polynomial
+from wittkit.exact import roots as roots_module
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.residue import ResidueElem, ResidueField
@@ -23,6 +24,7 @@ from wittkit.laurent_forms import dw_multisignature_laurent
 
 import hermitian_oracle as oracle
 from covering_oracle import laurent_direct_sum
+from lt_oracle import cyclotomic_polynomial
 from test_laurent_forms import P6, P12, ONE, Z, cyclic_block
 
 # self-conjugate moduli: z - 1, z + 1, Phi_3, Phi_5, Phi_12, Phi_15, and
@@ -98,11 +100,12 @@ def test_hermitian_signature_matches_charpoly_route():
             n = trial % 5
             h = rand_hermitian(rng, field, n, kinds[trial % 4])
             in_y = oracle.charpoly_in_y(h)
-            for root in roots:
-                want = outcome(oracle.descartes_signature_at_root, in_y, root)
-                assert outcome(hermitian_signature_at_root, h, root) == want, (
-                    field.modulus, h)
-                tally["singular" if want == "singular" else "signature"] += 1
+            want = outcome(lambda: [oracle.descartes_signature_at_root(
+                in_y, root) for root in roots])
+            assert outcome(hermitian_signature_at_root, h, roots) == want, (
+                field.modulus, h)
+            tally["singular" if want == "singular" else "signature"] += len(
+                roots)
     assert tally["singular"] > 30 and tally["signature"] > 120
 
 
@@ -112,12 +115,13 @@ def test_purely_imaginary_off_diagonal():
     field = ResidueField(cyclotomic_polynomial(5))
     w = field.from_laurent(Z - Z**-1)
     h = Matrix([[field.zero(), w], [w.bar(), field.zero()]])
-    for root in unit_circle_roots(LaurentPoly.from_dense(field.modulus)):
-        assert hermitian_signature_at_root(h, root) == 0
+    roots = unit_circle_roots(LaurentPoly.from_dense(field.modulus))
+    assert hermitian_signature_at_root(h, roots) == [0, 0]
+    for root in roots:
         assert oracle.charpoly_signature_at_root(h, root) == 0
     zero = Matrix([[field.zero()] * 2] * 2)
     with pytest.raises(SingularForm):
-        hermitian_signature_at_root(zero, root)
+        hermitian_signature_at_root(zero, roots)
 
 
 def test_non_hermitian_input_rejected():
@@ -128,7 +132,7 @@ def test_non_hermitian_input_rejected():
                  [[field.zero(), field.one()],
                   [field.elem([2]), field.zero()]]):
         with pytest.raises(ValueError):
-            hermitian_signature_at_root(Matrix(rows), root)
+            hermitian_signature_at_root(Matrix(rows), [root])
 
 
 def test_bar_matches_horner():
@@ -213,10 +217,39 @@ def test_multisignature_matches_old_helpers(monkeypatch):
         cyclic_block(P6, 2, Z, epsilon=-1),
     ]
     new = [dw_multisignature_laurent(f) for f in forms]
+
+    def charpoly_signatures(h, roots):
+        return [oracle.charpoly_signature_at_root(h, root) for root in roots]
+
     monkeypatch.setattr(laurent_forms, "hermitian_signature_at_root",
-                        oracle.charpoly_signature_at_root)
+                        charpoly_signatures)
     monkeypatch.setattr(laurent_forms, "_phase_sign", oracle.phase_sign)
     old = [dw_multisignature_laurent(f) for f in forms]
     assert new == old
     assert sum(len(ms.signatures) for ms in new) >= 12
 
+
+
+def test_one_diagonalization_per_level(monkeypatch):
+    # P12 has two roots on the circle; the rank-2 level-1 form is checked
+    # and diagonalized once and read at both
+    form = laurent_direct_sum(cyclic_block(P12, 1, ONE),
+                              cyclic_block(P12, 1, ONE))
+    eliminations, checks = [], []
+    pivots, bar = roots_module._congruence_pivots, Matrix.bar
+
+    def counting_pivots(*args):
+        eliminations.append(args)
+        return pivots(*args)
+
+    def counting_bar(self):
+        checks.append(self)
+        return bar(self)
+
+    monkeypatch.setattr(roots_module, "_congruence_pivots", counting_pivots)
+    monkeypatch.setattr(Matrix, "bar", counting_bar)
+    ms = dw_multisignature_laurent(form)
+    assert len(ms.roots) == 2
+    assert sorted(ms.signatures.values()) == [-4, 4]
+    assert len(eliminations) == 1
+    assert len(checks) == 1
