@@ -1,19 +1,23 @@
-"""Factorization of Laurent polynomials over Q.
+"""Factorization of Laurent polynomials over Q, on integers.
 
-Pipeline: strip the unit c*z^k, take the primitive integer part, split off
-squarefree parts (Yun), then factor each squarefree integer polynomial by the
-classical modular route: reduce modulo a small odd prime keeping the
-reduction squarefree, factor there (distinct-degree then Cantor-Zassenhaus
-splitting with a fixed RNG seed), Hensel-lift the factors above the Mignotte
-coefficient bound, and recombine subsets.  Non-monic inputs are handled by
-the monic substitution y = lc*x, which keeps every lift monic.
+Pipeline: strip the unit c*z^k, leaving the primitive integer polynomial f
+with leading coefficient b > 0.  An odd prime p (among the first eleven)
+with p not dividing b and f squarefree mod p certifies that f is
+squarefree over Q, since g^2 | f has lc(g) | b, so g^2 | f mod p keeps
+deg g; p is then the lifting prime.  Only without one does Yun's algorithm
+(`polys.squarefree_decomposition`) split f.  Each squarefree part is
+factored by Zassenhaus's modular route: factor b^-1 f mod p
+(distinct-degree, then Cantor-Zassenhaus with a fixed RNG seed),
+Hensel-lift the monic factors to p^k above twice 2^(n+1) |f|_2 b, and
+recombine subsets: the primitive part of lc * prod(u_i) mod p^k (symmetric
+range) is a factor exactly when it divides the rest over Z.
 
 Factors are returned as monic ordinary polynomials (LaurentPoly with lowest
 degree 0) together with multiplicities and the leftover unit, so that
 
     unit * prod(f_i ** m_i) == input
 
-holds exactly.
+holds exactly, checked as prod(g_i ** m_i) == f on integers.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from functools import reduce
+from math import gcd as int_gcd, isqrt
 
 from wittkit.errors import check
 from wittkit.exact import polys
@@ -39,13 +44,8 @@ def _ptrim(a: list[int]) -> list[int]:
 
 
 def _padd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _ptrim([c % p for c in out])
+    return _ptrim([(x + y) % p for x, y in
+                   itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def _psub(a, b, p):
@@ -151,8 +151,7 @@ def _equal_degree(f, d, p, rng):
     if n == d:
         return [f]
     while True:
-        a = [rng.randrange(p) for _ in range(n)]
-        a = _ptrim(a)
+        a = _ptrim([rng.randrange(p) for _ in range(n)])
         if len(a) <= 1:
             continue
         g = _pgcd(a, f, p)
@@ -224,78 +223,104 @@ def _symmetric(a, m):
     return [c - m if c > m // 2 else c for c in _zmod(a, m)]
 
 
+def _zmul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def _int_divides(cand, f):
-    """Exact division test of integer polynomials (cand monic)."""
+    """Quotient of f by cand over Z, or None when cand does not divide f."""
+    if not cand[0] or f[0] % cand[0]:  # most candidates fail here at once
+        return None
     r = list(f)
     q = [0] * max(len(r) - len(cand) + 1, 0)
+    lc = cand[-1]
     while len(r) >= len(cand):
-        c = r[-1]
+        c, rest = divmod(r[-1], lc)
+        if rest:
+            return None
         k = len(r) - len(cand)
         q[k] = c
         for i, y in enumerate(cand):
             r[k + i] -= c * y
         while r and r[-1] == 0:
             r.pop()
-    if r:
-        return None
-    return q
+    return None if r else q
 
 
-def _factor_squarefree_monic_int(f: list[int]) -> list[list[int]]:
-    """Irreducible monic integer factors of a monic squarefree integer poly."""
+def _factor_squarefree_int(f: list[int], p: int) -> list[list[int]]:
+    """Irreducible primitive factors of a primitive squarefree integer
+    polynomial f with positive leading coefficient b, given an odd prime p
+    with p not dividing b and f squarefree mod p."""
     n = len(f) - 1
     if n <= 1:
         return [f] if n == 1 else []
-    rng = random.Random(_RNG_SEED)
-    p = None
-    for cand in _odd_primes():
-        fp = _ptrim([c % cand for c in f])
-        if len(fp) - 1 != n:
-            continue
-        if len(_pgcd(fp, _pderiv(fp, cand), cand)) == 1:
-            p = cand
-            break
-    mod_factors = sorted(_factor_mod_p(_ptrim([c % p for c in f]), p, rng))
+    b = f[-1]
+    binv = pow(b, -1, p)
+    mod_factors = sorted(_factor_mod_p([c * binv % p for c in f], p,
+                                       random.Random(_RNG_SEED)))
     if len(mod_factors) == 1:
         return [f]
-    norm = isqrt(sum(c * c for c in f)) + 1
-    bound = 2 ** (n + 1) * norm
+    bound = 2 ** (n + 1) * (isqrt(sum(c * c for c in f)) + 1) * b
     target = p
     while target <= 2 * bound:
         target *= target
-    lifted = _hensel_lift(f, mod_factors, p, target)
+    binv = pow(b, -1, target)
+    lifted = _hensel_lift(_zmod([c * binv for c in f], target), mod_factors,
+                          p, target)
     result = []
     remaining = list(range(len(lifted)))
-    current = list(f)
+    current = f
     size = 1
     while 2 * size <= len(remaining):
-        found = False
         for combo in itertools.combinations(remaining, size):
-            prod = [1]
-            for i in combo:
-                prod = _pmul(prod, lifted[i], target)
-            cand = _symmetric(prod, target)
+            prod = reduce(lambda u, i: _pmul(u, lifted[i], target), combo,
+                          [current[-1]])
+            cand = _symmetric(prod, target)  # lc(cand) = lc(current) > 0
+            g = int_gcd(*cand)
+            cand = [c // g for c in cand]
             quot = _int_divides(cand, current)
             if quot is not None:
                 result.append(cand)
                 current = quot
                 remaining = [i for i in remaining if i not in combo]
-                found = True
                 break
-        if not found:
+        else:
             size += 1
-    if len(current) > 1:
-        result.append(current)
-    return result
+    return result + [current] if len(current) > 1 else result
 
 
 def _odd_primes():
-    yield from (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-    n = 55
+    n = 1
     while True:
         n += 2
         if all(n % d for d in range(3, isqrt(n) + 1, 2)):
             yield n
+
+
+def _lifting_prime(f: list[int], primes) -> int | None:
+    """The first of `primes` not dividing lc(f) with f squarefree mod p."""
+    for p in primes:
+        fp = _zmod(f, p)
+        if f[-1] % p and len(_pgcd(fp, _pderiv(fp, p), p)) == 1:
+            return p
+
+
+def _squarefree_parts(f: list[int]) -> list[tuple[list[int], int, int]]:
+    """(g, m, p): primitive squarefree g with prod(g^m) == f, each with its
+    lifting prime p.  A certificate prime among the first eleven odd ones
+    settles the squarefree case; Yun's algorithm runs only without one."""
+    p = _lifting_prime(f, itertools.islice(_odd_primes(), 11))
+    if p is not None:
+        return [(f, 1, p)]
+    parts = []
+    for sf, m in polys.squarefree_decomposition([Fraction(c) for c in f]):
+        g = polys.content_primitive(sf)[1]
+        parts.append((g, m, _lifting_prime(g, _odd_primes())))
+    return parts
 
 
 # ---- driver ----
@@ -310,50 +335,12 @@ def factor_rational_poly(p: LaurentPoly) -> tuple[LaurentPoly, list[tuple[Lauren
     if p.is_zero():
         raise ValueError("cannot factor zero")
     dense, k = p.ordinary()
-    factors: list[tuple[LaurentPoly, int]] = []
-    for sf, mult in polys.squarefree_decomposition(dense):
-        _, prim = polys.content_primitive(sf)
-        for g in _factor_primitive_int(prim):
-            glp = LaurentPoly.from_dense(polys.monic([Fraction(x) for x in g]))
-            factors.append((glp, mult))
+    f = polys.content_primitive(dense)[1]
+    int_factors = [(g, m) for sf, m, q in _squarefree_parts(f)
+                   for g in _factor_squarefree_int(sf, q)]
+    prod = reduce(_zmul, (g for g, m in int_factors for _ in range(m)), [1])
+    check(prod == f, "factorization lost a factor")
+    factors = [(LaurentPoly.from_dense([Fraction(c, g[-1]) for c in g]), m)
+               for g, m in int_factors]
     factors.sort(key=lambda fm: (fm[0].max_deg(), sorted(fm[0].coeffs.items())))
-    prod = LaurentPoly.one()
-    for f, m in factors:
-        prod = prod * f**m
-    # whatever is left over is the unit c * z^k
-    quot_dense, rem = polys.divmod_poly(dense, prod.ordinary()[0])
-    check(not rem and polys.deg(quot_dense) == 0,
-          "factorization lost a factor")
-    unit_scalar = quot_dense[0]
-    unit = LaurentPoly.monomial(unit_scalar, k)
-    return unit, factors
-
-
-def _factor_primitive_int(f: list[int]) -> list[list[int]]:
-    """Monic-substitution wrapper: factors a primitive squarefree integer
-    polynomial, returning integer factor polynomials (not necessarily monic
-    after mapping back; callers normalize)."""
-    n = len(f) - 1
-    if n <= 0:
-        return []
-    if n == 1:
-        return [f]
-    lc = f[-1]
-    if lc == 1:
-        monic_f = list(f)
-        scale = 1
-    else:
-        # y = lc * x turns f into a monic polynomial in y of the same degree
-        scale = lc
-        monic_f = [c * lc ** (n - 1 - i) for i, c in enumerate(f[:-1])] + [1]
-    parts = _factor_squarefree_monic_int(monic_f)
-    if scale == 1:
-        return parts
-    out = []
-    for part in parts:
-        d = len(part) - 1
-        mapped = [c * scale**i for i, c in enumerate(part)]
-        _, prim = polys.content_primitive([Fraction(c) for c in mapped])
-        out.append(prim)
-    return out
-
+    return LaurentPoly.monomial(dense[-1], k), factors

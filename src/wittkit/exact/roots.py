@@ -13,13 +13,14 @@ When every root of a monic integral factor of degree n lies on the circle
 Phi_e by Kronecker's theorem, with e at most 2 n^2 since phi(e) >=
 sqrt(e/2); `knots` reads the singular Levine-Tristram turns from this.
 
-Signatures come from one congruence diagonalization, over Q for symmetric
-rational matrices and over a residue field with its involution for
-hermitian ones.  A hermitian pivot is fixed by the involution, so it is real
-at the root and equal to its real part there, a rational polynomial in y
-(`polys.cos_poly`) whose sign at y0 is certified as above.  A hermitian
-form is diagonalized once and its pivots are read at every root of the
-field's modulus.
+Signatures come from one congruence elimination yielding the leading
+minors d_k, the signature being the sum of sign(d_k) sign(d_(k-1)): on
+integers (Bareiss) for symmetric rational matrices, over a residue field
+with its involution for hermitian ones.  A hermitian minor is fixed by the
+involution, so it is real at the root and equal to its real part there, a
+rational polynomial in y (`polys.cos_poly`) whose sign at y0 is certified
+as above.  A hermitian form is eliminated once and its minors are read at
+every root of the field's modulus.
 """
 
 from __future__ import annotations
@@ -154,15 +155,17 @@ def unit_circle_roots(
     return out
 
 
-def _congruence_pivots(a: list, bar) -> list:
-    """Pivots of a congruence diagonalization of the hermitian matrix with
-    rows `a` (consumed) over a field with involution `bar`.  With no
-    nonzero diagonal entry left, adding c times row j and bar(c) times
-    column j to row and column i makes a_ii = c bar(a_ij) + bar(c) a_ij:
-    c = 1 unless a_ij + bar(a_ij) = 0 (never over Q), else c = a_ij, which
-    gives 2 a_ij bar(a_ij).  A zero block left over means the form is
-    singular."""
-    pivots = []
+def _congruence_pivots(a: list, bar, divider) -> list:
+    """Leading principal minors d_k of a matrix congruent to the hermitian
+    one with rows `a` (consumed), by Bareiss's symmetric elimination: past
+    d_k, an entry x of row r becomes (d_k x - r_k y) / d_(k-1), y in the
+    pivot row, by the exact division `divider(d_(k-1))`.  With no nonzero
+    diagonal left, adding c times row j and bar(c) times column j to row
+    and column i makes a_ii = c bar(a_ij) + bar(c) a_ij: c = 1 unless
+    a_ij + bar(a_ij) = 0 (never over Z), else c = a_ij; this is linear in
+    the rows, so the divisions stay exact.  A zero block left over means
+    the form is singular."""
+    minors, div = [], lambda x: x  # d_0 = 1
     while a:
         k = next((i for i in range(len(a)) if a[i][i]), None)
         if k is None:
@@ -177,30 +180,35 @@ def _congruence_pivots(a: list, bar) -> list:
                 row[k] += row[j] * cbar
         row = a.pop(k)
         piv = row.pop(k)
-        pivots.append(piv)
-        if a:  # an inverse in a large residue field is costly
-            inv = 1 / piv
-            row = [y * inv for y in row]
-            a = [[x - r[k] * y for x, y in zip(r[:k] + r[k + 1:], row)]
-                 for r in a]
-    return pivots
+        minors.append(piv)
+        if a:
+            a = [[div(piv * x - r[k] * y)
+                  for x, y in zip(r[:k] + r[k + 1:], row)] for r in a]
+            div = divider(piv)
+    return minors
 
 
 def hermitian_signature_at_root(h: Matrix, roots: list) -> list[int]:
     """Signatures of a hermitian matrix over Q[z]/(factor), one per root in
-    `roots`, at the embeddings z -> e^{i*theta}: one diagonalization, each
-    pivot's real part in y taken once and its sign read at every root.
-    Entries must be ResidueElem over a self-conjugate field; a matrix with
-    bar(h)^T != h is refused with ValueError."""
+    `roots`, at the embeddings z -> e^{i*theta}: one elimination, each
+    leading minor's real part in y taken once and its sign read at every
+    root.  Entries must be ResidueElem over a self-conjugate field; a
+    matrix with bar(h)^T != h is refused with ValueError, a singular one
+    with SingularForm."""
     if h != h.bar().transpose():
         raise ValueError("matrix is not hermitian")
-    pivots = [polys.cos_poly(piv.coeffs) for piv in _congruence_pivots(
-        [list(row) for row in h.rows], lambda x: x.bar())]
-    return [sum(root.sign_of(g) for g in pivots) for root in roots]
+    minors = [polys.cos_poly(d.coeffs) for d in _congruence_pivots(
+        [list(row) for row in h.rows], lambda x: x.bar(),
+        lambda d: (1 / d).__mul__)]
+    signs = ([1] + [root.sign_of(g) for g in minors] for root in roots)
+    return [sum(a * b for a, b in zip(s, s[1:])) for s in signs]
 
 
 def signature_of_symmetric(m: Matrix) -> int:
-    """Signature of a nonsingular symmetric rational matrix by congruence
-    diagonalization."""
-    return sum(1 if piv > 0 else -1 for piv in _congruence_pivots(
-        [[Fraction(x) for x in row] for row in m.rows], lambda x: x))
+    """Signature of a nonsingular symmetric rational matrix (SingularForm
+    otherwise), eliminated on integer rows scaled by the denominators' lcm."""
+    den = math.lcm(*(x.denominator for row in m.rows for x in row))
+    s = [1] + [_sign(d) for d in _congruence_pivots(
+        [[x.numerator * (den // x.denominator) for x in row]
+         for row in m.rows], int, lambda d: d.__rfloordiv__)]
+    return sum(a * b for a, b in zip(s, s[1:]))

@@ -173,9 +173,13 @@ def _signature_at_u(psi: Matrix, u: Fraction) -> int:
     (1-omega) psi + (1-conj(omega)) psi^T = 2 sin(pi t) cos(pi t) (u S + i K)
     with S = psi + psi^T and K = psi^T - psi, whose signature is half that
     of the real symmetric [[u S, -K], [K, u S]] (times u's denominator)."""
-    s = (psi + psi.transpose()).scale(u.numerator)
-    kk = (psi.transpose() - psi).scale(u.denominator)
-    return signature_of_symmetric(s.hstack(-kk).vstack(kk.hstack(s))) // 2
+    n, d = u.numerator, u.denominator
+    a = [[x.numerator for x in row] for row in psi.rows]  # psi is integral
+    pairs = [list(zip(row, col)) for row, col in zip(a, zip(*a))]
+    rows = [[n * (x + y) for x, y in r] + [d * (x - y) for x, y in r]
+            for r in pairs] + [[d * (y - x) for x, y in r]
+                               + [n * (x + y) for x, y in r] for r in pairs]
+    return signature_of_symmetric(Matrix(rows)) // 2
 
 
 def _two_cos_bracket(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:

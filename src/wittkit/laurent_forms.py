@@ -410,7 +410,8 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
     """Level-l auxiliary form at a self-conjugate irreducible factor: on the
     divisor classes of exact p-valuation l, the residue of p^l lambda(u_i,
     u_j) mod p, normalized to a hermitian form by a Hilbert-90 unit;
-    `hermitian_signature_at_root` checks that it is hermitian."""
+    `hermitian_signature_at_root` refuses it unless hermitian and
+    nonsingular; a skew one is checked where its rank is read."""
     p = _monic_ordinary(_as_laurent(p))
     unit_p = is_self_conjugate(p)
     if unit_p is None:
@@ -456,8 +457,6 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
         ubar = u.bar()
         aux = AuxiliaryHermitian(p, l, field, gram0.map(lambda x: ubar * x),
                                  1, u)
-    if idx and aux.gram.det().is_zero():
-        raise SingularForm("auxiliary form is singular over the residue field")
     return aux
 
 
@@ -575,6 +574,8 @@ def dw_multisignature_laurent(
         for l in levels:
             aux = auxiliary_hermitian(form, p, l)
             if aux.symmetry != 1:  # z = +-1 with a skew form
+                if aux.gram.det().is_zero():
+                    raise SingularForm("auxiliary form is singular")
                 out.rank_only[(pk, l)] = aux.rank
                 continue
             sigs = hermitian_signature_at_root(aux.gram, roots)

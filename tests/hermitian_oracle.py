@@ -7,7 +7,9 @@ rational polynomial in y = z + 1/z by solving for the involution-fixed
 subfield, and the eigenvalues of each sign counted by Descartes' rule.
 Beside it, the Chebyshev families Q_j and S_j, each walked from the start
 of its recurrence, which the old `palindromic_to_y` and `_phase_sign`
-summed term by term."""
+summed term by term; and the congruence diagonalization over a field that
+the fraction-free elimination replaced, whose pivots are `Fraction`s (or
+field elements) divided out one row at a time."""
 
 from __future__ import annotations
 
@@ -170,3 +172,49 @@ def descartes_signature_at_root(in_y, root) -> int:
 def charpoly_signature_at_root(h, root) -> int:
     """The old `hermitian_signature_at_root`."""
     return descartes_signature_at_root(charpoly_in_y(h), root)
+
+
+# ---- congruence pivots over a field ----
+
+def congruence_pivots(a: list, bar) -> list:
+    """Pivots of a congruence diagonalization of the hermitian matrix with
+    rows `a` (consumed) over a field with involution `bar`; the zero-diagonal
+    step adds c times row j and bar(c) times column j to row and column i,
+    with c = 1 unless a_ij + bar(a_ij) = 0, else c = a_ij."""
+    pivots = []
+    while a:
+        k = next((i for i in range(len(a)) if a[i][i]), None)
+        if k is None:
+            k, j = next(((i, j) for i, row in enumerate(a)
+                         for j, x in enumerate(row) if x), (None, None))
+            if k is None:
+                raise SingularForm("form is singular")
+            e, ebar = a[k][j], bar(a[k][j])
+            c, cbar = (1, 1) if e + ebar else (e, ebar)
+            a[k] = [x + c * y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j] * cbar
+        row = a.pop(k)
+        piv = row.pop(k)
+        pivots.append(piv)
+        if a:
+            inv = 1 / piv
+            row = [y * inv for y in row]
+            a = [[x - r[k] * y for x, y in zip(r[:k] + r[k + 1:], row)]
+                 for r in a]
+    return pivots
+
+
+def fraction_signature_of_symmetric(m) -> int:
+    """Signature of a nonsingular symmetric rational matrix from its
+    `Fraction` pivots."""
+    return sum(1 if piv > 0 else -1 for piv in congruence_pivots(
+        [[Fraction(x) for x in row] for row in m.rows], lambda x: x))
+
+
+def pivot_signatures_at_root(h, roots) -> list[int]:
+    """The hermitian signatures at `roots` from field pivots, each pivot's
+    real part in y read at every root."""
+    pivots = [polys.cos_poly(piv.coeffs) for piv in congruence_pivots(
+        [list(row) for row in h.rows], lambda x: x.bar())]
+    return [sum(root.sign_of(g) for g in pivots) for root in roots]

@@ -1,5 +1,11 @@
-"""Factorization over Q[z, 1/z], cross-checked against sympy."""
+"""Factorization over Q[z, 1/z], cross-checked against sympy and against
+the route through the monic substitution and `Fraction` Yun that the
+integer factorizer replaced (`factor_oracle`)."""
 
+import itertools
+import json
+import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,9 +13,18 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from wittkit.errors import InvariantViolated
-from wittkit.exact import factor
+from wittkit.exact import factor, polys
 from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
+from wittkit.knots import (
+    KnotInput,
+    _det_one_minus,
+    connected_sum,
+    knot_inverse,
+)
+
+import factor_oracle
+from lt_oracle import cyclotomic_polynomial
 
 F = Fraction
 z = LaurentPoly.z()
@@ -25,9 +40,9 @@ def rand_int_poly():
 
 def drop_last_factor(monkeypatch):
     """Make the factorization lose the last irreducible factor it finds."""
-    found = factor._factor_primitive_int
-    monkeypatch.setattr(factor, "_factor_primitive_int",
-                        lambda f: found(f)[:-1])
+    found = factor._factor_squarefree_int
+    monkeypatch.setattr(factor, "_factor_squarefree_int",
+                        lambda f, p: found(f, p)[:-1])
 
 
 def reassemble(unit, factors):
@@ -107,3 +122,115 @@ def test_lost_factor_is_an_invariant_violation(monkeypatch):
     for p in (z**2 - z + 1, (z - 1) * (z**2 + 1), 3 * z**-2 * (z + 2)):
         with pytest.raises(InvariantViolated, match="lost a factor"):
             factor_rational_poly(p)
+
+
+# ---- against the monic-substitution oracle and sympy ----
+
+def from_ints(cs):
+    return LaurentPoly.from_dense([F(c) for c in cs])
+
+
+def fixture_knot(name):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    return KnotInput(doc["name"], doc["psi"], doc["epsilon"])
+
+
+def sympy_factors(p):
+    """sympy's factors over Q as {monic coefficient tuple: multiplicity},
+    with z^k left out as part of the unit."""
+    x = sympy.Symbol("x")
+    dense, _ = p.ordinary()
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
+               for i, c in enumerate(dense))
+    out = {}
+    for g, m in sympy.factor_list(expr)[1]:
+        cs = [F(int(c)) for c in reversed(sympy.Poly(g, x).all_coeffs())]
+        out[tuple(c / cs[-1] for c in cs)] = m
+    return out
+
+
+def assert_matches_oracles(p):
+    got = factor_rational_poly(p)
+    assert got == factor_oracle.factor_rational_poly(p), p
+    assert {tuple(f.ordinary()[0]): m for f, m in got[1]} \
+        == sympy_factors(p), p
+    return got
+
+
+def yun_calls(monkeypatch, p):
+    """How often factoring p runs Yun's squarefree decomposition."""
+    calls = []
+    yun = polys.squarefree_decomposition
+    monkeypatch.setattr(polys, "squarefree_decomposition",
+                        lambda q: calls.append(q) or yun(q))
+    factor_rational_poly(p)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_random_non_monic_products_with_repeats():
+    rng = random.Random(1717)
+    split = 0
+    for _ in range(40):
+        p = LaurentPoly.monomial(F(rng.randint(1, 9), rng.randint(1, 9)),
+                                 rng.randint(-3, 3))
+        for _ in range(rng.randint(1, 4)):
+            cs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+            cs.append(rng.choice([-1, 1]) * rng.randint(2, 6))
+            p = p * from_ints(cs) ** rng.randint(1, 3)
+        _, factors = assert_matches_oracles(p)
+        split += len(factors) > 1 or any(m > 1 for _, m in factors)
+    assert split > 30
+
+
+def test_swinnerton_dyer_and_cyclotomic_products():
+    sd2 = from_ints([1, 0, -10, 0, 1])  # sqrt 2 + sqrt 3
+    sd3 = from_ints([576, 0, -960, 0, 352, 0, -40, 0, 1])  # + sqrt 5
+    phi = {d: LaurentPoly.from_dense(cyclotomic_polynomial(d))
+           for d in (1, 2, 3, 4, 5, 6, 8, 12, 15, 24, 30)}
+    cases = [sd2, sd3, sd2 * sd3, sd2**2 * from_ints([-2, 0, 3]),
+             phi[12] * phi[24] * phi[30], phi[1] ** 2 * phi[2] * phi[6] ** 3,
+             phi[3] * phi[4] * phi[5] * phi[8] * phi[15] * z**-7,
+             sd3 * phi[24] ** 2 * from_ints([3, 5])]
+    for p in cases:
+        assert_matches_oracles(p)
+    # every irreducible here splits modulo every prime
+    assert factor_rational_poly(sd3)[1] == [(sd3, 1)]
+
+
+def test_squarefree_without_a_small_certificate_prime(monkeypatch):
+    # 1..40 collide modulo every odd prime up to 37, so only Yun can tell
+    # that prod (z - i) is squarefree; the factor z is part of the unit
+    p = LaurentPoly.one()
+    for i in range(41):
+        p = p * (z - i)
+    f = polys.content_primitive(p.ordinary()[0])[1]
+    assert factor._lifting_prime(f, itertools.islice(
+        factor._odd_primes(), 11)) is None
+    assert yun_calls(monkeypatch, p) == 1
+    unit, factors = assert_matches_oracles(p)
+    assert unit == z
+    assert factors == [(z - i, 1) for i in range(40, 0, -1)]
+
+
+def test_connected_sum_with_inverse_squares_the_alexander_polynomial(
+        monkeypatch):
+    knots = [KnotInput("trefoil", [[-1, 1], [0, -1]], -1),
+             KnotInput("5_2", [[-2, 1], [0, -1]], -1), fixture_knot("scale-6")]
+    for k in knots:
+        square = _det_one_minus(connected_sum(k, knot_inverse(k)))
+        assert yun_calls(monkeypatch, square) == 1
+        _, factors = assert_matches_oracles(square)
+        single = factor_rational_poly(_det_one_minus(k))[1]
+        assert factors == [(f, 2 * m) for f, m in single]
+
+
+@pytest.mark.parametrize("name", ["scale-6", "scale-7", "scale-10"])
+def test_ladder_fixtures(name, monkeypatch):
+    p = _det_one_minus(fixture_knot(name))
+    # a squarefree D is certified by a small prime, without Yun
+    assert yun_calls(monkeypatch, p) == 0
+    _, factors = assert_matches_oracles(p)
+    assert all(m == 1 for _, m in factors)

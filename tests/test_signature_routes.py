@@ -3,8 +3,10 @@
 `hermitian_signature_at_root` is one congruence diagonalization whose
 pivots are read through `polys.cos_poly` at every root of the field;
 `hermitian_oracle` keeps the characteristic polynomial, fixed-subfield and
-Descartes route it replaced, and the Chebyshev sums behind the old
-`palindromic_to_y` and `_phase_sign`.
+Descartes route it replaced, the Chebyshev sums behind the old
+`palindromic_to_y` and `_phase_sign`, and the congruence pivots over a
+field that the fraction-free elimination of `signature_of_symmetric`
+replaced.
 Every comparison asks for equal answers, or `SingularForm` on both sides."""
 
 import random
@@ -19,12 +21,18 @@ from wittkit.exact import roots as roots_module
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.residue import ResidueElem, ResidueField
-from wittkit.exact.roots import hermitian_signature_at_root, unit_circle_roots
+from wittkit.exact.roots import (
+    hermitian_signature_at_root,
+    signature_of_symmetric,
+    unit_circle_roots,
+)
+from wittkit.knots import _signature_at_u
 from wittkit.laurent_forms import dw_multisignature_laurent
 
 import hermitian_oracle as oracle
 from covering_oracle import laurent_direct_sum
 from lt_oracle import cyclotomic_polynomial
+from test_knots import seeded_seifert_knot
 from test_laurent_forms import P6, P12, ONE, Z, cyclic_block
 
 # self-conjugate moduli: z - 1, z + 1, Phi_3, Phi_5, Phi_12, Phi_15, and
@@ -104,6 +112,7 @@ def test_hermitian_signature_matches_charpoly_route():
                 in_y, root) for root in roots])
             assert outcome(hermitian_signature_at_root, h, roots) == want, (
                 field.modulus, h)
+            assert outcome(oracle.pivot_signatures_at_root, h, roots) == want
             tally["singular" if want == "singular" else "signature"] += len(
                 roots)
     assert tally["singular"] > 30 and tally["signature"] > 120
@@ -253,3 +262,65 @@ def test_one_diagonalization_per_level(monkeypatch):
     assert sorted(ms.signatures.values()) == [-4, 4]
     assert len(eliminations) == 1
     assert len(checks) == 1
+
+
+# ---- symmetric signatures: fraction-free against Fraction pivots ----
+
+def rand_symmetric(rng, n, den, kind):
+    """A symmetric n x n matrix with entries k / den_ij: dense, with zero
+    diagonal, or singular (a repeated row and column)."""
+    a = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and kind != "dense":
+                continue
+            x = F(rng.randint(-5, 5), rng.randint(1, den))
+            a[i][j] = a[j][i] = x
+    if kind == "singular" and n > 1:
+        a[-1] = list(a[0])
+        for row in a:
+            row[-1] = row[0]
+    return Matrix(a)
+
+
+def test_symmetric_signature_matches_fraction_pivots():
+    rng = random.Random(4242)
+    tally = {"singular": 0, "signature": 0}
+    for trial in range(600):
+        n = 1 + trial % 8
+        kind = ("dense", "zero-diagonal", "zero-diagonal", "singular")[
+            trial % 4]
+        m = rand_symmetric(rng, n, 1 if trial % 3 else 6, kind)
+        want = outcome(oracle.fraction_signature_of_symmetric, m)
+        assert outcome(signature_of_symmetric, m) == want, m
+        tally["singular" if want == "singular" else "signature"] += 1
+    assert tally["singular"] > 100 and tally["signature"] > 400
+
+
+def test_symmetric_signature_refuses_singular():
+    for rows in ([[0]], [[0, 0], [0, 0]], [[1, 2], [2, 4]],
+                 [[0, F(1, 2), 0], [F(1, 2), 0, 0], [0, 0, 0]]):
+        with pytest.raises(SingularForm):
+            signature_of_symmetric(Matrix(rows))
+
+
+def test_levine_tristram_matrices_match_fraction_pivots():
+    # the [[u S, -K], [K, u S]] matrices of the step-function knots, built
+    # from Fraction matrices as before and on integers by _signature_at_u
+    rng = random.Random(2026)
+    compared = nonzero = 0
+    for rank in range(2, 9, 2):
+        for epsilon in (-1, 1):
+            psi = seeded_seifert_knot(rng, rank, epsilon).psi
+            for u in (F(1, 20), F(1, 7), F(1, 3), F(1, 2), F(2, 3), F(1),
+                      F(3, 2), F(31, 16), F(3), F(5), F(9), F(40)):
+                s = (psi + psi.transpose()).scale(u.numerator)
+                kk = (psi.transpose() - psi).scale(u.denominator)
+                m = s.hstack(-kk).vstack(kk.hstack(s))
+                want = outcome(oracle.fraction_signature_of_symmetric, m)
+                assert outcome(signature_of_symmetric, m) == want
+                half = want if want == "singular" else want // 2
+                assert outcome(_signature_at_u, psi, u) == half, (psi, u)
+                compared += 1
+                nonzero += want not in (0, "singular")
+    assert compared == 96 and nonzero > 12
