@@ -118,10 +118,11 @@ class LaurentModule:
 
     A covering module is a Q-space V with z acting as an automorphism h;
     basis_change is then the Q-basis P of V, columns h^a g_i (a < deg d_i)
-    in the coordinates of the presentation, which traces generators back
-    to the presentation basis.  It is None for other modules."""
+    in the coordinates of the form's space (Q^n, or Q^n around Trotter's
+    part R for a Seifert form), which traces generators back to the form.
+    It is None for other modules.  No presentation over Q[z, z^-1] is
+    kept: V and h are the module."""
 
-    presentation: Matrix
     divisors: list
     basis_change: Matrix | None
     torsion_mode: str
@@ -226,20 +227,21 @@ def _fitting_power(e: Matrix, c=1) -> Matrix:
     return power
 
 
-def _pencil_reduction(e: Matrix, c=1) -> tuple[Matrix, Matrix, Matrix]:
+def _pencil_reduction(e: Matrix, c=1) -> tuple[Matrix, Matrix]:
     """The pencil (z - c) e + 1 over Q[z, z^-1].  On ker (e(1 - ce))^n it is
     unimodular (e or 1 - ce is nilpotent there, the other invertible), so
     that part dies in its cokernel; on R = im (e(1 - ce))^n it is e(z - h)
-    with h = c - (e|R)^-1 invertible.  Returns R's basis (columns), e|R
-    and h in its coordinates; all empty when R = 0."""
+    with h = c - (e|R)^-1 invertible.  Returns R's basis b (columns) and h
+    in its coordinates, both empty when R = 0; e|R, with e b = b e|R, is
+    read off b's unit rows and stays here."""
     basis, sel = _fitting_power(e, c).transpose().rref()
     if not basis:
-        return Matrix([]), Matrix([]), Matrix([])
+        return Matrix([]), Matrix([])
     # R's basis vectors are 1 at their own index of sel and 0 at the others
     b = Matrix(basis).transpose()
     eb = (e * b).rows
     e_r = Matrix([eb[s] for s in sel])
-    return b, e_r, Matrix.identity(len(sel)).scale(c) - e_r.inverse()
+    return b, Matrix.identity(len(sel)).scale(c) - e_r.inverse()
 
 
 def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
@@ -256,7 +258,7 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
     P mode additionally demands every divisor be invertible at z = 1, the
     condition that makes 1 - z act invertibly on the module.  The cost is
     cubic in N, so a presentation of high degree d is far slower here than
-    by Euclid over Q[z, z^-1]."""
+    by Euclid over Q[z, z^-1].  The module keeps the divisors, not A."""
     if torsion_mode not in ("P", "Q"):
         raise ValueError("torsion_mode must be 'P' or 'Q'")
     rows = presentation.rows if isinstance(presentation, Matrix) else presentation
@@ -283,13 +285,13 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
         break
     else:
         raise NotTorsion("presentation is singular over the fraction field")
-    h = _pencil_reduction(pencil_inv * big_b, c)[2]
+    h = _pencil_reduction(pencil_inv * big_b, c)[1]
     divisors = [LaurentPoly.from_dense(mu) for _, mu in _frobenius(h.rows)]
     if torsion_mode == "P":
         for div in divisors:
             if div(1) == 0:
                 raise NotPTorsion(f"divisor {div!r} vanishes at z = 1")
-    return LaurentModule(m, divisors, None, torsion_mode)
+    return LaurentModule(divisors, None, torsion_mode)
 
 
 def level_multiplicities(module: LaurentModule, p) -> dict[int, int]:

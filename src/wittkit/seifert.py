@@ -14,11 +14,11 @@ which `canonical_identification` returns.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from wittkit.errors import (
     NotEInvariant,
     SingularAutometricForm,
+    SingularMatrix,
     SingularSeifertForm,
     check,
 )
@@ -47,7 +47,8 @@ def _is_integral(m: Matrix) -> bool:
 class SeifertForm:
     """(K, psi) with theta = psi + eps psi^T invertible; e = theta^{-1} psi
     satisfies psi = theta e exactly.  In Z mode theta must be unimodular,
-    which keeps e integral."""
+    which keeps e integral: det(theta) det(theta^-1) = 1, so an integral
+    theta is unimodular exactly when its inverse is integral."""
 
     def __init__(self, psi, epsilon: int, coefficients: str = "Z"):
         if epsilon not in (1, -1):
@@ -63,13 +64,14 @@ class SeifertForm:
         self.epsilon = epsilon
         self.coefficients = coefficients
         self.theta = psi + psi.transpose().map(lambda x: x * epsilon)
-        det = self.theta.det() if psi.nrows else Fraction(1)
-        if det == 0:
-            raise SingularSeifertForm("psi + eps psi^T is singular")
-        if coefficients == "Z" and abs(det) != 1:
+        try:
+            inverse = self.theta.inverse()
+        except SingularMatrix:
+            raise SingularSeifertForm("psi + eps psi^T is singular") from None
+        if coefficients == "Z" and not _is_integral(inverse):
             raise SingularSeifertForm(
                 "psi + eps psi^T is not unimodular over Z")
-        self.e = self.theta.inverse() * psi if psi.nrows else Matrix([])
+        self.e = inverse * psi
 
     @property
     def rank(self) -> int:
@@ -136,29 +138,29 @@ class SeifertSubmodule:
 # covering functors
 # ---------------------------------------------------------------------------
 
-def _covering_module(pres: Matrix, mode: str, h: Matrix,
+def _covering_module(mode: str, h: Matrix,
                      embed=None) -> tuple[LaurentModule, list]:
-    """coker(pres), a Q-space with z acting as h, with the Krylov blocks of
-    `_frobenius`; embed (None: identity) maps the Q-basis into pres's."""
+    """The Q-space with z acting as h, with the Krylov blocks of
+    `_frobenius`; embed (None: identity) maps its Q-basis into the form's
+    space."""
     blocks = _frobenius(h.rows)
     basis = Matrix([x for xs, _ in blocks for x in xs]).transpose()
     module = LaurentModule(
-        pres, [LaurentPoly.from_dense(m) for _, m in blocks],
+        [LaurentPoly.from_dense(m) for _, m in blocks],
         basis if embed is None else embed * basis, mode)
     return module, blocks
 
 
-def _seifert_module(f: SeifertForm) -> tuple[LaurentModule, list, tuple]:
-    """The covering module of f, presented by (1-e) + ez: Trotter's
+def _seifert_module(f: SeifertForm) -> tuple[LaurentModule, list, Matrix,
+                                             Matrix]:
+    """The covering module of f, the cokernel of (1-e) + ez: Trotter's
     nonsingular part R with z acting as h = 1 - (e|R)^-1; also its Krylov
-    blocks and `_pencil_reduction`'s (b, e|R, h).  No pairing is built."""
-    reduction = _pencil_reduction(f.e)
-    b, _, h = reduction
+    blocks and `_pencil_reduction`'s R basis b and h.  No pairing is
+    built."""
+    b, h = _pencil_reduction(f.e)
     if not h.rows:
-        return LaurentModule(Matrix([]), [], None, "P"), [], reduction
-    pres = f.e.map(lambda x: LaurentPoly({0: -x, 1: x})) + Matrix.identity(
-        f.rank, LaurentPoly.one())
-    return (*_covering_module(pres, "P", h, b), reduction)
+        return LaurentModule([], None, "P"), [], b, h
+    return (*_covering_module("P", h, b), b, h)
 
 
 def _pairing_entry(c: list, m: list, s: list) -> RatFunc:
@@ -171,11 +173,10 @@ def _pairing_entry(c: list, m: list, s: list) -> RatFunc:
 
 
 def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
-                   h: Matrix, epsilon: int,
-                   isometric: bool) -> LaurentLinkingForm:
+                   h: Matrix, epsilon: int) -> LaurentLinkingForm:
     """The epsilon-symmetric covering form on a `_covering_module`,
     certified over Q and built unchecked.  theta is the form on its Q-space
-    (on R in P mode); isometric says that h preserves it.  With
+    (on R in P mode) and h the action of z there.  With
     A = (z^-1 - h)^-1, lambda(x, y) = s z^-1 theta'(x, A y), where s = -1
     and theta' = theta (Q mode) or s = 1 - z and theta'(x, y) =
     theta(x, (1-h) y) = theta(x, e^-1 y) (P mode): conjugate-linear in y,
@@ -184,9 +185,9 @@ def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
     z^(b+1-a) h^b makes lambda(g_i, g_j) = s N / m*, with m* = z^D m(1/z)
     and N_k = sum_{a >= D-k} m_a theta'(g_i, h^(k-D+a) g_j).
 
-    The three checks below stand in for `_validate` over Q(z): theta
-    (-epsilon)-symmetric and nonsingular, and h an isometry of it, give,
-    modulo Q[z, z^-1],
+    The three checks below serve both functors and stand in for `_validate`
+    over Q(z): theta (-epsilon)-symmetric and nonsingular, and h an
+    isometry of it, give, modulo Q[z, z^-1],
     - symmetry: h's adjoint is h^-1, and (z - h^-1)^-1 = z^-1 - z^-2 A and
       h^-1 A = z (h^-1 + A) turn bar lambda(y, x) into epsilon lambda(x, y);
     - annihilation: these and A h = z^-1 A - 1 give lambda(h x, y) =
@@ -199,7 +200,8 @@ def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
     check(theta == theta.transpose().scale(-epsilon),
           "covering theta is not symmetric")
     check(theta.det() != 0, "covering theta is singular")
-    check(isometric, "h is not an isometry of the covering theta")
+    check(h.transpose() * theta * h == theta,
+          "h is not an isometry of the covering theta")
     s = [Fraction(-1)]
     if module.torsion_mode == "P":
         s = [Fraction(1), Fraction(-1)]
@@ -219,16 +221,14 @@ def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
     the P-torsion module presented by (1-e) + ez; (-eps)-symmetric.  The
     pencil is unimodular on ker (e(1-e))^n, so the module is Trotter's
     nonsingular part R = im (e(1-e))^n, where (1-e) + ez = e(z - h) with
-    h = 1 - e^-1.  psi = theta e gives e^T theta = theta (1 - e); on R this
-    linear identity and (1 - h) e|R = 1 make h an isometry of theta|R."""
-    module, blocks, (b, e_r, h) = _seifert_module(f)
+    h = 1 - e^-1.  psi = theta e gives e^T theta = theta (1 - e), which
+    makes h an isometry of theta|R; `_covering_form` checks that on the
+    h it is handed."""
+    module, blocks, b, h = _seifert_module(f)
     if module.is_zero:
         return LaurentLinkingForm(module, [], -f.epsilon, validate=False)
-    theta = b.transpose() * f.theta * b
-    ident = Matrix.identity(h.nrows)
-    isometric = (e_r.transpose() * theta == theta * (ident - e_r)
-                 and (ident - h) * e_r == ident)
-    return _covering_form(module, blocks, theta, h, -f.epsilon, isometric)
+    return _covering_form(module, blocks, b.transpose() * f.theta * b, h,
+                          -f.epsilon)
 
 
 def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
@@ -236,13 +236,10 @@ def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
     Q-torsion module presented by z - h, which is Q^n with z acting as h;
     (-eps)-symmetric."""
     if f.rank == 0:
-        return LaurentLinkingForm(LaurentModule(Matrix([]), [], None, "Q"),
-                                  [], -f.epsilon, validate=False)
-    isometric = f.h.transpose() * f.theta * f.h == f.theta
-    pres = f.h.map(lambda x: LaurentPoly.const(-x)) + Matrix.identity(
-        f.rank, LaurentPoly.z())
-    module, blocks = _covering_module(pres, "Q", f.h)
-    return _covering_form(module, blocks, f.theta, f.h, -f.epsilon, isometric)
+        return LaurentLinkingForm(LaurentModule([], None, "Q"), [],
+                                  -f.epsilon, validate=False)
+    module, blocks = _covering_module("Q", f.h)
+    return _covering_form(module, blocks, f.theta, f.h, -f.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +309,6 @@ def verify_roundtrip(f: AutometricForm) -> bool:
 # lagrangians
 # ---------------------------------------------------------------------------
 
-def _solve_membership(basis: Matrix, vec: list, integral: bool) -> bool:
-    """Is vec in the column span of basis (lattice span when integral)?"""
-    if basis.ncols == 0:
-        return all(x == 0 for x in vec)
-    aug = basis.hstack(Matrix([[v] for v in vec]))
-    if aug.rank() != basis.ncols:
-        return False
-    if not integral:
-        return True
-    scale = lcm(*(x.denominator for row in basis.rows + [vec] for x in row))
-    int_basis = Matrix([[int(x * scale) for x in row] for row in basis.rows])
-    return _integral_solver(int_basis)([int(x * scale) for x in vec])
-
-
 def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
     """Classify a candidate: isotropic half-rank e-invariant submodules are
     lagrangians (theta being nonsingular makes the dual sequence exact over
@@ -339,10 +322,15 @@ def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
     if integral and not _is_integral(basis):
         raise ValueError("Z-coefficient submodule with non-integral basis")
     img = f.e * basis
-    for j in range(basis.ncols):
-        if not _solve_membership(basis, [row[j] for row in img.rows],
-                                 integral):
-            raise NotEInvariant("e does not preserve the submodule")
+    # e is integral in Z mode, and the Smith-form test also decides Q-span
+    # membership (coordinates with divisor 0 must vanish)
+    if integral:
+        member = _integral_solver(basis)
+        invariant = all(map(member, img.transpose().rows))
+    else:
+        invariant = basis.hstack(img).rank() == basis.ncols
+    if not invariant:
+        raise NotEInvariant("e does not preserve the submodule")
     if basis.transpose() * f.psi * basis != Matrix.zeros(
             basis.ncols, basis.ncols):
         return "not_lagrangian"
@@ -350,11 +338,8 @@ def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
         return "not_lagrangian"
     if not integral:
         return "split_lagrangian"
-    int_basis = Matrix([[int(x) for x in row] for row in basis.rows])
-    res = smith_normal_form(int_basis)
-    div = [res.D[i, i] for i in range(min(res.D.nrows, res.D.ncols))]
-    nonzero = [abs(d) for d in div if d != 0]
-    if len(nonzero) == basis.ncols and all(d == 1 for d in nonzero):
+    # split: the cokernel is torsion-free, every Smith divisor being 1
+    if all(d == 1 for d in smith_normal_form(basis).divisors):
         return "split_lagrangian"
     return "lagrangian"
 

@@ -1,6 +1,9 @@
 """Oracles on covering forms: submodules pushed through the covering, and
 the near-projection splitting of a Seifert form's space.
 
+- `covering_pencil` rebuilds the presentation of a covering module from
+  its form, the pencil (1-e) + ez or z - h, which the module does not keep;
+  `restricted_e` rebuilds e|R, which `_pencil_reduction` does not return.
 - `covering_submodule_image` writes a Seifert submodule in the covering
   module's generators, through `LaurentModule.basis_change`;
   `is_lagrangian_submodule` (with `submodule_dimension_q`) then checks
@@ -30,7 +33,7 @@ from wittkit.laurent_forms import (
     _dense,
     _fitting_power,
 )
-from wittkit.seifert import AutometricForm, SeifertSubmodule
+from wittkit.seifert import AutometricForm, SeifertForm, SeifertSubmodule
 
 
 class NotNearProjection(ComputationError):
@@ -40,6 +43,25 @@ class NotNearProjection(ComputationError):
 # ---------------------------------------------------------------------------
 # modules and forms
 # ---------------------------------------------------------------------------
+
+def covering_pencil(f) -> Matrix:
+    """The presentation of f's covering module over Q[z, z^-1]: (1-e) + ez
+    for a SeifertForm, z - h for an AutometricForm."""
+    if isinstance(f, SeifertForm):
+        return f.e.map(lambda x: LaurentPoly({0: -x, 1: x})) + Matrix.identity(
+            f.rank, LaurentPoly.one())
+    return f.h.map(lambda x: LaurentPoly.const(-x)) + Matrix.identity(
+        f.rank, LaurentPoly.z())
+
+
+def restricted_e(f: SeifertForm, b: Matrix) -> Matrix:
+    """e|R in the coordinates of `_pencil_reduction`'s basis b of R: b is 1
+    at its own pivot of the Fitting power's rref and 0 at the others, so
+    e|R is those rows of e b."""
+    sel = _fitting_power(f.e).transpose().rref()[1]
+    eb = (f.e * b).rows
+    return Matrix([eb[s] for s in sel])
+
 
 def module_dimension_q(module: LaurentModule) -> int:
     return sum(len(_dense(d)) - 1 for d in module.divisors)
@@ -51,14 +73,12 @@ def laurent_direct_sum(a: LaurentLinkingForm,
         raise ValueError("direct sum needs matching symmetry")
     if a.module.torsion_mode != b.module.torsion_mode:
         raise ValueError("direct sum needs matching torsion mode")
-    pres = Matrix.block_diag(
-        [a.module.presentation, b.module.presentation], LaurentPoly.zero())
     # concatenated divisors sorted by degree; not a divisibility chain in
     # general, which nothing downstream requires
     divs = a.module.divisors + b.module.divisors
     perm = sorted(range(len(divs)),
                   key=lambda k: (len(_dense(divs[k])), _dense(divs[k])))
-    module = LaurentModule(pres, [divs[k] for k in perm], None,
+    module = LaurentModule([divs[k] for k in perm], None,
                            a.module.torsion_mode)
     combined = Matrix.block_diag([a.pairing, b.pairing], RatFunc.zero())
     gram = [[combined[i, j] for j in perm] for i in perm]
@@ -92,9 +112,9 @@ def pairing_entry_oracle(c: list, m: list, s: list) -> RatFunc:
 # submodules through the covering
 # ---------------------------------------------------------------------------
 
-def covering_submodule_image(cov: LaurentLinkingForm,
+def covering_submodule_image(f: SeifertForm, cov: LaurentLinkingForm,
                              sub: SeifertSubmodule) -> Matrix:
-    """Push a Seifert submodule through the covering: coordinates of its
+    """Push a submodule of f through its covering cov: coordinates of its
     basis vectors in the generator basis, sum_a c_a z^a for sum_a c_a h^a
     g_i.  In P mode a vector's class is its part in R; the Fitting power
     kills the other part and is injective on R, so the coordinates are
@@ -104,8 +124,7 @@ def covering_submodule_image(cov: LaurentLinkingForm,
         return Matrix([])
     p, vecs = module.basis_change, sub.basis
     if module.torsion_mode == "P":
-        # the presentation is the pencil (1-e) + ez
-        kill = _fitting_power(module.presentation.map(lambda x: x.coefficient(1)))
+        kill = _fitting_power(f.e)
         p, vecs = kill * p, kill * vecs
     # exact normal equations: p has full column rank, vecs lie in its span
     coords = ((p.transpose() * p).inverse() * p.transpose() * vecs).transpose()

@@ -19,6 +19,8 @@ from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm, LaurentModule, _as_laurent, _monic_ordinary)
 
+from covering_oracle import covering_pencil
+
 
 class _IntOps:
     ring = "Z"
@@ -273,14 +275,14 @@ def snf_decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule
         for d in divisors:
             if d(1) == 0:
                 raise NotPTorsion(f"divisor {d!r} vanishes at z = 1")
-    return LaurentModule(m, divisors, None, torsion_mode)
+    return LaurentModule(divisors, None, torsion_mode)
 
 
 def _snf_covering(pres, mode, num, den, epsilon):
     res = smith_normal_form(pres, ring="Q[z,z^-1]")
     kept = [i for i, d in enumerate(res.divisors) if not d.is_unit()]
     module = LaurentModule(
-        pres, [_monic_ordinary(res.divisors[i]) for i in kept], None, mode)
+        [_monic_ordinary(res.divisors[i]) for i in kept], None, mode)
     # the generators g_i are the kept columns of U^-1
     g = Matrix([[row[i] for i in kept] for row in res.U_inv.rows])
     changed = g.transpose() * num * g.bar()
@@ -290,20 +292,14 @@ def _snf_covering(pres, mode, num, den, epsilon):
 
 
 def snf_covering_seifert(f):
-    e = f.e
-    n = f.rank
-    pres = Matrix([[LaurentPoly({0: (1 if i == j else 0) - e[i, j],
-                                 1: e[i, j]})
-                    for j in range(n)] for i in range(n)])
     scale = LaurentPoly({-1: Fraction(1), 0: Fraction(-1)})
-    adj, det = pencil_adjugate(e, LaurentPoly.one(), -scale)
-    return _snf_covering(pres, "P", f.theta * adj * scale, det, -f.epsilon)
+    adj, det = pencil_adjugate(f.e, LaurentPoly.one(), -scale)
+    return _snf_covering(covering_pencil(f), "P", f.theta * adj * scale, det,
+                         -f.epsilon)
 
 
 def snf_covering_autometric(f):
-    n = f.rank
-    pres = Matrix([[LaurentPoly({0: -f.h[i, j], 1: Fraction(1 if i == j else 0)})
-                    for j in range(n)] for i in range(n)])
     adj, det = pencil_adjugate(f.h, LaurentPoly.z(-1), LaurentPoly.one())
     scale = LaurentPoly({-1: Fraction(-1)})
-    return _snf_covering(pres, "Q", f.theta * adj * scale, det, -f.epsilon)
+    return _snf_covering(covering_pencil(f), "Q", f.theta * adj * scale, det,
+                         -f.epsilon)

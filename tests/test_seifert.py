@@ -21,6 +21,7 @@ from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     _krylov,
+    _pencil_reduction,
     decompose_module,
     dw_multisignature_laurent,
     level_multiplicities,
@@ -44,12 +45,14 @@ from wittkit.seifert import (
 from covering_oracle import (
     NotNearProjection,
     autometric_direct_sum,
+    covering_pencil,
     covering_submodule_image,
     is_lagrangian_submodule,
     laurent_direct_sum,
     module_dimension_q,
     near_projection_decompose,
     pairing_entry_oracle,
+    restricted_e,
 )
 from snf_oracle import snf_covering_autometric, snf_covering_seifert
 
@@ -303,12 +306,13 @@ class TestCoveringAutometric:
                 dw_multisignature_laurent(laurent_direct_sum(c1, c2))
 
 
-def _q_z_pairing(theta, module, scale):
-    """The covering pairing by Gauss-Jordan over Q(z):
-    g^T (scale * theta * B-bar^-1) g on the generators g_i, the columns of
-    the module's Q-basis that start its cyclic blocks."""
-    b_bar_inv = module.presentation.bar().map(RatFunc.make).inverse()
-    raw = (theta.map(RatFunc.make) * b_bar_inv).map(lambda x: scale * x)
+def _q_z_pairing(f, module, scale):
+    """The covering pairing of f by Gauss-Jordan over Q(z):
+    g^T (scale * theta * B-bar^-1) g, with B the pencil of f, on the
+    generators g_i, the columns of the module's Q-basis that start its
+    cyclic blocks."""
+    b_bar_inv = covering_pencil(f).bar().map(RatFunc.make).inverse()
+    raw = (f.theta.map(RatFunc.make) * b_bar_inv).map(lambda x: scale * x)
     starts = [0]
     for d in module.divisors[:-1]:
         starts.append(starts[-1] + len(d.ordinary()[0]) - 1)
@@ -329,7 +333,7 @@ class TestCoveringAgainstQz:
             cov = covering_autometric(f)
             if not cov.module.is_zero:
                 assert cov.pairing.rows == _q_z_pairing(
-                    f.theta, cov.module, scale)
+                    f, cov.module, scale)
                 checked += 1
         assert checked > 40
 
@@ -341,15 +345,15 @@ class TestCoveringAgainstQz:
         double = [[2 * x for x in row] for row in TREFOIL]
         summed = SeifertForm(TREFOIL, -1, "Z").direct_sum(
             SeifertForm(double, -1, "Q"))
-        cases = [(covering_seifert(summed), summed.theta, seif)]
+        cases = [(covering_seifert(summed), summed, seif)]
         for _ in range(6):
             f = random_autometric(rng, max_rank=2, bound=3)
             f2 = autometric_direct_sum(f, AutometricForm(
                 f.theta.map(lambda x: 2 * x), f.h, f.epsilon))
-            cases.append((covering_autometric(f2), f2.theta, auto))
-        for cov, theta, scale in cases:
+            cases.append((covering_autometric(f2), f2, auto))
+        for cov, form, scale in cases:
             assert cov.module.rank > 1
-            assert cov.pairing.rows == _q_z_pairing(theta, cov.module, scale)
+            assert cov.pairing.rows == _q_z_pairing(form, cov.module, scale)
 
     def test_seifert_random_forms(self):
         scale = RatFunc.make(LaurentPoly({-1: Fraction(1), 0: Fraction(-1)}))
@@ -365,7 +369,7 @@ class TestCoveringAgainstQz:
             cov = covering_seifert(f)
             if not cov.module.is_zero:
                 assert cov.pairing.rows == _q_z_pairing(
-                    f.theta, cov.module, scale)
+                    f, cov.module, scale)
                 checked += 1
 
 
@@ -491,7 +495,7 @@ class TestKrylovAgainstSmith:
         cov_sum = covering_seifert(fsum)
         assert_matches_smith(cov_sum, snf_covering_seifert(fsum))
         for sub in hyperbolic_witness_sum(f):
-            image = covering_submodule_image(cov_sum, sub)
+            image = covering_submodule_image(fsum, cov_sum, sub)
             assert is_lagrangian_submodule(cov_sum, image)
 
 
@@ -654,34 +658,68 @@ class TestCertificateMutations:
     @staticmethod
     def _corrupt_reduction(monkeypatch, part):
         """Make `_pencil_reduction` hand the covering a singular theta|R
-        (R's basis collapsed), a wrong e|R, or an h that is not
-        1 - (e|R)^-1."""
+        (R's basis collapsed) or an h that is not 1 - (e|R)^-1."""
         reduce = seifert._pencil_reduction
 
         def corrupted(e, c=1):
-            b, e_r, h = reduce(e, c)
+            b, h = reduce(e, c)
             if part == "theta":
                 b = Matrix([[row[0]] * len(row) for row in b.rows])
-            elif part == "e":
-                e_r = e_r.scale(2)
             else:
                 h = h.scale(2)
-            return b, e_r, h
+            return b, h
 
         monkeypatch.setattr(seifert, "_pencil_reduction", corrupted)
 
     @pytest.mark.parametrize("part, message", [
-        ("theta", "singular"), ("e", "isometry"), ("h", "isometry")])
+        ("theta", "singular"), ("h", "isometry")])
     def test_corrupted_reduction(self, monkeypatch, part, message):
         self._corrupt_reduction(monkeypatch, part)
         with pytest.raises(InvariantViolated, match=message):
             covering_seifert(SeifertForm(TREFOIL, -1, "Z"))
 
-    @pytest.mark.parametrize("part", ["theta", "e", "h"])
+    @pytest.mark.parametrize("part", ["theta", "h"])
     def test_analyze_exits_3(self, monkeypatch, capsys, part):
         self._corrupt_reduction(monkeypatch, part)
         assert cli.main(["analyze", "--catalog", "trefoil"]) == 3
         assert "covering theta" in capsys.readouterr().err
+
+
+class TestReductionIdentities:
+    """The identities that `_covering_form`'s one isometry check replaced,
+    as an oracle on `_pencil_reduction`: e b = b e|R, the linear identity
+    e|R^T theta|R = theta|R (1 - e|R) and (1 - h) e|R = 1, with e|R rebuilt
+    from b and the Fitting power."""
+
+    def test_ladder_forms(self):
+        # psi + psi^T of a ladder knot is rarely unimodular past genus 2,
+        # so the epsilon = +1 forms are taken over Q; this seed draws two
+        # forms with 0 < dim R < rank besides "scale-3"
+        rng = random.Random(14)
+        forms = [SeifertForm(SCALE_3, -1, "Z")]
+        for genus in range(1, 7):
+            for eps, coefficients in ((-1, "Z"), (-1, "Q"), (1, "Q")):
+                while True:
+                    try:
+                        forms.append(SeifertForm(ladder_psi(rng, genus), eps,
+                                                 coefficients))
+                    except SingularSeifertForm:
+                        continue
+                    break
+        proper = 0
+        for f in forms:
+            b, h = _pencil_reduction(f.e)
+            if not h.rows:
+                continue
+            e_r = restricted_e(f, b)
+            theta = b.transpose() * f.theta * b
+            ident = Matrix.identity(h.nrows)
+            assert f.e * b == b * e_r
+            assert e_r.transpose() * theta == theta * (ident - e_r)
+            assert (ident - h) * e_r == ident
+            assert h.transpose() * theta * h == theta
+            proper += h.nrows < f.rank
+        assert proper >= 3
 
 
 class TestRoundTrip:
@@ -747,6 +785,17 @@ class TestSeifertLagrangians:
         with pytest.raises(NotEInvariant):
             verify_seifert_lagrangian(f, SeifertSubmodule([[1], [0]]))
 
+    def test_e_invariance_over_z_and_q(self):
+        # e maps (1, 0, 1, 0) to (0, -1, 0, -1), which lies in the Q-span of
+        # the basis but not in its Z-span
+        sub = SeifertSubmodule([[1, 0], [0, 2], [1, 0], [0, 2]])
+        f = SeifertForm(TREFOIL, -1, "Z")
+        with pytest.raises(NotEInvariant):
+            verify_seifert_lagrangian(f.direct_sum(f.negate()), sub)
+        g = SeifertForm(TREFOIL, -1, "Q")
+        assert verify_seifert_lagrangian(
+            g.direct_sum(g.negate()), sub) == "split_lagrangian"
+
     def test_rank_zero_witnesses(self):
         f = SeifertForm([], -1, "Z")
         diag, twist = hyperbolic_witness_sum(f)
@@ -782,7 +831,7 @@ class TestLagrangianTransport:
         cov = covering_seifert(fsum)
         assert dw_multisignature_laurent(cov).all_zero
         for sub in hyperbolic_witness_sum(f):
-            image = covering_submodule_image(cov, sub)
+            image = covering_submodule_image(fsum, cov, sub)
             assert is_lagrangian_submodule(cov, image)
 
     def test_transport_on_random_sums(self):
@@ -801,7 +850,7 @@ class TestLagrangianTransport:
             if cov.module.is_zero:
                 continue
             for sub in hyperbolic_witness_sum(f):
-                image = covering_submodule_image(cov, sub)
+                image = covering_submodule_image(fsum, cov, sub)
                 assert is_lagrangian_submodule(cov, image)
             done += 1
 
