@@ -3,9 +3,9 @@
 Entries are whatever supports ring arithmetic: Fraction (Z and Q),
 LaurentPoly (Q[z, z^-1]), RatFunc (Q(z)) or residue field elements;
 operations are generic, but a product of Fraction matrices takes integer
-dot products (`_products`).  Field-only operations (det, inverse, rank)
-require entries with division and are used with Fraction and residue
-elements.
+dot products (`_products`) and `charpoly` is division-free, on integers
+for a Fraction matrix.  Field-only operations (det, inverse, rank) require
+entries with division and are used with Fraction and residue elements.
 """
 
 from __future__ import annotations
@@ -215,10 +215,17 @@ class Matrix:
         return Matrix([rows[i][n:] for i in range(n)])
 
     def charpoly(self) -> list:
-        """Coefficients [c_0, ..., c_n] of det(t*I - A)."""
+        """Coefficients [c_0, ..., c_n] of det(t*I - A), by `_berkowitz`.
+        A Fraction matrix runs on the integers d A, d the lcm of its
+        denominators: c_k(A) = c_k(d A) / d^(n-k)."""
         if not self.is_square():
             raise ValueError("charpoly of non-square matrix")
-        return _faddeev_leverrier(self)[0]
+        n, entries = self.nrows, list(chain.from_iterable(self.rows))
+        if not all(type(x) is Fraction for x in entries):
+            return _berkowitz(self.rows, _one_like(entries[0]))
+        nums, d = _integral(entries)
+        coeffs = _berkowitz([nums[i * n:i * n + n] for i in range(n)], 1)
+        return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
 
 
 def _dot(row, col):
@@ -260,24 +267,23 @@ def _one_like(x):
     return x.one()
 
 
-def _faddeev_leverrier(a: Matrix) -> tuple[list, list]:
-    """Coefficients [c_0, ..., c_n] of det(t*I - A) and the matrices
-    M_0, ..., M_{n-1} with adj(t*I - A) = sum M_k t^(n-1-k).  Entries need
-    a ring structure together with division by integers (all our entry
-    types have it)."""
-    n = a.nrows
-    if n == 0:
-        return [Fraction(1)], []
-    one = _one_like(a.rows[0][0])
-    zero = one - one
-    ident = Matrix.identity(n, one)
-    coeffs = [zero] * (n + 1)
-    coeffs[n] = one
-    ms = [ident]
-    for k in range(1, n + 1):
-        am = a * ms[-1]
-        ck = am.trace() * Fraction(-1, k)
-        coeffs[n - k] = ck
-        if k < n:
-            ms.append(am + ident.scale(ck))
-    return coeffs, ms
+def _berkowitz(a, one) -> list:
+    """Coefficients [c_0, ..., c_n] of det(t*I - A) for the rows `a` of a
+    square matrix over a commutative ring with unit `one`, never dividing
+    (Berkowitz 1984).  With A_k the leading k x k block, p_k(t) =
+    det(tI - A_k) highest degree first, x = a[k][k] and r, c the rest of
+    row and column k, p_(k+1) = (t - x) p_k - r adj(tI - A_k) c is the
+    lower triangular Toeplitz matrix with first column
+    (1, -x, -r c, -r A_k c, ..., -r A_k^(k-1) c) times p_k."""
+    dot = (lambda u, v: sum(map(mul, u, v))) if type(one) is int else _dot
+    p = [one]
+    for k, row in enumerate(a):
+        head = a[:k]  # rows of A_k; zip stops each dot at column k
+        v = [r[k] for r in head]
+        column = [one, -row[k]]
+        for j in range(k):
+            if j:
+                v = [dot(r, v) for r in head]
+            column.append(-dot(row, v))
+        p = [dot(column[i::-1], p) for i in range(k + 2)]
+    return p[::-1]

@@ -465,21 +465,14 @@ def boundary_of_form(alpha, epsilon: int) -> dict[int, FiniteLinkingForm]:
 # ---------------------------------------------------------------------------
 
 def _integral_solver(mat: Matrix):
-    """Returns a predicate telling whether an integer vector lies in the
-    Z-span of the columns of mat."""
+    """(member, divisors): a predicate telling whether an integer vector
+    lies in the Z-span of the columns of mat, and mat's Smith divisors."""
     res = smith_normal_form(mat)
-    divisors = res.divisors
     m = mat.nrows
+    padded = list(res.divisors) + [0] * (m - len(res.divisors))
 
     def member(vec) -> bool:
         c = [sum(res.U[i, j] * vec[j] for j in range(m)) for i in range(m)]
-        for i, ci in enumerate(c):
-            d = divisors[i] if i < len(divisors) else 0
-            if d == 0:
-                if ci != 0:
-                    return False
-            elif ci % d != 0:
-                return False
-        return True
+        return all(ci % d == 0 if d else ci == 0 for ci, d in zip(c, padded))
 
-    return member
+    return member, res.divisors

@@ -124,12 +124,14 @@ def knot_inverse(k: KnotInput) -> KnotInput:
 
 def _det_one_minus(k: KnotInput) -> LaurentPoly:
     """D(z) = det(z psi - psi^T) = det(theta) det((z + eps) e - eps I) up
-    to a constant, as det(I - (1 + eps z) e) by Horner on det(tI - e)."""
-    s = LaurentPoly.z() * k.epsilon + 1
-    det = LaurentPoly.zero()
+    to a constant, as det(I - (1 + eps z) e) by integer Horner on det(tI - e)
+    (e = theta^-1 psi is integral: theta is unimodular)."""
+    det = []
     for c in k.seifert_form.e.charpoly():
-        det = det * s + c
-    return det
+        check(c.denominator == 1, "charpoly of e is not integral")
+        det = [a + k.epsilon * b for a, b in zip(det + [0], [0] + det)]
+        det[0] += c.numerator
+    return LaurentPoly.from_dense(det)
 
 
 def _module_order(module: LaurentModule) -> LaurentPoly:

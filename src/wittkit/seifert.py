@@ -26,7 +26,6 @@ from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.ratfunc import RatFunc, series_expand
-from wittkit.exact.snf import smith_normal_form
 from wittkit.finite import _integral_solver
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
@@ -325,7 +324,7 @@ def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
     # e is integral in Z mode, and the Smith-form test also decides Q-span
     # membership (coordinates with divisor 0 must vanish)
     if integral:
-        member = _integral_solver(basis)
+        member, divisors = _integral_solver(basis)
         invariant = all(map(member, img.transpose().rows))
     else:
         invariant = basis.hstack(img).rank() == basis.ncols
@@ -339,7 +338,7 @@ def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
     if not integral:
         return "split_lagrangian"
     # split: the cokernel is torsion-free, every Smith divisor being 1
-    if all(d == 1 for d in smith_normal_form(basis).divisors):
+    if all(d == 1 for d in divisors):
         return "split_lagrangian"
     return "lagrangian"
 

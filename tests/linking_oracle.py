@@ -389,7 +389,7 @@ def verify_boundary_complementary(alpha, lplus, lminus) -> bool:
     if len(divs) != 2 * r or any(d != 1 for d in divs):
         return False  # psi not onto
     # im(phi) sits inside ker(psi) already; exactness needs the reverse
-    member = _integral_solver(phi)
+    member, _ = _integral_solver(phi)
     for vec in _kernel_basis(psi):
         if not member(vec):
             return False

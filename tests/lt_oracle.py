@@ -10,7 +10,10 @@ every call, and a padded bracket of y0 free of D_y's zeros, in which the
 signature is taken over Q at a rational u = tan(pi t).  Below it, the older
 route over the cyclotomic field Q(zeta_d): the hermitian form diagonalized
 there by `hermitian_signature_at_root`, each pivot's sign decided at the
-certified root, so it also checks that route against the one over Q."""
+certified root, so it also checks that route against the one over Q.
+And D itself by the route `_det_one_minus` took before its characteristic
+polynomial went division-free: Faddeev-LeVerrier over `Fraction`s, then
+Horner over `LaurentPoly`."""
 
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from wittkit.exact.roots import (
 from wittkit.knots import _det_one_minus, _signature_at_u, _u_in_y_gap
 
 import hermitian_oracle
+from snf_oracle import _faddeev_leverrier
 
 
 @lru_cache(maxsize=None)
@@ -100,6 +104,16 @@ def free_bracket(root: CertifiedRoot, g) -> tuple[Fraction, Fraction]:
         pad /= 2
         if pad < root.hi - root.lo:
             root._bisect()
+
+
+def fl_det_one_minus(k) -> LaurentPoly:
+    """D(z) = det(I - (1 + eps z) e) by Horner over `LaurentPoly` on the
+    Faddeev-LeVerrier characteristic polynomial of e."""
+    s = LaurentPoly.z() * k.epsilon + 1
+    det = LaurentPoly.zero()
+    for c in _faddeev_leverrier(k.seifert_form.e)[0]:
+        det = det * s + c
+    return det
 
 
 def singular_poly_in_y(k) -> list:

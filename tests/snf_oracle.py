@@ -4,7 +4,9 @@ The generic Smith normal form over Z, Q[z] and Q[z, z^-1] (Euclid over the
 ring, keeping U^-1); `decompose_module` on top of it; and the covering
 forms through it, for the Krylov construction in `wittkit.seifert`.  The
 covering pairing is the pencil's adjugate over its determinant, rewritten
-into the Smith generators: the kept columns of U^-1."""
+into the Smith generators: the kept columns of U^-1.  The adjugate comes
+from Faddeev-LeVerrier, which is also the oracle for `Matrix.charpoly`'s
+division-free kernel."""
 
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 from wittkit.errors import NotPTorsion, NotTorsion
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix, _dot, _faddeev_leverrier
+from wittkit.exact.matrix import Matrix, _dot, _one_like
 from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm, LaurentModule, _as_laurent, _monic_ordinary)
@@ -236,6 +238,29 @@ def smith_normal_form(a: Matrix, ring: str = "Z") -> SNFResult:
         D=Matrix(work),
         divisors=divisors,
     )
+
+
+def _faddeev_leverrier(a: Matrix) -> tuple[list, list]:
+    """Coefficients [c_0, ..., c_n] of det(t*I - A) and the matrices
+    M_0, ..., M_{n-1} with adj(t*I - A) = sum M_k t^(n-1-k).  Entries need
+    a ring structure together with division by integers (all our entry
+    types have it)."""
+    n = a.nrows
+    if n == 0:
+        return [Fraction(1)], []
+    one = _one_like(a.rows[0][0])
+    zero = one - one
+    ident = Matrix.identity(n, one)
+    coeffs = [zero] * (n + 1)
+    coeffs[n] = one
+    ms = [ident]
+    for k in range(1, n + 1):
+        am = a * ms[-1]
+        ck = am.trace() * Fraction(-1, k)
+        coeffs[n - k] = ck
+        if k < n:
+            ms.append(am + ident.scale(ck))
+    return coeffs, ms
 
 
 def pencil_adjugate(a: Matrix, x, y) -> tuple[Matrix, object]:

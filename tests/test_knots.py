@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from wittkit.errors import (
+    InvariantViolated,
     MixedSymmetry,
     NotAKnotForm,
     NotSymmetricCase,
@@ -46,6 +47,7 @@ from wittkit.laurent_forms import (
 from lt_oracle import (
     cyclotomic_lt_signature,
     cyclotomic_polynomial,
+    fl_det_one_minus,
     per_call_lt_signature,
     singular_poly_in_y,
     turn_in_y_gap,
@@ -259,6 +261,67 @@ class TestBlanchfield:
         for key in set(sums) | set(jumps):
             assert jumps.get(key, 0) == sums.get(key, 0)
         assert any(jumps.values()) == (name == "scale-6")
+
+
+# -- D = det(z psi - psi^T) --
+
+def singular_psi_knot(rng, epsilon):
+    """The first seeded genus-1 knot with det psi = 0."""
+    while True:
+        k = seeded_seifert_knot(rng, 2, epsilon)
+        if k.psi.det() == 0:
+            return k
+
+
+def det_knots():
+    """Seeded knots of genus 1-8 and both epsilons; K # -K for genus 1-3;
+    and knots whose psi is singular (so the Trotter part R is proper):
+    "scale-3" and genus-1 singular knots summed with seeded ones."""
+    rng = random.Random(2030)
+    out = [KnotInput("scale-3", SCALE_3, -1)]
+    for epsilon in (-1, 1):
+        singular = singular_psi_knot(rng, epsilon)
+        out.append(singular)
+        for genus in range(1, 9):
+            k = seeded_seifert_knot(rng, 2 * genus, epsilon)
+            out.append(k)
+            if genus <= 3:
+                out.append(connected_sum(k, knot_inverse(k)))
+                out.append(connected_sum(singular, k))
+    return out
+
+
+class TestDetOneMinus:
+    """`_det_one_minus` (Horner on the integer Berkowitz charpoly of e)
+    against the Faddeev-LeVerrier route and the Alexander polynomial.  The
+    class also runs under python -O, where an integrality check resting on
+    an assert would vanish."""
+
+    def test_matches_faddeev_leverrier_route(self):
+        knots_ = det_knots()
+        assert sum(k.psi.det() == 0 for k in knots_) >= 9
+        for k in knots_:
+            assert knots._det_one_minus(k) == fl_det_one_minus(k), k.psi
+
+    def test_is_a_monomial_times_alexander(self):
+        # D(z) = c z^j Delta(-epsilon z)
+        for k in det_knots():
+            alex = alexander_polynomial(k)
+            turned = dense_of(LaurentPoly(
+                {d: c * (-k.epsilon) ** d for d, c in alex.coeffs.items()}))
+            det = dense_of(knots._det_one_minus(k))
+            assert len(det) == len(turned), k.psi
+            assert [c * turned[-1] for c in det] == \
+                [c * det[-1] for c in turned], k.psi
+
+    def test_non_integral_charpoly_is_refused(self, monkeypatch):
+        charpoly = Matrix.charpoly
+        monkeypatch.setattr(Matrix, "charpoly",
+                            lambda m: [Fraction(1, 2)] + charpoly(m)[1:])
+        with pytest.raises(InvariantViolated):
+            knots._det_one_minus(trefoil())
+        with pytest.raises(InvariantViolated):
+            lt_jumps(fig8())
 
 
 # -- Levine-Tristram signatures --

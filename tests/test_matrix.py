@@ -10,9 +10,11 @@ from wittkit.errors import SingularMatrix
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _dot
 from wittkit.exact.ratfunc import RatFunc
+from wittkit.exact.residue import ResidueField
 from wittkit.laurent_forms import _apply
 
-from snf_oracle import pencil_adjugate
+from lt_oracle import cyclotomic_polynomial
+from snf_oracle import _faddeev_leverrier, pencil_adjugate
 
 F = Fraction
 z = LaurentPoly.z()
@@ -57,6 +59,82 @@ def test_charpoly_of_laurent_entries():
     assert coeffs[0] == LaurentPoly.one()
     assert coeffs[1] == -(z + z**-1)
     assert coeffs[2] == LaurentPoly.one()
+
+
+class TestCharpolyOracle:
+    """`Matrix.charpoly` (Berkowitz, on integers for a Fraction matrix)
+    against Faddeev-LeVerrier, the route it replaced."""
+
+    @staticmethod
+    def fraction_matrix(rng, n, kind):
+        """An n x n matrix of the given kind: "integral", "rational"
+        (denominators mixed within the matrix, a few of 61 bits) or
+        "deficient" (rows past a random r < n are combinations of the
+        first r, with rational entries)."""
+        def entry():
+            if kind == "integral":
+                return F(rng.randint(-9, 9))
+            den = rng.choice([1, 2, 3, 4, 6, 7, 12, 2**61 - 1])
+            return F(rng.randint(-9, 9), den)
+        if kind != "deficient":
+            return Matrix([[entry() for _ in range(n)] for _ in range(n)])
+        r = rng.randrange(n) if n else 0
+        rows = [[entry() for _ in range(n)] for _ in range(r)]
+        while len(rows) < n:
+            weights = [F(rng.randint(-3, 3), rng.randint(1, 3))
+                       for _ in range(r)]
+            rows.append([sum((w * row[j] for w, row in zip(weights, rows)),
+                             F(0)) for j in range(n)])
+        rng.shuffle(rows)
+        return Matrix(rows)
+
+    @pytest.mark.parametrize("kind", ["integral", "rational", "deficient"])
+    def test_fraction_matrices(self, kind):
+        rng = random.Random(f"charpoly-{kind}")
+        for n in range(9):
+            for _ in range(20):
+                a = self.fraction_matrix(rng, n, kind)
+                got = a.charpoly()
+                assert got == _faddeev_leverrier(a)[0], a
+                assert all(type(c) is Fraction for c in got)
+                if kind == "deficient" and n:
+                    assert a.rank() < n and got[0] == 0
+
+    def test_laurent_entries(self):
+        rng = random.Random("charpoly-laurent")
+
+        def entry():
+            if rng.random() < 0.3:
+                return LaurentPoly.zero()
+            return LaurentPoly({d: F(rng.randint(-3, 3), rng.randint(1, 2))
+                                for d in range(rng.randint(-2, 0),
+                                               rng.randint(0, 2) + 1)})
+        for n in range(6):
+            for _ in range(6):
+                a = Matrix([[entry() for _ in range(n)] for _ in range(n)])
+                assert a.charpoly() == _faddeev_leverrier(a)[0], a
+
+    def test_residue_entries(self):
+        rng = random.Random("charpoly-residue")
+        moduli = [cyclotomic_polynomial(d) for d in (5, 12)] \
+            + [[1, -3, 3, -3, 1]]
+        for field in map(ResidueField, moduli):
+            for n in range(6):
+                for _ in range(4):
+                    a = Matrix([[field.elem([F(rng.randint(-3, 3),
+                                               rng.randint(1, 2))
+                                             for _ in range(field.degree)])
+                                 for _ in range(n)] for _ in range(n)])
+                    assert a.charpoly() == _faddeev_leverrier(a)[0], a
+
+    def test_integer_and_mixed_entries(self):
+        for rows in ([[1, 2], [3, 4]], [[F(1, 2), 3], [0, F(-2, 3)]]):
+            a = Matrix(rows)
+            assert a.charpoly() == _faddeev_leverrier(a)[0]
+
+    def test_non_square_is_refused(self):
+        with pytest.raises(ValueError):
+            Matrix.from_ints([[1, 2]]).charpoly()
 
 
 def test_ratfunc_inverse():

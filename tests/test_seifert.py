@@ -1,6 +1,7 @@
 """Covering functors, trace recovery, and Seifert lagrangian machinery."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, assume
 from hypothesis import strategies as st
 
 from wittkit import cli, seifert
+from wittkit.exact import snf
 from wittkit.errors import (
     InvariantViolated,
     NotEInvariant,
@@ -795,6 +797,30 @@ class TestSeifertLagrangians:
         g = SeifertForm(TREFOIL, -1, "Q")
         assert verify_seifert_lagrangian(
             g.direct_sum(g.negate()), sub) == "split_lagrangian"
+
+    def test_one_smith_form_per_z_check(self, monkeypatch):
+        # the e-invariance test's Smith form also gives the split test's
+        # divisors
+        calls = []
+        original = snf.smith_normal_form
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("wittkit")
+                    and getattr(mod, "smith_normal_form", None) is original):
+                monkeypatch.setattr(mod, "smith_normal_form", counting)
+        f = SeifertForm(TREFOIL, -1, "Z")
+        fsum = f.direct_sum(f.negate())
+        diag, _ = hyperbolic_witness_sum(f)
+        doubled = SeifertSubmodule(diag.basis.map(lambda x: 2 * x))
+        for sub, verdict in ((diag, "split_lagrangian"),
+                             (doubled, "lagrangian")):
+            calls.clear()
+            assert verify_seifert_lagrangian(fsum, sub) == verdict
+            assert len(calls) == 1
 
     def test_rank_zero_witnesses(self):
         f = SeifertForm([], -1, "Z")
