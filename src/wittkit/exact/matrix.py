@@ -139,14 +139,6 @@ class Matrix:
             raise ValueError("column mismatch")
         return Matrix(self.rows + other.rows)
 
-    def trace(self):
-        if not self.is_square():
-            raise ValueError("trace of non-square matrix")
-        t = self.rows[0][0]
-        for i in range(1, self.nrows):
-            t = t + self.rows[i][i]
-        return t
-
     # ---- field-entry operations ----
 
     def det(self):

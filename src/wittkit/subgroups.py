@@ -1,12 +1,25 @@
 """The brute-force lagrangian search on finite linking forms.
 
-Lagrangian search enumerates isotropic subgroups only: a subgroup extension
-stays isotropic exactly when the new generator self-annihilates and pairs to
-zero with the existing generators, so the search tree prunes early.
-Deduplication keys subgroups by the Hermite normal form of the lattice
-generated by the generator tuple together with the relation lattice; that
-key is also the deterministic witness order, and a child's key is its
-parent's with one row inserted.  Candidate sets and element sets are int
+T = (+) Z/o_i, o_i = p^(a_i), and a subgroup H is keyed by the Hermite
+normal form of its preimage lattice in Z^n (which contains diag(o_i)): row
+i is o_i e_i, or p^b e_i + t with b < a_i and t_j in [0, pivot_j) for
+j > i.  The key is unique, and it is also the deterministic witness order.
+
+The search builds each key from the last column up.  A node W_c is the
+subgroup H meets on the coordinates >= c, spanned by rows c..n-1, so
+0 = W_n <= W_(n-1) <= ... <= W_0 = H is a chain of subgroups of H, each
+itself isotropic, and every subgroup is reached along exactly one path: by
+its own key's rows.  Row c-1 is either o e_(c-1) or g = p^b e_(c-1) + t,
+and g is kept only when
+- g is self-annihilating and orthogonal to W_c (one bit of the node's
+  candidate mask),
+- (o/p^b) t lies in W_c: the lattice holds o e_(c-1), which is
+  (o/p^b) g - (o/p^b) t, so otherwise g is not its HNF row, and
+- the child's order |W_c| o/p^b, known before any closure, can still end
+  at the requested order: it does not exceed it, and times the largest
+  order the columns before c-1 can add, o_0 ... o_(c-2), it reaches it.
+The order bound drops only subgroups of other orders, so a search for
+order sqrt|T| finds every lagrangian.  Candidate and element sets are int
 bitmasks over the self-annihilating elements, which one linear table of the
 functionals x^T N finds.  One enumeration serves all three questions:
 `brute_force_lagrangians(form)` returns {mode: {"mode", "witnesses",
@@ -16,9 +29,8 @@ including 2.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import product
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from operator import add, mod, mul
 
 from wittkit.errors import SearchSpaceTooLarge
@@ -30,55 +42,8 @@ MODES = ("any", "split", "complementary_pair")
 
 
 # ---------------------------------------------------------------------------
-# integer row Hermite normal form (unique echelon form), one row at a time
+# HNF keys and isotropic subgroup enumeration
 # ---------------------------------------------------------------------------
-
-def _insert(key: tuple, x, orders) -> tuple:
-    """The HNF of the lattice spanned by the full-rank HNF `key` and x, where
-    the lattice of `key` contains diag(orders).
-
-    x is reduced column by column against the pivot rows; where the pivot d
-    does not divide x's entry a, one unimodular Euclid step on the two rows
-    puts gcd(d, a) on the pivot, and what is left of x is taken mod orders
-    (which changes nothing in the lattice) and is done with once it is 0.
-    The entries above each pivot are then reduced into [0, pivot).  The HNF
-    is unique, so this is the key that the whole generator list would get."""
-    rows = list(key)
-    n = len(rows)
-    first = n
-    for c in range(n):
-        h = rows[c]
-        a, d = x[c], h[c]
-        if a % d:
-            g = gcd(d, a)
-            dd, aa = d // g, a // g
-            t = pow(aa, -1, dd)
-            rows[c] = [(1 - t * aa) // dd * u + t * v for u, v in zip(h, x)]
-            x = [(dd * v - aa * u) % o for u, v, o in zip(h, x, orders)]
-            first = min(first, c)
-            if not any(x):
-                break
-        elif a:
-            x = [v - a // d * u for u, v in zip(h, x)]
-    for c in range(first, n):
-        piv = rows[c]
-        for i in range(c):
-            k = rows[i][c] // piv[c]
-            if k:
-                rows[i] = [u - k * v for u, v in zip(rows[i], piv)]
-    return tuple(map(tuple, rows))
-
-
-def _lattice_key(gens, mixed_orders) -> tuple:
-    """HNF basis of the preimage lattice of the subgroup generated by `gens`
-    inside (+) Z/n_i; a canonical subgroup identifier."""
-    n = len(mixed_orders)
-    key = tuple(tuple(o if j == i else 0 for j in range(n))
-                for i, o in enumerate(mixed_orders))
-    for g in gens:
-        key = _insert(key, g, mixed_orders)
-    return key
-
 
 def _witness_matrix(key: tuple, mixed_orders) -> list[list[int]]:
     """Generator matrix (generators as columns) from an HNF lattice key,
@@ -91,10 +56,6 @@ def _witness_matrix(key: tuple, mixed_orders) -> list[list[int]]:
             cols.append(col)
     return [[col[i] for col in cols] for i in range(n)]
 
-
-# ---------------------------------------------------------------------------
-# isotropic subgroup enumeration
-# ---------------------------------------------------------------------------
 
 class _SearchContext:
     def __init__(self, form: FiniteLinkingForm, bound: int):
@@ -133,60 +94,101 @@ def _elements(mask: int, cands) -> list:
     return out
 
 
-def _isotropic_subgroups(ctx: _SearchContext):
-    """Every self-annihilating subgroup, as (hnf_key, element_mask) in
-    breadth-first discovery order, and the list `cands` the masks index.
+def _isotropic_subgroups(ctx: _SearchContext, order: int):
+    """Every self-annihilating subgroup of exactly `order` elements, each
+    once, as (hnf_key, element_mask), and the list `cands` the masks index;
+    ([], []) at once when `order` lies outside [1, |T|].
 
     `cands` holds the self-annihilating elements in enumeration order, so
-    bit 0 is the zero element.  A node's candidates (those orthogonal to its
-    generators), its elements and the elements it has covered are masks.  A
-    child's candidates are its parent's ANDed with the new generator x's
-    orthogonality mask, built once per x from its functional x^T N: the form
-    is epsilon-symmetric, so x^T N y = 0 exactly when y^T N x = 0.  A child's
-    key is its parent's with x inserted, and its elements the closure of the
-    parent's, decoded only for a parent with a new child.  When a child has
-    index p over its parent, every element of it outside the parent gives
-    the same child, so those are skipped."""
+    bit 0 is the zero element.  A node carries its rows, order, element
+    mask and `todo`: the candidates orthogonal to it and reduced against
+    its pivots, which are the only possible rows above it.  A child's
+    `todo` is its parent's ANDed with the new row g's orthogonality mask,
+    built once per g from its functional g^T N (the form is
+    epsilon-symmetric, so g^T N y = 0 exactly when y^T N g = 0), and with
+    the mask of elements below g's pivot in g's column.  A child's elements
+    are the closure of its parent's with g, decoded only for a parent with
+    a kept child."""
+    orders = ctx.orders
+    n = len(orders)
+    # head[c]: the largest order the columns before c can add
+    head = [1]
+    for o in orders:
+        head.append(head[-1] * o)
+    if not 1 <= order <= head[n]:
+        return [], []
     q = ctx.q
     # x^T N for every x in T, in `elements` order and unreduced: each
     # coordinate step adds one multiple of a row of N
-    funcs = [(0,) * ctx.form.rank]
-    for o, row in zip(ctx.orders, ctx.rows):
+    funcs = [(0,) * n]
+    for o, row in zip(orders, ctx.rows):
         steps = [[a * r for r in row] for a in range(o)]
         funcs = [tuple(map(add, f, s)) for f in funcs for s in steps]
     table = [(x, f) for x, f in zip(ctx.elements(), funcs)
              if not sum(map(mul, x, f)) % q]
     cands = [x for x, _ in table]
     index = {x: i for i, x in enumerate(cands)}
+    everything = (1 << len(cands)) - 1
+    # col[c][v]: the candidates whose coordinate c is v
+    col = [[0] * o for o in orders]
+    for i, x in enumerate(cands):
+        for c, v in enumerate(x):
+            col[c][v] |= 1 << i
+    # pivots[c]: (d, the candidates zero before column c and d at it, those
+    # below d at it) for each pivot d = o_c/p, o_c/p^2, ..., 1 of column c
+    p = ctx.form.prime
+    pivots = []
+    zero_before = everything
+    for c, o in enumerate(orders):
+        below = [0]
+        for bits in col[c]:
+            below.append(below[-1] | bits)
+        pivots.append([])
+        d = o // p
+        while d:
+            pivots[c].append((d, zero_before & col[c][d], below[d]))
+            d //= p
+        zero_before &= col[c][0]
+    trivial = [tuple(o if j == c else 0 for j in range(n))
+               for c, o in enumerate(orders)]
     orth = {}
-    start_key = _lattice_key([], ctx.orders)
-    seen = {start_key: 1}  # the zero element comes first
-    queue = deque([(start_key, 1, (1 << len(cands)) - 1)])
     found = []
-    while queue:
-        key, mask, todo = queue.popleft()
-        found.append((key, mask))
+    stack = [(n, (), 1, 1, everything)]
+    while stack:
+        c, rows, size, mask, todo = stack.pop()
+        if not c:
+            found.append((rows, mask))
+            continue
+        c -= 1
+        o = orders[c]
+        if size * head[c] >= order:
+            stack.append((c, (trivial[c],) + rows, size, mask, todo))
         elems = None
-        index_p = ctx.form.prime * mask.bit_count()
-        rest = todo & ~mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            new_key = _insert(key, cands[i], ctx.orders)
-            child = seen.get(new_key)
-            if child is None:
+        for d, led, under in pivots[c]:
+            grown = size * (o // d)
+            if grown > order:
+                break
+            if grown * head[c] < order:
+                continue
+            rest = todo & led
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                i = low.bit_length() - 1
+                g = cands[i]
+                # (o/d) g, zero at column c, must lie in W_c
+                if not mask >> index[tuple(
+                        o // d * x % m for x, m in zip(g, orders))] & 1:
+                    continue
                 if elems is None:
                     elems = _elements(mask, cands)
-                grown = ctx.closure(elems, cands[i])
-                child = seen[new_key] = sum(1 << index[y] for y in grown)
+                child = sum(1 << index[y] for y in ctx.closure(elems, g))
                 if i not in orth:
                     f = table[i][1]
                     orth[i] = sum(1 << j for j, y in enumerate(cands)
                                   if not sum(map(mul, f, y)) % q)
-                queue.append((new_key, child, todo & orth[i]))
-            if child.bit_count() == index_p:
-                rest &= ~child
+                stack.append((c, (g,) + rows, grown, child,
+                              todo & orth[i] & under))
     return found, cands
 
 
@@ -231,10 +233,11 @@ def brute_force_lagrangians(
     absence.
     """
     ctx = _SearchContext(form, bound)
-    found, cands = _isotropic_subgroups(ctx)
-    lagrangians = sorted(
-        (t for t in found if t[1].bit_count() ** 2 == ctx.size),
-        key=lambda t: t[0])
+    # a lagrangian has order sqrt|T|, so a non-square |T| admits none
+    root = isqrt(ctx.size)
+    found, cands = _isotropic_subgroups(
+        ctx, root if root * root == ctx.size else 0)
+    lagrangians = sorted(found, key=lambda t: t[0])
     keys = {
         "any": [key for key, _ in lagrangians[:1]],
         "split": next(

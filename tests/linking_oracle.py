@@ -11,17 +11,22 @@ Slow, exhaustive or structural routes that `wittkit.finite` and
   group isomorphism between two forms, any prime, including 2.
 - `verify_boundary_complementary`: exactness of the sequence a pair of
   complementary S-lagrangians of an integral form must give.
-- `_hnf_rows` and `list_filter_subgroups`: the integer row Hermite normal
-  form of a whole generator list, and the isotropic subgroup enumeration
+- `_insert`, `_lattice_key` and `_hnf_rows`: the integer row Hermite
+  normal form of a lattice grown one generator at a time, and of a whole
+  generator list; `_lattice_key` is also the isomorphism search's test
+  that the chosen images generate.
+- `list_filter_subgroups`: the breadth-first isotropic subgroup enumeration
   that filters candidate lists by dot products and keys each child by the
-  HNF of its parent's key plus the new generator, which
-  `wittkit.subgroups` replaced by bitmasks and one-row insertion.
+  HNF of its parent's key plus the new generator, deduplicating by key,
+  which `wittkit.subgroups` replaced by bitmasks and one HNF row per
+  column.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 from wittkit.errors import (
     ComputationError,
@@ -40,7 +45,7 @@ from wittkit.finite import (
     dw_multisignature,
     primary_decompose,
 )
-from wittkit.subgroups import DEFAULT_SEARCH_BOUND, _SearchContext, _lattice_key
+from wittkit.subgroups import DEFAULT_SEARCH_BOUND, _SearchContext
 
 
 class NotAnSLagrangian(ComputationError):
@@ -246,8 +251,55 @@ def brute_force_isomorphism(
 
 
 # ---------------------------------------------------------------------------
-# isotropic subgroups by list filtering and whole-list HNF keys
+# HNF keys: one row at a time, and of a whole generator list
 # ---------------------------------------------------------------------------
+
+def _insert(key: tuple, x, orders) -> tuple:
+    """The HNF of the lattice spanned by the full-rank HNF `key` and x, where
+    the lattice of `key` contains diag(orders).
+
+    x is reduced column by column against the pivot rows; where the pivot d
+    does not divide x's entry a, one unimodular Euclid step on the two rows
+    puts gcd(d, a) on the pivot, and what is left of x is taken mod orders
+    (which changes nothing in the lattice) and is done with once it is 0.
+    The entries above each pivot are then reduced into [0, pivot).  The HNF
+    is unique, so this is the key that the whole generator list would get."""
+    rows = list(key)
+    n = len(rows)
+    first = n
+    for c in range(n):
+        h = rows[c]
+        a, d = x[c], h[c]
+        if a % d:
+            g = gcd(d, a)
+            dd, aa = d // g, a // g
+            t = pow(aa, -1, dd)
+            rows[c] = [(1 - t * aa) // dd * u + t * v for u, v in zip(h, x)]
+            x = [(dd * v - aa * u) % o for u, v, o in zip(h, x, orders)]
+            first = min(first, c)
+            if not any(x):
+                break
+        elif a:
+            x = [v - a // d * u for u, v in zip(h, x)]
+    for c in range(first, n):
+        piv = rows[c]
+        for i in range(c):
+            k = rows[i][c] // piv[c]
+            if k:
+                rows[i] = [u - k * v for u, v in zip(rows[i], piv)]
+    return tuple(map(tuple, rows))
+
+
+def _lattice_key(gens, mixed_orders) -> tuple:
+    """HNF basis of the preimage lattice of the subgroup generated by `gens`
+    inside (+) Z/n_i; a canonical subgroup identifier."""
+    n = len(mixed_orders)
+    key = tuple(tuple(o if j == i else 0 for j in range(n))
+                for i, o in enumerate(mixed_orders))
+    for g in gens:
+        key = _insert(key, g, mixed_orders)
+    return key
+
 
 def _hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
     mat = [list(r) for r in rows]
@@ -284,6 +336,10 @@ def _hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
             r += 1
     return mat[:r]
 
+
+# ---------------------------------------------------------------------------
+# isotropic subgroups by list filtering and whole-list HNF keys
+# ---------------------------------------------------------------------------
 
 def list_filter_subgroups(ctx: _SearchContext):
     """Every self-annihilating subgroup, as (hnf_key, element_set), in

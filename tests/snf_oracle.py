@@ -240,6 +240,16 @@ def smith_normal_form(a: Matrix, ring: str = "Z") -> SNFResult:
     )
 
 
+def matrix_trace(m: Matrix):
+    """The sum of the diagonal entries of a square matrix."""
+    if not m.is_square():
+        raise ValueError("trace of non-square matrix")
+    t = m.rows[0][0]
+    for i in range(1, m.nrows):
+        t = t + m.rows[i][i]
+    return t
+
+
 def _faddeev_leverrier(a: Matrix) -> tuple[list, list]:
     """Coefficients [c_0, ..., c_n] of det(t*I - A) and the matrices
     M_0, ..., M_{n-1} with adj(t*I - A) = sum M_k t^(n-1-k).  Entries need
@@ -256,7 +266,7 @@ def _faddeev_leverrier(a: Matrix) -> tuple[list, list]:
     ms = [ident]
     for k in range(1, n + 1):
         am = a * ms[-1]
-        ck = am.trace() * Fraction(-1, k)
+        ck = matrix_trace(am) * Fraction(-1, k)
         coeffs[n - k] = ck
         if k < n:
             ms.append(am + ident.scale(ck))

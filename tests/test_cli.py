@@ -27,9 +27,9 @@ def isotropic_searches(monkeypatch):
     searched = []
     enumerate_once = subgroups._isotropic_subgroups
 
-    def counting(ctx):
+    def counting(ctx, order):
         searched.append(ctx.form)
-        return enumerate_once(ctx)
+        return enumerate_once(ctx, order)
 
     monkeypatch.setattr(subgroups, "_isotropic_subgroups", counting)
     return searched
