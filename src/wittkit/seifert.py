@@ -184,9 +184,10 @@ def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
     z^(b+1-a) h^b makes lambda(g_i, g_j) = s N / m*, with m* = z^D m(1/z)
     and N_k = sum_{a >= D-k} m_a theta'(g_i, h^(k-D+a) g_j).
 
-    The three checks below serve both functors and stand in for `_validate`
-    over Q(z): theta (-epsilon)-symmetric and nonsingular, and h an
-    isometry of it, give, modulo Q[z, z^-1],
+    The three checks below serve both functors and stand in for the check
+    over Q(z) that the tests run as `covering_oracle.validate_over_qz`:
+    theta (-epsilon)-symmetric and nonsingular, and h an isometry of it,
+    give, modulo Q[z, z^-1],
     - symmetry: h's adjoint is h^-1, and (z - h^-1)^-1 = z^-1 - z^-2 A and
       h^-1 A = z (h^-1 + A) turn bar lambda(y, x) into epsilon lambda(x, y);
     - annihilation: these and A h = z^-1 A - 1 give lambda(h x, y) =
@@ -212,7 +213,7 @@ def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
     gram = Matrix([cols[i] for i in starts]) * theta * Matrix(cols).transpose()
     pairing = [[_pairing_entry(row[at:], m, s)
                 for at, (_, m) in zip(starts, blocks)] for row in gram.rows]
-    return LaurentLinkingForm(module, pairing, epsilon, validate=False)
+    return LaurentLinkingForm(module, pairing, epsilon)
 
 
 def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
@@ -225,7 +226,7 @@ def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
     h it is handed."""
     module, blocks, b, h = _seifert_module(f)
     if module.is_zero:
-        return LaurentLinkingForm(module, [], -f.epsilon, validate=False)
+        return LaurentLinkingForm(module, [], -f.epsilon)
     return _covering_form(module, blocks, b.transpose() * f.theta * b, h,
                           -f.epsilon)
 
@@ -235,8 +236,7 @@ def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
     Q-torsion module presented by z - h, which is Q^n with z acting as h;
     (-eps)-symmetric."""
     if f.rank == 0:
-        return LaurentLinkingForm(LaurentModule([], None, "Q"), [],
-                                  -f.epsilon, validate=False)
+        return LaurentLinkingForm(LaurentModule([], None, "Q"), [], -f.epsilon)
     module, blocks = _covering_module("Q", f.h)
     return _covering_form(module, blocks, f.theta, f.h, -f.epsilon)
 

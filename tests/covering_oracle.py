@@ -1,5 +1,6 @@
-"""Oracles on covering forms: submodules pushed through the covering, and
-the near-projection splitting of a Seifert form's space.
+"""Oracles on covering forms: the check of a linking form over Q(z),
+submodules pushed through the covering, and the near-projection splitting
+of a Seifert form's space.
 
 - `covering_pencil` rebuilds the presentation of a covering module from
   its form, the pencil (1-e) + ez or z - h, which the module does not keep;
@@ -10,6 +11,11 @@ the near-projection splitting of a Seifert form's space.
   that a Seifert lagrangian covers a lagrangian of the linking form.
 - `near_projection_decompose` splits the space as K+ (+) K- for an e with
   e(1-e) nilpotent.
+- `validate_over_qz` checks a `LaurentLinkingForm` over Q(z): its
+  symmetry, annihilation by the row and column divisors and a bijective
+  adjoint.  The constructor checks none of these and the covering functors
+  certify them over Q, so this is the oracle for that certificate and for
+  the forms tests build directly.
 - `module_dimension_q`, `laurent_direct_sum` and `laurent_negate` are what
   only tests need of modules and linking forms over Q[z, z^-1], and
   `autometric_direct_sum` what they need of autometric forms.
@@ -21,7 +27,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from wittkit.errors import ComputationError, check
+from wittkit.errors import ComputationError, SingularForm, check
+from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.ratfunc import RatFunc
@@ -63,6 +70,58 @@ def restricted_e(f: SeifertForm, b: Matrix) -> Matrix:
     return Matrix([eb[s] for s in sel])
 
 
+def validate_over_qz(form: LaurentLinkingForm) -> None:
+    """Raise unless form's pairing is epsilon-symmetric modulo
+    Q[z, z^-1], killed by its row and column divisors, and has a bijective
+    adjoint T -> T^."""
+    eps = form.epsilon
+    lam = form.pairing
+    divisors = form.module.divisors
+    r = form.module.rank
+    for i in range(r):
+        for j in range(r):
+            entry = lam[i, j]
+            if not entry.class_equals(lam[j, i].bar() * Fraction(eps)):
+                raise ValueError("pairing breaks epsilon-symmetry")
+            # entries are canonical: d kills one exactly when den | d
+            if polys.mod(_dense(divisors[i]), entry.den):
+                raise ValueError("pairing not annihilated by the row divisor")
+            if polys.mod(_dense(divisors[j])[::-1], entry.den):
+                raise ValueError(
+                    "pairing not annihilated by the column divisor")
+    if not _adjoint_bijective(form):
+        raise SingularForm("adjoint T -> T^ is not an isomorphism")
+
+
+def _adjoint_bijective(form: LaurentLinkingForm) -> bool:
+    """The Q-linear map u |-> (sum_j d_i lambda_ij u_j mod d_i) must be a
+    bijection of a sum of residue fields with itself; conjugation on the
+    inputs is a Q-linear bijection, so it drops out."""
+    divisors = form.module.divisors
+    r = form.module.rank
+    fields = [ResidueField(_dense(d)) for d in divisors]
+    dims = [len(_dense(d)) - 1 for d in divisors]
+    total = sum(dims)
+    if total == 0:
+        return True
+    offsets = [sum(dims[:i]) for i in range(r)]
+    cols = []
+    for j in range(r):
+        numerators = []
+        for i in range(r):
+            num = form.pairing[i, j] * divisors[i]
+            numerators.append(fields[i].from_laurent(num.as_laurent()))
+        for b in range(dims[j]):
+            col = [Fraction(0)] * total
+            for i in range(r):
+                shifted = numerators[i] * fields[i].gen() ** b
+                for a, c in enumerate(shifted.coeffs):
+                    col[offsets[i] + a] = c
+            cols.append(col)
+    big = Matrix([[cols[j][i] for j in range(total)] for i in range(total)])
+    return big.det() != 0
+
+
 def module_dimension_q(module: LaurentModule) -> int:
     return sum(len(_dense(d)) - 1 for d in module.divisors)
 
@@ -82,12 +141,12 @@ def laurent_direct_sum(a: LaurentLinkingForm,
                            a.module.torsion_mode)
     combined = Matrix.block_diag([a.pairing, b.pairing], RatFunc.zero())
     gram = [[combined[i, j] for j in perm] for i in perm]
-    return LaurentLinkingForm(module, gram, a.epsilon, validate=False)
+    return LaurentLinkingForm(module, gram, a.epsilon)
 
 
 def laurent_negate(f: LaurentLinkingForm) -> LaurentLinkingForm:
     gram = [[-x for x in row] for row in f.pairing.rows]
-    return LaurentLinkingForm(f.module, gram, f.epsilon, validate=False)
+    return LaurentLinkingForm(f.module, gram, f.epsilon)
 
 
 def autometric_direct_sum(a: AutometricForm,

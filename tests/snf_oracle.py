@@ -21,7 +21,7 @@ from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm, LaurentModule, _as_laurent, _monic_ordinary)
 
-from covering_oracle import covering_pencil
+from covering_oracle import covering_pencil, validate_over_qz
 
 
 class _IntOps:
@@ -323,7 +323,9 @@ def _snf_covering(pres, mode, num, den, epsilon):
     changed = g.transpose() * num * g.bar()
     pairing = [[RatFunc.make(x, den).frac_class() for x in row]
                for row in changed.rows]
-    return LaurentLinkingForm(module, pairing, epsilon)
+    form = LaurentLinkingForm(module, pairing, epsilon)
+    validate_over_qz(form)
+    return form
 
 
 def snf_covering_seifert(f):

@@ -30,6 +30,7 @@ from covering_oracle import (
     laurent_direct_sum,
     laurent_negate,
     module_dimension_q,
+    validate_over_qz,
 )
 from snf_oracle import snf_decompose_module
 
@@ -59,7 +60,9 @@ def cyclic_block(p, l, c, epsilon=1, mode="P"):
     assert unit is not None
     w = c + LaurentPoly.const(epsilon) * unit**l * c.bar()
     module = decompose_module([[p**l]], mode)
-    return LaurentLinkingForm(module, [[RatFunc.make(w, p**l)]], epsilon)
+    f = LaurentLinkingForm(module, [[RatFunc.make(w, p**l)]], epsilon)
+    validate_over_qz(f)
+    return f
 
 
 # -- module decomposition --
@@ -218,14 +221,15 @@ def test_level_multiplicities_repeated():
 def test_symmetry_violation_rejected():
     m = decompose_module([[P6]], "P")
     with pytest.raises(ValueError):
-        LaurentLinkingForm(m, [[RatFunc.make(ONE, P6)]], 1)
+        validate_over_qz(LaurentLinkingForm(m, [[RatFunc.make(ONE, P6)]], 1))
 
 
 def test_annihilation_violation_rejected():
     m = decompose_module([[P6]], "P")
     # symmetric but with a pole two levels deep
     with pytest.raises(ValueError):
-        LaurentLinkingForm(m, [[RatFunc.make(ONE + Z**4, P6**2)]], 1)
+        validate_over_qz(LaurentLinkingForm(
+            m, [[RatFunc.make(ONE + Z**4, P6**2)]], 1))
 
 
 
@@ -234,7 +238,7 @@ def test_symmetry_violation_names_the_check():
     lam = [[RatFunc.zero(), RatFunc.make(ONE, P6)],
            [RatFunc.make(ONE, P6), RatFunc.zero()]]
     with pytest.raises(ValueError, match="breaks epsilon-symmetry"):
-        LaurentLinkingForm(m, lam, 1)
+        validate_over_qz(LaurentLinkingForm(m, lam, 1))
 
 
 def off_diagonal_pair(entry, epsilon=1):
@@ -246,19 +250,22 @@ def test_row_divisor_violation_rejected():
     # symmetric, but d_0 = P6 does not kill a pole of order two
     m = decompose_module(diag(P6, P6**2), "P")
     with pytest.raises(ValueError, match="not annihilated by the row"):
-        LaurentLinkingForm(m, off_diagonal_pair(RatFunc.make(ONE, P6**2)), 1)
+        validate_over_qz(LaurentLinkingForm(
+            m, off_diagonal_pair(RatFunc.make(ONE, P6**2)), 1))
 
 
 def test_column_divisor_violation_rejected():
     # the row divisor P6^2 kills 1/P6^2, the column divisor P6 does not
     m = LaurentModule([P6**2, P6], None, "P")
     with pytest.raises(ValueError, match="not annihilated by the column"):
-        LaurentLinkingForm(m, off_diagonal_pair(RatFunc.make(ONE, P6**2)), 1)
+        validate_over_qz(LaurentLinkingForm(
+            m, off_diagonal_pair(RatFunc.make(ONE, P6**2)), 1))
 
 def test_singular_pairing_rejected():
     m = decompose_module([[P6]], "P")
     with pytest.raises(SingularForm):
-        LaurentLinkingForm(m, [[RatFunc.make(P6 + P6, P6)]], 1)
+        validate_over_qz(LaurentLinkingForm(
+            m, [[RatFunc.make(P6 + P6, P6)]], 1))
 
 
 def test_pairing_shape_checked():
@@ -299,8 +306,18 @@ def test_auxiliary_rejects_conjugate_pair_factor():
     d = (Z - LaurentPoly.const(2)) * (Z - LaurentPoly.const(Fraction(1, 2)))
     m = decompose_module([[d]], "P")
     f = LaurentLinkingForm(m, [[RatFunc.make(ONE + Z**2, d)]], 1)
+    validate_over_qz(f)
     with pytest.raises(NotSelfConjugate):
         auxiliary_hermitian(f, Z - LaurentPoly.const(2), 1)
+
+
+def test_auxiliary_rejects_pairing_outside_the_module():
+    # construction does not check annihilation; P6 does not kill 1/P6^2,
+    # so the level form's entry is not a Laurent polynomial
+    m = decompose_module([[P6]], "P")
+    f = LaurentLinkingForm(m, [[RatFunc.make(ONE + Z**4, P6**2)]], 1)
+    with pytest.raises(SingularForm, match="escapes the coefficient ring"):
+        auxiliary_hermitian(f, P6, 1)
 
 
 def test_auxiliary_rejects_level_zero():
@@ -361,6 +378,7 @@ def test_point_root_odd_level_is_rank_only():
     m = decompose_module(diag(Z - ONE, Z - ONE), "Q")
     a = RatFunc.make(ONE, Z - ONE)
     f = LaurentLinkingForm(m, [[RatFunc.zero(), a], [-a, RatFunc.zero()]], 1)
+    validate_over_qz(f)
     ms = dw_multisignature_laurent(f)
     assert ms.entries() == []
     assert ms.rank_only == {(key_of(Z - ONE), 1): 2}
@@ -377,6 +395,7 @@ def test_conjugate_pair_noted_and_unobstructed():
     d = (Z - LaurentPoly.const(2)) * (Z - LaurentPoly.const(Fraction(1, 2)))
     m = decompose_module([[d]], "P")
     f = LaurentLinkingForm(m, [[RatFunc.make(ONE + Z**2, d)]], 1)
+    validate_over_qz(f)
     ms = dw_multisignature_laurent(f)
     assert ms.entries() == []
     assert len(ms.conjugate_pairs) == 1
@@ -386,6 +405,7 @@ def test_conjugate_pair_noted_and_unobstructed():
 def test_zero_module_multisignature():
     m = decompose_module(diag(ONE), "P")
     f = LaurentLinkingForm(m, [], 1)
+    validate_over_qz(f)
     ms = dw_multisignature_laurent(f)
     assert ms.all_zero and ms.entries() == []
 
@@ -470,6 +490,7 @@ def test_base_change_invariance_same_level(c1, c2, sh):
         return
     cols = [[ONE, small_poly(sh)], [NIL, ONE]]
     g = LaurentLinkingForm(f.module, shear_pairing(f.pairing, cols), 1)
+    validate_over_qz(g)
     assert dw_multisignature_laurent(g) == dw_multisignature_laurent(f)
 
 
@@ -481,6 +502,7 @@ def test_base_change_invariance_across_levels(sh):
     # divisible by the level gap
     cols = [[ONE, NIL], [P6 * small_poly(sh), ONE]]
     g = LaurentLinkingForm(f.module, shear_pairing(f.pairing, cols), 1)
+    validate_over_qz(g)
     assert dw_multisignature_laurent(g) == dw_multisignature_laurent(f)
 
 
@@ -489,4 +511,5 @@ def test_unit_rescaling_invariance():
     for u in (Z**3, -Z, LaurentPoly.const(2) * Z - ONE):
         cols = [[u]]
         g = LaurentLinkingForm(f.module, shear_pairing(f.pairing, cols), 1)
+        validate_over_qz(g)
         assert dw_multisignature_laurent(g) == dw_multisignature_laurent(f)

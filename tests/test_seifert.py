@@ -55,6 +55,7 @@ from covering_oracle import (
     near_projection_decompose,
     pairing_entry_oracle,
     restricted_e,
+    validate_over_qz,
 )
 from snf_oracle import snf_covering_autometric, snf_covering_seifert
 
@@ -543,6 +544,7 @@ class TestMonodromy:
         module = decompose_module(Matrix([[d]]), "Q")
         pairing = [[RatFunc.make(LaurentPoly.z(), d.ordinary()[0])]]
         form = LaurentLinkingForm(module, pairing, 1)
+        validate_over_qz(form)
         mono = monodromy(form)
         assert mono.h.charpoly() == [Fraction(1), Fraction(-5, 2), Fraction(1)]
         assert mono.epsilon == -1
@@ -583,15 +585,16 @@ def ladder_psi(rng, genus, bound=2):
 
 
 class TestCoveringCertificate:
-    """Covering forms are certified over Q and built without the Q(z)
-    `_validate`; that full check must pass on every one of them."""
+    """Covering forms are certified over Q and built unchecked; the full
+    check over Q(z), the oracle `validate_over_qz`, must pass on every one
+    of them, on cyclic and on non-cyclic covering modules."""
 
     def test_autometric_coverings_pass_full_validation(self):
         rng = random.Random(301)
         ranks = set()
         for _ in range(40):
             f = random_autometric(rng, max_rank=6, bound=5)
-            covering_autometric(f)._validate()
+            validate_over_qz(covering_autometric(f))
             ranks.add(f.rank)
         assert ranks == set(range(1, 7))
 
@@ -610,9 +613,34 @@ class TestCoveringCertificate:
                         continue
                     break
                 cov = covering_seifert(f)
-                cov._validate()
+                validate_over_qz(cov)
                 checked += not cov.module.is_zero
         assert checked >= 10
+
+    def test_non_cyclic_autometric_coverings_pass_full_validation(self):
+        # f (+) f doubles every divisor of f's module, so the covering
+        # module of the sum has at least two
+        rng = random.Random(302)
+        ranks = set()
+        for _ in range(20):
+            f = random_autometric(rng, max_rank=3, bound=5)
+            cov = covering_autometric(autometric_direct_sum(f, f))
+            assert cov.module.rank >= 2
+            validate_over_qz(cov)
+            ranks.add(f.rank)
+        assert ranks == {1, 2, 3}
+
+    def test_non_cyclic_ladder_coverings_pass_full_validation(self):
+        rng = random.Random(13)
+        for genus in (2, 3):
+            while True:
+                f = SeifertForm(ladder_psi(rng, genus), -1, "Z")
+                if not covering_seifert(f).module.is_zero:
+                    break
+            for g in (f.direct_sum(f), f.direct_sum(f.negate())):
+                cov = covering_seifert(g)
+                assert cov.module.rank >= 2
+                validate_over_qz(cov)
 
     def test_alexander_polynomial_builds_no_pairing(self, monkeypatch):
         k = KnotInput("scale-3", SCALE_3, -1)
@@ -745,6 +773,7 @@ class TestRoundTrip:
         cov = covering_autometric(f)
         bad_pairing = [[-cov.pairing[0, 0]]]
         bad = LaurentLinkingForm(cov.module, bad_pairing, cov.epsilon)
+        validate_over_qz(bad)
         mono = monodromy(bad)
         p = canonical_identification(f, bad)
         assert mono.theta != p.transpose() * f.theta * p
