@@ -43,10 +43,6 @@ class SNFResult:
     D: Matrix
     divisors: list  # full diagonal, including trailing zeros
 
-    @property
-    def nonzero_divisors(self) -> list:
-        return [d for d in self.divisors if d]
-
 
 def smith_normal_form(a: Matrix) -> SNFResult:
     m, n = a.shape

@@ -1,12 +1,13 @@
 """Finite linking forms over (Z, Z \\ {0}).
 
 A form lives on T = (+) Z/p^{l_i} with pairing values in Q/Z stored as
-reduced fractions in [0, 1).  The classification pipeline at odd primes runs
+integer numerators over q = p^max(l_i).  The classification pipeline at odd
+primes runs
 
     primary parts -> auxiliary forms over F_p -> Witt classes -> multisignature
 
 where the level-l auxiliary form of a p-primary pairing has F_p Gram matrix
-p^l * gram[i][j] mod p over the generators of exact order p^l.  Witt classes
+p^l * b(e_i, e_j) mod p over the generators of exact order p^l.  Witt classes
 over F_p are the pair (rank mod 2, signed discriminant square class): the
 signed discriminant (-1)^{r(r-1)/2} det is the determinant made stable under
 adding hyperbolic planes, which the plain determinant is not.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import index
 
 from wittkit.errors import (
@@ -43,18 +45,29 @@ def _factor(m: int) -> dict[int, int]:
     return out
 
 
-def _mod1(x) -> Fraction:
-    return Fraction(x) % 1
+def _numerators(gram, q: int = 1) -> tuple[list, int]:
+    """(num, Q): the entries of gram as num / Q mod 1 with 0 <= num < Q, Q
+    the lcm of q and their denominators."""
+    rows = [[Fraction(x) for x in row] for row in gram]
+    big = lcm(q, *(x.denominator for row in rows for x in row))
+    return [[x.numerator * (big // x.denominator) % big for x in row]
+            for row in rows], big
 
 
-def _den_exp(x: Fraction, p: int) -> int:
-    """k with denominator(x) = p^k, or -1 if the denominator is not a p power."""
-    d = x.denominator
-    k = 0
-    while d % p == 0:
-        d //= p
-        k += 1
-    return k if d == 1 else -1
+def _det_mod_p(rows, p: int) -> int:
+    """The determinant mod p of a square integer matrix, by elimination
+    over F_p."""
+    rows, det = [[x % p for x in row] for row in rows], 1
+    for c in range(len(rows)):
+        k = next((k for k in range(c, len(rows)) if rows[k][c]), None)
+        if k is None:
+            return 0
+        top, rows[k] = rows[k], rows[c]
+        det = (det if k == c else -det) * top[c] % p
+        inv = pow(top[c], -1, p)
+        rows[c + 1:] = [[(a - r[c] * inv * b) % p for a, b in zip(r, top)]
+                        for r in rows[c + 1:]]
+    return det
 
 
 def _legendre(a: int, p: int) -> int:
@@ -179,9 +192,10 @@ class DWMultiSignatureZ:
 
 
 class FiniteLinkingForm:
-    """Nonsingular epsilon-symmetric linking form on (+) Z/p^{l_i}."""
+    """Nonsingular epsilon-symmetric linking form on (+) Z/p^{l_i}, stored
+    on integers: b(e_i, e_j) = num[i][j] / q, q = p^max(l_i), 0 <= num < q."""
 
-    def __init__(self, prime: int, orders, gram, epsilon: int, validate: bool = True):
+    def __init__(self, prime: int, orders, gram, epsilon: int):
         if _factor(index(prime)) != {prime: 1}:
             raise ValueError(f"{prime} is not prime")
         if epsilon not in (1, -1):
@@ -191,17 +205,35 @@ class FiniteLinkingForm:
             raise ValueError("generator orders must be positive prime powers")
         self.prime = prime
         self.orders = tuple(orders)
-        self.gram = tuple(tuple(_mod1(x) for x in row) for row in gram)
         self.epsilon = epsilon
-        if validate:
-            self._validate()
+        self.q = prime ** max(orders, default=0)
+        num, big = _numerators(gram, self.q)
+        # big divides p^k for k >= log_2 big exactly when it is a power of p
+        if prime ** big.bit_length() % big:
+            raise ValueError("gram denominators must be powers of p")
+        _check_pairing(self.mixed_orders(), num, big, epsilon)
+        # the orders annihilate the pairing, so q clears its denominators
+        self.num = tuple(tuple(x * self.q // big for x in row) for row in num)
+
+    @classmethod
+    def _built(cls, prime: int, orders, num, epsilon: int):
+        """A form from numerators over p^max(orders), built unchecked."""
+        form = cls.__new__(cls)
+        form.prime, form.orders, form.epsilon = prime, tuple(orders), epsilon
+        form.q = prime ** max(orders, default=0)
+        form.num = tuple(map(tuple, num))
+        return form
 
     def _validate(self):
-        if any(_den_exp(x, self.prime) < 0 for row in self.gram for x in row):
-            raise ValueError("gram denominators must be powers of p")
-        _check_pairing(self.mixed_orders(), self.gram, self.epsilon)
+        _check_pairing(self.mixed_orders(), self.num, self.q, self.epsilon)
 
     # -- basic queries --
+
+    @property
+    def gram(self) -> tuple:
+        """b(e_i, e_j) as reduced `Fraction`s in [0, 1)."""
+        return tuple(tuple(Fraction(x, self.q) for x in row)
+                     for row in self.num)
 
     @property
     def rank(self) -> int:
@@ -218,67 +250,65 @@ class FiniteLinkingForm:
     def direct_sum(self, other: "FiniteLinkingForm") -> "FiniteLinkingForm":
         if (self.prime, self.epsilon) != (other.prime, other.epsilon):
             raise ValueError("direct sum needs matching prime and symmetry")
-        n, m = self.rank, other.rank
-        gram = [[Fraction(0)] * (n + m) for _ in range(n + m)]
-        for i in range(n):
-            for j in range(n):
-                gram[i][j] = self.gram[i][j]
-        for i in range(m):
-            for j in range(m):
-                gram[n + i][n + j] = other.gram[i][j]
-        return FiniteLinkingForm(
-            self.prime, self.orders + other.orders, gram, self.epsilon,
-            validate=False,
-        )
+        orders = self.orders + other.orders
+        q = self.prime ** max(orders, default=0)
+        a, b = q // self.q, q // other.q
+        num = ([[x * a for x in row] + [0] * other.rank for row in self.num]
+               + [[0] * self.rank + [x * b for x in row] for row in other.num])
+        return FiniteLinkingForm._built(self.prime, orders, num, self.epsilon)
 
     def negate(self) -> "FiniteLinkingForm":
-        gram = [[_mod1(-x) for x in row] for row in self.gram]
-        return FiniteLinkingForm(self.prime, self.orders, gram, self.epsilon,
-                                 validate=False)
+        num = [[-x % self.q for x in row] for row in self.num]
+        return FiniteLinkingForm._built(self.prime, self.orders, num,
+                                        self.epsilon)
 
     def __eq__(self, other):
         return (
             isinstance(other, FiniteLinkingForm)
             and self.prime == other.prime
             and self.orders == other.orders
-            and self.gram == other.gram
+            and self.num == other.num
             and self.epsilon == other.epsilon
         )
 
     def __hash__(self):
-        return hash((self.prime, self.orders, self.gram, self.epsilon))
+        return hash((self.prime, self.orders, self.num, self.epsilon))
 
     def __repr__(self):
         return (f"FiniteLinkingForm(p={self.prime}, orders={list(self.orders)}, "
                 f"epsilon={self.epsilon:+d})")
 
 
-def _check_pairing(mixed_orders: list[int], gram, epsilon: int) -> None:
-    """Raise unless the reduced gram is an epsilon-symmetric pairing on
-    (+) Z/n_i that the orders annihilate and whose adjoint is bijective."""
+def _check_pairing(mixed_orders: list[int], num, q: int, epsilon: int) -> None:
+    """Raise unless b(e_i, e_j) = num[i][j] / q is an epsilon-symmetric
+    pairing on (+) Z/n_i that the orders annihilate and whose adjoint is
+    bijective."""
     n = len(mixed_orders)
-    if len(gram) != n or any(len(r) != n for r in gram):
+    if len(num) != n or any(len(r) != n for r in num):
         raise ValueError("gram shape does not match the generator count")
     for i, o in enumerate(mixed_orders):
-        for j, x in enumerate(gram[i]):
-            if _mod1(x - epsilon * gram[j][i]) != 0:
+        for j, x in enumerate(num[i]):
+            if (x - epsilon * num[j][i]) % q:
                 raise ValueError("gram breaks epsilon-symmetry")
-            if (x * o).denominator != 1:
+            if x * o % q:
                 raise ValueError("pairing not annihilated by generator orders")
-    if not _adjoint_is_iso(mixed_orders, gram):
+    if not _adjoint_is_iso(mixed_orders, num, q):
         raise SingularForm("adjoint T -> T^ is not an isomorphism")
 
 
-def _adjoint_is_iso(mixed_orders: list[int], gram) -> bool:
-    """The adjoint sends generator j to sum_i (n_i * gram[i][j]) chi_i in
-    T^ = (+) Z/n_i (integers: `_check_pairing` checked the annihilation
-    first); it is onto iff [N | diag(n)] has all SNF divisors 1."""
-    n = len(mixed_orders)
-    rows = [[x.numerator * (o // x.denominator) for x in gram[i]]
-            + [o if j == i else 0 for j in range(n)]
-            for i, o in enumerate(mixed_orders)]
-    divs = smith_normal_form(Matrix(rows)).nonzero_divisors
-    return len(divs) == n and all(d == 1 for d in divs)
+def _adjoint_is_iso(mixed_orders: list[int], num, q: int) -> bool:
+    """The adjoint sends generator j to column j of M_ij = n_i b(e_i, e_j)
+    in T^ = (+) Z/n_i (integers: `_check_pairing` checked the annihilation
+    first).  It is onto, so bijective, iff the columns of [M | diag(n)] span
+    Z^n, that is (Nakayama) F_p^n for each p | prod n_i.  With
+    I = {i : p | n_i}, b(e_i, e_j) has denominator prime to p for i in I
+    and j not, so M_ij = 0 mod p: that holds iff det M[I, I] != 0 mod p."""
+    m = [[o * x // q for x in row] for o, row in zip(mixed_orders, num)]
+    for p in set().union(*map(_factor, mixed_orders)):
+        idx = [i for i, o in enumerate(mixed_orders) if o % p == 0]
+        if not _det_mod_p([[m[i][j] for j in idx] for i in idx], p):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +316,16 @@ def _adjoint_is_iso(mixed_orders: list[int], gram) -> bool:
 # ---------------------------------------------------------------------------
 
 def primary_decompose(orders, gram, epsilon: int) -> dict[int, FiniteLinkingForm]:
-    """Split a pairing on (+) Z/n_i into orthogonal p-primary linking forms.
+    """Split a pairing on (+) Z/n_i, given as rationals mod 1, into
+    orthogonal p-primary linking forms: see `_primary_parts`."""
+    orders = [int(n) for n in orders]
+    if any(n < 1 for n in orders):
+        raise ValueError("orders must be positive")
+    return _primary_parts(orders, *_numerators(gram), epsilon)
+
+
+def _primary_parts(orders: list[int], num, q: int, epsilon: int) -> dict:
+    """The p-primary parts of the pairing num / q on (+) Z/n_i.
 
     A mixed-order presentation is checked here, once, by `_check_pairing`.
     The p-part is generated by c_a g_a, c_a = n_a / p^{v_a}, for each a with
@@ -300,21 +339,19 @@ def primary_decompose(orders, gram, epsilon: int) -> dict[int, FiniteLinkingForm
       c_a c_b g_ab by the symmetry, so the part's entries have p-power
       denominators that its orders annihilate; c_a c_b (g_ab - epsilon
       g_ba) is integral, so the part is epsilon-symmetric.
+    So its numerators over q_p = p^max(v_a), q_p c_a c_b g_ab, are integers.
     """
-    orders = [int(n) for n in orders]
-    if any(n < 1 for n in orders):
-        raise ValueError("orders must be positive")
-    g = [[_mod1(x) for x in row] for row in gram]
-    _check_pairing(orders, g, epsilon)
+    _check_pairing(orders, num, q, epsilon)
     factors = [_factor(m) for m in orders]
     out = {}
     for p in sorted(set().union(*factors)):
         idx = [i for i, f in enumerate(factors) if p in f]
         exps = [factors[i][p] for i in idx]
+        qp = p ** max(exps)
         cofs = [orders[i] // p**v for i, v in zip(idx, exps)]
-        sub = [[_mod1(g[a][b] * ca * cb) for b, cb in zip(idx, cofs)]
-               for a, ca in zip(idx, cofs)]
-        out[p] = FiniteLinkingForm(p, exps, sub, epsilon, validate=False)
+        sub = [[num[a][b] * ca * cb * qp // q % qp
+                for b, cb in zip(idx, cofs)] for a, ca in zip(idx, cofs)]
+        out[p] = FiniteLinkingForm._built(p, exps, sub, epsilon)
     return out
 
 
@@ -343,9 +380,10 @@ def auxiliary_form(form: FiniteLinkingForm, l: int) -> AuxiliaryFormFp:
     if l < 1:
         raise ValueError("level must be >= 1")
     idx = [i for i, li in enumerate(form.orders) if li == l]
-    scale = p**l
+    # an order-p^l generator's row has denominators dividing p^l
+    scale = form.q // p**l
     gram = tuple(
-        tuple(int(form.gram[a][b] * scale) % p for b in idx) for a in idx
+        tuple(form.num[a][b] // scale % p for b in idx) for a in idx
     )
     return AuxiliaryFormFp(p, l, gram, form.epsilon)
 
@@ -363,7 +401,9 @@ def witt_class_fp(prime: int, gram, symmetry: int = 1) -> WittClassFp:
                 raise ValueError("gram breaks its claimed symmetry")
     if n == 0:
         return WittClassFp.zero(prime)
-    det = int(Matrix.from_ints(rows).det()) % prime
+    if any(len(r) != n for r in rows):
+        raise ValueError("det of non-square matrix")
+    det = _det_mod_p(rows, prime)
     if det == 0:
         raise SingularForm("singular form over F_p")
     if symmetry == -1:
@@ -440,24 +480,23 @@ def boundary_of_form(alpha, epsilon: int) -> dict[int, FiniteLinkingForm]:
     a = _as_int_matrix(alpha)
     if a.transpose() != a.map(lambda x: epsilon * x):
         raise ValueError("alpha is not epsilon-symmetric")
-    if a.nrows and Matrix.from_ints(a.rows).det() == 0:
-        raise SingularOverFractionField("alpha is singular over Q")
     if a.nrows == 0:
         return {}
     res = smith_normal_form(a)
+    if 0 in res.divisors:
+        raise SingularOverFractionField("alpha is singular over Q")
     # alpha^{-1} = V D^{-1} U, and the coker basis transform U gives the
-    # pairing matrix U^{-T} V D^{-1} on the Smith generators
-    divisors = res.divisors
-    n = a.nrows
-    vd = Matrix(
-        [[Fraction(res.V[i, j], divisors[j]) for j in range(n)]
-         for i in range(n)]
-    )
-    pairing = res.U_inv.map(Fraction).transpose() * vd
-    keep = [i for i in range(n) if divisors[i] != 1]
-    orders = [divisors[i] for i in keep]
-    gram = [[_mod1(pairing[i, j]) for j in keep] for i in keep]
-    return primary_decompose(orders, gram, epsilon)
+    # pairing matrix U^{-T} V D^{-1} on the Smith generators: the integers
+    # (U_inv^T V)_ij over d_j
+    keep = [j for j, d in enumerate(res.divisors) if d != 1]
+    orders = [res.divisors[j] for j in keep]
+    # the divisors form a chain, so the last is the lcm of all
+    q = orders[-1] if orders else 1
+    cols = list(zip(*res.U_inv.rows))
+    v = res.V.rows
+    num = [[sum(u * r[j] for u, r in zip(cols[i], v)) % d * (q // d)
+            for j, d in zip(keep, orders)] for i in keep]
+    return _primary_parts(orders, num, q, epsilon)
 
 
 # ---------------------------------------------------------------------------

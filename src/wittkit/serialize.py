@@ -8,8 +8,9 @@ an equal value through the matching from_json function.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd, isfinite
 
 from wittkit.errors import NotAKnotForm
 from wittkit.exact.laurent import LaurentPoly
@@ -21,7 +22,50 @@ from wittkit.seifert import SeifertSubmodule
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(doc, sort_keys=True, indent=2) + "\\n"`, byte for byte,
+    without json's pure-Python indenting encoder, for dicts with `str`
+    keys, lists, tuples, `str`, `int`, finite `float`, `bool` and None;
+    anything else raises TypeError."""
+    out = []
+    _write(doc, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write(x, newline: str, out: list) -> None:
+    if isinstance(x, (list, tuple, dict)) and x:
+        inner = newline + "  "
+        sep, is_dict = inner, isinstance(x, dict)
+        out.append("{" if is_dict else "[")
+        for k in sorted(x) if is_dict else x:
+            if not is_dict:
+                head, v = sep, k
+            elif isinstance(k, str):
+                head, v = sep + encode_basestring_ascii(k) + ": ", x[k]
+            else:
+                raise TypeError("JSON object keys must be str")
+            # a scalar member is written with its separator in one piece
+            if isinstance(v, (list, tuple, dict)):
+                out.append(head)
+                _write(v, inner, out)
+            else:
+                out.append(head + _scalar_json(v))
+            sep = "," + inner
+        out.append(newline + ("}" if is_dict else "]"))
+    else:
+        out.append("{}" if isinstance(x, dict) else "[]"
+                   if isinstance(x, (list, tuple)) else _scalar_json(x))
+
+
+def _scalar_json(x) -> str:
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float) and isfinite(x):
+        return float.__repr__(x)
+    raise TypeError(f"{type(x).__name__} {x!r:.40} is not JSON")
 
 
 def fraction_str(x) -> str:
@@ -75,10 +119,13 @@ def _rows_from_json(rows, cell) -> list:
 # -- finite linking forms --
 
 def finite_form_to_json(form: FiniteLinkingForm) -> dict:
+    q = form.q
     return {
         "prime": form.prime,
         "orders": list(form.orders),
-        "gram": [[fraction_str(x) for x in row] for row in form.gram],
+        # x / q in lowest terms, as fraction_str writes it
+        "gram": [[f"{x // g}/{q // g}" if (g := gcd(x, q)) < q else "0"
+                  for x in row] for row in form.num],
         "epsilon": form.epsilon,
     }
 

@@ -65,10 +65,9 @@ class _SearchContext:
         if self.size > bound:
             raise SearchSpaceTooLarge(
                 f"|T| = {self.size} exceeds the search bound {bound}")
-        self.q = form.prime ** max(form.orders, default=1)
-        # row i of N = q * gram mod q, so pair(x, y) = x^T N y mod q
-        self.rows = [[int(x * self.q) % self.q for x in row]
-                     for row in form.gram]
+        # pair(x, y) = x^T N y mod q, N the form's numerators over q
+        self.q = form.q
+        self.rows = form.num
 
     def elements(self):
         return product(*[range(o) for o in self.orders])

@@ -20,6 +20,13 @@ Slow, exhaustive or structural routes that `wittkit.finite` and
   HNF of its parent's key plus the new generator, deduplicating by key,
   which `wittkit.subgroups` replaced by bitmasks and one HNF row per
   column.
+- `_check_pairing`, `_adjoint_is_iso` and `witt_class_fp`: the checks of a
+  gram of reduced `Fraction`s, the adjoint's bijectivity by a Smith form of
+  [N | diag(n)], and the Witt class by a `Fraction` determinant, which
+  `wittkit.finite` replaced by integer numerators and one elimination
+  mod p; `fraction_check`, `fraction_gram`, `fraction_primary_grams` and
+  `fraction_boundary_gram` are the validation and the grams of those
+  `Fraction` routes.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from math import gcd
 
 from wittkit.errors import (
     ComputationError,
+    EvenPrimeUnsupported,
     SingularForm,
     SingularOverFractionField,
 )
@@ -38,10 +46,11 @@ from wittkit.exact.snf import smith_normal_form
 from wittkit.finite import (
     DWMultiSignatureZ,
     FiniteLinkingForm,
+    WittClassFp,
     _as_int_matrix,
-    _den_exp,
+    _factor,
     _integral_solver,
-    _mod1,
+    _legendre,
     dw_multisignature,
     primary_decompose,
 )
@@ -50,6 +59,20 @@ from wittkit.subgroups import DEFAULT_SEARCH_BOUND, _SearchContext
 
 class NotAnSLagrangian(ComputationError):
     pass
+
+
+def _mod1(x) -> Fraction:
+    return Fraction(x) % 1
+
+
+def _den_exp(x: Fraction, p: int) -> int:
+    """k with denominator(x) = p^k, or -1 if the denominator is not a p power."""
+    d = x.denominator
+    k = 0
+    while d % p == 0:
+        d //= p
+        k += 1
+    return k if d == 1 else -1
 
 
 def form_order(f: FiniteLinkingForm) -> int:
@@ -441,7 +464,7 @@ def verify_boundary_complementary(alpha, lplus, lminus) -> bool:
     if phi.rank() != 2 * r:
         return False
     res = smith_normal_form(psi)
-    divs = res.nonzero_divisors
+    divs = [d for d in res.divisors if d]
     if len(divs) != 2 * r or any(d != 1 for d in divs):
         return False  # psi not onto
     # im(phi) sits inside ker(psi) already; exactness needs the reverse
@@ -450,3 +473,105 @@ def verify_boundary_complementary(alpha, lplus, lminus) -> bool:
         if not member(vec):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the Fraction checks, adjoint and Witt class
+# ---------------------------------------------------------------------------
+
+def _check_pairing(mixed_orders: list[int], gram, epsilon: int) -> None:
+    """Raise unless the reduced gram is an epsilon-symmetric pairing on
+    (+) Z/n_i that the orders annihilate and whose adjoint is bijective."""
+    n = len(mixed_orders)
+    if len(gram) != n or any(len(r) != n for r in gram):
+        raise ValueError("gram shape does not match the generator count")
+    for i, o in enumerate(mixed_orders):
+        for j, x in enumerate(gram[i]):
+            if _mod1(x - epsilon * gram[j][i]) != 0:
+                raise ValueError("gram breaks epsilon-symmetry")
+            if (x * o).denominator != 1:
+                raise ValueError("pairing not annihilated by generator orders")
+    if not _adjoint_is_iso(mixed_orders, gram):
+        raise SingularForm("adjoint T -> T^ is not an isomorphism")
+
+
+def _adjoint_is_iso(mixed_orders: list[int], gram) -> bool:
+    """The adjoint sends generator j to sum_i (n_i * gram[i][j]) chi_i in
+    T^ = (+) Z/n_i (integers: `_check_pairing` checked the annihilation
+    first); it is onto iff [N | diag(n)] has all SNF divisors 1."""
+    n = len(mixed_orders)
+    rows = [[x.numerator * (o // x.denominator) for x in gram[i]]
+            + [o if j == i else 0 for j in range(n)]
+            for i, o in enumerate(mixed_orders)]
+    divs = [d for d in smith_normal_form(Matrix(rows)).divisors if d]
+    return len(divs) == n and all(d == 1 for d in divs)
+
+
+def witt_class_fp(prime: int, gram, symmetry: int = 1) -> WittClassFp:
+    """Witt class of a nonsingular v-symmetric F_p form, odd p.  Skew forms
+    are always hyperbolic over a field, so they map to the zero class."""
+    if prime == 2:
+        raise EvenPrimeUnsupported("Witt classification requires odd p")
+    rows = [list(r) for r in (gram.rows if isinstance(gram, Matrix) else gram)]
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            if (rows[i][j] - symmetry * rows[j][i]) % prime != 0:
+                raise ValueError("gram breaks its claimed symmetry")
+    if n == 0:
+        return WittClassFp.zero(prime)
+    det = int(Matrix.from_ints(rows).det()) % prime
+    if det == 0:
+        raise SingularForm("singular form over F_p")
+    if symmetry == -1:
+        return WittClassFp.zero(prime)
+    signed = (-1) ** (n * (n - 1) // 2) * det
+    s = _legendre(signed, prime)
+    return WittClassFp(prime, n % 2, "square" if s == 1 else "nonsquare")
+
+
+def fraction_gram(gram) -> tuple:
+    """A gram reduced into [0, 1) as `Fraction`s, as forms stored it."""
+    return tuple(tuple(_mod1(x) for x in row) for row in gram)
+
+
+def fraction_check(prime: int, orders, gram, epsilon: int) -> None:
+    """The `Fraction` validation of a p-primary form: p-power denominators,
+    then `_check_pairing` on the reduced gram."""
+    g = fraction_gram(gram)
+    if any(_den_exp(x, prime) < 0 for row in g for x in row):
+        raise ValueError("gram denominators must be powers of p")
+    _check_pairing([prime**l for l in orders], g, epsilon)
+
+
+def fraction_primary_grams(orders, gram) -> dict:
+    """{p: reduced `Fraction` gram of the p-part} of a checked pairing on
+    (+) Z/n_i, on the generators c_a g_a, c_a = n_a / p^v_p(n_a)."""
+    g = fraction_gram(gram)
+    factors = [_factor(m) for m in orders]
+    out = {}
+    for p in sorted(set().union(*factors)):
+        idx = [i for i, f in enumerate(factors) if p in f]
+        cofs = [orders[i] // p**factors[i][p] for i in idx]
+        out[p] = tuple(tuple(_mod1(g[a][b] * ca * cb)
+                             for b, cb in zip(idx, cofs))
+                       for a, ca in zip(idx, cofs))
+    return out
+
+
+def fraction_boundary_gram(alpha) -> tuple[list[int], list]:
+    """(orders, gram) of the boundary pairing of a nonsingular integral
+    alpha on its Smith generators of order > 1, by `Fraction` products:
+    U^{-T} V D^{-1}."""
+    res = smith_normal_form(_as_int_matrix(alpha))
+    divisors = res.divisors
+    n = len(divisors)
+    vd = Matrix(
+        [[Fraction(res.V[i, j], divisors[j]) for j in range(n)]
+         for i in range(n)]
+    )
+    pairing = res.U_inv.map(Fraction).transpose() * vd
+    keep = [i for i in range(n) if divisors[i] != 1]
+    orders = [divisors[i] for i in keep]
+    gram = [[_mod1(pairing[i, j]) for j in keep] for i in keep]
+    return orders, gram

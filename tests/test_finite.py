@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,9 +14,14 @@ from formbank import (
     nonsquare_unit,
     random_automorphism,
 )
+import linking_oracle
 from linking_oracle import (
     NotAnSLagrangian,
     form_order,
+    fraction_boundary_gram,
+    fraction_check,
+    fraction_gram,
+    fraction_primary_grams,
     homogeneous_split,
     mixed_multisignature,
     multisignature_support,
@@ -29,6 +34,7 @@ from wittkit.errors import (
 )
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.snf import smith_normal_form
+from wittkit import finite
 from wittkit.finite import (
     AuxiliaryFormFp,
     DWMultiSignatureZ,
@@ -490,7 +496,7 @@ def _lagrangian_certificate(alpha: Matrix, witness: Matrix) -> bool:
     if any(x.denominator != 1 for row in prod.rows for x in row):
         return False
     stacked = witness.hstack(alpha)
-    divs = smith_normal_form(stacked).nonzero_divisors
+    divs = [d for d in smith_normal_form(stacked).divisors if d]
     index = 1
     for d in divs:
         index *= abs(d)
@@ -577,3 +583,173 @@ def test_complementary_under_base_change(seed):
     lp = binv * Matrix([[1, 0], [0, 1], [0, 0], [0, 0]])
     lm = binv * Matrix([[0, 0], [0, 0], [1, 0], [0, 1]])
     assert verify_boundary_complementary(moved, lp, lm)
+
+
+# ---------------------------------------------------------------------------
+# the integer checks against the Fraction routes they replaced
+# ---------------------------------------------------------------------------
+
+def _verdict(run):
+    """None when run() returns, else the type and message it raised."""
+    try:
+        run()
+    except Exception as exc:  # noqa: BLE001 - compared, never swallowed
+        return type(exc), str(exc)
+    return None
+
+
+def _mutations(orders, gram, primes):
+    """The gram and, where they apply, a symmetry break, an annihilation
+    break, a singular adjoint and a denominator prime to every order."""
+    n, q = len(orders), max(orders)
+    out = [("same", gram)]
+
+    def moved(i, j, dx):
+        g = [list(r) for r in gram]
+        g[i][j] += dx
+        return g
+
+    if n > 1:
+        out.append(("symmetry", moved(0, 1, F(1, orders[0]))))
+    out.append(("annihilation", moved(0, 0, F(1, primes[0] * q))))
+    out.append(("singular", [[x * primes[0] for x in r] for r in gram]))
+    out.append(("foreign denominator", moved(0, 0, F(1, 11))))
+    return out
+
+
+def _assert_same_parts(parts, orders, gram):
+    expected = fraction_primary_grams(orders, gram)
+    assert sorted(parts) == sorted(expected)
+    for p, part in parts.items():
+        assert part.gram == expected[p]
+        assert part.q == p ** max(part.orders)
+        assert all(0 <= x < part.q for row in part.num for x in row)
+
+
+@given(small_forms(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_integer_checks_match_fraction_checks(f, seed):
+    """A p-primary gram, presented by a random automorphism, and its
+    mutations: the constructor raises what the Fraction checks raise, and
+    a form it builds has the gram those checks read."""
+    rng = random.Random(seed)
+    g = apply_generator_change(f, random_automorphism(rng, f))
+    for what, gram in _mutations(g.mixed_orders(), g.gram, [g.prime]):
+        got = _verdict(lambda: FiniteLinkingForm(g.prime, g.orders, gram, 1))
+        want = _verdict(lambda: fraction_check(g.prime, g.orders, gram, 1))
+        assert got == want, what
+        if what == "same":
+            assert want is None
+            built = FiniteLinkingForm(g.prime, g.orders, gram, 1)
+            assert built.gram == fraction_gram(gram)
+            assert built.q == g.prime ** max(g.orders)
+        elif what != "foreign denominator":
+            assert want is not None, what
+
+
+@given(st.sampled_from([(2, 3), (3, 5), (3, 7), (5, 7)]),
+       st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_checks_match_on_mixed_presentations(primes, seed, data):
+    """Merged mixed-order presentations, p = 2 included, and their
+    mutations: `primary_decompose` raises what the Fraction checks raise,
+    and its parts carry the grams the Fraction route built."""
+    rng = random.Random(seed)
+    p, q = primes
+    f, g = (data.draw(small_forms(primes=(r,))) for r in (p, q))
+    f = apply_generator_change(f, random_automorphism(rng, f))
+    g = apply_generator_change(g, random_automorphism(rng, g))
+    orders, gram = _merged_presentation(rng, f, g)
+    for what, mutated in _mutations(orders, gram, primes):
+        got = _verdict(lambda: primary_decompose(orders, mutated, 1))
+        want = _verdict(lambda: linking_oracle._check_pairing(
+            orders, fraction_gram(mutated), 1))
+        assert got == want, what
+        if what == "same":
+            _assert_same_parts(primary_decompose(orders, gram, 1),
+                               orders, gram)
+
+
+@given(nonsingular_integral_forms())
+@settings(max_examples=80, deadline=None)
+def test_boundary_matches_fraction_pairing(form):
+    """The integer Smith-basis pairing gives the parts the Fraction
+    pairing U^{-T} V D^{-1} gave, and its mutations are judged alike."""
+    alpha, epsilon = form
+    orders, gram = fraction_boundary_gram(alpha)
+    _assert_same_parts(boundary_of_form(alpha, epsilon), orders, gram)
+    if not orders:
+        return
+    primes = sorted(finite._factor(orders[0]))
+    for what, mutated in _mutations(orders, gram, primes):
+        got = _verdict(lambda: primary_decompose(orders, mutated, epsilon))
+        want = _verdict(lambda: linking_oracle._check_pairing(
+            orders, fraction_gram(mutated), epsilon))
+        assert got == want, what
+
+
+def _random_pairing(rng):
+    """A symmetric gram on (+) Z/n_i with mixed orders of 2, 3 and 5 whose
+    entries the orders annihilate, so only the adjoint can fail."""
+    n = rng.randint(1, 4)
+    orders = [2 ** rng.randint(0, 2) * 3 ** rng.randint(0, 2)
+              * 5 ** rng.randint(0, 1) for _ in range(n)]
+    orders = [o if o > 1 else 3 for o in orders]
+    gram = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            d = gcd(orders[i], orders[j])
+            gram[i][j] = gram[j][i] = F(rng.randrange(d), d)
+    return orders, gram
+
+
+def test_adjoint_matches_smith_form():
+    """det M[I, I] mod p for every p against all SNF divisors of
+    [N | diag(n)] being 1, on random mixed-order pairings."""
+    rng = random.Random(2201)
+    verdicts = set()
+    for _ in range(600):
+        orders, gram = _random_pairing(rng)
+        num, q = finite._numerators(gram)
+        want = linking_oracle._adjoint_is_iso(orders, fraction_gram(gram))
+        assert finite._adjoint_is_iso(orders, num, q) == want, (orders, gram)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_witt_class_matches_fraction_determinant(p):
+    """witt_class_fp by elimination mod p against the Fraction
+    determinant: symmetric, skew, singular, asymmetric and non-square
+    grams."""
+    rng = random.Random(p)
+    for _ in range(300):
+        n = rng.randint(0, 4)
+        v = rng.choice([1, -1])
+        gram = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                x = rng.randrange(-2 * p, 2 * p)
+                gram[i][j], gram[j][i] = x, v * x if i != j else x
+        if v == -1:
+            for i in range(n):
+                gram[i][i] = p * rng.randint(-1, 1)
+        if n and rng.random() < 0.2:
+            gram[0][n - 1] += 1
+        if n and rng.random() < 0.1:
+            gram = [row + [0] for row in gram]
+        got = _verdict(lambda: finite.witt_class_fp(p, gram, v))
+        want = _verdict(lambda: linking_oracle.witt_class_fp(p, gram, v))
+        assert got == want
+        if want is None:
+            assert finite.witt_class_fp(p, gram, v) == \
+                linking_oracle.witt_class_fp(p, gram, v)
+
+
+@given(small_forms())
+@settings(max_examples=40, deadline=None)
+def test_multisignature_classes_match_fraction_determinant(f):
+    for l in auxiliary_modules(f):
+        aux = auxiliary_form(f, l)
+        assert witt_class_fp(f.prime, aux.gram, aux.v) == \
+            linking_oracle.witt_class_fp(f.prime, aux.gram, aux.v)

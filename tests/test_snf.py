@@ -28,9 +28,13 @@ def rand_int_matrix(max_n=4):
     )
 
 
+def _nonzero(res) -> list:
+    return [d for d in res.divisors if d]
+
+
 def _check_invariants(res, divides=lambda a, b: b % a == 0):
     assert res.U * res.A * res.V == res.D
-    divs = res.nonzero_divisors
+    divs = _nonzero(res)
     for a, b in zip(divs, divs[1:]):
         assert divides(a, b)
 
@@ -41,21 +45,21 @@ def _check_poly_invariants(res):
 
 def test_known_integer_case():
     res = smith_normal_form(Matrix.from_ints([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
-    assert res.nonzero_divisors == [2, 2, 156]
+    assert _nonzero(res) == [2, 2, 156]
     _check_invariants(res)
 
 
 def test_identity_and_zero():
     res = smith_normal_form(Matrix.from_ints([[0, 0], [0, 0]]))
-    assert res.nonzero_divisors == []
+    assert _nonzero(res) == []
     assert res.divisors == [0, 0]
     res = smith_normal_form(Matrix.from_ints([[1, 0], [0, 1]]))
-    assert res.nonzero_divisors == [1, 1]
+    assert _nonzero(res) == [1, 1]
 
 
 def test_rectangular():
     res = smith_normal_form(Matrix.from_ints([[2, 4, 6]]))
-    assert res.nonzero_divisors == [2]
+    assert _nonzero(res) == [2]
     _check_invariants(res)
 
 
@@ -66,7 +70,7 @@ def test_integer_snf_invariants(a):
     # transforms are unimodular
     assert abs(res.U.det()) == 1
     assert abs(res.V.det()) == 1
-    divs = res.nonzero_divisors
+    divs = _nonzero(res)
     for d, e in zip(divs, divs[1:]):
         assert e % d == 0
     for d in divs:
