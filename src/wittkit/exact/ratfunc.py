@@ -6,13 +6,11 @@ Canonical form: f = num / den where
   z^k is pushed into num, any scalar into num's coefficients),
 * num is a Laurent polynomial sharing no ordinary polynomial factor with den.
 
-With den(0) != 0 the variable z is invertible modulo den, which gives a
-canonical representative for the class of f modulo Laurent polynomials: the
-unique c/den with c an ordinary polynomial of degree < deg den
-(`frac_class`).  Linking form pairings live in these classes.
-
-`series_expand` embeds f into either completion: side "plus" is Q((z))
-(series in z, finitely many negative terms), side "minus" is Q((z^-1)).
+`series_expand` embeds num / den into either completion: side "plus" is
+Q((z)) (series in z, finitely many negative terms), side "minus" is
+Q((z^-1)).  It reads a numerator and a dense denominator, not a `RatFunc`,
+so a linking form's entry num_ij / d_j* expands without being brought to
+this canonical form.
 """
 
 from __future__ import annotations
@@ -84,11 +82,6 @@ class RatFunc:
     def is_laurent(self) -> bool:
         return polys.deg(self.den) == 0
 
-    def as_laurent(self) -> LaurentPoly:
-        if not self.is_laurent():
-            raise ValueError("not a Laurent polynomial")
-        return self.num
-
     # ---- arithmetic ----
 
     def __add__(self, other) -> "RatFunc":
@@ -146,29 +139,6 @@ class RatFunc:
             return repr(self.num)
         return f"({self.num!r}) / ({LaurentPoly.from_dense(self.den)!r})"
 
-    # ---- classes modulo Laurent polynomials ----
-
-    def frac_class(self) -> "RatFunc":
-        """Canonical representative of [self] in Q(z) / Q[z,z^-1]: the unique
-        c/den with c ordinary of degree < deg den (zero class -> 0)."""
-        if self.is_laurent():
-            return RatFunc.zero()
-        den = self.den
-        n0, m = self.num.ordinary()
-        c = polys.mod(n0, den)
-        if m > 0:
-            zm = polys.mod([Fraction(0)] * m + [Fraction(1)], den)
-            c = polys.mod(polys.mul(c, zm), den)
-        elif m < 0:
-            # den = 0 mod den, so z^-1 = -(den - den(0)) / (den(0) z)
-            zinv = [-x / den[0] for x in den[1:]]
-            for _ in range(-m):
-                c = polys.mod(polys.mul(c, zinv), den)
-        return RatFunc.make(LaurentPoly.from_dense(c), den)
-
-    def class_equals(self, other) -> bool:
-        return self.frac_class() == _to_rf(other).frac_class()
-
 
 def _to_lp(x) -> LaurentPoly:
     if isinstance(x, LaurentPoly):
@@ -184,30 +154,33 @@ def _to_rf(x) -> RatFunc:
     return RatFunc.make(_to_lp(x))
 
 
-def series_expand(f: RatFunc, side: str, lo: int, hi: int) -> dict[int, Fraction]:
-    """Coefficients of the expansion of f in degrees lo..hi.
+def series_expand(num: LaurentPoly, den: list, side: str, lo: int,
+                  hi: int) -> dict[int, Fraction]:
+    """Coefficients in degrees lo..hi of the expansion of num / den, with
+    den a dense ordinary polynomial, not necessarily monic or in lowest
+    terms with num: the expansion is that of the function.
 
-    side "plus": expansion in Q((z)); side "minus": in Q((z^-1)).  The two
-    expansions agree exactly on Laurent polynomials and differ otherwise;
-    their degree-0 discrepancy is what the trace function measures.
+    side "plus": expansion in Q((z)), which needs den(0) != 0; side
+    "minus": in Q((z^-1)), which needs den's top coefficient nonzero.  The
+    two expansions agree exactly on Laurent polynomials and differ
+    otherwise; their degree-0 discrepancy is what the trace function
+    measures.
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
-    if not isinstance(f, RatFunc):
-        f = _to_rf(f)
-    if not f.den:
-        raise NotInvertibleInNovikov("zero denominator")
+    if not den or not den[0 if side == "plus" else -1]:
+        raise NotInvertibleInNovikov(f"denominator not invertible in the "
+                                     f"{side} completion")
     out = {d: Fraction(0) for d in range(lo, hi + 1)}
-    if f.is_zero():
+    if num.is_zero():
         return out
-    den = f.den
     D = polys.deg(den)
-    num_degs = sorted(f.num.coeffs)
+    num_degs = sorted(num.coeffs)
     if side == "plus":
         # 1/den = sum_{j>=0} b_j z^j, driven by den(0) != 0
         need = hi - num_degs[0]
         b = _inverse_coeffs(den, max(need, -1))
-        for r, a in f.num.coeffs.items():
+        for r, a in num.coeffs.items():
             for d in range(lo, hi + 1):
                 j = d - r
                 if 0 <= j <= need:
@@ -216,7 +189,7 @@ def series_expand(f: RatFunc, side: str, lo: int, hi: int) -> dict[int, Fraction
         # 1/den = sum_{j>=0} c_j z^(-D-j): the same recurrence on den reversed
         need = num_degs[-1] - D - lo
         c = _inverse_coeffs(den[::-1], max(need, -1))
-        for r, a in f.num.coeffs.items():
+        for r, a in num.coeffs.items():
             for d in range(lo, hi + 1):
                 j = r - D - d
                 if 0 <= j <= need:

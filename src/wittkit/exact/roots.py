@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from wittkit.errors import SingularForm
+from wittkit.errors import SingularForm, check
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
@@ -193,10 +193,10 @@ def hermitian_signature_at_root(h: Matrix, roots: list) -> list[int]:
     `roots`, at the embeddings z -> e^{i*theta}: one elimination, each
     leading minor's real part in y taken once and its sign read at every
     root.  Entries must be ResidueElem over a self-conjugate field; a
-    matrix with bar(h)^T != h is refused with ValueError, a singular one
-    with SingularForm."""
-    if h != h.bar().transpose():
-        raise ValueError("matrix is not hermitian")
+    matrix with bar(h)^T != h is refused with InvariantViolated (the
+    auxiliary forms of a certified covering form are hermitian), a
+    singular one with SingularForm."""
+    check(h == h.bar().transpose(), "matrix is not hermitian")
     minors = [polys.cos_poly(d.coeffs) for d in _congruence_pivots(
         [list(row) for row in h.rows], lambda x: x.bar(),
         lambda d: (1 / d).__mul__)]

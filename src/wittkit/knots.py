@@ -329,13 +329,11 @@ def _circle_roots(det: LaurentPoly) -> tuple[list, set]:
     return marked, cyclotomic
 
 
-def lt_jumps(k: KnotInput,
-             precision: Fraction = DEFAULT_PRECISION) -> dict:
+def lt_jumps(k: KnotInput) -> dict:
     """Jump of the Levine-Tristram signature across each unit-circle
     Alexander root, keyed like the multisignature entries: the difference
-    of `k.lt_steps` on the gaps on either side.  `precision` must be
-    positive; the brackets are refined only as far as separation needs,
-    so it does not change the answer.
+    of `k.lt_steps` on the gaps on either side.  The brackets are refined
+    only as far as separation needs, so no precision enters.
 
     Skew forms only.  The sampled matrix (1-w) psi + (1-conj(w)) psi^T
     degenerates exactly on the Alexander roots when epsilon = -1; for
@@ -346,8 +344,6 @@ def lt_jumps(k: KnotInput,
         raise ValueError(
             "signature jumps across Alexander roots are defined for "
             "epsilon = -1 Seifert forms only")
-    if precision <= 0:
-        raise ValueError("precision must be positive")
     steps = k.lt_steps
     return {(key, ridx): steps.value(i + 1) - steps.value(i)
             for i, (key, ridx, _root) in enumerate(steps.roots)}

@@ -46,7 +46,6 @@ from wittkit.exact import polys
 from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix, _products
-from wittkit.exact.ratfunc import RatFunc
 from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
@@ -61,11 +60,7 @@ SIGMA_SIGN = 1
 
 
 def _as_laurent(x) -> LaurentPoly:
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, RatFunc):
-        return x.as_laurent()
-    return LaurentPoly.const(x)
+    return x if isinstance(x, LaurentPoly) else LaurentPoly.const(x)
 
 
 def _monic_ordinary(p: LaurentPoly) -> LaurentPoly:
@@ -304,21 +299,25 @@ def level_multiplicities(module: LaurentModule, p) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 class LaurentLinkingForm:
-    """Epsilon-symmetric linking form on a Laurent torsion module, with the
-    pairing matrix (`RatFunc` entries) in the divisor basis.  Construction
-    checks only epsilon and the shape: `seifert._covering_form` certifies
-    the covering forms over Q, and the tests check forms over Q(z) with
-    `covering_oracle.validate_over_qz`."""
+    """Epsilon-symmetric linking form on a Laurent torsion module, stored as
+    numerators in the divisor basis: lambda_ij = num_ij / d_j* modulo
+    Q[z, z^-1], with num_ij a `LaurentPoly` and d_j* = z^D d_j(1/z),
+    D = deg d_j, the conjugate divisor.  Every linking form has such
+    numerators: lambda is conjugate-linear in its second argument and
+    d_j g_j = 0, so bar(d_j) lambda_ij, and with it d_j* lambda_ij, is a
+    Laurent polynomial.  Construction checks only epsilon and the shape:
+    `seifert._covering_form` certifies the covering forms over Q, and the
+    tests check forms over Q(z) with `covering_oracle.validate_over_qz`."""
 
-    def __init__(self, module: LaurentModule, pairing, epsilon: int):
+    def __init__(self, module: LaurentModule, num, epsilon: int):
         if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
-        rows = pairing.rows if isinstance(pairing, Matrix) else pairing
+        rows = num.rows if isinstance(num, Matrix) else num
         r = module.rank
         if len(rows) != r or any(len(row) != r for row in rows):
             raise ValueError("pairing shape does not match the divisor count")
         self.module = module
-        self.pairing = Matrix(rows)
+        self.num = Matrix(rows)
         self.epsilon = epsilon
 
 
@@ -358,7 +357,16 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
     divisor classes of exact p-valuation l, the residue of p^l lambda(u_i,
     u_j) mod p, normalized to a hermitian form by a Hilbert-90 unit;
     `hermitian_signature_at_root` refuses it unless hermitian and
-    nonsingular; a skew one is checked where its rank is read."""
+    nonsingular; a skew one is checked where its rank is read.
+
+    The entry is read off the numerators without a product over Q(z).
+    With p = u bar(p) (u = +-z^k from `is_self_conjugate`), d_i = p^l cof_i
+    and D_j = deg d_j, d_j* = z^(D_j) bar(d_j) = z^(D_j) bar(p)^l bar(cof_j),
+    so the level's entry p^l lambda(cof_i g_i, cof_j g_j) is
+    p^l cof_i bar(cof_j) num_ij / d_j* = num_ij cof_i u^l z^(-D_j), a
+    Laurent polynomial.  It does not depend on the representative:
+    num_ij + k d_j* changes it by k cof_i u^l bar(d_j) =
+    k cof_i p^l bar(cof_j), which is 0 mod p since l >= 1."""
     p = _monic_ordinary(_as_laurent(p))
     unit_p = is_self_conjugate(p)
     if unit_p is None:
@@ -369,31 +377,20 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
         raise ValueError("level must be >= 1")
     module = form.module
     field = ResidueField(_dense(p))
-    vals = [_valuation(d, p) for d in module.divisors]
-    idx = [i for i, v in enumerate(vals) if v == l]
+    idx = [i for i, d in enumerate(module.divisors) if _valuation(d, p) == l]
 
-    p_pow = p**l
-    cof = {}
+    p_pow, unit_l = _dense(p**l), unit_p**l
+    row, shift = {}, {}  # cof_i u^l and -D_i
     for i in idx:
         dense_d = _dense(module.divisors[i])
-        q, r = polys.divmod_poly(dense_d, _dense(p_pow))
+        q, r = polys.divmod_poly(dense_d, p_pow)
         check(not r, "valuation bookkeeping broke")
-        cof[i] = LaurentPoly.from_dense(q)
+        row[i] = LaurentPoly.from_dense(q) * unit_l
+        shift[i] = 1 - len(dense_d)
+    gram0 = Matrix([[field.from_laurent((form.num[i, j] * row[i]).shift(
+        shift[j])) for j in idx] for i in idx])
 
-    entries = []
-    for i in idx:
-        row = []
-        for j in idx:
-            e = form.pairing[i, j] * (p_pow * cof[i] * cof[j].bar())
-            if not e.is_laurent():
-                raise SingularForm(
-                    "pairing entry escapes the coefficient ring; the input "
-                    "form is not a linking form on the stated module")
-            row.append(field.from_laurent(e.as_laurent()))
-        entries.append(row)
-    gram0 = Matrix(entries)
-
-    v = field.from_laurent(unit_p**l)
+    v = field.from_laurent(unit_l)
     if form.epsilon == -1:
         v = -v
     if field.degree == 1:

@@ -162,13 +162,12 @@ def _seifert_module(f: SeifertForm) -> tuple[LaurentModule, list, Matrix,
     return (*_covering_module("P", h, b), b, h)
 
 
-def _pairing_entry(c: list, m: list, s: list) -> RatFunc:
+def _pairing_entry(c: list, m: list, s: list) -> LaurentPoly:
+    """The numerator over m* of lambda_ij: s N mod m*, of degree < deg m."""
     d = len(m) - 1
     num = [sum(m[a] * c[k - d + a] for a in range(d - k, d + 1))
            for k in range(d)]
-    # m*(0) = 1, so s N mod m* is the class of s N / m* up to a common factor
-    rem = polys.mod(polys.mul(s, num), m[::-1])
-    return RatFunc.make(LaurentPoly.from_dense(rem), m[::-1])
+    return LaurentPoly.from_dense(polys.mod(polys.mul(s, num), m[::-1]))
 
 
 def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
@@ -182,7 +181,10 @@ def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
     the one placement that is exactly symmetric and well defined.  For
     m = d_j of degree D, m(z^-1) - m(h) = (z^-1 - h) sum_a m_a sum_{b<a}
     z^(b+1-a) h^b makes lambda(g_i, g_j) = s N / m*, with m* = z^D m(1/z)
-    and N_k = sum_{a >= D-k} m_a theta'(g_i, h^(k-D+a) g_j).
+    and N_k = sum_{a >= D-k} m_a theta'(g_i, h^(k-D+a) g_j).  The form
+    stores the numerator s N mod m* over the conjugate divisor m*, as
+    `LaurentLinkingForm` does for every form; no entry is canonicalized
+    over Q(z).
 
     The three checks below serve both functors and stand in for the check
     over Q(z) that the tests run as `covering_oracle.validate_over_qz`:
@@ -250,8 +252,8 @@ def trace_chi(f) -> Fraction:
     over Q and zero on Laurent polynomials, so well defined on classes."""
     if not isinstance(f, RatFunc):
         f = RatFunc.make(f)
-    plus = series_expand(f, "plus", 0, 0)[0]
-    minus = series_expand(f, "minus", 0, 0)[0]
+    plus = series_expand(f.num, f.den, "plus", 0, 0)[0]
+    minus = series_expand(f.num, f.den, "minus", 0, 0)[0]
     return plus - minus
 
 
@@ -269,14 +271,17 @@ def monodromy(form: LaurentLinkingForm) -> AutometricForm:
     trace is applied to the conjugated pairing value, the orientation that
     makes the round-trip exact rather than exact-up-to-sign:
     theta[(i,a),(j,b)] = -chi(z^(a-b) lambda_ij), read off one expansion
-    of lambda_ij on each side."""
+    of lambda_ij = num_ij / d_j* on each side.  Neither needs lowest
+    terms: d_j*(0) = 1, d_j being monic, and its top coefficient d_j(0)
+    is nonzero."""
     divisors = form.module.divisors
-    dims = [len(d.ordinary()[0]) - 1 for d in divisors]
+    stars = [d.ordinary()[0][::-1] for d in divisors]
+    dims = [len(star) - 1 for star in stars]
     theta = []
     for i, di in enumerate(dims):
-        sides = [(dj, *(series_expand(form.pairing[i, j], side, 1 - di, dj - 1)
-                        for side in ("minus", "plus")))
-                 for j, dj in enumerate(dims)]
+        sides = [(dj, *(series_expand(form.num[i, j], star, side, 1 - di,
+                                      dj - 1) for side in ("minus", "plus")))
+                 for j, (dj, star) in enumerate(zip(dims, stars))]
         theta += [[minus[b - a] - plus[b - a] for dj, minus, plus in sides
                    for b in range(dj)] for a in range(di)]
     h = Matrix.block_diag([_companion(d) for d in divisors])

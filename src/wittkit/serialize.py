@@ -87,6 +87,8 @@ def parse_fraction(s) -> Fraction:
 
 
 def parse_int(s) -> int:
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s
     f = parse_fraction(s)
     if f.denominator != 1:
         raise ValueError(f"expected an integer, got {s!r}")

@@ -1,6 +1,6 @@
-"""Oracles on covering forms: the check of a linking form over Q(z),
-submodules pushed through the covering, and the near-projection splitting
-of a Seifert form's space.
+"""Oracles on covering forms: a linking form over Q(z), submodules pushed
+through the covering, and the near-projection splitting of a Seifert
+form's space.
 
 - `covering_pencil` rebuilds the presentation of a covering module from
   its form, the pencil (1-e) + ez or z - h, which the module does not keep;
@@ -11,11 +11,20 @@ of a Seifert form's space.
   that a Seifert lagrangian covers a lagrangian of the linking form.
 - `near_projection_decompose` splits the space as K+ (+) K- for an e with
   e(1-e) nilpotent.
+- `frac_class` is the canonical representative of a rational function
+  modulo Q[z, z^-1]; `qz_pairing` is a form's pairing over Q(z), each
+  entry num_ij / d_j* brought to it, and `form_from_qz` the numerators of a pairing given over
+  Q(z): it refuses an entry with a pole deeper than its column divisor,
+  which no numerator over d_j* can carry.
 - `validate_over_qz` checks a `LaurentLinkingForm` over Q(z): its
-  symmetry, annihilation by the row and column divisors and a bijective
-  adjoint.  The constructor checks none of these and the covering functors
-  certify them over Q, so this is the oracle for that certificate and for
-  the forms tests build directly.
+  symmetry, annihilation by the row divisors and a bijective adjoint (the
+  numerators carry the column annihilation).  The constructor checks none
+  of these and the covering functors certify them over Q, so this is the
+  oracle for that certificate and for the forms tests build directly.
+- `qz_auxiliary_gram` and `qz_monodromy_theta` are the Q(z) routes that
+  `auxiliary_hermitian` and `monodromy` replaced: the level form as the
+  product p^l cof_i bar(cof_j) lambda_ij over Q(z), and theta from the
+  expansions of the canonical entries.
 - `module_dimension_q`, `laurent_direct_sum` and `laurent_negate` are what
   only tests need of modules and linking forms over Q[z, z^-1], and
   `autometric_direct_sum` what they need of autometric forms.
@@ -31,7 +40,7 @@ from wittkit.errors import ComputationError, SingularForm, check
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
-from wittkit.exact.ratfunc import RatFunc
+from wittkit.exact.ratfunc import RatFunc, series_expand
 from wittkit.exact.residue import ResidueField
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
@@ -39,6 +48,7 @@ from wittkit.laurent_forms import (
     _as_laurent,
     _dense,
     _fitting_power,
+    _monic_ordinary,
 )
 from wittkit.seifert import AutometricForm, SeifertForm, SeifertSubmodule
 
@@ -70,35 +80,87 @@ def restricted_e(f: SeifertForm, b: Matrix) -> Matrix:
     return Matrix([eb[s] for s in sel])
 
 
+def frac_class(f) -> RatFunc:
+    """Canonical representative of [f] in Q(z) / Q[z,z^-1]: with den(0) != 0
+    z is invertible modulo den, so it is the unique c/den with c ordinary of
+    degree < deg den (zero class -> 0)."""
+    f = RatFunc.make(f) if not isinstance(f, RatFunc) else f
+    if f.is_laurent():
+        return RatFunc.zero()
+    den = f.den
+    n0, m = f.num.ordinary()
+    c = polys.mod(n0, den)
+    if m > 0:
+        zm = polys.mod([Fraction(0)] * m + [Fraction(1)], den)
+        c = polys.mod(polys.mul(c, zm), den)
+    elif m < 0:
+        # den = 0 mod den, so z^-1 = -(den - den(0)) / (den(0) z)
+        zinv = [-x / den[0] for x in den[1:]]
+        for _ in range(-m):
+            c = polys.mod(polys.mul(c, zinv), den)
+    return RatFunc.make(LaurentPoly.from_dense(c), den)
+
+
+def _conjugate_divisor(d: LaurentPoly) -> list:
+    """d* = z^D d(1/z), dense."""
+    return _dense(d)[::-1]
+
+
+def qz_pairing(form: LaurentLinkingForm) -> Matrix:
+    """lambda_ij = num_ij / d_j* as canonical classes in Q(z) / Q[z, z^-1]."""
+    stars = [_conjugate_divisor(d) for d in form.module.divisors]
+    return Matrix([[frac_class(RatFunc.make(x, star))
+                    for x, star in zip(row, stars)] for row in form.num.rows])
+
+
+def form_from_qz(module: LaurentModule, pairing,
+                 epsilon: int) -> LaurentLinkingForm:
+    """The form with the given Q(z) pairing in the divisor basis: num_ij =
+    d_j* lambda_ij, refused unless a Laurent polynomial, that is unless d_j*
+    clears the pole of lambda_ij."""
+    rows = pairing.rows if isinstance(pairing, Matrix) else pairing
+    stars = [RatFunc.make(LaurentPoly.from_dense(_conjugate_divisor(d)))
+             for d in module.divisors]
+    nums = []
+    for i, row in enumerate(rows):
+        nums.append([])
+        for j, x in enumerate(row):
+            num = stars[j] * x
+            if not num.is_laurent():
+                raise ValueError(
+                    f"pairing not annihilated by the column divisor: entry "
+                    f"({i}, {j}) has a pole deeper than d_{j}*")
+            nums[-1].append(num.num)
+    return LaurentLinkingForm(module, nums, epsilon)
+
+
 def validate_over_qz(form: LaurentLinkingForm) -> None:
-    """Raise unless form's pairing is epsilon-symmetric modulo
-    Q[z, z^-1], killed by its row and column divisors, and has a bijective
-    adjoint T -> T^."""
+    """Raise unless form's pairing is killed by its row divisors,
+    epsilon-symmetric modulo Q[z, z^-1] and has a bijective adjoint
+    T -> T^.  The column divisors kill it by construction: d_j* clears
+    num_ij / d_j*.  Annihilation is checked first, because with the
+    columns killed a symmetric pairing is killed by its rows too."""
     eps = form.epsilon
-    lam = form.pairing
+    lam = qz_pairing(form)
     divisors = form.module.divisors
     r = form.module.rank
     for i in range(r):
         for j in range(r):
             entry = lam[i, j]
-            if not entry.class_equals(lam[j, i].bar() * Fraction(eps)):
-                raise ValueError("pairing breaks epsilon-symmetry")
             # entries are canonical: d kills one exactly when den | d
             if polys.mod(_dense(divisors[i]), entry.den):
                 raise ValueError("pairing not annihilated by the row divisor")
-            if polys.mod(_dense(divisors[j])[::-1], entry.den):
-                raise ValueError(
-                    "pairing not annihilated by the column divisor")
-    if not _adjoint_bijective(form):
+            if entry != frac_class(lam[j, i].bar() * Fraction(eps)):
+                raise ValueError("pairing breaks epsilon-symmetry")
+    if not _adjoint_bijective(divisors, lam):
         raise SingularForm("adjoint T -> T^ is not an isomorphism")
 
 
-def _adjoint_bijective(form: LaurentLinkingForm) -> bool:
+def _adjoint_bijective(divisors: list, lam: Matrix) -> bool:
     """The Q-linear map u |-> (sum_j d_i lambda_ij u_j mod d_i) must be a
     bijection of a sum of residue fields with itself; conjugation on the
     inputs is a Q-linear bijection, so it drops out."""
-    divisors = form.module.divisors
-    r = form.module.rank
+    r = len(divisors)
     fields = [ResidueField(_dense(d)) for d in divisors]
     dims = [len(_dense(d)) - 1 for d in divisors]
     total = sum(dims)
@@ -109,8 +171,9 @@ def _adjoint_bijective(form: LaurentLinkingForm) -> bool:
     for j in range(r):
         numerators = []
         for i in range(r):
-            num = form.pairing[i, j] * divisors[i]
-            numerators.append(fields[i].from_laurent(num.as_laurent()))
+            num = lam[i, j] * divisors[i]
+            check(num.is_laurent(), "row divisor left a pole")
+            numerators.append(fields[i].from_laurent(num.num))
         for b in range(dims[j]):
             col = [Fraction(0)] * total
             for i in range(r):
@@ -120,6 +183,48 @@ def _adjoint_bijective(form: LaurentLinkingForm) -> bool:
             cols.append(col)
     big = Matrix([[cols[j][i] for j in range(total)] for i in range(total)])
     return big.det() != 0
+
+
+def qz_auxiliary_gram(form: LaurentLinkingForm, p: LaurentPoly,
+                      l: int) -> Matrix:
+    """The level-l form at p before normalization, by products over Q(z):
+    p^l cof_i bar(cof_j) lambda_ij reduced mod p, on the divisors
+    d_i = p^l cof_i of exact valuation l."""
+    p = _monic_ordinary(p)
+    field = ResidueField(_dense(p))
+    lam = qz_pairing(form)
+    divisors = form.module.divisors
+    p_pow = p**l
+    cof = {}
+    for i, d in enumerate(divisors):
+        q, rem = polys.divmod_poly(_dense(d), _dense(p_pow))
+        if not rem and polys.mod(q, _dense(p)):
+            cof[i] = LaurentPoly.from_dense(q)
+    entries = []
+    for i in cof:
+        row = []
+        for j in cof:
+            e = lam[i, j] * (p_pow * cof[i] * cof[j].bar())
+            check(e.is_laurent(), "level entry escapes the coefficient ring")
+            row.append(field.from_laurent(e.num))
+        entries.append(row)
+    return Matrix(entries)
+
+
+def qz_monodromy_theta(form: LaurentLinkingForm) -> Matrix:
+    """`monodromy`'s theta, read off the expansions of the canonical
+    entries: theta[(i,a),(j,b)] = -chi(z^(a-b) lambda_ij)."""
+    lam = qz_pairing(form)
+    dims = [len(_dense(d)) - 1 for d in form.module.divisors]
+    theta = []
+    for i, di in enumerate(dims):
+        sides = [(dj, *(series_expand(lam[i, j].num, lam[i, j].den, side,
+                                      1 - di, dj - 1)
+                        for side in ("minus", "plus")))
+                 for j, dj in enumerate(dims)]
+        theta += [[minus[b - a] - plus[b - a] for dj, minus, plus in sides
+                   for b in range(dj)] for a in range(di)]
+    return Matrix(theta)
 
 
 def module_dimension_q(module: LaurentModule) -> int:
@@ -139,14 +244,16 @@ def laurent_direct_sum(a: LaurentLinkingForm,
                   key=lambda k: (len(_dense(divs[k])), _dense(divs[k])))
     module = LaurentModule([divs[k] for k in perm], None,
                            a.module.torsion_mode)
-    combined = Matrix.block_diag([a.pairing, b.pairing], RatFunc.zero())
-    gram = [[combined[i, j] for j in perm] for i in perm]
-    return LaurentLinkingForm(module, gram, a.epsilon)
+    # the numerators of column j are over d_j*, which the permutation
+    # moves with the column
+    combined = Matrix.block_diag([a.num, b.num], LaurentPoly.zero())
+    num = [[combined[i, j] for j in perm] for i in perm]
+    return LaurentLinkingForm(module, num, a.epsilon)
 
 
 def laurent_negate(f: LaurentLinkingForm) -> LaurentLinkingForm:
-    gram = [[-x for x in row] for row in f.pairing.rows]
-    return LaurentLinkingForm(f.module, gram, f.epsilon)
+    return LaurentLinkingForm(f.module, [[-x for x in row]
+                                         for row in f.num.rows], f.epsilon)
 
 
 def autometric_direct_sum(a: AutometricForm,
@@ -164,7 +271,7 @@ def pairing_entry_oracle(c: list, m: list, s: list) -> RatFunc:
     num = [sum(m[a] * c[k - d + a] for a in range(d - k, d + 1))
            for k in range(d)]
     sn = LaurentPoly.from_dense(s) * LaurentPoly.from_dense(num)
-    return RatFunc.make(sn, m[::-1]).frac_class()
+    return frac_class(RatFunc.make(sn, m[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +346,13 @@ def is_lagrangian_submodule(form: LaurentLinkingForm, cols) -> bool:
     r = module.rank
     if cols.nrows != r:
         raise ValueError("column vectors do not live in the module")
+    lam = qz_pairing(form)
     for i in range(cols.ncols):
         for j in range(cols.ncols):
             acc = RatFunc.zero()
             for a in range(r):
                 for b in range(r):
-                    acc = acc + form.pairing[a, b] * (
+                    acc = acc + lam[a, b] * (
                         cols[a, i] * cols[b, j].bar())
             if not acc.is_laurent():
                 return False

@@ -834,9 +834,6 @@ class TestStepFunction:
         k = KnotInput("T(2,5)", T25, -1)
         with pytest.raises(ValueError):
             analyze(k, Fraction(0))
-        for precision in (0, -1):
-            with pytest.raises(ValueError):
-                lt_jumps(k, precision)
         assert list(lt_jumps(k).values()) == [-2, -2]
 
 

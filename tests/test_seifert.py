@@ -17,12 +17,13 @@ from wittkit.errors import (
     SingularAutometricForm,
     SingularSeifertForm,
 )
-from wittkit.exact.laurent import LaurentPoly
+from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     _krylov,
+    auxiliary_hermitian,
     _pencil_reduction,
     decompose_module,
     dw_multisignature_laurent,
@@ -53,7 +54,12 @@ from covering_oracle import (
     laurent_direct_sum,
     module_dimension_q,
     near_projection_decompose,
+    form_from_qz,
+    frac_class,
     pairing_entry_oracle,
+    qz_auxiliary_gram,
+    qz_monodromy_theta,
+    qz_pairing,
     restricted_e,
     validate_over_qz,
 )
@@ -283,7 +289,7 @@ class TestCoveringAutometric:
         # would produce the negative class
         expected = RatFunc.make(
             LaurentPoly({0: Fraction(-1)}), [Fraction(1), Fraction(1)])
-        assert cov.pairing[0, 0].class_equals(expected)
+        assert qz_pairing(cov)[0, 0] == frac_class(expected)
 
     def test_identity_monodromy_is_q_torsion_only(self):
         cov = covering_autometric(AutometricForm([[1]], [[1]], 1))
@@ -322,7 +328,7 @@ def _q_z_pairing(f, module, scale):
     g = Matrix([[row[k] for k in starts]
                 for row in module.basis_change.rows]).map(RatFunc.make)
     changed = g.transpose() * raw * g
-    return [[x.frac_class() for x in row] for row in changed.rows]
+    return [[frac_class(x) for x in row] for row in changed.rows]
 
 
 class TestCoveringAgainstQz:
@@ -335,7 +341,7 @@ class TestCoveringAgainstQz:
             f = random_autometric(rng, max_rank=4, bound=5)
             cov = covering_autometric(f)
             if not cov.module.is_zero:
-                assert cov.pairing.rows == _q_z_pairing(
+                assert qz_pairing(cov).rows == _q_z_pairing(
                     f, cov.module, scale)
                 checked += 1
         assert checked > 40
@@ -356,7 +362,7 @@ class TestCoveringAgainstQz:
             cases.append((covering_autometric(f2), f2, auto))
         for cov, form, scale in cases:
             assert cov.module.rank > 1
-            assert cov.pairing.rows == _q_z_pairing(form, cov.module, scale)
+            assert qz_pairing(cov).rows == _q_z_pairing(form, cov.module, scale)
 
     def test_seifert_random_forms(self):
         scale = RatFunc.make(LaurentPoly({-1: Fraction(1), 0: Fraction(-1)}))
@@ -371,7 +377,7 @@ class TestCoveringAgainstQz:
                 continue
             cov = covering_seifert(f)
             if not cov.module.is_zero:
-                assert cov.pairing.rows == _q_z_pairing(
+                assert qz_pairing(cov).rows == _q_z_pairing(
                     f, cov.module, scale)
                 checked += 1
 
@@ -405,9 +411,14 @@ def block_coords(num, m):
     return c
 
 
+def entry_class(num, m):
+    """The class of `_pairing_entry`'s numerator over m*."""
+    return RatFunc.make(num, m[::-1])
+
+
 class TestPairingEntry:
-    """`_pairing_entry`'s one canonicalization against `make` followed by
-    `frac_class`."""
+    """`_pairing_entry`'s numerator, reduced mod m*, against the entry
+    canonicalized by `make` followed by `frac_class`."""
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_random_blocks(self, mode):
@@ -420,15 +431,17 @@ class TestPairingEntry:
                 m[0] = Fraction(1)
             c = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                  for _ in range(d + rng.randint(0, 2))]
-            assert seifert._pairing_entry(c, m, MODES[mode]) == \
-                pairing_entry_oracle(c, m, MODES[mode])
+            got = seifert._pairing_entry(c, m, MODES[mode])
+            assert got.is_zero() or 0 <= got.min_deg() <= got.max_deg() < d
+            assert entry_class(got, m) == pairing_entry_oracle(
+                c, m, MODES[mode])
 
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_common_factor_with_m_star(self, mode):
         # m = (z - 2)(z^2 + z + 3), m* = (1 - 2z)(3z^2 + z + 1); N = 1 - 2z
         m = [Fraction(-6), Fraction(1), Fraction(-1), Fraction(1)]
         c = block_coords([Fraction(1), Fraction(-2), Fraction(0)], m)
-        got = seifert._pairing_entry(c, m, MODES[mode])
+        got = entry_class(seifert._pairing_entry(c, m, MODES[mode]), m)
         assert got == pairing_entry_oracle(c, m, MODES[mode])
         assert len(got.den) - 1 == 2
 
@@ -438,11 +451,13 @@ class TestPairingEntry:
         c = block_coords([Fraction(5), Fraction(-15)], m)
         for mode, want_zero in (("P", True), ("Q", False)):
             got = seifert._pairing_entry(c, m, MODES[mode])
-            assert got == pairing_entry_oracle(c, m, MODES[mode])
+            assert entry_class(got, m) == pairing_entry_oracle(
+                c, m, MODES[mode])
             assert got.is_zero() is want_zero
         for mode in MODES:
             zero = seifert._pairing_entry([Fraction(0)] * 2, m, MODES[mode])
-            assert zero == pairing_entry_oracle(
+            assert zero == LaurentPoly.zero()
+            assert pairing_entry_oracle(
                 [Fraction(0)] * 2, m, MODES[mode]) == RatFunc.zero()
 
 
@@ -543,7 +558,7 @@ class TestMonodromy:
         d = LaurentPoly.from_dense([Fraction(1), Fraction(-5, 2), Fraction(1)])
         module = decompose_module(Matrix([[d]]), "Q")
         pairing = [[RatFunc.make(LaurentPoly.z(), d.ordinary()[0])]]
-        form = LaurentLinkingForm(module, pairing, 1)
+        form = form_from_qz(module, pairing, 1)
         validate_over_qz(form)
         mono = monodromy(form)
         assert mono.h.charpoly() == [Fraction(1), Fraction(-5, 2), Fraction(1)]
@@ -651,6 +666,92 @@ class TestCoveringCertificate:
 
         monkeypatch.setattr(seifert, "_covering_form", refuse)
         assert alexander_polynomial(k) == want
+
+
+def assert_matches_qz(form):
+    """`auxiliary_hermitian`'s grams from the numerators against the Q(z)
+    products p^l cof_i bar(cof_j) lambda_ij, and `monodromy`'s theta
+    against the expansions of the canonical entries; returns the number of
+    (factor, level) grams compared."""
+    assert monodromy(form).theta == qz_monodromy_theta(form)
+    compared = 0
+    for p, _ in form.module.factors:
+        if is_self_conjugate(p) is None:
+            continue
+        for level in level_multiplicities(form.module, p):
+            aux = auxiliary_hermitian(form, p, level)
+            want = qz_auxiliary_gram(form, p, level)
+            if aux.unit is not None:
+                ubar = aux.unit.bar()
+                want = want.map(lambda x: ubar * x)
+            assert aux.gram == want
+            compared += 1
+    return compared
+
+
+class TestNumeratorsAgainstQz:
+    """A covering form stores numerators over the conjugate divisors; the
+    level forms and the monodromy read them with no Q(z) arithmetic.  Both
+    must agree with the routes over Q(z) they replaced."""
+
+    def test_autometric_criterion_3_forms(self):
+        rng = random.Random(301)
+        compared = 0
+        for _ in range(50):
+            compared += assert_matches_qz(covering_autometric(
+                random_autometric(rng, max_rank=4, bound=5)))
+        assert compared > 30
+
+    def test_seifert_random_forms(self):
+        rng = random.Random(401)
+        compared = checked = 0
+        while checked < 25:
+            n = rng.randint(1, 4)
+            psi = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+            try:
+                f = SeifertForm(psi, rng.choice([1, -1]), "Q")
+            except SingularSeifertForm:
+                continue
+            compared += assert_matches_qz(covering_seifert(f))
+            checked += 1
+        assert compared > 10
+
+    def test_non_cyclic_modules(self):
+        rng = random.Random(302)
+        double = [[2 * x for x in row] for row in TREFOIL]
+        forms = [covering_seifert(SeifertForm(TREFOIL, -1, "Z").direct_sum(
+            SeifertForm(double, -1, "Q")))]
+        for _ in range(6):
+            f = random_autometric(rng, max_rank=2, bound=3)
+            forms.append(covering_autometric(autometric_direct_sum(
+                f, AutometricForm(f.theta.map(lambda x: 2 * x), f.h,
+                                  f.epsilon))))
+        for cov in forms:
+            assert cov.module.rank > 1
+            assert_matches_qz(cov)
+
+    def test_knot_sums(self):
+        # K # K and K # -K for the trefoil, the figure eight and ladder
+        # knots of genus 2 and 3
+        rng = random.Random(14)
+        knots = [SeifertForm(TREFOIL, -1, "Z"), SeifertForm(FIG8, -1, "Z")]
+        knots += [SeifertForm(ladder_psi(rng, genus), -1, "Z")
+                  for genus in (2, 3)]
+        compared = 0
+        for f in knots:
+            for g in (f.direct_sum(f), f.direct_sum(f.negate())):
+                cov = covering_seifert(g)
+                assert cov.module.rank >= 2 or cov.module.is_zero
+                compared += assert_matches_qz(cov)
+        assert compared >= 6
+
+    def test_ladder_knots_of_genus_1_to_10(self):
+        rng = random.Random(15)
+        compared = 0
+        for genus in range(1, 11):
+            f = SeifertForm(ladder_psi(rng, genus), -1, "Z")
+            compared += assert_matches_qz(covering_seifert(f))
+        assert compared >= 10
 
 
 class TestCertificateMutations:
@@ -771,8 +872,7 @@ class TestRoundTrip:
     def test_corrupted_pairing_detected(self):
         f = AutometricForm([[1]], [[-1]], 1)
         cov = covering_autometric(f)
-        bad_pairing = [[-cov.pairing[0, 0]]]
-        bad = LaurentLinkingForm(cov.module, bad_pairing, cov.epsilon)
+        bad = LaurentLinkingForm(cov.module, [[-cov.num[0, 0]]], cov.epsilon)
         validate_over_qz(bad)
         mono = monodromy(bad)
         p = canonical_identification(f, bad)

@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittkit.serialize import dumps
+from wittkit.serialize import dumps, parse_int
 
 # unicode, control characters, quotes, backslashes and the astral plane
 TEXT = st.text(st.one_of(
@@ -53,3 +53,14 @@ def test_non_str_key_raises(doc):
 def test_unknown_type_raises(doc):
     with pytest.raises(TypeError):
         dumps(doc)
+
+
+def test_parse_int_inputs():
+    # ints pass through; strings parse as fractions with denominator 1
+    assert parse_int(4) == 4 and type(parse_int(4)) is int
+    assert parse_int(-10**40) == -10**40
+    assert parse_int("4/2") == 2 and type(parse_int("4/2")) is int
+    assert parse_int(" -7 ") == -7
+    for bad in (True, False, 2.0, "1/2", "x"):
+        with pytest.raises(ValueError):
+            parse_int(bad)

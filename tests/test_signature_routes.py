@@ -140,7 +140,7 @@ def test_non_hermitian_input_rejected():
                  [[field.one(), field.gen()], [field.gen(), field.one()]],
                  [[field.zero(), field.one()],
                   [field.elem([2]), field.zero()]]):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantViolated, match="not hermitian"):
             hermitian_signature_at_root(Matrix(rows), [root])
 
 
