@@ -52,6 +52,11 @@ class SearchSpaceTooLarge(ComputationError):
     pass
 
 
+class FactorizationTooLarge(ComputationError):
+    """An order or prime with no factor below the trial-division bound and
+    too large to be certified prime by it."""
+
+
 class SingularOverFractionField(ComputationError):
     pass
 

@@ -4,13 +4,14 @@ Pipeline: strip the unit c*z^k, leaving the primitive integer polynomial f
 with leading coefficient b > 0.  An odd prime p (among the first eleven)
 with p not dividing b and f squarefree mod p certifies that f is
 squarefree over Q, since g^2 | f has lc(g) | b, so g^2 | f mod p keeps
-deg g; p is then the lifting prime.  Only without one does Yun's algorithm
-(`polys.squarefree_decomposition`) split f.  Each squarefree part is
-factored by Zassenhaus's modular route: factor b^-1 f mod p
-(distinct-degree, then Cantor-Zassenhaus with a fixed RNG seed),
-Hensel-lift the monic factors to p^k above twice 2^(n+1) |f|_2 b, and
-recombine subsets: the primitive part of lc * prod(u_i) mod p^k (symmetric
-range) is a factor exactly when it divides the rest over Z.
+deg g; p is then the lifting prime.  Only without one does f give way to
+its squarefree part f / gcd(f, f'), from one gcd over Q, and each
+irreducible factor's multiplicity is read by exact division of f.  The
+squarefree polynomial is factored by Zassenhaus's modular route: factor
+b^-1 f mod p (distinct-degree, then Cantor-Zassenhaus with a fixed RNG
+seed), Hensel-lift the monic factors to p^k above twice 2^(n+1) |f|_2 b,
+and recombine subsets: the primitive part of lc * prod(u_i) mod p^k
+(symmetric range) is a factor exactly when it divides the rest over Z.
 
 Factors are returned as monic ordinary polynomials (LaurentPoly with lowest
 degree 0) together with multiplicities and the leftover unit, so that
@@ -251,6 +252,14 @@ def _int_divides(cand, f):
     return None if r else q
 
 
+def _multiplicity(g: list[int], f: list[int]) -> int:
+    """The largest m with g^m | f over Z."""
+    m = 0
+    while (f := _int_divides(g, f)) is not None:
+        m += 1
+    return m
+
+
 def _factor_squarefree_int(f: list[int], p: int) -> list[list[int]]:
     """Irreducible primitive factors of a primitive squarefree integer
     polynomial f with positive leading coefficient b, given an odd prime p
@@ -309,20 +318,6 @@ def _lifting_prime(f: list[int], primes) -> int | None:
             return p
 
 
-def _squarefree_parts(f: list[int]) -> list[tuple[list[int], int, int]]:
-    """(g, m, p): primitive squarefree g with prod(g^m) == f, each with its
-    lifting prime p.  A certificate prime among the first eleven odd ones
-    settles the squarefree case; Yun's algorithm runs only without one."""
-    p = _lifting_prime(f, itertools.islice(_odd_primes(), 11))
-    if p is not None:
-        return [(f, 1, p)]
-    parts = []
-    for sf, m in polys.squarefree_decomposition([Fraction(c) for c in f]):
-        g = polys.content_primitive(sf)[1]
-        parts.append((g, m, _lifting_prime(g, _odd_primes())))
-    return parts
-
-
 # ---- driver ----
 
 def factor_rational_poly(p: LaurentPoly) -> tuple[LaurentPoly, list[tuple[LaurentPoly, int]]]:
@@ -336,7 +331,13 @@ def factor_rational_poly(p: LaurentPoly) -> tuple[LaurentPoly, list[tuple[Lauren
         raise ValueError("cannot factor zero")
     dense, k = p.ordinary()
     f = polys.content_primitive(dense)[1]
-    int_factors = [(g, m) for sf, m, q in _squarefree_parts(f)
+    sf, q = f, _lifting_prime(f, itertools.islice(_odd_primes(), 11))
+    if q is None:  # f may repeat a factor; f / gcd(f, f') does not
+        fq = [Fraction(c) for c in f]
+        sf = polys.content_primitive(polys.divmod_poly(
+            fq, polys.gcd(fq, polys.derivative(fq)))[0])[1]
+        q = _lifting_prime(sf, _odd_primes())
+    int_factors = [(g, _multiplicity(g, f))
                    for g in _factor_squarefree_int(sf, q)]
     prod = reduce(_zmul, (g for g, m in int_factors for _ in range(m)), [1])
     check(prod == f, "factorization lost a factor")

@@ -1,7 +1,8 @@
 """Dense matrices over the rings used in this package.
 
 Entries are whatever supports ring arithmetic: Fraction (Z and Q),
-LaurentPoly (Q[z, z^-1]), RatFunc (Q(z)) or residue field elements;
+LaurentPoly (Q[z, z^-1]) or residue field elements, and Q(z) elements
+(`RatFunc` with field operations), which now occur only in tests;
 operations are generic, but a product of Fraction matrices takes integer
 dot products (`_products`) and `charpoly` is division-free, on integers
 for a Fraction matrix.  Field-only operations (det, inverse, rank) require

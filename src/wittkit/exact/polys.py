@@ -1,9 +1,10 @@
 """Dense univariate polynomials over Q.
 
 Polynomials are lists of Fractions, low degree first, with no trailing zeros;
-the empty list is zero.  This is the workhorse representation for division,
-gcds, Sturm chains and factorization support, while `LaurentPoly` remains the
-user-facing type (conversion via `LaurentPoly.ordinary`/`from_dense`).
+the empty list is zero.  One sign-normalized remainder loop serves both the
+monic gcd and Sturm chains; `ext_gcd` is the Bezout routine.  `LaurentPoly`
+remains the user-facing type (conversion via `LaurentPoly.ordinary` and
+`from_dense`).
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ def from_ints(cs) -> Poly:
 def deg(p: Sequence) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(p) - 1
-
-
-def is_zero(p: Sequence) -> bool:
-    return not p
 
 
 def add(p: Sequence, q: Sequence) -> Poly:
@@ -102,13 +99,23 @@ def monic(p: Sequence) -> Poly:
     return [c / lc for c in p]
 
 
+def _remainders(a: Sequence, b: Sequence) -> list[Poly]:
+    """Euclid's remainder sequence a, b, r_2, ... over Q up to its last
+    nonzero member, a gcd of a and b: r_(k+1) = -rem(r_(k-1), r_k) / |lc|.
+    A remainder scales with its dividend and ignores a scalar on the
+    divisor, so each member is a positive multiple of the unnormalized
+    -rem(r_(k-1), r_k) and the Sturm counts of the two sequences agree."""
+    seq = [trim(a), trim(b)]
+    while seq[-1]:
+        r = mod(seq[-2], seq[-1])
+        seq.append(scal(-1 / abs(r[-1]), r) if r else r)
+    seq.pop()
+    return seq
+
+
 def gcd(p: Sequence, q: Sequence) -> Poly:
     """Monic gcd."""
-    a, b = trim(p), trim(q)
-    while b:
-        a, b = b, mod(a, b)
-        b = monic(b)  # keeps coefficients small
-    return monic(a)
+    return monic(_remainders(p, q)[-1])
 
 
 def ext_gcd(p: Sequence, q: Sequence) -> tuple[Poly, Poly, Poly]:
@@ -164,38 +171,11 @@ def content_primitive(p: Sequence) -> tuple[Fraction, list[int]]:
     return Fraction(sign * g, den), ints
 
 
-def squarefree_decomposition(p: Sequence) -> list[tuple[Poly, int]]:
-    """Yun's algorithm over Q.  Returns monic squarefree factors with
-    multiplicities; the product with multiplicities equals monic(p)."""
-    p = monic(p)
-    if deg(p) <= 0:
-        return []
-    out = []
-    g = gcd(p, derivative(p))
-    w = divmod_poly(p, g)[0]
-    y = divmod_poly(derivative(p), g)[0]
-    z = sub(y, derivative(w))
-    i = 1
-    while deg(w) > 0:
-        gi = gcd(w, z)
-        if deg(gi) > 0:
-            out.append((monic(gi), i))
-        w = divmod_poly(w, gi)[0]
-        y = divmod_poly(z, gi)[0]
-        z = sub(y, derivative(w))
-        i += 1
-    return out
-
-
 # ---- real root machinery (Sturm) ----
 
 def sturm_chain(p: Sequence) -> list[Poly]:
-    chain = [trim(p), derivative(p)]
-    while chain[-1]:
-        r = mod(chain[-2], chain[-1])
-        chain.append(neg(r))
-    chain.pop()
-    return chain
+    """The Sturm sequence of p: the remainder sequence of (p, p')."""
+    return _remainders(p, derivative(p))
 
 
 def _sign_changes(values) -> int:
@@ -212,12 +192,15 @@ def sturm_count(chain: list[Poly], a, b) -> int:
 
 def isolate_real_roots(p: Sequence, lo, hi) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open-ended rational intervals (a, b], one distinct real root
-    of p in each, all roots of p inside (lo, hi].  p need not be squarefree;
-    roots are isolated for the squarefree part."""
-    sf = monic(divmod_poly(p, gcd(p, derivative(p)))[0]) if deg(p) > 0 else trim(p)
+    of p in each, all roots of p inside (lo, hi].  p need not be squarefree:
+    the last member of its Sturm chain is gcd(p, p') up to a scalar, and a
+    nonconstant one divides out before the roots are isolated."""
+    chain = sturm_chain(p)
+    if deg(chain[-1]) > 0:
+        chain = sturm_chain(divmod_poly(p, chain[-1])[0])
+    sf = chain[0]
     if deg(sf) <= 0:
         return []
-    chain = sturm_chain(sf)
     lo, hi = Fraction(lo), Fraction(hi)
     out: list[tuple[Fraction, Fraction]] = []
 

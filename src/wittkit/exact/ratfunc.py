@@ -6,6 +6,9 @@ Canonical form: f = num / den where
   z^k is pushed into num, any scalar into num's coefficients),
 * num is a Laurent polynomial sharing no ordinary polynomial factor with den.
 
+A `RatFunc` is built (`make`), compared and printed; the package does no
+arithmetic in Q(z), so the field operations are left to the tests.
+
 `series_expand` embeds num / den into either completion: side "plus" is
 Q((z)) (series in z, finitely many negative terms), side "minus" is
 Q((z^-1)).  It reads a numerator and a dense denominator, not a `RatFunc`,
@@ -16,13 +19,10 @@ this canonical form.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from wittkit.errors import NotInvertibleInNovikov
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
-
-Scalar = Union[int, Fraction]
 
 
 class RatFunc:
@@ -63,70 +63,12 @@ class RatFunc:
         n0 = [c / lc for c in n0]
         return cls(LaurentPoly.from_dense(n0, m), den_dense)
 
-    @classmethod
-    def zero(cls) -> "RatFunc":
-        return cls(LaurentPoly.zero(), [Fraction(1)])
-
-    @classmethod
-    def one(cls) -> "RatFunc":
-        return cls(LaurentPoly.one(), [Fraction(1)])
-
-    # ---- queries ----
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
     def is_laurent(self) -> bool:
         return polys.deg(self.den) == 0
 
-    # ---- arithmetic ----
-
-    def __add__(self, other) -> "RatFunc":
-        other = _to_rf(other)
-        d1 = LaurentPoly.from_dense(self.den)
-        d2 = LaurentPoly.from_dense(other.den)
-        return RatFunc.make(self.num * d2 + other.num * d1, d1 * d2)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-_to_rf(other))
-
-    def __rsub__(self, other) -> "RatFunc":
-        return _to_rf(other) - self
-
-    def __mul__(self, other) -> "RatFunc":
-        other = _to_rf(other)
-        d1 = LaurentPoly.from_dense(self.den)
-        d2 = LaurentPoly.from_dense(other.den)
-        return RatFunc.make(self.num * other.num, d1 * d2)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RatFunc":
-        if self.is_zero():
-            raise NotInvertibleInNovikov("inverting zero")
-        return RatFunc.make(LaurentPoly.from_dense(self.den), self.num)
-
-    def __truediv__(self, other) -> "RatFunc":
-        return self * _to_rf(other).inverse()
-
-    def __rtruediv__(self, other) -> "RatFunc":
-        return _to_rf(other) / self
-
-    def bar(self) -> "RatFunc":
-        """The involution z -> z^-1."""
-        return RatFunc.make(self.num.bar(), LaurentPoly.from_dense(self.den).bar())
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = _to_rf(other)
+            other = RatFunc.make(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -146,12 +88,6 @@ def _to_lp(x) -> LaurentPoly:
     if isinstance(x, (int, Fraction)):
         return LaurentPoly.const(x)
     raise TypeError(f"cannot coerce {type(x)!r} to LaurentPoly")
-
-
-def _to_rf(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    return RatFunc.make(_to_lp(x))
 
 
 def series_expand(num: LaurentPoly, den: list, side: str, lo: int,

@@ -25,6 +25,7 @@ from operator import index
 
 from wittkit.errors import (
     EvenPrimeUnsupported,
+    FactorizationTooLarge,
     SingularForm,
     SingularOverFractionField,
 )
@@ -32,10 +33,19 @@ from wittkit.exact.matrix import Matrix
 from wittkit.exact.snf import smith_normal_form
 
 
+_TRIAL_BOUND = 10**6
+
+
 def _factor(m: int) -> dict[int, int]:
-    """{p: v_p(m)} by trial division; {} for m < 2."""
+    """{p: v_p(m)} by trial division; {} for m < 2.  Divisors stop at
+    _TRIAL_BOUND: a cofactor with no divisor up to it is prime only when
+    it is below _TRIAL_BOUND^2, and a larger one is refused."""
     out, d = {}, 2
     while d * d <= m:
+        if d > _TRIAL_BOUND:
+            raise FactorizationTooLarge(
+                f"cannot factor {m}: it has no prime factor up to "
+                f"{_TRIAL_BOUND} and is too large for trial division")
         while m % d == 0:
             out[d] = out.get(d, 0) + 1
             m //= d

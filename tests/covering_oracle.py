@@ -11,6 +11,8 @@ form's space.
   that a Seifert lagrangian covers a lagrangian of the linking form.
 - `near_projection_decompose` splits the space as K+ (+) K- for an e with
   e(1-e) nilpotent.
+- `QZ` is a `RatFunc` with the field operations of Q(z): sums, products,
+  inverses and the involution z -> z^-1, which only tests perform.
 - `frac_class` is the canonical representative of a rational function
   modulo Q[z, z^-1]; `qz_pairing` is a form's pairing over Q(z), each
   entry num_ij / d_j* brought to it, and `form_from_qz` the numerators of a pairing given over
@@ -29,14 +31,19 @@ form's space.
   only tests need of modules and linking forms over Q[z, z^-1], and
   `autometric_direct_sum` what they need of autometric forms.
 - `pairing_entry_oracle` is a covering pairing entry canonicalized in two
-  passes, `RatFunc.make` and then `frac_class`.
+  passes, `QZ.make` and then `frac_class`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from wittkit.errors import ComputationError, SingularForm, check
+from wittkit.errors import (
+    ComputationError,
+    NotInvertibleInNovikov,
+    SingularForm,
+    check,
+)
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
@@ -55,6 +62,74 @@ from wittkit.seifert import AutometricForm, SeifertForm, SeifertSubmodule
 
 class NotNearProjection(ComputationError):
     pass
+
+
+class QZ(RatFunc):
+    """A canonical `RatFunc` with the arithmetic of the field Q(z)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls) -> "QZ":
+        return cls(LaurentPoly.zero(), [Fraction(1)])
+
+    @classmethod
+    def one(cls) -> "QZ":
+        return cls(LaurentPoly.one(), [Fraction(1)])
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __add__(self, other) -> "QZ":
+        other = _to_qz(other)
+        d1 = LaurentPoly.from_dense(self.den)
+        d2 = LaurentPoly.from_dense(other.den)
+        return QZ.make(self.num * d2 + other.num * d1, d1 * d2)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "QZ":
+        return QZ(-self.num, self.den)
+
+    def __sub__(self, other) -> "QZ":
+        return self + (-_to_qz(other))
+
+    def __rsub__(self, other) -> "QZ":
+        return _to_qz(other) - self
+
+    def __mul__(self, other) -> "QZ":
+        other = _to_qz(other)
+        d1 = LaurentPoly.from_dense(self.den)
+        d2 = LaurentPoly.from_dense(other.den)
+        return QZ.make(self.num * other.num, d1 * d2)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QZ":
+        if self.is_zero():
+            raise NotInvertibleInNovikov("inverting zero")
+        return QZ.make(LaurentPoly.from_dense(self.den), self.num)
+
+    def __truediv__(self, other) -> "QZ":
+        return self * _to_qz(other).inverse()
+
+    def __rtruediv__(self, other) -> "QZ":
+        return _to_qz(other) / self
+
+    def bar(self) -> "QZ":
+        """The involution z -> z^-1."""
+        return QZ.make(self.num.bar(), LaurentPoly.from_dense(self.den).bar())
+
+
+def _to_qz(x) -> QZ:
+    if isinstance(x, QZ):
+        return x
+    if isinstance(x, RatFunc):
+        return QZ(x.num, x.den)
+    return QZ.make(x)
 
 
 # ---------------------------------------------------------------------------
@@ -80,13 +155,13 @@ def restricted_e(f: SeifertForm, b: Matrix) -> Matrix:
     return Matrix([eb[s] for s in sel])
 
 
-def frac_class(f) -> RatFunc:
+def frac_class(f) -> QZ:
     """Canonical representative of [f] in Q(z) / Q[z,z^-1]: with den(0) != 0
     z is invertible modulo den, so it is the unique c/den with c ordinary of
     degree < deg den (zero class -> 0)."""
-    f = RatFunc.make(f) if not isinstance(f, RatFunc) else f
+    f = _to_qz(f)
     if f.is_laurent():
-        return RatFunc.zero()
+        return QZ.zero()
     den = f.den
     n0, m = f.num.ordinary()
     c = polys.mod(n0, den)
@@ -98,7 +173,7 @@ def frac_class(f) -> RatFunc:
         zinv = [-x / den[0] for x in den[1:]]
         for _ in range(-m):
             c = polys.mod(polys.mul(c, zinv), den)
-    return RatFunc.make(LaurentPoly.from_dense(c), den)
+    return QZ.make(LaurentPoly.from_dense(c), den)
 
 
 def _conjugate_divisor(d: LaurentPoly) -> list:
@@ -109,7 +184,7 @@ def _conjugate_divisor(d: LaurentPoly) -> list:
 def qz_pairing(form: LaurentLinkingForm) -> Matrix:
     """lambda_ij = num_ij / d_j* as canonical classes in Q(z) / Q[z, z^-1]."""
     stars = [_conjugate_divisor(d) for d in form.module.divisors]
-    return Matrix([[frac_class(RatFunc.make(x, star))
+    return Matrix([[frac_class(QZ.make(x, star))
                     for x, star in zip(row, stars)] for row in form.num.rows])
 
 
@@ -119,7 +194,7 @@ def form_from_qz(module: LaurentModule, pairing,
     d_j* lambda_ij, refused unless a Laurent polynomial, that is unless d_j*
     clears the pole of lambda_ij."""
     rows = pairing.rows if isinstance(pairing, Matrix) else pairing
-    stars = [RatFunc.make(LaurentPoly.from_dense(_conjugate_divisor(d)))
+    stars = [QZ.make(LaurentPoly.from_dense(_conjugate_divisor(d)))
              for d in module.divisors]
     nums = []
     for i, row in enumerate(rows):
@@ -264,14 +339,14 @@ def autometric_direct_sum(a: AutometricForm,
                           Matrix.block_diag([a.h, b.h]), a.epsilon)
 
 
-def pairing_entry_oracle(c: list, m: list, s: list) -> RatFunc:
+def pairing_entry_oracle(c: list, m: list, s: list) -> QZ:
     """`seifert._pairing_entry`'s s N / m* modulo Q[z, z^-1]: reduced to
     lowest terms first, then to its class."""
     d = len(m) - 1
     num = [sum(m[a] * c[k - d + a] for a in range(d - k, d + 1))
            for k in range(d)]
     sn = LaurentPoly.from_dense(s) * LaurentPoly.from_dense(num)
-    return frac_class(RatFunc.make(sn, m[::-1]))
+    return frac_class(QZ.make(sn, m[::-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +424,7 @@ def is_lagrangian_submodule(form: LaurentLinkingForm, cols) -> bool:
     lam = qz_pairing(form)
     for i in range(cols.ncols):
         for j in range(cols.ncols):
-            acc = RatFunc.zero()
+            acc = QZ.zero()
             for a in range(r):
                 for b in range(r):
                     acc = acc + lam[a, b] * (

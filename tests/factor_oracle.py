@@ -1,13 +1,15 @@
 """Oracle for `wittkit.exact.factor.factor_rational_poly`.
 
 The route the factorizer took before it ran on integers from end to end:
-squarefree parts by Yun's algorithm over `Fraction`s, then each primitive
-squarefree part made monic by the substitution y = lc*x (which multiplies
-the i-th coefficient by lc^(n-1-i)), its monic factors Hensel-lifted above
-the bound of the substituted polynomial and recombined, and the factors
-mapped back by x = y/lc.  The product check ran on `LaurentPoly`s with a
-`Fraction` division.  Factoring modulo p and the quadratic Hensel step are
-shared with `wittkit`; only the driver around them is kept here."""
+squarefree parts by Yun's algorithm over `Fraction`s
+(`squarefree_decomposition`, on the monic gcd of `remainder_oracle`), then
+each primitive squarefree part made monic by the substitution y = lc*x
+(which multiplies the i-th coefficient by lc^(n-1-i)), its monic factors
+Hensel-lifted above the bound of the substituted polynomial and recombined,
+and the factors mapped back by x = y/lc.  The product check ran on
+`LaurentPoly`s with a `Fraction` division.  Factoring modulo p and the
+quadratic Hensel step are shared with `wittkit`; only the driver around them
+is kept here."""
 
 from __future__ import annotations
 
@@ -29,6 +31,31 @@ from wittkit.exact.factor import (
     _symmetric,
 )
 from wittkit.exact.laurent import LaurentPoly
+
+from remainder_oracle import gcd
+
+
+def squarefree_decomposition(p):
+    """Yun's algorithm over Q.  Returns monic squarefree factors with
+    multiplicities; the product with multiplicities equals monic(p)."""
+    p = polys.monic(p)
+    if polys.deg(p) <= 0:
+        return []
+    out = []
+    g = gcd(p, polys.derivative(p))
+    w = polys.divmod_poly(p, g)[0]
+    y = polys.divmod_poly(polys.derivative(p), g)[0]
+    z = polys.sub(y, polys.derivative(w))
+    i = 1
+    while polys.deg(w) > 0:
+        gi = gcd(w, z)
+        if polys.deg(gi) > 0:
+            out.append((polys.monic(gi), i))
+        w = polys.divmod_poly(w, gi)[0]
+        y = polys.divmod_poly(z, gi)[0]
+        z = polys.sub(y, polys.derivative(w))
+        i += 1
+    return out
 
 
 def _monic_divides(cand, f):
@@ -119,7 +146,7 @@ def factor_rational_poly(p: LaurentPoly):
         raise ValueError("cannot factor zero")
     dense, k = p.ordinary()
     factors = []
-    for sf, mult in polys.squarefree_decomposition(dense):
+    for sf, mult in squarefree_decomposition(dense):
         _, prim = polys.content_primitive(sf)
         for g in _factor_primitive_int(prim):
             glp = LaurentPoly.from_dense(polys.monic([Fraction(x) for x in g]))

@@ -17,11 +17,10 @@ from wittkit.errors import NotPTorsion, NotTorsion
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _dot, _one_like
-from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import LaurentModule, _as_laurent, _monic_ordinary
 
 from covering_oracle import (
-    covering_pencil, form_from_qz, frac_class, validate_over_qz)
+    QZ, covering_pencil, form_from_qz, frac_class, validate_over_qz)
 
 
 class _IntOps:
@@ -321,7 +320,7 @@ def _snf_covering(pres, mode, num, den, epsilon):
     # the generators g_i are the kept columns of U^-1
     g = Matrix([[row[i] for i in kept] for row in res.U_inv.rows])
     changed = g.transpose() * num * g.bar()
-    pairing = [[frac_class(RatFunc.make(x, den)) for x in row]
+    pairing = [[frac_class(QZ.make(x, den)) for x in row]
                for row in changed.rows]
     form = form_from_qz(module, pairing, epsilon)
     validate_over_qz(form)

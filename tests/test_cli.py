@@ -275,6 +275,23 @@ class TestLinking:
             assert part["hyperbolic"] == classify(form, "hyperbolic"), doc
 
 
+# orders and primes with no factor below the trial-division bound
+HOSTILE_LINKING_DOCS = [
+    '{"alpha": [[2305843009213693951]], "epsilon": 1}',
+    '{"prime": 2305843009213693951, "orders": [1], '
+    '"gram": [["1/2305843009213693951"]], "epsilon": 1}',
+]
+
+
+@pytest.mark.parametrize("doc", HOSTILE_LINKING_DOCS,
+                         ids=["boundary", "finite-form"])
+def test_unfactorable_order_exits_3(doc, monkeypatch, capsys):
+    code, _, err = run_cli(["linking", "--input", "-"], doc,
+                           monkeypatch, capsys)
+    assert code == 3
+    assert "cannot factor 2305843009213693951" in err
+
+
 # integer fields given as floats or booleans, which int() would truncate
 # or read as 0 and 1
 BAD_INTEGER_DOCS = [

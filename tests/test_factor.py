@@ -159,12 +159,12 @@ def assert_matches_oracles(p):
     return got
 
 
-def yun_calls(monkeypatch, p):
-    """How often factoring p runs Yun's squarefree decomposition."""
+def gcd_calls(monkeypatch, p):
+    """How often factoring p takes gcd(f, f') for a squarefree part."""
     calls = []
-    yun = polys.squarefree_decomposition
-    monkeypatch.setattr(polys, "squarefree_decomposition",
-                        lambda q: calls.append(q) or yun(q))
+    gcd = polys.gcd
+    monkeypatch.setattr(polys, "gcd",
+                        lambda a, b: calls.append(a) or gcd(a, b))
     factor_rational_poly(p)
     monkeypatch.undo()
     return len(calls)
@@ -201,15 +201,15 @@ def test_swinnerton_dyer_and_cyclotomic_products():
 
 
 def test_squarefree_without_a_small_certificate_prime(monkeypatch):
-    # 1..40 collide modulo every odd prime up to 37, so only Yun can tell
-    # that prod (z - i) is squarefree; the factor z is part of the unit
+    # 1..40 collide modulo every odd prime up to 37, so only gcd(f, f') can
+    # tell that prod (z - i) is squarefree; the factor z is part of the unit
     p = LaurentPoly.one()
     for i in range(41):
         p = p * (z - i)
     f = polys.content_primitive(p.ordinary()[0])[1]
     assert factor._lifting_prime(f, itertools.islice(
         factor._odd_primes(), 11)) is None
-    assert yun_calls(monkeypatch, p) == 1
+    assert gcd_calls(monkeypatch, p) == 1
     unit, factors = assert_matches_oracles(p)
     assert unit == z
     assert factors == [(z - i, 1) for i in range(40, 0, -1)]
@@ -221,7 +221,7 @@ def test_connected_sum_with_inverse_squares_the_alexander_polynomial(
              KnotInput("5_2", [[-2, 1], [0, -1]], -1), fixture_knot("scale-6")]
     for k in knots:
         square = _det_one_minus(connected_sum(k, knot_inverse(k)))
-        assert yun_calls(monkeypatch, square) == 1
+        assert gcd_calls(monkeypatch, square) == 1
         _, factors = assert_matches_oracles(square)
         single = factor_rational_poly(_det_one_minus(k))[1]
         assert factors == [(f, 2 * m) for f, m in single]
@@ -230,7 +230,7 @@ def test_connected_sum_with_inverse_squares_the_alexander_polynomial(
 @pytest.mark.parametrize("name", ["scale-6", "scale-7", "scale-10"])
 def test_ladder_fixtures(name, monkeypatch):
     p = _det_one_minus(fixture_knot(name))
-    # a squarefree D is certified by a small prime, without Yun
-    assert yun_calls(monkeypatch, p) == 0
+    # a squarefree D is certified by a small prime, without a gcd
+    assert gcd_calls(monkeypatch, p) == 0
     _, factors = assert_matches_oracles(p)
     assert all(m == 1 for _, m in factors)

@@ -29,6 +29,7 @@ from linking_oracle import (
 )
 from wittkit.errors import (
     EvenPrimeUnsupported,
+    FactorizationTooLarge,
     SingularForm,
     SingularOverFractionField,
 )
@@ -485,6 +486,24 @@ def test_boundary_rejects_singular():
 def test_boundary_rejects_wrong_symmetry():
     with pytest.raises(ValueError):
         boundary_of_form([[0, 1], [2, 0]], 1)
+
+
+M61 = 2**61 - 1  # prime, with no factor for trial division to find
+
+
+def test_trial_division_stops_at_its_bound():
+    # a product of primes up to the bound, and a prime below its square
+    assert finite._factor(999983 * 999979) == {999979: 1, 999983: 1}
+    assert finite._factor(999999999989) == {999999999989: 1}
+    assert finite._factor(2**40 * 3**7 * 999983) == {2: 40, 3: 7, 999983: 1}
+    with pytest.raises(FactorizationTooLarge, match="cannot factor"):
+        finite._factor(1000003**2)
+    with pytest.raises(FactorizationTooLarge):
+        finite._factor(M61)
+    with pytest.raises(FactorizationTooLarge):
+        FiniteLinkingForm(M61, [1], [[F(1, M61)]], 1)
+    with pytest.raises(FactorizationTooLarge):
+        boundary_of_form([[M61]], 1)
 
 
 def _lagrangian_certificate(alpha: Matrix, witness: Matrix) -> bool:

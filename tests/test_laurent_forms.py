@@ -15,7 +15,6 @@ from wittkit.errors import (
 )
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix
-from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
@@ -27,6 +26,7 @@ from wittkit.laurent_forms import (
 )
 
 from covering_oracle import (
+    QZ,
     form_from_qz,
     laurent_direct_sum,
     laurent_negate,
@@ -62,7 +62,7 @@ def cyclic_block(p, l, c, epsilon=1, mode="P"):
     assert unit is not None
     w = c + LaurentPoly.const(epsilon) * unit**l * c.bar()
     module = decompose_module([[p**l]], mode)
-    f = form_from_qz(module, [[RatFunc.make(w, p**l)]], epsilon)
+    f = form_from_qz(module, [[QZ.make(w, p**l)]], epsilon)
     validate_over_qz(f)
     return f
 
@@ -223,7 +223,7 @@ def test_level_multiplicities_repeated():
 def test_symmetry_violation_rejected():
     m = decompose_module([[P6]], "P")
     with pytest.raises(ValueError):
-        validate_over_qz(form_from_qz(m, [[RatFunc.make(ONE, P6)]], 1))
+        validate_over_qz(form_from_qz(m, [[QZ.make(ONE, P6)]], 1))
 
 
 def test_annihilation_violation_rejected():
@@ -231,20 +231,20 @@ def test_annihilation_violation_rejected():
     # symmetric but with a pole two levels deep
     with pytest.raises(ValueError):
         validate_over_qz(form_from_qz(
-            m, [[RatFunc.make(ONE + Z**4, P6**2)]], 1))
+            m, [[QZ.make(ONE + Z**4, P6**2)]], 1))
 
 
 def test_symmetry_violation_names_the_check():
     m = decompose_module(diag(P6, P6), "P")
-    lam = [[RatFunc.zero(), RatFunc.make(ONE, P6)],
-           [RatFunc.make(ONE, P6), RatFunc.zero()]]
+    lam = [[QZ.zero(), QZ.make(ONE, P6)],
+           [QZ.make(ONE, P6), QZ.zero()]]
     with pytest.raises(ValueError, match="breaks epsilon-symmetry"):
         validate_over_qz(form_from_qz(m, lam, 1))
 
 
 def off_diagonal_pair(entry, epsilon=1):
-    return [[RatFunc.zero(), entry],
-            [entry.bar() * Fraction(epsilon), RatFunc.zero()]]
+    return [[QZ.zero(), entry],
+            [entry.bar() * Fraction(epsilon), QZ.zero()]]
 
 
 def test_row_divisor_violation_rejected():
@@ -260,7 +260,7 @@ def test_column_divisor_violation_rejected():
     # the row divisor P6^2 kills 1/P6^2, the column divisor P6 does not
     m = LaurentModule([P6**2, P6], None, "P")
     with pytest.raises(ValueError, match="not annihilated by the column"):
-        form_from_qz(m, off_diagonal_pair(RatFunc.make(ONE, P6**2)), 1)
+        form_from_qz(m, off_diagonal_pair(QZ.make(ONE, P6**2)), 1)
 
 
 def test_numerators_refuse_a_pole_deeper_than_the_divisor():
@@ -268,7 +268,7 @@ def test_numerators_refuse_a_pole_deeper_than_the_divisor():
     # carries this entry
     m = decompose_module([[P6]], "P")
     with pytest.raises(ValueError, match=r"entry \(0, 0\) has a pole deeper"):
-        form_from_qz(m, [[RatFunc.make(ONE + Z**4, P6**2)]], 1)
+        form_from_qz(m, [[QZ.make(ONE + Z**4, P6**2)]], 1)
 
 
 def test_numerators_round_trip_through_qz():
@@ -288,7 +288,7 @@ def test_numerators_round_trip_through_qz():
 def test_singular_pairing_rejected():
     m = decompose_module([[P6]], "P")
     with pytest.raises(SingularForm):
-        validate_over_qz(form_from_qz(m, [[RatFunc.make(P6 + P6, P6)]], 1))
+        validate_over_qz(form_from_qz(m, [[QZ.make(P6 + P6, P6)]], 1))
 
 
 def test_pairing_shape_checked():
@@ -328,7 +328,7 @@ def test_auxiliary_empty_level():
 def test_auxiliary_rejects_conjugate_pair_factor():
     d = (Z - LaurentPoly.const(2)) * (Z - LaurentPoly.const(Fraction(1, 2)))
     m = decompose_module([[d]], "P")
-    f = form_from_qz(m, [[RatFunc.make(ONE + Z**2, d)]], 1)
+    f = form_from_qz(m, [[QZ.make(ONE + Z**2, d)]], 1)
     validate_over_qz(f)
     with pytest.raises(NotSelfConjugate):
         auxiliary_hermitian(f, Z - LaurentPoly.const(2), 1)
@@ -390,8 +390,8 @@ def test_point_root_even_level_symmetric():
 
 def test_point_root_odd_level_is_rank_only():
     m = decompose_module(diag(Z - ONE, Z - ONE), "Q")
-    a = RatFunc.make(ONE, Z - ONE)
-    f = form_from_qz(m, [[RatFunc.zero(), a], [-a, RatFunc.zero()]], 1)
+    a = QZ.make(ONE, Z - ONE)
+    f = form_from_qz(m, [[QZ.zero(), a], [-a, QZ.zero()]], 1)
     validate_over_qz(f)
     ms = dw_multisignature_laurent(f)
     assert ms.entries() == []
@@ -408,7 +408,7 @@ def test_no_circle_roots_no_entries():
 def test_conjugate_pair_noted_and_unobstructed():
     d = (Z - LaurentPoly.const(2)) * (Z - LaurentPoly.const(Fraction(1, 2)))
     m = decompose_module([[d]], "P")
-    f = form_from_qz(m, [[RatFunc.make(ONE + Z**2, d)]], 1)
+    f = form_from_qz(m, [[QZ.make(ONE + Z**2, d)]], 1)
     validate_over_qz(f)
     ms = dw_multisignature_laurent(f)
     assert ms.entries() == []
@@ -474,7 +474,7 @@ def shear_pairing(pairing, cols):
     for i in range(n):
         row = []
         for j in range(n):
-            acc = RatFunc.zero()
+            acc = QZ.zero()
             for a in range(n):
                 for b in range(n):
                     acc = acc + pairing[a, b] * (cols[a][i] * cols[b][j].bar())
