@@ -5,15 +5,16 @@ LaurentPoly (Q[z, z^-1]) or residue field elements, and Q(z) elements
 (`RatFunc` with field operations), which now occur only in tests;
 operations are generic, but a product of Fraction matrices takes integer
 dot products (`_products`) and `charpoly` is division-free, on integers
-for a Fraction matrix.  Field-only operations (det, inverse, rank) require
-entries with division and are used with Fraction and residue elements.
+for a rational matrix.  `rref`, `rank`, `inverse` and a rational `det` run
+in one fraction-free kernel, `_gauss_jordan`; det over a residue field (or
+Q(z), in tests) eliminates over the entries' field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -143,14 +144,21 @@ class Matrix:
     # ---- field-entry operations ----
 
     def det(self):
-        """Determinant by fraction-preserving Gaussian elimination; entries
-        must form a field.  det of the empty matrix is 1 (Fraction)."""
+        """Determinant, 1 (Fraction) when empty.  Rational entries take
+        `_gauss_jordan`: its minor is det of the row-scaled matrix with
+        columns in pivot order.  Others must form a field."""
         if not self.is_square():
             raise ValueError("det of non-square matrix")
         n = self.nrows
         if n == 0:
             return Fraction(1)
-        a = [[_as_field(x) for x in r] for r in self.rows]
+        if all(type(x) in (int, Fraction) for r in self.rows for x in r):
+            _, pivots, minor = _gauss_jordan(self.rows)
+            swaps = sum(a > b for i, a in enumerate(pivots)
+                        for b in pivots[i + 1:])
+            scale = prod(lcm(*(x.denominator for x in r)) for r in self.rows)
+            return Fraction((-1) ** swaps * minor * (len(pivots) == n), scale)
+        a = [list(r) for r in self.rows]
         det = None
         sign = 1
         for k in range(n):
@@ -174,25 +182,11 @@ class Matrix:
     def rref(self) -> tuple[list, list]:
         """Rows of the reduced echelon form, zero rows dropped, in the order
         they were found, and the pivot column of each."""
-        out, pivots = [], []
-        for r in self.rows:
-            r = [_as_field(x) for x in r]
-            for p, q in zip(pivots, out):
-                if f := r[p]:
-                    r = [x - f * y if y else x for x, y in zip(r, q)]
-            p = next((k for k, x in enumerate(r) if x), None)
-            if p is None:
-                continue
-            f = r[p]
-            r = [x / f if x else x for x in r]
-            out = [[x - q[p] * y if y else x for x, y in zip(q, r)]
-                   if q[p] else q for q in out]
-            out.append(r)
-            pivots.append(p)
-        return out, pivots
+        out, pivots, minor = _gauss_jordan(self.rows)
+        return [[Fraction(x, minor) for x in q] for q in out], pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_gauss_jordan(self.rows)[1])
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -200,12 +194,13 @@ class Matrix:
         n = self.nrows
         if n == 0:
             return Matrix([])
-        out, pivots = self.hstack(
-            Matrix.identity(n, _one_like(self.rows[0][0]))).rref()
+        out, pivots, minor = _gauss_jordan(
+            self.hstack(Matrix.identity(n)).rows)
         if max(pivots) >= n:
             raise SingularMatrix("matrix is singular")
         rows = dict(zip(pivots, out))
-        return Matrix([rows[i][n:] for i in range(n)])
+        return Matrix([[Fraction(x, minor) for x in rows[i][n:]]
+                       for i in range(n)])
 
     def charpoly(self) -> list:
         """Coefficients [c_0, ..., c_n] of det(t*I - A), by `_berkowitz`.
@@ -213,11 +208,11 @@ class Matrix:
         denominators: c_k(A) = c_k(d A) / d^(n-k)."""
         if not self.is_square():
             raise ValueError("charpoly of non-square matrix")
-        n, entries = self.nrows, list(chain.from_iterable(self.rows))
-        if not all(type(x) is Fraction for x in entries):
-            return _berkowitz(self.rows, _one_like(entries[0]))
-        nums, d = _integral(entries)
-        coeffs = _berkowitz([nums[i * n:i * n + n] for i in range(n)], 1)
+        n = self.nrows
+        if not all(type(x) in (int, Fraction) for r in self.rows for x in r):
+            return _berkowitz(self.rows, self.rows[0][0].one())
+        nums, d = _integral_rows(self.rows)
+        coeffs = _berkowitz(nums, 1)
         return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
 
 
@@ -249,15 +244,34 @@ def _integral(v) -> tuple[list, int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
-def _as_field(x):
-    # int entries would hit true division during elimination
-    return Fraction(x) if isinstance(x, int) else x
+def _integral_rows(rows) -> tuple[list, int]:
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
 
 
-def _one_like(x):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(1)
-    return x.one()
+def _gauss_jordan(rows) -> tuple[list, list, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of rational
+    rows, each scaled to integers: integer rows q_j in the order found,
+    their pivots p_j and the minor delta of those rows and columns, with
+    q_j / delta the reduced rows.  A new row r becomes delta r -
+    sum_j r[p_j] q_j, minors with one more row; its first nonzero entry is
+    the next minor delta', and q_j becomes (delta' q_j - q_j[p] r) / delta,
+    an exact division (Sylvester).  `roots._congruence_pivots` cannot be
+    this kernel: a symmetric congruence, it keeps only leading minors and
+    no reduced rows to read an rref or an inverse from."""
+    out, pivots, minor = [], [], 1
+    for r in rows:
+        r = [minor * x for x in _integral(r)[0]]
+        for p, q in zip(pivots, out):
+            if f := r[p] // minor:
+                r = [x - f * y if y else x for x, y in zip(r, q)]
+        p = next((k for k, x in enumerate(r) if x), None)
+        if p is not None:
+            out = [[(r[p] * x - q[p] * y) // minor if x or y else 0
+                    for x, y in zip(q, r)] for q in out] + [r]
+            pivots.append(p)
+            minor = r[p]
+    return out, pivots, minor
 
 
 def _berkowitz(a, one) -> list:

@@ -147,7 +147,7 @@ def _module_order(module: LaurentModule) -> LaurentPoly:
 def alexander_polynomial(k: KnotInput) -> LaurentPoly:
     """The Blanchfield module's order, with positive leading coefficient;
     the pairing is not built."""
-    return _module_order(_seifert_module(k.seifert_form)[0])
+    return _module_order(_seifert_module(k.seifert_form))
 
 
 def blanchfield_form(k: KnotInput) -> LaurentLinkingForm:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import mul
 
 from wittkit.errors import (
     NotPTorsion,
@@ -42,7 +43,7 @@ from wittkit.errors import (
     SingularMatrix,
     check,
 )
-from wittkit.exact import polys
+from wittkit.exact import matrix, polys
 from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix, _products
@@ -140,16 +141,35 @@ def _apply(a: list, x: list) -> list:
     return [row[0] for row in _products(a, [x])]
 
 
-def _krylov(h: list, v: list) -> tuple[list, list]:
-    """v, hv, ..., h^n v, and the local minimal polynomial of v (monic,
-    dense, degree D): the pivot columns of [v, hv, ..., h^n v] are the
-    first D, and column D is their combination."""
-    vecs = [v]
-    for _ in v:
-        vecs.append(_apply(h, vecs[-1]))
-    red, piv = Matrix(list(zip(*vecs))).rref()
-    d, rel = len(piv), dict(zip(piv, red))
-    return vecs, [-rel[t][d] for t in range(d)] + [Fraction(1)]
+def _powers(m: list, w: list, k: int) -> list:
+    """w, m w, ..., m^k w for an integer matrix m and vector w."""
+    out = [w]
+    for _ in range(k):
+        out.append([sum(map(mul, row, out[-1])) for row in m])
+    return out
+
+
+def _krylov(h: tuple, g: tuple, c, v: list) -> tuple[list, list]:
+    """v, hv, ..., h^D v and the local minimal polynomial of v (monic,
+    dense, degree D), off integers (H, d_h), h = H / d_h, and (G, d),
+    G = d h (g is h) or d (c - h)^-1.  For v = w / d_v, w, Gw, ..., G^n w
+    have pivots the first D and column D gives sum a_i G^i w = 0, so
+    sum a_i d^i h^i v = 0, or, times (c - h)^D, sum a_i d^i (c - h)^(D-i)
+    v = 0: degree D as a_0 != 0, and no lower degree, G and h having the
+    same invariant subspaces.  h's vectors are H^k w / (d_h^k d_v)."""
+    w, d_v = matrix._integral(v)
+    gs = _powers(g[0], w, len(v))
+    red, piv, minor = matrix._gauss_jordan(list(zip(*gs)))
+    top, rel, d = len(piv), dict(zip(piv, red)), g[1]
+    a = [-rel[i][top] * d**i for i in range(top)] + [minor * d**top]
+    hs = gs
+    if g is not h:
+        hs, p = _powers(h[0], w, top), [a[0]]
+        for b in a[1:]:  # Horner in c - z
+            p = [c * p[0] + b] + [c * x - y for x, y in zip(p[1:] + [0], p)]
+        a = p
+    return ([[Fraction(x, h[1]**k * d_v) for x in hs[k]]
+             for k in range(top + 1)], [Fraction(x, a[-1]) for x in a])
 
 
 def _coprime_part(a: list, b: list) -> list:
@@ -161,29 +181,35 @@ def _coprime_part(a: list, b: list) -> list:
     return a
 
 
-def _frobenius(h: list) -> list:
+def _frobenius(h: Matrix, e_r: Matrix | None = None, c=1) -> list:
     """Rational canonical decomposition of h: (Krylov vectors of g_i, d_i),
     d_1 | ... | d_r.  On the h-invariant V = span(span), gcd splitting
     merges the spanning vectors into w with the minimal polynomial mu of h
     on V: if lcm(mu, nu) = a b, a | mu and b | nu coprime, then (mu/a)(h) w
     + (nu/b)(h) u has it.  C = <w> splits off with the complement
     W = {x : phi(h^k x) = 0, k < D}, phi dual to h^(D-1) w on C's Krylov
-    basis: phi(h^(k+l) w) is anti-triangular with unit antidiagonal."""
-    ident = Matrix.identity(len(h))
-    span, dim, blocks = ident.rows, len(h), []
+    basis: phi(h^(k+l) w) is anti-triangular with unit antidiagonal.  Each
+    mu comes from `_krylov`'s generator d e_r, checked to be d (c - h)^-1,
+    when e_r is given (P mode), and d h otherwise."""
+    ident = Matrix.identity(h.nrows)
+    gen = hint = matrix._integral_rows(h.rows)
+    if e_r is not None:
+        check((ident.scale(c) - h) * e_r == ident, "h is not c - (e|R)^-1")
+        gen = matrix._integral_rows(e_r.rows)
+    span, dim, blocks = ident.rows, h.nrows, []
     while dim:
-        vecs, mu = _krylov(h, span[0])
+        vecs, mu = _krylov(hint, gen, c, span[0])
         for u in span[1:]:
             if len(mu) - 1 == dim:
                 break
-            powers, nu = _krylov(h, u)
+            powers, nu = _krylov(hint, gen, c, u)
             if polys.mod(mu, nu):
                 # keep = mu / a and cut = nu / b applied to h
                 keep = _coprime_part(mu, polys.divmod_poly(
                     mu, polys.gcd(mu, nu))[0])
                 cut = polys.divmod_poly(nu, _coprime_part(
                     nu, polys.divmod_poly(mu, keep)[0]))[0]
-                vecs, mu = _krylov(h, [x + y for x, y in zip(
+                vecs, mu = _krylov(hint, gen, c, [x + y for x, y in zip(
                     _apply(list(zip(*vecs)), keep),
                     _apply(list(zip(*powers)), cut))])
         vecs = vecs[:len(mu) - 1]
@@ -193,7 +219,7 @@ def _frobenius(h: list) -> list:
             k = Matrix(vecs)
             rows = [((k * k.transpose()).inverse() * k).rows[-1]]
             for _ in vecs[1:]:
-                rows.append(_apply(list(zip(*h)), rows[-1]))
+                rows.append(_apply(list(zip(*h.rows)), rows[-1]))
             k, phi = k.transpose(), Matrix(rows)
             proj = ident - k * (phi * k).inverse() * phi
             span = [x for x in (Matrix(span) * proj.transpose()).rows
@@ -216,21 +242,21 @@ def _fitting_power(e: Matrix, c=1) -> Matrix:
     return power
 
 
-def _pencil_reduction(e: Matrix, c=1) -> tuple[Matrix, Matrix]:
+def _pencil_reduction(e: Matrix, c=1) -> tuple[Matrix, Matrix, Matrix]:
     """The pencil (z - c) e + 1 over Q[z, z^-1].  On ker (e(1 - ce))^n it is
     unimodular (e or 1 - ce is nilpotent there, the other invertible), so
     that part dies in its cokernel; on R = im (e(1 - ce))^n it is e(z - h)
-    with h = c - (e|R)^-1 invertible.  Returns R's basis b (columns) and h
-    in its coordinates, both empty when R = 0; e|R, with e b = b e|R, is
-    read off b's unit rows and stays here."""
+    with h = c - (e|R)^-1 invertible.  Returns R's basis b (columns), h and
+    e|R in its coordinates, all empty when R = 0; e|R, with e b = b e|R, is
+    read off b's unit rows and is `_frobenius`'s generator of h."""
     basis, sel = _fitting_power(e, c).transpose().rref()
     if not basis:
-        return Matrix([]), Matrix([])
+        return Matrix([]), Matrix([]), Matrix([])
     # R's basis vectors are 1 at their own index of sel and 0 at the others
     b = Matrix(basis).transpose()
     eb = (e * b).rows
     e_r = Matrix([eb[s] for s in sel])
-    return b, Matrix.identity(len(sel)).scale(c) - e_r.inverse()
+    return b, Matrix.identity(len(sel)).scale(c) - e_r.inverse(), e_r
 
 
 def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
@@ -274,8 +300,8 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
         break
     else:
         raise NotTorsion("presentation is singular over the fraction field")
-    h = _pencil_reduction(pencil_inv * big_b, c)[1]
-    divisors = [LaurentPoly.from_dense(mu) for _, mu in _frobenius(h.rows)]
+    _, h, e_r = _pencil_reduction(pencil_inv * big_b, c)
+    divisors = [LaurentPoly.from_dense(mu) for _, mu in _frobenius(h, e_r, c)]
     if torsion_mode == "P":
         for div in divisors:
             if div(1) == 0:

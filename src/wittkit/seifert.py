@@ -137,12 +137,12 @@ class SeifertSubmodule:
 # covering functors
 # ---------------------------------------------------------------------------
 
-def _covering_module(mode: str, h: Matrix,
-                     embed=None) -> tuple[LaurentModule, list]:
+def _covering_module(mode: str, h: Matrix, embed,
+                     e_r) -> tuple[LaurentModule, list]:
     """The Q-space with z acting as h, with the Krylov blocks of
-    `_frobenius`; embed (None: identity) maps its Q-basis into the form's
-    space."""
-    blocks = _frobenius(h.rows)
+    `_frobenius` (generated by e_r in P mode, None in Q mode); embed (None:
+    identity) maps its Q-basis into the form's space."""
+    blocks = _frobenius(h, e_r)
     basis = Matrix([x for xs, _ in blocks for x in xs]).transpose()
     module = LaurentModule(
         [LaurentPoly.from_dense(m) for _, m in blocks],
@@ -150,16 +150,14 @@ def _covering_module(mode: str, h: Matrix,
     return module, blocks
 
 
-def _seifert_module(f: SeifertForm) -> tuple[LaurentModule, list, Matrix,
-                                             Matrix]:
+def _seifert_module(f: SeifertForm) -> LaurentModule:
     """The covering module of f, the cokernel of (1-e) + ez: Trotter's
-    nonsingular part R with z acting as h = 1 - (e|R)^-1; also its Krylov
-    blocks and `_pencil_reduction`'s R basis b and h.  No pairing is
-    built."""
-    b, h = _pencil_reduction(f.e)
+    nonsingular part R with z acting as h = 1 - (e|R)^-1, from
+    `_pencil_reduction`.  No pairing is built."""
+    b, h, e_r = _pencil_reduction(f.e)
     if not h.rows:
-        return LaurentModule([], None, "P"), [], b, h
-    return (*_covering_module("P", h, b), b, h)
+        return LaurentModule([], None, "P")
+    return _covering_module("P", h, b, e_r)[0]
 
 
 def _pairing_entry(c: list, m: list, s: list) -> LaurentPoly:
@@ -170,11 +168,11 @@ def _pairing_entry(c: list, m: list, s: list) -> LaurentPoly:
     return LaurentPoly.from_dense(polys.mod(polys.mul(s, num), m[::-1]))
 
 
-def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
-                   h: Matrix, epsilon: int) -> LaurentLinkingForm:
-    """The epsilon-symmetric covering form on a `_covering_module`,
-    certified over Q and built unchecked.  theta is the form on its Q-space
-    (on R in P mode) and h the action of z there.  With
+def _covering_form(mode: str, theta: Matrix, h: Matrix, epsilon: int,
+                   embed=None, e_r=None) -> LaurentLinkingForm:
+    """The epsilon-symmetric covering form on `_covering_module(mode, h,
+    embed, e_r)`, certified over Q and built unchecked.  theta is the form
+    on its Q-space (on R in P mode) and h the action of z there.  With
     A = (z^-1 - h)^-1, lambda(x, y) = s z^-1 theta'(x, A y), where s = -1
     and theta' = theta (Q mode) or s = 1 - z and theta'(x, y) =
     theta(x, (1-h) y) = theta(x, e^-1 y) (P mode): conjugate-linear in y,
@@ -198,14 +196,16 @@ def _covering_form(module: LaurentModule, blocks: list, theta: Matrix,
     - a bijective adjoint: expanding A at z = 0 and at z = oo gives
       chi(lambda(x, y)) = theta(x, c y), c = -1 (Q) or -(1-h)^2 h^-1 (P),
       invertible, so lambda(x, -) = 0 forces x = 0, and the module and its
-      dual have the same dimension over Q."""
+      dual have the same dimension over Q.
+    They run before the module is built from h and its generator e_r."""
     check(theta == theta.transpose().scale(-epsilon),
           "covering theta is not symmetric")
     check(theta.det() != 0, "covering theta is singular")
     check(h.transpose() * theta * h == theta,
           "h is not an isometry of the covering theta")
+    module, blocks = _covering_module(mode, h, embed, e_r)
     s = [Fraction(-1)]
-    if module.torsion_mode == "P":
+    if mode == "P":
         s = [Fraction(1), Fraction(-1)]
         theta = theta * (Matrix.identity(h.nrows) - h)
     cols = [x for xs, _ in blocks for x in xs]
@@ -226,11 +226,11 @@ def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
     h = 1 - e^-1.  psi = theta e gives e^T theta = theta (1 - e), which
     makes h an isometry of theta|R; `_covering_form` checks that on the
     h it is handed."""
-    module, blocks, b, h = _seifert_module(f)
-    if module.is_zero:
-        return LaurentLinkingForm(module, [], -f.epsilon)
-    return _covering_form(module, blocks, b.transpose() * f.theta * b, h,
-                          -f.epsilon)
+    b, h, e_r = _pencil_reduction(f.e)
+    if not h.rows:
+        return LaurentLinkingForm(LaurentModule([], None, "P"), [], -f.epsilon)
+    return _covering_form("P", b.transpose() * f.theta * b, h, -f.epsilon, b,
+                          e_r)
 
 
 def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
@@ -239,8 +239,7 @@ def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
     (-eps)-symmetric."""
     if f.rank == 0:
         return LaurentLinkingForm(LaurentModule([], None, "Q"), [], -f.epsilon)
-    module, blocks = _covering_module("Q", f.h)
-    return _covering_form(module, blocks, f.theta, f.h, -f.epsilon)
+    return _covering_form("Q", f.theta, f.h, -f.epsilon)
 
 
 # ---------------------------------------------------------------------------

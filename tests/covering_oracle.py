@@ -4,7 +4,8 @@ form's space.
 
 - `covering_pencil` rebuilds the presentation of a covering module from
   its form, the pencil (1-e) + ez or z - h, which the module does not keep;
-  `restricted_e` rebuilds e|R, which `_pencil_reduction` does not return.
+  `restricted_e` rebuilds e|R from R's basis and the Fitting power, the
+  oracle for the e|R that `_pencil_reduction` returns.
 - `covering_submodule_image` writes a Seifert submodule in the covering
   module's generators, through `LaurentModule.basis_change`;
   `is_lagrangian_submodule` (with `submodule_dimension_q`) then checks

@@ -1,0 +1,157 @@
+"""Oracles for the fraction-free elimination in `wittkit.exact.matrix` and
+the integer Krylov sequences in `wittkit.laurent_forms`.
+
+`rref`, `det` and `inverse` are `Matrix`'s Gauss-Jordan and Gaussian loops
+over the entries' field as they ran before rational matrices took the
+fraction-free kernel `_gauss_jordan`; they also serve the tests' Q(z)
+matrices.  `krylov` and `frobenius` are the rational canonical
+decomposition as it ran before each local minimal polynomial came from an
+integer generator: `krylov` row-reduces h's own Krylov matrix over Q, and
+`frobenius` eliminates with the loops above.  Under `parent_frobenius`,
+the covering functors and `decompose_module` run on that `frobenius`."""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from fractions import Fraction
+
+from wittkit import laurent_forms, seifert
+from wittkit.errors import SingularMatrix
+from wittkit.exact import polys
+from wittkit.exact.matrix import Matrix
+from wittkit.laurent_forms import _apply, _coprime_part
+
+
+def _as_field(x):
+    # int entries would hit true division during elimination
+    return Fraction(x) if isinstance(x, int) else x
+
+
+def _one_like(x):
+    if isinstance(x, (int, Fraction)):
+        return Fraction(1)
+    return x.one()
+
+
+def det(m: Matrix):
+    """Determinant by fraction-preserving Gaussian elimination; entries
+    must form a field.  det of the empty matrix is 1 (Fraction)."""
+    if not m.is_square():
+        raise ValueError("det of non-square matrix")
+    n = m.nrows
+    if n == 0:
+        return Fraction(1)
+    a = [[_as_field(x) for x in r] for r in m.rows]
+    det = None
+    sign = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            z = a[k][k]
+            return z - z  # a zero of the right type
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        det = a[k][k] if det is None else det * a[k][k]
+        inv_piv = a[k][k]
+        for i in range(k + 1, n):
+            if not a[i][k]:
+                continue
+            factor = a[i][k] / inv_piv
+            for j in range(k, n):
+                a[i][j] = a[i][j] - factor * a[k][j]
+    return det if sign == 1 else -det
+
+
+def rref(m: Matrix) -> tuple[list, list]:
+    """Rows of the reduced echelon form, zero rows dropped, in the order
+    they were found, and the pivot column of each."""
+    out, pivots = [], []
+    for r in m.rows:
+        r = [_as_field(x) for x in r]
+        for p, q in zip(pivots, out):
+            if f := r[p]:
+                r = [x - f * y if y else x for x, y in zip(r, q)]
+        p = next((k for k, x in enumerate(r) if x), None)
+        if p is None:
+            continue
+        f = r[p]
+        r = [x / f if x else x for x in r]
+        out = [[x - q[p] * y if y else x for x, y in zip(q, r)]
+               if q[p] else q for q in out]
+        out.append(r)
+        pivots.append(p)
+    return out, pivots
+
+
+def inverse(m: Matrix) -> Matrix:
+    if not m.is_square():
+        raise ValueError("inverse of non-square matrix")
+    n = m.nrows
+    if n == 0:
+        return Matrix([])
+    out, pivots = rref(m.hstack(Matrix.identity(n, _one_like(m.rows[0][0]))))
+    if max(pivots) >= n:
+        raise SingularMatrix("matrix is singular")
+    rows = dict(zip(pivots, out))
+    return Matrix([rows[i][n:] for i in range(n)])
+
+
+def krylov(h: list, v: list) -> tuple[list, list]:
+    """v, hv, ..., h^n v, and the local minimal polynomial of v (monic,
+    dense, degree D): the pivot columns of [v, hv, ..., h^n v] are the
+    first D, and column D is their combination."""
+    vecs = [v]
+    for _ in v:
+        vecs.append(_apply(h, vecs[-1]))
+    red, piv = rref(Matrix(list(zip(*vecs))))
+    d, rel = len(piv), dict(zip(piv, red))
+    return vecs, [-rel[t][d] for t in range(d)] + [Fraction(1)]
+
+
+def frobenius(h: list) -> list:
+    """Rational canonical decomposition of h: (Krylov vectors of g_i, d_i),
+    d_1 | ... | d_r, by `krylov` and eliminations over Q."""
+    ident = Matrix.identity(len(h))
+    span, dim, blocks = ident.rows, len(h), []
+    while dim:
+        vecs, mu = krylov(h, span[0])
+        for u in span[1:]:
+            if len(mu) - 1 == dim:
+                break
+            powers, nu = krylov(h, u)
+            if polys.mod(mu, nu):
+                # keep = mu / a and cut = nu / b applied to h
+                keep = _coprime_part(mu, polys.divmod_poly(
+                    mu, polys.gcd(mu, nu))[0])
+                cut = polys.divmod_poly(nu, _coprime_part(
+                    nu, polys.divmod_poly(mu, keep)[0]))[0]
+                vecs, mu = krylov(h, [x + y for x, y in zip(
+                    _apply(list(zip(*vecs)), keep),
+                    _apply(list(zip(*powers)), cut))])
+        vecs = vecs[:len(mu) - 1]
+        blocks.insert(0, (vecs, mu))
+        dim -= len(vecs)
+        if dim:
+            k = Matrix(vecs)
+            rows = [(inverse(k * k.transpose()) * k).rows[-1]]
+            for _ in vecs[1:]:
+                rows.append(_apply(list(zip(*h)), rows[-1]))
+            k, phi = k.transpose(), Matrix(rows)
+            proj = ident - k * inverse(phi * k) * phi
+            span = [x for x in (Matrix(span) * proj.transpose()).rows
+                    if any(x)]
+    return blocks
+
+
+@contextmanager
+def parent_frobenius():
+    """Swap `frobenius` in for `_frobenius` where the covering functors and
+    `decompose_module` call it, ignoring the generator they pass."""
+    saved = laurent_forms._frobenius, seifert._frobenius
+    laurent_forms._frobenius = seifert._frobenius = (
+        lambda h, e_r=None, c=1: frobenius(h.rows))
+    try:
+        yield
+    finally:
+        laurent_forms._frobenius, seifert._frobenius = saved

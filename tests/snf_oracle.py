@@ -16,9 +16,10 @@ from fractions import Fraction
 from wittkit.errors import NotPTorsion, NotTorsion
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix, _dot, _one_like
+from wittkit.exact.matrix import Matrix, _dot
 from wittkit.laurent_forms import LaurentModule, _as_laurent, _monic_ordinary
 
+from elimination_oracle import _one_like
 from covering_oracle import (
     QZ, covering_pencil, form_from_qz, frac_class, validate_over_qz)
 

@@ -34,6 +34,7 @@ from covering_oracle import (
     qz_pairing,
     validate_over_qz,
 )
+from elimination_oracle import parent_frobenius
 from snf_oracle import snf_decompose_module
 
 Z = LaurentPoly.z()
@@ -119,8 +120,9 @@ def test_bad_mode_rejected():
 
 
 class TestDecomposeAgainstSmith:
-    """The Q-linear decompose_module against the Laurent Smith form: equal
-    divisors in order, or the same error on both sides."""
+    """The Q-linear decompose_module against the Laurent Smith form and
+    against the Krylov chain that row-reduced h's vectors: equal divisors
+    in order, or the same error on every side."""
 
     @staticmethod
     def outcome(decompose, pres, mode):
@@ -132,6 +134,9 @@ class TestDecomposeAgainstSmith:
     def check(self, pres, mode="Q"):
         got = self.outcome(decompose_module, pres, mode)
         assert got == self.outcome(snf_decompose_module, pres, mode)
+        with parent_frobenius():
+            # and against the Krylov chain that row-reduced h's vectors
+            assert got == self.outcome(decompose_module, pres, mode)
         return got
 
     def test_random_presentations(self):

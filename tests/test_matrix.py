@@ -13,6 +13,8 @@ from wittkit.exact.residue import ResidueField
 from wittkit.laurent_forms import _apply
 
 from covering_oracle import QZ
+import elimination_oracle as oracle
+from elimination_oracle import inverse as qz_inverse
 from lt_oracle import cyclotomic_polynomial
 from snf_oracle import _faddeev_leverrier, matrix_trace, pencil_adjugate
 
@@ -137,9 +139,86 @@ class TestCharpolyOracle:
             Matrix.from_ints([[1, 2]]).charpoly()
 
 
+class TestGaussJordanAgainstOracle:
+    """`rref`, `rank`, `inverse` and a rational `det` run in the
+    fraction-free `_gauss_jordan`.  They must return what the loops over Q
+    return: the same rows in the same order, the same pivots and the same
+    determinant, also for int entries."""
+
+    @staticmethod
+    def random_matrix(rng, m, n):
+        """m x n with rank at most r: combinations of r random rows, with
+        zero rows, repeated rows and negative and non-unit pivots mixed
+        in; some rows are given as ints."""
+        r = rng.randint(0, min(m, n))
+        base = [[F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 5, 12]))
+                 for _ in range(n)] for _ in range(r)]
+        rows = []
+        for _ in range(m):
+            if not base or rng.random() < 0.1:
+                rows.append([F(0)] * n)
+                continue
+            weights = [rng.randint(-3, 3) * rng.choice([1, F(1, 2), 4])
+                       for _ in base]
+            rows.append([sum((w * b[j] for w, b in zip(weights, base)),
+                             F(0)) for j in range(n)])
+        if rows and rng.random() < 0.3:
+            rows.append(list(rows[0]))
+            rows.pop(0)
+        if rng.random() < 0.2:
+            rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in rows]
+        rng.shuffle(rows)
+        return Matrix(rows)
+
+    def test_random_matrices(self):
+        rng = random.Random("gauss-jordan")
+        seen = {"wide": 0, "tall": 0, "rank 0": 0, "singular": 0,
+                "invertible": 0, "int": 0}
+        for _ in range(600):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            a = self.random_matrix(rng, m, n)
+            want = oracle.rref(a)
+            assert a.rref() == want, a
+            assert all(type(x) is Fraction for row in a.rref()[0]
+                       for x in row)
+            assert a.rank() == len(want[1])
+            seen["wide"] += m < n
+            seen["tall"] += m > n
+            seen["rank 0"] += not want[1]
+            seen["int"] += type(a[0, 0]) is int
+            if m != n:
+                continue
+            det = oracle.det(a)
+            assert a.det() == det and type(a.det()) is Fraction
+            if det:
+                assert a.inverse() == oracle.inverse(a)
+                seen["invertible"] += 1
+            else:
+                with pytest.raises(SingularMatrix):
+                    a.inverse()
+                seen["singular"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_pivots_found_out_of_order(self):
+        # the second row's pivot lies left of the first's, and the third
+        # row clears column 0 with a negative non-unit factor
+        a = Matrix([[0, F(3, 2), 1], [-2, 4, F(1, 3)], [6, F(-9, 2), -4]])
+        assert a.rref() == oracle.rref(a)
+        assert a.rref()[1] == [1, 0, 2]
+        assert a.det() == oracle.det(a)
+
+    def test_residue_field_det_keeps_its_loop(self):
+        field = ResidueField(cyclotomic_polynomial(12))
+        rng = random.Random("residue-det")
+        for n in range(5):
+            a = Matrix([[field.elem([F(rng.randint(-3, 3)) for _ in range(4)])
+                         for _ in range(n)] for _ in range(n)])
+            assert a.det() == oracle.det(a)
+
+
 def test_ratfunc_inverse():
     m = Matrix([[z - 1, LaurentPoly.one()], [LaurentPoly.zero(), z + 1]])
-    inv = m.map(QZ.make).inverse()
+    inv = qz_inverse(m.map(QZ.make))
     prod = inv * m.map(QZ.make)
     assert prod[0, 0] == QZ.one()
     assert prod[0, 1].is_zero()
@@ -163,7 +242,7 @@ def test_pencil_adjugate_matches_ratfunc_inverse(seed):
                       - a.map(lambda c: y * c)).map(QZ.make)
             oracle_det = pencil.det()
             assert QZ.make(det) == oracle_det
-            assert adj.map(QZ.make) == pencil.inverse().map(
+            assert adj.map(QZ.make) == qz_inverse(pencil).map(
                 lambda r: r * oracle_det)
 
 

@@ -18,7 +18,7 @@ from wittkit.errors import (
     SingularSeifertForm,
 )
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.matrix import Matrix, _integral_rows
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     _krylov,
@@ -63,6 +63,7 @@ from covering_oracle import (
     restricted_e,
     validate_over_qz,
 )
+from elimination_oracle import inverse as qz_inverse, parent_frobenius
 from snf_oracle import snf_covering_autometric, snf_covering_seifert
 
 TREFOIL = [[-1, 1], [0, -1]]
@@ -320,7 +321,7 @@ def _q_z_pairing(f, module, scale):
     g^T (scale * theta * B-bar^-1) g, with B the pencil of f, on the
     generators g_i, the columns of the module's Q-basis that start its
     cyclic blocks."""
-    b_bar_inv = covering_pencil(f).bar().map(QZ.make).inverse()
+    b_bar_inv = qz_inverse(covering_pencil(f).bar().map(QZ.make))
     raw = (f.theta.map(QZ.make) * b_bar_inv).map(lambda x: scale * x)
     starts = [0]
     for d in module.divisors[:-1]:
@@ -476,7 +477,8 @@ class TestKrylovAgainstSmith:
         for f in forms:
             unit = [Fraction(int(j == 0)) for j in range(f.rank)]
             # the local minimal polynomial of e_1 is not that of h
-            assert len(_krylov(f.h.rows, unit)[1]) - 1 < f.rank
+            h = _integral_rows(f.h.rows)
+            assert len(_krylov(h, h, None, unit)[1]) - 1 < f.rank
         for _ in range(4):
             f = random_autometric(rng, max_rank=2, bound=3)
             forms.append(autometric_direct_sum(f, AutometricForm(
@@ -515,6 +517,89 @@ class TestKrylovAgainstSmith:
         for sub in hyperbolic_witness_sum(f):
             image = covering_submodule_image(fsum, cov_sum, sub)
             assert is_lagrangian_submodule(cov_sum, image)
+
+
+def assert_matches_parent_chain(cover, f):
+    """The covering form of f, its module built from integer generators,
+    equals the one built by row-reducing h's Krylov vectors over Q: equal
+    divisors, basis change and numerators.  Returns the module's rank."""
+    got = cover(f)
+    with parent_frobenius():
+        want = cover(f)
+    assert got.module == want.module
+    assert got.num == want.num
+    return got.module.rank
+
+
+class TestKrylovAgainstParentChain:
+    """`_frobenius` reads every local minimal polynomial off an integer
+    generator, d h or d e|R, and never row-reduces h's Krylov vectors; the
+    decomposition that did is `elimination_oracle.frobenius`."""
+
+    def test_krylov_against_smith_inputs(self):
+        rng = random.Random(303)
+        forms = [AutometricForm(*args) for args in E1_NOT_CYCLIC]
+        for _ in range(4):
+            f = random_autometric(rng, max_rank=2, bound=3)
+            forms.append(autometric_direct_sum(f, AutometricForm(
+                f.theta.map(lambda x: 2 * x), f.h, f.epsilon)))
+        ranks = [assert_matches_parent_chain(covering_autometric, f)
+                 for f in forms]
+        trefoil = SeifertForm(TREFOIL, -1, "Z")
+        for f in (trefoil.direct_sum(SeifertForm(
+                      [[2 * x for x in row] for row in TREFOIL], -1, "Q")),
+                  trefoil.direct_sum(trefoil), SeifertForm(SCALE_3, -1, "Z")):
+            for g in (f, f.direct_sum(f.negate())):
+                ranks.append(assert_matches_parent_chain(covering_seifert, g))
+        assert max(ranks) > 1
+
+    def test_criterion_3_forms(self):
+        # the first 30 forms of criterion 3's stream, and f (+) f for the
+        # first 10, whose modules are not cyclic
+        rng = random.Random(301)
+        for k in range(30):
+            f = random_autometric(rng, max_rank=4, bound=5)
+            assert_matches_parent_chain(covering_autometric, f)
+            if k < 10:
+                assert assert_matches_parent_chain(
+                    covering_autometric, autometric_direct_sum(f, f)) >= 2
+
+    def test_proper_nonsingular_part(self):
+        # the seed of TestReductionIdentities: 0 < dim R < rank for
+        # "scale-3" and at least two ladder forms
+        rng = random.Random(14)
+        proper = 0
+        forms = [SeifertForm(SCALE_3, -1, "Z")]
+        for genus in range(1, 7):
+            for eps, coefficients in ((-1, "Z"), (-1, "Q"), (1, "Q")):
+                while True:
+                    try:
+                        forms.append(SeifertForm(ladder_psi(rng, genus), eps,
+                                                 coefficients))
+                    except SingularSeifertForm:
+                        continue
+                    break
+        for f in forms:
+            dim = module_dimension_q(covering_seifert(f).module)
+            assert_matches_parent_chain(covering_seifert, f)
+            proper += 0 < dim < f.rank
+        assert proper >= 3
+
+    def test_ladder_knots_of_genus_2_to_10(self):
+        rng = random.Random(16)
+        for genus in range(2, 11):
+            f = SeifertForm(ladder_psi(rng, genus), -1, "Z")
+            assert_matches_parent_chain(covering_seifert, f)
+
+    def test_knot_sums(self):
+        # K # K and K # -K of ladder knots of genus 2-4: K # -K has a
+        # non-cyclic module, which runs `_frobenius`'s projection
+        rng = random.Random(17)
+        for genus in (2, 3, 4):
+            f = SeifertForm(ladder_psi(rng, genus), -1, "Z")
+            for g in (f.direct_sum(f), f.direct_sum(f.negate())):
+                rank = assert_matches_parent_chain(covering_seifert, g)
+                assert rank >= 2 or covering_seifert(f).module.is_zero
 
 
 class TestCoveringSeifertFunctoriality:
@@ -793,12 +878,14 @@ class TestCertificateMutations:
         reduce = seifert._pencil_reduction
 
         def corrupted(e, c=1):
-            b, h = reduce(e, c)
+            b, h, e_r = reduce(e, c)
             if part == "theta":
                 b = Matrix([[row[0]] * len(row) for row in b.rows])
+            elif part == "e_r":
+                e_r = e_r.scale(2)
             else:
                 h = h.scale(2)
-            return b, h
+            return b, h, e_r
 
         monkeypatch.setattr(seifert, "_pencil_reduction", corrupted)
 
@@ -815,12 +902,22 @@ class TestCertificateMutations:
         assert cli.main(["analyze", "--catalog", "trefoil"]) == 3
         assert "covering theta" in capsys.readouterr().err
 
+    def test_generator_disagreeing_with_h(self, monkeypatch, capsys):
+        # e|R generates h's Krylov sequences in P mode; a theta and an h
+        # that pass every other check must not hide an e|R that is not
+        # (1 - h)^-1
+        self._corrupt_reduction(monkeypatch, "e_r")
+        with pytest.raises(InvariantViolated, match=r"c - \(e\|R\)\^-1"):
+            covering_seifert(SeifertForm(TREFOIL, -1, "Z"))
+        assert cli.main(["analyze", "--catalog", "trefoil"]) == 3
+        assert "h is not c - (e|R)^-1" in capsys.readouterr().err
+
 
 class TestReductionIdentities:
     """The identities that `_covering_form`'s one isometry check replaced,
     as an oracle on `_pencil_reduction`: e b = b e|R, the linear identity
-    e|R^T theta|R = theta|R (1 - e|R) and (1 - h) e|R = 1, with e|R rebuilt
-    from b and the Fitting power."""
+    e|R^T theta|R = theta|R (1 - e|R) and (1 - h) e|R = 1, with the e|R it
+    returns equal to e|R rebuilt from b and the Fitting power."""
 
     def test_ladder_forms(self):
         # psi + psi^T of a ladder knot is rarely unimodular past genus 2,
@@ -839,10 +936,10 @@ class TestReductionIdentities:
                     break
         proper = 0
         for f in forms:
-            b, h = _pencil_reduction(f.e)
+            b, h, e_r = _pencil_reduction(f.e)
             if not h.rows:
                 continue
-            e_r = restricted_e(f, b)
+            assert e_r == restricted_e(f, b)
             theta = b.transpose() * f.theta * b
             ident = Matrix.identity(h.nrows)
             assert f.e * b == b * e_r
