@@ -1,20 +1,21 @@
 """Dense matrices over the rings used in this package.
 
 Entries are whatever supports ring arithmetic: Fraction (Z and Q),
-LaurentPoly (Q[z, z^-1]) or residue field elements, and Q(z) elements
-(`RatFunc` with field operations), which now occur only in tests;
-operations are generic, but a product of Fraction matrices takes integer
-dot products (`_products`) and `charpoly` is division-free, on integers
-for a rational matrix.  `rref`, `rank`, `inverse` and a rational `det` run
-in one fraction-free kernel, `_gauss_jordan`; det over a residue field (or
-Q(z), in tests) eliminates over the entries' field.
+LaurentPoly (Q[z, z^-1]) or residue field elements; operations are
+generic, but a product of Fraction matrices takes integer dot products
+(`_products`) and `charpoly` is division-free, on integers for a rational
+matrix.  `rank`, `inverse` and a rational `det` run in one fraction-free
+kernel, `_gauss_jordan`; det over a residue field eliminates over the
+entries' field.  The covering path (`seifert`, `laurent_forms`) carries a
+rational matrix as a pair (N, d) of integer rows over one d > 0, not
+necessarily reduced, and hands N to `_gauss_jordan`, `_solve` and `_imul`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -179,28 +180,14 @@ class Matrix:
                     a[i][j] = a[i][j] - factor * a[k][j]
         return det if sign == 1 else -det
 
-    def rref(self) -> tuple[list, list]:
-        """Rows of the reduced echelon form, zero rows dropped, in the order
-        they were found, and the pivot column of each."""
-        out, pivots, minor = _gauss_jordan(self.rows)
-        return [[Fraction(x, minor) for x in q] for q in out], pivots
-
     def rank(self) -> int:
         return len(_gauss_jordan(self.rows)[1])
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Matrix([])
-        out, pivots, minor = _gauss_jordan(
-            self.hstack(Matrix.identity(n)).rows)
-        if max(pivots) >= n:
-            raise SingularMatrix("matrix is singular")
-        rows = dict(zip(pivots, out))
-        return Matrix([[Fraction(x, minor) for x in rows[i][n:]]
-                       for i in range(n)])
+        x, minor = _solve(self.rows, Matrix.identity(self.nrows).rows)
+        return Matrix([[Fraction(v, minor) for v in r] for r in x])
 
     def charpoly(self) -> list:
         """Coefficients [c_0, ..., c_n] of det(t*I - A), by `_berkowitz`.
@@ -272,6 +259,31 @@ def _gauss_jordan(rows) -> tuple[list, list, int]:
             pivots.append(p)
             minor = r[p]
     return out, pivots, minor
+
+
+def _solve(a, b) -> tuple[list, int]:
+    """a^-1 b for a square a as an integer pair (X, delta) in lowest terms,
+    delta > 0, from one `_gauss_jordan` of [a | b], whose minor is +-det a
+    for integer rows.  Raises SingularMatrix."""
+    n = len(a)
+    out, pivots, minor = _gauss_jordan([r + s for r, s in zip(a, b)])
+    if len(pivots) < n or any(p >= n for p in pivots):
+        raise SingularMatrix("matrix is singular")
+    rows, sign = dict(zip(pivots, out)), (minor > 0) - (minor < 0)
+    g = sign * gcd(minor, *(x for q in out for x in q[n:]))
+    return [[x // g for x in rows[i][n:]] for i in range(n)], minor // g
+
+
+def _imul(a, b) -> list:
+    """The product of two matrices given as integer rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, r, c)) for c in cols] for r in a]
+
+
+def _shift(m, s, t=1) -> list:
+    """The integer rows of s I - t m."""
+    return [[s * (i == j) - t * x for j, x in enumerate(r)]
+            for i, r in enumerate(m)]
 
 
 def _berkowitz(a, one) -> list:

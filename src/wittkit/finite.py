@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import index
+from operator import index, mul
 
 from wittkit.errors import (
     EvenPrimeUnsupported,
@@ -29,7 +29,7 @@ from wittkit.errors import (
     SingularForm,
     SingularOverFractionField,
 )
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.matrix import Matrix, _integral
 from wittkit.exact.snf import smith_normal_form
 
 
@@ -514,14 +514,16 @@ def boundary_of_form(alpha, epsilon: int) -> dict[int, FiniteLinkingForm]:
 # ---------------------------------------------------------------------------
 
 def _integral_solver(mat: Matrix):
-    """(member, divisors): a predicate telling whether an integer vector
-    lies in the Z-span of the columns of mat, and mat's Smith divisors."""
+    """(member, divisors): a predicate telling whether a rational vector
+    lies in the Z-span of the columns of mat, and mat's Smith divisors.
+    U is unimodular, so U vec is integral exactly when vec is."""
     res = smith_normal_form(mat)
-    m = mat.nrows
-    padded = list(res.divisors) + [0] * (m - len(res.divisors))
+    padded = list(res.divisors) + [0] * (mat.nrows - len(res.divisors))
 
     def member(vec) -> bool:
-        c = [sum(res.U[i, j] * vec[j] for j in range(m)) for i in range(m)]
-        return all(ci % d == 0 if d else ci == 0 for ci, d in zip(c, padded))
+        w, den = _integral(vec)
+        c = (sum(map(mul, row, w)) for row in res.U.rows)
+        return den == 1 and all(ci % d == 0 if d else ci == 0
+                                for ci, d in zip(c, padded))
 
     return member, res.divisors

@@ -181,45 +181,45 @@ def _coprime_part(a: list, b: list) -> list:
     return a
 
 
-def _frobenius(h: Matrix, e_r: Matrix | None = None, c=1) -> list:
-    """Rational canonical decomposition of h: (Krylov vectors of g_i, d_i),
-    d_1 | ... | d_r.  On the h-invariant V = span(span), gcd splitting
-    merges the spanning vectors into w with the minimal polynomial mu of h
-    on V: if lcm(mu, nu) = a b, a | mu and b | nu coprime, then (mu/a)(h) w
-    + (nu/b)(h) u has it.  C = <w> splits off with the complement
-    W = {x : phi(h^k x) = 0, k < D}, phi dual to h^(D-1) w on C's Krylov
-    basis: phi(h^(k+l) w) is anti-triangular with unit antidiagonal.  Each
-    mu comes from `_krylov`'s generator d e_r, checked to be d (c - h)^-1,
-    when e_r is given (P mode), and d h otherwise."""
-    ident = Matrix.identity(h.nrows)
-    gen = hint = matrix._integral_rows(h.rows)
-    if e_r is not None:
-        check((ident.scale(c) - h) * e_r == ident, "h is not c - (e|R)^-1")
-        gen = matrix._integral_rows(e_r.rows)
-    span, dim, blocks = ident.rows, h.nrows, []
+def _frobenius(h: tuple, e_r: tuple | None = None, c=1) -> list:
+    """Rational canonical decomposition of h = H / d_h: (Krylov vectors of
+    g_i, d_i), d_1 | ... | d_r.  On the h-invariant V = span(span), gcd
+    splitting merges the spanning vectors into w with the minimal
+    polynomial mu of h on V: if lcm(mu, nu) = a b, a | mu and b | nu
+    coprime, then (mu/a)(h) w + (nu/b)(h) u has it.  C = <w> splits off
+    with the complement W = {x : phi(h^k x) = 0, k < D}, phi dual to
+    h^(D-1) w on C's Krylov basis (the one use of h as Fractions).  Each mu
+    comes from `_krylov`'s generator, e|R = (E, d_e) when given (P mode),
+    certified as (c d_h - H) E = d_h d_e I, and H otherwise."""
+    ident, gen = Matrix.identity(len(h[0])), h if e_r is None else e_r
+    check(e_r is None or matrix._imul(matrix._shift(h[0], c * h[1]), e_r[0])
+          == Matrix.identity(ident.nrows, h[1] * e_r[1]).rows,
+          "h is not c - (e|R)^-1")
+    span, dim, blocks = ident.rows, ident.nrows, []
     while dim:
-        vecs, mu = _krylov(hint, gen, c, span[0])
+        vecs, mu = _krylov(h, gen, c, span[0])
         for u in span[1:]:
             if len(mu) - 1 == dim:
                 break
-            powers, nu = _krylov(hint, gen, c, u)
+            powers, nu = _krylov(h, gen, c, u)
             if polys.mod(mu, nu):
                 # keep = mu / a and cut = nu / b applied to h
                 keep = _coprime_part(mu, polys.divmod_poly(
                     mu, polys.gcd(mu, nu))[0])
                 cut = polys.divmod_poly(nu, _coprime_part(
                     nu, polys.divmod_poly(mu, keep)[0]))[0]
-                vecs, mu = _krylov(hint, gen, c, [x + y for x, y in zip(
+                vecs, mu = _krylov(h, gen, c, [x + y for x, y in zip(
                     _apply(list(zip(*vecs)), keep),
                     _apply(list(zip(*powers)), cut))])
         vecs = vecs[:len(mu) - 1]
         blocks.insert(0, (vecs, mu))
         dim -= len(vecs)
         if dim:
+            h_t = [[Fraction(x, h[1]) for x in r] for r in zip(*h[0])]
             k = Matrix(vecs)
             rows = [((k * k.transpose()).inverse() * k).rows[-1]]
             for _ in vecs[1:]:
-                rows.append(_apply(list(zip(*h.rows)), rows[-1]))
+                rows.append(_apply(h_t, rows[-1]))
             k, phi = k.transpose(), Matrix(rows)
             proj = ident - k * (phi * k).inverse() * phi
             span = [x for x in (Matrix(span) * proj.transpose()).rows
@@ -227,36 +227,34 @@ def _frobenius(h: Matrix, e_r: Matrix | None = None, c=1) -> list:
     return blocks
 
 
-def _fitting_power(e: Matrix, c=1) -> Matrix:
-    """(e(1-ce))^k for a k past the nilpotent part's index: invertible on
-    its image, zero on a complement.  Squaring stops once the rank does
-    not fall, at once for a zero or an invertible e(1-ce)."""
-    power = e * (Matrix.identity(e.nrows) - e.scale(c))
-    rank = power.rank()
-    while 0 < rank < e.nrows:
-        square = power * power
-        square_rank = square.rank()
-        if square_rank == rank:
+def _pencil_reduction(e: tuple, c=1) -> tuple:
+    """The pencil (z - c) e + 1 over Q[z, z^-1], e = E / d.  On
+    ker (e(1 - ce))^n it is unimodular (e or 1 - ce is nilpotent there,
+    the other invertible), so that part dies in its cokernel; on
+    R = im (e(1 - ce))^n it is e(z - h) with h = c - (e|R)^-1 invertible.
+    One `_gauss_jordan` of each integer power F = (E(d - cE))^k gives its
+    rank and the rref of F^T, whose rows span R.  Returns R's basis b
+    (columns; None for the identity, as when F has full rank and its
+    pivots come in order), h and e|R as integer pairs, with no rows when
+    R = 0; e|R, with e b = b e|R, read off b's unit rows, generates h."""
+    (big_e, d), n = e, len(e[0])
+    power = matrix._imul(big_e, matrix._shift(big_e, d, c))
+    basis, sel, minor = matrix._gauss_jordan(list(zip(*power)))
+    while 0 < len(sel) < n:
+        power = matrix._imul(power, power)
+        square = matrix._gauss_jordan(list(zip(*power)))
+        if len(square[1]) == len(sel):
             break
-        power, rank = square, square_rank
-    return power
-
-
-def _pencil_reduction(e: Matrix, c=1) -> tuple[Matrix, Matrix, Matrix]:
-    """The pencil (z - c) e + 1 over Q[z, z^-1].  On ker (e(1 - ce))^n it is
-    unimodular (e or 1 - ce is nilpotent there, the other invertible), so
-    that part dies in its cokernel; on R = im (e(1 - ce))^n it is e(z - h)
-    with h = c - (e|R)^-1 invertible.  Returns R's basis b (columns), h and
-    e|R in its coordinates, all empty when R = 0; e|R, with e b = b e|R, is
-    read off b's unit rows and is `_frobenius`'s generator of h."""
-    basis, sel = _fitting_power(e, c).transpose().rref()
-    if not basis:
-        return Matrix([]), Matrix([]), Matrix([])
-    # R's basis vectors are 1 at their own index of sel and 0 at the others
-    b = Matrix(basis).transpose()
-    eb = (e * b).rows
-    e_r = Matrix([eb[s] for s in sel])
-    return b, Matrix.identity(len(sel)).scale(c) - e_r.inverse(), e_r
+        basis, sel, minor = square
+    b = None
+    if sel != list(range(n)):
+        # R's basis vectors are 1 at their own index of sel and 0 at the
+        # others: e b = E basis^T / (d minor), and e|R its rows sel
+        b = Matrix([[Fraction(x, minor) for x in r] for r in zip(*basis)])
+        eb = matrix._imul(big_e, list(zip(*basis)))
+        e = [[minor * x for x in eb[s]] for s in sel], d * minor * minor
+    # h = c - d_e E^-1 = E^-1 (c E - d_e)
+    return b, matrix._solve(e[0], matrix._shift(e[0], -e[1], -c)), e
 
 
 def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
@@ -294,13 +292,13 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
         + [[-x for a in coeffs[:d] for x in a.rows[r]] for r in range(n)])
     for c in range(n * d + 1):
         try:
-            pencil_inv = (big_b.scale(c) - big_c).inverse()
+            e = matrix._solve((big_b.scale(c) - big_c).rows, big_b.rows)
         except SingularMatrix:
             continue
         break
     else:
         raise NotTorsion("presentation is singular over the fraction field")
-    _, h, e_r = _pencil_reduction(pencil_inv * big_b, c)
+    _, h, e_r = _pencil_reduction(e, c)
     divisors = [LaurentPoly.from_dense(mu) for _, mu in _frobenius(h, e_r, c)]
     if torsion_mode == "P":
         for div in divisors:

@@ -22,9 +22,9 @@ from wittkit.errors import (
     SingularSeifertForm,
     check,
 )
-from wittkit.exact import polys
+from wittkit.exact import matrix, polys
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.matrix import Matrix, _imul, _integral_rows, _products
 from wittkit.exact.ratfunc import RatFunc, series_expand
 from wittkit.finite import _integral_solver
 from wittkit.laurent_forms import (
@@ -35,8 +35,10 @@ from wittkit.laurent_forms import (
 )
 
 
-def _is_integral(m: Matrix) -> bool:
-    return all(x.denominator == 1 for row in m.rows for x in row)
+def _is_isometry(theta: tuple, h: tuple) -> bool:
+    """H^T T H = d_h^2 T: h = H / d_h preserves theta = T / d_t."""
+    return (_imul(list(zip(*h[0])), _imul(theta[0], h[0]))
+            == [[h[1] ** 2 * x for x in r] for r in theta[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -45,9 +47,11 @@ def _is_integral(m: Matrix) -> bool:
 
 class SeifertForm:
     """(K, psi) with theta = psi + eps psi^T invertible; e = theta^{-1} psi
-    satisfies psi = theta e exactly.  In Z mode theta must be unimodular,
-    which keeps e integral: det(theta) det(theta^-1) = 1, so an integral
-    theta is unimodular exactly when its inverse is integral."""
+    satisfies psi = theta e exactly.  With psi = P / d and theta = T / d,
+    T = P + eps P^T, `_solve` gives T^-1 = X / delta in lowest terms, and e
+    = T^-1 P is the integer pair `e_pair` = (X P, delta).  In Z mode theta
+    must be unimodular, which keeps e integral: d = 1, and as det T
+    det T^-1 = 1, T is unimodular exactly when delta = 1."""
 
     def __init__(self, psi, epsilon: int, coefficients: str = "Z"):
         if epsilon not in (1, -1):
@@ -57,20 +61,21 @@ class SeifertForm:
         psi = Matrix.from_ints(psi)
         if not psi.is_square():
             raise ValueError("psi must be square")
-        if coefficients == "Z" and not _is_integral(psi):
+        p, d = _integral_rows(psi.rows)
+        if coefficients == "Z" and d != 1:
             raise ValueError("Z-coefficient form with non-integral entries")
-        self.psi = psi
-        self.epsilon = epsilon
-        self.coefficients = coefficients
+        self.psi, self.epsilon, self.coefficients = psi, epsilon, coefficients
         self.theta = psi + psi.transpose().map(lambda x: x * epsilon)
+        t = [[a + epsilon * b for a, b in zip(*rc)] for rc in zip(p, zip(*p))]
         try:
-            inverse = self.theta.inverse()
+            x, delta = matrix._solve(t, Matrix.identity(len(t), 1).rows)
         except SingularMatrix:
             raise SingularSeifertForm("psi + eps psi^T is singular") from None
-        if coefficients == "Z" and not _is_integral(inverse):
+        if coefficients == "Z" and delta != 1:
             raise SingularSeifertForm(
                 "psi + eps psi^T is not unimodular over Z")
-        self.e = inverse * psi
+        self.e_pair = _imul(x, p), delta
+        self.e = Matrix(self.e_pair[0]).scale(Fraction(1, delta))
 
     @property
     def rank(self) -> int:
@@ -90,7 +95,7 @@ class SeifertForm:
 
 class AutometricForm:
     """(K, theta, h): theta an eps-symmetric invertible Q-form, h an
-    isometry of it.  Both identities are checked exactly."""
+    isometry of it.  Both identities are checked exactly, on integers."""
 
     def __init__(self, theta, h, epsilon: int):
         if epsilon not in (1, -1):
@@ -101,13 +106,11 @@ class AutometricForm:
             raise ValueError("theta and h must be square of equal size")
         if theta != theta.transpose().map(lambda x: x * epsilon):
             raise ValueError("theta is not eps-symmetric")
-        if theta.nrows and theta.det() == 0:
+        if theta.rank() < theta.nrows:
             raise SingularAutometricForm("theta is singular")
-        if h.transpose() * theta * h != theta:
+        if not _is_isometry(*map(_integral_rows, (theta.rows, h.rows))):
             raise ValueError("h does not preserve theta")
-        self.theta = theta
-        self.h = h
-        self.epsilon = epsilon
+        self.theta, self.h, self.epsilon = theta, h, epsilon
 
     @property
     def rank(self) -> int:
@@ -137,7 +140,7 @@ class SeifertSubmodule:
 # covering functors
 # ---------------------------------------------------------------------------
 
-def _covering_module(mode: str, h: Matrix, embed,
+def _covering_module(mode: str, h: tuple, embed,
                      e_r) -> tuple[LaurentModule, list]:
     """The Q-space with z acting as h, with the Krylov blocks of
     `_frobenius` (generated by e_r in P mode, None in Q mode); embed (None:
@@ -154,8 +157,8 @@ def _seifert_module(f: SeifertForm) -> LaurentModule:
     """The covering module of f, the cokernel of (1-e) + ez: Trotter's
     nonsingular part R with z acting as h = 1 - (e|R)^-1, from
     `_pencil_reduction`.  No pairing is built."""
-    b, h, e_r = _pencil_reduction(f.e)
-    if not h.rows:
+    b, h, e_r = _pencil_reduction(f.e_pair)
+    if not h[0]:
         return LaurentModule([], None, "P")
     return _covering_module("P", h, b, e_r)[0]
 
@@ -168,14 +171,14 @@ def _pairing_entry(c: list, m: list, s: list) -> LaurentPoly:
     return LaurentPoly.from_dense(polys.mod(polys.mul(s, num), m[::-1]))
 
 
-def _covering_form(mode: str, theta: Matrix, h: Matrix, epsilon: int,
+def _covering_form(mode: str, theta: tuple, h: tuple, epsilon: int,
                    embed=None, e_r=None) -> LaurentLinkingForm:
     """The epsilon-symmetric covering form on `_covering_module(mode, h,
-    embed, e_r)`, certified over Q and built unchecked.  theta is the form
-    on its Q-space (on R in P mode) and h the action of z there.  With
-    A = (z^-1 - h)^-1, lambda(x, y) = s z^-1 theta'(x, A y), where s = -1
-    and theta' = theta (Q mode) or s = 1 - z and theta'(x, y) =
-    theta(x, (1-h) y) = theta(x, e^-1 y) (P mode): conjugate-linear in y,
+    embed, e_r)`, certified over Q and built unchecked.  theta = T / d_t
+    is the form on its Q-space (on R in P mode) and h = H / d_h the action
+    of z there.  With A = (z^-1 - h)^-1, lambda(x, y) = s z^-1 theta'(x, A y),
+    where s = -1 and theta' = theta (Q mode) or s = 1 - z and theta'(x, y)
+    = theta(x, (1-h) y) = theta(x, e^-1 y) (P mode): conjugate-linear in y,
     the one placement that is exactly symmetric and well defined.  For
     m = d_j of degree D, m(z^-1) - m(h) = (z^-1 - h) sum_a m_a sum_{b<a}
     z^(b+1-a) h^b makes lambda(g_i, g_j) = s N / m*, with m* = z^D m(1/z)
@@ -197,24 +200,27 @@ def _covering_form(mode: str, theta: Matrix, h: Matrix, epsilon: int,
       chi(lambda(x, y)) = theta(x, c y), c = -1 (Q) or -(1-h)^2 h^-1 (P),
       invertible, so lambda(x, -) = 0 forces x = 0, and the module and its
       dual have the same dimension over Q.
-    They run before the module is built from h and its generator e_r."""
-    check(theta == theta.transpose().scale(-epsilon),
+    On integers they read T = -epsilon T^T, T of full rank and
+    H^T T H = d_h^2 T, before the module is built from h and e_r."""
+    t, d_t = theta
+    check(t == [[-epsilon * x for x in c] for c in zip(*t)],
           "covering theta is not symmetric")
-    check(theta.det() != 0, "covering theta is singular")
-    check(h.transpose() * theta * h == theta,
-          "h is not an isometry of the covering theta")
+    check(Matrix(t).rank() == len(t), "covering theta is singular")
+    check(_is_isometry(theta, h), "h is not an isometry of the covering theta")
     module, blocks = _covering_module(mode, h, embed, e_r)
     s = [Fraction(-1)]
     if mode == "P":
         s = [Fraction(1), Fraction(-1)]
-        theta = theta * (Matrix.identity(h.nrows) - h)
+        t, d_t = _imul(t, matrix._shift(h[0], h[1])), d_t * h[1]
     cols = [x for xs, _ in blocks for x in xs]
     starts = [0]
     for _, m in blocks[:-1]:
         starts.append(starts[-1] + len(m) - 1)
-    gram = Matrix([cols[i] for i in starts]) * theta * Matrix(cols).transpose()
+    heads = map(matrix._integral, (cols[i] for i in starts))
+    gram = _products([[Fraction(x, d * d_t) for x in _imul([w], t)[0]]
+                      for w, d in heads], cols)
     pairing = [[_pairing_entry(row[at:], m, s)
-                for at, (_, m) in zip(starts, blocks)] for row in gram.rows]
+                for at, (_, m) in zip(starts, blocks)] for row in gram]
     return LaurentLinkingForm(module, pairing, epsilon)
 
 
@@ -226,10 +232,11 @@ def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
     h = 1 - e^-1.  psi = theta e gives e^T theta = theta (1 - e), which
     makes h an isometry of theta|R; `_covering_form` checks that on the
     h it is handed."""
-    b, h, e_r = _pencil_reduction(f.e)
-    if not h.rows:
+    b, h, e_r = _pencil_reduction(f.e_pair)
+    if not h[0]:
         return LaurentLinkingForm(LaurentModule([], None, "P"), [], -f.epsilon)
-    return _covering_form("P", b.transpose() * f.theta * b, h, -f.epsilon, b,
+    theta = f.theta if b is None else b.transpose() * f.theta * b
+    return _covering_form("P", _integral_rows(theta.rows), h, -f.epsilon, b,
                           e_r)
 
 
@@ -239,7 +246,8 @@ def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
     (-eps)-symmetric."""
     if f.rank == 0:
         return LaurentLinkingForm(LaurentModule([], None, "Q"), [], -f.epsilon)
-    return _covering_form("Q", f.theta, f.h, -f.epsilon)
+    return _covering_form("Q", _integral_rows(f.theta.rows),
+                          _integral_rows(f.h.rows), -f.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +330,7 @@ def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
     if basis.nrows != n:
         raise ValueError("basis does not live in the form's space")
     integral = f.coefficients == "Z"
-    if integral and not _is_integral(basis):
+    if integral and _integral_rows(basis.rows)[1] != 1:
         raise ValueError("Z-coefficient submodule with non-integral basis")
     img = f.e * basis
     # e is integral in Z mode, and the Smith-form test also decides Q-span

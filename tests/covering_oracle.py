@@ -55,10 +55,11 @@ from wittkit.laurent_forms import (
     LaurentModule,
     _as_laurent,
     _dense,
-    _fitting_power,
     _monic_ordinary,
 )
 from wittkit.seifert import AutometricForm, SeifertForm, SeifertSubmodule
+
+from elimination_oracle import fitting_power, rref
 
 
 class NotNearProjection(ComputationError):
@@ -151,7 +152,7 @@ def restricted_e(f: SeifertForm, b: Matrix) -> Matrix:
     """e|R in the coordinates of `_pencil_reduction`'s basis b of R: b is 1
     at its own pivot of the Fitting power's rref and 0 at the others, so
     e|R is those rows of e b."""
-    sel = _fitting_power(f.e).transpose().rref()[1]
+    sel = rref(fitting_power(f.e).transpose())[1]
     eb = (f.e * b).rows
     return Matrix([eb[s] for s in sel])
 
@@ -366,7 +367,7 @@ def covering_submodule_image(f: SeifertForm, cov: LaurentLinkingForm,
         return Matrix([])
     p, vecs = module.basis_change, sub.basis
     if module.torsion_mode == "P":
-        kill = _fitting_power(f.e)
+        kill = fitting_power(f.e)
         p, vecs = kill * p, kill * vecs
     # exact normal equations: p has full column rank, vecs lie in its span
     coords = ((p.transpose() * p).inverse() * p.transpose() * vecs).transpose()
@@ -451,7 +452,7 @@ def near_projection_decompose(k_rank: int, e) -> tuple[Matrix, Matrix]:
     if k_rank == 0:
         return Matrix([]), Matrix([])
     ident = Matrix.identity(k_rank)
-    if _fitting_power(e) != Matrix.zeros(k_rank, k_rank):
+    if fitting_power(e) != Matrix.zeros(k_rank, k_rank):
         raise NotNearProjection("e(1-e) is not nilpotent")
     e_k, one_minus_k = ident, ident
     for _ in range(k_rank):
@@ -462,5 +463,5 @@ def near_projection_decompose(k_rank: int, e) -> tuple[Matrix, Matrix]:
 
 
 def _column_space_basis(m: Matrix) -> Matrix:
-    rows = m.transpose().rref()[0]
+    rows = rref(m.transpose())[0]
     return Matrix(rows).transpose() if rows else Matrix([])

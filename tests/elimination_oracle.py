@@ -8,7 +8,14 @@ matrices.  `krylov` and `frobenius` are the rational canonical
 decomposition as it ran before each local minimal polynomial came from an
 integer generator: `krylov` row-reduces h's own Krylov matrix over Q, and
 `frobenius` eliminates with the loops above.  Under `parent_frobenius`,
-the covering functors and `decompose_module` run on that `frobenius`."""
+the covering functors and `decompose_module` run on that `frobenius`.
+
+`fitting_power` and `pencil_reduction` are Trotter's reduction of the
+pencil (z - c) e + 1 on `Fraction` matrices, as it ran before e, h and
+e|R became integer pairs; `covering_certificates` are the `Fraction`
+checks that `_covering_form`, `_frobenius` and `AutometricForm` made
+before they checked the same identities on integers.  `fraction_matrix`
+and `integer_pair` convert between the two."""
 
 from __future__ import annotations
 
@@ -16,9 +23,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from wittkit import laurent_forms, seifert
-from wittkit.errors import SingularMatrix
+from wittkit.errors import SingularMatrix, check
 from wittkit.exact import polys
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.matrix import Matrix, _integral_rows
 from wittkit.laurent_forms import _apply, _coprime_part
 
 
@@ -144,13 +151,71 @@ def frobenius(h: list) -> list:
     return blocks
 
 
+def fraction_matrix(pair) -> Matrix:
+    """The Matrix of an integer pair (N, d)."""
+    rows, d = pair
+    return Matrix([[Fraction(x, d) for x in r] for r in rows])
+
+
+def integer_pair(m: Matrix) -> tuple[list, int]:
+    return _integral_rows(m.rows)
+
+
+def fitting_power(e: Matrix, c=1) -> Matrix:
+    """(e(1-ce))^k for a k past the nilpotent part's index: invertible on
+    its image, zero on a complement.  Squaring stops once the rank does
+    not fall, at once for a zero or an invertible e(1-ce)."""
+    power = e * (Matrix.identity(e.nrows) - e.scale(c))
+    rank = power.rank()
+    while 0 < rank < e.nrows:
+        square = power * power
+        square_rank = square.rank()
+        if square_rank == rank:
+            break
+        power, rank = square, square_rank
+    return power
+
+
+def pencil_reduction(e: Matrix, c=1) -> tuple[Matrix, Matrix, Matrix]:
+    """The pencil (z - c) e + 1 over Q[z, z^-1].  On ker (e(1 - ce))^n it is
+    unimodular (e or 1 - ce is nilpotent there, the other invertible), so
+    that part dies in its cokernel; on R = im (e(1 - ce))^n it is e(z - h)
+    with h = c - (e|R)^-1 invertible.  Returns R's basis b (columns), h and
+    e|R in its coordinates, all empty when R = 0; e|R, with e b = b e|R, is
+    read off b's unit rows and is `_frobenius`'s generator of h."""
+    basis, sel = rref(fitting_power(e, c).transpose())
+    if not basis:
+        return Matrix([]), Matrix([]), Matrix([])
+    # R's basis vectors are 1 at their own index of sel and 0 at the others
+    b = Matrix(basis).transpose()
+    eb = (e * b).rows
+    e_r = Matrix([eb[s] for s in sel])
+    return b, Matrix.identity(len(sel)).scale(c) - e_r.inverse(), e_r
+
+
+def covering_certificates(theta: Matrix, h: Matrix, epsilon: int,
+                          e_r: Matrix | None = None, c=1) -> None:
+    """`_covering_form`'s checks and then `_frobenius`'s, in their order
+    and with their messages, on `Fraction` matrices: theta
+    (-epsilon)-symmetric and nonsingular, h an isometry of it, and
+    (c - h) e|R = 1 when e|R is given."""
+    check(theta == theta.transpose().scale(-epsilon),
+          "covering theta is not symmetric")
+    check(theta.det() != 0, "covering theta is singular")
+    check(h.transpose() * theta * h == theta,
+          "h is not an isometry of the covering theta")
+    if e_r is not None:
+        ident = Matrix.identity(h.nrows)
+        check((ident.scale(c) - h) * e_r == ident, "h is not c - (e|R)^-1")
+
+
 @contextmanager
 def parent_frobenius():
     """Swap `frobenius` in for `_frobenius` where the covering functors and
     `decompose_module` call it, ignoring the generator they pass."""
     saved = laurent_forms._frobenius, seifert._frobenius
     laurent_forms._frobenius = seifert._frobenius = (
-        lambda h, e_r=None, c=1: frobenius(h.rows))
+        lambda h, e_r=None, c=1: frobenius(fraction_matrix(h).rows))
     try:
         yield
     finally:

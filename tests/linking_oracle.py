@@ -27,6 +27,9 @@ Slow, exhaustive or structural routes that `wittkit.finite` and
   mod p; `fraction_check`, `fraction_gram`, `fraction_primary_grams` and
   `fraction_boundary_gram` are the validation and the grams of those
   `Fraction` routes.
+- `integral_member`: membership in a lattice read entry by entry off the
+  Smith transform U, with `Fraction` products, as `_integral_solver` did
+  before it read U's integer rows once.
 """
 
 from __future__ import annotations
@@ -575,3 +578,17 @@ def fraction_boundary_gram(alpha) -> tuple[list[int], list]:
     orders = [divisors[i] for i in keep]
     gram = [[_mod1(pairing[i, j]) for j in keep] for i in keep]
     return orders, gram
+
+
+def integral_member(mat: Matrix):
+    """Whether an integer vector lies in the Z-span of mat's columns: the
+    entries of U vec, each a sum of U[i, j] vec[j], against the divisors."""
+    res = smith_normal_form(mat)
+    m = mat.nrows
+    padded = list(res.divisors) + [0] * (m - len(res.divisors))
+
+    def member(vec) -> bool:
+        c = [sum(res.U[i, j] * vec[j] for j in range(m)) for i in range(m)]
+        return all(ci % d == 0 if d else ci == 0 for ci, d in zip(c, padded))
+
+    return member

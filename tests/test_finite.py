@@ -772,3 +772,29 @@ def test_multisignature_classes_match_fraction_determinant(f):
         aux = auxiliary_form(f, l)
         assert witt_class_fp(f.prime, aux.gram, aux.v) == \
             linking_oracle.witt_class_fp(f.prime, aux.gram, aux.v)
+
+
+def test_integral_member_matches_entrywise_products():
+    # _integral_solver's integer dot products against U's entries times
+    # Fraction vectors, on random bases of full and deficient rank, with
+    # vectors in the lattice, in its Q-span only, off it, and non-integral
+    rng = random.Random(61)
+    verdicts = []
+    for _ in range(150):
+        m, k = rng.randint(1, 5), rng.randint(1, 4)
+        cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
+        if rng.random() < 0.3:
+            cols.append([2 * x - y for x, y in zip(cols[0], cols[-1])])
+        mat = Matrix([[F(c[i]) for c in cols] for i in range(m)])
+        member, _ = finite._integral_solver(mat)
+        want = linking_oracle.integral_member(mat)
+        for _ in range(6):
+            coeffs = [F(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+                      for _ in cols]
+            vec = [sum(a * c[i] for a, c in zip(coeffs, cols))
+                   for i in range(m)]
+            if rng.random() < 0.3:
+                vec[rng.randrange(m)] += rng.choice([1, F(1, 2)])
+            verdicts.append(member(vec))
+            assert verdicts[-1] == want(vec)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100

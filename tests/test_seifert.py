@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, assume
 from hypothesis import strategies as st
 
-from wittkit import cli, seifert
+from wittkit import cli, laurent_forms, seifert
 from wittkit.exact import snf
 from wittkit.errors import (
     InvariantViolated,
     NotEInvariant,
     NotPTorsion,
+    NotTorsion,
     SingularAutometricForm,
     SingularSeifertForm,
 )
@@ -63,7 +64,15 @@ from covering_oracle import (
     restricted_e,
     validate_over_qz,
 )
-from elimination_oracle import inverse as qz_inverse, parent_frobenius
+from elimination_oracle import (
+    covering_certificates,
+    det as qz_det,
+    fraction_matrix,
+    integer_pair,
+    inverse as qz_inverse,
+    parent_frobenius,
+    pencil_reduction,
+)
 from snf_oracle import snf_covering_autometric, snf_covering_seifert
 
 TREFOIL = [[-1, 1], [0, -1]]
@@ -874,29 +883,39 @@ class TestCertificateMutations:
     @staticmethod
     def _corrupt_reduction(monkeypatch, part):
         """Make `_pencil_reduction` hand the covering a singular theta|R
-        (R's basis collapsed) or an h that is not 1 - (e|R)^-1."""
+        (R's basis collapsed), an h that is not 1 - (e|R)^-1 (H or d_h
+        doubled alone), an e|R with E doubled alone, or, for "common",
+        every pair with a common factor 2 in numerator and denominator."""
         reduce = seifert._pencil_reduction
 
+        def double(pair, num=2, den=1):
+            return [[num * x for x in r] for r in pair[0]], den * pair[1]
+
         def corrupted(e, c=1):
-            b, h, e_r = reduce(e, c)
+            b, h, e_r = reduce(double(e, 2, 2) if part == "common" else e, c)
             if part == "theta":
+                b = Matrix.identity(len(h[0])) if b is None else b
                 b = Matrix([[row[0]] * len(row) for row in b.rows])
             elif part == "e_r":
-                e_r = e_r.scale(2)
-            else:
-                h = h.scale(2)
+                e_r = double(e_r)
+            elif part == "h":
+                h = double(h)
+            elif part == "d_h":
+                h = double(h, 1, 2)
+            elif part == "common":
+                h, e_r = double(h, 2, 2), double(e_r, 2, 2)
             return b, h, e_r
 
         monkeypatch.setattr(seifert, "_pencil_reduction", corrupted)
 
     @pytest.mark.parametrize("part, message", [
-        ("theta", "singular"), ("h", "isometry")])
+        ("theta", "singular"), ("h", "isometry"), ("d_h", "isometry")])
     def test_corrupted_reduction(self, monkeypatch, part, message):
         self._corrupt_reduction(monkeypatch, part)
         with pytest.raises(InvariantViolated, match=message):
             covering_seifert(SeifertForm(TREFOIL, -1, "Z"))
 
-    @pytest.mark.parametrize("part", ["theta", "h"])
+    @pytest.mark.parametrize("part", ["theta", "h", "d_h"])
     def test_analyze_exits_3(self, monkeypatch, capsys, part):
         self._corrupt_reduction(monkeypatch, part)
         assert cli.main(["analyze", "--catalog", "trefoil"]) == 3
@@ -911,6 +930,18 @@ class TestCertificateMutations:
             covering_seifert(SeifertForm(TREFOIL, -1, "Z"))
         assert cli.main(["analyze", "--catalog", "trefoil"]) == 3
         assert "h is not c - (e|R)^-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("knot", [
+        "trefoil", "figure-eight", "granny", "trefoil-inverse-sum"])
+    def test_common_factor_gives_the_same_report(self, monkeypatch, capsys,
+                                                 knot):
+        # a pair need not be in lowest terms: (2E, 2d), (2H, 2d_h) and
+        # (2E_R, 2d_e) stand for the same matrices
+        assert cli.main(["analyze", "--catalog", knot]) == 0
+        want = capsys.readouterr().out
+        self._corrupt_reduction(monkeypatch, "common")
+        assert cli.main(["analyze", "--catalog", knot]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestReductionIdentities:
@@ -936,9 +967,11 @@ class TestReductionIdentities:
                     break
         proper = 0
         for f in forms:
-            b, h, e_r = _pencil_reduction(f.e)
-            if not h.rows:
+            b, h, e_r = _pencil_reduction(f.e_pair)
+            if not h[0]:
                 continue
+            h, e_r = fraction_matrix(h), fraction_matrix(e_r)
+            b = Matrix.identity(f.rank) if b is None else b
             assert e_r == restricted_e(f, b)
             theta = b.transpose() * f.theta * b
             ident = Matrix.identity(h.nrows)
@@ -948,6 +981,174 @@ class TestReductionIdentities:
             assert h.transpose() * theta * h == theta
             proper += h.nrows < f.rank
         assert proper >= 3
+
+
+def assert_reduction_matches_oracle(e, c=1):
+    """`_pencil_reduction` on the integer pair e against the `Fraction`
+    reduction it replaced: the same basis b of R (None standing for the
+    identity), h and e|R, with positive denominators; returns dim R."""
+    b, h, e_r = _pencil_reduction(e, c)
+    want_b, want_h, want_e_r = pencil_reduction(fraction_matrix(e), c)
+    if not want_h.rows:
+        assert (b is None or b.rows == []) and h[0] == e_r[0] == []
+        return 0
+    assert h[1] > 0 and e_r[1] > 0
+    assert (Matrix.identity(len(e[0])) if b is None else b) == want_b
+    assert fraction_matrix(h) == want_h
+    assert fraction_matrix(e_r) == want_e_r
+    return want_h.nrows
+
+
+def certificate_outcome(run):
+    try:
+        run()
+    except InvariantViolated as err:
+        return str(err)
+    return None
+
+
+def corruptions(h, e_r):
+    """(h, e|R) as given, with H doubled, with d_h doubled and with E
+    doubled, each alone."""
+    (big_h, d_h), (big_e, d_e) = h, e_r
+    twice = [[2 * x for x in r] for r in big_h]
+    return [(h, e_r), ((twice, d_h), e_r), ((big_h, 2 * d_h), e_r),
+            (h, ([[2 * x for x in r] for r in big_e], d_e))]
+
+
+def reduction_ladder_forms():
+    # the forms of TestReductionIdentities.test_ladder_forms
+    rng = random.Random(14)
+    forms = [SeifertForm(SCALE_3, -1, "Z")]
+    for genus in range(1, 7):
+        for eps, coefficients in ((-1, "Z"), (-1, "Q"), (1, "Q")):
+            while True:
+                try:
+                    forms.append(SeifertForm(ladder_psi(rng, genus), eps,
+                                             coefficients))
+                except SingularSeifertForm:
+                    continue
+                break
+    return forms
+
+
+@pytest.fixture
+def recorded_reductions(monkeypatch):
+    """Every (e, c) that `decompose_module` hands `_pencil_reduction`."""
+    calls, reduce = [], laurent_forms._pencil_reduction
+
+    def recording(e, c=1):
+        calls.append((e, c))
+        return reduce(e, c)
+
+    monkeypatch.setattr(laurent_forms, "_pencil_reduction", recording)
+    return calls
+
+
+class TestReductionAgainstOracle:
+    """The integer pairs of `SeifertForm`, `_pencil_reduction`, the
+    covering certificates and `AutometricForm` against the `Fraction`
+    matrices and checks they replaced (`elimination_oracle`)."""
+
+    def test_ladder_forms(self):
+        proper = 0
+        for f in reduction_ladder_forms():
+            assert f.e == qz_inverse(f.theta) * f.psi
+            assert fraction_matrix(f.e_pair) == f.e and f.e_pair[1] > 0
+            dim = assert_reduction_matches_oracle(f.e_pair)
+            proper += 0 < dim < f.rank
+        assert proper >= 3
+
+    def test_ladder_certificates(self):
+        # each corruption fails the integer checks of `_covering_form` and
+        # `_frobenius` exactly where it fails the Fraction checks
+        failed = set()
+        for f in reduction_ladder_forms():
+            b, h, e_r = _pencil_reduction(f.e_pair)
+            if not h[0]:
+                continue
+            theta = f.theta if b is None else b.transpose() * f.theta * b
+            for bad_h, bad_e_r in corruptions(h, e_r):
+                got = certificate_outcome(lambda: seifert._covering_form(
+                    "P", integer_pair(theta), bad_h, -f.epsilon, b,
+                    bad_e_r))
+                assert got == certificate_outcome(
+                    lambda: covering_certificates(
+                        theta, fraction_matrix(bad_h), -f.epsilon,
+                        fraction_matrix(bad_e_r)))
+                failed.add(got)
+        assert failed == {None, "h is not an isometry of the covering theta",
+                          "h is not c - (e|R)^-1"}
+
+    def test_seifert_form_against_inverse(self):
+        # unimodularity read off theta^-1's integer pair against the
+        # integrality of the Fraction theta^-1, and e against theta^-1 psi;
+        # the first psi has e = diag(1, 0) integral while det theta = 4
+        rng = random.Random(27)
+        outcomes = set()
+        cases = [([[0, 0], [-2, 0]], -1, "Z"), ([[0, 0], [-2, 0]], -1, "Q")]
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            cases.append(([[rng.randint(-2, 2) for _ in range(n)]
+                           for _ in range(n)], rng.choice([1, -1]),
+                          rng.choice("ZQ")))
+        for psi, eps, mode in cases:
+            theta = frac_matrix(psi) + frac_matrix(psi).transpose().scale(eps)
+            if qz_det(theta) == 0:
+                want = "singular"
+            else:
+                inverse = qz_inverse(theta)
+                integral = integer_pair(inverse)[1] == 1
+                want = inverse * frac_matrix(psi) if mode == "Q" or \
+                    integral else "not unimodular"
+            try:
+                got = SeifertForm(psi, eps, mode).e
+            except SingularSeifertForm as err:
+                got = "singular" if "singular" in str(err) else \
+                    "not unimodular"
+            assert got == want
+            outcomes.add(want if isinstance(want, str) else mode)
+        assert outcomes == {"singular", "not unimodular", "Z", "Q"}
+
+    def test_decompose_module_presentations(self, recorded_reductions):
+        # TestDecomposeAgainstSmith's random presentations and one whose
+        # determinant z (z - 1) vanishes at 0 and 1; c is the first of 0,
+        # 1, ... with c B - C invertible
+        rng = random.Random(2024)
+        one, z = LaurentPoly.one(), LaurentPoly.z()
+        press = [[[one, one], [one, one + z * (z - one)]]]
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            press.append([[LaurentPoly({k: rng.choice([0, 0, -2, -1, 1, 2])
+                                        for k in range(-1, 3)})
+                           for _ in range(n)] for _ in range(n)])
+        for pres in press:
+            try:
+                decompose_module(pres, "Q")
+            except NotTorsion:
+                pass
+        assert {c for _, c in recorded_reductions} == {0, 1, 2}
+        assert max(assert_reduction_matches_oracle(e, c)
+                   for e, c in recorded_reductions) >= 3
+
+    def test_criterion_3_forms(self, recorded_reductions):
+        # criterion 3's stream: AutometricForm's integer checks against the
+        # Fraction ones, and decompose_module on each presentation z - h
+        rng = random.Random(301)
+        for _ in range(30):
+            f = random_autometric(rng, max_rank=4, bound=5)
+            h = integer_pair(f.h)
+            for bad_h, _ in corruptions(h, h)[:3]:  # h, 2H and 2 d_h
+                assert certificate_outcome(lambda: seifert._covering_form(
+                    "Q", integer_pair(f.theta), bad_h, -f.epsilon)) == \
+                    certificate_outcome(lambda: covering_certificates(
+                        f.theta, fraction_matrix(bad_h), -f.epsilon))
+            with pytest.raises(ValueError, match="preserve"):
+                AutometricForm(f.theta, f.h.scale(2), f.epsilon)
+            decompose_module(covering_pencil(f), "Q")
+        assert recorded_reductions
+        for e, c in recorded_reductions:
+            assert assert_reduction_matches_oracle(e, c) == len(e[0])
 
 
 class TestRoundTrip:

@@ -125,7 +125,8 @@ def _subgroup_elements(form, witness):
 
 def _pairing(form, x, y):
     """lambda(x, y) in Q/Z, straight from the Gram matrix."""
-    return sum(form.gram[i][j] * x[i] * y[j]
+    gram = form.gram
+    return sum(gram[i][j] * x[i] * y[j]
                for i in range(form.rank) for j in range(form.rank)) % 1
 
 
