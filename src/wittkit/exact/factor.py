@@ -6,8 +6,10 @@ with p not dividing b and f squarefree mod p certifies that f is
 squarefree over Q, since g^2 | f has lc(g) | b, so g^2 | f mod p keeps
 deg g; p is then the lifting prime.  Only without one does f give way to
 its squarefree part f / gcd(f, f'), from one gcd over Q, and each
-irreducible factor's multiplicity is read by exact division of f.  The
-squarefree polynomial is factored by Zassenhaus's modular route: factor
+irreducible factor's multiplicity is read by exact division of f.  A
+squarefree quadratic a z^2 + b z + c needs no prime: it is irreducible
+unless b^2 - 4ac = s^2, and then splits into the primitive parts of
+2az + b -+ s.  Longer ones go by Zassenhaus's modular route: factor
 b^-1 f mod p (distinct-degree, then Cantor-Zassenhaus with a fixed RNG
 seed), Hensel-lift the monic factors to p^k above twice 2^(n+1) |f|_2 b,
 and recombine subsets: the primitive part of lc * prod(u_i) mod p^k
@@ -267,6 +269,13 @@ def _factor_squarefree_int(f: list[int], p: int) -> list[list[int]]:
     n = len(f) - 1
     if n <= 1:
         return [f] if n == 1 else []
+    if n == 2:  # c + b z + a z^2 splits over Q iff b^2 - 4ac is a square s^2
+        c, b, a = f
+        s = isqrt(max(disc := b * b - 4 * a * c, 0))
+        if s * s != disc:
+            return [f]
+        return [[x // int_gcd(b + r, 2 * a) for x in (b + r, 2 * a)]
+                for r in (-s, s)]  # (2az + b - s)(2az + b + s) = 4a f
     b = f[-1]
     binv = pow(b, -1, p)
     mod_factors = sorted(_factor_mod_p([c * binv % p for c in f], p,

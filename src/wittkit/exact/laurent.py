@@ -217,8 +217,8 @@ def is_self_conjugate(p: LaurentPoly) -> Optional[LaurentPoly]:
     if p.is_zero():
         return None
     k = p.min_deg() + p.max_deg()
-    for sign in (1, -1):
-        if p.bar().shift(k) * sign == p:
+    for sign in (1, -1):  # coefficient-wise: bar(p) z^k has c_d at k - d
+        if all(p.coeffs.get(k - d) == sign * c for d, c in p.coeffs.items()):
             return LaurentPoly.monomial(sign, k)
     return None
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from wittkit.errors import (
     MixedSymmetry,
@@ -158,8 +158,7 @@ def _u_in_y_gap(y_low: Fraction, y_high: Fraction) -> Fraction:
     """A rational u > 0 with y_low < y(u) = 2(1 - u^2)/(1 + u^2) < y_high;
     y(u) = 2 cos(2 pi t) for u = tan(pi t).  u is sqrt((2 - y)/(2 + y)) at
     the gap's midpoint y, cut to the fewest binary digits that land inside."""
-    if not -2 <= y_low < y_high <= 2:
-        raise ValueError("the y-gap must be a nonempty part of [-2, 2]")
+    check(-2 <= y_low < y_high <= 2, "the y-gap is empty or leaves [-2, 2]")
     y = (y_low + y_high) / 2
     u2 = (2 - y) / (2 + y)
     k = 0
@@ -184,16 +183,9 @@ def _signature_at_u(psi: Matrix, u: Fraction) -> int:
     return signature_of_symmetric(Matrix(rows)) // 2
 
 
-def _two_cos_bracket(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational lo < 2 cos(2 pi t) < hi for 0 < t < 1/2, in integer fixed
-    point with unit 2^-bits: pi by Machin's formula 16 atan(1/5) -
-    4 atan(1/239), then cos x, x = 2 pi t <= pi/2, by its Taylor series.
-    Every floor division errs by under one unit and every alternating tail
-    is below its first omitted term, so the error bound `err` is a few
-    units per bit and hi - lo = 4 err 2^-bits."""
-    sign = 1
-    if t > Fraction(1, 4):  # cos(pi - x) = -cos x
-        t, sign = Fraction(1, 2) - t, -1
+@lru_cache(maxsize=32)  # bits doubles from 64: one entry per doubling
+def _pi(bits: int) -> tuple[int, int]:
+    """pi and its error in units of 2^-bits: 16 atan(1/5) - 4 atan(1/239)."""
     one = 1 << bits
     pi = err = 0
     for coeff, x in ((16, 5), (-4, 239)):
@@ -203,6 +195,20 @@ def _two_cos_bracket(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
             power //= x * x
             k += 1
         err += abs(coeff) * (k + 1)
+    return pi, err
+
+
+def _two_cos_bracket(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Rational lo < 2 cos(2 pi t) < hi for 0 < t < 1/2, in integer fixed
+    point with unit 2^-bits: pi by Machin's formula once per precision
+    (`_pi`), then cos x, x = 2 pi t <= pi/2, by its Taylor series.  Every
+    floor division errs by under one unit and every alternating tail is
+    below its first omitted term, so `err` is a few units per bit."""
+    sign = 1
+    if t > Fraction(1, 4):  # cos(pi - x) = -cos x
+        t, sign = Fraction(1, 2) - t, -1
+    one = 1 << bits
+    pi, err = _pi(bits)
     x = 2 * pi * t.numerator // t.denominator  # off by < err/2 + 1 units
     total = term = one
     k = 0

@@ -13,7 +13,9 @@ there by `hermitian_signature_at_root`, each pivot's sign decided at the
 certified root, so it also checks that route against the one over Q.
 And D itself by the route `_det_one_minus` took before its characteristic
 polynomial went division-free: Faddeev-LeVerrier over `Fraction`s, then
-Horner over `LaurentPoly`."""
+Horner over `LaurentPoly`.  And the enclosure of 2 cos(2 pi t) as it was
+before pi was computed once per precision: Machin's formula on every
+call."""
 
 from __future__ import annotations
 
@@ -104,6 +106,34 @@ def free_bracket(root: CertifiedRoot, g) -> tuple[Fraction, Fraction]:
         pad /= 2
         if pad < root.hi - root.lo:
             root._bisect()
+
+
+def per_call_two_cos_bracket(t: Fraction, bits: int):
+    """`knots._two_cos_bracket` with pi recomputed by Machin's formula
+    16 atan(1/5) - 4 atan(1/239) on every call, in integer fixed point
+    with unit 2^-bits, then cos(2 pi t) by its Taylor series."""
+    sign = 1
+    if t > Fraction(1, 4):  # cos(pi - x) = -cos x
+        t, sign = Fraction(1, 2) - t, -1
+    one = 1 << bits
+    pi = err = 0
+    for coeff, x in ((16, 5), (-4, 239)):
+        power, k = one // x, 0  # floor(one / x^(2k+1)), exactly
+        while power:
+            pi += coeff * (-1) ** k * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        err += abs(coeff) * (k + 1)
+    x = 2 * pi * t.numerator // t.denominator
+    total = term = one
+    k = 0
+    while term:
+        k += 1
+        term = term * x // one * x // one // ((2 * k - 1) * (2 * k))
+        total += (-1) ** k * term
+    err += 3 * k + 3
+    lo, hi = Fraction(2 * (total - err), one), Fraction(2 * (total + err), one)
+    return (lo, hi) if sign == 1 else (-hi, -lo)
 
 
 def fl_det_one_minus(k) -> LaurentPoly:

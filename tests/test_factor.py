@@ -7,6 +7,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -119,7 +120,8 @@ def test_multiplicity_tracking():
 
 def test_lost_factor_is_an_invariant_violation(monkeypatch):
     drop_last_factor(monkeypatch)
-    for p in (z**2 - z + 1, (z - 1) * (z**2 + 1), 3 * z**-2 * (z + 2)):
+    for p in (z**2 - z + 1, (z - 1) * (z**2 + 1), 3 * z**-2 * (z + 2),
+              (2 * z - 1) * (z - 2)):
         with pytest.raises(InvariantViolated, match="lost a factor"):
             factor_rational_poly(p)
 
@@ -234,3 +236,47 @@ def test_ladder_fixtures(name, monkeypatch):
     assert gcd_calls(monkeypatch, p) == 0
     _, factors = assert_matches_oracles(p)
     assert all(m == 1 for _, m in factors)
+
+
+# ---- quadratics, split by the discriminant ----
+
+def random_quadratic(rng, kind, size):
+    """An integer quadratic (a z^2 + b z + c as [c, b, a], a != 0 and
+    c != 0) of the given kind, entries up to about `size`."""
+    entry = lambda: rng.choice([-1, 1]) * rng.randint(1, size)
+    while True:
+        if kind in ("split", "square"):
+            p, q = entry(), entry()
+            r, s = (p, q) if kind == "square" else (entry(), entry())
+            cs = [q * s, p * s + q * r, p * r]
+        else:
+            cs = [entry(), rng.randint(-size, size), entry()]
+        disc = cs[1] ** 2 - 4 * cs[0] * cs[2]
+        root = isqrt(max(disc, 0))
+        if {"split": disc > 0, "square": disc == 0,
+                "negative": disc < 0,
+                "irreducible": disc > 0 and root * root != disc}[kind]:
+            return cs
+
+
+@pytest.mark.parametrize("size", [9, 10**6, 10**20, 10**40])
+def test_random_quadratics_match_oracles(size, monkeypatch):
+    rng = random.Random(size)
+    shapes = {}
+    for kind in ("split", "irreducible", "negative", "square"):
+        for _ in range(12):
+            cs = random_quadratic(rng, kind, size)
+            unit = LaurentPoly.monomial(
+                F(rng.choice([-1, 1]) * rng.randint(1, 30),
+                  rng.randint(1, 30)), rng.randint(-4, 4))
+            p = unit * from_ints(cs)
+            if kind == "square":
+                assert gcd_calls(monkeypatch, p) == 1
+            else:  # a squarefree quadratic is split without a prime
+                monkeypatch.setattr(factor, "_factor_mod_p", None)
+            _, factors = assert_matches_oracles(p)
+            monkeypatch.undo()
+            shapes.setdefault(kind, set()).add(
+                tuple(m for _, m in factors))
+    assert shapes == {"split": {(1, 1)}, "irreducible": {(1,)},
+                      "negative": {(1,)}, "square": {(2,)}}

@@ -49,6 +49,7 @@ from lt_oracle import (
     cyclotomic_polynomial,
     fl_det_one_minus,
     per_call_lt_signature,
+    per_call_two_cos_bracket,
     singular_poly_in_y,
     turn_in_y_gap,
 )
@@ -459,10 +460,12 @@ class TestJumps:
             assert y_low < y_of(u) < y_high
 
     def test_empty_gap_is_rejected(self):
+        # the gap always lies between disjoint certified brackets, so an
+        # empty one is a fault of the library, not of its input
         for y_low, y_high in ((Fraction(1), Fraction(1)),
                               (Fraction(2), Fraction(2)),
                               (Fraction(-3), Fraction(0))):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvariantViolated, match="y-gap"):
                 _u_in_y_gap(y_low, y_high)
 
 
@@ -803,6 +806,16 @@ class TestStepFunction:
             lo, hi = knots._two_cos_bracket(t, 64)
             y0 = 2 * math.cos(2 * math.pi * t)
             assert lo - Fraction(1, 10**12) < y0 < hi + Fraction(1, 10**12)
+
+    def test_bracket_matches_per_call_pi(self):
+        # pi comes from one cached value per precision; the brackets are
+        # those of Machin's formula taken on every call, cold and cached
+        knots._pi.cache_clear()
+        for bits in (64, 128, 256, 1024):
+            for t in turns_up_to(60):
+                want = per_call_two_cos_bracket(t, bits)
+                assert knots._two_cos_bracket(t, bits) == want, (t, bits)
+        assert knots._pi.cache_info().currsize == 4
 
     def test_one_build_per_knot(self, monkeypatch):
         determinants = count_calls(monkeypatch, "_det_one_minus",
