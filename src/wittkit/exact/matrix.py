@@ -1,14 +1,14 @@
 """Dense matrices over the rings used in this package.
 
-Entries are whatever supports ring arithmetic: Fraction (Z and Q),
-LaurentPoly (Q[z, z^-1]) or residue field elements; operations are
-generic, but a product of Fraction matrices takes integer dot products
-(`_products`) and `charpoly` is division-free, on integers for a rational
-matrix.  `rank`, `inverse` and a rational `det` run in one fraction-free
-kernel, `_gauss_jordan`; det over a residue field eliminates over the
-entries' field.  The covering path (`seifert`, `laurent_forms`) carries a
-rational matrix as a pair (N, d) of integer rows over one d > 0, not
-necessarily reduced, and hands N to `_gauss_jordan`, `_solve` and `_imul`.
+Products and sums take any ring entries: Fraction (Z and Q), LaurentPoly
+(Q[z, z^-1]) or residue field elements; a product of Fraction matrices
+takes integer dot products (`_products`).  Elimination is over Q only:
+`rank`, `inverse` and `det` run in one fraction-free kernel,
+`_gauss_jordan`, `charpoly` in division-free `_berkowitz` on integers, and
+`det` and `charpoly` raise TypeError on other entries.  The covering path
+(`seifert`, `laurent_forms`) carries a rational matrix as a pair (N, d) of
+integer rows over one d > 0, not necessarily reduced, and hands N to
+`_gauss_jordan`, `_solve` and `_imul`.
 """
 
 from __future__ import annotations
@@ -142,43 +142,22 @@ class Matrix:
             raise ValueError("column mismatch")
         return Matrix(self.rows + other.rows)
 
-    # ---- field-entry operations ----
+    # ---- elimination over Q ----
 
-    def det(self):
-        """Determinant, 1 (Fraction) when empty.  Rational entries take
+    def det(self) -> Fraction:
+        """Determinant of a rational matrix, 1 when empty, from
         `_gauss_jordan`: its minor is det of the row-scaled matrix with
-        columns in pivot order.  Others must form a field."""
+        columns in pivot order.  Other entries raise TypeError."""
         if not self.is_square():
             raise ValueError("det of non-square matrix")
+        if not all(type(x) in (int, Fraction) for r in self.rows for x in r):
+            raise TypeError("det needs int or Fraction entries")
+        _, pivots, minor = _gauss_jordan(self.rows)
+        swaps = sum(a > b for i, a in enumerate(pivots)
+                    for b in pivots[i + 1:])
+        scale = prod(lcm(*(x.denominator for x in r)) for r in self.rows)
         n = self.nrows
-        if n == 0:
-            return Fraction(1)
-        if all(type(x) in (int, Fraction) for r in self.rows for x in r):
-            _, pivots, minor = _gauss_jordan(self.rows)
-            swaps = sum(a > b for i, a in enumerate(pivots)
-                        for b in pivots[i + 1:])
-            scale = prod(lcm(*(x.denominator for x in r)) for r in self.rows)
-            return Fraction((-1) ** swaps * minor * (len(pivots) == n), scale)
-        a = [list(r) for r in self.rows]
-        det = None
-        sign = 1
-        for k in range(n):
-            piv = next((i for i in range(k, n) if a[i][k]), None)
-            if piv is None:
-                z = a[k][k]
-                return z - z  # a zero of the right type
-            if piv != k:
-                a[k], a[piv] = a[piv], a[k]
-                sign = -sign
-            det = a[k][k] if det is None else det * a[k][k]
-            inv_piv = a[k][k]
-            for i in range(k + 1, n):
-                if not a[i][k]:
-                    continue
-                factor = a[i][k] / inv_piv
-                for j in range(k, n):
-                    a[i][j] = a[i][j] - factor * a[k][j]
-        return det if sign == 1 else -det
+        return Fraction((-1) ** swaps * minor * (len(pivots) == n), scale)
 
     def rank(self) -> int:
         return len(_gauss_jordan(self.rows)[1])
@@ -190,17 +169,17 @@ class Matrix:
         return Matrix([[Fraction(v, minor) for v in r] for r in x])
 
     def charpoly(self) -> list:
-        """Coefficients [c_0, ..., c_n] of det(t*I - A), by `_berkowitz`.
-        A Fraction matrix runs on the integers d A, d the lcm of its
-        denominators: c_k(A) = c_k(d A) / d^(n-k)."""
+        """Coefficients [c_0, ..., c_n] of det(t*I - A) for a rational A, by
+        `_berkowitz` on the integers d A, d the lcm of A's denominators:
+        c_k(A) = c_k(d A) / d^(n-k).  Other entries raise TypeError."""
         if not self.is_square():
             raise ValueError("charpoly of non-square matrix")
-        n = self.nrows
         if not all(type(x) in (int, Fraction) for r in self.rows for x in r):
-            return _berkowitz(self.rows, self.rows[0][0].one())
+            raise TypeError("charpoly needs int or Fraction entries")
         nums, d = _integral_rows(self.rows)
-        coeffs = _berkowitz(nums, 1)
-        return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
+        n = self.nrows
+        return [Fraction(c, d ** (n - k))
+                for k, c in enumerate(_berkowitz(nums))]
 
 
 def _dot(row, col):
@@ -286,23 +265,22 @@ def _shift(m, s, t=1) -> list:
             for i, r in enumerate(m)]
 
 
-def _berkowitz(a, one) -> list:
-    """Coefficients [c_0, ..., c_n] of det(t*I - A) for the rows `a` of a
-    square matrix over a commutative ring with unit `one`, never dividing
-    (Berkowitz 1984).  With A_k the leading k x k block, p_k(t) =
-    det(tI - A_k) highest degree first, x = a[k][k] and r, c the rest of
-    row and column k, p_(k+1) = (t - x) p_k - r adj(tI - A_k) c is the
-    lower triangular Toeplitz matrix with first column
-    (1, -x, -r c, -r A_k c, ..., -r A_k^(k-1) c) times p_k."""
-    dot = (lambda u, v: sum(map(mul, u, v))) if type(one) is int else _dot
-    p = [one]
+def _berkowitz(a) -> list:
+    """Coefficients [c_0, ..., c_n] of det(t*I - A) for the integer rows `a`
+    of a square matrix, never dividing (Berkowitz 1984).  With A_k the
+    leading k x k block, p_k(t) = det(tI - A_k) highest degree first,
+    x = a[k][k] and r, c the rest of row and column k, p_(k+1) =
+    (t - x) p_k - r adj(tI - A_k) c is the lower triangular Toeplitz matrix
+    with first column (1, -x, -r c, -r A_k c, ..., -r A_k^(k-1) c) times
+    p_k."""
+    p = [1]
     for k, row in enumerate(a):
         head = a[:k]  # rows of A_k; zip stops each dot at column k
         v = [r[k] for r in head]
-        column = [one, -row[k]]
+        column = [1, -row[k]]
         for j in range(k):
             if j:
-                v = [dot(r, v) for r in head]
-            column.append(-dot(row, v))
-        p = [dot(column[i::-1], p) for i in range(k + 2)]
+                v = [sum(map(mul, r, v)) for r in head]
+            column.append(-sum(map(mul, row, v)))
+        p = [sum(map(mul, column[i::-1], p)) for i in range(k + 2)]
     return p[::-1]

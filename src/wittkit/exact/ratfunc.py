@@ -6,8 +6,9 @@ Canonical form: f = num / den where
   z^k is pushed into num, any scalar into num's coefficients),
 * num is a Laurent polynomial sharing no ordinary polynomial factor with den.
 
-A `RatFunc` is built (`make`), compared and printed; the package does no
-arithmetic in Q(z), so the field operations are left to the tests.
+A `RatFunc` is built (`make`), compared and printed, but not by the
+package: the tests' `QZ` subclasses it with the field operations of Q(z),
+and the benchmark's `exact.ratfunc.make` span wraps `make`.
 
 `series_expand` embeds num / den into either completion: side "plus" is
 Q((z)) (series in z, finitely many negative terms), side "minus" is
@@ -135,8 +136,9 @@ def series_expand(num: LaurentPoly, den: list, side: str, lo: int,
 
 def _inverse_coeffs(den: list, upto: int) -> list[Fraction]:
     """b_0, ..., b_upto with 1/den = sum_j b_j z^j in Q[[z]]; den(0) != 0."""
-    b = [1 / den[0]]
+    inv = Fraction(1) / den[0]
+    b = [inv]
     for j in range(1, upto + 1):
-        b.append(-sum(den[i] * b[j - i]
-                      for i in range(1, min(j, len(den) - 1) + 1)) / den[0])
+        b.append(-inv * sum(den[i] * b[j - i]
+                            for i in range(1, min(j, len(den) - 1) + 1)))
     return b[:upto + 1]

@@ -234,9 +234,6 @@ class FiniteLinkingForm:
         form.num = tuple(map(tuple, num))
         return form
 
-    def _validate(self):
-        _check_pairing(self.mixed_orders(), self.num, self.q, self.epsilon)
-
     # -- basic queries --
 
     @property
@@ -340,7 +337,7 @@ def _primary_parts(orders: list[int], num, q: int, epsilon: int) -> dict:
     A mixed-order presentation is checked here, once, by `_check_pairing`.
     The p-part is generated by c_a g_a, c_a = n_a / p^{v_a}, for each a with
     v_a = v_p(n_a) > 0, and is built unchecked: the whole-pairing checks
-    imply each part's `_validate`, because
+    imply `_check_pairing` on each part, because
     - the parts are orthogonal, as pairings across primes are integral
       (both orders kill them), so T = (+) T_p is an orthogonal sum;
     - T^ splits the same way and the adjoint maps T_p into T_p^, so it is

@@ -541,8 +541,8 @@ def dw_multisignature_laurent(
             out.roots[(pk, ridx)] = root
         for l in levels:
             aux = auxiliary_hermitian(form, p, l)
-            if aux.symmetry != 1:  # z = +-1 with a skew form
-                if aux.gram.det().is_zero():
+            if aux.symmetry != 1:  # z = +-1: a skew form over Q
+                if not aux.gram.map(lambda x: sum(x.coeffs)).det():
                     raise SingularForm("auxiliary form is singular")
                 out.rank_only[(pk, l)] = aux.rank
                 continue

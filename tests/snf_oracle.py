@@ -6,7 +6,8 @@ forms through it, for the Krylov construction in `wittkit.seifert`.  The
 covering pairing is the pencil's adjugate over its determinant, rewritten
 into the Smith generators: the kept columns of U^-1.  The adjugate comes
 from Faddeev-LeVerrier, which is also the oracle for `Matrix.charpoly`'s
-division-free kernel."""
+division-free kernel and the characteristic polynomial over a residue
+field that `hermitian_oracle.charpoly_in_y` reads."""
 
 from __future__ import annotations
 

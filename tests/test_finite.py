@@ -161,7 +161,8 @@ def test_boundary_parts_pass_their_own_checks(form):
     alpha, epsilon = form
     parts = boundary_of_form(alpha, epsilon)
     for part in parts.values():
-        part._validate()
+        finite._check_pairing(part.mixed_orders(), part.num, part.q,
+                              part.epsilon)
     order = prod(form_order(part) for part in parts.values())
     assert order == abs(Matrix.from_ints(alpha).det())
 
@@ -200,7 +201,8 @@ def test_merged_primary_parts_pass_their_own_checks(primes, seed, data):
     parts = primary_decompose(orders, gram, 1)
     assert sorted(parts) == [p, q]
     for part, whole in ((parts[p], f), (parts[q], g)):
-        part._validate()
+        finite._check_pairing(part.mixed_orders(), part.num, part.q,
+                              part.epsilon)
         assert sorted(part.orders) == sorted(whole.orders)
     if p != 2:
         assert mixed_multisignature(orders, gram, 1) == \

@@ -404,6 +404,22 @@ def test_point_root_odd_level_is_rank_only():
     assert ms.all_zero
 
 
+def test_singular_point_root_odd_level_is_refused():
+    # the rank-only branch reads a skew level form over Q at z - 1 and
+    # refuses it when singular: the zero pairing, and a skew 3 x 3 one
+    a, b = QZ.make(ONE, Z - ONE), QZ.make(-2 * ONE, Z - ONE)
+    zero = QZ.zero()
+    cases = [(diag(Z - ONE, Z - ONE), [[zero, zero], [zero, zero]]),
+             (diag(Z - ONE, Z - ONE, Z - ONE),
+              [[zero, a, b], [-a, zero, a], [-b, -a, zero]])]
+    for presentation, pairing in cases:
+        f = form_from_qz(decompose_module(presentation, "Q"), pairing, 1)
+        aux = auxiliary_hermitian(f, Z - ONE, 1)
+        assert aux.symmetry == -1 and aux.field.degree == 1
+        with pytest.raises(SingularForm):
+            dw_multisignature_laurent(f)
+
+
 def test_no_circle_roots_no_entries():
     ms = dw_multisignature_laurent(cyclic_block(P8, 1, ONE))
     assert ms.entries() == []

@@ -9,10 +9,11 @@ from hypothesis import given, settings, assume
 from hypothesis import strategies as st
 
 from wittkit import cli, laurent_forms, seifert
-from wittkit.exact import snf
+from wittkit.exact import polys, snf
 from wittkit.errors import (
     InvariantViolated,
     NotEInvariant,
+    NotInvertibleInNovikov,
     NotPTorsion,
     NotTorsion,
     SingularAutometricForm,
@@ -20,6 +21,7 @@ from wittkit.errors import (
 )
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix, _integral_rows
+from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     _krylov,
@@ -122,34 +124,81 @@ def elementary_divisor_counts(module):
 # trace function
 # ---------------------------------------------------------------------------
 
+def chi(f) -> Fraction:
+    """`trace_chi` of a `QZ` element, read as its numerator and denominator."""
+    return trace_chi(f.num, f.den)
+
+
 class TestTraceChi:
     @pytest.mark.parametrize("a", [Fraction(1), Fraction(2), Fraction(-3),
                                    Fraction(1, 2)])
     def test_geometric_anchor(self, a):
         f = QZ.make(LaurentPoly.one(), [a, Fraction(-1)])
-        assert trace_chi(f) == 1 / a
+        assert chi(f) == 1 / a
 
     def test_shifted_anchor(self):
         # z/(z-a) = 1 + a/(z-a), and chi(1/(z-a)) = -1/a
         for a in (Fraction(3), Fraction(-2)):
             f = QZ.make(LaurentPoly.z(), [-a, Fraction(1)])
-            assert trace_chi(f) == -1
+            assert chi(f) == -1
 
     def test_vanishes_on_laurent_polynomials(self):
-        assert trace_chi(LaurentPoly.zero()) == 0
-        assert trace_chi(LaurentPoly({-2: Fraction(3), 5: Fraction(-1)})) == 0
+        assert trace_chi(LaurentPoly.zero(), [1]) == 0
+        assert trace_chi(LaurentPoly({-2: Fraction(3), 5: Fraction(-1)}),
+                         [1]) == 0
 
     def test_linear(self):
         f = QZ.make(LaurentPoly.one(), [Fraction(2), Fraction(-1)])
         g = QZ.make(LaurentPoly.one(), [Fraction(-3), Fraction(-1)])
-        assert trace_chi(f + g) == trace_chi(f) + trace_chi(g)
+        assert chi(f + g) == chi(f) + chi(g)
         seven = QZ.make(LaurentPoly.const(Fraction(7)))
-        assert trace_chi(seven * f) == 7 * trace_chi(f)
+        assert chi(seven * f) == 7 * chi(f)
 
     def test_class_invariant(self):
         f = QZ.make(LaurentPoly.one(), [Fraction(2), Fraction(-1)])
         bumped = f + QZ.make(LaurentPoly({-1: Fraction(5), 3: Fraction(1)}))
-        assert trace_chi(bumped) == trace_chi(f)
+        assert chi(bumped) == chi(f)
+
+    def test_matches_canonical_form(self):
+        """trace_chi on (num, den) as given, sharing a factor or not, with
+        int or Fraction coefficients, equals trace_chi on RatFunc.make's
+        lowest terms, and is 0 on a Laurent polynomial over a constant."""
+        rng = random.Random("trace-chi")
+
+        def coeff():
+            return rng.choice([rng.randint(-4, 4),
+                               Fraction(rng.randint(-4, 4), rng.randint(1, 5))])
+
+        def dense(deg):
+            # nonzero at both ends, so invertible in both completions
+            ends = [rng.choice([-3, -2, -1, 1, 2, Fraction(1, 3)])
+                    for _ in range(2)]
+            if not deg:
+                return ends[:1]
+            return ends[:1] + [coeff() for _ in range(deg - 1)] + ends[1:]
+
+        seen = {"common": 0, "reduced": 0, "laurent": 0, "nonzero": 0}
+        for _ in range(300):
+            num = LaurentPoly({d: coeff() for d in range(rng.randint(-3, 1),
+                                                         rng.randint(-1, 4))})
+            den = dense(rng.randint(0, 3))
+            if rng.random() < 0.4:
+                g = dense(rng.randint(1, 2))
+                num = num * LaurentPoly.from_dense(g)
+                den = polys.mul(den, g)
+            got = trace_chi(num, den)
+            c = RatFunc.make(num, den)
+            assert got == trace_chi(c.num, c.den) and type(got) is Fraction
+            if len(c.den) == 1:
+                assert got == 0
+                seen["laurent"] += 1
+            seen["common" if len(c.den) < len(den) else "reduced"] += 1
+            seen["nonzero"] += got != 0
+        assert min(seen.values()) >= 20, seen
+        # a denominator with a factor z is refused, not shifted as
+        # RatFunc.make shifts it
+        with pytest.raises(NotInvertibleInNovikov):
+            trace_chi(LaurentPoly.one(), [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +589,25 @@ def assert_matches_parent_chain(cover, f):
     return got.module.rank
 
 
+def reduction_ladder_forms():
+    """"scale-3" and three seed-14 ladder forms of each genus 1-6.  psi +
+    psi^T of a ladder knot is rarely unimodular past genus 2, so the
+    epsilon = +1 forms are taken over Q; this seed draws two forms with
+    0 < dim R < rank besides "scale-3"."""
+    rng = random.Random(14)
+    forms = [SeifertForm(SCALE_3, -1, "Z")]
+    for genus in range(1, 7):
+        for eps, coefficients in ((-1, "Z"), (-1, "Q"), (1, "Q")):
+            while True:
+                try:
+                    forms.append(SeifertForm(ladder_psi(rng, genus), eps,
+                                             coefficients))
+                except SingularSeifertForm:
+                    continue
+                break
+    return forms
+
+
 class TestKrylovAgainstParentChain:
     """`_frobenius` reads every local minimal polynomial off an integer
     generator, d h or d e|R, and never row-reduces h's Krylov vectors; the
@@ -574,21 +642,9 @@ class TestKrylovAgainstParentChain:
                     covering_autometric, autometric_direct_sum(f, f)) >= 2
 
     def test_proper_nonsingular_part(self):
-        # the seed of TestReductionIdentities: 0 < dim R < rank for
-        # "scale-3" and at least two ladder forms
-        rng = random.Random(14)
+        # 0 < dim R < rank for "scale-3" and at least two ladder forms
         proper = 0
-        forms = [SeifertForm(SCALE_3, -1, "Z")]
-        for genus in range(1, 7):
-            for eps, coefficients in ((-1, "Z"), (-1, "Q"), (1, "Q")):
-                while True:
-                    try:
-                        forms.append(SeifertForm(ladder_psi(rng, genus), eps,
-                                                 coefficients))
-                    except SingularSeifertForm:
-                        continue
-                    break
-        for f in forms:
+        for f in reduction_ladder_forms():
             dim = module_dimension_q(covering_seifert(f).module)
             assert_matches_parent_chain(covering_seifert, f)
             proper += 0 < dim < f.rank
@@ -951,22 +1007,8 @@ class TestReductionIdentities:
     returns equal to e|R rebuilt from b and the Fitting power."""
 
     def test_ladder_forms(self):
-        # psi + psi^T of a ladder knot is rarely unimodular past genus 2,
-        # so the epsilon = +1 forms are taken over Q; this seed draws two
-        # forms with 0 < dim R < rank besides "scale-3"
-        rng = random.Random(14)
-        forms = [SeifertForm(SCALE_3, -1, "Z")]
-        for genus in range(1, 7):
-            for eps, coefficients in ((-1, "Z"), (-1, "Q"), (1, "Q")):
-                while True:
-                    try:
-                        forms.append(SeifertForm(ladder_psi(rng, genus), eps,
-                                                 coefficients))
-                    except SingularSeifertForm:
-                        continue
-                    break
         proper = 0
-        for f in forms:
+        for f in reduction_ladder_forms():
             b, h, e_r = _pencil_reduction(f.e_pair)
             if not h[0]:
                 continue
@@ -1014,22 +1056,6 @@ def corruptions(h, e_r):
     twice = [[2 * x for x in r] for r in big_h]
     return [(h, e_r), ((twice, d_h), e_r), ((big_h, 2 * d_h), e_r),
             (h, ([[2 * x for x in r] for r in big_e], d_e))]
-
-
-def reduction_ladder_forms():
-    # the forms of TestReductionIdentities.test_ladder_forms
-    rng = random.Random(14)
-    forms = [SeifertForm(SCALE_3, -1, "Z")]
-    for genus in range(1, 7):
-        for eps, coefficients in ((-1, "Z"), (-1, "Q"), (1, "Q")):
-            while True:
-                try:
-                    forms.append(SeifertForm(ladder_psi(rng, genus), eps,
-                                             coefficients))
-                except SingularSeifertForm:
-                    continue
-                break
-    return forms
 
 
 @pytest.fixture
