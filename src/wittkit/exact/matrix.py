@@ -5,7 +5,7 @@ Products and sums take any ring entries: Fraction (Z and Q), LaurentPoly
 takes integer dot products (`_products`).  Elimination is over Q only:
 `rank`, `inverse` and `det` run in one fraction-free kernel,
 `_gauss_jordan`, `charpoly` in division-free `_berkowitz` on integers, and
-`det` and `charpoly` raise TypeError on other entries.  The covering path
+all four raise TypeError on other entries.  The covering path
 (`seifert`, `laurent_forms`) carries a rational matrix as a pair (N, d) of
 integer rows over one d > 0, not necessarily reduced, and hands N to
 `_gauss_jordan`, `_solve` and `_imul`.
@@ -144,15 +144,20 @@ class Matrix:
 
     # ---- elimination over Q ----
 
+    def _rational(self, what: str, square: bool = True) -> list:
+        """The rows, for `what`: ValueError unless square where it must be,
+        TypeError unless every entry is an int or a Fraction."""
+        if square and not self.is_square():
+            raise ValueError(f"{what} of non-square matrix")
+        if not all(type(x) in (int, Fraction) for r in self.rows for x in r):
+            raise TypeError(f"{what} needs int or Fraction entries")
+        return self.rows
+
     def det(self) -> Fraction:
         """Determinant of a rational matrix, 1 when empty, from
         `_gauss_jordan`: its minor is det of the row-scaled matrix with
         columns in pivot order.  Other entries raise TypeError."""
-        if not self.is_square():
-            raise ValueError("det of non-square matrix")
-        if not all(type(x) in (int, Fraction) for r in self.rows for x in r):
-            raise TypeError("det needs int or Fraction entries")
-        _, pivots, minor = _gauss_jordan(self.rows)
+        _, pivots, minor = _gauss_jordan(self._rational("det"))
         swaps = sum(a > b for i, a in enumerate(pivots)
                     for b in pivots[i + 1:])
         scale = prod(lcm(*(x.denominator for x in r)) for r in self.rows)
@@ -160,23 +165,18 @@ class Matrix:
         return Fraction((-1) ** swaps * minor * (len(pivots) == n), scale)
 
     def rank(self) -> int:
-        return len(_gauss_jordan(self.rows)[1])
+        return len(_gauss_jordan(self._rational("rank", False))[1])
 
     def inverse(self) -> "Matrix":
-        if not self.is_square():
-            raise ValueError("inverse of non-square matrix")
-        x, minor = _solve(self.rows, Matrix.identity(self.nrows).rows)
+        x, minor = _solve(self._rational("inverse"),
+                          Matrix.identity(self.nrows).rows)
         return Matrix([[Fraction(v, minor) for v in r] for r in x])
 
     def charpoly(self) -> list:
         """Coefficients [c_0, ..., c_n] of det(t*I - A) for a rational A, by
         `_berkowitz` on the integers d A, d the lcm of A's denominators:
         c_k(A) = c_k(d A) / d^(n-k).  Other entries raise TypeError."""
-        if not self.is_square():
-            raise ValueError("charpoly of non-square matrix")
-        if not all(type(x) in (int, Fraction) for r in self.rows for x in r):
-            raise TypeError("charpoly needs int or Fraction entries")
-        nums, d = _integral_rows(self.rows)
+        nums, d = _integral_rows(self._rational("charpoly"))
         n = self.nrows
         return [Fraction(c, d ** (n - k))
                 for k, c in enumerate(_berkowitz(nums))]

@@ -149,27 +149,30 @@ def _powers(m: list, w: list, k: int) -> list:
     return out
 
 
-def _krylov(h: tuple, g: tuple, c, v: list) -> tuple[list, list]:
-    """v, hv, ..., h^D v and the local minimal polynomial of v (monic,
-    dense, degree D), off integers (H, d_h), h = H / d_h, and (G, d),
-    G = d h (g is h) or d (c - h)^-1.  For v = w / d_v, w, Gw, ..., G^n w
-    have pivots the first D and column D gives sum a_i G^i w = 0, so
-    sum a_i d^i h^i v = 0, or, times (c - h)^D, sum a_i d^i (c - h)^(D-i)
-    v = 0: degree D as a_0 != 0, and no lower degree, G and h having the
-    same invariant subspaces.  h's vectors are H^k w / (d_h^k d_v)."""
+def _krylov(h: tuple, g: tuple, c, v: list) -> tuple:
+    """v, hv, ..., h^D v, the local minimal polynomial of v (monic, dense,
+    degree D), w, Gw, ..., G^(D-1) w and alpha, off integers (H, d_h),
+    h = H / d_h, and (G, d), G = d h (g is h) or d (c - h)^-1.  For
+    v = w / d_v, w, Gw, ..., G^n w have pivots the first D and column D
+    gives alpha(G) w = sum alpha_i G^i w = 0, monic and integral as G is,
+    so sum alpha_i d^i h^i v = 0, or, times (c - h)^D, sum alpha_i d^i
+    (c - h)^(D-i) v = 0: degree D as alpha_0 != 0, and no lower degree, G
+    and h having the same invariant subspaces.  h's vectors are
+    H^k w / (d_h^k d_v)."""
     w, d_v = matrix._integral(v)
     gs = _powers(g[0], w, len(v))
     red, piv, minor = matrix._gauss_jordan(list(zip(*gs)))
     top, rel, d = len(piv), dict(zip(piv, red)), g[1]
-    a = [-rel[i][top] * d**i for i in range(top)] + [minor * d**top]
-    hs = gs
+    alpha = [-rel[i][top] // minor for i in range(top)] + [1]
+    a, hs = [x * d**i for i, x in enumerate(alpha)], gs
     if g is not h:
         hs, p = _powers(h[0], w, top), [a[0]]
         for b in a[1:]:  # Horner in c - z
             p = [c * p[0] + b] + [c * x - y for x, y in zip(p[1:] + [0], p)]
         a = p
     return ([[Fraction(x, h[1]**k * d_v) for x in hs[k]]
-             for k in range(top + 1)], [Fraction(x, a[-1]) for x in a])
+             for k in range(top + 1)], [Fraction(x, a[-1]) for x in a],
+            gs[:top], alpha)
 
 
 def _coprime_part(a: list, b: list) -> list:
@@ -183,47 +186,63 @@ def _coprime_part(a: list, b: list) -> list:
 
 def _frobenius(h: tuple, e_r: tuple | None = None, c=1) -> list:
     """Rational canonical decomposition of h = H / d_h: (Krylov vectors of
-    g_i, d_i), d_1 | ... | d_r.  On the h-invariant V = span(span), gcd
-    splitting merges the spanning vectors into w with the minimal
-    polynomial mu of h on V: if lcm(mu, nu) = a b, a | mu and b | nu
-    coprime, then (mu/a)(h) w + (nu/b)(h) u has it.  C = <w> splits off
-    with the complement W = {x : phi(h^k x) = 0, k < D}, phi dual to
-    h^(D-1) w on C's Krylov basis (the one use of h as Fractions).  Each mu
-    comes from `_krylov`'s generator, e|R = (E, d_e) when given (P mode),
-    certified as (c d_h - H) E = d_h d_e I, and H otherwise."""
-    ident, gen = Matrix.identity(len(h[0])), h if e_r is None else e_r
+    g_i, d_i), d_1 | ... | d_r, every other step on `_krylov`'s integer
+    generator G: E for e|R = (E, d_e) when given (P mode), certified as
+    (c d_h - H) E = d_h d_e I, and H otherwise.  On the h-invariant
+    V = span(span), gcd splitting merges the spanning vectors into w with
+    the minimal polynomial mu of h on V: if lcm(mu, nu) = a b, a | mu and
+    b | nu coprime, then (mu/a)(h) w + (nu/b)(h) u has it; if w's relation
+    alpha(G), a unit times mu(h), kills u, then nu | mu and u is skipped.
+    C = <w> splits off with W = {x in V : phi(h^k x) = 0, k < D}, phi in C
+    dual to h^(D-1) w on the basis h^k w.  On V, h and G span the same
+    algebra in degree < D, so phi G^k, k < D, cut out W too, and x - U^T
+    T^-1 Phi x projects onto C along W, rows G^k w of U and phi G^k of Phi.
+    T = Phi U^T is Hankel in t_j = phi(G^j w), up to a scalar the residue
+    sum [z^(D-1)] (y^j mod mu), G = y(h): in y's variable alpha's recurrence
+    run from D - 1 zeros and a one, read from index 0 (y = d_h z, Q mode)
+    or max(D - 2, 0) (y = d_e / (c - z), P mode).  phi = t^T (U U^T)^-1 U."""
+    n, gen = len(h[0]), h if e_r is None else e_r
     check(e_r is None or matrix._imul(matrix._shift(h[0], c * h[1]), e_r[0])
-          == Matrix.identity(ident.nrows, h[1] * e_r[1]).rows,
+          == Matrix.identity(n, h[1] * e_r[1]).rows,
           "h is not c - (e|R)^-1")
-    span, dim, blocks = ident.rows, ident.nrows, []
+    span, dim, blocks = Matrix.identity(n).rows, n, []
     while dim:
-        vecs, mu = _krylov(h, gen, c, span[0])
+        vecs, mu, us, alpha = _krylov(h, gen, c, span[0])
         for u in span[1:]:
-            if len(mu) - 1 == dim:
+            if len(us) == dim:
                 break
-            powers, nu = _krylov(h, gen, c, u)
-            if polys.mod(mu, nu):
+            gu = _powers(gen[0], matrix._integral(u)[0], len(us))
+            if any(sum(map(mul, alpha, x)) for x in zip(*gu)):
+                powers, nu = _krylov(h, gen, c, u)[:2]
                 # keep = mu / a and cut = nu / b applied to h
                 keep = _coprime_part(mu, polys.divmod_poly(
                     mu, polys.gcd(mu, nu))[0])
                 cut = polys.divmod_poly(nu, _coprime_part(
                     nu, polys.divmod_poly(mu, keep)[0]))[0]
-                vecs, mu = _krylov(h, gen, c, [x + y for x, y in zip(
-                    _apply(list(zip(*vecs)), keep),
-                    _apply(list(zip(*powers)), cut))])
-        vecs = vecs[:len(mu) - 1]
-        blocks.insert(0, (vecs, mu))
-        dim -= len(vecs)
+                vecs, mu, us, alpha = _krylov(h, gen, c, [
+                    x + y for x, y in zip(_apply(list(zip(*vecs)), keep),
+                                          _apply(list(zip(*powers)), cut))])
+        deg = len(us)
+        blocks.insert(0, (vecs[:deg], mu))
+        dim -= deg
         if dim:
-            h_t = [[Fraction(x, h[1]) for x in r] for r in zip(*h[0])]
-            k = Matrix(vecs)
-            rows = [((k * k.transpose()).inverse() * k).rows[-1]]
-            for _ in vecs[1:]:
-                rows.append(_apply(h_t, rows[-1]))
-            k, phi = k.transpose(), Matrix(rows)
-            proj = ident - k * (phi * k).inverse() * phi
-            span = [x for x in (Matrix(span) * proj.transpose()).rows
-                    if any(x)]
+            t = [0] * (deg - 1) + [1]
+            while len(t) < 3 * deg - 2:
+                t.append(-sum(map(mul, alpha, t[-deg:])))
+            t = t[0 if e_r is None else max(deg - 2, 0):]
+            u_t = list(zip(*us))
+            y, den = matrix._solve(matrix._imul(us, u_t),
+                                   [[x] for x in t[:deg]])
+            rows = _powers(list(zip(*gen[0])),
+                           [r[0] for r in matrix._imul(u_t, y)], deg - 1)
+            xs, ds = zip(*map(matrix._integral, span))
+            z, delta = matrix._solve([t[k:k + deg] for k in range(deg)],
+                                     matrix._imul(rows, list(zip(*xs))))
+            s = den * delta
+            span = [x for x in (
+                [Fraction(s * p - q, s * d) for p, q in zip(x, col)]
+                for x, d, col in zip(xs, ds, zip(*matrix._imul(u_t, z))))
+                if any(x)]
     return blocks
 
 

@@ -7,7 +7,9 @@ fraction-free kernel `_gauss_jordan`; they also serve the tests' Q(z)
 matrices.  `krylov` and `frobenius` are the rational canonical
 decomposition as it ran before each local minimal polynomial came from an
 integer generator: `krylov` row-reduces h's own Krylov matrix over Q, and
-`frobenius` eliminates with the loops above.  Under `parent_frobenius`,
+`frobenius` eliminates with the loops above, projecting onto each
+complement over h's Krylov vectors, where `_frobenius` reads only the
+generator's.  Under `parent_frobenius`,
 the covering functors and `decompose_module` run on that `frobenius`.
 
 `fitting_power` and `pencil_reduction` are Trotter's reduction of the

@@ -189,10 +189,12 @@ class TestGaussJordanAgainstOracle:
             laurent = Matrix([[z**rng.randint(-2, 2) - F(rng.randint(-3, 3))
                                for _ in range(n)] for _ in range(n)])
             for a in (residue, laurent):
-                with pytest.raises(TypeError):
-                    a.det()
-                with pytest.raises(TypeError):
-                    a.charpoly()
+                for method in (a.det, a.charpoly, a.rank, a.inverse):
+                    with pytest.raises(TypeError):
+                        method()
+        # rank takes any shape
+        with pytest.raises(TypeError):
+            Matrix([[z, LaurentPoly.one()]]).rank()
 
 
 def test_ratfunc_inverse():

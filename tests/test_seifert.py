@@ -1,8 +1,10 @@
 """Covering functors, trace recovery, and Seifert lagrangian machinery."""
 
+import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, assume
@@ -70,6 +72,7 @@ from elimination_oracle import (
     covering_certificates,
     det as qz_det,
     fraction_matrix,
+    frobenius,
     integer_pair,
     inverse as qz_inverse,
     parent_frobenius,
@@ -589,6 +592,12 @@ def assert_matches_parent_chain(cover, f):
     return got.module.rank
 
 
+def fixture_seifert(name):
+    doc = json.loads((Path(__file__).parent / "fixtures"
+                      / f"{name}.json").read_text())
+    return SeifertForm(doc["psi"], doc["epsilon"], "Z")
+
+
 def reduction_ladder_forms():
     """"scale-3" and three seed-14 ladder forms of each genus 1-6.  psi +
     psi^T of a ladder knot is rarely unimodular past genus 2, so the
@@ -665,6 +674,63 @@ class TestKrylovAgainstParentChain:
             for g in (f.direct_sum(f), f.direct_sum(f.negate())):
                 rank = assert_matches_parent_chain(covering_seifert, g)
                 assert rank >= 2 or covering_seifert(f).module.is_zero
+
+    @pytest.mark.parametrize("name", ["scale-7-mirror", "scale-10-mirror"])
+    def test_mirror_sum_fixtures(self, name):
+        # K # -K of the genus-7 and genus-10 ladder knots (ranks 28 and
+        # 40): two blocks, one projection onto a complement; the chain that
+        # row-reduces h's vectors takes most of this test's time
+        f = fixture_seifert(name)
+        assert assert_matches_parent_chain(covering_seifert, f) == 2
+
+    def test_three_blocks(self):
+        # f (+) f (+) f has three equal divisors, so `_frobenius` projects
+        # twice: autometric forms (Q mode), and Seifert forms (P mode) with
+        # blocks of degree 1 (z + 1) and with 0 < dim R < rank ("scale-3")
+        rng = random.Random(301)
+        for _ in range(4):
+            f = random_autometric(rng, max_rank=4, bound=5)
+            assert assert_matches_parent_chain(covering_autometric,
+                autometric_direct_sum(autometric_direct_sum(f, f), f)) == 3
+        for f in (SeifertForm([[1]], 1, "Q"), SeifertForm(SCALE_3, -1, "Z")):
+            assert assert_matches_parent_chain(
+                covering_seifert, f.direct_sum(f).direct_sum(f)) == 3
+
+    def test_random_generators(self):
+        # h = p m p^-1 with m two or three equal companion blocks, and
+        # e|R = (c - h)^-1 for c = 1, 2 or -1: complements that the
+        # covering forms above do not tell apart from other complements
+        rng = random.Random(29)
+        for _ in range(30):
+            mu = [rng.choice([-3, -2, -1, 1, 2, 3])] + [
+                rng.randint(-3, 3) for _ in range(rng.randint(0, 2))] + [1]
+            d = len(mu) - 1
+            block = Matrix.from_ints([[int(i == j + 1) if j < d - 1
+                                       else -mu[i] for j in range(d)]
+                                      for i in range(d)])
+            m = Matrix.block_diag([block] * rng.randint(2, 3))
+            while (p := Matrix.from_ints([[rng.randint(-2, 2) for _ in m.rows]
+                                          for _ in m.rows])).det() == 0:
+                pass
+            h, c = p * m * p.inverse(), rng.choice([1, 2, -1])
+            ident = Matrix.identity(h.nrows)
+            if (ident.scale(c) - h).det() == 0:
+                continue
+            want = frobenius(h.rows)
+            e_r = integer_pair((ident.scale(c) - h).inverse())
+            for gen in (None, e_r):
+                assert laurent_forms._frobenius(
+                    integer_pair(h), gen, c) == want
+
+    def test_krylov_calls_on_mirror_sum(self, monkeypatch):
+        # a spanning vector killed by mu(h) costs no Krylov sequence: on
+        # genus-10 K # -K one sequence per block, where one per spanning
+        # vector would make 41
+        calls, krylov = [], laurent_forms._krylov
+        monkeypatch.setattr(laurent_forms, "_krylov",
+                            lambda *args: calls.append(args) or krylov(*args))
+        assert covering_seifert(fixture_seifert("scale-10-mirror")) \
+            .module.rank == len(calls) == 2
 
 
 class TestCoveringSeifertFunctoriality:
