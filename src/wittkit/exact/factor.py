@@ -6,14 +6,15 @@ with p not dividing b and f squarefree mod p certifies that f is
 squarefree over Q, since g^2 | f has lc(g) | b, so g^2 | f mod p keeps
 deg g; p is then the lifting prime.  Only without one does f give way to
 its squarefree part f / gcd(f, f'), from one gcd over Q, and each
-irreducible factor's multiplicity is read by exact division of f.  A
-squarefree quadratic a z^2 + b z + c needs no prime: it is irreducible
-unless b^2 - 4ac = s^2, and then splits into the primitive parts of
-2az + b -+ s.  Longer ones go by Zassenhaus's modular route: factor
-b^-1 f mod p (distinct-degree, then Cantor-Zassenhaus with a fixed RNG
-seed), Hensel-lift the monic factors to p^k above twice 2^(n+1) |f|_2 b,
-and recombine subsets: the primitive part of lc * prod(u_i) mod p^k
-(symmetric range) is a factor exactly when it divides the rest over Z.
+irreducible factor's multiplicity is read by exact division of f.  No
+prime is sought for a line or a quadratic a z^2 + b z + c with b^2 != 4ac,
+both squarefree; the quadratic is irreducible unless b^2 - 4ac = s^2, and
+then splits into the primitive parts of 2az + b -+ s.  Longer ones go by
+Zassenhaus's modular route: factor b^-1 f mod p (distinct-degree, then
+Cantor-Zassenhaus with a fixed RNG seed), Hensel-lift the monic factors
+to p^k above twice 2^(n+1) |f|_2 b, and recombine subsets: the primitive
+part of lc * prod(u_i) mod p^k (symmetric range) is a factor exactly
+when it divides the rest over Z.
 
 Factors are returned as monic ordinary polynomials (LaurentPoly with lowest
 degree 0) together with multiplicities and the leftover unit, so that
@@ -265,7 +266,7 @@ def _multiplicity(g: list[int], f: list[int]) -> int:
 def _factor_squarefree_int(f: list[int], p: int) -> list[list[int]]:
     """Irreducible primitive factors of a primitive squarefree integer
     polynomial f with positive leading coefficient b, given an odd prime p
-    with p not dividing b and f squarefree mod p."""
+    with p not dividing b and f squarefree mod p past degree 2."""
     n = len(f) - 1
     if n <= 1:
         return [f] if n == 1 else []
@@ -340,12 +341,15 @@ def factor_rational_poly(p: LaurentPoly) -> tuple[LaurentPoly, list[tuple[Lauren
         raise ValueError("cannot factor zero")
     dense, k = p.ordinary()
     f = polys.content_primitive(dense)[1]
-    sf, q = f, _lifting_prime(f, itertools.islice(_odd_primes(), 11))
-    if q is None:  # f may repeat a factor; f / gcd(f, f') does not
-        fq = [Fraction(c) for c in f]
-        sf = polys.content_primitive(polys.divmod_poly(
-            fq, polys.gcd(fq, polys.derivative(fq)))[0])[1]
-        q = _lifting_prime(sf, _odd_primes())
+    # a line, or a quadratic with b^2 != 4ac, is squarefree without a prime
+    sf, q = f, None
+    if len(f) > 3 or len(f) == 3 and f[1] ** 2 == 4 * f[0] * f[2]:
+        q = _lifting_prime(f, itertools.islice(_odd_primes(), 11))
+        if q is None:  # f may repeat a factor; f / gcd(f, f') does not
+            fq = [Fraction(c) for c in f]
+            sf = polys.content_primitive(polys.divmod_poly(
+                fq, polys.gcd(fq, polys.derivative(fq)))[0])[1]
+            q = _lifting_prime(sf, _odd_primes())
     int_factors = [(g, _multiplicity(g, f))
                    for g in _factor_squarefree_int(sf, q)]
     prod = reduce(_zmul, (g for g, m in int_factors for _ in range(m)), [1])

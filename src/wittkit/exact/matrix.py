@@ -6,9 +6,9 @@ takes integer dot products (`_products`).  Elimination is over Q only:
 `rank`, `inverse` and `det` run in one fraction-free kernel,
 `_gauss_jordan`, `charpoly` in division-free `_berkowitz` on integers, and
 all four raise TypeError on other entries.  The covering path
-(`seifert`, `laurent_forms`) carries a rational matrix as a pair (N, d) of
-integer rows over one d > 0, not necessarily reduced, and hands N to
-`_gauss_jordan`, `_solve` and `_imul`.
+(`seifert`, `laurent_forms`) carries a rational vector or matrix as its
+reduced pair (N, d), integers over d > 0 with gcd(d, *N) = 1, one pair
+per value, and hands N to `_gauss_jordan`, `_solve` and `_imul`.
 """
 
 from __future__ import annotations
@@ -51,16 +51,11 @@ class Matrix:
 
     @classmethod
     def block_diag(cls, blocks: Sequence["Matrix"], zero=Fraction(0)) -> "Matrix":
-        m = sum(b.nrows for b in blocks)
-        n = sum(b.ncols for b in blocks)
-        out = [[zero for _ in range(n)] for _ in range(m)]
-        i0 = j0 = 0
+        n, left, out = sum(b.ncols for b in blocks), 0, []
         for b in blocks:
-            for i in range(b.nrows):
-                for j in range(b.ncols):
-                    out[i0 + i][j0 + j] = b.rows[i][j]
-            i0 += b.nrows
-            j0 += b.ncols
+            right = [zero] * (n - left - b.ncols)
+            out += [[zero] * left + r + right for r in b.rows]
+            left += b.ncols
         return cls(out)
 
     # ---- shape ----
@@ -213,6 +208,27 @@ def _integral(v) -> tuple[list, int]:
 def _integral_rows(rows) -> tuple[list, int]:
     d = lcm(*(x.denominator for r in rows for x in r))
     return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+def _reduced(v, d) -> tuple[list, int]:
+    """The reduced pair of the vector v / d, d != 0."""
+    g = gcd(d, *v) * (1 if d > 0 else -1)
+    return [x // g for x in v], d // g
+
+
+def _reduced_rows(rows, d) -> tuple[list, int]:
+    """The reduced pair of the matrix rows / d, d != 0."""
+    g = gcd(d, *chain.from_iterable(rows)) * (1 if d > 0 else -1)
+    return [[x // g for x in r] for r in rows], d // g
+
+
+def _combination(coeffs, vecs) -> tuple[list, int]:
+    """The reduced pair of sum_k a_k v_k, for rational a_k and pairs v_k."""
+    den = lcm(*(a.denominator * d for a, (_, d) in zip(coeffs, vecs)))
+    fs = [a.numerator * den // (a.denominator * d)
+          for a, (_, d) in zip(coeffs, vecs)]
+    return _reduced([sum(map(mul, fs, x)) for x in zip(*(v for v, _ in vecs))],
+                    den)
 
 
 def _gauss_jordan(rows) -> tuple[list, list, int]:

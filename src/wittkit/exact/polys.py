@@ -23,8 +23,9 @@ def trim(p: Sequence) -> Poly:
     return p
 
 
-def from_ints(cs) -> Poly:
-    return trim([Fraction(c) for c in cs])
+def from_ints(cs, d: int = 1) -> Poly:
+    """The polynomial with coefficients c / d."""
+    return trim([Fraction(c, d) for c in cs])
 
 
 def deg(p: Sequence) -> int:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from operator import mul
 
@@ -46,7 +46,7 @@ from wittkit.errors import (
 from wittkit.exact import matrix, polys
 from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
-from wittkit.exact.matrix import Matrix, _products
+from wittkit.exact.matrix import Matrix
 from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
@@ -66,9 +66,7 @@ def _as_laurent(x) -> LaurentPoly:
 
 def _monic_ordinary(p: LaurentPoly) -> LaurentPoly:
     """Strip the z-power unit and rescale to a monic ordinary polynomial."""
-    dense, _ = p.ordinary()
-    lead = dense[-1]
-    return LaurentPoly.from_dense([c / lead for c in dense])
+    return LaurentPoly.from_dense(polys.monic(p.ordinary()[0]))
 
 
 def _dense(p: LaurentPoly) -> list:
@@ -79,17 +77,10 @@ def _dense(p: LaurentPoly) -> list:
 
 
 def _valuation(d: LaurentPoly, p: LaurentPoly) -> int:
-    num = _dense(_monic_ordinary(d))
-    div = _dense(_monic_ordinary(p))
-    count = 0
-    while len(num) >= len(div):
-        q, r = polys.divmod_poly(num, div)
-        if r:
-            break
-        num = q if q else [Fraction(0)]
-        count += 1
-        if num == [Fraction(1)] or len(num) == 1:
-            break
+    """The largest l with p^l | d, for p of positive degree."""
+    num, div, count = _dense(_monic_ordinary(d)), _dense(_monic_ordinary(p)), 0
+    while len(num) >= len(div) and not (qr := polys.divmod_poly(num, div))[1]:
+        num, count = qr[0], count + 1
     return count
 
 
@@ -107,14 +98,14 @@ class LaurentModule:
     dropped, each d_i monic ordinary with nonzero constant term).
 
     A covering module is a Q-space V with z acting as an automorphism h;
-    basis_change is then the Q-basis P of V, columns h^a g_i (a < deg d_i)
-    in the coordinates of the form's space (Q^n, or Q^n around Trotter's
-    part R for a Seifert form), which traces generators back to the form.
-    It is None for other modules.  No presentation over Q[z, z^-1] is
-    kept: V and h are the module."""
+    basis is then the Q-basis P of V as reduced pairs, columns h^a g_i
+    (a < deg d_i) in the coordinates of the form's space (Q^n, or Q^n
+    around Trotter's part R for a Seifert form), and basis_change, built
+    when read, is P over Q: it traces generators back to the form.  Both
+    are None for other modules.  No presentation over Q[z, z^-1] is kept."""
 
     divisors: list
-    basis_change: Matrix | None
+    basis: list | None
     torsion_mode: str
 
     @property
@@ -126,19 +117,17 @@ class LaurentModule:
         return not self.divisors
 
     def total_divisor(self) -> LaurentPoly:
-        out = LaurentPoly.one()
-        for d in self.divisors:
-            out = out * d
-        return out
+        return reduce(mul, self.divisors, LaurentPoly.one())
+
+    @cached_property
+    def basis_change(self) -> Matrix | None:
+        return None if self.basis is None else Matrix(
+            [[Fraction(x, d) for x in v] for v, d in self.basis]).transpose()
 
     @cached_property
     def factors(self) -> list:
         """Monic irreducible factors of the order, with multiplicities."""
         return factor_rational_poly(self.total_divisor())[1]
-
-
-def _apply(a: list, x: list) -> list:
-    return [row[0] for row in _products(a, [x])]
 
 
 def _powers(m: list, w: list, k: int) -> list:
@@ -149,18 +138,18 @@ def _powers(m: list, w: list, k: int) -> list:
     return out
 
 
-def _krylov(h: tuple, g: tuple, c, v: list) -> tuple:
+def _krylov(h: tuple, g: tuple, c, v: tuple) -> tuple:
     """v, hv, ..., h^D v, the local minimal polynomial of v (monic, dense,
     degree D), w, Gw, ..., G^(D-1) w and alpha, off integers (H, d_h),
     h = H / d_h, and (G, d), G = d h (g is h) or d (c - h)^-1.  For
-    v = w / d_v, w, Gw, ..., G^n w have pivots the first D and column D
+    v = (w, d_v), w, Gw, ..., G^n w have pivots the first D and column D
     gives alpha(G) w = sum alpha_i G^i w = 0, monic and integral as G is,
     so sum alpha_i d^i h^i v = 0, or, times (c - h)^D, sum alpha_i d^i
     (c - h)^(D-i) v = 0: degree D as alpha_0 != 0, and no lower degree, G
-    and h having the same invariant subspaces.  h's vectors are
-    H^k w / (d_h^k d_v)."""
-    w, d_v = matrix._integral(v)
-    gs = _powers(g[0], w, len(v))
+    and h having the same invariant subspaces.  h^k v is the reduced pair
+    of (H^k w, d_h^k d_v)."""
+    w, d_v = v
+    gs = _powers(g[0], w, len(w))
     red, piv, minor = matrix._gauss_jordan(list(zip(*gs)))
     top, rel, d = len(piv), dict(zip(piv, red)), g[1]
     alpha = [-rel[i][top] // minor for i in range(top)] + [1]
@@ -170,9 +159,8 @@ def _krylov(h: tuple, g: tuple, c, v: list) -> tuple:
         for b in a[1:]:  # Horner in c - z
             p = [c * p[0] + b] + [c * x - y for x, y in zip(p[1:] + [0], p)]
         a = p
-    return ([[Fraction(x, h[1]**k * d_v) for x in hs[k]]
-             for k in range(top + 1)], [Fraction(x, a[-1]) for x in a],
-            gs[:top], alpha)
+    return ([matrix._reduced(hs[k], h[1]**k * d_v) for k in range(top + 1)],
+            polys.from_ints(a, a[-1]), gs[:top], alpha)
 
 
 def _coprime_part(a: list, b: list) -> list:
@@ -186,32 +174,33 @@ def _coprime_part(a: list, b: list) -> list:
 
 def _frobenius(h: tuple, e_r: tuple | None = None, c=1) -> list:
     """Rational canonical decomposition of h = H / d_h: (Krylov vectors of
-    g_i, d_i), d_1 | ... | d_r, every other step on `_krylov`'s integer
-    generator G: E for e|R = (E, d_e) when given (P mode), certified as
-    (c d_h - H) E = d_h d_e I, and H otherwise.  On the h-invariant
-    V = span(span), gcd splitting merges the spanning vectors into w with
-    the minimal polynomial mu of h on V: if lcm(mu, nu) = a b, a | mu and
-    b | nu coprime, then (mu/a)(h) w + (nu/b)(h) u has it; if w's relation
-    alpha(G), a unit times mu(h), kills u, then nu | mu and u is skipped.
-    C = <w> splits off with W = {x in V : phi(h^k x) = 0, k < D}, phi in C
-    dual to h^(D-1) w on the basis h^k w.  On V, h and G span the same
-    algebra in degree < D, so phi G^k, k < D, cut out W too, and x - U^T
-    T^-1 Phi x projects onto C along W, rows G^k w of U and phi G^k of Phi.
-    T = Phi U^T is Hankel in t_j = phi(G^j w), up to a scalar the residue
-    sum [z^(D-1)] (y^j mod mu), G = y(h): in y's variable alpha's recurrence
-    run from D - 1 zeros and a one, read from index 0 (y = d_h z, Q mode)
-    or max(D - 2, 0) (y = d_e / (c - z), P mode).  phi = t^T (U U^T)^-1 U."""
+    g_i, d_i), d_1 | ... | d_r, vectors as reduced pairs, every other step
+    on `_krylov`'s integer generator G: E for e|R = (E, d_e) when given
+    (P mode), certified as (c d_h - H) E = d_h d_e I, and H otherwise.  On
+    the h-invariant V = span(span), gcd splitting merges the spanning
+    vectors into w with the minimal polynomial mu of h on V: if
+    lcm(mu, nu) = a b, a | mu and b | nu coprime, then (mu/a)(h) w +
+    (nu/b)(h) u has it; if w's relation alpha(G), a unit times mu(h), kills
+    u, then nu | mu and u is skipped.  C = <w> splits off with
+    W = {x in V : phi(h^k x) = 0, k < D}, phi in C dual to h^(D-1) w on
+    the basis h^k w.  On V, h and G span the same algebra in degree < D,
+    so phi G^k, k < D, cut out W too, and x - U^T T^-1 Phi x projects onto
+    C along W, rows G^k w of U and phi G^k of Phi.  T = Phi U^T is Hankel
+    in t_j = phi(G^j w), up to a scalar the residue sum [z^(D-1)]
+    (y^j mod mu), G = y(h): in y's variable alpha's recurrence run from
+    D - 1 zeros and a one, read from index 0 (y = d_h z, Q mode) or
+    max(D - 2, 0) (y = d_e / (c - z), P mode).  phi = t^T (U U^T)^-1 U."""
     n, gen = len(h[0]), h if e_r is None else e_r
     check(e_r is None or matrix._imul(matrix._shift(h[0], c * h[1]), e_r[0])
           == Matrix.identity(n, h[1] * e_r[1]).rows,
           "h is not c - (e|R)^-1")
-    span, dim, blocks = Matrix.identity(n).rows, n, []
+    span, dim, blocks = [(r, 1) for r in Matrix.identity(n, 1).rows], n, []
     while dim:
         vecs, mu, us, alpha = _krylov(h, gen, c, span[0])
         for u in span[1:]:
             if len(us) == dim:
                 break
-            gu = _powers(gen[0], matrix._integral(u)[0], len(us))
+            gu = _powers(gen[0], u[0], len(us))
             if any(sum(map(mul, alpha, x)) for x in zip(*gu)):
                 powers, nu = _krylov(h, gen, c, u)[:2]
                 # keep = mu / a and cut = nu / b applied to h
@@ -219,9 +208,8 @@ def _frobenius(h: tuple, e_r: tuple | None = None, c=1) -> list:
                     mu, polys.gcd(mu, nu))[0])
                 cut = polys.divmod_poly(nu, _coprime_part(
                     nu, polys.divmod_poly(mu, keep)[0]))[0]
-                vecs, mu, us, alpha = _krylov(h, gen, c, [
-                    x + y for x, y in zip(_apply(list(zip(*vecs)), keep),
-                                          _apply(list(zip(*powers)), cut))])
+                vecs, mu, us, alpha = _krylov(h, gen, c, matrix._combination(
+                    keep + cut, vecs[:len(keep)] + powers[:len(cut)]))
         deg = len(us)
         blocks.insert(0, (vecs[:deg], mu))
         dim -= deg
@@ -235,14 +223,14 @@ def _frobenius(h: tuple, e_r: tuple | None = None, c=1) -> list:
                                    [[x] for x in t[:deg]])
             rows = _powers(list(zip(*gen[0])),
                            [r[0] for r in matrix._imul(u_t, y)], deg - 1)
-            xs, ds = zip(*map(matrix._integral, span))
+            xs, ds = zip(*span)
             z, delta = matrix._solve([t[k:k + deg] for k in range(deg)],
                                      matrix._imul(rows, list(zip(*xs))))
             s = den * delta
-            span = [x for x in (
-                [Fraction(s * p - q, s * d) for p, q in zip(x, col)]
-                for x, d, col in zip(xs, ds, zip(*matrix._imul(u_t, z))))
-                if any(x)]
+            cols = zip(*matrix._imul(u_t, z))
+            span = [matrix._reduced(x, s * d) for x, d in (
+                ([s * p - q for p, q in zip(x, col)], d)
+                for x, d, col in zip(xs, ds, cols)) if any(x)]
     return blocks
 
 
@@ -254,9 +242,11 @@ def _pencil_reduction(e: tuple, c=1) -> tuple:
     One `_gauss_jordan` of each integer power F = (E(d - cE))^k gives its
     rank and the rref of F^T, whose rows span R.  Returns R's basis b
     (columns; None for the identity, as when F has full rank and its
-    pivots come in order), h and e|R as integer pairs, with no rows when
-    R = 0; e|R, with e b = b e|R, read off b's unit rows, generates h."""
-    (big_e, d), n = e, len(e[0])
+    pivots come in order), h and e|R as reduced pairs, with no rows when
+    R = 0; e|R, with e b = b e|R, read off b's unit rows, generates h.
+    Full rank with pivots out of order gives b = (P, 1), P a permutation."""
+    big_e, d = e = matrix._reduced_rows(*e)
+    n = len(big_e)
     power = matrix._imul(big_e, matrix._shift(big_e, d, c))
     basis, sel, minor = matrix._gauss_jordan(list(zip(*power)))
     while 0 < len(sel) < n:
@@ -268,10 +258,10 @@ def _pencil_reduction(e: tuple, c=1) -> tuple:
     b = None
     if sel != list(range(n)):
         # R's basis vectors are 1 at their own index of sel and 0 at the
-        # others: e b = E basis^T / (d minor), and e|R its rows sel
-        b = Matrix([[Fraction(x, minor) for x in r] for r in zip(*basis)])
-        eb = matrix._imul(big_e, list(zip(*basis)))
-        e = [[minor * x for x in eb[s]] for s in sel], d * minor * minor
+        # others: b = basis^T / minor, and e|R = (E b)[sel] / d
+        b = matrix._reduced_rows(list(zip(*basis)), minor)
+        eb = matrix._imul(big_e, b[0])
+        e = matrix._reduced_rows([eb[s] for s in sel], d * b[1])
     # h = c - d_e E^-1 = E^-1 (c E - d_e)
     return b, matrix._solve(e[0], matrix._shift(e[0], -e[1], -c)), e
 
@@ -329,12 +319,8 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
 def level_multiplicities(module: LaurentModule, p) -> dict[int, int]:
     """How many divisors carry each positive p-adic valuation."""
     p = _monic_ordinary(_as_laurent(p))
-    out: dict[int, int] = {}
-    for d in module.divisors:
-        v = _valuation(d, p)
-        if v:
-            out[v] = out.get(v, 0) + 1
-    return dict(sorted(out.items()))
+    levels = [v for d in module.divisors if (v := _valuation(d, p))]
+    return {v: levels.count(v) for v in sorted(set(levels))}
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +423,11 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
     if form.epsilon == -1:
         v = -v
     if field.degree == 1:
-        sym = 1 if v == field.one() else -1
-        aux = AuxiliaryHermitian(p, l, field, gram0, sym, None)
-    else:
-        u = _hilbert90_unit(field, v)
-        ubar = u.bar()
-        aux = AuxiliaryHermitian(p, l, field, gram0.map(lambda x: ubar * x),
-                                 1, u)
-    return aux
+        return AuxiliaryHermitian(p, l, field, gram0,
+                                  1 if v == field.one() else -1, None)
+    u = _hilbert90_unit(field, v)
+    ubar = u.bar()
+    return AuxiliaryHermitian(p, l, field, gram0.map(lambda x: ubar * x), 1, u)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +468,11 @@ class DWMultiSignatureLaurent:
         return self.roots[(key, root_index)]
 
     def __add__(self, other: "DWMultiSignatureLaurent"):
-        sigs = dict(self.signatures)
-        for k, s in other.signatures.items():
-            sigs[k] = sigs.get(k, 0) + s
-        ranks = dict(self.rank_only)
-        for k, s in other.rank_only.items():
-            ranks[k] = ranks.get(k, 0) + s
-        roots = dict(self.roots)
-        roots.update(other.roots)
+        sigs, ranks = dict(self.signatures), dict(self.rank_only)
+        for out, theirs in ((sigs, other.signatures), (ranks, other.rank_only)):
+            for k, s in theirs.items():
+                out[k] = out.get(k, 0) + s
+        roots = {**self.roots, **other.roots}
         pairs = list(self.conjugate_pairs)
         for pr in other.conjugate_pairs:
             if pr not in pairs:

@@ -14,6 +14,7 @@ which `canonical_identification` returns.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from wittkit.errors import (
     NotEInvariant,
@@ -24,7 +25,7 @@ from wittkit.errors import (
 )
 from wittkit.exact import matrix, polys
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix, _imul, _integral_rows, _products
+from wittkit.exact.matrix import Matrix, _imul, _integral_rows
 from wittkit.exact.ratfunc import series_expand
 from wittkit.finite import _integral_solver
 from wittkit.laurent_forms import (
@@ -144,13 +145,15 @@ def _covering_module(mode: str, h: tuple, embed,
                      e_r) -> tuple[LaurentModule, list]:
     """The Q-space with z acting as h, with the Krylov blocks of
     `_frobenius` (generated by e_r in P mode, None in Q mode); embed (None:
-    identity) maps its Q-basis into the form's space."""
+    identity), a pair (B, d_b), maps its Q-basis into the form's space."""
     blocks = _frobenius(h, e_r)
-    basis = Matrix([x for xs, _ in blocks for x in xs]).transpose()
-    module = LaurentModule(
-        [LaurentPoly.from_dense(m) for _, m in blocks],
-        basis if embed is None else embed * basis, mode)
-    return module, blocks
+    cols = [x for xs, _ in blocks for x in xs]
+    if embed is not None:
+        images = zip(*_imul(embed[0], list(zip(*(x for x, _ in cols)))))
+        cols = [matrix._reduced(y, embed[1] * d)
+                for y, (_, d) in zip(images, cols)]
+    return LaurentModule([LaurentPoly.from_dense(m) for _, m in blocks],
+                         cols, mode), blocks
 
 
 def _seifert_module(f: SeifertForm) -> LaurentModule:
@@ -216,9 +219,9 @@ def _covering_form(mode: str, theta: tuple, h: tuple, epsilon: int,
     starts = [0]
     for _, m in blocks[:-1]:
         starts.append(starts[-1] + len(m) - 1)
-    heads = map(matrix._integral, (cols[i] for i in starts))
-    gram = _products([[Fraction(x, d * d_t) for x in _imul([w], t)[0]]
-                      for w, d in heads], cols)
+    heads = [(_imul([cols[i][0]], t)[0], cols[i][1] * d_t) for i in starts]
+    gram = [[Fraction(sum(map(mul, w, x)), d * d_x) for x, d_x in cols]
+            for w, d in heads]
     pairing = [[_pairing_entry(row[at:], m, s)
                 for at, (_, m) in zip(starts, blocks)] for row in gram]
     return LaurentLinkingForm(module, pairing, epsilon)
@@ -235,9 +238,11 @@ def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
     b, h, e_r = _pencil_reduction(f.e_pair)
     if not h[0]:
         return LaurentLinkingForm(LaurentModule([], None, "P"), [], -f.epsilon)
-    theta = f.theta if b is None else b.transpose() * f.theta * b
-    return _covering_form("P", _integral_rows(theta.rows), h, -f.epsilon, b,
-                          e_r)
+    t, d_t = _integral_rows(f.theta.rows)
+    if b is not None:  # theta|R = b^T theta b
+        t, d_t = _imul(list(zip(*b[0])), _imul(t, b[0])), d_t * b[1] ** 2
+    return _covering_form("P", matrix._reduced_rows(t, d_t), h, -f.epsilon,
+                          b, e_r)
 
 
 def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
@@ -370,13 +375,7 @@ def is_complementary(f_sum: SeifertForm, a: SeifertSubmodule,
                      b: SeifertSubmodule) -> bool:
     """Do the two submodules decompose the ambient space (lattice, in Z
     mode) as a direct sum?"""
-    n = f_sum.rank
-    if a.basis.ncols + b.basis.ncols != n:
+    if a.basis.ncols + b.basis.ncols != f_sum.rank:
         return False
-    if n == 0:
-        return True
-    joint = a.basis.hstack(b.basis)
-    det = joint.det()
-    if f_sum.coefficients == "Z":
-        return abs(det) == 1
-    return det != 0
+    det = a.basis.hstack(b.basis).det()  # 1 when empty
+    return abs(det) == 1 if f_sum.coefficients == "Z" else det != 0

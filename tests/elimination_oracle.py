@@ -9,26 +9,57 @@ decomposition as it ran before each local minimal polynomial came from an
 integer generator: `krylov` row-reduces h's own Krylov matrix over Q, and
 `frobenius` eliminates with the loops above, projecting onto each
 complement over h's Krylov vectors, where `_frobenius` reads only the
-generator's.  Under `parent_frobenius`,
-the covering functors and `decompose_module` run on that `frobenius`.
+generator's; it skips a spanning vector u with mu(h) u = 0 (`_kills`,
+on its own integers), whose nu divides mu, as the merge would leave w as
+it is.  `_apply` is its own product, on the entries' arithmetic.  Under
+`parent_frobenius`, the covering functors and `decompose_module` run on
+that `frobenius`, its Krylov vectors handed on as reduced pairs
+(`pair_blocks`).
 
 `fitting_power` and `pencil_reduction` are Trotter's reduction of the
 pencil (z - c) e + 1 on `Fraction` matrices, as it ran before e, h and
 e|R became integer pairs; `covering_certificates` are the `Fraction`
 checks that `_covering_form`, `_frobenius` and `AutometricForm` made
 before they checked the same identities on integers.  `fraction_matrix`
-and `integer_pair` convert between the two."""
+and `integer_pair` convert between the two; `integer_pair` gives the
+reduced pair."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from wittkit import laurent_forms, seifert
 from wittkit.errors import SingularMatrix, check
 from wittkit.exact import polys
-from wittkit.exact.matrix import Matrix, _integral_rows
-from wittkit.laurent_forms import _apply, _coprime_part
+from wittkit.exact.matrix import Matrix, _integral, _integral_rows
+from wittkit.laurent_forms import _coprime_part
+
+
+def _apply(a: list, x: list) -> list:
+    """The product of the rows a with the vector x, on the entries' own
+    arithmetic."""
+    return [sum(p * q for p, q in zip(row, x)) for row in a]
+
+
+def _scaled(rows: list) -> tuple[list, int]:
+    """Rational rows as integer rows over the lcm of their denominators."""
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+def _kills(h: list, p: list, v: list) -> bool:
+    """p(h) v = 0, by Horner on integers: with h = H / d, and p and v
+    scaled to integers P and w, d^D p(h) v is a multiple of
+    sum_k P_k d^(D-k) H^k w."""
+    (big_h, d), ((big_p, w), _) = _scaled(h), _scaled([p, v])
+    out = [big_p[-1] * x for x in w]
+    for k, coeff in enumerate(big_p[-2::-1], 1):
+        out = [sum(map(mul, r, out)) + coeff * d**k * x
+               for r, x in zip(big_h, w)]
+    return not any(out)
 
 
 def _as_field(x):
@@ -128,6 +159,8 @@ def frobenius(h: list) -> list:
         for u in span[1:]:
             if len(mu) - 1 == dim:
                 break
+            if _kills(h, mu, u):
+                continue  # nu | mu: the merge below would keep w
             powers, nu = krylov(h, u)
             if polys.mod(mu, nu):
                 # keep = mu / a and cut = nu / b applied to h
@@ -151,6 +184,12 @@ def frobenius(h: list) -> list:
             span = [x for x in (Matrix(span) * proj.transpose()).rows
                     if any(x)]
     return blocks
+
+
+def pair_blocks(blocks: list) -> list:
+    """`frobenius`'s blocks with each Krylov vector as its reduced pair,
+    as `_frobenius` returns them."""
+    return [([_integral(x) for x in vecs], mu) for vecs, mu in blocks]
 
 
 def fraction_matrix(pair) -> Matrix:
@@ -217,7 +256,8 @@ def parent_frobenius():
     `decompose_module` call it, ignoring the generator they pass."""
     saved = laurent_forms._frobenius, seifert._frobenius
     laurent_forms._frobenius = seifert._frobenius = (
-        lambda h, e_r=None, c=1: frobenius(fraction_matrix(h).rows))
+        lambda h, e_r=None, c=1: pair_blocks(
+            frobenius(fraction_matrix(h).rows)))
     try:
         yield
     finally:

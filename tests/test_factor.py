@@ -217,6 +217,23 @@ def test_squarefree_without_a_small_certificate_prime(monkeypatch):
     assert factors == [(z - i, 1) for i in range(40, 0, -1)]
 
 
+def test_lines_and_squarefree_quadratics_search_no_prime(monkeypatch):
+    # a line, and a quadratic with b^2 - 4ac != 0, are squarefree without
+    # a prime; (2z - 3)^2 has b^2 = 4ac, searches and keeps multiplicity 2
+    calls = []
+    search = factor._lifting_prime
+    monkeypatch.setattr(factor, "_lifting_prime",
+                        lambda f, primes: calls.append(f) or search(f, primes))
+    for p, want in ((z**2 - z + 1, [(z**2 - z + 1, 1)]),
+                    (2 * z - 3, [(z - F(3, 2), 1)]),
+                    (z**2 - 1, [(z - 1, 1), (z + 1, 1)]),
+                    (3 * z**-1, [])):
+        assert factor_rational_poly(p)[1] == want
+    assert calls == []
+    assert assert_matches_oracles((2 * z - 3) ** 2)[1] == [(z - F(3, 2), 2)]
+    assert calls
+
+
 def test_connected_sum_with_inverse_squares_the_alexander_polynomial(
         monkeypatch):
     knots = [KnotInput("trefoil", [[-1, 1], [0, -1]], -1),

@@ -10,10 +10,10 @@ from wittkit.errors import SingularMatrix
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _dot, _gauss_jordan
 from wittkit.exact.residue import ResidueField
-from wittkit.laurent_forms import _apply
 
 from covering_oracle import QZ
 import elimination_oracle as oracle
+from elimination_oracle import _apply
 from elimination_oracle import inverse as qz_inverse
 from lt_oracle import cyclotomic_polynomial
 from snf_oracle import _faddeev_leverrier, matrix_trace, pencil_adjugate

@@ -4,6 +4,8 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ from wittkit.errors import (
     SingularSeifertForm,
 )
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
-from wittkit.exact.matrix import Matrix, _integral_rows
+from wittkit.exact.matrix import Matrix, _imul as imul, _integral_rows
 from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
@@ -75,6 +77,7 @@ from elimination_oracle import (
     frobenius,
     integer_pair,
     inverse as qz_inverse,
+    pair_blocks,
     parent_frobenius,
     pencil_reduction,
 )
@@ -536,7 +539,7 @@ class TestKrylovAgainstSmith:
         rng = random.Random(303)
         forms = [AutometricForm(*args) for args in E1_NOT_CYCLIC]
         for f in forms:
-            unit = [Fraction(int(j == 0)) for j in range(f.rank)]
+            unit = [int(j == 0) for j in range(f.rank)], 1
             # the local minimal polynomial of e_1 is not that of h
             h = _integral_rows(f.h.rows)
             assert len(_krylov(h, h, None, unit)[1]) - 1 < f.rank
@@ -588,6 +591,7 @@ def assert_matches_parent_chain(cover, f):
     with parent_frobenius():
         want = cover(f)
     assert got.module == want.module
+    assert got.module.basis_change == want.module.basis_change
     assert got.num == want.num
     return got.module.rank
 
@@ -716,7 +720,7 @@ class TestKrylovAgainstParentChain:
             ident = Matrix.identity(h.nrows)
             if (ident.scale(c) - h).det() == 0:
                 continue
-            want = frobenius(h.rows)
+            want = pair_blocks(frobenius(h.rows))
             e_r = integer_pair((ident.scale(c) - h).inverse())
             for gen in (None, e_r):
                 assert laurent_forms._frobenius(
@@ -1016,8 +1020,9 @@ class TestCertificateMutations:
         def corrupted(e, c=1):
             b, h, e_r = reduce(double(e, 2, 2) if part == "common" else e, c)
             if part == "theta":
-                b = Matrix.identity(len(h[0])) if b is None else b
-                b = Matrix([[row[0]] * len(row) for row in b.rows])
+                rows = integer_pair(Matrix.identity(len(h[0])))[0] \
+                    if b is None else b[0]
+                b = [[row[0]] * len(row) for row in rows], 1
             elif part == "e_r":
                 e_r = double(e_r)
             elif part == "h":
@@ -1079,7 +1084,7 @@ class TestReductionIdentities:
             if not h[0]:
                 continue
             h, e_r = fraction_matrix(h), fraction_matrix(e_r)
-            b = Matrix.identity(f.rank) if b is None else b
+            b = Matrix.identity(f.rank) if b is None else fraction_matrix(b)
             assert e_r == restricted_e(f, b)
             theta = b.transpose() * f.theta * b
             ident = Matrix.identity(h.nrows)
@@ -1098,10 +1103,11 @@ def assert_reduction_matches_oracle(e, c=1):
     b, h, e_r = _pencil_reduction(e, c)
     want_b, want_h, want_e_r = pencil_reduction(fraction_matrix(e), c)
     if not want_h.rows:
-        assert (b is None or b.rows == []) and h[0] == e_r[0] == []
+        assert (b is None or b[0] == []) and h[0] == e_r[0] == []
         return 0
     assert h[1] > 0 and e_r[1] > 0
-    assert (Matrix.identity(len(e[0])) if b is None else b) == want_b
+    assert (Matrix.identity(len(e[0])) if b is None
+            else fraction_matrix(b)) == want_b
     assert fraction_matrix(h) == want_h
     assert fraction_matrix(e_r) == want_e_r
     return want_h.nrows
@@ -1159,7 +1165,8 @@ class TestReductionAgainstOracle:
             b, h, e_r = _pencil_reduction(f.e_pair)
             if not h[0]:
                 continue
-            theta = f.theta if b is None else b.transpose() * f.theta * b
+            theta = f.theta if b is None else \
+                fraction_matrix(b).transpose() * f.theta * fraction_matrix(b)
             for bad_h, bad_e_r in corruptions(h, e_r):
                 got = certificate_outcome(lambda: seifert._covering_form(
                     "P", integer_pair(theta), bad_h, -f.epsilon, b,
@@ -1241,6 +1248,68 @@ class TestReductionAgainstOracle:
         assert recorded_reductions
         for e, c in recorded_reductions:
             assert assert_reduction_matches_oracle(e, c) == len(e[0])
+
+
+def is_reduced(pair, vector=False):
+    """A reduced pair (N, d) of ints: d > 0 and gcd(d, *N) = 1."""
+    rows, d = pair
+    entries = rows if vector else [x for r in rows for x in r]
+    return (type(d) is int and d > 0 and gcd(d, *entries) == 1
+            and all(type(x) is int for x in entries))
+
+
+class TestReducedPairs:
+    """The covering stages hand each other reduced integer pairs only, and
+    `Fraction`s appear where a value is read."""
+
+    def test_out_of_order_full_rank(self):
+        # the Fitting power has full rank and its pivots come out of
+        # order: b is a permutation P and e|R = P^T E P, both over 1
+        f = SeifertForm(ladder_psi(random.Random(0), 4), -1, "Z")
+        b, h, e_r = _pencil_reduction(f.e_pair)
+        big_e, d = _integral_rows(f.e.rows)
+        assert d == 1 and len(h[0]) == f.rank and b is not None
+        (perm, d_b), unit_rows = b, Matrix.identity(f.rank, 1).rows
+        assert d_b == 1 and sorted(perm) == sorted(unit_rows)
+        assert perm != unit_rows
+        assert e_r == (imul(list(zip(*perm)), imul(big_e, perm)), 1)
+
+    @pytest.mark.parametrize("name", ["scale-20", "scale-10-mirror"])
+    def test_stages_return_reduced_pairs(self, monkeypatch, name):
+        def record(module, attr):
+            run, returned = getattr(module, attr), []
+
+            def recording(*args):
+                returned.append(run(*args))
+                return returned[-1]
+
+            monkeypatch.setattr(module, attr, recording)
+            return returned
+
+        sequences = record(laurent_forms, "_krylov")
+        decompositions = record(seifert, "_frobenius")
+        reductions = record(seifert, "_pencil_reduction")
+        covering_seifert(fixture_seifert(name))
+        assert sequences and decompositions and reductions
+        for vecs, _, us, alpha in sequences:
+            assert all(is_reduced(v, vector=True) for v in vecs)
+            assert all(type(x) is int for x in chain(alpha, *us))
+        for blocks in decompositions:
+            assert all(is_reduced(v, vector=True)
+                       for vecs, _ in blocks for v in vecs)
+        for b, h, e_r in reductions:
+            assert b is None or is_reduced(b)
+            assert is_reduced(h) and is_reduced(e_r)
+
+    def test_analyze_builds_no_basis_change(self, monkeypatch, capsys):
+        def fail(module):
+            raise AssertionError("basis_change built")
+
+        monkeypatch.setattr(laurent_forms.LaurentModule, "basis_change",
+                            property(fail))
+        path = Path(__file__).parent / "fixtures" / "scale-7-mirror.json"
+        assert cli.main(["analyze", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)
 
 
 class TestRoundTrip:
