@@ -212,13 +212,16 @@ def is_self_conjugate(p: LaurentPoly) -> Optional[LaurentPoly]:
     """Return the unit u = +-z^k with u * bar(p) = p, or None.
 
     If such a unit exists it is forced: comparing degree supports gives
-    k = min_deg + max_deg, and the sign is read off from any coefficient.
+    k = min_deg + max_deg, and the sign is read off the end coefficients.
     """
     if p.is_zero():
         return None
-    k = p.min_deg() + p.max_deg()
-    for sign in (1, -1):  # coefficient-wise: bar(p) z^k has c_d at k - d
-        if all(p.coeffs.get(k - d) == sign * c for d, c in p.coeffs.items()):
-            return LaurentPoly.monomial(sign, k)
+    lo, hi = p.min_deg(), p.max_deg()
+    top, bottom = p.coeffs[hi], p.coeffs[lo]
+    sign = 1 if bottom == top else -1 if bottom == -top else 0
+    # coefficient-wise: bar(p) z^k has c_d at k - d
+    if sign and all(p.coeffs.get(lo + hi - d) == (c if sign == 1 else -c)
+                    for d, c in p.coeffs.items()):
+        return LaurentPoly.monomial(sign, lo + hi)
     return None
 

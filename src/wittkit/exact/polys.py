@@ -2,15 +2,16 @@
 
 Polynomials are lists of Fractions, low degree first, with no trailing zeros;
 the empty list is zero.  One sign-normalized remainder loop serves both the
-monic gcd and Sturm chains; `ext_gcd` is the Bezout routine.  `LaurentPoly`
-remains the user-facing type (conversion via `LaurentPoly.ordinary` and
-`from_dense`).
+monic gcd and Sturm chains.  `LaurentPoly` remains the user-facing type
+(conversion via `LaurentPoly.ordinary` and `from_dense`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from functools import lru_cache
+from itertools import zip_longest
+from math import gcd as int_gcd, lcm
 from typing import Sequence
 
 Poly = list  # list[Fraction]
@@ -31,43 +32,6 @@ def from_ints(cs, d: int = 1) -> Poly:
 def deg(p: Sequence) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(p) - 1
-
-
-def add(p: Sequence, q: Sequence) -> Poly:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
-def neg(p: Sequence) -> Poly:
-    return [-c for c in p]
-
-
-def sub(p: Sequence, q: Sequence) -> Poly:
-    return add(p, neg(q))
-
-
-def scal(c, p: Sequence) -> Poly:
-    c = Fraction(c)
-    if not c:
-        return []
-    return [c * x for x in p]
-
-
-def mul(p: Sequence, q: Sequence) -> Poly:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return trim(out)
 
 
 def divmod_poly(p: Sequence, q: Sequence) -> tuple[Poly, Poly]:
@@ -92,12 +56,26 @@ def mod(p: Sequence, q: Sequence) -> Poly:
     return divmod_poly(p, q)[1]
 
 
+def int_rem(p: Sequence, q: Sequence) -> tuple[list, int]:
+    """(r, s) with r the remainder of s p by q, s > 0, for integer p and q
+    with q's leading coefficient a > 0: each step clears p's top
+    coefficient c as (a/g) p - (c/g) z^k q, g = gcd(a, c), and puts a/g
+    into s, so no step leaves the integers."""
+    p, n, a, s = list(p), len(q) - 1, q[-1], 1
+    while len(p) > n:
+        c = p.pop()
+        if c:
+            g = int_gcd(a, c)
+            t, c, k = a // g, c // g, len(p) - n
+            if t != 1:
+                p, s = [t * x for x in p], s * t
+            p[k:] = [x - c * y for x, y in zip(p[k:], q)]
+    return trim(p), s
+
+
 def monic(p: Sequence) -> Poly:
     p = trim(p)
-    if not p:
-        return []
-    lc = p[-1]
-    return [c / lc for c in p]
+    return [c / p[-1] for c in p] if p and p[-1] != 1 else p
 
 
 def _remainders(a: Sequence, b: Sequence) -> list[Poly]:
@@ -109,7 +87,7 @@ def _remainders(a: Sequence, b: Sequence) -> list[Poly]:
     seq = [trim(a), trim(b)]
     while seq[-1]:
         r = mod(seq[-2], seq[-1])
-        seq.append(scal(-1 / abs(r[-1]), r) if r else r)
+        seq.append([c / -abs(r[-1]) for c in r])
     seq.pop()
     return seq
 
@@ -117,26 +95,6 @@ def _remainders(a: Sequence, b: Sequence) -> list[Poly]:
 def gcd(p: Sequence, q: Sequence) -> Poly:
     """Monic gcd."""
     return monic(_remainders(p, q)[-1])
-
-
-def ext_gcd(p: Sequence, q: Sequence) -> tuple[Poly, Poly, Poly]:
-    """Monic g with g = s*p + t*q; returns (g, s, t)."""
-    a, b = trim(p), trim(q)
-    sa, sb = [Fraction(1)], []
-    ta, tb = [], [Fraction(1)]
-    while b:
-        quot, rem = divmod_poly(a, b)
-        a, b = b, rem
-        sa, sb = sb, sub(sa, mul(quot, sb))
-        ta, tb = tb, sub(ta, mul(quot, tb))
-        if b:  # a monic remainder keeps the coefficients small
-            inv = 1 / b[-1]
-            b, sb, tb = scal(inv, b), scal(inv, sb), scal(inv, tb)
-    if not a:
-        return [], [], []
-    lc = a[-1]
-    inv = Fraction(1) / lc
-    return scal(inv, a), scal(inv, sa), scal(inv, ta)
 
 
 def derivative(p: Sequence) -> Poly:
@@ -226,23 +184,28 @@ def isolate_real_roots(p: Sequence, lo, hi) -> list[tuple[Fraction, Fraction]]:
 
 # ---- the substitution y = z + 1/z ----
 
+@lru_cache(maxsize=64)
+def _chebyshev(top: int) -> tuple:
+    """Q_0, ..., Q_top (and Q_1) on integers: Q_0 = 2, Q_1 = y and
+    Q_{j+1} = y Q_j - Q_{j-1}, where Q_j(z + 1/z) = z^j + z^-j."""
+    table = [(2,), (0, 1)]
+    while len(table) <= top:
+        table.append(tuple(a - b for a, b in zip_longest(
+            (0,) + table[-1], table[-2], fillvalue=0)))
+    return tuple(table)
+
+
 def cos_poly(coeffs: Sequence, offset: int = 0) -> Poly:
     """g with g(2 cos t) = sum_k c_k cos((k + offset) t): the real part at
-    z = e^{it} of sum_k c_k z^(k + offset).  One walk of the recurrence
-    Q_0 = 2, Q_1 = y, Q_{j+1} = y Q_j - Q_{j-1}, where
-    Q_j(z + 1/z) = z^j + z^-j."""
-    weights: dict[int, Fraction] = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            j = abs(k + offset)
-            weights[j] = weights.get(j, Fraction(0)) + Fraction(c, 2)
-    out: Poly = []
-    prev, cur = [Fraction(0), Fraction(1)], [Fraction(2)]  # Q_{-1}, Q_0
-    for j in range(max(weights, default=-1) + 1):
-        if weights.get(j):
-            out = add(out, scal(weights[j], cur))
-        prev, cur = cur, sub([Fraction(0)] + cur, prev)
-    return out
+    z = e^{it} of sum_k c_k z^(k + offset).  With c_k = n_k / d on integers,
+    2 d g = sum_k n_k Q_|k + offset|, read off one table (`_chebyshev`)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    js = [abs(k + offset) for k in range(len(coeffs))]
+    table, out = _chebyshev(max(js, default=0)), [0] * (max(js, default=0) + 1)
+    for j, c in zip(js, coeffs):
+        n = c.numerator * (den // c.denominator)
+        out[:j + 1] = [x + n * q for x, q in zip(out, table[j])]
+    return trim([Fraction(x, 2 * den) for x in out])
 
 
 def palindromic_to_y(p: Sequence) -> Poly:

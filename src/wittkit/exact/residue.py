@@ -1,87 +1,91 @@
-"""Residue fields Q[z]/(d) for monic irreducible d with d(0) != 0.
+"""Residue fields Q[z]/(P) on integers, for irreducible P with P(0) != 0.
 
-When d is self-conjugate (equal to its own reversal up to the forced scalar)
-the field carries the involution z -> 1/z, computed as a coefficient
-reversal times z^-(n-1), a power cached per field.  Signatures never solve
-for the involution-fixed subfield: an element's value at a unit-circle root
-of d is read from its real part written in y = z + 1/z (`polys.cos_poly`).
-
-Elements are immutable dense coefficient tuples of length < deg(d).
+The field keeps P primitive: integer coefficients with gcd 1 and leading
+coefficient a > 0.  An element is its reduced pair (N, d), integers N of
+degree < deg P over d > 0 with gcd(d, *N) = 1 as `matrix._reduced` makes
+them, so equal pairs are equal elements (Cohen, GTM 138, ch. 4).  A
+product is one integer product and one pseudo-remainder by P
+(`polys.int_rem`); an inverse solves the integer multiplication matrix
+fraction-free (`matrix._solve`).  A self-conjugate P (its reversal is +-P)
+gives the involution z -> 1/z: bar(N / d) is N reversed, divided by
+z^(deg P - 1).  An element's value at a unit-circle root of P is read from
+its real part in y = z + 1/z (`polys.cos_poly`), N standing for N / d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from itertools import zip_longest
+from math import gcd, lcm
 
-from wittkit.exact import polys
+from wittkit.errors import SingularMatrix
+from wittkit.exact import matrix, polys
+from wittkit.exact.factor import _zmul
 
 
 class ResidueField:
     def __init__(self, modulus):
-        mod = polys.trim([Fraction(c) for c in modulus])
-        if polys.deg(mod) < 1:
+        p = polys.content_primitive(modulus)[1]
+        if len(p) < 2:
             raise ValueError("modulus must have positive degree")
-        if mod[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if mod[0] == 0:
+        if not p[0]:
             raise ValueError("modulus must not vanish at 0")
-        self.modulus = mod
-        self.degree = polys.deg(mod)
-        # z * (d_n z^{n-1} + ... + d_1) = -d_0, so 1/z is a polynomial in z
-        self._z_inv = polys.trim([-c / mod[0] for c in mod[1:]])
-        rev = polys.monic(list(reversed(mod)))
-        self.self_conjugate = rev == mod
+        self.modulus = p
+        self.degree = len(p) - 1
+        self.self_conjugate = p[::-1] in (p, [-c for c in p])
 
-    # -- element constructors --
+    def element(self, num, den: int, shift: int = 0) -> "ResidueElem":
+        """num z^shift / den for integers num and den != 0: `polys.int_rem`
+        by P, then, for shift < 0, -shift steps that clear num's constant
+        term c as (P(0)/g) num - (c/g) P, g = gcd(P(0), c), and divide by z."""
+        p = self.modulus
+        num, s = polys.int_rem([0] * shift + list(num), p)
+        den *= s
+        for _ in range(-shift):
+            if num and num[0]:
+                g = gcd(p[0], num[0])
+                s, c = p[0] // g, num[0] // g
+                num, den = [s * x - c * y for x, y in
+                            zip_longest(num, p, fillvalue=0)], den * s
+            num = num[1:]
+        num, den = matrix._reduced(polys.trim(num), den)
+        return ResidueElem(self, tuple(num), den)
 
     def elem(self, coeffs) -> "ResidueElem":
-        dense = polys.mod([Fraction(c) for c in coeffs], self.modulus)
-        return ResidueElem(self, tuple(dense))
+        """The class of a dense polynomial with rational coefficients."""
+        return self.element(*matrix._integral(coeffs))
 
     def zero(self) -> "ResidueElem":
-        return ResidueElem(self, ())
+        return ResidueElem(self, (), 1)
 
     def one(self) -> "ResidueElem":
-        return self.elem([1])
+        return ResidueElem(self, (1,), 1)
 
     def gen(self) -> "ResidueElem":
-        return self.elem([0, 1])
+        return self.element([0, 1], 1)
 
     def from_laurent(self, p) -> "ResidueElem":
-        """Image of a Laurent polynomial under z -> generator."""
-        out = self.zero()
-        zinv = ResidueElem(self, tuple(self._z_inv))
-        for d, c in p.coeffs.items():
-            power = self.gen() ** d if d >= 0 else zinv ** (-d)
-            out = out + power * c
-        return out
-
-    # -- involution --
-
-    @cached_property
-    def _z_inv_top(self) -> "ResidueElem":
-        """z^-(n-1) for n = deg(d), so that bar(e) = rev_n(e) * z^-(n-1):
-        n - 1 steps of e / z = e_0 z^-1 + (e - e_0) / z, with no reduction."""
-        e = [Fraction(1)]
-        for _ in range(self.degree - 1):
-            e = polys.add(e[1:], polys.scal(e[0], self._z_inv))
-        return ResidueElem(self, tuple(e))
+        """Image of a Laurent polynomial under z -> generator: its
+        numerator as an ordinary polynomial, reduced once."""
+        dense, low = p.ordinary()
+        return self.element(*matrix._integral(dense), low)
 
     def bar_elem(self, e: "ResidueElem") -> "ResidueElem":
         if not self.self_conjugate:
             raise ValueError("involution requires a self-conjugate modulus")
-        pad = (Fraction(0),) * (self.degree - len(e.coeffs))
-        rev = polys.trim(pad + e.coeffs[::-1])
-        return self._z_inv_top * ResidueElem(self, tuple(rev))
+        pad = (0,) * (self.degree - len(e.num))
+        return self.element(pad + e.num[::-1], e.den, 1 - self.degree)
 
 
 class ResidueElem:
-    __slots__ = ("field", "coeffs")
+    """num / den in `field`: a reduced integer pair, deg num < deg P."""
 
-    def __init__(self, field: ResidueField, coeffs: tuple):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: ResidueField, num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
 
     def _coerce(self, other):
         if isinstance(other, ResidueElem):
@@ -93,21 +97,24 @@ class ResidueElem:
         return NotImplemented
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.field.elem(polys.add(list(self.coeffs), list(o.coeffs)))
+        den = lcm(self.den, o.den)
+        s, t = den // self.den, den // o.den
+        return self.field.element([s * x + t * y for x, y in zip_longest(
+            self.num, o.num, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ResidueElem(self.field, tuple(-c for c in self.coeffs))
+        return ResidueElem(self.field, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -115,39 +122,34 @@ class ResidueElem:
             return o
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.field.elem(polys.mul(list(self.coeffs), list(o.coeffs)))
+        return self.field.element(_zmul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "ResidueElem":
-        if not self.coeffs:
+        """x with M x = 1 for self's multiplication matrix M, whose column
+        j is z^j self = C_j / d_j: `matrix._solve` on the integer columns
+        C_j gives x_j / d_j."""
+        if not self.num:
             raise ZeroDivisionError("zero has no inverse")
-        g, s, _ = polys.ext_gcd(list(self.coeffs), self.field.modulus)
-        if polys.deg(g) != 0:
-            raise ValueError("modulus is not irreducible")
-        return self.field.elem(polys.scal(1 / g[0], s))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
+        f, cols = self.field, [self]
+        while len(cols) < f.degree:
+            cols.append(f.element(cols[-1].num, cols[-1].den, 1))
+        rows = [[c.num[i] if i < len(c.num) else 0 for c in cols]
+                for i in range(f.degree)]
+        try:
+            y, delta = matrix._solve(rows, [[int(not i)] for i in range(
+                f.degree)])
+        except SingularMatrix:
+            raise ValueError("modulus is not irreducible") from None
+        return f.element([c.den * r[0] for c, r in zip(cols, y)], delta)
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
+        out, base = self.field.one(), self
         while n:
             if n & 1:
                 out = out * base
@@ -158,22 +160,14 @@ class ResidueElem:
     def bar(self) -> "ResidueElem":
         return self.field.bar_elem(self)
 
-    def one(self) -> "ResidueElem":
-        return self.field.one()
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash((tuple(self.field.modulus), self.coeffs))
+        return self.num == o.num and self.den == o.den
 
     def __repr__(self):
-        if not self.coeffs:
-            return "Res(0)"
         terms = " + ".join(
-            f"{c}*z^{i}" if i else f"{c}" for i, c in enumerate(self.coeffs) if c
+            f"{c}*z^{i}" if i else f"{c}" for i, c in enumerate(self.num) if c
         )
-        return f"Res({terms})"
+        return f"Res(({terms or 0}) / {self.den})"

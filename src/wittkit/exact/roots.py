@@ -31,7 +31,7 @@ from fractions import Fraction
 from wittkit.errors import SingularForm, check
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.matrix import Matrix, _integral
 
 DEFAULT_PRECISION = Fraction(1, 2**64)
 
@@ -40,12 +40,25 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _interval_horner(g, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Bounds for {g(y) : lo <= y <= hi}."""
-    a = b = Fraction(0)
+def _value(g, x: Fraction) -> int:
+    """q^deg(g) g(x), x = p / q: g(x) times a positive integer."""
+    p, q = x.numerator, x.denominator
+    v, scale = 0, 1
     for c in reversed(g):
-        cands = (a * lo, a * hi, b * lo, b * hi)
-        a, b = min(cands) + c, max(cands) + c
+        v, scale = v * p + c * scale, scale * q
+    return v
+
+
+def _interval_horner(g, lo: Fraction, hi: Fraction) -> tuple:
+    """Bounds for {q^deg(g) g(y) : lo <= y <= hi} by Horner on q y, q the
+    common denominator of lo and hi: on integers for integer g."""
+    (low, high), q = _integral([lo, hi])
+    a = b = 0
+    scale = 1
+    for c in reversed(g):
+        cands = (a * low, a * high, b * low, b * high)
+        a, b = min(cands) + c * scale, max(cands) + c * scale
+        scale *= q
     return a, b
 
 
@@ -56,19 +69,19 @@ class CertifiedRoot:
 
     def __init__(self, y_poly, lo, hi, factor: LaurentPoly | None = None):
         self.y_poly = polys.monic(y_poly)
+        self._y = _integral(self.y_poly)[0]
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         self.factor = factor
         if self.lo > self.hi:
             raise ValueError("empty interval")
-        if self.lo == self.hi:
-            if polys.eval_at(self.y_poly, self.lo) != 0:
-                raise ValueError("point interval must sit on a root")
-        else:
-            slo = _sign(polys.eval_at(self.y_poly, self.lo))
-            shi = _sign(polys.eval_at(self.y_poly, self.hi))
-            if slo == 0 or shi == 0 or slo == shi:
-                raise ValueError("interval endpoints must bracket one root")
+        # y_poly keeps this sign at lo as lo moves up to the root
+        self._lo_sign = _sign(_value(self._y, self.lo))
+        if self.lo == self.hi and self._lo_sign:
+            raise ValueError("point interval must sit on a root")
+        if self.lo < self.hi and (self._lo_sign * _sign(_value(
+                self._y, self.hi)) != -1):
+            raise ValueError("interval endpoints must bracket one root")
 
     @property
     def is_rational(self) -> bool:
@@ -85,23 +98,25 @@ class CertifiedRoot:
 
     def _bisect(self) -> None:
         mid = (self.lo + self.hi) / 2
-        v = polys.eval_at(self.y_poly, mid)
+        v = _sign(_value(self._y, mid))
         if v == 0:
             # minimal polynomials of irrational y0 have no rational roots
             self.lo = self.hi = mid
             return
-        if _sign(v) == _sign(polys.eval_at(self.y_poly, self.lo)):
+        if v == self._lo_sign:
             self.lo = mid
         else:
             self.hi = mid
 
     def sign_of(self, g) -> int:
-        """Certified sign of g(y0) for a dense rational polynomial g."""
-        rem = polys.mod(polys.trim([Fraction(c) for c in g]), self.y_poly)
+        """Certified sign of g(y0) for a dense rational polynomial g, or
+        any positive multiple of it, from the remainder of an integer
+        multiple of g by y_poly's (`polys.int_rem`)."""
+        rem = polys.int_rem(_integral(g)[0], self._y)[0]
         if not rem:
             return 0
         if self.is_rational:
-            return _sign(polys.eval_at(rem, self.lo))
+            return _sign(_value(rem, self.lo))
         while True:
             a, b = _interval_horner(rem, self.lo, self.hi)
             if a > 0:
@@ -184,22 +199,24 @@ def _congruence_pivots(a: list, bar, divider) -> list:
         if a:
             a = [[div(piv * x - r[k] * y)
                   for x, y in zip(r[:k] + r[k + 1:], row)] for r in a]
-            div = divider(piv)
+            if len(a) > 1:  # the last pivot divides nothing
+                div = divider(piv)
     return minors
 
 
 def hermitian_signature_at_root(h: Matrix, roots: list) -> list[int]:
     """Signatures of a hermitian matrix over Q[z]/(factor), one per root in
     `roots`, at the embeddings z -> e^{i*theta}: one elimination, each
-    leading minor's real part in y taken once and its sign read at every
-    root.  Entries must be ResidueElem over a self-conjugate field; a
+    leading minor N / d's real part in y taken once, from N as d > 0, and
+    its sign read at every root.  Entries must be ResidueElem over a
+    self-conjugate field, pivots inverted by `ResidueElem.inverse`; a
     matrix with bar(h)^T != h is refused with InvariantViolated (the
     auxiliary forms of a certified covering form are hermitian), a
     singular one with SingularForm."""
     check(h == h.bar().transpose(), "matrix is not hermitian")
-    minors = [polys.cos_poly(d.coeffs) for d in _congruence_pivots(
+    minors = [polys.cos_poly(d.num) for d in _congruence_pivots(
         [list(row) for row in h.rows], lambda x: x.bar(),
-        lambda d: (1 / d).__mul__)]
+        lambda d: d.inverse().__mul__)]
     signs = ([1] + [root.sign_of(g) for g in minors] for root in roots)
     return [sum(a * b for a, b in zip(s, s[1:])) for s in signs]
 

@@ -137,7 +137,7 @@ def _det_one_minus(k: KnotInput) -> LaurentPoly:
 def _module_order(module: LaurentModule) -> LaurentPoly:
     """The divisors' product over |its value at 1|: det((1-e) + ez) up to
     c z^k (Trotter's reduction), so integral with p(1) = +-1."""
-    order = module.total_divisor()
+    order = module.total_divisor
     alex = order * Fraction(1, abs(order(1)))
     check(all(c.denominator == 1 for c in alex.coeffs.values()),
           "Alexander polynomial is not integral")
@@ -157,15 +157,18 @@ def blanchfield_form(k: KnotInput) -> LaurentLinkingForm:
 def _u_in_y_gap(y_low: Fraction, y_high: Fraction) -> Fraction:
     """A rational u > 0 with y_low < y(u) = 2(1 - u^2)/(1 + u^2) < y_high;
     y(u) = 2 cos(2 pi t) for u = tan(pi t).  u is sqrt((2 - y)/(2 + y)) at
-    the gap's midpoint y, cut to the fewest binary digits that land inside."""
+    the gap's midpoint y = m / 2be (y_low = a / b, y_high = c / e), cut to
+    the fewest binary digits r / 2^k that land inside, tested on integers:
+    a (4^k + r^2) < 2b (4^k - r^2) and 2e (4^k - r^2) < c (4^k + r^2)."""
     check(-2 <= y_low < y_high <= 2, "the y-gap is empty or leaves [-2, 2]")
-    y = (y_low + y_high) / 2
-    u2 = (2 - y) / (2 + y)
+    (a, b), (c, e) = y_low.as_integer_ratio(), y_high.as_integer_ratio()
+    m, whole = a * e + c * b, 4 * b * e
     k = 0
     while True:
-        u = Fraction(math.isqrt(u2.numerator * 4**k // u2.denominator), 2**k)
-        if y_low < 2 * (1 - u * u) / (1 + u * u) < y_high:
-            return u
+        r = math.isqrt((whole - m) * 4**k // (whole + m))
+        minus, plus = 4**k - r * r, 4**k + r * r
+        if a * plus < 2 * b * minus and 2 * e * minus < c * plus:
+            return Fraction(r, 2**k)
         k += 1
 
 

@@ -29,6 +29,7 @@ fields, plain signatures at z = +-1.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -44,7 +45,7 @@ from wittkit.errors import (
     check,
 )
 from wittkit.exact import matrix, polys
-from wittkit.exact.factor import factor_rational_poly
+from wittkit.exact.factor import _int_divides, _zmul, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.residue import ResidueField
@@ -64,11 +65,6 @@ def _as_laurent(x) -> LaurentPoly:
     return x if isinstance(x, LaurentPoly) else LaurentPoly.const(x)
 
 
-def _monic_ordinary(p: LaurentPoly) -> LaurentPoly:
-    """Strip the z-power unit and rescale to a monic ordinary polynomial."""
-    return LaurentPoly.from_dense(polys.monic(p.ordinary()[0]))
-
-
 def _dense(p: LaurentPoly) -> list:
     dense, off = p.ordinary()
     if off != 0:
@@ -76,16 +72,9 @@ def _dense(p: LaurentPoly) -> list:
     return dense
 
 
-def _valuation(d: LaurentPoly, p: LaurentPoly) -> int:
-    """The largest l with p^l | d, for p of positive degree."""
-    num, div, count = _dense(_monic_ordinary(d)), _dense(_monic_ordinary(p)), 0
-    while len(num) >= len(div) and not (qr := polys.divmod_poly(num, div))[1]:
-        num, count = qr[0], count + 1
-    return count
-
-
 def _factor_key(p: LaurentPoly) -> tuple:
-    return tuple(_dense(_monic_ordinary(p)))
+    """p's dense coefficients, made monic and ordinary: the report's key."""
+    return tuple(polys.monic(p.ordinary()[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +96,8 @@ class LaurentModule:
     divisors: list
     basis: list | None
     torsion_mode: str
+    _splits: dict = dataclasses.field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -116,8 +107,10 @@ class LaurentModule:
     def is_zero(self) -> bool:
         return not self.divisors
 
+    @cached_property
     def total_divisor(self) -> LaurentPoly:
-        return reduce(mul, self.divisors, LaurentPoly.one())
+        """The divisors' product, once for `factors` and the order."""
+        return reduce(mul, self.divisors or [LaurentPoly.one()])
 
     @cached_property
     def basis_change(self) -> Matrix | None:
@@ -127,7 +120,25 @@ class LaurentModule:
     @cached_property
     def factors(self) -> list:
         """Monic irreducible factors of the order, with multiplicities."""
-        return factor_rational_poly(self.total_divisor())[1]
+        return factor_rational_poly(self.total_divisor)[1]
+
+    def _split(self, p) -> tuple:
+        """(P, {i: (l, C)}) once per factor p: P is p made primitive, and
+        d_i = c P^l C, l > 0, with C primitive, by exact division over Z
+        (Gauss's lemma)."""
+        key = _factor_key(_as_laurent(p))
+        if key not in self._splits:
+            if len(key) < 2:
+                raise ValueError("factor must have positive degree")
+            prim, split = polys.content_primitive(key)[1], {}
+            for i, d in enumerate(self.divisors):
+                cof, level = polys.content_primitive(_dense(d))[1], 0
+                while (q := _int_divides(prim, cof)) is not None:
+                    cof, level = q, level + 1
+                if level:
+                    split[i] = level, cof
+            self._splits[key] = prim, split
+        return self._splits[key]
 
 
 def _powers(m: list, w: list, k: int) -> list:
@@ -318,8 +329,7 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
 
 def level_multiplicities(module: LaurentModule, p) -> dict[int, int]:
     """How many divisors carry each positive p-adic valuation."""
-    p = _monic_ordinary(_as_laurent(p))
-    levels = [v for d in module.divisors if (v := _valuation(d, p))]
+    levels = [v for v, _ in module._split(p)[1].values()]
     return {v: levels.count(v) for v in sorted(set(levels))}
 
 
@@ -389,45 +399,44 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
     nonsingular; a skew one is checked where its rank is read.
 
     The entry is read off the numerators without a product over Q(z).
-    With p = u bar(p) (u = +-z^k from `is_self_conjugate`), d_i = p^l cof_i
-    and D_j = deg d_j, d_j* = z^(D_j) bar(d_j) = z^(D_j) bar(p)^l bar(cof_j),
-    so the level's entry p^l lambda(cof_i g_i, cof_j g_j) is
-    p^l cof_i bar(cof_j) num_ij / d_j* = num_ij cof_i u^l z^(-D_j), a
-    Laurent polynomial.  It does not depend on the representative:
-    num_ij + k d_j* changes it by k cof_i u^l bar(d_j) =
+    With p = u bar(p), u = s z^n, d_i = p^l cof_i and D_j = deg d_j,
+    d_j* = z^(D_j) bar(d_j) = z^(D_j) bar(p)^l bar(cof_j), so the level's
+    entry p^l lambda(cof_i g_i, cof_j g_j) is p^l cof_i bar(cof_j) num_ij
+    / d_j* = num_ij cof_i u^l z^(-D_j), a Laurent polynomial: for
+    num_ij = N z^k / d and cof_i = C_i / lead(C_i) (`LaurentModule._split`),
+    one integer product N C_i over s^l d lead(C_i), shifted by
+    k + n l - D_j and reduced once.  It does not depend on the
+    representative: num_ij + k d_j* changes it by k cof_i u^l bar(d_j) =
     k cof_i p^l bar(cof_j), which is 0 mod p since l >= 1."""
-    p = _monic_ordinary(_as_laurent(p))
-    unit_p = is_self_conjugate(p)
-    if unit_p is None:
+    prim, split = form.module._split(p)
+    field = ResidueField(prim)
+    if not field.self_conjugate:
         raise NotSelfConjugate(
             "factor pairs with its conjugate; the pair contributes "
             "hyperbolically and carries no auxiliary form")
     if l < 1:
         raise ValueError("level must be >= 1")
-    module = form.module
-    field = ResidueField(_dense(p))
-    idx = [i for i, d in enumerate(module.divisors) if _valuation(d, p) == l]
+    n, unit = field.degree, (1 if prim[0] > 0 else -1) ** l  # s = sign P(0)
+    reads = {i: (cof, n * l - form.module.divisors[i].max_deg())
+             for i, (v, cof) in split.items() if v == l}  # C_i, n l - D_i
 
-    p_pow, unit_l = _dense(p**l), unit_p**l
-    row, shift = {}, {}  # cof_i u^l and -D_i
-    for i in idx:
-        dense_d = _dense(module.divisors[i])
-        q, r = polys.divmod_poly(dense_d, p_pow)
-        check(not r, "valuation bookkeeping broke")
-        row[i] = LaurentPoly.from_dense(q) * unit_l
-        shift[i] = 1 - len(dense_d)
-    gram0 = Matrix([[field.from_laurent((form.num[i, j] * row[i]).shift(
-        shift[j])) for j in idx] for i in idx])
+    def entry(i, j):
+        dense, low = form.num[i, j].ordinary()
+        num, den = matrix._integral(dense)
+        cof = reads[i][0]
+        return field.element(_zmul(num, cof), unit * den * cof[-1],
+                             low + reads[j][1])
 
-    v = field.from_laurent(unit_l)
-    if form.epsilon == -1:
-        v = -v
-    if field.degree == 1:
-        return AuxiliaryHermitian(p, l, field, gram0,
+    gram0 = Matrix([[entry(i, j) for j in reads] for i in reads])
+    factor = LaurentPoly.from_dense(polys.from_ints(prim, prim[-1]))
+    v = field.from_laurent(LaurentPoly.monomial(form.epsilon * unit, n * l))
+    if n == 1:
+        return AuxiliaryHermitian(factor, l, field, gram0,
                                   1 if v == field.one() else -1, None)
     u = _hilbert90_unit(field, v)
     ubar = u.bar()
-    return AuxiliaryHermitian(p, l, field, gram0.map(lambda x: ubar * x), 1, u)
+    return AuxiliaryHermitian(factor, l, field,
+                              gram0.map(lambda x: ubar * x), 1, u)
 
 
 # ---------------------------------------------------------------------------
@@ -499,18 +508,19 @@ class DWMultiSignatureLaurent:
         return f"DWMultiSignatureLaurent({{{inner}}})"
 
 
-def _phase_sign(u, shift: int, root: CertifiedRoot, epsilon: int) -> int:
-    """Certified sign of w = u(e^{i theta}) e^{-i shift theta} (epsilon +1,
-    where w is real) or of w / i (epsilon -1, where w is purely imaginary):
-    there the real part of w (e^{-i theta} - e^{i theta}) = -2i sin(theta) w
-    is read instead, which has the sign of w / i since sin theta > 0."""
-    coeffs, offset = list(u.coeffs), -shift
+def _phase_signs(u, shift: int, roots: list, epsilon: int) -> list[int]:
+    """Certified sign, at each root, of w = u(e^{i theta}) e^{-i shift theta}
+    (epsilon +1, where w is real) or of w / i (epsilon -1, where w is purely
+    imaginary): there the real part of w (e^{-i theta} - e^{i theta}) =
+    -2i sin(theta) w is read instead, which has the sign of w / i since
+    sin theta > 0.  u = N / d, d > 0, is read as N."""
+    num, offset = list(u.num), -shift
     if epsilon == -1:  # times z^-1 - z = z^-1 (1 - z^2)
-        coeffs = polys.mul(coeffs, polys.from_ints([1, 0, -1]))
-        offset -= 1
-    s = root.sign_of(polys.cos_poly(coeffs, offset))
-    check(s != 0, "normalizing unit vanished at a root")
-    return s
+        num, offset = _zmul(num, [1, 0, -1]), offset - 1
+    g = polys.cos_poly(num, offset)
+    signs = [root.sign_of(g) for root in roots]
+    check(all(signs), "normalizing unit vanished at a root")
+    return signs
 
 
 def dw_multisignature_laurent(
@@ -518,30 +528,30 @@ def dw_multisignature_laurent(
     precision: Fraction = DEFAULT_PRECISION,
 ) -> DWMultiSignatureLaurent:
     """Signature of the normalized auxiliary form at every unit-circle root
-    of every self-conjugate factor, at every occupied level."""
+    of every self-conjugate factor, at every occupied level; each factor is
+    read once (`LaurentModule._split`)."""
     module = form.module
     out = DWMultiSignatureLaurent()
     seen_pairs = set()
     for p, _mult in module.factors:
         pk = _factor_key(p)
         if is_self_conjugate(p) is None:
-            partner = _factor_key(_monic_ordinary(p.bar()))
-            pair = tuple(sorted((pk, partner)))
+            pair = tuple(sorted((pk, _factor_key(p.bar()))))
             if pair not in seen_pairs:
                 seen_pairs.add(pair)
                 out.conjugate_pairs.append(pair)
             continue
-        levels = level_multiplicities(module, p)
         deg = len(pk) - 1
         roots = unit_circle_roots(p, precision)
         if not roots:
             continue
         for ridx, root in enumerate(roots):
             out.roots[(pk, ridx)] = root
-        for l in levels:
+        for l in level_multiplicities(module, p):
             aux = auxiliary_hermitian(form, p, l)
             if aux.symmetry != 1:  # z = +-1: a skew form over Q
-                if not aux.gram.map(lambda x: sum(x.coeffs)).det():
+                if not aux.gram.map(
+                        lambda x: Fraction(sum(x.num), x.den)).det():
                     raise SingularForm("auxiliary form is singular")
                 out.rank_only[(pk, l)] = aux.rank
                 continue
@@ -549,9 +559,8 @@ def dw_multisignature_laurent(
             if deg == 1:
                 out.signatures[(pk, 0, l)] = SIGMA_SIGN * sigs[0]
                 continue
-            half = deg // 2
-            for ridx, (root, sig) in enumerate(zip(roots, sigs)):
-                flip = _phase_sign(aux.unit, half * l, root, form.epsilon)
+            flips = _phase_signs(aux.unit, deg // 2 * l, roots, form.epsilon)
+            for ridx, (root, sig, flip) in enumerate(zip(roots, sigs, flips)):
                 orient = 1
                 if l % 2:
                     # localizing p^l at this root's real quadratic rescales

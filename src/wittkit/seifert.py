@@ -14,6 +14,7 @@ which `canonical_identification` returns.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from wittkit.errors import (
@@ -24,6 +25,7 @@ from wittkit.errors import (
     check,
 )
 from wittkit.exact import matrix, polys
+from wittkit.exact.factor import _zmul
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _imul, _integral_rows
 from wittkit.exact.ratfunc import series_expand
@@ -166,12 +168,18 @@ def _seifert_module(f: SeifertForm) -> LaurentModule:
     return _covering_module("P", h, b, e_r)[0]
 
 
-def _pairing_entry(c: list, m: list, s: list) -> LaurentPoly:
-    """The numerator over m* of lambda_ij: s N mod m*, of degree < deg m."""
+def _pairing_entry(c: tuple, m: list, s: list) -> LaurentPoly:
+    """The numerator over m* of lambda_ij: s N mod m*, of degree < deg m,
+    for the block's gram row c = C / den and an integer s: with m = M / d_m,
+    each N_k is an integer dot product over d_m den, and s N mod +-M
+    reversed comes from `polys.int_rem`."""
+    (big_c, den), (big_m, d_m) = c, matrix._integral(m)
     d = len(m) - 1
-    num = [sum(m[a] * c[k - d + a] for a in range(d - k, d + 1))
-           for k in range(d)]
-    return LaurentPoly.from_dense(polys.mod(polys.mul(s, num), m[::-1]))
+    num = [sum(map(mul, big_m[d - k:], big_c)) for k in range(d)]
+    rev = big_m[::-1] if big_m[0] > 0 else [-x for x in big_m[::-1]]
+    rem, scale = polys.int_rem(_zmul(s, num), rev)
+    return LaurentPoly.from_dense([Fraction(x, scale * d_m * den)
+                                   for x in rem])
 
 
 def _covering_form(mode: str, theta: tuple, h: tuple, epsilon: int,
@@ -211,19 +219,21 @@ def _covering_form(mode: str, theta: tuple, h: tuple, epsilon: int,
     check(Matrix(t).rank() == len(t), "covering theta is singular")
     check(_is_isometry(theta, h), "h is not an isometry of the covering theta")
     module, blocks = _covering_module(mode, h, embed, e_r)
-    s = [Fraction(-1)]
+    s = [-1]
     if mode == "P":
-        s = [Fraction(1), Fraction(-1)]
+        s = [1, -1]
         t, d_t = _imul(t, matrix._shift(h[0], h[1])), d_t * h[1]
     cols = [x for xs, _ in blocks for x in xs]
     starts = [0]
     for _, m in blocks[:-1]:
         starts.append(starts[-1] + len(m) - 1)
     heads = [(_imul([cols[i][0]], t)[0], cols[i][1] * d_t) for i in starts]
-    gram = [[Fraction(sum(map(mul, w, x)), d * d_x) for x, d_x in cols]
+    # each gram row over one denominator: d of its head times that of cols
+    den = lcm(*(d_x for _, d_x in cols))
+    gram = [([sum(map(mul, w, x)) * (den // d_x) for x, d_x in cols], d * den)
             for w, d in heads]
-    pairing = [[_pairing_entry(row[at:], m, s)
-                for at, (_, m) in zip(starts, blocks)] for row in gram]
+    pairing = [[_pairing_entry((row[at:], d), m, s)
+                for at, (_, m) in zip(starts, blocks)] for row, d in gram]
     return LaurentLinkingForm(module, pairing, epsilon)
 
 

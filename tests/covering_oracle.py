@@ -26,7 +26,8 @@ form's space.
   oracle for that certificate and for the forms tests build directly.
 - `qz_auxiliary_gram` and `qz_monodromy_theta` are the Q(z) routes that
   `auxiliary_hermitian` and `monodromy` replaced: the level form as the
-  product p^l cof_i bar(cof_j) lambda_ij over Q(z), and theta from the
+  product p^l cof_i bar(cof_j) lambda_ij over Q(z), with entries in the
+  `Fraction` residue field of `hermitian_oracle`, and theta from the
   expansions of the canonical entries.
 - `module_dimension_q`, `laurent_direct_sum` and `laurent_negate` are what
   only tests need of modules and linking forms over Q[z, z^-1], and
@@ -49,17 +50,17 @@ from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.ratfunc import RatFunc, series_expand
-from wittkit.exact.residue import ResidueField
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
     _as_laurent,
     _dense,
-    _monic_ordinary,
 )
 from wittkit.seifert import AutometricForm, SeifertForm, SeifertSubmodule
 
 from elimination_oracle import fitting_power, rref
+from hermitian_oracle import ResidueField
+import qpolys
 
 
 class NotNearProjection(ComputationError):
@@ -126,6 +127,11 @@ class QZ(RatFunc):
         return QZ.make(self.num.bar(), LaurentPoly.from_dense(self.den).bar())
 
 
+
+def monic_ordinary(p: LaurentPoly) -> LaurentPoly:
+    """Strip the z-power unit and rescale to a monic ordinary polynomial."""
+    return LaurentPoly.from_dense(polys.monic(p.ordinary()[0]))
+
 def _to_qz(x) -> QZ:
     if isinstance(x, QZ):
         return x
@@ -169,12 +175,12 @@ def frac_class(f) -> QZ:
     c = polys.mod(n0, den)
     if m > 0:
         zm = polys.mod([Fraction(0)] * m + [Fraction(1)], den)
-        c = polys.mod(polys.mul(c, zm), den)
+        c = polys.mod(qpolys.mul(c, zm), den)
     elif m < 0:
         # den = 0 mod den, so z^-1 = -(den - den(0)) / (den(0) z)
         zinv = [-x / den[0] for x in den[1:]]
         for _ in range(-m):
-            c = polys.mod(polys.mul(c, zinv), den)
+            c = polys.mod(qpolys.mul(c, zinv), den)
     return QZ.make(LaurentPoly.from_dense(c), den)
 
 
@@ -267,7 +273,7 @@ def qz_auxiliary_gram(form: LaurentLinkingForm, p: LaurentPoly,
     """The level-l form at p before normalization, by products over Q(z):
     p^l cof_i bar(cof_j) lambda_ij reduced mod p, on the divisors
     d_i = p^l cof_i of exact valuation l."""
-    p = _monic_ordinary(p)
+    p = monic_ordinary(p)
     field = ResidueField(_dense(p))
     lam = qz_pairing(form)
     divisors = form.module.divisors

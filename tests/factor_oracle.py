@@ -33,6 +33,7 @@ from wittkit.exact.factor import (
 from wittkit.exact.laurent import LaurentPoly
 
 from remainder_oracle import gcd
+import qpolys
 
 
 def squarefree_decomposition(p):
@@ -45,7 +46,7 @@ def squarefree_decomposition(p):
     g = gcd(p, polys.derivative(p))
     w = polys.divmod_poly(p, g)[0]
     y = polys.divmod_poly(polys.derivative(p), g)[0]
-    z = polys.sub(y, polys.derivative(w))
+    z = qpolys.sub(y, polys.derivative(w))
     i = 1
     while polys.deg(w) > 0:
         gi = gcd(w, z)
@@ -53,7 +54,7 @@ def squarefree_decomposition(p):
             out.append((polys.monic(gi), i))
         w = polys.divmod_poly(w, gi)[0]
         y = polys.divmod_poly(z, gi)[0]
-        z = polys.sub(y, polys.derivative(w))
+        z = qpolys.sub(y, polys.derivative(w))
         i += 1
     return out
 

@@ -9,18 +9,230 @@ Beside it, the Chebyshev families Q_j and S_j, each walked from the start
 of its recurrence, which the old `palindromic_to_y` and `_phase_sign`
 summed term by term; and the congruence diagonalization over a field that
 the fraction-free elimination replaced, whose pivots are `Fraction`s (or
-field elements) divided out one row at a time."""
+field elements) divided out one row at a time.  Under all of them, the
+residue field that `wittkit.exact.residue` replaced: dense `Fraction`
+tuples over the monic modulus, inverses by Euclid over Q (`ext_gcd`) and
+the involution as a product with a cached z^-(n-1); `as_oracle` carries
+an element of the integer field over."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from wittkit.errors import SingularForm
 from wittkit.exact import polys
-from wittkit.exact.residue import ResidueElem
+from wittkit.exact import residue as wittkit_residue
+from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
+from wittkit.exact.matrix import Matrix
+from wittkit.exact.roots import DEFAULT_PRECISION, unit_circle_roots
+from wittkit.laurent_forms import SIGMA_SIGN
 
-from snf_oracle import _faddeev_leverrier
+import qpolys
+
+
+# ---- the residue field on Fraction tuples over the monic modulus ----
+
+def ext_gcd(p, q) -> tuple[list, list, list]:
+    """Monic g with g = s*p + t*q; returns (g, s, t)."""
+    a, b = polys.trim(p), polys.trim(q)
+    sa, sb = [Fraction(1)], []
+    ta, tb = [], [Fraction(1)]
+    while b:
+        quot, rem = polys.divmod_poly(a, b)
+        a, b = b, rem
+        sa, sb = sb, qpolys.sub(sa, qpolys.mul(quot, sb))
+        ta, tb = tb, qpolys.sub(ta, qpolys.mul(quot, tb))
+        if b:  # a monic remainder keeps the coefficients small
+            inv = 1 / b[-1]
+            b, sb, tb = (qpolys.scal(inv, b), qpolys.scal(inv, sb),
+                         qpolys.scal(inv, tb))
+    if not a:
+        return [], [], []
+    lc = a[-1]
+    inv = Fraction(1) / lc
+    return qpolys.scal(inv, a), qpolys.scal(inv, sa), qpolys.scal(inv, ta)
+
+
+class ResidueField:
+    """Q[z]/(d) for a monic irreducible d with d(0) != 0, on dense
+    `Fraction` tuples of length < deg(d)."""
+
+    def __init__(self, modulus):
+        mod = polys.trim([Fraction(c) for c in modulus])
+        if polys.deg(mod) < 1:
+            raise ValueError("modulus must have positive degree")
+        if mod[-1] != 1:
+            raise ValueError("modulus must be monic")
+        if mod[0] == 0:
+            raise ValueError("modulus must not vanish at 0")
+        self.modulus = mod
+        self.degree = polys.deg(mod)
+        # z * (d_n z^{n-1} + ... + d_1) = -d_0, so 1/z is a polynomial in z
+        self._z_inv = polys.trim([-c / mod[0] for c in mod[1:]])
+        rev = polys.monic(list(reversed(mod)))
+        self.self_conjugate = rev == mod
+
+    # -- element constructors --
+
+    def elem(self, coeffs) -> "ResidueElem":
+        dense = polys.mod([Fraction(c) for c in coeffs], self.modulus)
+        return ResidueElem(self, tuple(dense))
+
+    def zero(self) -> "ResidueElem":
+        return ResidueElem(self, ())
+
+    def one(self) -> "ResidueElem":
+        return self.elem([1])
+
+    def gen(self) -> "ResidueElem":
+        return self.elem([0, 1])
+
+    def from_laurent(self, p) -> "ResidueElem":
+        """Image of a Laurent polynomial under z -> generator."""
+        out = self.zero()
+        zinv = ResidueElem(self, tuple(self._z_inv))
+        for d, c in p.coeffs.items():
+            power = self.gen() ** d if d >= 0 else zinv ** (-d)
+            out = out + power * c
+        return out
+
+    # -- involution --
+
+    @cached_property
+    def _z_inv_top(self) -> "ResidueElem":
+        """z^-(n-1) for n = deg(d), so that bar(e) = rev_n(e) * z^-(n-1):
+        n - 1 steps of e / z = e_0 z^-1 + (e - e_0) / z, with no reduction."""
+        e = [Fraction(1)]
+        for _ in range(self.degree - 1):
+            e = qpolys.add(e[1:], qpolys.scal(e[0], self._z_inv))
+        return ResidueElem(self, tuple(e))
+
+    def bar_elem(self, e: "ResidueElem") -> "ResidueElem":
+        if not self.self_conjugate:
+            raise ValueError("involution requires a self-conjugate modulus")
+        pad = (Fraction(0),) * (self.degree - len(e.coeffs))
+        rev = polys.trim(pad + e.coeffs[::-1])
+        return self._z_inv_top * ResidueElem(self, tuple(rev))
+
+
+class ResidueElem:
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: ResidueField, coeffs: tuple):
+        self.field = field
+        self.coeffs = coeffs
+
+    def _coerce(self, other):
+        if isinstance(other, ResidueElem):
+            if other.field is not self.field and other.field.modulus != self.field.modulus:
+                raise ValueError("mixed residue fields")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.field.elem([other])
+        return NotImplemented
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self.field.elem(qpolys.add(list(self.coeffs), list(o.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ResidueElem(self.field, tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self.field.elem(qpolys.mul(list(self.coeffs), list(o.coeffs)))
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "ResidueElem":
+        if not self.coeffs:
+            raise ZeroDivisionError("zero has no inverse")
+        g, s, _ = ext_gcd(list(self.coeffs), self.field.modulus)
+        if polys.deg(g) != 0:
+            raise ValueError("modulus is not irreducible")
+        return self.field.elem(qpolys.scal(1 / g[0], s))
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = self.field.one()
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def bar(self) -> "ResidueElem":
+        return self.field.bar_elem(self)
+
+    def one(self) -> "ResidueElem":
+        return self.field.one()
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash((tuple(self.field.modulus), self.coeffs))
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "Res(0)"
+        terms = " + ".join(
+            f"{c}*z^{i}" if i else f"{c}" for i, c in enumerate(self.coeffs) if c
+        )
+        return f"Res({terms})"
+
+
+def as_oracle(e: wittkit_residue.ResidueElem) -> ResidueElem:
+    """The oracle's element with the value of a `wittkit.exact.residue`
+    element, over the monic modulus."""
+    return _oracle_field(tuple(e.field.modulus)).elem(
+        [Fraction(c, e.den) for c in e.num])
+
+
+def as_oracle_matrix(m):
+    return m.map(as_oracle)
+
+
+@lru_cache(maxsize=None)
+def _oracle_field(modulus: tuple) -> ResidueField:
+    return ResidueField(polys.monic([Fraction(c) for c in modulus]))
 
 
 def descartes_positive_roots(coeffs) -> int:
@@ -53,7 +265,7 @@ def _chebyshev_q(j: int) -> tuple:
     if j == 0:
         return tuple(a)
     for _ in range(j - 1):
-        a, b = b, polys.sub(polys.mul([Fraction(0), Fraction(1)], b), a)
+        a, b = b, qpolys.sub(qpolys.mul([Fraction(0), Fraction(1)], b), a)
     return tuple(b)
 
 
@@ -63,12 +275,12 @@ def chebyshev_s(j: int):
     if j == 0:
         return []
     if j < 0:
-        return polys.neg(chebyshev_s(-j))
+        return qpolys.neg(chebyshev_s(-j))
     a, b = [Fraction(1)], [Fraction(0), Fraction(1)]
     if j == 1:
         return a
     for _ in range(j - 2):
-        a, b = b, polys.sub(polys.mul([Fraction(0), Fraction(1)], b), a)
+        a, b = b, qpolys.sub(qpolys.mul([Fraction(0), Fraction(1)], b), a)
     return b
 
 
@@ -84,7 +296,7 @@ def palindromic_to_y(p):
         raise ValueError("polynomial is not palindromic")
     out = [p[m]]
     for j in range(1, m + 1):
-        out = polys.add(out, polys.scal(p[m + j], chebyshev_q(j)))
+        out = qpolys.add(out, qpolys.scal(p[m + j], chebyshev_q(j)))
     return polys.trim(out)
 
 
@@ -97,10 +309,10 @@ def phase_sign(u, shift: int, root, epsilon: int) -> int:
             continue
         k = j - shift
         if epsilon == 1:
-            term = polys.scal(Fraction(c, 2), chebyshev_q(abs(k)))
+            term = qpolys.scal(Fraction(c, 2), chebyshev_q(abs(k)))
         else:
-            term = polys.scal(Fraction(c), chebyshev_s(k))
-        acc = polys.add(acc, term)
+            term = qpolys.scal(Fraction(c), chebyshev_s(k))
+        acc = qpolys.add(acc, term)
     s = root.sign_of(acc)
     if s == 0:
         raise ArithmeticError("normalizing unit vanished at a root")
@@ -158,6 +370,9 @@ def express_in_y(field, e) -> list:
 def charpoly_in_y(h) -> list:
     """The characteristic polynomial of a hermitian matrix over a
     self-conjugate residue field, each coefficient written in y."""
+    # snf_oracle reaches this module through covering_oracle
+    from snf_oracle import _faddeev_leverrier
+
     if h.nrows == 0:
         return [[Fraction(1)]]
     return [express_in_y(h[0, 0].field, c) for c in _faddeev_leverrier(h)[0]]
@@ -220,3 +435,97 @@ def pivot_signatures_at_root(h, roots) -> list[int]:
     pivots = [polys.cos_poly(piv.coeffs) for piv in congruence_pivots(
         [list(row) for row in h.rows], lambda x: x.bar())]
     return [sum(root.sign_of(g) for g in pivots) for root in roots]
+
+
+# ---- the multisignature on the Fraction field ----
+
+def _monic_dense(p: LaurentPoly) -> list:
+    return polys.monic(p.ordinary()[0])
+
+
+def _fraction_split(form, dense_p: list) -> dict:
+    """Divisor index -> (valuation, d_i / p^l) by division over Q, for the
+    divisors p divides."""
+    out = {}
+    for i, d in enumerate(form.module.divisors):
+        q, level = _monic_dense(d), 0
+        while len(q) >= len(dense_p) and not (
+                qr := polys.divmod_poly(q, dense_p))[1]:
+            q, level = qr[0], level + 1
+        if level:
+            out[i] = level, LaurentPoly.from_dense(q)
+    return out
+
+
+def fraction_auxiliary(form, p, l: int) -> tuple:
+    """(gram, unit, symmetry) of the level-l form at the self-conjugate
+    factor p as wittkit built it on the `Fraction` field: valuations and
+    cofactors d_i / p^l by division over Q, each entry the Laurent product
+    num_ij cof_i u^l z^(-D_j) read by `from_laurent`, and the gram
+    normalized by the first nonzero Hilbert-90 probe c0 + v bar(c0)."""
+    dense_p = _monic_dense(p)
+    unit = is_self_conjugate(LaurentPoly.from_dense(dense_p))
+    field = ResidueField(dense_p)
+    cof = {i: c for i, (level, c) in _fraction_split(form, dense_p).items()
+           if level == l}
+    gram = Matrix([[field.from_laurent(
+        form.num[i, j] * cof[i] * unit**l
+        * LaurentPoly.monomial(1, -form.module.divisors[j].max_deg()))
+        for j in cof] for i in cof])
+    v = field.from_laurent(unit**l) * form.epsilon
+    if field.degree == 1:
+        return gram, None, 1 if v == field.one() else -1
+    gen = field.gen()
+    probes = [field.one(), gen, field.one() + gen] + [
+        gen ** k for k in range(2, field.degree + 1)]
+    u = next(u for u in (c0 + v * c0.bar() for c0 in probes)
+             if not u.is_zero())
+    return gram.map(lambda x: u.bar() * x), u, 1
+
+
+def fraction_pivot_signs(gram, roots) -> list:
+    """Per root, the signs of the leading minors of the hermitian gram:
+    running products of the signs of its `congruence_pivots`."""
+    pivots = [polys.cos_poly(piv.coeffs) for piv in congruence_pivots(
+        [list(row) for row in gram.rows], lambda x: x.bar())]
+    out = []
+    for root in roots:
+        signs, s = [], 1
+        for g in pivots:
+            s *= root.sign_of(g)
+            signs.append(s)
+        out.append(signs)
+    return out
+
+
+def fraction_multisignature(form, precision=DEFAULT_PRECISION) -> tuple:
+    """(signatures, rank_only) of `dw_multisignature_laurent` from
+    `fraction_auxiliary`, the field-pivot signatures and the Chebyshev
+    `phase_sign`; SingularForm where a level form is singular."""
+    sigs, ranks = {}, {}
+    for p, _ in form.module.factors:
+        if is_self_conjugate(p) is None:
+            continue
+        roots = unit_circle_roots(p, precision)
+        if not roots:
+            continue
+        dense_p = _monic_dense(p)
+        key, deg = tuple(dense_p), len(dense_p) - 1
+        levels = {level for level, _ in _fraction_split(form, dense_p).values()}
+        for l in sorted(levels):
+            gram, u, symmetry = fraction_auxiliary(form, p, l)
+            if symmetry != 1:
+                if not gram.map(lambda x: sum(x.coeffs, Fraction(0))).det():
+                    raise SingularForm("skew level form is singular")
+                ranks[(key, l)] = gram.nrows
+                continue
+            per_root = pivot_signatures_at_root(gram, roots)
+            for ridx, (root, sig) in enumerate(zip(roots, per_root)):
+                if deg == 1:
+                    sigs[(key, 0, l)] = SIGMA_SIGN * sig
+                    continue
+                flip = phase_sign(u, deg // 2 * l, root, form.epsilon)
+                orient = root.sign_of(polys.derivative(root.y_poly)) \
+                    if l % 2 else 1
+                sigs[(key, ridx, l)] = SIGMA_SIGN * flip * orient * 2 * sig
+    return sigs, ranks

@@ -19,10 +19,11 @@ from wittkit.exact.polys import (
     eval_at,
     mod,
     monic,
-    neg,
     sturm_count,
     trim,
 )
+
+from qpolys import neg
 
 
 def gcd(p: Sequence, q: Sequence) -> Poly:

@@ -18,11 +18,12 @@ from wittkit.errors import NotPTorsion, NotTorsion
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _dot
-from wittkit.laurent_forms import LaurentModule, _as_laurent, _monic_ordinary
+from wittkit.laurent_forms import LaurentModule, _as_laurent
 
 from elimination_oracle import _one_like
 from covering_oracle import (
-    QZ, covering_pencil, form_from_qz, frac_class, validate_over_qz)
+    QZ, covering_pencil, form_from_qz, frac_class, monic_ordinary,
+    validate_over_qz)
 
 
 class _IntOps:
@@ -306,7 +307,7 @@ def snf_decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule
     res = smith_normal_form(m, ring="Q[z,z^-1]")
     if any(d.is_zero() for d in res.divisors):
         raise NotTorsion("presentation is singular over the fraction field")
-    divisors = [_monic_ordinary(d) for d in res.divisors if not d.is_unit()]
+    divisors = [monic_ordinary(d) for d in res.divisors if not d.is_unit()]
     if torsion_mode == "P":
         for d in divisors:
             if d(1) == 0:
@@ -318,7 +319,7 @@ def _snf_covering(pres, mode, num, den, epsilon):
     res = smith_normal_form(pres, ring="Q[z,z^-1]")
     kept = [i for i, d in enumerate(res.divisors) if not d.is_unit()]
     module = LaurentModule(
-        [_monic_ordinary(res.divisors[i]) for i in kept], None, mode)
+        [monic_ordinary(res.divisors[i]) for i in kept], None, mode)
     # the generators g_i are the kept columns of U^-1
     g = Matrix([[row[i] for i in kept] for row in res.U_inv.rows])
     changed = g.transpose() * num * g.bar()

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from wittkit.errors import SingularMatrix
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix, _dot, _gauss_jordan
+from wittkit.exact.matrix import Matrix, _dot, _gauss_jordan, _imul
 from wittkit.exact.residue import ResidueField
 
 from covering_oracle import QZ
@@ -331,7 +331,8 @@ def test_fraction_product_with_an_empty_side():
              (three_by_two, two_by_zero, Matrix([[], [], []]))]
     for a, b, want in cases:
         assert a * b == product_oracle(a, b) == want
-    assert _apply([], []) == []
+    assert _imul([], []) == []
+    assert _imul([[], []], []) == [[], []]
 
 
 def test_other_entry_types_take_the_dot_route():
@@ -340,8 +341,12 @@ def test_other_entry_types_take_the_dot_route():
     prod = ints_a * ints_b
     assert prod == dot_route(ints_a, ints_b) == Matrix([[10, -1], [20, -3]])
     assert all(t is int for row in entry_types(prod) for t in row)
-    assert _apply(ints_a.rows, [1, 1]) == [3, 7]
-    assert all(type(x) is int for x in _apply(ints_a.rows, [1, 1]))
+    column = ints_a * Matrix([[1], [1]])
+    assert column == Matrix([[3], [7]])
+    assert all(t is int for row in entry_types(column) for t in row)
+    assert _imul(ints_a.rows, [[1], [1]]) == [[3], [7]]
+    assert all(type(x) is int for row in _imul(ints_a.rows, [[1], [1]])
+               for x in row)
     mixed_a = Matrix([[1, F(1, 2)], [F(-2, 3), 0]])
     mixed_b = Matrix([[2, 0], [F(3, 5), 1]])
     for a, b in ((mixed_a, mixed_b), (mixed_a, ints_b), (ints_a, mixed_b)):

@@ -20,7 +20,7 @@ from wittkit.exact import polys
 from wittkit.exact import roots as roots_module
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
-from wittkit.exact.residue import ResidueElem, ResidueField
+from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
     hermitian_signature_at_root,
     signature_of_symmetric,
@@ -89,8 +89,9 @@ def outcome(signature, *args):
 
 
 def horner_bar(field, e):
-    """The involution by Horner's rule in 1/z, as `bar_elem` once did."""
-    zinv = ResidueElem(field, tuple(field._z_inv))
+    """The involution by Horner's rule in 1/z, as `bar_elem` once did, on
+    the oracle's `Fraction` field."""
+    zinv = oracle.ResidueElem(field, tuple(field._z_inv))
     out = field.zero()
     for c in reversed(e.coeffs):
         out = out * zinv + c
@@ -107,12 +108,14 @@ def test_hermitian_signature_matches_charpoly_route():
         for trial in range(20):  # every (size, kind) pair once
             n = trial % 5
             h = rand_hermitian(rng, field, n, kinds[trial % 4])
-            in_y = oracle.charpoly_in_y(h)
+            old = oracle.as_oracle_matrix(h)
+            in_y = oracle.charpoly_in_y(old)
             want = outcome(lambda: [oracle.descartes_signature_at_root(
                 in_y, root) for root in roots])
             assert outcome(hermitian_signature_at_root, h, roots) == want, (
                 field.modulus, h)
-            assert outcome(oracle.pivot_signatures_at_root, h, roots) == want
+            assert outcome(oracle.pivot_signatures_at_root, old,
+                           roots) == want
             tally["singular" if want == "singular" else "signature"] += len(
                 roots)
     assert tally["singular"] > 30 and tally["signature"] > 120
@@ -127,7 +130,8 @@ def test_purely_imaginary_off_diagonal():
     roots = unit_circle_roots(LaurentPoly.from_dense(field.modulus))
     assert hermitian_signature_at_root(h, roots) == [0, 0]
     for root in roots:
-        assert oracle.charpoly_signature_at_root(h, root) == 0
+        assert oracle.charpoly_signature_at_root(
+            oracle.as_oracle_matrix(h), root) == 0
     zero = Matrix([[field.zero()] * 2] * 2)
     with pytest.raises(SingularForm):
         hermitian_signature_at_root(zero, roots)
@@ -153,7 +157,8 @@ def test_bar_matches_horner():
         assert field.self_conjugate
         for _ in range(8):
             e = rand_elem(rng, field)
-            assert e.bar() == horner_bar(field, e)
+            old = oracle.as_oracle(e)
+            assert oracle.as_oracle(e.bar()) == horner_bar(old.field, old)
             assert e.bar().bar() == e
         assert field.zero().bar() == field.zero()
     with pytest.raises(ValueError):
@@ -201,9 +206,11 @@ def test_phase_sign_matches_chebyshev_sum():
             shift = rng.randint(-6, 6)
             for root in roots:
                 for epsilon in (1, -1):
-                    args = (u, shift, root, epsilon)
-                    assert sign_or_zero(laurent_forms._phase_sign, *args) == \
-                        sign_or_zero(oracle.phase_sign, *args), (u, args)
+                    want = sign_or_zero(oracle.phase_sign, oracle.as_oracle(u),
+                                        shift, root, epsilon)
+                    got = sign_or_zero(lambda: laurent_forms._phase_signs(
+                        u, shift, [root], epsilon)[0])
+                    assert got == want, (u, shift, root, epsilon)
                     checked += 1
     assert checked > 200
 
@@ -228,11 +235,16 @@ def test_multisignature_matches_old_helpers(monkeypatch):
     new = [dw_multisignature_laurent(f) for f in forms]
 
     def charpoly_signatures(h, roots):
-        return [oracle.charpoly_signature_at_root(h, root) for root in roots]
+        return [oracle.charpoly_signature_at_root(oracle.as_oracle_matrix(h),
+                                                  root) for root in roots]
+
+    def chebyshev_signs(u, shift, roots, epsilon):
+        return [oracle.phase_sign(oracle.as_oracle(u), shift, root, epsilon)
+                for root in roots]
 
     monkeypatch.setattr(laurent_forms, "hermitian_signature_at_root",
                         charpoly_signatures)
-    monkeypatch.setattr(laurent_forms, "_phase_sign", oracle.phase_sign)
+    monkeypatch.setattr(laurent_forms, "_phase_signs", chebyshev_signs)
     old = [dw_multisignature_laurent(f) for f in forms]
     assert new == old
     assert sum(len(ms.signatures) for ms in new) >= 12
