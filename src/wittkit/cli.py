@@ -136,10 +136,13 @@ def _config_from_args(args) -> CliConfig:
 def _load_doc(config: CliConfig):
     if config.input is None:
         raise ValueError("no --input given")
-    if config.input == "-":
-        return json.load(sys.stdin)
-    with open(config.input) as fh:
-        return json.load(fh)
+    try:  # json.load recurses once per level of nesting
+        if config.input == "-":
+            return json.load(sys.stdin)
+        with open(config.input) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("the document nests too deeply") from None
 
 
 def _emit(config: CliConfig, text: str) -> None:

@@ -5,10 +5,11 @@ Products and sums take any ring entries: Fraction (Z and Q), LaurentPoly
 takes integer dot products (`_products`).  Elimination is over Q only:
 `rank`, `inverse` and `det` run in one fraction-free kernel,
 `_gauss_jordan`, `charpoly` in division-free `_berkowitz` on integers, and
-all four raise TypeError on other entries.  The covering path
-(`seifert`, `laurent_forms`) carries a rational vector or matrix as its
-reduced pair (N, d), integers over d > 0 with gcd(d, *N) = 1, one pair
-per value, and hands N to `_gauss_jordan`, `_solve` and `_imul`.
+all four raise TypeError on other entries.  A Seifert form holds psi
+as given and theta and e only as reduced pairs (N, d), integers over
+d > 0 with gcd(d, *N) = 1, one pair per value; the covering path
+(`seifert`, `laurent_forms`) carries every rational vector or matrix that
+way, and hands N to `_gauss_jordan`, `_solve` and `_imul`.
 """
 
 from __future__ import annotations

@@ -127,7 +127,7 @@ def _det_one_minus(k: KnotInput) -> LaurentPoly:
     to a constant, as det(I - (1 + eps z) e) by integer Horner on det(tI - e)
     (e = theta^-1 psi is integral: theta is unimodular)."""
     det = []
-    for c in k.seifert_form.e.charpoly():
+    for c in Matrix(k.seifert_form.e_pair[0]).charpoly():  # d = 1 in Z mode
         check(c.denominator == 1, "charpoly of e is not integral")
         det = [a + k.epsilon * b for a, b in zip(det + [0], [0] + det)]
         det[0] += c.numerator
@@ -364,7 +364,8 @@ def rochlin_invariant(k: KnotInput) -> int:
     by 8 for the input to be realizable."""
     if k.epsilon != 1:
         raise NotSymmetricCase("the residue invariant needs epsilon = +1")
-    sig = signature_of_symmetric(k.seifert_form.theta) if k.rank else 0
+    t = Matrix(k.seifert_form.theta_pair[0])  # theta = T, d = 1 in Z mode
+    sig = signature_of_symmetric(t) if k.rank else 0
     if sig % 8 != 0:
         raise SignatureNotDivisibleBy8(
             f"signature {sig} of the symmetrization is not divisible by 8")
@@ -373,17 +374,8 @@ def rochlin_invariant(k: KnotInput) -> int:
 
 def _mirror_halves(psi: Matrix) -> Matrix | None:
     """Top-left block A when psi is exactly blockdiag(A, -A)."""
-    n = psi.nrows
-    if n == 0 or n % 2:
-        return None
-    h = n // 2
-    for i in range(h):
-        for j in range(h):
-            if psi[i, h + j] != 0 or psi[h + i, j] != 0:
-                return None
-            if psi[h + i, h + j] != -psi[i, j]:
-                return None
-    return Matrix([[psi[i, j] for j in range(h)] for i in range(h)])
+    h = Matrix([r[:psi.nrows // 2] for r in psi.rows[:psi.nrows // 2]])
+    return h if psi == Matrix.block_diag([h, -h]) else None
 
 
 def analyze(k: KnotInput,
@@ -408,9 +400,9 @@ def analyze(k: KnotInput,
     witnesses = None
     half = _mirror_halves(k.psi)
     if half is not None and half.nrows:
-        base = SeifertForm(half.rows, k.epsilon, "Z")
-        fsum = base.direct_sum(base.negate())
-        diag, twist = hyperbolic_witness_sum(base)
+        # psi is exactly A (+) -A, so the sum is the knot's own form
+        fsum = k.seifert_form
+        diag, twist = hyperbolic_witness_sum(SeifertForm(half, k.epsilon))
         if (verify_seifert_lagrangian(fsum, diag) == "split_lagrangian"
                 and verify_seifert_lagrangian(fsum, twist)
                 == "split_lagrangian"

@@ -8,7 +8,8 @@ the symmetry sign.  Both modules are Q-spaces with z acting as an
 automorphism h: Q^n for (K, theta, h), Trotter's nonsingular part of e with
 h = 1 - e^-1 for a Seifert form.  A rational canonical decomposition of h
 over Q gives the generators, and the module records its Q-basis h^a g_i,
-which `canonical_identification` returns.
+which `canonical_identification` returns.  A Seifert form holds psi as
+given, and theta and e only as the reduced integer pairs its readers take.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from wittkit.errors import (
 from wittkit.exact import matrix, polys
 from wittkit.exact.factor import _zmul
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix, _imul, _integral_rows
+from wittkit.exact.matrix import Matrix, _imul, _integral_rows, _shift
 from wittkit.exact.ratfunc import series_expand
 from wittkit.finite import _integral_solver
 from wittkit.laurent_forms import (
@@ -50,11 +51,12 @@ def _is_isometry(theta: tuple, h: tuple) -> bool:
 
 class SeifertForm:
     """(K, psi) with theta = psi + eps psi^T invertible; e = theta^{-1} psi
-    satisfies psi = theta e exactly.  With psi = P / d and theta = T / d,
-    T = P + eps P^T, `_solve` gives T^-1 = X / delta in lowest terms, and e
-    = T^-1 P is the integer pair `e_pair` = (X P, delta).  In Z mode theta
-    must be unimodular, which keeps e integral: d = 1, and as det T
-    det T^-1 = 1, T is unimodular exactly when delta = 1."""
+    satisfies psi = theta e exactly.  psi is kept as given, theta and e
+    only as reduced integer pairs: with psi = P / d and T = P + eps P^T,
+    `theta_pair` is T / d, and `_solve` gives T^-1 = X / delta, so
+    `e_pair` is e = T^-1 P = X P / delta.  In Z mode theta must be
+    unimodular, which keeps e integral: d = 1, and as det T det T^-1 = 1,
+    T is unimodular exactly when delta = 1."""
 
     def __init__(self, psi, epsilon: int, coefficients: str = "Z"):
         if epsilon not in (1, -1):
@@ -68,7 +70,6 @@ class SeifertForm:
         if coefficients == "Z" and d != 1:
             raise ValueError("Z-coefficient form with non-integral entries")
         self.psi, self.epsilon, self.coefficients = psi, epsilon, coefficients
-        self.theta = psi + psi.transpose().map(lambda x: x * epsilon)
         t = [[a + epsilon * b for a, b in zip(*rc)] for rc in zip(p, zip(*p))]
         try:
             x, delta = matrix._solve(t, Matrix.identity(len(t), 1).rows)
@@ -77,8 +78,8 @@ class SeifertForm:
         if coefficients == "Z" and delta != 1:
             raise SingularSeifertForm(
                 "psi + eps psi^T is not unimodular over Z")
-        self.e_pair = _imul(x, p), delta
-        self.e = Matrix(self.e_pair[0]).scale(Fraction(1, delta))
+        self.theta_pair = matrix._reduced_rows(t, d)
+        self.e_pair = matrix._reduced_rows(_imul(x, p), delta)
 
     @property
     def rank(self) -> int:
@@ -222,7 +223,7 @@ def _covering_form(mode: str, theta: tuple, h: tuple, epsilon: int,
     s = [-1]
     if mode == "P":
         s = [1, -1]
-        t, d_t = _imul(t, matrix._shift(h[0], h[1])), d_t * h[1]
+        t, d_t = _imul(t, _shift(h[0], h[1])), d_t * h[1]
     cols = [x for xs, _ in blocks for x in xs]
     starts = [0]
     for _, m in blocks[:-1]:
@@ -248,7 +249,7 @@ def covering_seifert(f: SeifertForm) -> LaurentLinkingForm:
     b, h, e_r = _pencil_reduction(f.e_pair)
     if not h[0]:
         return LaurentLinkingForm(LaurentModule([], None, "P"), [], -f.epsilon)
-    t, d_t = _integral_rows(f.theta.rows)
+    t, d_t = f.theta_pair
     if b is not None:  # theta|R = b^T theta b
         t, d_t = _imul(list(zip(*b[0])), _imul(t, b[0])), d_t * b[1] ** 2
     return _covering_form("P", matrix._reduced_rows(t, d_t), h, -f.epsilon,
@@ -261,8 +262,8 @@ def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
     (-eps)-symmetric."""
     if f.rank == 0:
         return LaurentLinkingForm(LaurentModule([], None, "Q"), [], -f.epsilon)
-    return _covering_form("Q", _integral_rows(f.theta.rows),
-                          _integral_rows(f.h.rows), -f.epsilon)
+    return _covering_form(
+        "Q", *(_integral_rows(m.rows) for m in (f.theta, f.h)), -f.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +345,18 @@ def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
     if basis.nrows != n:
         raise ValueError("basis does not live in the form's space")
     integral = f.coefficients == "Z"
-    if integral and _integral_rows(basis.rows)[1] != 1:
+    big_b, d_b = _integral_rows(basis.rows)
+    if integral and d_b != 1:
         raise ValueError("Z-coefficient submodule with non-integral basis")
-    img = f.e * basis
-    # e is integral in Z mode, and the Smith-form test also decides Q-span
-    # membership (coordinates with divisor 0 must vanish)
+    # e B = E B / (d_e d_b) spans what E B does, and d_e = d_b = 1 in Z
+    # mode, where the Smith-form test also decides Q-span membership
+    # (coordinates with divisor 0 must vanish)
+    img = _imul(f.e_pair[0], big_b)
     if integral:
         member, divisors = _integral_solver(basis)
-        invariant = all(map(member, img.transpose().rows))
+        invariant = all(map(member, zip(*img)))
     else:
-        invariant = basis.hstack(img).rank() == basis.ncols
+        invariant = basis.hstack(Matrix(img)).rank() == basis.ncols
     if not invariant:
         raise NotEInvariant("e does not preserve the submodule")
     if basis.transpose() * f.psi * basis != Matrix.zeros(
@@ -377,7 +380,8 @@ def hyperbolic_witness_sum(f: SeifertForm):
         return SeifertSubmodule(Matrix([])), SeifertSubmodule(Matrix([]))
     ident = Matrix.identity(n)
     diag = ident.vstack(ident)
-    twist = (ident - f.e).vstack(f.e.map(lambda x: -x))
+    e, d = f.e_pair  # 1 - e over -e: the rows of d - E over -E, over d
+    twist = Matrix(_shift(e, d) + _shift(e, 0)).scale(Fraction(1, d))
     return SeifertSubmodule(diag), SeifertSubmodule(twist)
 
 

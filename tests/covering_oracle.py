@@ -58,7 +58,7 @@ from wittkit.laurent_forms import (
 )
 from wittkit.seifert import AutometricForm, SeifertForm, SeifertSubmodule
 
-from elimination_oracle import fitting_power, rref
+from elimination_oracle import fitting_power, fraction_matrix, rref
 from hermitian_oracle import ResidueField
 import qpolys
 
@@ -148,7 +148,8 @@ def covering_pencil(f) -> Matrix:
     """The presentation of f's covering module over Q[z, z^-1]: (1-e) + ez
     for a SeifertForm, z - h for an AutometricForm."""
     if isinstance(f, SeifertForm):
-        return f.e.map(lambda x: LaurentPoly({0: -x, 1: x})) + Matrix.identity(
+        return fraction_matrix(f.e_pair).map(
+            lambda x: LaurentPoly({0: -x, 1: x})) + Matrix.identity(
             f.rank, LaurentPoly.one())
     return f.h.map(lambda x: LaurentPoly.const(-x)) + Matrix.identity(
         f.rank, LaurentPoly.z())
@@ -158,8 +159,9 @@ def restricted_e(f: SeifertForm, b: Matrix) -> Matrix:
     """e|R in the coordinates of `_pencil_reduction`'s basis b of R: b is 1
     at its own pivot of the Fitting power's rref and 0 at the others, so
     e|R is those rows of e b."""
-    sel = rref(fitting_power(f.e).transpose())[1]
-    eb = (f.e * b).rows
+    e = fraction_matrix(f.e_pair)
+    sel = rref(fitting_power(e).transpose())[1]
+    eb = (e * b).rows
     return Matrix([eb[s] for s in sel])
 
 
@@ -373,7 +375,7 @@ def covering_submodule_image(f: SeifertForm, cov: LaurentLinkingForm,
         return Matrix([])
     p, vecs = module.basis_change, sub.basis
     if module.torsion_mode == "P":
-        kill = fitting_power(f.e)
+        kill = fitting_power(fraction_matrix(f.e_pair))
         p, vecs = kill * p, kill * vecs
     # exact normal equations: p has full column rank, vecs lie in its span
     coords = ((p.transpose() * p).inverse() * p.transpose() * vecs).transpose()

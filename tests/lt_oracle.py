@@ -36,6 +36,7 @@ from wittkit.exact.roots import (
 from wittkit.knots import _det_one_minus, _signature_at_u, _u_in_y_gap
 
 import hermitian_oracle
+from elimination_oracle import fraction_matrix
 from snf_oracle import _faddeev_leverrier
 
 
@@ -141,7 +142,7 @@ def fl_det_one_minus(k) -> LaurentPoly:
     Faddeev-LeVerrier characteristic polynomial of e."""
     s = LaurentPoly.z() * k.epsilon + 1
     det = LaurentPoly.zero()
-    for c in _faddeev_leverrier(k.seifert_form.e)[0]:
+    for c in _faddeev_leverrier(fraction_matrix(k.seifert_form.e_pair))[0]:
         det = det * s + c
     return det
 

@@ -20,7 +20,7 @@ from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _dot
 from wittkit.laurent_forms import LaurentModule, _as_laurent
 
-from elimination_oracle import _one_like
+from elimination_oracle import _one_like, fraction_matrix
 from covering_oracle import (
     QZ, covering_pencil, form_from_qz, frac_class, monic_ordinary,
     validate_over_qz)
@@ -332,8 +332,10 @@ def _snf_covering(pres, mode, num, den, epsilon):
 
 def snf_covering_seifert(f):
     scale = LaurentPoly({-1: Fraction(1), 0: Fraction(-1)})
-    adj, det = pencil_adjugate(f.e, LaurentPoly.one(), -scale)
-    return _snf_covering(covering_pencil(f), "P", f.theta * adj * scale, det,
+    adj, det = pencil_adjugate(fraction_matrix(f.e_pair), LaurentPoly.one(),
+                               -scale)
+    theta = fraction_matrix(f.theta_pair)
+    return _snf_covering(covering_pencil(f), "P", theta * adj * scale, det,
                          -f.epsilon)
 
 

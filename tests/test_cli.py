@@ -322,6 +322,26 @@ def test_integer_fields_refuse_floats_and_booleans(command, doc,
     assert "input error" in err
 
 
+NESTED_DOC = "[" * 50000 + "]" * 50000
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+@pytest.mark.parametrize("command", ["analyze", "linking", "oracle"])
+def test_deeply_nested_document_exits_2(command, source, tmp_path,
+                                        monkeypatch, capsys):
+    # json.load recurses once per bracket, so this raises RecursionError
+    if source == "stdin":
+        code, _, err = run_cli([command, "--input", "-"], NESTED_DOC,
+                               monkeypatch, capsys)
+    else:
+        path = tmp_path / "nested.json"
+        path.write_text(NESTED_DOC)
+        code, _, err = run_cli([command, "--input", str(path)],
+                               capsys=capsys)
+    assert code == 2
+    assert "input error" in err and "nests too deeply" in err
+
+
 def test_integer_fields_accept_integral_strings():
     form = serialize.finite_form_from_json(
         {"prime": "3", "orders": ["4/2"], "gram": [["1/9"]], "epsilon": "1"})

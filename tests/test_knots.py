@@ -54,6 +54,7 @@ from lt_oracle import (
     turn_in_y_gap,
 )
 from covering_oracle import module_dimension_q
+from elimination_oracle import fraction_matrix
 from snf_oracle import pencil_adjugate
 from test_seifert import SCALE_3
 
@@ -221,7 +222,8 @@ def pencil_alexander(k):
     """det((1-e) + ez) through the determinant of the adjugate pencil,
     normalized as alexander_polynomial normalizes it."""
     one = LaurentPoly.one()
-    _, det = pencil_adjugate(k.seifert_form.e, one, one - LaurentPoly.z())
+    _, det = pencil_adjugate(fraction_matrix(k.seifert_form.e_pair), one,
+                             one - LaurentPoly.z())
     dense = det.ordinary()[0]
     if dense[-1] < 0:
         dense = [-c for c in dense]
@@ -1039,6 +1041,16 @@ class TestAnalyze:
         assert len(entries) == 1
         (_, _, level), value = entries[0]
         assert level == 1 and abs(value) == 2
+
+    def test_mirror_halves_needs_exactly_a_plus_minus_a(self):
+        a = Matrix.from_ints([[-1, 1], [0, -1]])
+        zero = Matrix.from_ints([[0]])
+        assert knots._mirror_halves(Matrix.block_diag([a, -a])) == a
+        off = Matrix.block_diag([a, -a])
+        off.rows[0][3] = Fraction(1)
+        for psi in (Matrix.block_diag([a, a]), off, zero,
+                    Matrix.block_diag([a, -a, zero])):
+            assert knots._mirror_halves(psi) is None
 
     def test_figure_eight_report(self):
         r = analyze(fig8())

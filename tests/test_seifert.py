@@ -36,7 +36,14 @@ from wittkit.laurent_forms import (
     dw_multisignature_laurent,
     level_multiplicities,
 )
-from wittkit.knots import KnotInput, alexander_polynomial
+from wittkit.catalog import catalog_knot
+from wittkit.knots import (
+    KnotInput,
+    alexander_polynomial,
+    analyze,
+    connected_sum,
+    knot_inverse,
+)
 from wittkit.seifert import (
     AutometricForm,
     SeifertForm,
@@ -217,9 +224,10 @@ class TestTraceChi:
 class TestSeifertForm:
     def test_trefoil_structure(self):
         f = SeifertForm(TREFOIL, -1, "Z")
-        assert f.theta == frac_matrix([[0, 1], [-1, 0]])
-        assert f.e == frac_matrix([[0, 1], [-1, 1]])
-        assert f.theta * f.e == f.psi
+        theta, e = fraction_matrix(f.theta_pair), fraction_matrix(f.e_pair)
+        assert theta == frac_matrix([[0, 1], [-1, 0]])
+        assert e == frac_matrix([[0, 1], [-1, 1]])
+        assert theta * e == f.psi
 
     def test_singular_theta_rejected(self):
         # psi symmetric and eps = -1 kills theta
@@ -310,8 +318,8 @@ class TestCoveringSeifert:
     def test_idempotent_e_gives_zero_module(self):
         # psi = [[0,1],[0,0]] with eps = -1 has e idempotent
         f = SeifertForm([[0, 1], [0, 0]], -1, "Z")
-        ident = Matrix.identity(2)
-        assert f.e * (ident - f.e) == Matrix.zeros(2, 2)
+        ident, e = Matrix.identity(2), fraction_matrix(f.e_pair)
+        assert e * (ident - e) == Matrix.zeros(2, 2)
         assert covering_seifert(f).module.is_zero
 
     def test_rank_zero(self):
@@ -335,8 +343,8 @@ class TestCoveringSeifert:
                 f = SeifertForm(psi, eps, "Q")
             except SingularSeifertForm:
                 continue
-            ident = Matrix.identity(n)
-            prod = f.e * (ident - f.e)
+            ident, e = Matrix.identity(n), fraction_matrix(f.e_pair)
+            prod = e * (ident - e)
             power = ident
             for _ in range(n):
                 power = power * prod
@@ -389,7 +397,9 @@ def _q_z_pairing(f, module, scale):
     generators g_i, the columns of the module's Q-basis that start its
     cyclic blocks."""
     b_bar_inv = qz_inverse(covering_pencil(f).bar().map(QZ.make))
-    raw = (f.theta.map(QZ.make) * b_bar_inv).map(lambda x: scale * x)
+    theta = fraction_matrix(f.theta_pair) if isinstance(f, SeifertForm) \
+        else f.theta
+    raw = (theta.map(QZ.make) * b_bar_inv).map(lambda x: scale * x)
     starts = [0]
     for d in module.divisors[:-1]:
         starts.append(starts[-1] + len(d.ordinary()[0]) - 1)
@@ -1007,7 +1017,8 @@ class TestCertificateMutations:
 
     def test_seifert_theta_not_symmetric(self):
         f = SeifertForm(TREFOIL, -1, "Z")
-        f.theta = f.theta + frac_matrix([[1, 0], [0, 0]])
+        f.theta_pair = integer_pair(fraction_matrix(f.theta_pair)
+                                    + frac_matrix([[1, 0], [0, 0]]))
         with pytest.raises(InvariantViolated, match="symmetric"):
             covering_seifert(f)
 
@@ -1091,9 +1102,9 @@ class TestReductionIdentities:
             h, e_r = fraction_matrix(h), fraction_matrix(e_r)
             b = Matrix.identity(f.rank) if b is None else fraction_matrix(b)
             assert e_r == restricted_e(f, b)
-            theta = b.transpose() * f.theta * b
+            theta = b.transpose() * fraction_matrix(f.theta_pair) * b
             ident = Matrix.identity(h.nrows)
-            assert f.e * b == b * e_r
+            assert fraction_matrix(f.e_pair) * b == b * e_r
             assert e_r.transpose() * theta == theta * (ident - e_r)
             assert (ident - h) * e_r == ident
             assert h.transpose() * theta * h == theta
@@ -1156,8 +1167,10 @@ class TestReductionAgainstOracle:
     def test_ladder_forms(self):
         proper = 0
         for f in reduction_ladder_forms():
-            assert f.e == qz_inverse(f.theta) * f.psi
-            assert fraction_matrix(f.e_pair) == f.e and f.e_pair[1] > 0
+            theta = f.psi + f.psi.transpose().scale(f.epsilon)
+            e = qz_inverse(theta) * f.psi
+            assert f.theta_pair == integer_pair(theta)
+            assert f.e_pair == integer_pair(e) and f.e_pair[1] > 0
             dim = assert_reduction_matches_oracle(f.e_pair)
             proper += 0 < dim < f.rank
         assert proper >= 3
@@ -1170,8 +1183,10 @@ class TestReductionAgainstOracle:
             b, h, e_r = _pencil_reduction(f.e_pair)
             if not h[0]:
                 continue
-            theta = f.theta if b is None else \
-                fraction_matrix(b).transpose() * f.theta * fraction_matrix(b)
+            theta = fraction_matrix(f.theta_pair)
+            if b is not None:
+                theta = fraction_matrix(b).transpose() * theta * \
+                    fraction_matrix(b)
             for bad_h, bad_e_r in corruptions(h, e_r):
                 got = certificate_outcome(lambda: seifert._covering_form(
                     "P", integer_pair(theta), bad_h, -f.epsilon, b,
@@ -1187,7 +1202,9 @@ class TestReductionAgainstOracle:
     def test_seifert_form_against_inverse(self):
         # unimodularity read off theta^-1's integer pair against the
         # integrality of the Fraction theta^-1, and e against theta^-1 psi;
-        # the first psi has e = diag(1, 0) integral while det theta = 4
+        # the first psi has e = diag(1, 0) integral while det theta = 4;
+        # theta and e are kept as the reduced pairs of those values, also
+        # for the rational psi of the last cases
         rng = random.Random(27)
         outcomes = set()
         cases = [([[0, 0], [-2, 0]], -1, "Z"), ([[0, 0], [-2, 0]], -1, "Q")]
@@ -1196,6 +1213,11 @@ class TestReductionAgainstOracle:
             cases.append(([[rng.randint(-2, 2) for _ in range(n)]
                            for _ in range(n)], rng.choice([1, -1]),
                           rng.choice("ZQ")))
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            cases.append(([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in range(n)] for _ in range(n)],
+                          rng.choice([1, -1]), "Q"))
         for psi, eps, mode in cases:
             theta = frac_matrix(psi) + frac_matrix(psi).transpose().scale(eps)
             if qz_det(theta) == 0:
@@ -1206,10 +1228,15 @@ class TestReductionAgainstOracle:
                 want = inverse * frac_matrix(psi) if mode == "Q" or \
                     integral else "not unimodular"
             try:
-                got = SeifertForm(psi, eps, mode).e
+                f = SeifertForm(psi, eps, mode)
+                got = fraction_matrix(f.e_pair)
             except SingularSeifertForm as err:
                 got = "singular" if "singular" in str(err) else \
                     "not unimodular"
+            else:
+                assert fraction_matrix(f.theta_pair) == theta
+                assert f.theta_pair == integer_pair(theta)
+                assert f.e_pair == integer_pair(got)
             assert got == want
             outcomes.add(want if isinstance(want, str) else mode)
         assert outcomes == {"singular", "not unimodular", "Z", "Q"}
@@ -1272,7 +1299,7 @@ class TestReducedPairs:
         # order: b is a permutation P and e|R = P^T E P, both over 1
         f = SeifertForm(ladder_psi(random.Random(0), 4), -1, "Z")
         b, h, e_r = _pencil_reduction(f.e_pair)
-        big_e, d = _integral_rows(f.e.rows)
+        big_e, d = f.e_pair
         assert d == 1 and len(h[0]) == f.rank and b is not None
         (perm, d_b), unit_rows = b, Matrix.identity(f.rank, 1).rows
         assert d_b == 1 and sorted(perm) == sorted(unit_rows)
@@ -1415,6 +1442,33 @@ class TestSeifertLagrangians:
             assert verify_seifert_lagrangian(fsum, sub) == verdict
             assert len(calls) == 1
 
+    @pytest.mark.parametrize("genus", [None, 2],
+                             ids=["trefoil-inverse-sum", "genus-2-mirror"])
+    def test_analyze_builds_one_form_on_mirror_sum(self, genus, monkeypatch):
+        # psi = A (+) -A is the knot's own form, so analyze builds only A's;
+        # the witnesses stay the diagonal and the graph of ((1-e)x, -ex)
+        # for A's e, here from the Fraction oracle
+        if genus is None:
+            k = catalog_knot("trefoil-inverse-sum")
+        else:
+            a = KnotInput("a", ladder_psi(random.Random(genus), genus), -1)
+            k = connected_sum(a, knot_inverse(a))
+        n = k.rank // 2
+        half = Matrix([r[:n] for r in k.psi.rows[:n]])
+        e = qz_inverse(half + half.transpose().scale(k.epsilon)) * half
+        ident = Matrix.identity(n)
+        want = [ident.vstack(ident), (ident - e).vstack(-e)]
+        builds, init = [], SeifertForm.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SeifertForm, "__init__", counting)
+        report = analyze(k)
+        assert len(builds) == 1
+        assert [w.basis for w in report.witnesses] == want
+
     def test_rank_zero_witnesses(self):
         f = SeifertForm([], -1, "Z")
         diag, twist = hyperbolic_witness_sum(f)
@@ -1507,4 +1561,4 @@ class TestNearProjection:
     def test_not_near_projection(self):
         f = SeifertForm(TREFOIL, -1, "Z")
         with pytest.raises(NotNearProjection):
-            near_projection_decompose(2, f.e.rows)
+            near_projection_decompose(2, fraction_matrix(f.e_pair).rows)
