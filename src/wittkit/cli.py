@@ -295,16 +295,16 @@ def _linking_part(form: FiniteLinkingForm, config: CliConfig) -> dict:
 
 def cmd_linking(config: CliConfig) -> int:
     doc = _load_doc(config)
-    if "prime" in doc:
+    if isinstance(doc, dict) and "prime" in doc:
         forms = [serialize.finite_form_from_json(doc)]
-    elif "alpha" in doc:
-        alpha = [[serialize.parse_int(x) for x in row] for row in doc["alpha"]]
+    elif isinstance(doc, dict) and "alpha" in doc:
+        alpha = serialize._rows_from_json(doc["alpha"], serialize.parse_int)
         parts = boundary_of_form(alpha, serialize.parse_int(doc["epsilon"]))
         forms = [parts[p] for p in sorted(parts)]
     else:
         raise ValueError(
-            "a linking document needs 'prime' (finite form) or 'alpha' "
-            "(boundary of an integral form)")
+            "a linking document is an object with 'prime' (finite form) or "
+            "'alpha' (boundary of an integral form)")
     out = {"parts": [_linking_part(f, config) for f in forms]}
     if config.format == "json":
         _emit(config, serialize.dumps(out))

@@ -5,11 +5,12 @@ Products and sums take any ring entries: Fraction (Z and Q), LaurentPoly
 takes integer dot products (`_products`).  Elimination is over Q only:
 `rank`, `inverse` and `det` run in one fraction-free kernel,
 `_gauss_jordan`, `charpoly` in division-free `_berkowitz` on integers, and
-all four raise TypeError on other entries.  A Seifert form holds psi
-as given and theta and e only as reduced pairs (N, d), integers over
-d > 0 with gcd(d, *N) = 1, one pair per value; the covering path
-(`seifert`, `laurent_forms`) carries every rational vector or matrix that
-way, and hands N to `_gauss_jordan`, `_solve` and `_imul`.
+all four raise TypeError on other entries.  `_gauss_jordan` and `_solve`
+take integer rows only: rationals are scaled in `Matrix._rational`, per
+row, and in `laurent_forms.decompose_module`.  The covering path
+(`seifert`, `laurent_forms`) carries every rational vector or matrix as
+its reduced pair (N, d), integers over d > 0 with gcd(d, *N) = 1, one
+pair per value, and hands N to the kernel and to `_imul`.
 """
 
 from __future__ import annotations
@@ -140,40 +141,44 @@ class Matrix:
 
     # ---- elimination over Q ----
 
-    def _rational(self, what: str, square: bool = True) -> list:
-        """The rows, for `what`: ValueError unless square where it must be,
-        TypeError unless every entry is an int or a Fraction."""
+    def _rational(self, what: str, square: bool = True) -> tuple[list, list]:
+        """Integer rows N and scales d of the rows N_i / d_i, for `what`;
+        ValueError unless square where needed, TypeError unless rational."""
         if square and not self.is_square():
             raise ValueError(f"{what} of non-square matrix")
         if not all(type(x) in (int, Fraction) for r in self.rows for x in r):
             raise TypeError(f"{what} needs int or Fraction entries")
-        return self.rows
+        pairs = [_integral(r) for r in self.rows]
+        return [v for v, _ in pairs], [d for _, d in pairs]
 
     def det(self) -> Fraction:
-        """Determinant of a rational matrix, 1 when empty, from
-        `_gauss_jordan`: its minor is det of the row-scaled matrix with
-        columns in pivot order.  Other entries raise TypeError."""
-        _, pivots, minor = _gauss_jordan(self._rational("det"))
+        """Determinant of a rational matrix, 1 when empty: det N / prod d_i,
+        det N the minor of `_gauss_jordan` with columns in pivot order.
+        Other entries raise TypeError."""
+        nums, scales = self._rational("det")
+        _, pivots, minor = _gauss_jordan(nums)
         swaps = sum(a > b for i, a in enumerate(pivots)
                     for b in pivots[i + 1:])
-        scale = prod(lcm(*(x.denominator for x in r)) for r in self.rows)
-        n = self.nrows
-        return Fraction((-1) ** swaps * minor * (len(pivots) == n), scale)
+        minor *= len(pivots) == len(nums)
+        return Fraction((-1) ** swaps * minor, prod(scales))
 
     def rank(self) -> int:
-        return len(_gauss_jordan(self._rational("rank", False))[1])
+        return len(_gauss_jordan(self._rational("rank", False)[0])[1])
 
     def inverse(self) -> "Matrix":
-        x, minor = _solve(self._rational("inverse"),
-                          Matrix.identity(self.nrows).rows)
+        """(D^-1 N)^-1 = N^-1 D, D the diagonal of the row scales."""
+        nums, scales = self._rational("inverse")
+        x, minor = _solve(nums, [[d * (i == j) for j in range(len(nums))]
+                                 for i, d in enumerate(scales)])
         return Matrix([[Fraction(v, minor) for v in r] for r in x])
 
     def charpoly(self) -> list:
         """Coefficients [c_0, ..., c_n] of det(t*I - A) for a rational A, by
         `_berkowitz` on the integers d A, d the lcm of A's denominators:
         c_k(A) = c_k(d A) / d^(n-k).  Other entries raise TypeError."""
-        nums, d = _integral_rows(self._rational("charpoly"))
-        n = self.nrows
+        nums, scales = self._rational("charpoly")
+        d, n = lcm(*scales), self.nrows
+        nums = [[x * (d // s) for x in r] for r, s in zip(nums, scales)]
         return [Fraction(c, d ** (n - k))
                 for k, c in enumerate(_berkowitz(nums))]
 
@@ -233,18 +238,19 @@ def _combination(coeffs, vecs) -> tuple[list, int]:
 
 
 def _gauss_jordan(rows) -> tuple[list, list, int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of rational
-    rows, each scaled to integers: integer rows q_j in the order found,
-    their pivots p_j and the minor delta of those rows and columns, with
-    q_j / delta the reduced rows.  A new row r becomes delta r -
-    sum_j r[p_j] q_j, minors with one more row; its first nonzero entry is
-    the next minor delta', and q_j becomes (delta' q_j - q_j[p] r) / delta,
-    an exact division (Sylvester).  `roots._congruence_pivots` cannot be
-    this kernel: a symmetric congruence, it keeps only leading minors and
-    no reduced rows to read an rref or an inverse from."""
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of integer
+    rows only (`Matrix._rational` and `decompose_module` scale rationals):
+    integer rows q_j in the order found, their pivots p_j and the minor
+    delta of those rows and columns, with q_j / delta the reduced rows.  A
+    new row r becomes delta r - sum_j r[p_j] q_j, minors with one more row;
+    its first nonzero entry is the next minor delta', and q_j becomes
+    (delta' q_j - q_j[p] r) / delta, an exact division (Sylvester).
+    `roots._congruence_pivots` cannot be this kernel: a symmetric
+    congruence, it keeps only leading minors and no reduced rows to read
+    an rref or an inverse from."""
     out, pivots, minor = [], [], 1
     for r in rows:
-        r = [minor * x for x in _integral(r)[0]]
+        r = [minor * x for x in r]
         for p, q in zip(pivots, out):
             if f := r[p] // minor:
                 r = [x - f * y if y else x for x, y in zip(r, q)]
@@ -259,8 +265,9 @@ def _gauss_jordan(rows) -> tuple[list, list, int]:
 
 def _solve(a, b) -> tuple[list, int]:
     """a^-1 b for a square a as an integer pair (X, delta) in lowest terms,
-    delta > 0, from one `_gauss_jordan` of [a | b], whose minor is +-det a
-    for integer rows.  Raises SingularMatrix."""
+    delta > 0, from one `_gauss_jordan` of [a | b], whose minor is +-det a:
+    integer rows only, as rationals are scaled in `Matrix._rational` and
+    `decompose_module`.  Raises SingularMatrix."""
     n = len(a)
     out, pivots, minor = _gauss_jordan([r + s for r, s in zip(a, b)])
     if len(pivots) < n or any(p >= n for p in pivots):

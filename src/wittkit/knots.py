@@ -135,10 +135,10 @@ def _det_one_minus(k: KnotInput) -> LaurentPoly:
 
 
 def _module_order(module: LaurentModule) -> LaurentPoly:
-    """The divisors' product over |its value at 1|: det((1-e) + ez) up to
-    c z^k (Trotter's reduction), so integral with p(1) = +-1."""
+    """The divisors' product over |its coefficient sum|, its value at 1:
+    det((1-e) + ez) up to c z^k (Trotter's), so integral with p(1) = +-1."""
     order = module.total_divisor
-    alex = order * Fraction(1, abs(order(1)))
+    alex = order * Fraction(1, abs(sum(order.coeffs.values())))
     check(all(c.denominator == 1 for c in alex.coeffs.values()),
           "Alexander polynomial is not integral")
     return alex

@@ -279,12 +279,12 @@ def _pencil_reduction(e: tuple, c=1) -> tuple:
 
 def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
     """Elementary divisors of the module an n x n presentation A presents,
-    by linear algebra over Q.  Scaling each row by a z-power unit makes
-    A = A_0 + ... + A_d z^d; the block companion pencil z B - C, with
-    B = diag(1, ..., 1, A_d) and C shifting block j + 1 into block j above
-    a last block row (-A_0, ..., -A_{d-1}), presents the same module
-    (d = 0 counts as d = 1 with A_1 = 0, so B = 0).  det(z B - C) has
-    degree at most N = n d, so if none of c = 0, ..., N makes c B - C
+    by linear algebra over Q.  Scaling each row by a unit c z^k makes
+    A = A_0 + ... + A_d z^d with integer A_i; the block companion pencil
+    z B - C, B = diag(1, ..., 1, A_d) and C shifting block j + 1 into
+    block j above a last block row (-A_0, ..., -A_{d-1}), presents the same
+    module (d = 0 counts as d = 1 with A_1 = 0, so B = 0).  det(z B - C)
+    has degree at most N = n d, so if none of c = 0, ..., N makes c B - C
     invertible, A is singular.  Otherwise z B - C = (c B - C)((z - c) E + 1)
     with E = (c B - C)^-1 B, so the module is Q^m with z acting as the h of
     `_pencil_reduction`, and the invariant factors of h are the divisors.
@@ -302,17 +302,17 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
     low = [min((k for x in row for k in x.coeffs), default=0) for row in m.rows]
     d = max([1] + [k - lo for row, lo in zip(m.rows, low)
                    for x in row for k in x.coeffs])
-    coeffs = [Matrix([[x.coefficient(lo + k) for x in row]
-                      for row, lo in zip(m.rows, low)]) for k in range(d + 1)]
-    big_b = Matrix.block_diag([Matrix.identity(n)] * (d - 1) + [coeffs[d]])
-    # row i < n (d - 1) of C is the unit row e_(i + n)
-    big_c = Matrix(
-        [[Fraction(int(j == i + n)) for j in range(n * d)]
-         for i in range(n * (d - 1))]
-        + [[-x for a in coeffs[:d] for x in a.rows[r]] for r in range(n)])
+    scaled = [matrix._integral([x.coefficient(lo + k) for k in range(d + 1)
+                                for x in row])[0]
+              for row, lo in zip(m.rows, low)]
+    # row i < n (d - 1) of B is the unit row e_i, of C e_(i + n)
+    unit = Matrix.identity(n * d, 1).rows
+    big_b = unit[:n * (d - 1)] + [[0] * (n * d - n) + r[n * d:] for r in scaled]
+    big_c = unit[n:] + [[-x for x in r[:n * d]] for r in scaled]
     for c in range(n * d + 1):
         try:
-            e = matrix._solve((big_b.scale(c) - big_c).rows, big_b.rows)
+            e = matrix._solve([[c * x - y for x, y in zip(*r)]
+                               for r in zip(big_b, big_c)], big_b)
         except SingularMatrix:
             continue
         break

@@ -85,17 +85,6 @@ class SeifertForm:
     def rank(self) -> int:
         return self.psi.nrows
 
-    def direct_sum(self, other: "SeifertForm") -> "SeifertForm":
-        if self.epsilon != other.epsilon:
-            raise ValueError("direct sum needs matching symmetry")
-        coeff = "Z" if self.coefficients == other.coefficients == "Z" else "Q"
-        return SeifertForm(
-            Matrix.block_diag([self.psi, other.psi]), self.epsilon, coeff)
-
-    def negate(self) -> "SeifertForm":
-        return SeifertForm(self.psi.map(lambda x: -x), self.epsilon,
-                           self.coefficients)
-
 
 class AutometricForm:
     """(K, theta, h): theta an eps-symmetric invertible Q-form, h an
@@ -104,15 +93,15 @@ class AutometricForm:
     def __init__(self, theta, h, epsilon: int):
         if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
-        theta = Matrix.from_ints(theta)
-        h = Matrix.from_ints(h)
+        theta, h = Matrix.from_ints(theta), Matrix.from_ints(h)
         if not theta.is_square() or theta.shape != h.shape:
             raise ValueError("theta and h must be square of equal size")
-        if theta != theta.transpose().map(lambda x: x * epsilon):
+        t = _integral_rows(theta.rows)
+        if t[0] != [[epsilon * x for x in c] for c in zip(*t[0])]:
             raise ValueError("theta is not eps-symmetric")
-        if theta.rank() < theta.nrows:
+        if len(matrix._gauss_jordan(t[0])[1]) < theta.nrows:
             raise SingularAutometricForm("theta is singular")
-        if not _is_isometry(*map(_integral_rows, (theta.rows, h.rows))):
+        if not _is_isometry(t, _integral_rows(h.rows)):
             raise ValueError("h does not preserve theta")
         self.theta, self.h, self.epsilon = theta, h, epsilon
 
@@ -217,7 +206,8 @@ def _covering_form(mode: str, theta: tuple, h: tuple, epsilon: int,
     t, d_t = theta
     check(t == [[-epsilon * x for x in c] for c in zip(*t)],
           "covering theta is not symmetric")
-    check(Matrix(t).rank() == len(t), "covering theta is singular")
+    check(len(matrix._gauss_jordan(t)[1]) == len(t),
+          "covering theta is singular")
     check(_is_isometry(theta, h), "h is not an isometry of the covering theta")
     module, blocks = _covering_module(mode, h, embed, e_r)
     s = [-1]

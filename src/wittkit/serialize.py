@@ -133,6 +133,8 @@ def finite_form_to_json(form: FiniteLinkingForm) -> dict:
 
 
 def finite_form_from_json(obj) -> FiniteLinkingForm:
+    if not isinstance(obj["orders"], list):
+        raise ValueError("'orders' is an array of integers")
     return FiniteLinkingForm(
         parse_int(obj["prime"]),
         [parse_int(l) for l in obj["orders"]],

@@ -30,8 +30,9 @@ form's space.
   `Fraction` residue field of `hermitian_oracle`, and theta from the
   expansions of the canonical entries.
 - `module_dimension_q`, `laurent_direct_sum` and `laurent_negate` are what
-  only tests need of modules and linking forms over Q[z, z^-1], and
-  `autometric_direct_sum` what they need of autometric forms.
+  only tests need of modules and linking forms over Q[z, z^-1],
+  `autometric_direct_sum` what they need of autometric forms, and
+  `seifert_direct_sum` and `seifert_negate` of Seifert forms.
 - `pairing_entry_oracle` is a covering pairing entry canonicalized in two
   passes, `QZ.make` and then `frac_class`.
 """
@@ -347,6 +348,18 @@ def autometric_direct_sum(a: AutometricForm,
         raise ValueError("direct sum needs matching symmetry")
     return AutometricForm(Matrix.block_diag([a.theta, b.theta]),
                           Matrix.block_diag([a.h, b.h]), a.epsilon)
+
+
+def seifert_direct_sum(a: SeifertForm, b: SeifertForm) -> SeifertForm:
+    """a (+) b from psi blocks, over Z when both are."""
+    if a.epsilon != b.epsilon:
+        raise ValueError("direct sum needs matching symmetry")
+    coeff = "Z" if a.coefficients == b.coefficients == "Z" else "Q"
+    return SeifertForm(Matrix.block_diag([a.psi, b.psi]), a.epsilon, coeff)
+
+
+def seifert_negate(f: SeifertForm) -> SeifertForm:
+    return SeifertForm(-f.psi, f.epsilon, f.coefficients)
 
 
 def pairing_entry_oracle(c: list, m: list, s: list) -> QZ:

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from covering_oracle import seifert_direct_sum, seifert_negate
 from formbank import diagonal_form, enumerate_symmetric_forms, nonsquare_unit
 from test_seifert import random_autometric
 
@@ -98,7 +99,7 @@ def test_criterion_04_hyperbolic_witness_law():
             f = SeifertForm(psi, rng.choice([1, -1]), "Q")
         except Exception:
             continue
-        fsum = f.direct_sum(f.negate())
+        fsum = seifert_direct_sum(f, seifert_negate(f))
         diag, twist = hyperbolic_witness_sum(f)
         assert verify_seifert_lagrangian(fsum, diag) == "split_lagrangian"
         assert verify_seifert_lagrangian(fsum, twist) == "split_lagrangian"

@@ -322,6 +322,32 @@ def test_integer_fields_refuse_floats_and_booleans(command, doc,
     assert "input error" in err
 
 
+# a string where a matrix or a list belongs, read character by character
+# ("9" as [[9]], "12" as the orders [1, 2]), and documents that are not
+# objects; each of the first three exited 0 with a wrong answer
+BAD_SHAPE_DOCS = [
+    ("linking", '{"alpha": "9", "epsilon": 1}'),
+    ("linking", '{"prime": 3, "orders": "12", '
+                '"gram": [["1/3", "0"], ["0", "1/9"]], "epsilon": 1}'),
+    ("oracle", '{"prime": 3, "orders": "12", '
+               '"gram": [["1/3", "0"], ["0", "1/9"]], "epsilon": 1}'),
+    ("linking", '{"alpha": ["12"], "epsilon": 1}'),
+    ("linking", '["prime", "alpha"]'),
+    ("linking", '"alpha"'),
+    ("linking", '"prime"'),
+    ("linking", '7'),
+    ("linking", 'null'),
+]
+
+
+@pytest.mark.parametrize("command,doc", BAD_SHAPE_DOCS)
+def test_strings_and_non_objects_exit_2(command, doc, monkeypatch, capsys):
+    code, out, err = run_cli([command, "--input", "-"], doc,
+                             monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert "input error" in err
+
+
 NESTED_DOC = "[" * 50000 + "]" * 50000
 
 

@@ -148,6 +148,29 @@ class TestDecomposeAgainstSmith:
                      for _ in range(n)] for _ in range(n)]
             self.check(pres, rng.choice("PQ"))
 
+    def test_rational_presentations(self):
+        """Rational coefficients, mixed within each row and some over 61-bit
+        denominators: `decompose_module` scales each row of its pencil to
+        integers, a unit, so the divisors are the Smith form's and those of
+        the same presentation with every row scaled by a rational."""
+        rng = random.Random("rational-presentations")
+        dens = [1, 2, 3, 5, 12, 2**61 - 1]
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            pres = [[LaurentPoly({k: Fraction(rng.choice([0, 0, -2, -1, 1, 2]),
+                                              rng.choice(dens))
+                                  for k in range(-1, 2)})
+                     for _ in range(n)] for _ in range(n)]
+            mode = rng.choice("PQ")
+            got = self.check(pres, mode)
+            scales = [Fraction(rng.choice([-3, -1, 1, 7]), rng.choice(dens))
+                      for _ in range(n)]
+            scaled = [[x * s for x in row] for row, s in zip(pres, scales)]
+            assert self.outcome(decompose_module, scaled, mode) == got
+        # diag(P6, P6 P8) with rational units and a rational row operation
+        a, b = P6 * Fraction(1, 2), P6 * P8 * Fraction(2**61 - 1, 3)
+        assert self.check([[a, NIL], [a * Fraction(1, 5), b]]) == [P6, P6 * P8]
+
     def test_z_power_units(self):
         assert self.check(diag(Z**2, LaurentPoly.monomial(3, -1))) == []
         assert self.check([[Z**-1 * P6]]) == [P6]

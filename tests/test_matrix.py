@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from wittkit.errors import SingularMatrix
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix, _dot, _gauss_jordan, _imul
+from wittkit.exact import matrix
+from wittkit.exact.matrix import (
+    Matrix, _dot, _gauss_jordan, _imul, _integral, _solve)
 from wittkit.exact.residue import ResidueField
 
 from covering_oracle import QZ
@@ -105,8 +107,10 @@ class TestCharpolyOracle:
 
 def kernel_rref(a: Matrix) -> tuple[list, list]:
     """The reduced rows and pivots read off `_gauss_jordan`, as
-    `Matrix.rref` read them while `_pencil_reduction` called it."""
-    out, pivots, minor = _gauss_jordan(a.rows)
+    `Matrix.rref` read them while `_pencil_reduction` called it.  The
+    kernel takes integer rows, so each row is scaled by the lcm of its
+    denominators first, which changes neither."""
+    out, pivots, minor = _gauss_jordan([_integral(r)[0] for r in a.rows])
     return [[Fraction(x, minor) for x in q] for q in out], pivots
 
 
@@ -121,7 +125,9 @@ class TestGaussJordanAgainstOracle:
     def random_matrix(rng, m, n):
         """m x n with rank at most r: combinations of r random rows, with
         zero rows, repeated rows and negative and non-unit pivots mixed
-        in; some rows are given as ints."""
+        in; some matrices have each row over its own denominator, some of
+        61 bits, as `Matrix._rational` scales each row by its own lcm, and
+        some rows are given as ints."""
         r = rng.randint(0, min(m, n))
         base = [[F(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 5, 12]))
                  for _ in range(n)] for _ in range(r)]
@@ -137,6 +143,11 @@ class TestGaussJordanAgainstOracle:
         if rows and rng.random() < 0.3:
             rows.append(list(rows[0]))
             rows.pop(0)
+        if rng.random() < 0.4:
+            scales = [F(rng.choice([1, -5, 2**40]),
+                        rng.choice([7, 12, 2**61 - 1, 2**61 + 1]))
+                      for _ in rows]
+            rows = [[x * s for x in r] for r, s in zip(rows, scales)]
         if rng.random() < 0.2:
             rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in rows]
         rng.shuffle(rows)
@@ -170,6 +181,18 @@ class TestGaussJordanAgainstOracle:
                     a.inverse()
                 seen["singular"] += 1
         assert min(seen.values()) >= 10, seen
+
+    def test_kernel_takes_integer_rows_as_they_are(self, monkeypatch):
+        # no row of an integer matrix is rescaled on its way in
+        def refuse(v):
+            raise AssertionError("integer rows were rescaled")
+        monkeypatch.setattr(matrix, "_integral", refuse)
+        a = [[2, 1, 0], [4, 3, 6], [0, -1, 5]]
+        out, pivots, minor = _gauss_jordan(a)
+        assert pivots == [0, 1, 2] and abs(minor) == 22
+        x, delta = _solve(a, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert _imul(a, x) == [[delta * (i == j) for j in range(3)]
+                               for i in range(3)]
 
     def test_pivots_found_out_of_order(self):
         # the second row's pivot lies left of the first's, and the third

@@ -76,6 +76,8 @@ from covering_oracle import (
     qz_monodromy_theta,
     qz_pairing,
     restricted_e,
+    seifert_direct_sum,
+    seifert_negate,
     validate_over_qz,
 )
 from elimination_oracle import (
@@ -252,13 +254,6 @@ class TestSeifertForm:
         with pytest.raises(ValueError):
             SeifertForm(TREFOIL, -1, "R")
 
-    def test_direct_sum_demotes_coefficients(self):
-        a = SeifertForm(TREFOIL, -1, "Z")
-        b = SeifertForm([[Fraction(1, 2), 1], [0, Fraction(1, 2)]], -1, "Q")
-        assert a.direct_sum(b).coefficients == "Q"
-        with pytest.raises(ValueError):
-            a.direct_sum(SeifertForm([[1, 1], [0, 1]], 1, "Q"))
-
 
 class TestAutometricForm:
     def test_isometry_enforced(self):
@@ -272,6 +267,66 @@ class TestAutometricForm:
     def test_singular_theta(self):
         with pytest.raises(SingularAutometricForm):
             AutometricForm([[0]], [[1]], 1)
+
+    @staticmethod
+    def fraction_verdict(theta, h, eps):
+        """The checks on `Fraction` matrices, with the oracle's det."""
+        if theta != theta.transpose().scale(eps):
+            return "symmetric"
+        if qz_det(theta) == 0:
+            return "singular"
+        return "ok" if h.transpose() * theta * h == theta else "isometry"
+
+    @staticmethod
+    def verdict(theta, h, eps):
+        try:
+            f = AutometricForm(theta.rows, h.rows, eps)
+        except SingularAutometricForm:
+            return "singular"
+        except ValueError as err:
+            return "symmetric" if "symmetric" in str(err) else "isometry"
+        assert (f.theta, f.h) == (theta, h)
+        return "ok"
+
+    def test_fraction_rows_against_oracle(self):
+        """From `Fraction` rows, each row over its own denominator, the
+        integer checks give the `Fraction` checks' verdict: a form
+        P^T theta P, P^-1 h P for a rational diagonal P is accepted, and
+        one entry changed, P made singular or h perturbed is refused."""
+        rng = random.Random("autometric-fractions")
+        seen = {}
+        for _ in range(60):
+            f = random_autometric(rng, max_rank=4, bound=5)
+            n = f.rank
+            p = Matrix([[Fraction(rng.choice([1, -2, 3, 7]),
+                                  rng.choice([1, 2, 5, 9, 2**61 - 1]))
+                         if i == j else Fraction(0) for j in range(n)]
+                        for i in range(n)])
+            theta, h = p.transpose() * f.theta * p, p.inverse() * f.h * p
+            i, j = rng.randrange(n), rng.randrange(n)
+            bump = Matrix([[Fraction(1, 3) * ((a, b) == (i, j))
+                            for b in range(n)] for a in range(n)])
+            # P with its column k replaced by column l (by 0 when n = 1)
+            k, l = rng.sample(range(n), 2) if n > 1 else (0, -1)
+            fold = p * frac_matrix([[int(a == (l if b == k else b))
+                                     for b in range(n)] for a in range(n)])
+            cases = [(theta, h), (theta + bump, h), (theta, h + bump),
+                     (fold.transpose() * f.theta * fold, h)]
+            for t, g in cases:
+                want = self.fraction_verdict(t, g, f.epsilon)
+                assert self.verdict(t, g, f.epsilon) == want, (t, g)
+                seen[want] = seen.get(want, 0) + 1
+        assert set(seen) == {"ok", "symmetric", "singular", "isometry"}
+        assert seen["ok"] >= 60 and min(seen.values()) >= 10, seen
+
+    def test_no_matrix_is_eliminated(self, monkeypatch):
+        # the form's checks and the covering's run on integer rows: no
+        # Matrix is transposed, mapped, ranked or inverted to eliminate it
+        f = random_autometric(random.Random(7), max_rank=4)
+        for name in ("transpose", "map", "rank", "det", "inverse"):
+            monkeypatch.setattr(Matrix, name, None)
+        g = AutometricForm(f.theta, f.h, f.epsilon)
+        assert len(covering_autometric(g).module.basis) == f.rank
 
     def test_sum_requires_matching_symmetry(self):
         a = AutometricForm([[1]], [[-1]], 1)
@@ -430,8 +485,8 @@ class TestCoveringAgainstQz:
         seif = QZ.make(LaurentPoly({-1: Fraction(1), 0: Fraction(-1)}))
         rng = random.Random(302)
         double = [[2 * x for x in row] for row in TREFOIL]
-        summed = SeifertForm(TREFOIL, -1, "Z").direct_sum(
-            SeifertForm(double, -1, "Q"))
+        summed = seifert_direct_sum(SeifertForm(TREFOIL, -1, "Z"),
+                                    SeifertForm(double, -1, "Q"))
         cases = [(covering_seifert(summed), summed, seif)]
         for _ in range(6):
             f = random_autometric(rng, max_rank=2, bound=3)
@@ -578,9 +633,9 @@ class TestKrylovAgainstSmith:
     @pytest.mark.parametrize("case", ["f+2f", "K#K", "scale-3"])
     def test_seifert_forms(self, case):
         trefoil = SeifertForm(TREFOIL, -1, "Z")
-        f = {"f+2f": trefoil.direct_sum(SeifertForm(
+        f = {"f+2f": seifert_direct_sum(trefoil, SeifertForm(
                  [[2 * x for x in row] for row in TREFOIL], -1, "Q")),
-             "K#K": trefoil.direct_sum(trefoil),
+             "K#K": seifert_direct_sum(trefoil, trefoil),
              "scale-3": SeifertForm(SCALE_3, -1, "Z")}[case]
         cov = covering_seifert(f)
         assert_matches_smith(cov, snf_covering_seifert(f))
@@ -589,7 +644,7 @@ class TestKrylovAgainstSmith:
             assert 0 < module_dimension_q(cov.module) < f.rank
         else:
             assert cov.module.rank == 2
-        fsum = f.direct_sum(f.negate())
+        fsum = seifert_direct_sum(f, seifert_negate(f))
         cov_sum = covering_seifert(fsum)
         assert_matches_smith(cov_sum, snf_covering_seifert(fsum))
         for sub in hyperbolic_witness_sum(f):
@@ -650,10 +705,11 @@ class TestKrylovAgainstParentChain:
         ranks = [assert_matches_parent_chain(covering_autometric, f)
                  for f in forms]
         trefoil = SeifertForm(TREFOIL, -1, "Z")
-        for f in (trefoil.direct_sum(SeifertForm(
+        for f in (seifert_direct_sum(trefoil, SeifertForm(
                       [[2 * x for x in row] for row in TREFOIL], -1, "Q")),
-                  trefoil.direct_sum(trefoil), SeifertForm(SCALE_3, -1, "Z")):
-            for g in (f, f.direct_sum(f.negate())):
+                  seifert_direct_sum(trefoil, trefoil),
+                  SeifertForm(SCALE_3, -1, "Z")):
+            for g in (f, seifert_direct_sum(f, seifert_negate(f))):
                 ranks.append(assert_matches_parent_chain(covering_seifert, g))
         assert max(ranks) > 1
 
@@ -689,7 +745,8 @@ class TestKrylovAgainstParentChain:
         rng = random.Random(17)
         for genus in (2, 3, 4):
             f = SeifertForm(ladder_psi(rng, genus), -1, "Z")
-            for g in (f.direct_sum(f), f.direct_sum(f.negate())):
+            for g in (seifert_direct_sum(f, f),
+                      seifert_direct_sum(f, seifert_negate(f))):
                 rank = assert_matches_parent_chain(covering_seifert, g)
                 assert rank >= 2 or covering_seifert(f).module.is_zero
 
@@ -712,7 +769,8 @@ class TestKrylovAgainstParentChain:
                 autometric_direct_sum(autometric_direct_sum(f, f), f)) == 3
         for f in (SeifertForm([[1]], 1, "Q"), SeifertForm(SCALE_3, -1, "Z")):
             assert assert_matches_parent_chain(
-                covering_seifert, f.direct_sum(f).direct_sum(f)) == 3
+                covering_seifert,
+                seifert_direct_sum(seifert_direct_sum(f, f), f)) == 3
 
     def test_random_generators(self):
         # h = p m p^-1 with m two or three equal companion blocks, and
@@ -765,7 +823,7 @@ class TestCoveringSeifertFunctoriality:
             except SingularSeifertForm:
                 continue
             c1, c2 = covering_seifert(f1), covering_seifert(f2)
-            cs = covering_seifert(f1.direct_sum(f2))
+            cs = covering_seifert(seifert_direct_sum(f1, f2))
             merged = elementary_divisor_counts(c1.module)
             for key, cnt in elementary_divisor_counts(c2.module).items():
                 merged[key] = merged.get(key, 0) + cnt
@@ -886,7 +944,8 @@ class TestCoveringCertificate:
                 f = SeifertForm(ladder_psi(rng, genus), -1, "Z")
                 if not covering_seifert(f).module.is_zero:
                     break
-            for g in (f.direct_sum(f), f.direct_sum(f.negate())):
+            for g in (seifert_direct_sum(f, f),
+                      seifert_direct_sum(f, seifert_negate(f))):
                 cov = covering_seifert(g)
                 assert cov.module.rank >= 2
                 validate_over_qz(cov)
@@ -954,8 +1013,8 @@ class TestNumeratorsAgainstQz:
     def test_non_cyclic_modules(self):
         rng = random.Random(302)
         double = [[2 * x for x in row] for row in TREFOIL]
-        forms = [covering_seifert(SeifertForm(TREFOIL, -1, "Z").direct_sum(
-            SeifertForm(double, -1, "Q")))]
+        forms = [covering_seifert(seifert_direct_sum(
+            SeifertForm(TREFOIL, -1, "Z"), SeifertForm(double, -1, "Q")))]
         for _ in range(6):
             f = random_autometric(rng, max_rank=2, bound=3)
             forms.append(covering_autometric(autometric_direct_sum(
@@ -974,7 +1033,8 @@ class TestNumeratorsAgainstQz:
                   for genus in (2, 3)]
         compared = 0
         for f in knots:
-            for g in (f.direct_sum(f), f.direct_sum(f.negate())):
+            for g in (seifert_direct_sum(f, f),
+                      seifert_direct_sum(f, seifert_negate(f))):
                 cov = covering_seifert(g)
                 assert cov.module.rank >= 2 or cov.module.is_zero
                 compared += assert_matches_qz(cov)
@@ -1377,7 +1437,7 @@ class TestRoundTrip:
 class TestSeifertLagrangians:
     def test_trefoil_witness_pair(self):
         f = SeifertForm(TREFOIL, -1, "Z")
-        fsum = f.direct_sum(f.negate())
+        fsum = seifert_direct_sum(f, seifert_negate(f))
         diag, twist = hyperbolic_witness_sum(f)
         assert verify_seifert_lagrangian(fsum, diag) == "split_lagrangian"
         assert verify_seifert_lagrangian(fsum, twist) == "split_lagrangian"
@@ -1385,7 +1445,7 @@ class TestSeifertLagrangians:
 
     def test_doubled_diagonal_is_not_split(self):
         f = SeifertForm(TREFOIL, -1, "Z")
-        fsum = f.direct_sum(f.negate())
+        fsum = seifert_direct_sum(f, seifert_negate(f))
         diag, _ = hyperbolic_witness_sum(f)
         doubled = SeifertSubmodule(diag.basis.map(lambda x: 2 * x))
         assert verify_seifert_lagrangian(fsum, doubled) == "lagrangian"
@@ -1413,10 +1473,12 @@ class TestSeifertLagrangians:
         sub = SeifertSubmodule([[1, 0], [0, 2], [1, 0], [0, 2]])
         f = SeifertForm(TREFOIL, -1, "Z")
         with pytest.raises(NotEInvariant):
-            verify_seifert_lagrangian(f.direct_sum(f.negate()), sub)
+            verify_seifert_lagrangian(
+                seifert_direct_sum(f, seifert_negate(f)), sub)
         g = SeifertForm(TREFOIL, -1, "Q")
         assert verify_seifert_lagrangian(
-            g.direct_sum(g.negate()), sub) == "split_lagrangian"
+            seifert_direct_sum(g, seifert_negate(g)),
+            sub) == "split_lagrangian"
 
     def test_one_smith_form_per_z_check(self, monkeypatch):
         # the e-invariance test's Smith form also gives the split test's
@@ -1433,7 +1495,7 @@ class TestSeifertLagrangians:
                     and getattr(mod, "smith_normal_form", None) is original):
                 monkeypatch.setattr(mod, "smith_normal_form", counting)
         f = SeifertForm(TREFOIL, -1, "Z")
-        fsum = f.direct_sum(f.negate())
+        fsum = seifert_direct_sum(f, seifert_negate(f))
         diag, _ = hyperbolic_witness_sum(f)
         doubled = SeifertSubmodule(diag.basis.map(lambda x: 2 * x))
         for sub, verdict in ((diag, "split_lagrangian"),
@@ -1473,11 +1535,12 @@ class TestSeifertLagrangians:
         f = SeifertForm([], -1, "Z")
         diag, twist = hyperbolic_witness_sum(f)
         assert diag.basis.ncols == 0
-        assert is_complementary(f.direct_sum(f.negate()), diag, twist)
+        assert is_complementary(
+            seifert_direct_sum(f, seifert_negate(f)), diag, twist)
 
     def test_overlapping_submodules_not_complementary(self):
         f = SeifertForm(TREFOIL, -1, "Z")
-        fsum = f.direct_sum(f.negate())
+        fsum = seifert_direct_sum(f, seifert_negate(f))
         diag, _ = hyperbolic_witness_sum(f)
         assert not is_complementary(fsum, diag, diag)
 
@@ -1490,7 +1553,7 @@ class TestSeifertLagrangians:
             f = SeifertForm(psi, eps, "Q")
         except SingularSeifertForm:
             assume(False)
-        fsum = f.direct_sum(f.negate())
+        fsum = seifert_direct_sum(f, seifert_negate(f))
         diag, twist = hyperbolic_witness_sum(f)
         assert verify_seifert_lagrangian(fsum, diag) == "split_lagrangian"
         assert verify_seifert_lagrangian(fsum, twist) == "split_lagrangian"
@@ -1500,7 +1563,7 @@ class TestSeifertLagrangians:
 class TestLagrangianTransport:
     def test_witness_images_are_covering_lagrangians(self):
         f = SeifertForm(TREFOIL, -1, "Z")
-        fsum = f.direct_sum(f.negate())
+        fsum = seifert_direct_sum(f, seifert_negate(f))
         cov = covering_seifert(fsum)
         assert dw_multisignature_laurent(cov).all_zero
         for sub in hyperbolic_witness_sum(f):
@@ -1518,7 +1581,7 @@ class TestLagrangianTransport:
                 f = SeifertForm(psi, eps, "Q")
             except SingularSeifertForm:
                 continue
-            fsum = f.direct_sum(f.negate())
+            fsum = seifert_direct_sum(f, seifert_negate(f))
             cov = covering_seifert(fsum)
             if cov.module.is_zero:
                 continue
