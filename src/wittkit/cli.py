@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -460,13 +461,13 @@ def cmd_selftest(config: CliConfig) -> int:
     failures = 0
     lines = []
     for name, anchor in _selftest_anchors(config.precision):
+        start, verdict, note = time.perf_counter(), "PASS", ""
         try:
             anchor()
         except Exception as exc:  # noqa: BLE001 - report and keep going
-            failures += 1
-            lines.append(f"FAIL {name}: {exc}")
-        else:
-            lines.append(f"PASS {name}")
+            failures, verdict, note = failures + 1, "FAIL", f": {exc}"
+        ms = (time.perf_counter() - start) * 1000
+        lines.append(f"{verdict} {name} ({ms:.1f} ms){note}")
     lines.append(
         "selftest: all anchors pass" if not failures
         else f"selftest: {failures} anchor(s) failed")

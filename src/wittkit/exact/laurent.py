@@ -170,10 +170,9 @@ class LaurentPoly:
         """
         if not self.coeffs:
             return [], 0
-        k = self.min_deg()
-        top = self.max_deg()
-        dense = [self.coeffs.get(d, Fraction(0)) for d in range(k, top + 1)]
-        return dense, k
+        k, zero = min(self.coeffs), Fraction(0)
+        return [self.coeffs.get(d, zero)
+                for d in range(k, max(self.coeffs) + 1)], k
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -49,7 +49,8 @@ class Matrix:
     @classmethod
     def from_ints(cls, rows) -> "Matrix":
         rows = rows.rows if isinstance(rows, Matrix) else rows
-        return cls([[Fraction(x) for x in r] for r in rows])
+        return cls([[x if type(x) is Fraction else Fraction(x) for x in r]
+                    for r in rows])
 
     @classmethod
     def block_diag(cls, blocks: Sequence["Matrix"], zero=Fraction(0)) -> "Matrix":

@@ -14,16 +14,18 @@ and the benchmark's `exact.ratfunc.make` span wraps `make`.
 Q((z)) (series in z, finitely many negative terms), side "minus" is
 Q((z^-1)).  It reads a numerator and a dense denominator, not a `RatFunc`,
 so a linking form's entry num_ij / d_j* expands without being brought to
-this canonical form.
+this canonical form, and runs on integers: one `Fraction` per degree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from wittkit.errors import NotInvertibleInNovikov
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
+from wittkit.exact.matrix import _integral
 
 
 class RatFunc:
@@ -102,43 +104,35 @@ def series_expand(num: LaurentPoly, den: list, side: str, lo: int,
     two expansions agree exactly on Laurent polynomials and differ
     otherwise; their degree-0 discrepancy is what the trace function
     measures.
+
+    On integers: 1/D = sum_j B_j z^j / D_0^(j+1) for den = D / d_D by the
+    recurrence B_j = -sum_i D_i B_(j-i) D_0^(i-1), B_0 = 1.  Side "minus"
+    is "plus" on den reversed, num's degree r read as deg den - r.
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
     if not den or not den[0 if side == "plus" else -1]:
         raise NotInvertibleInNovikov(f"denominator not invertible in the "
                                      f"{side} completion")
-    out = {d: Fraction(0) for d in range(lo, hi + 1)}
-    if num.is_zero():
+    out = dict.fromkeys(range(lo, hi + 1), Fraction(0))
+    if num.is_zero() or not out:
         return out
-    D = polys.deg(den)
-    num_degs = sorted(num.coeffs)
-    if side == "plus":
-        # 1/den = sum_{j>=0} b_j z^j, driven by den(0) != 0
-        need = hi - num_degs[0]
-        b = _inverse_coeffs(den, max(need, -1))
-        for r, a in num.coeffs.items():
-            for d in range(lo, hi + 1):
-                j = d - r
-                if 0 <= j <= need:
-                    out[d] += a * b[j]
-    else:
-        # 1/den = sum_{j>=0} c_j z^(-D-j): the same recurrence on den reversed
-        need = num_degs[-1] - D - lo
-        c = _inverse_coeffs(den[::-1], max(need, -1))
-        for r, a in num.coeffs.items():
-            for d in range(lo, hi + 1):
-                j = r - D - d
-                if 0 <= j <= need:
-                    out[d] += a * c[j]
+    (big_d, d_d), (a, d_a) = _integral(den), _integral(num.coeffs.values())
+    degs, sign = list(num.coeffs), 1
+    if side == "minus":
+        big_d, degs, sign = big_d[::-1], [len(den) - 1 - r for r in degs], -1
+    need, d0 = max(lo * sign, hi * sign) - min(degs), big_d[0]
+    if need < 0:  # every degree lies below num / den's lowest term
+        return out
+    steps = [x * d0 ** i for i, x in enumerate(big_d[1:need + 1])]
+    b = [1]
+    for _ in range(need):
+        b.append(-sum(map(mul, steps, reversed(b))))
+    # b_0, ..., b_need over the one denominator D_0^(need+1)
+    b = [x * d0 ** (need - j) for j, x in enumerate(b)]
+    scale = d_a * d0 ** (need + 1)
+    for d in out:
+        out[d] = Fraction(d_d * sum(x * b[j] for x, r in zip(a, degs)
+                                    if 0 <= (j := sign * d - r) <= need),
+                          scale)
     return out
-
-
-def _inverse_coeffs(den: list, upto: int) -> list[Fraction]:
-    """b_0, ..., b_upto with 1/den = sum_j b_j z^j in Q[[z]]; den(0) != 0."""
-    inv = Fraction(1) / den[0]
-    b = [inv]
-    for j in range(1, upto + 1):
-        b.append(-inv * sum(den[i] * b[j - i]
-                            for i in range(1, min(j, len(den) - 1) + 1)))
-    return b[:upto + 1]

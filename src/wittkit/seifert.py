@@ -3,13 +3,14 @@
 A Seifert form (K, psi) with psi + eps psi^T invertible covers a P-torsion
 linking form; an autometric form (K, theta, h) covers a Q-torsion one.  The
 trace function chi recovers the autometric form from its covering exactly,
-which is what verify_roundtrip certifies.  Both covering constructions flip
-the symmetry sign.  Both modules are Q-spaces with z acting as an
-automorphism h: Q^n for (K, theta, h), Trotter's nonsingular part of e with
-h = 1 - e^-1 for a Seifert form.  A rational canonical decomposition of h
-over Q gives the generators, and the module records its Q-basis h^a g_i,
-which `canonical_identification` returns.  A Seifert form holds psi as
-given, and theta and e only as the reduced integer pairs its readers take.
+which is what verify_roundtrip certifies, on integers like chi itself.
+Both covering constructions flip the symmetry sign.  Both modules are
+Q-spaces with z acting as an automorphism h: Q^n for (K, theta, h),
+Trotter's nonsingular part of e with h = 1 - e^-1 for a Seifert form.  A
+rational canonical decomposition of h over Q gives the generators, and the
+module records its Q-basis h^a g_i, which `canonical_identification`
+returns.  A Seifert form holds psi as given, and theta and e only as the
+reduced integer pairs its readers take.
 """
 
 from __future__ import annotations
@@ -264,16 +265,8 @@ def trace_chi(num: LaurentPoly, den: list) -> Fraction:
     """Degree-zero discrepancy between the two Novikov expansions of
     num / den, read as `series_expand` reads them.  Linear over Q and zero
     on Laurent polynomials, so well defined on classes."""
-    plus = series_expand(num, den, "plus", 0, 0)[0]
-    minus = series_expand(num, den, "minus", 0, 0)[0]
-    return plus - minus
-
-
-def _companion(d: LaurentPoly) -> Matrix:
-    dense, _ = d.ordinary()
-    m = len(dense) - 1
-    return Matrix([[-dense[a] if b == m - 1 else Fraction(int(a == b + 1))
-                    for b in range(m)] for a in range(m)])
+    return (series_expand(num, den, "plus", 0, 0)[0]
+            - series_expand(num, den, "minus", 0, 0)[0])
 
 
 def monodromy(form: LaurentLinkingForm) -> AutometricForm:
@@ -286,8 +279,7 @@ def monodromy(form: LaurentLinkingForm) -> AutometricForm:
     of lambda_ij = num_ij / d_j* on each side.  Neither needs lowest
     terms: d_j*(0) = 1, d_j being monic, and its top coefficient d_j(0)
     is nonzero."""
-    divisors = form.module.divisors
-    stars = [d.ordinary()[0][::-1] for d in divisors]
+    stars = [d.ordinary()[0][::-1] for d in form.module.divisors]
     dims = [len(star) - 1 for star in stars]
     theta = []
     for i, di in enumerate(dims):
@@ -296,7 +288,10 @@ def monodromy(form: LaurentLinkingForm) -> AutometricForm:
                  for j, (dj, star) in enumerate(zip(dims, stars))]
         theta += [[minus[b - a] - plus[b - a] for dj, minus, plus in sides
                    for b in range(dj)] for a in range(di)]
-    h = Matrix.block_diag([_companion(d) for d in divisors])
+    h = Matrix.block_diag([Matrix(  # companion blocks, d_j[a] = star[m - a]
+        [[-star[m - a] if b == m - 1 else Fraction(int(a == b + 1))
+          for b in range(m)] for a in range(m)])
+        for m, star in zip(dims, stars)])
     return AutometricForm(theta, h, -form.epsilon)
 
 
@@ -309,16 +304,25 @@ def canonical_identification(f: AutometricForm,
 
 def verify_roundtrip(f: AutometricForm) -> bool:
     """monodromy(covering_autometric(f)) must equal f exactly after the
-    canonical identification of underlying spaces."""
+    canonical identification P = Q / d of underlying spaces, the covering's
+    basis over one denominator, compared as reduced integer pairs."""
     cov = covering_autometric(f)
-    mono = monodromy(cov)
-    if f.rank == 0:
+    mono, n = monodromy(cov), f.rank
+    if n == 0:
         return mono.rank == 0
-    p = canonical_identification(f, cov)
-    if p.nrows != f.rank or p.ncols != f.rank or p.det() == 0:
+    d = lcm(*(d_v for _, d_v in cov.module.basis))
+    cols = [[x * (d // d_v) for x in v] for v, d_v in cov.module.basis]
+    if (len(cols) != n or mono.rank != n or any(len(v) != n for v in cols)
+            or len(matrix._gauss_jordan(cols)[1]) < n):
         return False
-    return (f.h * p == p * mono.h
-            and mono.theta == p.transpose() * f.theta * p)
+    q = list(zip(*cols))
+    (t, d_t), (big_h, d_h), s, (big_m, d_m) = (
+        _integral_rows(m.rows) for m in (f.theta, f.h, mono.theta, mono.h))
+    # h P = P h', theta' = P^T theta P; s is reduced, d_s an lcm of theirs
+    return (matrix._reduced_rows(_imul(big_h, q), d_h)
+            == matrix._reduced_rows(_imul(q, big_m), d_m)
+            and s == matrix._reduced_rows(_imul(cols, _imul(t, q)),
+                                          d * d * d_t))
 
 
 # ---------------------------------------------------------------------------

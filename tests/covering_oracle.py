@@ -29,6 +29,10 @@ form's space.
   product p^l cof_i bar(cof_j) lambda_ij over Q(z), with entries in the
   `Fraction` residue field of `hermitian_oracle`, and theta from the
   expansions of the canonical entries.
+- `series_expand_oracle` is the `Fraction` recurrence that the integer
+  `series_expand` replaced, and `verify_roundtrip_oracle` the round trip's
+  check on `Fraction` matrices through `canonical_identification`, which
+  the integer check replaced.
 - `module_dimension_q`, `laurent_direct_sum` and `laurent_negate` are what
   only tests need of modules and linking forms over Q[z, z^-1],
   `autometric_direct_sum` what they need of autometric forms, and
@@ -50,13 +54,14 @@ from wittkit.errors import (
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
-from wittkit.exact.ratfunc import RatFunc, series_expand
+from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
     _as_laurent,
     _dense,
 )
+from wittkit import seifert
 from wittkit.seifert import AutometricForm, SeifertForm, SeifertSubmodule
 
 from elimination_oracle import fitting_power, fraction_matrix, rref
@@ -304,13 +309,73 @@ def qz_monodromy_theta(form: LaurentLinkingForm) -> Matrix:
     dims = [len(_dense(d)) - 1 for d in form.module.divisors]
     theta = []
     for i, di in enumerate(dims):
-        sides = [(dj, *(series_expand(lam[i, j].num, lam[i, j].den, side,
-                                      1 - di, dj - 1)
+        sides = [(dj, *(series_expand_oracle(lam[i, j].num, lam[i, j].den,
+                                             side, 1 - di, dj - 1)
                         for side in ("minus", "plus")))
                  for j, dj in enumerate(dims)]
         theta += [[minus[b - a] - plus[b - a] for dj, minus, plus in sides
                    for b in range(dj)] for a in range(di)]
     return Matrix(theta)
+
+
+def series_expand_oracle(num: LaurentPoly, den: list, side: str, lo: int,
+                         hi: int) -> dict[int, Fraction]:
+    """`series_expand` by its `Fraction` recurrence, `_inverse_coeffs`, on
+    den or on den reversed: what the integer recurrence replaced."""
+    if side not in ("plus", "minus"):
+        raise ValueError("side must be 'plus' or 'minus'")
+    if not den or not den[0 if side == "plus" else -1]:
+        raise NotInvertibleInNovikov(f"denominator not invertible in the "
+                                     f"{side} completion")
+    out = {d: Fraction(0) for d in range(lo, hi + 1)}
+    if num.is_zero():
+        return out
+    D = polys.deg(den)
+    num_degs = sorted(num.coeffs)
+    if side == "plus":
+        # 1/den = sum_{j>=0} b_j z^j, driven by den(0) != 0
+        need = hi - num_degs[0]
+        b = _inverse_coeffs(den, max(need, -1))
+        for r, a in num.coeffs.items():
+            for d in range(lo, hi + 1):
+                j = d - r
+                if 0 <= j <= need:
+                    out[d] += a * b[j]
+    else:
+        # 1/den = sum_{j>=0} c_j z^(-D-j): the same recurrence on den reversed
+        need = num_degs[-1] - D - lo
+        c = _inverse_coeffs(den[::-1], max(need, -1))
+        for r, a in num.coeffs.items():
+            for d in range(lo, hi + 1):
+                j = r - D - d
+                if 0 <= j <= need:
+                    out[d] += a * c[j]
+    return out
+
+
+def _inverse_coeffs(den: list, upto: int) -> list[Fraction]:
+    """b_0, ..., b_upto with 1/den = sum_j b_j z^j in Q[[z]]; den(0) != 0."""
+    inv = Fraction(1) / den[0]
+    b = [inv]
+    for j in range(1, upto + 1):
+        b.append(-inv * sum(den[i] * b[j - i]
+                            for i in range(1, min(j, len(den) - 1) + 1)))
+    return b[:upto + 1]
+
+
+def verify_roundtrip_oracle(f: AutometricForm) -> bool:
+    """`verify_roundtrip` on `Fraction` matrices: h P = P mono.h and
+    mono.theta = P^T theta P for P = `canonical_identification`, through
+    `seifert`'s own names, so a test that patches them patches both."""
+    cov = seifert.covering_autometric(f)
+    mono = seifert.monodromy(cov)
+    if f.rank == 0:
+        return mono.rank == 0
+    p = seifert.canonical_identification(f, cov)
+    if p.nrows != f.rank or p.ncols != f.rank or p.det() == 0:
+        return False
+    return (f.h * p == p * mono.h
+            and mono.theta == p.transpose() * f.theta * p)
 
 
 def module_dimension_q(module: LaurentModule) -> int:

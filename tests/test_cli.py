@@ -4,8 +4,10 @@ and the selftest anchor suite."""
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -453,6 +455,23 @@ class TestSelftest:
         assert code == 0
         assert "FAIL" not in out
         assert "all anchors pass" in out
+
+    def test_each_anchor_prints_its_time(self, capsys):
+        assert cli.main(["selftest"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [name for name, _ in cli._selftest_anchors(Fraction(1, 8))]
+        assert len(lines) == len(names) + 1
+        for line, name in zip(lines, names):
+            assert re.fullmatch(rf"PASS {name} \(\d+\.\d ms\)", line), line
+        assert lines[-1] == "selftest: all anchors pass"
+
+    def test_failing_anchor_prints_its_time_and_reason(self, monkeypatch,
+                                                       capsys):
+        monkeypatch.setattr("wittkit.laurent_forms.SIGMA_SIGN", -1)
+        assert cli.main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert re.search(r"^FAIL lt-consistency \(\d+\.\d ms\): jump ",
+                         out, re.M), out
 
     def test_coarse_precision_still_passes(self, capsys):
         # the floor is a starting width; certification refines past it

@@ -259,6 +259,15 @@ def test_block_diag_and_stack():
     assert a.hstack(Matrix.from_ints([[5]])).shape == (1, 2)
 
 
+def test_from_ints_converts_only_what_is_not_a_fraction():
+    half = F(1, 2)
+    m = Matrix.from_ints([[half, 3], ["-2/6", True]])
+    assert m.rows == [[F(1, 2), F(3)], [F(-1, 3), F(1)]]
+    assert all(type(x) is Fraction for r in m.rows for x in r)
+    assert m[0, 0] is half
+    assert Matrix.from_ints(m) == m and Matrix.from_ints(m).rows is not m.rows
+
+
 def test_rank():
     assert Matrix.from_ints([[1, 2], [2, 4]]).rank() == 1
     assert Matrix.from_ints([[1, 0], [0, 1]]).rank() == 2

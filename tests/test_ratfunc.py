@@ -11,7 +11,7 @@ from wittkit.errors import NotInvertibleInNovikov
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.ratfunc import RatFunc, series_expand
 
-from covering_oracle import QZ, frac_class
+from covering_oracle import QZ, frac_class, series_expand_oracle
 
 F = Fraction
 z = LaurentPoly.z()
@@ -149,3 +149,55 @@ def test_expansion_refuses_a_denominator_vanishing_at_its_side():
         series_expand(LaurentPoly.one(), [F(0), F(1)], "plus", 0, 1)
     with pytest.raises(NotInvertibleInNovikov):
         series_expand(LaurentPoly.one(), [], "minus", 0, 1)
+
+
+class TestExpansionAgainstOracle:
+    """The integer recurrence against the `Fraction` one it replaced."""
+
+    @staticmethod
+    def random_case(rng):
+        size = rng.randint(0, 6)  # den = [] is refused on both sides
+        if rng.random() < 0.5:
+            den = [rng.randint(-9, 9) for _ in range(size)]
+        else:
+            den = [F(rng.randint(-9, 9), rng.randint(1, 12))
+                   for _ in range(size)]
+        num = LaurentPoly({rng.randint(-6, 6): F(rng.randint(-9, 9),
+                                                 rng.randint(1, 7))
+                           for _ in range(rng.randint(0, 4))})
+        lo = rng.randint(-9, 6)
+        return num, den, lo, lo + rng.randint(-3, 9)
+
+    def test_random_inputs(self):
+        rng = random.Random(20261019)
+        seen = dict.fromkeys(("refused", "zero", "empty", "int", "rational",
+                              "negative", "positive"), 0)
+        for _ in range(800):
+            num, den, lo, hi = self.random_case(rng)
+            for side in ("plus", "minus"):
+                try:
+                    want = series_expand_oracle(num, den, side, lo, hi)
+                except NotInvertibleInNovikov:
+                    with pytest.raises(NotInvertibleInNovikov):
+                        series_expand(num, den, side, lo, hi)
+                    seen["refused"] += 1
+                    continue
+                got = series_expand(num, den, side, lo, hi)
+                assert got == want and list(got) == list(want)
+                assert all(type(v) is Fraction for v in got.values())
+                seen["zero"] += num.is_zero()
+                seen["empty"] += hi < lo
+                seen["int"] += all(type(c) is int for c in den)
+                seen["rational"] += any(c.denominator > 1 for c in den)
+                seen["negative"] += any(r < 0 for r in num.coeffs)
+                seen["positive"] += any(r > 0 for r in num.coeffs)
+        assert min(seen.values()) > 10, seen
+
+    def test_large_denominators(self):
+        # a den(0) and a top coefficient far from 1 raise the recurrence's
+        # powers of D_0 to hundreds of bits
+        num = LaurentPoly({-3: F(5, 7), 0: F(1), 4: F(-2, 3)})
+        den = [F(2**61 - 1, 3), F(1, 5), F(-7), F(3, 2**40)]
+        for side, lo, hi in (("plus", -3, 20), ("minus", -20, 4)):
+            assert series_expand(num, den, side, lo, hi) == \
+                series_expand_oracle(num, den, side, lo, hi)

@@ -1,5 +1,6 @@
 """Covering functors, trace recovery, and Seifert lagrangian machinery."""
 
+import dataclasses
 import json
 import random
 import sys
@@ -79,6 +80,7 @@ from covering_oracle import (
     seifert_direct_sum,
     seifert_negate,
     validate_over_qz,
+    verify_roundtrip_oracle,
 )
 from elimination_oracle import (
     covering_certificates,
@@ -1419,6 +1421,141 @@ class TestRoundTrip:
         rng = random.Random(20260815)
         for _ in range(40):
             assert verify_roundtrip(random_autometric(rng))
+
+    @staticmethod
+    def autometric_of_rank(rng, n, eps):
+        """Acceptance criterion 3's recipe at rank n and sign eps, with
+        theta's entries small enough that singular draws occur: each must
+        be refused by `AutometricForm` and is drawn again.  Returns the
+        form and the number of refused draws."""
+        refused = 0
+        while True:
+            m = frac_matrix([[rng.randint(-2, 2) for _ in range(n)]
+                             for _ in range(n)])
+            theta = m + m.transpose().map(lambda v: v * eps)
+            if theta.det() == 0:
+                with pytest.raises(SingularAutometricForm):
+                    AutometricForm(theta.rows, Matrix.identity(n).rows, eps)
+                refused += 1
+                continue
+            a = frac_matrix([[rng.randint(-2, 2) for _ in range(n)]
+                             for _ in range(n)])
+            x = a - theta.inverse() * a.transpose() * theta
+            ident = Matrix.identity(n)
+            if (ident - x).det() == 0:
+                continue
+            h = (ident - x).inverse() * (ident + x)
+            return AutometricForm(theta.rows, h.rows, eps), refused
+
+    def seeded_forms(self, seed):
+        rng = random.Random(seed)
+        forms, refused = [], 0
+        for n in range(7):
+            # an odd skew-symmetric theta is always singular
+            for eps in (1, -1) if n % 2 == 0 else (1,):
+                for _ in range(5 if n < 5 else 2):
+                    f, r = self.autometric_of_rank(rng, n, eps)
+                    forms.append(f)
+                    refused += r
+        return forms, refused
+
+    def test_verdict_against_oracle(self):
+        forms, refused = self.seeded_forms(20261019)
+        assert refused > 0
+        assert {(f.rank, f.epsilon) for f in forms} >= {
+            (n, e) for n in range(7) for e in (1, -1) if n % 2 == 0 or e == 1}
+        for f in forms:
+            assert verify_roundtrip(f) is verify_roundtrip_oracle(f) is True
+        rng = random.Random(5)
+        for n in (1, 3, 5):
+            m = frac_matrix([[rng.randint(-5, 5) for _ in range(n)]
+                             for _ in range(n)])
+            with pytest.raises(SingularAutometricForm):
+                AutometricForm((m - m.transpose()).rows,
+                               Matrix.identity(n).rows, -1)
+
+    def test_h_check_alone_refused(self, monkeypatch):
+        # monodromy returns (theta', h'^-1): theta' still matches through
+        # P, so only the h check fails, on every form with h^2 != 1
+        real = seifert.monodromy
+
+        def inverted(form):
+            mono = real(form)
+            return AutometricForm(mono.theta, mono.h.inverse(), mono.epsilon)
+
+        forms = [f for f in self.seeded_forms(7)[0]
+                 if f.rank and f.h * f.h != Matrix.identity(f.rank)]
+        assert len(forms) > 10
+        monkeypatch.setattr(seifert, "monodromy", inverted)
+        for f in forms:
+            cov = covering_autometric(f)
+            mono = seifert.monodromy(cov)
+            p = canonical_identification(f, cov)
+            assert mono.theta == p.transpose() * f.theta * p
+            assert f.h * p != p * mono.h
+            assert verify_roundtrip(f) is verify_roundtrip_oracle(f) is False
+
+    def test_theta_check_alone_refused(self, monkeypatch):
+        # the covering's numerators negated: h still matches through P,
+        # the monodromy's theta is -P^T theta P
+        real = seifert.covering_autometric
+
+        def negated(f):
+            cov = real(f)
+            return LaurentLinkingForm(
+                cov.module, [[-x for x in r] for r in cov.num.rows],
+                cov.epsilon)
+
+        forms = [f for f in self.seeded_forms(8)[0] if f.rank]
+        monkeypatch.setattr(seifert, "covering_autometric", negated)
+        for f in forms:
+            cov = seifert.covering_autometric(f)
+            mono = monodromy(cov)
+            p = canonical_identification(f, cov)
+            assert f.h * p == p * mono.h
+            assert mono.theta != p.transpose() * f.theta * p
+            assert verify_roundtrip(f) is verify_roundtrip_oracle(f) is False
+
+    @pytest.mark.parametrize("bend", ["dependent", "short", "narrow",
+                                      "wide"])
+    def test_bad_basis_refused(self, monkeypatch, bend):
+        # the covering's basis made dependent, one column short, or one
+        # coordinate short or long: P is singular or not square
+        real = seifert.covering_autometric
+
+        def bent(f):
+            cov = real(f)
+            basis = cov.module.basis
+            basis = {"dependent": basis[:-1] + basis[:1],
+                     "short": basis[:-1],
+                     "narrow": [(v[:-1], d) for v, d in basis],
+                     "wide": [(v + [0], d) for v, d in basis]}[bend]
+            return LaurentLinkingForm(
+                dataclasses.replace(cov.module, basis=basis), cov.num,
+                cov.epsilon)
+
+        forms = [f for f in self.seeded_forms(9)[0] if f.rank > 1]
+        monkeypatch.setattr(seifert, "covering_autometric", bent)
+        for f in forms:
+            assert verify_roundtrip(f) is verify_roundtrip_oracle(f) is False
+
+    def test_monodromy_of_another_rank_refused(self, monkeypatch):
+        # a rank-2 block added to the monodromy: the Fraction check cannot
+        # even multiply P by it, the integer check answers False
+        real = seifert.monodromy
+
+        def grown(form):
+            mono = real(form)
+            extra = AutometricForm([[0, 1], [mono.epsilon, 0]],
+                                   [[1, 0], [0, 1]], mono.epsilon)
+            return autometric_direct_sum(mono, extra)
+
+        forms = [f for f in self.seeded_forms(10)[0] if f.rank]
+        monkeypatch.setattr(seifert, "monodromy", grown)
+        for f in forms:
+            assert verify_roundtrip(f) is False
+            with pytest.raises(ValueError, match="shape mismatch"):
+                verify_roundtrip_oracle(f)
 
     def test_corrupted_pairing_detected(self):
         f = AutometricForm([[1]], [[-1]], 1)
