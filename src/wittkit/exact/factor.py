@@ -5,8 +5,9 @@ with leading coefficient b > 0.  An odd prime p (among the first eleven)
 with p not dividing b and f squarefree mod p certifies that f is
 squarefree over Q, since g^2 | f has lc(g) | b, so g^2 | f mod p keeps
 deg g; p is then the lifting prime.  Only without one does f give way to
-its squarefree part f / gcd(f, f'), from one gcd over Q, and each
-irreducible factor's multiplicity is read by exact division of f.  No
+its squarefree part f / gcd(f, f'), from one primitive remainder
+sequence (`polys.gcd`), and each irreducible factor's multiplicity is
+read by exact division of f (`polys.divmod_poly`).  No
 prime is sought for a line or a quadratic a z^2 + b z + c with b^2 != 4ac,
 both squarefree; the quadratic is irreducible unless b^2 - 4ac = s^2, and
 then splits into the primitive parts of 2az + b -+ s.  Longer ones go by
@@ -227,38 +228,21 @@ def _symmetric(a, m):
     return [c - m if c > m // 2 else c for c in _zmod(a, m)]
 
 
-def _zmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _int_divides(cand, f):
-    """Quotient of f by cand over Z, or None when cand does not divide f."""
-    if not cand[0] or f[0] % cand[0]:  # most candidates fail here at once
+def _quotient(g, f):
+    """f / g for a primitive g, or None when g does not divide f: the
+    constant terms rule most candidates out at once, and a primitive g
+    that divides f over Q divides it over Z (Gauss's lemma), where
+    `polys.divmod_poly` returns the exact quotient."""
+    if not g[0] or f[0] % g[0]:
         return None
-    r = list(f)
-    q = [0] * max(len(r) - len(cand) + 1, 0)
-    lc = cand[-1]
-    while len(r) >= len(cand):
-        c, rest = divmod(r[-1], lc)
-        if rest:
-            return None
-        k = len(r) - len(cand)
-        q[k] = c
-        for i, y in enumerate(cand):
-            r[k + i] -= c * y
-        while r and r[-1] == 0:
-            r.pop()
-    return None if r else q
+    quot, rem, _ = polys.divmod_poly(f, g)
+    return None if rem else quot
 
 
 def _multiplicity(g: list[int], f: list[int]) -> int:
     """The largest m with g^m | f over Z."""
     m = 0
-    while (f := _int_divides(g, f)) is not None:
+    while (f := _quotient(g, f)) is not None:
         m += 1
     return m
 
@@ -301,7 +285,7 @@ def _factor_squarefree_int(f: list[int], p: int) -> list[list[int]]:
             cand = _symmetric(prod, target)  # lc(cand) = lc(current) > 0
             g = int_gcd(*cand)
             cand = [c // g for c in cand]
-            quot = _int_divides(cand, current)
+            quot = _quotient(cand, current)
             if quot is not None:
                 result.append(cand)
                 current = quot
@@ -340,19 +324,18 @@ def factor_rational_poly(p: LaurentPoly) -> tuple[LaurentPoly, list[tuple[Lauren
     if p.is_zero():
         raise ValueError("cannot factor zero")
     dense, k = p.ordinary()
-    f = polys.content_primitive(dense)[1]
+    f = polys.primitive(dense)
     # a line, or a quadratic with b^2 != 4ac, is squarefree without a prime
     sf, q = f, None
     if len(f) > 3 or len(f) == 3 and f[1] ** 2 == 4 * f[0] * f[2]:
         q = _lifting_prime(f, itertools.islice(_odd_primes(), 11))
         if q is None:  # f may repeat a factor; f / gcd(f, f') does not
-            fq = [Fraction(c) for c in f]
-            sf = polys.content_primitive(polys.divmod_poly(
-                fq, polys.gcd(fq, polys.derivative(fq)))[0])[1]
+            sf = polys.divmod_poly(f, polys.gcd(f, polys.derivative(f)))[0]
             q = _lifting_prime(sf, _odd_primes())
     int_factors = [(g, _multiplicity(g, f))
                    for g in _factor_squarefree_int(sf, q)]
-    prod = reduce(_zmul, (g for g, m in int_factors for _ in range(m)), [1])
+    prod = reduce(polys.mul, (g for g, m in int_factors for _ in range(m)),
+                  [1])
     check(prod == f, "factorization lost a factor")
     factors = [(LaurentPoly.from_dense([Fraction(c, g[-1]) for c in g]), m)
                for g, m in int_factors]

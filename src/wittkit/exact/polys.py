@@ -1,20 +1,23 @@
-"""Dense univariate polynomials over Q.
+"""Dense univariate polynomials on integers.
 
-Polynomials are lists of Fractions, low degree first, with no trailing zeros;
-the empty list is zero.  One sign-normalized remainder loop serves both the
-monic gcd and Sturm chains.  `LaurentPoly` remains the user-facing type
+Polynomials are lists of integers, low degree first, with no trailing
+zeros; the empty list is zero.  A rational polynomial is carried as its
+primitive integer multiple with a positive leading coefficient
+(`primitive`), which is all that gcds, Sturm signs and divisibility read.
+One pseudo-division (`divmod_poly`) gives remainders and exact quotients,
+and one primitive remainder sequence (W. S. Brown, J. ACM 18, 1971) serves
+both the gcd and Sturm chains.  `LaurentPoly` remains the user-facing type
 (conversion via `LaurentPoly.ordinary` and `from_dense`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd as int_gcd, lcm
 from typing import Sequence
 
-Poly = list  # list[Fraction]
+Poly = list  # list[int]
 
 
 def trim(p: Sequence) -> Poly:
@@ -24,110 +27,89 @@ def trim(p: Sequence) -> Poly:
     return p
 
 
-def from_ints(cs, d: int = 1) -> Poly:
-    """The polynomial with coefficients c / d."""
-    return trim([Fraction(c, d) for c in cs])
-
-
 def deg(p: Sequence) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(p) - 1
 
 
-def divmod_poly(p: Sequence, q: Sequence) -> tuple[Poly, Poly]:
+def primitive(p: Sequence) -> Poly:
+    """The integer multiple of p with content 1 and a positive leading
+    coefficient, for integer or rational coefficients; zero for zero."""
+    p = trim(p)
+    if not p:
+        return []
+    d = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (d // c.denominator) for c in p]
+    g = int_gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return [c // g for c in ints]
+
+
+def mul(p: Sequence, q: Sequence) -> Poly:
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def value(g: Sequence, n: int, d: int) -> int:
+    """d^deg(g) g(n / d), for d > 0: g(n / d) times a positive integer."""
+    v, scale = 0, 1
+    for c in reversed(g):
+        v, scale = v * n + c * scale, scale * d
+    return v
+
+
+def divmod_poly(p: Sequence, q: Sequence) -> tuple[Poly, Poly, int]:
+    """(quot, rem, s) with s p = quot q + rem, deg rem < deg q and s > 0:
+    each step clears p's top coefficient c as (a/g) p - (c/g) z^k q,
+    a = lc(q), g = +-gcd(a, c) with a/g > 0, and puts a/g into s, so no
+    step leaves the integers.  If q divides p over Z, every a/g is 1:
+    s = 1 and quot is the exact quotient, as it is for a primitive q
+    dividing p over Q (Gauss's lemma)."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(x) for x in p]
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = len(q) - 1
-    lc = q[-1]
-    while len(trim(r)) - 1 >= dq:
-        r = trim(r)
-        k = len(r) - 1 - dq
-        c = r[-1] / lc
-        quot[k] = c
-        for i, b in enumerate(q):
-            r[k + i] -= c * b
-        r[-1] = Fraction(0)
-    return trim(quot), trim(r)
-
-
-def mod(p: Sequence, q: Sequence) -> Poly:
-    return divmod_poly(p, q)[1]
-
-
-def int_rem(p: Sequence, q: Sequence) -> tuple[list, int]:
-    """(r, s) with r the remainder of s p by q, s > 0, for integer p and q
-    with q's leading coefficient a > 0: each step clears p's top
-    coefficient c as (a/g) p - (c/g) z^k q, g = gcd(a, c), and puts a/g
-    into s, so no step leaves the integers."""
     p, n, a, s = list(p), len(q) - 1, q[-1], 1
+    steps = []  # (c/g, s after the step), top degree first
     while len(p) > n:
         c = p.pop()
         if c:
-            g = int_gcd(a, c)
+            g = int_gcd(a, c) * (1 if a > 0 else -1)
             t, c, k = a // g, c // g, len(p) - n
             if t != 1:
                 p, s = [t * x for x in p], s * t
             p[k:] = [x - c * y for x, y in zip(p[k:], q)]
-    return trim(p), s
-
-
-def monic(p: Sequence) -> Poly:
-    p = trim(p)
-    return [c / p[-1] for c in p] if p and p[-1] != 1 else p
+        steps.append((c, s))
+    # a later step's a/g scales every earlier quotient coefficient
+    quot = [c * (s // t) if t != s else c for c, t in reversed(steps)]
+    return trim(quot), trim(p), s
 
 
 def _remainders(a: Sequence, b: Sequence) -> list[Poly]:
-    """Euclid's remainder sequence a, b, r_2, ... over Q up to its last
-    nonzero member, a gcd of a and b: r_(k+1) = -rem(r_(k-1), r_k) / |lc|.
-    A remainder scales with its dividend and ignores a scalar on the
-    divisor, so each member is a positive multiple of the unnormalized
-    -rem(r_(k-1), r_k) and the Sturm counts of the two sequences agree."""
+    """The primitive remainder sequence a, b, r_2, ... up to its last
+    nonzero member, a gcd of a and b: r_(k+1) is the pseudo-remainder of
+    r_(k-1) by r_k, negated and divided by its content.  A pseudo-remainder
+    is a positive multiple of the remainder over Q, so each member is a
+    positive multiple of Euclid's -rem(r_(k-1), r_k) and the Sturm counts
+    of the two sequences agree."""
     seq = [trim(a), trim(b)]
     while seq[-1]:
-        r = mod(seq[-2], seq[-1])
-        seq.append([c / -abs(r[-1]) for c in r])
+        r = divmod_poly(seq[-2], seq[-1])[1]
+        g = int_gcd(*r)
+        seq.append([-c // g for c in r])
     seq.pop()
     return seq
 
 
 def gcd(p: Sequence, q: Sequence) -> Poly:
-    """Monic gcd."""
-    return monic(_remainders(p, q)[-1])
+    """The primitive gcd, with positive leading coefficient."""
+    return primitive(_remainders(p, q)[-1])
 
 
 def derivative(p: Sequence) -> Poly:
     return trim([c * i for i, c in enumerate(p)][1:])
-
-
-def eval_at(p: Sequence, x) -> Fraction:
-    x = Fraction(x)
-    total = Fraction(0)
-    for c in reversed(list(p)):
-        total = total * x + c
-    return total
-
-
-def content_primitive(p: Sequence) -> tuple[Fraction, list[int]]:
-    """Write p = content * primitive with primitive an integer polynomial of
-    content 1 and positive leading coefficient."""
-    p = trim(p)
-    if not p:
-        return Fraction(0), []
-    den = 1
-    for c in p:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = int_gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    sign = 1
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-        sign = -1
-    return Fraction(sign * g, den), ints
 
 
 # ---- real root machinery (Sturm) ----
@@ -142,43 +124,43 @@ def _sign_changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(chain: list[Poly], a, b) -> int:
-    """Number of distinct real roots in (a, b] for a squarefree chain."""
-    va = _sign_changes([eval_at(q, a) for q in chain])
-    vb = _sign_changes([eval_at(q, b) for q in chain])
+def sturm_count(chain: list[Poly], a: int, b: int, d: int) -> int:
+    """Number of distinct real roots in (a/d, b/d], d > 0, for a squarefree
+    chain."""
+    va = _sign_changes([value(q, a, d) for q in chain])
+    vb = _sign_changes([value(q, b, d) for q in chain])
     return va - vb
 
 
-def isolate_real_roots(p: Sequence, lo, hi) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open-ended rational intervals (a, b], one distinct real root
-    of p in each, all roots of p inside (lo, hi].  p need not be squarefree:
-    the last member of its Sturm chain is gcd(p, p') up to a scalar, and a
-    nonconstant one divides out before the roots are isolated."""
+def isolate_real_roots(p: Sequence, lo, hi) -> list[tuple[int, int, int]]:
+    """Brackets (a, b, d), d > 0, of disjoint open-ended intervals
+    (a/d, b/d], one distinct real root of p in each, all roots of p inside
+    (lo, hi], for rationals lo < hi, in increasing order: bisection keeps
+    both ends over one denominator, doubled at each midpoint.  p need not
+    be squarefree: the last member of its Sturm chain is gcd(p, p') up to
+    a scalar, and a nonconstant one divides out before the roots are
+    isolated."""
     chain = sturm_chain(p)
     if deg(chain[-1]) > 0:
         chain = sturm_chain(divmod_poly(p, chain[-1])[0])
     sf = chain[0]
     if deg(sf) <= 0:
         return []
-    lo, hi = Fraction(lo), Fraction(hi)
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def split(a: Fraction, b: Fraction, count: int) -> None:
-        if count == 0:
-            return
+    d = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    b = hi.numerator * (d // hi.denominator)
+    out, todo = [], [(a, b, d, sturm_count(chain, a, b, d))]
+    while todo:  # a stack, not recursion: close roots take many levels
+        a, b, d, count = todo.pop()
         if count == 1:
-            out.append((a, b))
-            return
-        m = (a + b) / 2
-        # nudge off a root so interval endpoints stay root-free
-        while eval_at(sf, m) == 0:
-            m = (a + m) / 2
-        cl = sturm_count(chain, a, m)
-        split(a, m, cl)
-        split(m, b, count - cl)
-
-    split(lo, hi, sturm_count(chain, lo, hi))
-    out.sort()
+            out.append((a, b, d))
+        elif count > 1:
+            a, m, b, d = 2 * a, a + b, 2 * b, 2 * d
+            # nudge off a root so interval endpoints stay root-free
+            while not value(sf, m, d):
+                a, m, b, d = 2 * a, a + m, 2 * b, 2 * d
+            cl = sturm_count(chain, a, m, d)
+            todo += [(m, b, d, count - cl), (a, m, d, cl)]
     return out
 
 
@@ -196,21 +178,22 @@ def _chebyshev(top: int) -> tuple:
 
 
 def cos_poly(coeffs: Sequence, offset: int = 0) -> Poly:
-    """g with g(2 cos t) = sum_k c_k cos((k + offset) t): the real part at
-    z = e^{it} of sum_k c_k z^(k + offset).  With c_k = n_k / d on integers,
-    2 d g = sum_k n_k Q_|k + offset|, read off one table (`_chebyshev`)."""
-    den = lcm(*(c.denominator for c in coeffs))
+    """2 g, for g with g(2 cos t) = sum_k c_k cos((k + offset) t): twice
+    the real part at z = e^{it} of sum_k c_k z^(k + offset), for integers
+    c_k.  2 g = sum_k c_k Q_|k + offset|, read off one table
+    (`_chebyshev`)."""
     js = [abs(k + offset) for k in range(len(coeffs))]
     table, out = _chebyshev(max(js, default=0)), [0] * (max(js, default=0) + 1)
     for j, c in zip(js, coeffs):
-        n = c.numerator * (den // c.denominator)
-        out[:j + 1] = [x + n * q for x, q in zip(out, table[j])]
-    return trim([Fraction(x, 2 * den) for x in out])
+        out[:j + 1] = [x + c * q for x, q in zip(out, table[j])]
+    return trim(out)
 
 
 def palindromic_to_y(p: Sequence) -> Poly:
-    """For palindromic p of even degree 2m (coefficients c_i = c_{2m-i})
-    return Y of degree m with p(z) = z^m * Y(z + 1/z)."""
+    """For palindromic integer p of even degree 2m (coefficients
+    c_i = c_{2m-i}) return the integer Y of degree m with
+    p(z) = z^m * Y(z + 1/z): `cos_poly(p, -m)` is 2 Y, each of its terms
+    a pair's c_i Q_j twice, or the middle c_m Q_0 = 2 c_m."""
     p = trim(p)
     n = deg(p)
     if n % 2 != 0:
@@ -218,4 +201,4 @@ def palindromic_to_y(p: Sequence) -> Poly:
     m = n // 2
     if any(p[i] != p[n - i] for i in range(m)):
         raise ValueError("polynomial is not palindromic")
-    return cos_poly(p, -m)
+    return [c // 2 for c in cos_poly(p, -m)]

@@ -57,14 +57,16 @@ class RatFunc:
         if num.is_zero():
             return cls(LaurentPoly.zero(), [Fraction(1)])
         n0, m = num.ordinary()
-        g = polys.gcd(n0, den_dense)
-        if polys.deg(g) > 0:
-            n0 = polys.divmod_poly(n0, g)[0]
-            den_dense = polys.divmod_poly(den_dense, g)[0]
-        lc = den_dense[-1]
-        den_dense = [c / lc for c in den_dense]
-        n0 = [c / lc for c in n0]
-        return cls(LaurentPoly.from_dense(n0, m), den_dense)
+        # (N / d_n) / (D / d_d), N and D divided exactly by their gcd
+        (big_n, d_n), (big_d, d_d) = _integral(n0), _integral(den_dense)
+        g = polys.gcd(big_n, big_d)
+        if len(g) > 1:
+            big_n = polys.divmod_poly(big_n, g)[0]
+            big_d = polys.divmod_poly(big_d, g)[0]
+        lc = big_d[-1]
+        return cls(LaurentPoly.from_dense(
+            [Fraction(c * d_d, lc * d_n) for c in big_n], m),
+            [Fraction(c, lc) for c in big_d])
 
     def is_laurent(self) -> bool:
         return polys.deg(self.den) == 0

@@ -5,11 +5,12 @@ coefficient a > 0.  An element is its reduced pair (N, d), integers N of
 degree < deg P over d > 0 with gcd(d, *N) = 1 as `matrix._reduced` makes
 them, so equal pairs are equal elements (Cohen, GTM 138, ch. 4).  A
 product is one integer product and one pseudo-remainder by P
-(`polys.int_rem`); an inverse solves the integer multiplication matrix
+(`polys.divmod_poly`); an inverse solves the integer multiplication matrix
 fraction-free (`matrix._solve`).  A self-conjugate P (its reversal is +-P)
 gives the involution z -> 1/z: bar(N / d) is N reversed, divided by
 z^(deg P - 1).  An element's value at a unit-circle root of P is read from
-its real part in y = z + 1/z (`polys.cos_poly`), N standing for N / d.
+twice its real part in y = z + 1/z (`polys.cos_poly`), N standing for
+N / d.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from math import gcd, lcm
 
 from wittkit.errors import SingularMatrix
 from wittkit.exact import matrix, polys
-from wittkit.exact.factor import _zmul
 
 
 class ResidueField:
     def __init__(self, modulus):
-        p = polys.content_primitive(modulus)[1]
+        p = polys.primitive(modulus)
         if len(p) < 2:
             raise ValueError("modulus must have positive degree")
         if not p[0]:
@@ -35,11 +35,12 @@ class ResidueField:
         self.self_conjugate = p[::-1] in (p, [-c for c in p])
 
     def element(self, num, den: int, shift: int = 0) -> "ResidueElem":
-        """num z^shift / den for integers num and den != 0: `polys.int_rem`
-        by P, then, for shift < 0, -shift steps that clear num's constant
-        term c as (P(0)/g) num - (c/g) P, g = gcd(P(0), c), and divide by z."""
+        """num z^shift / den for integers num and den != 0: the
+        pseudo-remainder by P (`polys.divmod_poly`), then, for shift < 0,
+        -shift steps that clear num's constant term c as
+        (P(0)/g) num - (c/g) P, g = gcd(P(0), c), and divide by z."""
         p = self.modulus
-        num, s = polys.int_rem([0] * shift + list(num), p)
+        _, num, s = polys.divmod_poly([0] * shift + list(num), p)
         den *= s
         for _ in range(-shift):
             if num and num[0]:
@@ -126,7 +127,8 @@ class ResidueElem:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.field.element(_zmul(self.num, o.num), self.den * o.den)
+        return self.field.element(polys.mul(self.num, o.num),
+                                  self.den * o.den)
 
     __rmul__ = __mul__
 

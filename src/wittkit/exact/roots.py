@@ -2,11 +2,13 @@
 
 A unit-circle root pair e^{+-i*theta} of a self-conjugate irreducible factor
 is pinned down by a rational interval around y0 = 2*cos(theta) together with
-the minimal polynomial of y0 over Q.  All sign decisions route through that
-data: a rational polynomial g has g(y0) = 0 exactly when the minimal
-polynomial divides g, and otherwise interval arithmetic on a shrinking
-bracket eventually certifies the sign.  Floating point appears only in the
-reported theta endpoints, never in a decision.
+the minimal polynomial of y0 over Q, kept as its primitive integer multiple
+(`polys.primitive`).  All sign decisions route through that data: an
+integer polynomial g, standing for any positive multiple of it, has
+g(y0) = 0 exactly when the minimal polynomial divides g, and otherwise
+interval arithmetic on a shrinking bracket eventually certifies the sign.
+Floating point appears only in the reported theta endpoints, never in a
+decision.
 
 When every root of a monic integral factor of degree n lies on the circle
 (one root for n = 1, n/2 pairs otherwise), the factor is a cyclotomic
@@ -18,9 +20,9 @@ minors d_k, the signature being the sum of sign(d_k) sign(d_(k-1)): on
 integers (Bareiss) for symmetric rational matrices, over a residue field
 with its involution for hermitian ones.  A hermitian minor is fixed by the
 involution, so it is real at the root and equal to its real part there, a
-rational polynomial in y (`polys.cos_poly`) whose sign at y0 is certified
-as above.  A hermitian form is eliminated once and its minors are read at
-every root of the field's modulus.
+polynomial in y, of which `polys.cos_poly` gives an integer multiple whose
+sign at y0 is certified as above.  A hermitian form is eliminated once and
+its minors are read at every root of the field's modulus.
 """
 
 from __future__ import annotations
@@ -40,13 +42,9 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _value(g, x: Fraction) -> int:
-    """q^deg(g) g(x), x = p / q: g(x) times a positive integer."""
-    p, q = x.numerator, x.denominator
-    v, scale = 0, 1
-    for c in reversed(g):
-        v, scale = v * p + c * scale, scale * q
-    return v
+def _sign_at(g, x: Fraction) -> int:
+    """The sign of g(x) for an integer polynomial g."""
+    return _sign(polys.value(g, x.numerator, x.denominator))
 
 
 def _interval_horner(g, lo: Fraction, hi: Fraction) -> tuple:
@@ -65,22 +63,22 @@ def _interval_horner(g, lo: Fraction, hi: Fraction) -> tuple:
 class CertifiedRoot:
     """One root pair of `factor` on the unit circle, certified by a rational
     bracket [lo, hi] around y0 = 2*cos(theta) and the minimal polynomial
-    y_poly of y0.  A point bracket (lo == hi) means y0 is rational."""
+    y_poly of y0, kept primitive on integers whether given on integers or
+    rationals.  A point bracket (lo == hi) means y0 is rational."""
 
     def __init__(self, y_poly, lo, hi, factor: LaurentPoly | None = None):
-        self.y_poly = polys.monic(y_poly)
-        self._y = _integral(self.y_poly)[0]
+        self.y_poly = polys.primitive(y_poly)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
         self.factor = factor
         if self.lo > self.hi:
             raise ValueError("empty interval")
         # y_poly keeps this sign at lo as lo moves up to the root
-        self._lo_sign = _sign(_value(self._y, self.lo))
+        self._lo_sign = _sign_at(self.y_poly, self.lo)
         if self.lo == self.hi and self._lo_sign:
             raise ValueError("point interval must sit on a root")
-        if self.lo < self.hi and (self._lo_sign * _sign(_value(
-                self._y, self.hi)) != -1):
+        if self.lo < self.hi and (self._lo_sign * _sign_at(
+                self.y_poly, self.hi) != -1):
             raise ValueError("interval endpoints must bracket one root")
 
     @property
@@ -98,7 +96,7 @@ class CertifiedRoot:
 
     def _bisect(self) -> None:
         mid = (self.lo + self.hi) / 2
-        v = _sign(_value(self._y, mid))
+        v = _sign_at(self.y_poly, mid)
         if v == 0:
             # minimal polynomials of irrational y0 have no rational roots
             self.lo = self.hi = mid
@@ -109,14 +107,14 @@ class CertifiedRoot:
             self.hi = mid
 
     def sign_of(self, g) -> int:
-        """Certified sign of g(y0) for a dense rational polynomial g, or
-        any positive multiple of it, from the remainder of an integer
-        multiple of g by y_poly's (`polys.int_rem`)."""
-        rem = polys.int_rem(_integral(g)[0], self._y)[0]
+        """Certified sign of g(y0) for a dense integer polynomial g, or
+        any positive multiple of it, from g's pseudo-remainder by y_poly
+        (`polys.divmod_poly`), a positive multiple of its remainder."""
+        rem = polys.divmod_poly(g, self.y_poly)[1]
         if not rem:
             return 0
         if self.is_rational:
-            return _sign(_value(rem, self.lo))
+            return _sign_at(rem, self.lo)
         while True:
             a, b = _interval_horner(rem, self.lo, self.hi)
             if a > 0:
@@ -146,23 +144,22 @@ def unit_circle_roots(
     dense, k = factor.ordinary()
     if k != 0:
         raise ValueError("factor must be an ordinary polynomial")
-    n = polys.deg(dense)
-    if n == 1:
-        a = -dense[0]
-        if a == 1:  # z - 1, theta = 0
-            return [CertifiedRoot([Fraction(-2), Fraction(1)], 2, 2, factor)]
-        if a == -1:  # z + 1, theta = pi
-            return [CertifiedRoot([Fraction(2), Fraction(1)], -2, -2, factor)]
+    dense = polys.primitive(dense)
+    if len(dense) == 2:
+        if dense == [-1, 1]:  # z - 1, theta = 0
+            return [CertifiedRoot([-2, 1], 2, 2, factor)]
+        if dense == [1, 1]:  # z + 1, theta = pi
+            return [CertifiedRoot([2, 1], -2, -2, factor)]
         return []
-    y_poly = polys.monic(polys.palindromic_to_y(dense))
+    y_poly = polys.primitive(polys.palindromic_to_y(dense))
     if polys.deg(y_poly) == 1:
-        y0 = -y_poly[0]
+        y0 = Fraction(-y_poly[0], y_poly[1])
         if -2 < y0 < 2:
             return [CertifiedRoot(y_poly, y0, y0, factor)]
         return []
     out = []
-    for lo, hi in polys.isolate_real_roots(y_poly, Fraction(-2), Fraction(2)):
-        root = CertifiedRoot(y_poly, lo, hi, factor)
+    for a, b, d in polys.isolate_real_roots(y_poly, -2, 2):
+        root = CertifiedRoot(y_poly, Fraction(a, d), Fraction(b, d), factor)
         root.refine(precision)
         out.append(root)
     # theta increases as y decreases

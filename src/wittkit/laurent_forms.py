@@ -45,7 +45,7 @@ from wittkit.errors import (
     check,
 )
 from wittkit.exact import matrix, polys
-from wittkit.exact.factor import _int_divides, _zmul, factor_rational_poly
+from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.residue import ResidueField
@@ -74,7 +74,13 @@ def _dense(p: LaurentPoly) -> list:
 
 def _factor_key(p: LaurentPoly) -> tuple:
     """p's dense coefficients, made monic and ordinary: the report's key."""
-    return tuple(polys.monic(p.ordinary()[0]))
+    dense = p.ordinary()[0]
+    return tuple(c / dense[-1] for c in dense)
+
+
+def _monic(p: list) -> list:
+    """The integer polynomial p made monic, over Q."""
+    return [Fraction(c, p[-1]) for c in p]
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +131,16 @@ class LaurentModule:
     def _split(self, p) -> tuple:
         """(P, {i: (l, C)}) once per factor p: P is p made primitive, and
         d_i = c P^l C, l > 0, with C primitive, by exact division over Z
-        (Gauss's lemma)."""
+        (Gauss's lemma), where `polys.divmod_poly` leaves no remainder."""
         key = _factor_key(_as_laurent(p))
         if key not in self._splits:
             if len(key) < 2:
                 raise ValueError("factor must have positive degree")
-            prim, split = polys.content_primitive(key)[1], {}
+            prim, split = polys.primitive(key), {}
             for i, d in enumerate(self.divisors):
-                cof, level = polys.content_primitive(_dense(d))[1], 0
-                while (q := _int_divides(prim, cof)) is not None:
-                    cof, level = q, level + 1
+                cof, level = polys.primitive(_dense(d)), 0
+                while not (qr := polys.divmod_poly(cof, prim))[1]:
+                    cof, level = qr[0], level + 1
                 if level:
                     split[i] = level, cof
             self._splits[key] = prim, split
@@ -150,8 +156,8 @@ def _powers(m: list, w: list, k: int) -> list:
 
 
 def _krylov(h: tuple, g: tuple, c, v: tuple) -> tuple:
-    """v, hv, ..., h^D v, the local minimal polynomial of v (monic, dense,
-    degree D), w, Gw, ..., G^(D-1) w and alpha, off integers (H, d_h),
+    """v, hv, ..., h^D v, the local minimal polynomial of v (primitive,
+    dense, degree D), w, Gw, ..., G^(D-1) w and alpha, off integers (H, d_h),
     h = H / d_h, and (G, d), G = d h (g is h) or d (c - h)^-1.  For
     v = (w, d_v), w, Gw, ..., G^n w have pivots the first D and column D
     gives alpha(G) w = sum alpha_i G^i w = 0, monic and integral as G is,
@@ -171,7 +177,7 @@ def _krylov(h: tuple, g: tuple, c, v: tuple) -> tuple:
             p = [c * p[0] + b] + [c * x - y for x, y in zip(p[1:] + [0], p)]
         a = p
     return ([matrix._reduced(hs[k], h[1]**k * d_v) for k in range(top + 1)],
-            polys.from_ints(a, a[-1]), gs[:top], alpha)
+            polys.primitive(a), gs[:top], alpha)
 
 
 def _coprime_part(a: list, b: list) -> list:
@@ -185,22 +191,24 @@ def _coprime_part(a: list, b: list) -> list:
 
 def _frobenius(h: tuple, e_r: tuple | None = None, c=1) -> list:
     """Rational canonical decomposition of h = H / d_h: (Krylov vectors of
-    g_i, d_i), d_1 | ... | d_r, vectors as reduced pairs, every other step
-    on `_krylov`'s integer generator G: E for e|R = (E, d_e) when given
-    (P mode), certified as (c d_h - H) E = d_h d_e I, and H otherwise.  On
-    the h-invariant V = span(span), gcd splitting merges the spanning
-    vectors into w with the minimal polynomial mu of h on V: if
+    g_i, d_i), d_1 | ... | d_r, vectors as reduced pairs and each d_i
+    primitive on integers (`LaurentModule` keeps it monic), every other
+    step on `_krylov`'s integer generator G: E for e|R = (E, d_e) when
+    given (P mode), certified as (c d_h - H) E = d_h d_e I, and H
+    otherwise.  On the h-invariant V = span(span), gcd splitting merges the
+    spanning vectors into w with the minimal polynomial mu of h on V: if
     lcm(mu, nu) = a b, a | mu and b | nu coprime, then (mu/a)(h) w +
-    (nu/b)(h) u has it; if w's relation alpha(G), a unit times mu(h), kills
-    u, then nu | mu and u is skipped.  C = <w> splits off with
-    W = {x in V : phi(h^k x) = 0, k < D}, phi in C dual to h^(D-1) w on
-    the basis h^k w.  On V, h and G span the same algebra in degree < D,
-    so phi G^k, k < D, cut out W too, and x - U^T T^-1 Phi x projects onto
-    C along W, rows G^k w of U and phi G^k of Phi.  T = Phi U^T is Hankel
-    in t_j = phi(G^j w), up to a scalar the residue sum [z^(D-1)]
-    (y^j mod mu), G = y(h): in y's variable alpha's recurrence run from
-    D - 1 zeros and a one, read from index 0 (y = d_h z, Q mode) or
-    max(D - 2, 0) (y = d_e / (c - z), P mode).  phi = t^T (U U^T)^-1 U."""
+    (nu/b)(h) u, mu/a and nu/b monic, has it; if w's relation alpha(G), a
+    unit times mu(h), kills u, then nu | mu and u is skipped.  C = <w>
+    splits off with W = {x in V : phi(h^k x) = 0, k < D}, phi in C dual to
+    h^(D-1) w on the basis h^k w.  On V, h and G span the same algebra in
+    degree < D, so phi G^k, k < D, cut out W too, and x - U^T T^-1 Phi x
+    projects onto C along W, rows G^k w of U and phi G^k of Phi.
+    T = Phi U^T is Hankel in t_j = phi(G^j w), up to a scalar the residue sum
+    [z^(D-1)] (y^j mod mu), G = y(h): in y's variable alpha's recurrence
+    run from D - 1 zeros and a one, read from index 0 (y = d_h z, Q mode)
+    or max(D - 2, 0) (y = d_e / (c - z), P mode).  phi = t^T (U U^T)^-1 U.
+    """
     n, gen = len(h[0]), h if e_r is None else e_r
     check(e_r is None or matrix._imul(matrix._shift(h[0], c * h[1]), e_r[0])
           == Matrix.identity(n, h[1] * e_r[1]).rows,
@@ -220,7 +228,8 @@ def _frobenius(h: tuple, e_r: tuple | None = None, c=1) -> list:
                 cut = polys.divmod_poly(nu, _coprime_part(
                     nu, polys.divmod_poly(mu, keep)[0]))[0]
                 vecs, mu, us, alpha = _krylov(h, gen, c, matrix._combination(
-                    keep + cut, vecs[:len(keep)] + powers[:len(cut)]))
+                    _monic(keep) + _monic(cut),
+                    vecs[:len(keep)] + powers[:len(cut)]))
         deg = len(us)
         blocks.insert(0, (vecs[:deg], mu))
         dim -= deg
@@ -319,7 +328,8 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
     else:
         raise NotTorsion("presentation is singular over the fraction field")
     _, h, e_r = _pencil_reduction(e, c)
-    divisors = [LaurentPoly.from_dense(mu) for _, mu in _frobenius(h, e_r, c)]
+    divisors = [LaurentPoly.from_dense(_monic(mu))
+                for _, mu in _frobenius(h, e_r, c)]
     if torsion_mode == "P":
         for div in divisors:
             if div(1) == 0:
@@ -424,11 +434,11 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
         dense, low = form.num[i, j].ordinary()
         num, den = matrix._integral(dense)
         cof = reads[i][0]
-        return field.element(_zmul(num, cof), unit * den * cof[-1],
+        return field.element(polys.mul(num, cof), unit * den * cof[-1],
                              low + reads[j][1])
 
     gram0 = Matrix([[entry(i, j) for j in reads] for i in reads])
-    factor = LaurentPoly.from_dense(polys.from_ints(prim, prim[-1]))
+    factor = LaurentPoly.from_dense(_monic(prim))
     v = field.from_laurent(LaurentPoly.monomial(form.epsilon * unit, n * l))
     if n == 1:
         return AuxiliaryHermitian(factor, l, field, gram0,
@@ -516,7 +526,7 @@ def _phase_signs(u, shift: int, roots: list, epsilon: int) -> list[int]:
     sin theta > 0.  u = N / d, d > 0, is read as N."""
     num, offset = list(u.num), -shift
     if epsilon == -1:  # times z^-1 - z = z^-1 (1 - z^2)
-        num, offset = _zmul(num, [1, 0, -1]), offset - 1
+        num, offset = polys.mul(num, [1, 0, -1]), offset - 1
     g = polys.cos_poly(num, offset)
     signs = [root.sign_of(g) for root in roots]
     check(all(signs), "normalizing unit vanished at a root")

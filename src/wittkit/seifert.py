@@ -27,7 +27,6 @@ from wittkit.errors import (
     check,
 )
 from wittkit.exact import matrix, polys
-from wittkit.exact.factor import _zmul
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _imul, _integral_rows, _shift
 from wittkit.exact.ratfunc import series_expand
@@ -36,6 +35,7 @@ from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
     _frobenius,
+    _monic,
     _pencil_reduction,
 )
 
@@ -145,8 +145,8 @@ def _covering_module(mode: str, h: tuple, embed,
         images = zip(*_imul(embed[0], list(zip(*(x for x, _ in cols)))))
         cols = [matrix._reduced(y, embed[1] * d)
                 for y, (_, d) in zip(images, cols)]
-    return LaurentModule([LaurentPoly.from_dense(m) for _, m in blocks],
-                         cols, mode), blocks
+    return LaurentModule([LaurentPoly.from_dense(_monic(m))
+                          for _, m in blocks], cols, mode), blocks
 
 
 def _seifert_module(f: SeifertForm) -> LaurentModule:
@@ -161,14 +161,14 @@ def _seifert_module(f: SeifertForm) -> LaurentModule:
 
 def _pairing_entry(c: tuple, m: list, s: list) -> LaurentPoly:
     """The numerator over m* of lambda_ij: s N mod m*, of degree < deg m,
-    for the block's gram row c = C / den and an integer s: with m = M / d_m,
-    each N_k is an integer dot product over d_m den, and s N mod +-M
-    reversed comes from `polys.int_rem`."""
-    (big_c, den), (big_m, d_m) = c, matrix._integral(m)
-    d = len(m) - 1
-    num = [sum(map(mul, big_m[d - k:], big_c)) for k in range(d)]
-    rev = big_m[::-1] if big_m[0] > 0 else [-x for x in big_m[::-1]]
-    rem, scale = polys.int_rem(_zmul(s, num), rev)
+    for the block's gram row c = C / den, an integer s and the divisor
+    M / d_m, M primitive on integers and d_m = lc(M): each N_k is an
+    integer dot product over d_m den, and s N mod +-M reversed is a
+    pseudo-remainder (`polys.divmod_poly`)."""
+    (big_c, den), d, d_m = c, len(m) - 1, m[-1]
+    num = [sum(map(mul, m[d - k:], big_c)) for k in range(d)]
+    rev = m[::-1] if m[0] > 0 else [-x for x in m[::-1]]
+    _, rem, scale = polys.divmod_poly(polys.mul(s, num), rev)
     return LaurentPoly.from_dense([Fraction(x, scale * d_m * den)
                                    for x in rem])
 
@@ -305,15 +305,17 @@ def canonical_identification(f: AutometricForm,
 def verify_roundtrip(f: AutometricForm) -> bool:
     """monodromy(covering_autometric(f)) must equal f exactly after the
     canonical identification P = Q / d of underlying spaces, the covering's
-    basis over one denominator, compared as reduced integer pairs."""
+    basis over one denominator, compared as reduced integer pairs.  P needs
+    no rank check: the monodromy's theta' is nonsingular, as its
+    `AutometricForm` checked, so theta' = P^T theta P forces P to be
+    nonsingular too."""
     cov = covering_autometric(f)
     mono, n = monodromy(cov), f.rank
     if n == 0:
         return mono.rank == 0
     d = lcm(*(d_v for _, d_v in cov.module.basis))
     cols = [[x * (d // d_v) for x in v] for v, d_v in cov.module.basis]
-    if (len(cols) != n or mono.rank != n or any(len(v) != n for v in cols)
-            or len(matrix._gauss_jordan(cols)[1]) < n):
+    if len(cols) != n or mono.rank != n or any(len(v) != n for v in cols):
         return False
     q = list(zip(*cols))
     (t, d_t), (big_h, d_h), s, (big_m, d_m) = (

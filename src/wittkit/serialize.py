@@ -3,11 +3,14 @@
 Emission is deterministic: association keys are sorted, matrices are
 row-major, and rationals are "num/den" strings (bare numerator when the
 denominator is 1).  Every document emitted for a form type re-parses into
-an equal value through the matching from_json function.
+an equal value through the matching from_json function.  A scalar is read
+from an integer or from such a string only: no float, bool, decimal point,
+exponent or zero denominator.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import gcd, isfinite
@@ -78,12 +81,19 @@ def _scalar(x):
     return int(f) if f.denominator == 1 else str(f)
 
 
+_RATIONAL = re.compile(r"\s*([+-]?\d+)(?:\s*/\s*(\d*[1-9]\d*))?\s*")
+
+
 def parse_fraction(s) -> Fraction:
-    if isinstance(s, bool):
-        raise ValueError("booleans are not rational scalars")
-    if isinstance(s, float):
-        raise ValueError("floats are not exact; pass 'num/den' strings")
-    return Fraction(s)
+    """An integer, or a "num" or "num/den" string with den > 0: no bool,
+    float, decimal point or exponent, as `Fraction` alone would read
+    "1e999999", 9 bytes, as a million-digit integer."""
+    if isinstance(s, str) and (m := _RATIONAL.fullmatch(s)):
+        return Fraction(int(m[1]), int(m[2] or 1))
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    raise ValueError(f"{s!r:.40} is not an integer or a 'num/den' string "
+                     "with den > 0")
 
 
 def parse_int(s) -> int:

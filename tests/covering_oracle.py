@@ -51,7 +51,6 @@ from wittkit.errors import (
     SingularForm,
     check,
 )
-from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.ratfunc import RatFunc
@@ -136,7 +135,7 @@ class QZ(RatFunc):
 
 def monic_ordinary(p: LaurentPoly) -> LaurentPoly:
     """Strip the z-power unit and rescale to a monic ordinary polynomial."""
-    return LaurentPoly.from_dense(polys.monic(p.ordinary()[0]))
+    return LaurentPoly.from_dense(qpolys.monic(p.ordinary()[0]))
 
 def _to_qz(x) -> QZ:
     if isinstance(x, QZ):
@@ -180,15 +179,15 @@ def frac_class(f) -> QZ:
         return QZ.zero()
     den = f.den
     n0, m = f.num.ordinary()
-    c = polys.mod(n0, den)
+    c = qpolys.mod(n0, den)
     if m > 0:
-        zm = polys.mod([Fraction(0)] * m + [Fraction(1)], den)
-        c = polys.mod(qpolys.mul(c, zm), den)
+        zm = qpolys.mod([Fraction(0)] * m + [Fraction(1)], den)
+        c = qpolys.mod(qpolys.mul(c, zm), den)
     elif m < 0:
         # den = 0 mod den, so z^-1 = -(den - den(0)) / (den(0) z)
         zinv = [-x / den[0] for x in den[1:]]
         for _ in range(-m):
-            c = polys.mod(qpolys.mul(c, zinv), den)
+            c = qpolys.mod(qpolys.mul(c, zinv), den)
     return QZ.make(LaurentPoly.from_dense(c), den)
 
 
@@ -239,7 +238,7 @@ def validate_over_qz(form: LaurentLinkingForm) -> None:
         for j in range(r):
             entry = lam[i, j]
             # entries are canonical: d kills one exactly when den | d
-            if polys.mod(_dense(divisors[i]), entry.den):
+            if qpolys.mod(_dense(divisors[i]), entry.den):
                 raise ValueError("pairing not annihilated by the row divisor")
             if entry != frac_class(lam[j, i].bar() * Fraction(eps)):
                 raise ValueError("pairing breaks epsilon-symmetry")
@@ -288,8 +287,8 @@ def qz_auxiliary_gram(form: LaurentLinkingForm, p: LaurentPoly,
     p_pow = p**l
     cof = {}
     for i, d in enumerate(divisors):
-        q, rem = polys.divmod_poly(_dense(d), _dense(p_pow))
-        if not rem and polys.mod(q, _dense(p)):
+        q, rem = qpolys.divmod_poly(_dense(d), _dense(p_pow))
+        if not rem and qpolys.mod(q, _dense(p)):
             cof[i] = LaurentPoly.from_dense(q)
     entries = []
     for i in cof:
@@ -330,7 +329,7 @@ def series_expand_oracle(num: LaurentPoly, den: list, side: str, lo: int,
     out = {d: Fraction(0) for d in range(lo, hi + 1)}
     if num.is_zero():
         return out
-    D = polys.deg(den)
+    D = qpolys.deg(den)
     num_degs = sorted(num.coeffs)
     if side == "plus":
         # 1/den = sum_{j>=0} b_j z^j, driven by den(0) != 0

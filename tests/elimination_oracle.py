@@ -35,7 +35,9 @@ from wittkit import laurent_forms, seifert
 from wittkit.errors import SingularMatrix, check
 from wittkit.exact import polys
 from wittkit.exact.matrix import Matrix, _integral, _integral_rows
-from wittkit.laurent_forms import _coprime_part
+
+import qpolys
+import remainder_oracle
 
 
 def _apply(a: list, x: list) -> list:
@@ -149,6 +151,16 @@ def krylov(h: list, v: list) -> tuple[list, list]:
     return vecs, [-rel[t][d] for t in range(d)] + [Fraction(1)]
 
 
+def _coprime_part(a: list, b: list) -> list:
+    """a with every irreducible factor it shares with b divided out, over
+    Q with monic gcds."""
+    g = remainder_oracle.gcd(a, b)
+    while len(g) > 1:
+        a = qpolys.divmod_poly(a, g)[0]
+        g = remainder_oracle.gcd(a, g)
+    return a
+
+
 def frobenius(h: list) -> list:
     """Rational canonical decomposition of h: (Krylov vectors of g_i, d_i),
     d_1 | ... | d_r, by `krylov` and eliminations over Q."""
@@ -162,12 +174,12 @@ def frobenius(h: list) -> list:
             if _kills(h, mu, u):
                 continue  # nu | mu: the merge below would keep w
             powers, nu = krylov(h, u)
-            if polys.mod(mu, nu):
+            if qpolys.mod(mu, nu):
                 # keep = mu / a and cut = nu / b applied to h
-                keep = _coprime_part(mu, polys.divmod_poly(
-                    mu, polys.gcd(mu, nu))[0])
-                cut = polys.divmod_poly(nu, _coprime_part(
-                    nu, polys.divmod_poly(mu, keep)[0]))[0]
+                keep = _coprime_part(mu, qpolys.divmod_poly(
+                    mu, remainder_oracle.gcd(mu, nu))[0])
+                cut = qpolys.divmod_poly(nu, _coprime_part(
+                    nu, qpolys.divmod_poly(mu, keep)[0]))[0]
                 vecs, mu = krylov(h, [x + y for x, y in zip(
                     _apply(list(zip(*vecs)), keep),
                     _apply(list(zip(*powers)), cut))])
@@ -187,9 +199,11 @@ def frobenius(h: list) -> list:
 
 
 def pair_blocks(blocks: list) -> list:
-    """`frobenius`'s blocks with each Krylov vector as its reduced pair,
-    as `_frobenius` returns them."""
-    return [([_integral(x) for x in vecs], mu) for vecs, mu in blocks]
+    """`frobenius`'s blocks with each Krylov vector as its reduced pair and
+    each divisor as its primitive integer multiple, as `_frobenius` returns
+    them."""
+    return [([_integral(x) for x in vecs], polys.primitive(mu))
+            for vecs, mu in blocks]
 
 
 def fraction_matrix(pair) -> Matrix:

@@ -39,22 +39,22 @@ import qpolys
 def squarefree_decomposition(p):
     """Yun's algorithm over Q.  Returns monic squarefree factors with
     multiplicities; the product with multiplicities equals monic(p)."""
-    p = polys.monic(p)
-    if polys.deg(p) <= 0:
+    p = qpolys.monic(p)
+    if qpolys.deg(p) <= 0:
         return []
     out = []
-    g = gcd(p, polys.derivative(p))
-    w = polys.divmod_poly(p, g)[0]
-    y = polys.divmod_poly(polys.derivative(p), g)[0]
-    z = qpolys.sub(y, polys.derivative(w))
+    g = gcd(p, qpolys.derivative(p))
+    w = qpolys.divmod_poly(p, g)[0]
+    y = qpolys.divmod_poly(qpolys.derivative(p), g)[0]
+    z = qpolys.sub(y, qpolys.derivative(w))
     i = 1
-    while polys.deg(w) > 0:
+    while qpolys.deg(w) > 0:
         gi = gcd(w, z)
-        if polys.deg(gi) > 0:
-            out.append((polys.monic(gi), i))
-        w = polys.divmod_poly(w, gi)[0]
-        y = polys.divmod_poly(z, gi)[0]
-        z = qpolys.sub(y, polys.derivative(w))
+        if qpolys.deg(gi) > 0:
+            out.append((qpolys.monic(gi), i))
+        w = qpolys.divmod_poly(w, gi)[0]
+        y = qpolys.divmod_poly(z, gi)[0]
+        z = qpolys.sub(y, qpolys.derivative(w))
         i += 1
     return out
 
@@ -137,7 +137,7 @@ def _factor_primitive_int(f):
     out = []
     for part in _factor_squarefree_monic_int(monic_f):
         mapped = [Fraction(c * lc**i) for i, c in enumerate(part)]
-        out.append(polys.content_primitive(mapped)[1])
+        out.append(polys.primitive(mapped))
     return out
 
 
@@ -148,16 +148,16 @@ def factor_rational_poly(p: LaurentPoly):
     dense, k = p.ordinary()
     factors = []
     for sf, mult in squarefree_decomposition(dense):
-        _, prim = polys.content_primitive(sf)
+        prim = polys.primitive(sf)
         for g in _factor_primitive_int(prim):
-            glp = LaurentPoly.from_dense(polys.monic([Fraction(x) for x in g]))
+            glp = LaurentPoly.from_dense(qpolys.monic([Fraction(x) for x in g]))
             factors.append((glp, mult))
     factors.sort(key=lambda fm: (fm[0].max_deg(),
                                  sorted(fm[0].coeffs.items())))
     prod = LaurentPoly.one()
     for f, m in factors:
         prod = prod * f**m
-    quot, rem = polys.divmod_poly(dense, prod.ordinary()[0])
-    if rem or polys.deg(quot) != 0:
+    quot, rem = qpolys.divmod_poly(dense, prod.ordinary()[0])
+    if rem or qpolys.deg(quot) != 0:
         raise AssertionError("oracle factorization lost a factor")
     return LaurentPoly.monomial(quot[0], k), factors

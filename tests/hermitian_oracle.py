@@ -21,7 +21,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from wittkit.errors import SingularForm
-from wittkit.exact import polys
 from wittkit.exact import residue as wittkit_residue
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix
@@ -35,11 +34,11 @@ import qpolys
 
 def ext_gcd(p, q) -> tuple[list, list, list]:
     """Monic g with g = s*p + t*q; returns (g, s, t)."""
-    a, b = polys.trim(p), polys.trim(q)
+    a, b = qpolys.trim(p), qpolys.trim(q)
     sa, sb = [Fraction(1)], []
     ta, tb = [], [Fraction(1)]
     while b:
-        quot, rem = polys.divmod_poly(a, b)
+        quot, rem = qpolys.divmod_poly(a, b)
         a, b = b, rem
         sa, sb = sb, qpolys.sub(sa, qpolys.mul(quot, sb))
         ta, tb = tb, qpolys.sub(ta, qpolys.mul(quot, tb))
@@ -59,24 +58,24 @@ class ResidueField:
     `Fraction` tuples of length < deg(d)."""
 
     def __init__(self, modulus):
-        mod = polys.trim([Fraction(c) for c in modulus])
-        if polys.deg(mod) < 1:
+        mod = qpolys.trim([Fraction(c) for c in modulus])
+        if qpolys.deg(mod) < 1:
             raise ValueError("modulus must have positive degree")
         if mod[-1] != 1:
             raise ValueError("modulus must be monic")
         if mod[0] == 0:
             raise ValueError("modulus must not vanish at 0")
         self.modulus = mod
-        self.degree = polys.deg(mod)
+        self.degree = qpolys.deg(mod)
         # z * (d_n z^{n-1} + ... + d_1) = -d_0, so 1/z is a polynomial in z
-        self._z_inv = polys.trim([-c / mod[0] for c in mod[1:]])
-        rev = polys.monic(list(reversed(mod)))
+        self._z_inv = qpolys.trim([-c / mod[0] for c in mod[1:]])
+        rev = qpolys.monic(list(reversed(mod)))
         self.self_conjugate = rev == mod
 
     # -- element constructors --
 
     def elem(self, coeffs) -> "ResidueElem":
-        dense = polys.mod([Fraction(c) for c in coeffs], self.modulus)
+        dense = qpolys.mod([Fraction(c) for c in coeffs], self.modulus)
         return ResidueElem(self, tuple(dense))
 
     def zero(self) -> "ResidueElem":
@@ -112,7 +111,7 @@ class ResidueField:
         if not self.self_conjugate:
             raise ValueError("involution requires a self-conjugate modulus")
         pad = (Fraction(0),) * (self.degree - len(e.coeffs))
-        rev = polys.trim(pad + e.coeffs[::-1])
+        rev = qpolys.trim(pad + e.coeffs[::-1])
         return self._z_inv_top * ResidueElem(self, tuple(rev))
 
 
@@ -170,7 +169,7 @@ class ResidueElem:
         if not self.coeffs:
             raise ZeroDivisionError("zero has no inverse")
         g, s, _ = ext_gcd(list(self.coeffs), self.field.modulus)
-        if polys.deg(g) != 0:
+        if qpolys.deg(g) != 0:
             raise ValueError("modulus is not irreducible")
         return self.field.elem(qpolys.scal(1 / g[0], s))
 
@@ -232,7 +231,7 @@ def as_oracle_matrix(m):
 
 @lru_cache(maxsize=None)
 def _oracle_field(modulus: tuple) -> ResidueField:
-    return ResidueField(polys.monic([Fraction(c) for c in modulus]))
+    return ResidueField(qpolys.monic([Fraction(c) for c in modulus]))
 
 
 def descartes_positive_roots(coeffs) -> int:
@@ -287,8 +286,8 @@ def chebyshev_s(j: int):
 def palindromic_to_y(p):
     """Y of degree m with p(z) = z^m Y(z + 1/z), for palindromic p of even
     degree 2m, summed one Chebyshev polynomial at a time."""
-    p = polys.trim(p)
-    n = polys.deg(p)
+    p = qpolys.trim(p)
+    n = qpolys.deg(p)
     if n % 2 != 0:
         raise ValueError("degree must be even")
     m = n // 2
@@ -297,7 +296,7 @@ def palindromic_to_y(p):
     out = [p[m]]
     for j in range(1, m + 1):
         out = qpolys.add(out, qpolys.scal(p[m + j], chebyshev_q(j)))
-    return polys.trim(out)
+    return qpolys.trim(out)
 
 
 def phase_sign(u, shift: int, root, epsilon: int) -> int:
@@ -313,7 +312,7 @@ def phase_sign(u, shift: int, root, epsilon: int) -> int:
         else:
             term = qpolys.scal(Fraction(c), chebyshev_s(k))
         acc = qpolys.add(acc, term)
-    s = root.sign_of(acc)
+    s = root.sign_of(qpolys.ints(acc))
     if s == 0:
         raise ArithmeticError("normalizing unit vanished at a root")
     return s
@@ -364,7 +363,7 @@ def express_in_y(field, e) -> list:
     sol = [Fraction(0)] * m
     for r, col in enumerate(pivots):
         sol[col] = aug[r][m]
-    return polys.trim(sol)
+    return qpolys.trim(sol)
 
 
 def charpoly_in_y(h) -> list:
@@ -381,6 +380,7 @@ def charpoly_in_y(h) -> list:
 def descartes_signature_at_root(in_y, root) -> int:
     """Signature at the root from `charpoly_in_y`: coefficient signs at y0,
     then Descartes' rule."""
+    in_y = [qpolys.ints(g) for g in in_y]
     if root.sign_of(in_y[0]) == 0:
         raise SingularForm("hermitian form is singular at this root")
     return descartes_signature([root.sign_of(g) for g in in_y])
@@ -432,7 +432,7 @@ def fraction_signature_of_symmetric(m) -> int:
 def pivot_signatures_at_root(h, roots) -> list[int]:
     """The hermitian signatures at `roots` from field pivots, each pivot's
     real part in y read at every root."""
-    pivots = [polys.cos_poly(piv.coeffs) for piv in congruence_pivots(
+    pivots = [qpolys.ints(qpolys.cos_poly(piv.coeffs)) for piv in congruence_pivots(
         [list(row) for row in h.rows], lambda x: x.bar())]
     return [sum(root.sign_of(g) for g in pivots) for root in roots]
 
@@ -440,7 +440,7 @@ def pivot_signatures_at_root(h, roots) -> list[int]:
 # ---- the multisignature on the Fraction field ----
 
 def _monic_dense(p: LaurentPoly) -> list:
-    return polys.monic(p.ordinary()[0])
+    return qpolys.monic(p.ordinary()[0])
 
 
 def _fraction_split(form, dense_p: list) -> dict:
@@ -450,7 +450,7 @@ def _fraction_split(form, dense_p: list) -> dict:
     for i, d in enumerate(form.module.divisors):
         q, level = _monic_dense(d), 0
         while len(q) >= len(dense_p) and not (
-                qr := polys.divmod_poly(q, dense_p))[1]:
+                qr := qpolys.divmod_poly(q, dense_p))[1]:
             q, level = qr[0], level + 1
         if level:
             out[i] = level, LaurentPoly.from_dense(q)
@@ -486,7 +486,7 @@ def fraction_auxiliary(form, p, l: int) -> tuple:
 def fraction_pivot_signs(gram, roots) -> list:
     """Per root, the signs of the leading minors of the hermitian gram:
     running products of the signs of its `congruence_pivots`."""
-    pivots = [polys.cos_poly(piv.coeffs) for piv in congruence_pivots(
+    pivots = [qpolys.ints(qpolys.cos_poly(piv.coeffs)) for piv in congruence_pivots(
         [list(row) for row in gram.rows], lambda x: x.bar())]
     out = []
     for root in roots:
@@ -525,7 +525,7 @@ def fraction_multisignature(form, precision=DEFAULT_PRECISION) -> tuple:
                     sigs[(key, 0, l)] = SIGMA_SIGN * sig
                     continue
                 flip = phase_sign(u, deg // 2 * l, root, form.epsilon)
-                orient = root.sign_of(polys.derivative(root.y_poly)) \
+                orient = root.sign_of(qpolys.derivative(root.y_poly)) \
                     if l % 2 else 1
                 sigs[(key, ridx, l)] = SIGMA_SIGN * flip * orient * 2 * sig
     return sigs, ranks

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from wittkit.errors import ComputationError, SingularAtRoot, SingularForm
-from wittkit.exact import polys, residue
+from wittkit.exact import residue
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.roots import (
@@ -36,6 +36,8 @@ from wittkit.exact.roots import (
 from wittkit.knots import _det_one_minus, _signature_at_u, _u_in_y_gap
 
 import hermitian_oracle
+import qpolys
+import remainder_oracle
 from elimination_oracle import fraction_matrix
 from snf_oracle import _faddeev_leverrier
 
@@ -45,7 +47,7 @@ def _cyclotomic(n: int) -> tuple[Fraction, ...]:
     result = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # z^n - 1
     for d in range(1, n):
         if n % d == 0:
-            result = polys.divmod_poly(result, list(_cyclotomic(d)))[0]
+            result = qpolys.divmod_poly(result, list(_cyclotomic(d)))[0]
     return tuple(result)
 
 
@@ -69,8 +71,8 @@ def minimal_poly_of_2cos(numer: int, denom: int) -> tuple[list[Fraction], Fracti
     if denom == 2:  # theta = pi
         return [Fraction(2), Fraction(1)], Fraction(-2), Fraction(-2)
     phi = cyclotomic_polynomial(denom)
-    y_poly = polys.monic(polys.palindromic_to_y(phi))
-    if polys.deg(y_poly) == 1:
+    y_poly = qpolys.monic(hermitian_oracle.palindromic_to_y(phi))
+    if qpolys.deg(y_poly) == 1:
         y0 = -y_poly[0]
         return y_poly, y0, y0
     # bracket 2*cos(2*pi*numer/denom): the float center is accurate to a few
@@ -80,7 +82,7 @@ def minimal_poly_of_2cos(numer: int, denom: int) -> tuple[list[Fraction], Fracti
     center = Fraction(2 * math.cos(2 * math.pi * numer / denom))
     width = Fraction(1, 2**20)
     while width >= Fraction(1, 2**48):
-        roots = polys.isolate_real_roots(y_poly, center - width, center + width)
+        roots = remainder_oracle.isolate_real_roots(y_poly, center - width, center + width)
         if len(roots) == 1:
             a, b = roots[0]
             return y_poly, a, b
@@ -97,6 +99,7 @@ def free_bracket(root: CertifiedRoot, g) -> tuple[Fraction, Fraction]:
     """A rational interval around the root's y0 on which interval Horner
     shows g has no zero: the bracket is padded, and the pad halves (and the
     bracket bisects once wider) until it does.  Needs g(y0) != 0."""
+    g = qpolys.ints(g)
     if root.sign_of(g) == 0:
         raise SingularForm("the polynomial vanishes at this root")
     pad = Fraction(1)
@@ -151,7 +154,7 @@ def singular_poly_in_y(k) -> list:
     """`_det_one_minus`'s D(z) in y = z + 1/z.  theta is unimodular and
     alternating mod 2, so the rank n is even and D(1/z) = z^-n D(z) is
     palindromic."""
-    return polys.palindromic_to_y(_det_one_minus(k).ordinary()[0])
+    return hermitian_oracle.palindromic_to_y(_det_one_minus(k).ordinary()[0])
 
 
 def per_call_lt_signature(k, turn, d_y=None) -> int:

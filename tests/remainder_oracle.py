@@ -1,32 +1,22 @@
 """Oracle for the remainder sequence in `wittkit.exact.polys`.
 
-The Euclid loops over Q as they ran before `gcd` and `sturm_chain` shared
-one sign-normalized sequence: a gcd made monic at every step, a Sturm
-chain r_(k+1) = -rem(r_(k-1), r_k) with unnormalized `Fraction`
-coefficients, and root isolation on a squarefree part taken by a separate
-gcd(p, p')."""
+Euclid's loops over Q (`qpolys`), with `Fraction` coefficients: a gcd made
+monic at every step, a Sturm chain r_(k+1) = -rem(r_(k-1), r_k) with
+unnormalized coefficients, Sturm counts at rational points, and root
+isolation on a squarefree part taken by a separate gcd(p, p').  The
+integer primitive remainder sequence must give the same gcd up to a
+positive scalar, chain members that are positive multiples of these, and
+the same counts and brackets."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-from wittkit.exact.polys import (
-    Poly,
-    deg,
-    derivative,
-    divmod_poly,
-    eval_at,
-    mod,
-    monic,
-    sturm_count,
-    trim,
-)
-
-from qpolys import neg
+from qpolys import deg, derivative, divmod_poly, eval_at, mod, monic, neg, trim
 
 
-def gcd(p: Sequence, q: Sequence) -> Poly:
+def gcd(p: Sequence, q: Sequence) -> list:
     """Monic gcd."""
     a, b = trim(p), trim(q)
     while b:
@@ -35,13 +25,25 @@ def gcd(p: Sequence, q: Sequence) -> Poly:
     return monic(a)
 
 
-def sturm_chain(p: Sequence) -> list[Poly]:
+def sturm_chain(p: Sequence) -> list[list]:
     chain = [trim(p), derivative(p)]
     while chain[-1]:
         r = mod(chain[-2], chain[-1])
         chain.append(neg(r))
     chain.pop()
     return chain
+
+
+def _sign_changes(values) -> int:
+    signs = [1 if v > 0 else -1 for v in values if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_count(chain: list[list], a, b) -> int:
+    """Number of distinct real roots in (a, b] for a squarefree chain."""
+    va = _sign_changes([eval_at(q, a) for q in chain])
+    vb = _sign_changes([eval_at(q, b) for q in chain])
+    return va - vb
 
 
 def isolate_real_roots(p: Sequence, lo, hi) -> list[tuple[Fraction, Fraction]]:

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from wittkit.errors import NotPTorsion, NotTorsion
-from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _dot
 from wittkit.laurent_forms import LaurentModule, _as_laurent
 
 from elimination_oracle import _one_like, fraction_matrix
+import qpolys
 from covering_oracle import (
     QZ, covering_pencil, form_from_qz, frac_class, monic_ordinary,
     validate_over_qz)
@@ -86,10 +86,10 @@ class _PolyOps:
         e0, a = e.ordinary()
         p0, b = p.ordinary()
         if self.z_unit:
-            q0, _ = polys.divmod_poly(e0, p0)
+            q0, _ = qpolys.divmod_poly(e0, p0)
             return LaurentPoly.from_dense(q0, a - b)
         # over Q[z] powers of z are not units, so divide the plain dense forms
-        q0, _ = polys.divmod_poly([Fraction(0)] * a + e0, [Fraction(0)] * b + p0)
+        q0, _ = qpolys.divmod_poly([Fraction(0)] * a + e0, [Fraction(0)] * b + p0)
         return LaurentPoly.from_dense(q0)
 
     def divides(self, p, e) -> bool:
@@ -97,7 +97,7 @@ class _PolyOps:
         p0, b = p.ordinary()
         if not self.z_unit and b > a:
             return False
-        return not polys.divmod_poly(e0, p0)[1]
+        return not qpolys.divmod_poly(e0, p0)[1]
 
     def normalize_unit(self, d):
         d0, k = d.ordinary()

@@ -378,6 +378,60 @@ def test_integer_fields_accept_integral_strings():
         serialize.parse_int("5/2")
 
 
+# each document with X in one scalar: a psi entry or epsilon (analyze), a
+# gram entry or alpha (linking), a gram entry (oracle)
+HOSTILE_SCALAR_DOCS = [
+    ("analyze", '{"psi": [[X, 1], [0, -1]], "epsilon": -1}'),
+    ("analyze", '{"psi": [[-1, 1], [0, -1]], "epsilon": X}'),
+    ("linking", '{"prime": 3, "orders": [2], "gram": [[X]], "epsilon": 1}'),
+    ("linking", '{"alpha": [[X]], "epsilon": 1}'),
+    ("oracle", '{"prime": 3, "orders": [2], "gram": [[X]], "epsilon": 1}'),
+]
+
+
+@pytest.mark.parametrize("command,doc", HOSTILE_SCALAR_DOCS)
+def test_zero_denominators_exit_2(command, doc, monkeypatch, capsys):
+    # Fraction("1/0") raises ZeroDivisionError, once mapped to exit 3
+    code, out, err = run_cli([command, "--input", "-"],
+                             doc.replace("X", '"1/0"'), monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert "input error" in err and "'1/0' is not an integer" in err
+
+
+@pytest.mark.parametrize("command,doc", HOSTILE_SCALAR_DOCS)
+def test_exponent_strings_exit_2(command, doc, monkeypatch, capsys):
+    # 9 bytes that Fraction reads as a million-digit integer
+    code, out, err = run_cli([command, "--input", "-"],
+                             doc.replace("X", '"1e999999"'), monkeypatch,
+                             capsys)
+    assert code == 2 and out == ""
+    assert "input error" in err and "'1e999999'" in err
+
+
+@pytest.mark.parametrize("text", ["1e999999", "1E3", "2.5", "1.", ".5",
+                                  "-1e-3/7", "1/2e3", "inf", "nan", "",
+                                  "1_000", "0x10", "1/-2"])
+def test_decimals_and_exponents_are_refused(text):
+    # Fraction(str) reads these; "1e999999" is a million-digit integer
+    with pytest.raises(ValueError, match="not an integer or a 'num/den'"):
+        serialize.parse_fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/00", " 5 / 0 ", 2.0, 1.5,
+                                  True])
+def test_zero_denominators_floats_and_bools_are_refused(text):
+    with pytest.raises(ValueError, match="not an integer or a 'num/den'"):
+        serialize.parse_fraction(text)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("7", 7), (" -3 ", -3), ("+4/6", Fraction(2, 3)), ("10/007",
+                                                        Fraction(10, 7)),
+    (12, 12), ("0/5", 0), (2**80, 2**80)])
+def test_integers_and_ratios_are_read(text, want):
+    assert serialize.parse_fraction(text) == want
+
+
 class TestOracle:
     def test_z4(self, monkeypatch, capsys):
         code, out, _ = run_cli(["oracle", "--input", "-"],

@@ -208,7 +208,7 @@ def test_squarefree_without_a_small_certificate_prime(monkeypatch):
     p = LaurentPoly.one()
     for i in range(41):
         p = p * (z - i)
-    f = polys.content_primitive(p.ordinary()[0])[1]
+    f = polys.primitive(p.ordinary()[0])
     assert factor._lifting_prime(f, itertools.islice(
         factor._odd_primes(), 11)) is None
     assert gcd_calls(monkeypatch, p) == 1

@@ -57,6 +57,7 @@ from covering_oracle import module_dimension_q
 from elimination_oracle import fraction_matrix
 from snf_oracle import pencil_adjugate
 from test_seifert import SCALE_3
+import qpolys
 
 TREFOIL = [[-1, 1], [0, -1]]
 FIG8 = [[1, 1], [0, -1]]
@@ -111,8 +112,9 @@ def dense_of(p):
 
 def roots_strictly_inside(g, lo, hi):
     """Isolating brackets of the real roots of g in the open (lo, hi)."""
+    g = polys.primitive(g)
     found = polys.isolate_real_roots(g, lo, hi)
-    if found and polys.eval_at(g, hi) == 0:
+    if found and polys.value(g, hi.numerator, hi.denominator) == 0:
         found.pop()  # the last bracket ends at hi and holds only that root
     return found
 
@@ -574,7 +576,7 @@ def phi_divides_d(k, max_denom=120):
     """The d <= max_denom with Phi_d | D = `_det_one_minus`, by division."""
     dense = dense_of(knots._det_one_minus(k))
     return {d for d in range(1, max_denom + 1)
-            if not polys.mod(dense, cyclotomic_polynomial(d))}
+            if not qpolys.mod(dense, cyclotomic_polynomial(d))}
 
 
 class TestSingularTurns:
@@ -783,7 +785,7 @@ class TestStepFunction:
                 continue
             y_poly = cyclotomic_y_poly(d)
             if d <= 30:
-                assert y_poly == polys.monic(polys.palindromic_to_y(
+                assert y_poly == polys.palindromic_to_y(polys.primitive(
                     cyclotomic_polynomial(d)))
             turns = [Fraction(a, d) for a in range(1, d // 2 + 1)
                      if math.gcd(a, d) == 1]

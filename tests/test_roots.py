@@ -119,15 +119,20 @@ def test_mixed_roots_partial_circle():
 
 def test_sign_of_exact_zero():
     root = unit_circle_roots(z**4 + 1)[0]  # y0 = sqrt(2)
-    assert root.sign_of([F(-2), F(0), F(1)]) == 0  # y^2 - 2 vanishes
-    assert root.sign_of([F(-1), F(1)]) == 1  # y - 1 > 0 at sqrt(2)
-    assert root.sign_of([F(-3), F(1)]) == -1
+    assert root.sign_of([-2, 0, 1]) == 0  # y^2 - 2 vanishes
+    assert root.sign_of([-1, 1]) == 1  # y - 1 > 0 at sqrt(2)
+    assert root.sign_of([-3, 1]) == -1
+    # the pseudo-remainder by y_poly is a positive multiple of g's
+    assert root.sign_of([6, 0, -3]) == 0
+    assert root.sign_of([-5, 0, 0, 3]) == 1  # 3 y^3 - 5 = 6 y - 5 > 0
+    assert root.sign_of([9, 0, 0, -7]) == -1  # 9 - 14 y < 0
 
 
 def test_sign_of_rational_point():
     root = unit_circle_roots(z**2 - z + 1)[0]  # y0 = 1
-    assert root.sign_of([F(-1), F(1)]) == 0
-    assert root.sign_of([F(1), F(7)]) == 1
+    assert root.sign_of([-1, 1]) == 0
+    assert root.sign_of([1, 7]) == 1
+    assert root.sign_of([3, 0, -4]) == -1
 
 
 def test_refine_rejects_a_width_that_never_comes():
@@ -255,7 +260,7 @@ def test_free_bracket_excludes_a_nearby_zero():
     near = F(6180339886, 10**10)
     lo, hi = free_bracket(root, [-near, F(1)])
     assert near < lo <= root.lo and root.hi <= hi
-    assert polys.eval_at(root.y_poly, lo) * polys.eval_at(root.y_poly, hi) < 0
+    assert qpolys.eval_at(root.y_poly, lo) * qpolys.eval_at(root.y_poly, hi) < 0
     # a point bracket (turn 1/4, y0 = 0) is widened, not past g's zero
     point = CertifiedRoot(*minimal_poly_of_2cos(1, 4))
     lo, hi = free_bracket(point, [F(-1, 10**9), F(1)])

@@ -537,7 +537,7 @@ MODES = {"Q": [-1], "P": [1, -1]}
 
 
 def block_coords(num, m):
-    """c with `_pairing_entry`'s N equal to num: N_k = sum_{j <= k}
+    """c with `_pairing_entry`'s N equal to num, for monic m: N_k = sum_{j <= k}
     m_(d-k+j) c_j is unit triangular in c, m being monic."""
     d = len(m) - 1
     c = []
@@ -566,7 +566,8 @@ class TestPairingEntry:
                 m[0] = Fraction(1)
             c = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
                  for _ in range(d + rng.randint(0, 2))]
-            got = seifert._pairing_entry(_integral(c), m, MODES[mode])
+            got = seifert._pairing_entry(_integral(c), polys.primitive(m),
+                                         MODES[mode])
             assert got.is_zero() or 0 <= got.min_deg() <= got.max_deg() < d
             assert entry_class(got, m) == pairing_entry_oracle(
                 c, m, MODES[mode])
@@ -576,8 +577,8 @@ class TestPairingEntry:
         # m = (z - 2)(z^2 + z + 3), m* = (1 - 2z)(3z^2 + z + 1); N = 1 - 2z
         m = [Fraction(-6), Fraction(1), Fraction(-1), Fraction(1)]
         c = block_coords([Fraction(1), Fraction(-2), Fraction(0)], m)
-        got = entry_class(seifert._pairing_entry(_integral(c), m,
-                                                 MODES[mode]), m)
+        got = entry_class(seifert._pairing_entry(
+            _integral(c), polys.primitive(m), MODES[mode]), m)
         assert got == pairing_entry_oracle(c, m, MODES[mode])
         assert len(got.den) - 1 == 2
 
@@ -586,12 +587,14 @@ class TestPairingEntry:
         m = [Fraction(3), Fraction(-4), Fraction(1)]
         c = block_coords([Fraction(5), Fraction(-15)], m)
         for mode, want_zero in (("P", True), ("Q", False)):
-            got = seifert._pairing_entry(_integral(c), m, MODES[mode])
+            got = seifert._pairing_entry(_integral(c), polys.primitive(m),
+                                         MODES[mode])
             assert entry_class(got, m) == pairing_entry_oracle(
                 c, m, MODES[mode])
             assert got.is_zero() is want_zero
         for mode in MODES:
-            zero = seifert._pairing_entry(([0, 0], 1), m, MODES[mode])
+            zero = seifert._pairing_entry(([0, 0], 1), polys.primitive(m),
+                                           MODES[mode])
             assert zero == LaurentPoly.zero()
             assert pairing_entry_oracle(
                 [Fraction(0)] * 2, m, MODES[mode]) == QZ.zero()
@@ -799,6 +802,34 @@ class TestKrylovAgainstParentChain:
             for gen in (None, e_r):
                 assert laurent_forms._frobenius(
                     integer_pair(h), gen, c) == want
+
+    def test_merge_with_rational_local_minimal_polynomials(self):
+        # companion blocks of p q and p^2, p = z - a, q = z - b, on e_1, e_2
+        # and e_3, e_4, in either order: e_1 and e_3 merge into
+        # keep(h) e_1 + cut(h) e_3 with one of keep, cut equal to p, monic
+        # over Q, whose primitive multiple would give another generator
+        rng = random.Random(35)
+        for _ in range(12):
+            a, b = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                             rng.randint(2, 7)) for _ in range(2))
+            if a == b:
+                continue
+            pq, p2 = [a * b, -a - b, 1], [a * a, -2 * a, 1]
+            blocks = [Matrix([[0, -m[0]], [1, -m[1]]]) for m in (pq, p2)]
+            for order in (blocks, blocks[::-1]):
+                h = Matrix.block_diag(order)
+                want = pair_blocks(frobenius(h.rows))
+                assert [mu for _, mu in want] == [
+                    polys.primitive([-a, 1]),
+                    polys.primitive(qpolys.mul(pq, [-a, 1]))]
+                for c in (1, 2, -1):
+                    ident = Matrix.identity(4)
+                    if (ident.scale(c) - h).det() == 0:
+                        continue
+                    e_r = integer_pair((ident.scale(c) - h).inverse())
+                    for gen in (None, e_r):
+                        assert laurent_forms._frobenius(
+                            integer_pair(h), gen, c) == want
 
     def test_krylov_calls_on_mirror_sum(self, monkeypatch):
         # a spanning vector killed by mu(h) costs no Krylov sequence: on
@@ -1537,6 +1568,39 @@ class TestRoundTrip:
         forms = [f for f in self.seeded_forms(9)[0] if f.rank > 1]
         monkeypatch.setattr(seifert, "covering_autometric", bent)
         for f in forms:
+            assert verify_roundtrip(f) is verify_roundtrip_oracle(f) is False
+
+    def test_singular_basis_meeting_the_h_check_refused(self, monkeypatch):
+        # P replaced by g(h) P, g an irreducible factor of the largest
+        # divisor: h g(h) P = g(h) P h' keeps the h check, and g(h) is
+        # singular, so with no rank check on P only theta' = P^T theta P,
+        # nonsingular as the monodromy's form, can refuse it
+        from wittkit.exact.factor import factor_rational_poly
+        real = seifert.covering_autometric
+
+        def g_of_h(f, cov, x):
+            g = factor_rational_poly(cov.module.divisors[-1])[1][0][0]
+            y = [Fraction(0)] * len(x)
+            for c in reversed(g.ordinary()[0]):
+                y = [sum(a * b for a, b in zip(r, y)) + c * xi
+                     for r, xi in zip(f.h.rows, x)]
+            return y
+
+        def bent(f):
+            cov = real(f)
+            basis = [_integral(g_of_h(f, cov, [Fraction(x, d) for x in v]))
+                     for v, d in cov.module.basis]
+            return LaurentLinkingForm(
+                dataclasses.replace(cov.module, basis=basis), cov.num,
+                cov.epsilon)
+
+        forms = [f for f in self.seeded_forms(10)[0] if f.rank]
+        monkeypatch.setattr(seifert, "covering_autometric", bent)
+        for f in forms:
+            cov = seifert.covering_autometric(f)
+            p = canonical_identification(f, cov)
+            assert p.det() == 0
+            assert f.h * p == p * monodromy(cov).h
             assert verify_roundtrip(f) is verify_roundtrip_oracle(f) is False
 
     def test_monodromy_of_another_rank_refused(self, monkeypatch):

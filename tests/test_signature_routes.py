@@ -31,6 +31,7 @@ from wittkit.laurent_forms import dw_multisignature_laurent
 
 import hermitian_oracle as oracle
 from covering_oracle import laurent_direct_sum
+import qpolys
 from lt_oracle import cyclotomic_polynomial
 from test_knots import seeded_seifert_knot
 from test_laurent_forms import P6, P12, ONE, Z, cyclic_block
@@ -168,6 +169,8 @@ def test_bar_matches_horner():
 # ---- the substitution y = z + 1/z ----
 
 def test_palindromic_to_y_matches_chebyshev_sum():
+    # the kernel takes integers: a rational p goes in as its positive
+    # multiple L p, and Y is linear in p
     rng = random.Random(5)
     for _ in range(150):
         m = rng.randint(0, 10)
@@ -175,7 +178,10 @@ def test_palindromic_to_y_matches_chebyshev_sum():
         half = [F(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))]
         half += [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
         p = half + half[-2::-1]
-        assert polys.palindromic_to_y(p) == oracle.palindromic_to_y(p)
+        scaled = qpolys.ints(p)
+        got = polys.palindromic_to_y(scaled)
+        assert got == qpolys.scal(scaled[0] / p[0], oracle.palindromic_to_y(p))
+        assert all(type(c) is int for c in got)
     for d in range(1, 121):
         p = cyclotomic_polynomial(d)
         if d <= 2:  # z -/+ 1 has odd degree
@@ -183,9 +189,10 @@ def test_palindromic_to_y_matches_chebyshev_sum():
                 with pytest.raises(ValueError):
                     f(p)
             continue
-        assert polys.palindromic_to_y(p) == oracle.palindromic_to_y(p), d
+        assert polys.palindromic_to_y(qpolys.ints(p)) \
+            == oracle.palindromic_to_y(p), d
     with pytest.raises(ValueError):
-        polys.palindromic_to_y([F(1), F(2), F(3)])
+        polys.palindromic_to_y([1, 2, 3])
 
 
 def test_phase_sign_matches_chebyshev_sum():
