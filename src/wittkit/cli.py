@@ -61,12 +61,12 @@ from wittkit.subgroups import (
 @dataclass
 class CliConfig:
     command: str
-    input: str | None
-    output: str | None
-    format: str
-    precision: Fraction
-    search_bound: int | None
-    catalog: str | None
+    input: str | None = None
+    output: str | None = None
+    format: str | None = None
+    precision: Fraction | None = None
+    search_bound: int | None = None
+    catalog: str | None = None
 
 
 def parse_precision(text: str) -> Fraction:
@@ -83,6 +83,21 @@ def parse_precision(text: str) -> Fraction:
     return value
 
 
+_OPTIONS = {  # each command accepts only the options its cmd_* reads
+    "input": dict(help="input JSON path ('-' for stdin)"),
+    "output": dict(help="output path (default stdout)"),
+    "format": dict(choices=("json", "text"), default="json"),
+    "precision": dict(help="root isolation width, 'num/den' or '2^-k' "
+                           "(env WITTKIT_PRECISION)"),
+    "search-bound": dict(type=int,
+                         help="subgroup budget for the brute-force oracle; "
+                              "for 'linking' its presence requests oracle "
+                              "witnesses"),
+    "catalog": dict(metavar="NAME",
+                    help="use a bundled Seifert matrix as the input"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -91,47 +106,34 @@ def _build_parser() -> argparse.ArgumentParser:
                     "slice / doubly-slice obstructions of Seifert matrices",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("analyze", "obstruction report for a knot document"),
-        ("oracle", "brute-force lagrangian search on a finite linking form"),
-        ("linking", "multisignature and classification of a linking form"),
-        ("selftest", "run the built-in anchor suite"),
-        ("catalog", "list or emit the bundled Seifert matrices"),
+    for name, blurb, options in (
+        ("analyze", "obstruction report for a knot document",
+         ("input", "output", "format", "precision", "catalog")),
+        ("oracle", "brute-force lagrangian search on a finite linking form",
+         ("input", "output", "format", "search-bound")),
+        ("linking", "multisignature and classification of a linking form",
+         ("input", "output", "format", "search-bound")),
+        ("selftest", "run the built-in anchor suite", ("output", "precision")),
+        ("catalog", "list or emit the bundled Seifert matrices",
+         ("output", "format", "catalog")),
     ):
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--input", help="input JSON path ('-' for stdin)")
-        p.add_argument("--output", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--precision",
-                       help="root isolation width, 'num/den' or '2^-k' "
-                            "(env WITTKIT_PRECISION)")
-        p.add_argument("--search-bound", type=int,
-                       help="subgroup budget for the brute-force oracle; "
-                            "for 'linking' its presence requests oracle "
-                            "witnesses")
-        p.add_argument("--catalog", metavar="NAME",
-                       help="use a bundled Seifert matrix as the input")
+        for option in options:
+            p.add_argument(f"--{option}", **_OPTIONS[option])
     return parser
 
 
 def _config_from_args(args) -> CliConfig:
-    if args.precision is not None:
-        precision = parse_precision(args.precision)
-    elif os.environ.get("WITTKIT_PRECISION"):
-        precision = parse_precision(os.environ["WITTKIT_PRECISION"])
-    else:
-        precision = DEFAULT_PRECISION
-    if args.search_bound is not None and args.search_bound < 1:
+    opts = dict(vars(args))
+    if "precision" in opts:
+        text = opts["precision"]
+        if text is None:
+            text = os.environ.get("WITTKIT_PRECISION") or None
+        opts["precision"] = (DEFAULT_PRECISION if text is None
+                             else parse_precision(text))
+    if opts.get("search_bound") is not None and opts["search_bound"] < 1:
         raise ValueError("--search-bound must be positive")
-    return CliConfig(
-        command=args.command,
-        input=args.input,
-        output=args.output,
-        format=args.format,
-        precision=precision,
-        search_bound=args.search_bound,
-        catalog=args.catalog,
-    )
+    return CliConfig(**opts)
 
 
 def _load_doc(config: CliConfig):

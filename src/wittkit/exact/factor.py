@@ -15,7 +15,9 @@ Zassenhaus's modular route: factor b^-1 f mod p (distinct-degree, then
 Cantor-Zassenhaus with a fixed RNG seed), Hensel-lift the monic factors
 to p^k above twice 2^(n+1) |f|_2 b, and recombine subsets: the primitive
 part of lc * prod(u_i) mod p^k (symmetric range) is a factor exactly
-when it divides the rest over Z.
+when it divides the rest over Z.  Products and derivatives mod m are
+`polys.mul` and `polys.derivative` reduced once mod m; only division, gcd
+and powering mod p, which need inverses mod p, run on loops of their own.
 
 Factors are returned as monic ordinary polynomials (LaurentPoly with lowest
 degree 0) together with multiplicities and the leftover unit, so that
@@ -57,15 +59,12 @@ def _psub(a, b, p):
     return _padd(a, [(-c) % p for c in b], p)
 
 
+def _zmod(a, m):
+    return _ptrim([c % m for c in a])
+
+
 def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
+    return _zmod(polys.mul(a, b), p)
 
 
 def _pdivmod(a, b, p):
@@ -125,7 +124,7 @@ def _ppow_mod(base, exp: int, mod_poly, p):
 
 
 def _pderiv(a, p):
-    return _ptrim([(i * c) % p for i, c in enumerate(a)][1:])
+    return _zmod(polys.derivative(a), p)
 
 
 # ---- factoring mod p ----
@@ -179,10 +178,6 @@ def _factor_mod_p(f, p, rng):
 
 
 # ---- Hensel lifting (all factors monic) ----
-
-def _zmod(a, m):
-    return _ptrim([c % m for c in a])
-
 
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic step: from f = g*h and s*g + t*h = 1 (mod m) to the same

@@ -6,8 +6,10 @@ primitive integer multiple with a positive leading coefficient
 (`primitive`), which is all that gcds, Sturm signs and divisibility read.
 One pseudo-division (`divmod_poly`) gives remainders and exact quotients,
 and one primitive remainder sequence (W. S. Brown, J. ACM 18, 1971) serves
-both the gcd and Sturm chains.  `LaurentPoly` remains the user-facing type
-(conversion via `LaurentPoly.ordinary` and `from_dense`).
+both the gcd and Sturm chains.  Every integer polynomial loop but
+`factor`'s division, gcd and powering mod p and `roots._interval_horner`
+is here, z -> a + b z (`compose`) among them.  `LaurentPoly` remains the
+user-facing type (conversion via `LaurentPoly.ordinary` and `from_dense`).
 """
 
 from __future__ import annotations
@@ -60,6 +62,15 @@ def value(g: Sequence, n: int, d: int) -> int:
     for c in reversed(g):
         v, scale = v * n + c * scale, scale * d
     return v
+
+
+def compose(p: Sequence, a: int, b: int) -> Poly:
+    """p(a + b z), by Horner on integers."""
+    out = []
+    for c in reversed(p):
+        out = [a * x + b * y for x, y in zip(out + [0], [0] + out)]
+        out[0] += c
+    return trim(out)
 
 
 def divmod_poly(p: Sequence, q: Sequence) -> tuple[Poly, Poly, int]:

@@ -5,19 +5,20 @@ coefficient a > 0.  An element is its reduced pair (N, d), integers N of
 degree < deg P over d > 0 with gcd(d, *N) = 1 as `matrix._reduced` makes
 them, so equal pairs are equal elements (Cohen, GTM 138, ch. 4).  A
 product is one integer product and one pseudo-remainder by P
-(`polys.divmod_poly`); an inverse solves the integer multiplication matrix
-fraction-free (`matrix._solve`).  A self-conjugate P (its reversal is +-P)
-gives the involution z -> 1/z: bar(N / d) is N reversed, divided by
-z^(deg P - 1).  An element's value at a unit-circle root of P is read from
-twice its real part in y = z + 1/z (`polys.cos_poly`), N standing for
-N / d.
+(`polys.divmod_poly`), a division by z^k one of N reversed by P reversed
+(von zur Gathen and Gerhard, ch. 9); an inverse solves the integer
+multiplication matrix fraction-free (`matrix._solve`).  A self-conjugate
+P (its reversal is +-P) gives the involution z -> 1/z: bar(N / d) is N
+reversed, divided by z^(deg P - 1).  An element's value at a unit-circle
+root of P is read from twice its real part in y = z + 1/z
+(`polys.cos_poly`), N standing for N / d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import lcm
 
 from wittkit.errors import SingularMatrix
 from wittkit.exact import matrix, polys
@@ -35,21 +36,17 @@ class ResidueField:
         self.self_conjugate = p[::-1] in (p, [-c for c in p])
 
     def element(self, num, den: int, shift: int = 0) -> "ResidueElem":
-        """num z^shift / den for integers num and den != 0: the
-        pseudo-remainder by P (`polys.divmod_poly`), then, for shift < 0,
-        -shift steps that clear num's constant term c as
-        (P(0)/g) num - (c/g) P, g = gcd(P(0), c), and divide by z."""
-        p = self.modulus
+        """num z^shift / den for integers num and den != 0: r, num
+        z^max(shift, 0) pseudo-reduced by P.  For shift = -k, n = deg P and
+        rev_m read as of degree m and reversed, t rev_(n-1+k)(r) = Q rev(P)
+        + R gives t r = Q' P + z^k rev_(n-1)(R): r z^-k = rev_(n-1)(R) / t."""
+        p, n = self.modulus, self.degree
         _, num, s = polys.divmod_poly([0] * shift + list(num), p)
-        den *= s
-        for _ in range(-shift):
-            if num and num[0]:
-                g = gcd(p[0], num[0])
-                s, c = p[0] // g, num[0] // g
-                num, den = [s * x - c * y for x, y in
-                            zip_longest(num, p, fillvalue=0)], den * s
-            num = num[1:]
-        num, den = matrix._reduced(polys.trim(num), den)
+        if shift < 0 and num:
+            rev = (num + [0] * (n - shift - len(num)))[::-1]
+            _, r, t = polys.divmod_poly(rev, p[::-1])
+            num, s = (r + [0] * (n - len(r)))[::-1], s * t
+        num, den = matrix._reduced(polys.trim(num), den * s)
         return ResidueElem(self, tuple(num), den)
 
     def elem(self, coeffs) -> "ResidueElem":

@@ -61,16 +61,15 @@ def _interval_horner(g, lo: Fraction, hi: Fraction) -> tuple:
 
 
 class CertifiedRoot:
-    """One root pair of `factor` on the unit circle, certified by a rational
+    """One root pair of a factor on the unit circle, certified by a rational
     bracket [lo, hi] around y0 = 2*cos(theta) and the minimal polynomial
     y_poly of y0, kept primitive on integers whether given on integers or
     rationals.  A point bracket (lo == hi) means y0 is rational."""
 
-    def __init__(self, y_poly, lo, hi, factor: LaurentPoly | None = None):
+    def __init__(self, y_poly, lo, hi):
         self.y_poly = polys.primitive(y_poly)
         self.lo = Fraction(lo)
         self.hi = Fraction(hi)
-        self.factor = factor
         if self.lo > self.hi:
             raise ValueError("empty interval")
         # y_poly keeps this sign at lo as lo moves up to the root
@@ -147,19 +146,19 @@ def unit_circle_roots(
     dense = polys.primitive(dense)
     if len(dense) == 2:
         if dense == [-1, 1]:  # z - 1, theta = 0
-            return [CertifiedRoot([-2, 1], 2, 2, factor)]
+            return [CertifiedRoot([-2, 1], 2, 2)]
         if dense == [1, 1]:  # z + 1, theta = pi
-            return [CertifiedRoot([2, 1], -2, -2, factor)]
+            return [CertifiedRoot([2, 1], -2, -2)]
         return []
     y_poly = polys.primitive(polys.palindromic_to_y(dense))
     if polys.deg(y_poly) == 1:
         y0 = Fraction(-y_poly[0], y_poly[1])
         if -2 < y0 < 2:
-            return [CertifiedRoot(y_poly, y0, y0, factor)]
+            return [CertifiedRoot(y_poly, y0, y0)]
         return []
     out = []
     for a, b, d in polys.isolate_real_roots(y_poly, -2, 2):
-        root = CertifiedRoot(y_poly, Fraction(a, d), Fraction(b, d), factor)
+        root = CertifiedRoot(y_poly, Fraction(a, d), Fraction(b, d))
         root.refine(precision)
         out.append(root)
     # theta increases as y decreases

@@ -249,26 +249,6 @@ class FiniteLinkingForm:
     def mixed_orders(self) -> list[int]:
         return [self.prime**l for l in self.orders]
 
-    def is_homogeneous(self) -> bool:
-        return len(set(self.orders)) <= 1
-
-    # -- constructions --
-
-    def direct_sum(self, other: "FiniteLinkingForm") -> "FiniteLinkingForm":
-        if (self.prime, self.epsilon) != (other.prime, other.epsilon):
-            raise ValueError("direct sum needs matching prime and symmetry")
-        orders = self.orders + other.orders
-        q = self.prime ** max(orders, default=0)
-        a, b = q // self.q, q // other.q
-        num = ([[x * a for x in row] + [0] * other.rank for row in self.num]
-               + [[0] * self.rank + [x * b for x in row] for row in other.num])
-        return FiniteLinkingForm._built(self.prime, orders, num, self.epsilon)
-
-    def negate(self) -> "FiniteLinkingForm":
-        num = [[-x % self.q for x in row] for row in self.num]
-        return FiniteLinkingForm._built(self.prime, self.orders, num,
-                                        self.epsilon)
-
     def __eq__(self, other):
         return (
             isinstance(other, FiniteLinkingForm)

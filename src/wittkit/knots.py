@@ -26,6 +26,7 @@ from wittkit.errors import (
     SingularSeifertForm,
     check,
 )
+from wittkit.exact import polys
 from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix
@@ -124,14 +125,13 @@ def knot_inverse(k: KnotInput) -> KnotInput:
 
 def _det_one_minus(k: KnotInput) -> LaurentPoly:
     """D(z) = det(z psi - psi^T) = det(theta) det((z + eps) e - eps I) up
-    to a constant, as det(I - (1 + eps z) e) by integer Horner on det(tI - e)
-    (e = theta^-1 psi is integral: theta is unimodular)."""
-    det = []
-    for c in Matrix(k.seifert_form.e_pair[0]).charpoly():  # d = 1 in Z mode
-        check(c.denominator == 1, "charpoly of e is not integral")
-        det = [a + k.epsilon * b for a, b in zip(det + [0], [0] + det)]
-        det[0] += c.numerator
-    return LaurentPoly.from_dense(det)
+    to a constant, as det(I - (1 + eps z) e): det(tI - e) reversed at
+    t = 1 + eps z (e = theta^-1 psi is integral: theta is unimodular)."""
+    char = Matrix(k.seifert_form.e_pair[0]).charpoly()  # d = 1 in Z mode
+    check(all(c.denominator == 1 for c in char),
+          "charpoly of e is not integral")
+    return LaurentPoly.from_dense(polys.compose(
+        [c.numerator for c in reversed(char)], 1, k.epsilon))
 
 
 def _module_order(module: LaurentModule) -> LaurentPoly:
@@ -310,11 +310,10 @@ def _circle_roots(det: LaurentPoly) -> tuple[list, set]:
         # Kronecker: monic, integral, every root on the circle (one root
         # for n = 1, n/2 pairs otherwise), so p = Phi_e, e = ord(z mod p)
         if 2 * len(roots) >= n and all(c.denominator == 1 for c in key):
-            one = power = [1] + [0] * (n - 1)  # z^e mod p, low degree first
+            monic, power = polys.primitive(key), [1]  # z^e mod p
             for e in range(1, 2 * n * n + 1):
-                power = [a - power[-1] * c.numerator
-                         for a, c in zip([0] + power[:-1], key)]
-                if power == one:
+                power = polys.divmod_poly([0] + power, monic)[1]
+                if power == [1]:
                     cyclotomic.add(e)
                     break
         for ridx, root in enumerate(roots):

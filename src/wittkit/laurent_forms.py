@@ -172,10 +172,7 @@ def _krylov(h: tuple, g: tuple, c, v: tuple) -> tuple:
     alpha = [-rel[i][top] // minor for i in range(top)] + [1]
     a, hs = [x * d**i for i, x in enumerate(alpha)], gs
     if g is not h:
-        hs, p = _powers(h[0], w, top), [a[0]]
-        for b in a[1:]:  # Horner in c - z
-            p = [c * p[0] + b] + [c * x - y for x, y in zip(p[1:] + [0], p)]
-        a = p
+        hs, a = _powers(h[0], w, top), polys.compose(a[::-1], c, -1)
     return ([matrix._reduced(hs[k], h[1]**k * d_v) for k in range(top + 1)],
             polys.primitive(a), gs[:top], alpha)
 
@@ -376,8 +373,6 @@ class LaurentLinkingForm:
 
 @dataclass
 class AuxiliaryHermitian:
-    factor: LaurentPoly
-    level: int
     field: ResidueField
     gram: Matrix  # ResidueElem entries
     symmetry: int  # +1 after normalization; -1 only for skew real residue
@@ -438,15 +433,12 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
                              low + reads[j][1])
 
     gram0 = Matrix([[entry(i, j) for j in reads] for i in reads])
-    factor = LaurentPoly.from_dense(_monic(prim))
     v = field.from_laurent(LaurentPoly.monomial(form.epsilon * unit, n * l))
     if n == 1:
-        return AuxiliaryHermitian(factor, l, field, gram0,
-                                  1 if v == field.one() else -1, None)
+        return AuxiliaryHermitian(field, gram0, 1 if v == field.one() else -1)
     u = _hilbert90_unit(field, v)
     ubar = u.bar()
-    return AuxiliaryHermitian(factor, l, field,
-                              gram0.map(lambda x: ubar * x), 1, u)
+    return AuxiliaryHermitian(field, gram0.map(lambda x: ubar * x), 1, u)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ Hensel-lifted above the bound of the substituted polynomial and recombined,
 and the factors mapped back by x = y/lc.  The product check ran on
 `LaurentPoly`s with a `Fraction` division.  Factoring modulo p and the
 quadratic Hensel step are shared with `wittkit`; only the driver around them
-is kept here."""
+is kept here, and the schoolbook product mod m (`schoolbook_mul_mod`) that
+`factor._pmul` was before it reduced `polys.mul` once."""
 
 from __future__ import annotations
 
@@ -57,6 +58,20 @@ def squarefree_decomposition(p):
         z = qpolys.sub(y, qpolys.derivative(w))
         i += 1
     return out
+
+
+def schoolbook_mul_mod(a, b, m):
+    """a b mod m, coefficients in [0, m), by the double loop reduced at
+    every step that `factor._pmul` ran before it reduced `polys.mul`
+    once."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % m
+    return _ptrim(out)
 
 
 def _monic_divides(cand, f):

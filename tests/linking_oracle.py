@@ -3,6 +3,9 @@
 Slow, exhaustive or structural routes that `wittkit.finite` and
 `wittkit.subgroups` no longer need, kept to check them against:
 
+- `is_homogeneous`, `direct_sum` and `negate`: the constructions the
+  acceptance criteria need of finite forms, which nothing in `wittkit`
+  reads.
 - `mixed_multisignature`: the multisignature of a mixed-order
   presentation, as the sum over the parts `primary_decompose` returns.
 - `homogeneous_split`: an orthogonal splitting into pieces of one level,
@@ -81,6 +84,27 @@ def _den_exp(x: Fraction, p: int) -> int:
 def form_order(f: FiniteLinkingForm) -> int:
     """|T| = p^(l_1 + ... + l_r)."""
     return f.prime ** sum(f.orders)
+
+
+def is_homogeneous(f: FiniteLinkingForm) -> bool:
+    return len(set(f.orders)) <= 1
+
+
+def direct_sum(a: FiniteLinkingForm,
+               b: FiniteLinkingForm) -> FiniteLinkingForm:
+    if (a.prime, a.epsilon) != (b.prime, b.epsilon):
+        raise ValueError("direct sum needs matching prime and symmetry")
+    orders = a.orders + b.orders
+    q = a.prime ** max(orders, default=0)
+    sa, sb = q // a.q, q // b.q
+    num = ([[x * sa for x in row] + [0] * b.rank for row in a.num]
+           + [[0] * a.rank + [x * sb for x in row] for row in b.num])
+    return FiniteLinkingForm._built(a.prime, orders, num, a.epsilon)
+
+
+def negate(f: FiniteLinkingForm) -> FiniteLinkingForm:
+    num = [[-x % f.q for x in row] for row in f.num]
+    return FiniteLinkingForm._built(f.prime, f.orders, num, f.epsilon)
 
 
 def multisignature_support(ms) -> list:

@@ -13,7 +13,9 @@ there by `hermitian_signature_at_root`, each pivot's sign decided at the
 certified root, so it also checks that route against the one over Q.
 And D itself by the route `_det_one_minus` took before its characteristic
 polynomial went division-free: Faddeev-LeVerrier over `Fraction`s, then
-Horner over `LaurentPoly`.  And the enclosure of 2 cos(2 pi t) as it was
+Horner over `LaurentPoly`.  And the order e of a cyclotomic factor Phi_e
+by the recurrence on z^e mod Phi_e the step function once ran on its own
+(`cyclotomic_order`).  And the enclosure of 2 cos(2 pi t) as it was
 before pi was computed once per precision: Machin's formula on every
 call."""
 
@@ -150,6 +152,22 @@ def fl_det_one_minus(k) -> LaurentPoly:
     return det
 
 
+def cyclotomic_order(key) -> int | None:
+    """The least e <= 2 n^2 with z^e = 1 mod the monic integral key of
+    degree n (dense, low degree first), by the recurrence on z^e mod key
+    that `knots._circle_roots` ran on its own lists; None if there is
+    none or the key is not monic and integral."""
+    n = len(key) - 1
+    if key[-1] != 1 or any(Fraction(c).denominator != 1 for c in key):
+        return None
+    one = power = [1] + [0] * (n - 1)
+    for e in range(1, 2 * n * n + 1):
+        power = [a - power[-1] * int(c) for a, c in zip([0] + power[:-1], key)]
+        if power == one:
+            return e
+    return None
+
+
 def singular_poly_in_y(k) -> list:
     """`_det_one_minus`'s D(z) in y = z + 1/z.  theta is unimodular and
     alternating mod 2, so the rank n is even and D(1/z) = z^-n D(z) is
@@ -218,7 +236,7 @@ def cyclotomic_lt_signature(k, turn, precision=DEFAULT_PRECISION):
             -1: -psi[j, i]}))
          for j in range(n)] for i in range(n)])
     y_poly, lo, hi = _cached_minimal_poly(t.numerator, d)
-    root = CertifiedRoot(y_poly, lo, hi, LaurentPoly.from_dense(phi))
+    root = CertifiedRoot(y_poly, lo, hi)
     root.refine(precision)
     try:
         return hermitian_signature_at_root(herm, [root])[0]

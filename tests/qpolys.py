@@ -105,6 +105,14 @@ def mul(p, q) -> list:
     return trim(out)
 
 
+def compose(p: Sequence, a, b) -> list:
+    """p(a + b z), by Horner over Q."""
+    out: list = []
+    for c in reversed(list(p)):
+        out = add(mul(out, [Fraction(a), Fraction(b)]), [Fraction(c)])
+    return out
+
+
 # ---- the substitution y = z + 1/z ----
 
 def cos_poly(coeffs: Sequence, offset: int = 0) -> list:

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +166,48 @@ class TestPrecision:
             assert cli.main(["analyze", "--catalog", "trefoil",
                              "--precision", text]) == 2, text
             capsys.readouterr()
+
+
+    def test_read_only_where_precision_is_read(self, monkeypatch, capsys):
+        # linking has no precision: a bad WITTKIT_PRECISION does not stop it
+        monkeypatch.setenv("WITTKIT_PRECISION", "abc")
+        code, out, _ = run_cli(["linking", "--input", "-"], Z9_DOC,
+                               monkeypatch, capsys)
+        assert code == 0 and json.loads(out)["parts"]
+        assert cli.main(["analyze", "--catalog", "trefoil"]) == 2
+        assert "input error" in capsys.readouterr().err
+
+
+# -- options per command --
+
+ACCEPTED = {
+    "analyze": {"input", "output", "format", "precision", "catalog"},
+    "linking": {"input", "output", "format", "search-bound"},
+    "oracle": {"input", "output", "format", "search-bound"},
+    "catalog": {"output", "format", "catalog"},
+    "selftest": {"output", "precision"},
+}
+VALUES = {"input": "-", "output": "-", "format": "json", "precision": "1/2",
+          "search-bound": "10", "catalog": "trefoil"}
+
+
+@pytest.mark.parametrize("command,option", [
+    (c, o) for c in sorted(ACCEPTED) for o in sorted(VALUES)
+    if o not in ACCEPTED[c]])
+def test_options_a_command_does_not_read_exit_2(command, option, capsys):
+    # once every command took all six options and ignored the rest
+    assert cli.main([command, f"--{option}", VALUES[option]]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_eighteen_option_slots():
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, cli.argparse._SubParsersAction))
+    got = {name: {o[2:] for a in p._actions for o in a.option_strings
+                  if o.startswith("--") and o != "--help"}
+           for name, p in sub.choices.items()}
+    assert got == ACCEPTED
+    assert sum(map(len, got.values())) == 18
 
 
 # -- linking and oracle --
@@ -498,6 +541,29 @@ class TestParserReuse:
                 env=env, capture_output=True, text=True, timeout=300)
             assert (code, out, err) == (fresh.returncode, fresh.stdout,
                                         fresh.stderr)
+
+
+# -- pinned reports --
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def fixture_argv(path: Path) -> list:
+    """`linking --search-bound 100000` for an elementary form, `analyze`
+    for a knot document."""
+    if "prime" in json.loads(path.read_text()):
+        return ["linking", "--input", str(path), "--search-bound", "100000"]
+    return ["analyze", "--input", str(path)]
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_fixture_reports_are_pinned(path, capsys):
+    # fixtures/reports/<name>.json is the CLI's output on fixtures/<name>.json;
+    # a change to how the report is computed may not move one byte of it
+    assert cli.main(fixture_argv(path)) == 0
+    got = capsys.readouterr().out.encode()
+    assert got == (FIXTURES / "reports" / path.name).read_bytes()
 
 
 # -- selftest --

@@ -297,3 +297,19 @@ def test_random_quadratics_match_oracles(size, monkeypatch):
                 tuple(m for _, m in factors))
     assert shapes == {"split": {(1, 1)}, "irreducible": {(1,)},
                       "negative": {(1,)}, "square": {(2,)}}
+
+
+@pytest.mark.parametrize("m", [3, 2**61 - 1, 3**2, 3**4, 3**8, 3**16,
+                               (2**61 - 1)**4])
+def test_products_mod_m_are_the_schoolbook(m):
+    # _pmul is polys.mul reduced once; the loop it replaced reduced every
+    # step: primes 3 and 2^61 - 1, and Hensel moduli p^(2^k)
+    rng = random.Random(f"pmul-{m}")
+    for _ in range(60):
+        a, b = ([rng.randint(-m + 1, m - 1) * rng.randint(0, 1)
+                 for _ in range(rng.randint(0, 81))] for _ in range(2))
+        got = factor._pmul(a, b, m)
+        assert got == factor_oracle.schoolbook_mul_mod(a, b, m)
+        assert all(0 <= c < m for c in got) and (not got or got[-1])
+        assert factor._pderiv(a, m) == factor._ptrim(
+            [i * c % m for i, c in enumerate(a)][1:])

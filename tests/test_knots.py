@@ -46,6 +46,7 @@ from wittkit.laurent_forms import (
 
 from lt_oracle import (
     cyclotomic_lt_signature,
+    cyclotomic_order,
     cyclotomic_polynomial,
     fl_det_one_minus,
     per_call_lt_signature,
@@ -645,6 +646,38 @@ class TestSingularTurns:
             for epsilon in (-1, 1):
                 for _ in range(4):
                     self.check(seeded_seifert_knot(rng, rank, epsilon), turns)
+
+
+class TestCyclotomicOrders:
+    """`_circle_roots`' set of e with Phi_e | D, z^e mod Phi_e by
+    `polys.divmod_poly`, against the recurrence it once ran on its own
+    lists (`lt_oracle.cyclotomic_order`)."""
+
+    def orders(self, dense):
+        got = knots._circle_roots(LaurentPoly.from_dense(dense))[1]
+        want = {cyclotomic_order(f.ordinary()[0])
+                for f, _ in factor_rational_poly(
+                    LaurentPoly.from_dense(dense))[1]} - {None}
+        assert got == want, dense
+        return got
+
+    def test_each_phi_e_up_to_60(self):
+        for e in range(1, 61):
+            assert self.orders(cyclotomic_polynomial(e)) == {e}, e
+
+    def test_products_with_repeats_and_other_factors(self):
+        rng = random.Random("cyclotomic-products")
+        checked = 0
+        while checked < 12:
+            es = rng.sample(range(1, 61), rng.randint(2, 4))
+            dense = [1]
+            for e in es + es[:rng.randint(0, 1)]:
+                dense = polys.mul(dense, qpolys.ints(cyclotomic_polynomial(e)))
+            if rng.random() < 0.5:  # roots off the circle, or not integral
+                dense = polys.mul(dense, rng.choice([[1, -3, 1], [2, -3, 2]]))
+            if polys.deg(dense) <= 70:
+                assert self.orders(dense) == set(es), es
+                checked += 1
 
 
 class TestWideRoots:

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wittkit.exact import polys
 from wittkit.exact.factor import factor_rational_poly
@@ -280,8 +280,8 @@ def test_sturm_counts_at_midpoints_and_ends(p, data):
     sf = polys.divmod_poly(p, chain[-1])[0] if polys.deg(chain[-1]) > 0 else p
     for kernel in (chain, polys.sturm_chain(sf)):
         old = remainder_oracle.sturm_chain(qpolys.from_ints(kernel[0]))
-        variations = {x: remainder_oracle._sign_changes(
-            [qpolys.eval_at(m, x) for m in old]) for x in points}
+        variations = {x: remainder_oracle.variations(old, x)
+                      for x in points}
         for lo in points:
             for hi in points:
                 if lo < hi:
@@ -289,6 +289,28 @@ def test_sturm_counts_at_midpoints_and_ends(p, data):
                     assert polys.sturm_count(kernel, int(lo * d), int(hi * d),
                                              d) \
                         == variations[lo] - variations[hi]
+
+
+@example([], 3, -1)
+@example([5], 0, 0)
+@example([1, 2, 3], 0, 2)
+@example([1, 2, 3], -2, 0)
+@given(st.lists(st.integers(-2**70, 2**70), max_size=41).map(polys.trim),
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_compose_is_the_fraction_horner(p, a, b):
+    # degrees 0-40 and the zero polynomial, a or b zero or negative
+    got = polys.compose(p, a, b)
+    assert got == qpolys.compose(p, a, b)
+    assert all(type(c) is int for c in got)
+
+
+@given(st.lists(st.fractions(max_denominator=2**40), max_size=21),
+       st.fractions(max_denominator=2**20))
+def test_oracle_signs_are_the_fraction_signs(p, x):
+    # the oracle reads signs on cleared denominators, not by eval_at
+    want = qpolys.eval_at(p, x)
+    assert remainder_oracle._sign_at(remainder_oracle._cleared(p), x) \
+        == (want > 0) - (want < 0)
 
 
 @given(st.lists(st.integers(-2**70, 2**70), max_size=41),

@@ -13,6 +13,7 @@ criterion-3 forms."""
 import json
 import random
 from fractions import Fraction as F
+from itertools import zip_longest
 from math import gcd
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import pytest
 
 from wittkit import laurent_forms
 from wittkit.errors import InvariantViolated, SingularForm
-from wittkit.exact import polys
+from wittkit.exact import matrix, polys
 from wittkit.exact import roots as roots_module
 from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
@@ -82,6 +83,26 @@ def random_rational(rng, length: int) -> list:
 def random_laurent(rng, n: int) -> LaurentPoly:
     return LaurentPoly({rng.randint(-2 * n, 2 * n): c
                         for c in random_rational(rng, rng.randint(1, 5))})
+
+
+def element_by_steps(field: ResidueField, num, den: int, shift: int):
+    """The reduced pair of num z^shift / den by the loop
+    `ResidueField.element` ran before it divided by z^-shift with one
+    pseudo-division of the reversals: -shift steps that clear num's
+    constant term c as (P(0)/g) num - (c/g) P, g = gcd(P(0), c), and
+    divide by z."""
+    p = field.modulus
+    _, num, s = polys.divmod_poly([0] * shift + list(num), p)
+    den *= s
+    for _ in range(-shift):
+        if num and num[0]:
+            g = gcd(p[0], num[0])
+            s, c = p[0] // g, num[0] // g
+            num, den = [s * x - c * y for x, y in
+                        zip_longest(num, p, fillvalue=0)], den * s
+        num = num[1:]
+    num, den = matrix._reduced(polys.trim(num), den)
+    return tuple(num), den
 
 
 def fields(seed: str, count: int):
@@ -179,6 +200,31 @@ class TestFieldAgainstOracle:
                 want = old.elem([F(c, den) for c in num]) * old.from_laurent(
                     LaurentPoly.monomial(1, shift))
                 assert same(field.element(num, den, shift), want)
+
+    def test_negative_shifts_against_the_step_loop(self):
+        # primitive P of degree 1-12, not monic, P(0) < 0 for half of them,
+        # not necessarily irreducible or self-conjugate
+        rng = random.Random("z-division")
+        compared = negative = 0
+        for k in range(96):
+            n = k % 12 + 1
+            p = [rng.randint(-30, 30) for _ in range(n)] + [rng.randint(2, 9)]
+            p[0] = (-1) ** k * rng.randint(1, 30)
+            field = ResidueField(p)
+            negative += field.modulus[0] < 0
+            assert field.modulus[-1] > 1 or n == 1 or p[-1] == 1
+            for shift in range(-1, -2 * n - 1, -1):
+                num = [rng.randint(-2**40, 2**40) * rng.randint(0, 1)
+                       for _ in range(rng.randint(0, 3 * n))]
+                den = rng.choice((1, -3, 2**65 + 1))
+                e = field.element(num, den, shift)
+                assert (e.num, e.den) == element_by_steps(field, num, den,
+                                                          shift)
+                assert field.element([0] * len(num), den, shift) \
+                    == field.zero()
+                compared += 1
+        assert negative == 48 and compared == 2 * sum(
+            range(1, 13)) * 8
 
     def test_cos_poly_against_chebyshev_sums(self):
         rng = random.Random("cos-poly")
