@@ -6,10 +6,11 @@ with p not dividing b and f squarefree mod p certifies that f is
 squarefree over Q, since g^2 | f has lc(g) | b, so g^2 | f mod p keeps
 deg g; p is then the lifting prime.  Only without one does f give way to
 its squarefree part f / gcd(f, f'), from one primitive remainder
-sequence (`polys.gcd`), and each irreducible factor's multiplicity is
-read by exact division of f (`polys.divmod_poly`).  No
-prime is sought for a line or a quadratic a z^2 + b z + c with b^2 != 4ac,
-both squarefree; the quadratic is irreducible unless b^2 - 4ac = s^2, and
+sequence (`polys.gcd`), and only then is each irreducible factor's
+multiplicity read by exact division of f (`polys.divmod_poly`); a
+certified squarefree f has every multiplicity 1.  No prime is sought
+for a line or a quadratic a z^2 + b z + c with b^2 != 4ac, both
+squarefree; the quadratic is irreducible unless b^2 - 4ac = s^2, and
 then splits into the primitive parts of 2az + b -+ s.  Longer ones go by
 Zassenhaus's modular route: factor b^-1 f mod p (distinct-degree, then
 Cantor-Zassenhaus with a fixed RNG seed), Hensel-lift the monic factors
@@ -19,12 +20,8 @@ when it divides the rest over Z.  Products and derivatives mod m are
 `polys.mul` and `polys.derivative` reduced once mod m; only division, gcd
 and powering mod p, which need inverses mod p, run on loops of their own.
 
-Factors are returned as monic ordinary polynomials (LaurentPoly with lowest
-degree 0) together with multiplicities and the leftover unit, so that
-
-    unit * prod(f_i ** m_i) == input
-
-holds exactly, checked as prod(g_i ** m_i) == f on integers.
+`_factor_int` gives the primitive factors g_i of f with multiplicities
+m_i, checked as prod(g_i ** m_i) == f on either route.
 """
 
 from __future__ import annotations
@@ -309,30 +306,31 @@ def _lifting_prime(f: list[int], primes) -> int | None:
 
 # ---- driver ----
 
-def factor_rational_poly(p: LaurentPoly) -> tuple[LaurentPoly, list[tuple[LaurentPoly, int]]]:
-    """Factor p over Q[z, z^-1].
-
-    Returns (unit, factors) where unit = c * z^k, the factors are monic
-    irreducible ordinary polynomials (as LaurentPoly) paired with their
-    multiplicities, and unit * prod(f**m) == p exactly.
-    """
-    if p.is_zero():
-        raise ValueError("cannot factor zero")
-    dense, k = p.ordinary()
-    f = polys.primitive(dense)
-    # a line, or a quadratic with b^2 != 4ac, is squarefree without a prime
+def _factor_int(f: list[int]) -> list[tuple[list[int], int]]:
+    """Primitive f's irreducible factors but z (a unit), each with its
+    multiplicity: 1 if f is certified squarefree, else read by division."""
+    f = f[next(i for i, c in enumerate(f) if c):]
     sf, q = f, None
     if len(f) > 3 or len(f) == 3 and f[1] ** 2 == 4 * f[0] * f[2]:
         q = _lifting_prime(f, itertools.islice(_odd_primes(), 11))
         if q is None:  # f may repeat a factor; f / gcd(f, f') does not
             sf = polys.divmod_poly(f, polys.gcd(f, polys.derivative(f)))[0]
             q = _lifting_prime(sf, _odd_primes())
-    int_factors = [(g, _multiplicity(g, f))
-                   for g in _factor_squarefree_int(sf, q)]
-    prod = reduce(polys.mul, (g for g, m in int_factors for _ in range(m)),
-                  [1])
+    factors = [(g, 1 if sf is f else _multiplicity(g, f))
+               for g in _factor_squarefree_int(sf, q)]
+    prod = reduce(polys.mul, (g for g, m in factors for _ in range(m)), [1])
     check(prod == f, "factorization lost a factor")
+    return factors
+
+
+def factor_rational_poly(p: LaurentPoly) -> tuple[LaurentPoly, list[tuple[LaurentPoly, int]]]:
+    """Factor p over Q[z, z^-1]: (unit, factors) with unit = c * z^k and
+    the factors monic irreducible ordinary polynomials (as LaurentPoly)
+    paired with their multiplicities, unit * prod(f**m) == p exactly."""
+    if p.is_zero():
+        raise ValueError("cannot factor zero")
+    dense, k = p.ordinary()
     factors = [(LaurentPoly.from_dense([Fraction(c, g[-1]) for c in g]), m)
-               for g, m in int_factors]
+               for g, m in _factor_int(polys.primitive(dense))]
     factors.sort(key=lambda fm: (fm[0].max_deg(), sorted(fm[0].coeffs.items())))
     return LaurentPoly.monomial(dense[-1], k), factors

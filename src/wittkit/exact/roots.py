@@ -17,7 +17,7 @@ sqrt(e/2); `knots` reads the singular Levine-Tristram turns from this.
 
 Signatures come from one congruence elimination yielding the leading
 minors d_k, the signature being the sum of sign(d_k) sign(d_(k-1)): on
-integers (Bareiss) for symmetric rational matrices, over a residue field
+integers (Bareiss) for symmetric integer matrices, over a residue field
 with its involution for hermitian ones.  A hermitian minor is fixed by the
 involution, so it is real at the root and equal to its real part there, a
 polynomial in y, of which `polys.cos_poly` gives an integer multiple whose
@@ -32,7 +32,6 @@ from fractions import Fraction
 
 from wittkit.errors import SingularForm, check
 from wittkit.exact import polys
-from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _integral
 
 DEFAULT_PRECISION = Fraction(1, 2**64)
@@ -136,14 +135,11 @@ class CertifiedRoot:
 
 
 def unit_circle_roots(
-    factor: LaurentPoly, precision: Fraction = DEFAULT_PRECISION
+    dense: list, precision: Fraction = DEFAULT_PRECISION
 ) -> list[CertifiedRoot]:
-    """Certified roots of a monic irreducible self-conjugate factor on the
-    upper unit circle (theta in [0, pi]), ordered by increasing theta."""
-    dense, k = factor.ordinary()
-    if k != 0:
-        raise ValueError("factor must be an ordinary polynomial")
-    dense = polys.primitive(dense)
+    """Certified roots of an irreducible self-conjugate factor, dense,
+    primitive and on integers (`polys.primitive`), on the upper unit
+    circle (theta in [0, pi]), ordered by increasing theta."""
     if len(dense) == 2:
         if dense == [-1, 1]:  # z - 1, theta = 0
             return [CertifiedRoot([-2, 1], 2, 2)]
@@ -217,11 +213,9 @@ def hermitian_signature_at_root(h: Matrix, roots: list) -> list[int]:
     return [sum(a * b for a, b in zip(s, s[1:])) for s in signs]
 
 
-def signature_of_symmetric(m: Matrix) -> int:
-    """Signature of a nonsingular symmetric rational matrix (SingularForm
-    otherwise), eliminated on integer rows scaled by the denominators' lcm."""
-    den = math.lcm(*(x.denominator for row in m.rows for x in row))
+def signature_of_int_rows(rows: list) -> int:
+    """Signature of a nonsingular symmetric integer matrix given by its
+    rows (consumed), SingularForm otherwise: Bareiss on integers."""
     s = [1] + [_sign(d) for d in _congruence_pivots(
-        [[x.numerator * (den // x.denominator) for x in row]
-         for row in m.rows], int, lambda d: d.__rfloordiv__)]
+        rows, int, lambda d: d.__rfloordiv__)]
     return sum(a * b for a, b in zip(s, s[1:]))

@@ -5,9 +5,11 @@ form, its multisignature, certified Levine-Tristram signatures, and the
 slice / doubly-slice flags.  Everything is exact; angles on the unit circle
 enter as rational turns t (omega = e^{2 pi i t}) so signatures stay
 certified, and Levine-Tristram signatures are evaluated over Q, at a
-rational u = tan(pi t).  Vanishing obstructions are reported as
-"no_obstruction_found", never as a sliceness certificate, and every report
-carries that caveat.
+rational u = tan(pi t) between the unit-circle roots of D = det(z psi -
+psi^T), which is built and factored, and its roots found, on integer
+lists; without such roots no enclosure of 2 cos(2 pi t) is taken.
+Vanishing obstructions are reported as "no_obstruction_found", never as a
+sliceness certificate, and every report carries that caveat.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from wittkit.errors import (
     check,
 )
 from wittkit.exact import polys
-from wittkit.exact.factor import factor_rational_poly
-from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.factor import _factor_int
+from wittkit.exact.laurent import LaurentPoly
+from wittkit.exact.matrix import Matrix, _berkowitz
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
-    signature_of_symmetric,
+    signature_of_int_rows,
     unit_circle_roots,
 )
 from wittkit.laurent_forms import (
@@ -123,15 +125,14 @@ def knot_inverse(k: KnotInput) -> KnotInput:
                      k.dimension_hint)
 
 
-def _det_one_minus(k: KnotInput) -> LaurentPoly:
+def _det_one_minus(k: KnotInput) -> list:
     """D(z) = det(z psi - psi^T) = det(theta) det((z + eps) e - eps I) up
     to a constant, as det(I - (1 + eps z) e): det(tI - e) reversed at
-    t = 1 + eps z (e = theta^-1 psi is integral: theta is unimodular)."""
-    char = Matrix(k.seifert_form.e_pair[0]).charpoly()  # d = 1 in Z mode
-    check(all(c.denominator == 1 for c in char),
-          "charpoly of e is not integral")
-    return LaurentPoly.from_dense(polys.compose(
-        [c.numerator for c in reversed(char)], 1, k.epsilon))
+    t = 1 + eps z (`_berkowitz` on e = theta^-1 psi, integral as theta is
+    unimodular), made primitive: as D(-eps) = 1, that fixes the sign."""
+    e, d = k.seifert_form.e_pair
+    check(d == 1, "e = theta^-1 psi is not integral")
+    return polys.primitive(polys.compose(_berkowitz(e)[::-1], 1, k.epsilon))
 
 
 def _module_order(module: LaurentModule) -> LaurentPoly:
@@ -176,14 +177,15 @@ def _signature_at_u(psi: Matrix, u: Fraction) -> int:
     """Levine-Tristram signature at u = tan(pi t), 0 < t < 1/2.  There
     (1-omega) psi + (1-conj(omega)) psi^T = 2 sin(pi t) cos(pi t) (u S + i K)
     with S = psi + psi^T and K = psi^T - psi, whose signature is half that
-    of the real symmetric [[u S, -K], [K, u S]] (times u's denominator)."""
+    of the real symmetric [[u S, -K], [K, u S]] (times u's denominator),
+    eliminated on its integer rows."""
     n, d = u.numerator, u.denominator
     a = [[x.numerator for x in row] for row in psi.rows]  # psi is integral
     pairs = [list(zip(row, col)) for row, col in zip(a, zip(*a))]
     rows = [[n * (x + y) for x, y in r] + [d * (x - y) for x, y in r]
             for r in pairs] + [[d * (y - x) for x, y in r]
                                + [n * (x + y) for x, y in r] for r in pairs]
-    return signature_of_symmetric(Matrix(rows)) // 2
+    return signature_of_int_rows(rows) // 2
 
 
 @lru_cache(maxsize=32)  # bits doubles from 64: one entry per doubling
@@ -227,11 +229,12 @@ def _two_cos_bracket(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
 class SignatureSteps:
     """The Levine-Tristram signature of one knot as a step function of
     y = 2 cos(2 pi t), built once per `KnotInput` (its `lt_steps`) from
-    one factorization of D = `_det_one_minus`.  `roots` are the unit-circle
-    roots of D's factors as (key, root_index, CertifiedRoot) with disjoint
-    y-brackets, by decreasing y (increasing angle), refined only as far as
-    separation needs; gap i lies below i of them, and its signature is
-    taken once, at a rational u = tan(pi t) inside it.  `cyclotomic` is
+    one factorization of D = `_det_one_minus`, all on integer lists.
+    `roots` are the unit-circle roots of D's factors as (key, root_index,
+    CertifiedRoot) with disjoint y-brackets, by decreasing y (increasing
+    angle), refined only as far as separation needs; gap i lies below i
+    of them, and its signature is taken once, at a rational u = tan(pi t)
+    inside it.  Without roots, no bracket of y is taken.  `cyclotomic` is
     the set of e with Phi_e | D: a monic integral factor p with all its
     roots on the circle is some Phi_e (Kronecker), and e is the order of
     z mod p, at most 2 (deg p)^2 since phi(e) >= sqrt(e/2)."""
@@ -254,6 +257,8 @@ class SignatureSteps:
         """The gap holding y0 = 2 cos(2 pi t), 0 < t <= 1/2, when y0 is
         no root: y0 is exact for t in {1/2, 1/3, 1/4, 1/6}; otherwise its
         enclosure and the brackets it meets narrow until they part."""
+        if not self.roots:
+            return 0
         exact = {2: -2, 3: -1, 4: 0, 6: 1}.get(t.denominator)
         bits = 64
         lo, hi = ((Fraction(exact),) * 2 if exact is not None
@@ -276,9 +281,7 @@ def levine_tristram_signature(k: KnotInput, turn) -> int:
     vanishes, and otherwise the value of `k.lt_steps` on the gap holding
     y0 = 2 cos(2 pi turn).  omega is a primitive d-th root of unity, a
     root of D exactly when Phi_d is one of D's factors, so the singular
-    test is a lookup of d in `k.lt_steps.cyclotomic`: the factors whose
-    roots all lie on the circle, cyclotomic by Kronecker's theorem, each
-    with its order e <= 2 (deg Phi_e)^2 since phi(e) >= sqrt(e/2)."""
+    test is a lookup of d in `k.lt_steps.cyclotomic`."""
     if isinstance(turn, float):
         raise TypeError(
             "pass the turn exactly (Fraction, int, or string), not a float")
@@ -294,25 +297,27 @@ def levine_tristram_signature(k: KnotInput, turn) -> int:
     return steps.value(steps.gap_at(t))
 
 
-def _circle_roots(det: LaurentPoly) -> tuple[list, set]:
-    """Unit-circle roots of `det`'s factors as (key, root_index,
-    CertifiedRoot), ordered by increasing angle, with disjoint y-brackets,
-    and the set of e with Phi_e | det; refining to width 4 leaves each
-    isolating bracket as it is."""
-    _, factors = factor_rational_poly(det)
+def _circle_roots(det: list) -> tuple[list, set]:
+    """Unit-circle roots of the integer `det`'s factors as (key,
+    root_index, CertifiedRoot), by increasing angle, with disjoint
+    y-brackets, and the set of e with Phi_e | det; refining to width 4
+    leaves each isolating bracket as it is.  A factor g is self-conjugate
+    if g or -g is g reversed; keys and order are `factor_rational_poly`'s."""
+    circle = sorted(((tuple(Fraction(c, g[-1]) for c in g), g)
+                     for g, _ in _factor_int(det)
+                     if g[::-1] in (g, [-c for c in g])),
+                    key=lambda kg: (len(kg[1]), [(i, c) for i, c in
+                                                 enumerate(kg[0]) if c]))
     marked, cyclotomic = [], set()
-    for p, _mult in factors:
-        if is_self_conjugate(p) is None:
-            continue
-        key = tuple(p.ordinary()[0])
-        roots = unit_circle_roots(p, Fraction(4))
-        n = len(key) - 1
+    for key, g in circle:
+        roots = unit_circle_roots(g, Fraction(4))
+        n = len(g) - 1
         # Kronecker: monic, integral, every root on the circle (one root
-        # for n = 1, n/2 pairs otherwise), so p = Phi_e, e = ord(z mod p)
-        if 2 * len(roots) >= n and all(c.denominator == 1 for c in key):
-            monic, power = polys.primitive(key), [1]  # z^e mod p
+        # for n = 1, n/2 pairs otherwise), so g = Phi_e, e = ord(z mod g)
+        if 2 * len(roots) >= n and g[-1] == 1:
+            power = [1]  # z^e mod g
             for e in range(1, 2 * n * n + 1):
-                power = polys.divmod_poly([0] + power, monic)[1]
+                power = polys.divmod_poly([0] + power, g)[1]
                 if power == [1]:
                     cyclotomic.add(e)
                     break
@@ -363,8 +368,8 @@ def rochlin_invariant(k: KnotInput) -> int:
     by 8 for the input to be realizable."""
     if k.epsilon != 1:
         raise NotSymmetricCase("the residue invariant needs epsilon = +1")
-    t = Matrix(k.seifert_form.theta_pair[0])  # theta = T, d = 1 in Z mode
-    sig = signature_of_symmetric(t) if k.rank else 0
+    theta, _ = k.seifert_form.theta_pair  # theta = T, d = 1 in Z mode
+    sig = signature_of_int_rows([list(r) for r in theta])
     if sig % 8 != 0:
         raise SignatureNotDivisibleBy8(
             f"signature {sig} of the symmetrization is not divisible by 8")

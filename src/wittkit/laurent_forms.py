@@ -544,7 +544,7 @@ def dw_multisignature_laurent(
                 out.conjugate_pairs.append(pair)
             continue
         deg = len(pk) - 1
-        roots = unit_circle_roots(p, precision)
+        roots = unit_circle_roots(polys.primitive(pk), precision)
         if not roots:
             continue
         for ridx, root in enumerate(roots):

@@ -17,14 +17,20 @@ an element of the integer field over."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from wittkit.errors import SingularForm
+from wittkit.exact import polys
 from wittkit.exact import residue as wittkit_residue
 from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix
-from wittkit.exact.roots import DEFAULT_PRECISION, unit_circle_roots
+from wittkit.exact.roots import (
+    DEFAULT_PRECISION,
+    signature_of_int_rows,
+    unit_circle_roots,
+)
 from wittkit.laurent_forms import SIGMA_SIGN
 
 import qpolys
@@ -422,6 +428,17 @@ def congruence_pivots(a: list, bar) -> list:
     return pivots
 
 
+def signature_of_symmetric(m) -> int:
+    """Signature of a nonsingular symmetric rational matrix (SingularForm
+    otherwise): its rows scaled by the lcm of its denominators, then
+    `roots.signature_of_int_rows`, as `wittkit` took it before its callers
+    handed it integer rows."""
+    den = math.lcm(*(Fraction(x).denominator for row in m.rows for x in row))
+    return signature_of_int_rows([[Fraction(x).numerator
+                                   * (den // Fraction(x).denominator)
+                                   for x in row] for row in m.rows])
+
+
 def fraction_signature_of_symmetric(m) -> int:
     """Signature of a nonsingular symmetric rational matrix from its
     `Fraction` pivots."""
@@ -506,7 +523,7 @@ def fraction_multisignature(form, precision=DEFAULT_PRECISION) -> tuple:
     for p, _ in form.module.factors:
         if is_self_conjugate(p) is None:
             continue
-        roots = unit_circle_roots(p, precision)
+        roots = unit_circle_roots(polys.primitive(p.ordinary()[0]), precision)
         if not roots:
             continue
         dense_p = _monic_dense(p)

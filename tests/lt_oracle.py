@@ -17,7 +17,12 @@ Horner over `LaurentPoly`.  And the order e of a cyclotomic factor Phi_e
 by the recurrence on z^e mod Phi_e the step function once ran on its own
 (`cyclotomic_order`).  And the enclosure of 2 cos(2 pi t) as it was
 before pi was computed once per precision: Machin's formula on every
-call."""
+call.  And the step function as it was built before D, its factors and
+their circle roots ran on integer lists (`laurent_steps`): D from
+`Matrix.charpoly` of e with a `Fraction` integrality check, as a
+`LaurentPoly`; its factors from `factor_rational_poly`, self-conjugacy
+from `is_self_conjugate`; the gap signatures over a `Matrix` through
+`signature_of_symmetric`."""
 
 from __future__ import annotations
 
@@ -25,20 +30,28 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from wittkit.errors import ComputationError, SingularAtRoot, SingularForm
-from wittkit.exact import residue
-from wittkit.exact.laurent import LaurentPoly
+from wittkit.errors import (
+    ComputationError,
+    SingularAtRoot,
+    SingularForm,
+    check,
+)
+from wittkit.exact import polys, residue
+from wittkit.exact.factor import factor_rational_poly
+from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
     CertifiedRoot,
     _interval_horner,
     hermitian_signature_at_root,
+    unit_circle_roots,
 )
 from wittkit.knots import _det_one_minus, _signature_at_u, _u_in_y_gap
 
 import hermitian_oracle
 import qpolys
+from hermitian_oracle import signature_of_symmetric
 import remainder_oracle
 from elimination_oracle import fraction_matrix
 from snf_oracle import _faddeev_leverrier
@@ -172,7 +185,8 @@ def singular_poly_in_y(k) -> list:
     """`_det_one_minus`'s D(z) in y = z + 1/z.  theta is unimodular and
     alternating mod 2, so the rank n is even and D(1/z) = z^-n D(z) is
     palindromic."""
-    return hermitian_oracle.palindromic_to_y(_det_one_minus(k).ordinary()[0])
+    return hermitian_oracle.palindromic_to_y(
+        LaurentPoly.from_dense(_det_one_minus(k)).ordinary()[0])
 
 
 def per_call_lt_signature(k, turn, d_y=None) -> int:
@@ -266,3 +280,84 @@ def turn_in_y_gap(y_low, y_high):
                     return t
             num += 1
     raise ComputationError("no sampling angle found between roots")
+
+
+# -- the step function over Matrix, Fraction and LaurentPoly --
+
+def charpoly_det_one_minus(k) -> LaurentPoly:
+    """D(z) = det(I - (1 + eps z) e) from `Matrix.charpoly` of e, checked
+    integral over `Fraction`s, then `polys.compose` at t = 1 + eps z."""
+    char = Matrix(k.seifert_form.e_pair[0]).charpoly()
+    check(all(c.denominator == 1 for c in char),
+          "charpoly of e is not integral")
+    return LaurentPoly.from_dense(polys.compose(
+        [c.numerator for c in reversed(char)], 1, k.epsilon))
+
+
+def laurent_circle_roots(det: LaurentPoly) -> tuple[list, set]:
+    """`knots._circle_roots` on `factor_rational_poly`'s monic factors,
+    self-conjugate by `is_self_conjugate`, each handed to
+    `unit_circle_roots` as its integer multiple; cyclotomic when the monic
+    key is integral."""
+    _, factors = factor_rational_poly(det)
+    marked, cyclotomic = [], set()
+    for p, _mult in factors:
+        if is_self_conjugate(p) is None:
+            continue
+        key = tuple(p.ordinary()[0])
+        roots = unit_circle_roots(polys.primitive(key), Fraction(4))
+        n = len(key) - 1
+        if 2 * len(roots) >= n and all(c.denominator == 1 for c in key):
+            monic, power = polys.primitive(key), [1]  # z^e mod p
+            for e in range(1, 2 * n * n + 1):
+                power = polys.divmod_poly([0] + power, monic)[1]
+                if power == [1]:
+                    cyclotomic.add(e)
+                    break
+        for ridx, root in enumerate(roots):
+            while not root.is_rational and (root.lo == -2 or root.hi == 2):
+                root.refine((root.hi - root.lo) / 2)
+            marked.append((key, ridx, root))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(marked)):
+            for j in range(i + 1, len(marked)):
+                a, b = marked[i][2], marked[j][2]
+                if a.lo <= b.hi and b.lo <= a.hi:
+                    width = max(a.hi - a.lo, b.hi - b.lo)
+                    a.refine(width / 4)
+                    b.refine(width / 4)
+                    changed = True
+    marked.sort(key=lambda item: (-item[2].hi, -item[2].lo))
+    return marked, cyclotomic
+
+
+def matrix_signature_at_u(psi: Matrix, u: Fraction) -> int:
+    """`knots._signature_at_u` through a `Matrix` and
+    `signature_of_symmetric`, which takes an lcm of its denominators."""
+    n, d = u.numerator, u.denominator
+    a = [[Fraction(x).numerator for x in row] for row in psi.rows]
+    pairs = [list(zip(row, col)) for row, col in zip(a, zip(*a))]
+    rows = [[n * (x + y) for x, y in r] + [d * (x - y) for x, y in r]
+            for r in pairs] + [[d * (y - x) for x, y in r]
+                               + [n * (x + y) for x, y in r] for r in pairs]
+    return signature_of_symmetric(Matrix(rows)) // 2
+
+
+def laurent_steps(k) -> tuple:
+    """(D, roots, cyclotomic, gap values) of one knot by the route above,
+    gap i's value taken at `_u_in_y_gap` between the brackets around it
+    ("singular" where the sampled form is, as it may be for eps = +1)."""
+    det = charpoly_det_one_minus(k)
+    roots, cyclotomic = laurent_circle_roots(det)
+    walls = ([Fraction(2)] + [y for _, _, r in roots for y in (r.hi, r.lo)]
+             + [Fraction(-2)])
+    values = []
+    for high, low in zip(walls[::2], walls[1::2]):
+        try:
+            values.append(matrix_signature_at_u(k.psi,
+                                                _u_in_y_gap(low, high)))
+        except SingularForm:
+            values.append("singular")
+    return det, roots, cyclotomic, values

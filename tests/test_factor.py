@@ -118,6 +118,13 @@ def test_multiplicity_tracking():
     assert reassemble(unit, factors) == p
 
 
+def repeat_first_factor(monkeypatch):
+    """Make the factorization report its first irreducible factor twice."""
+    found = factor._factor_squarefree_int
+    monkeypatch.setattr(factor, "_factor_squarefree_int",
+                        lambda f, p: found(f, p)[:1] + found(f, p))
+
+
 def test_lost_factor_is_an_invariant_violation(monkeypatch):
     drop_last_factor(monkeypatch)
     for p in (z**2 - z + 1, (z - 1) * (z**2 + 1), 3 * z**-2 * (z + 2),
@@ -130,6 +137,11 @@ def test_lost_factor_is_an_invariant_violation(monkeypatch):
 
 def from_ints(cs):
     return LaurentPoly.from_dense([F(c) for c in cs])
+
+
+def det_of(k):
+    """D = `_det_one_minus(k)` as a LaurentPoly."""
+    return LaurentPoly.from_dense(_det_one_minus(k))
 
 
 def fixture_knot(name):
@@ -239,16 +251,16 @@ def test_connected_sum_with_inverse_squares_the_alexander_polynomial(
     knots = [KnotInput("trefoil", [[-1, 1], [0, -1]], -1),
              KnotInput("5_2", [[-2, 1], [0, -1]], -1), fixture_knot("scale-6")]
     for k in knots:
-        square = _det_one_minus(connected_sum(k, knot_inverse(k)))
+        square = det_of(connected_sum(k, knot_inverse(k)))
         assert gcd_calls(monkeypatch, square) == 1
         _, factors = assert_matches_oracles(square)
-        single = factor_rational_poly(_det_one_minus(k))[1]
+        single = factor_rational_poly(det_of(k))[1]
         assert factors == [(f, 2 * m) for f, m in single]
 
 
 @pytest.mark.parametrize("name", ["scale-6", "scale-7", "scale-10"])
 def test_ladder_fixtures(name, monkeypatch):
-    p = _det_one_minus(fixture_knot(name))
+    p = det_of(fixture_knot(name))
     # a squarefree D is certified by a small prime, without a gcd
     assert gcd_calls(monkeypatch, p) == 0
     _, factors = assert_matches_oracles(p)
@@ -313,3 +325,59 @@ def test_products_mod_m_are_the_schoolbook(m):
         assert all(0 <= c < m for c in got) and (not got or got[-1])
         assert factor._pderiv(a, m) == factor._ptrim(
             [i * c % m for i, c in enumerate(a)][1:])
+
+
+# ---- multiplicities without division where f is certified squarefree ----
+
+def random_products(rng, repeats):
+    """Seeded products of 1-4 random integer factors of degree 1-4, each
+    to the power 1, or 1-3 if `repeats`, times a unit c z^k."""
+    p = LaurentPoly.monomial(F(rng.randint(1, 9), rng.randint(1, 9)),
+                             rng.randint(-3, 3))
+    for _ in range(rng.randint(1, 4)):
+        cs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+        cs.append(rng.choice([-1, 1]) * rng.randint(1, 6))
+        p = p * from_ints(cs) ** (rng.randint(1, 3) if repeats else 1)
+    return p
+
+
+def multiplicity_reads(monkeypatch):
+    calls = []
+    read = factor._multiplicity
+    monkeypatch.setattr(factor, "_multiplicity",
+                        lambda g, f: calls.append(g) or read(g, f))
+    return calls
+
+
+def test_products_with_and_without_repeats_match_the_oracle(monkeypatch):
+    # a squarefree product certified by a small prime, a line or a
+    # quadratic reads no multiplicity by division; one with a repeated
+    # factor takes the gcd route and reads every multiplicity
+    rng = random.Random("shortcut-products")
+    reads = multiplicity_reads(monkeypatch)
+    routes = {"shortcut": 0, "gcd": 0}
+    for repeats in (False, True) * 40:
+        p = random_products(rng, repeats)
+        reads.clear()
+        _, factors = assert_matches_oracles(p)
+        if any(m > 1 for _, m in factors):
+            assert len(reads) == len(factors), p
+            routes["gcd"] += 1
+        elif not reads:
+            routes["shortcut"] += 1
+    assert routes["shortcut"] >= 30 and routes["gcd"] >= 20, routes
+
+
+@pytest.mark.parametrize("fault", [drop_last_factor, repeat_first_factor])
+def test_a_wrong_shortcut_factorization_is_refused(fault, monkeypatch):
+    # on the route without division the product check alone catches a
+    # lost or a doubled factor; it is an InvariantViolated, under -O too
+    cases = [z**2 - z + 1, (z - 1) * (z**2 + 1), 3 * z**-2 * (z + 2),
+             (2 * z - 1) * (z - 2), from_ints([1, 0, -10, 0, 1]),
+             (z**2 - 2) * (z**2 - 3) * (z**2 + 1)]
+    reads = multiplicity_reads(monkeypatch)
+    fault(monkeypatch)
+    for p in cases:
+        with pytest.raises(InvariantViolated, match="lost a factor"):
+            factor_rational_poly(p)
+    assert reads == []

@@ -12,12 +12,13 @@ import pytest
 
 from wittkit.errors import (
     InvariantViolated,
+    SingularForm,
     MixedSymmetry,
     NotAKnotForm,
     NotSymmetricCase,
     SingularAtRoot,
 )
-from wittkit.exact import polys, residue
+from wittkit.exact import factor, polys, residue
 from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.catalog import catalog_knot, catalog_names
@@ -45,10 +46,13 @@ from wittkit.laurent_forms import (
 )
 
 from lt_oracle import (
+    charpoly_det_one_minus,
     cyclotomic_lt_signature,
     cyclotomic_order,
     cyclotomic_polynomial,
     fl_det_one_minus,
+    laurent_circle_roots,
+    laurent_steps,
     per_call_lt_signature,
     per_call_two_cos_bracket,
     singular_poly_in_y,
@@ -109,6 +113,17 @@ def random_skew_knot(rng, max_rank=4):
 
 def dense_of(p):
     return p.ordinary()[0]
+
+
+def padded(p):
+    """The LaurentPoly p, a polynomial, as a dense list from degree 0."""
+    dense, low = p.ordinary()
+    return [0] * low + dense
+
+
+def det_dense(k):
+    """D = `_det_one_minus(k)` as `Fraction`s, its power of z dropped."""
+    return dense_of(LaurentPoly.from_dense(knots._det_one_minus(k)))
 
 
 def roots_strictly_inside(g, lo, hi):
@@ -298,16 +313,18 @@ def det_knots():
 
 
 class TestDetOneMinus:
-    """`_det_one_minus` (Horner on the integer Berkowitz charpoly of e)
-    against the Faddeev-LeVerrier route and the Alexander polynomial.  The
-    class also runs under python -O, where an integrality check resting on
-    an assert would vanish."""
+    """`_det_one_minus` (Horner on the integer Berkowitz charpoly of e, a
+    primitive dense list) against the Faddeev-LeVerrier route, up to sign,
+    and the Alexander polynomial.  The class also runs under python -O,
+    where an integrality check resting on an assert would vanish."""
 
     def test_matches_faddeev_leverrier_route(self):
         knots_ = det_knots()
         assert sum(k.psi.det() == 0 for k in knots_) >= 9
         for k in knots_:
-            assert knots._det_one_minus(k) == fl_det_one_minus(k), k.psi
+            want = padded(fl_det_one_minus(k))
+            assert knots._det_one_minus(k) in (want, [-c for c in want]), \
+                k.psi
 
     def test_is_a_monomial_times_alexander(self):
         # D(z) = c z^j Delta(-epsilon z)
@@ -315,19 +332,22 @@ class TestDetOneMinus:
             alex = alexander_polynomial(k)
             turned = dense_of(LaurentPoly(
                 {d: c * (-k.epsilon) ** d for d, c in alex.coeffs.items()}))
-            det = dense_of(knots._det_one_minus(k))
+            det = det_dense(k)
             assert len(det) == len(turned), k.psi
             assert [c * turned[-1] for c in det] == \
                 [c * det[-1] for c in turned], k.psi
 
-    def test_non_integral_charpoly_is_refused(self, monkeypatch):
-        charpoly = Matrix.charpoly
-        monkeypatch.setattr(Matrix, "charpoly",
-                            lambda m: [Fraction(1, 2)] + charpoly(m)[1:])
+    def test_non_integral_charpoly_is_refused(self):
+        # e = E / 2 has a charpoly that is not integral
+        halved = []
+        for k in (trefoil(), fig8()):
+            e, _ = k.seifert_form.e_pair
+            k.seifert_form.e_pair = (e, 2)
+            halved.append(k)
         with pytest.raises(InvariantViolated):
-            knots._det_one_minus(trefoil())
+            knots._det_one_minus(halved[0])
         with pytest.raises(InvariantViolated):
-            lt_jumps(fig8())
+            lt_jumps(halved[1])
 
 
 # -- Levine-Tristram signatures --
@@ -500,6 +520,13 @@ def lt_or_singular(signature, k, t):
         return "singular"
 
 
+def lt_or_singular_form(value, gap):
+    try:
+        return value(gap)
+    except SingularForm:
+        return "singular"
+
+
 # Seifert matrices with unit-circle roots of det(z psi - psi^T) at rational
 # turns: (epsilon, psi, denominators d whose primitive turns j/d are roots)
 SINGULAR_AT_TURNS = [
@@ -575,7 +602,7 @@ def torus_2q(q):
 
 def phi_divides_d(k, max_denom=120):
     """The d <= max_denom with Phi_d | D = `_det_one_minus`, by division."""
-    dense = dense_of(knots._det_one_minus(k))
+    dense = det_dense(k)
     return {d for d in range(1, max_denom + 1)
             if not qpolys.mod(dense, cyclotomic_polynomial(d))}
 
@@ -654,7 +681,7 @@ class TestCyclotomicOrders:
     lists (`lt_oracle.cyclotomic_order`)."""
 
     def orders(self, dense):
-        got = knots._circle_roots(LaurentPoly.from_dense(dense))[1]
+        got = knots._circle_roots(polys.primitive(dense))[1]
         want = {cyclotomic_order(f.ordinary()[0])
                 for f, _ in factor_rational_poly(
                     LaurentPoly.from_dense(dense))[1]} - {None}
@@ -678,6 +705,94 @@ class TestCyclotomicOrders:
             if polys.deg(dense) <= 70:
                 assert self.orders(dense) == set(es), es
                 checked += 1
+
+
+# -- the step function on integers, against its route over Matrix,
+# Fraction and LaurentPoly --
+
+SIX_TURNS = tuple(Fraction(*t) for t in ((1, 8), (1, 5), (1, 4), (1, 3),
+                                         (3, 8), (2, 5)))
+
+
+def bracketed(roots):
+    return [(key, ridx, root.lo, root.hi) for key, ridx, root in roots]
+
+
+class TestIntegerSteps:
+    """`SignatureSteps` builds D, its factors and their circle roots on
+    integer lists; `lt_oracle.laurent_steps` takes `Matrix.charpoly`, then
+    `factor_rational_poly` on a `LaurentPoly`, then `is_self_conjugate`
+    and `unit_circle_roots` on each factor.  D agrees up to sign, and so
+    do the keys, root indices, brackets, cyclotomic orders and every gap
+    value."""
+
+    def check(self, k):
+        det, roots, cyclotomic, values = laurent_steps(k)
+        want = padded(det)
+        assert knots._det_one_minus(k) in (want, [-c for c in want]), k.psi
+        steps = knots.SignatureSteps(k)
+        assert bracketed(steps.roots) == bracketed(roots), k.psi
+        assert steps.cyclotomic == cyclotomic, k.psi
+        assert [lt_or_singular_form(steps.value, gap)
+                for gap in range(len(roots) + 1)] == values, k.psi
+        return roots
+
+    def test_seeded_knots_ranks_2_to_8_both_epsilons(self):
+        rng = random.Random("integer-steps")
+        found = 0
+        for rank in (2, 4, 6, 8):
+            for epsilon in (-1, 1):
+                for _ in range(4):
+                    k = seeded_seifert_knot(rng, rank, epsilon)
+                    found += len(self.check(k))
+        assert found >= 10
+
+    def test_mirror_sums_take_the_gcd_path(self, monkeypatch):
+        rng = random.Random("integer-steps-mirror")
+        cases = [trefoil(), KnotInput("T(2,5)", T25, -1),
+                 KnotInput("5_2", [[-1, 1], [0, -2]], -1)]
+        cases += [seeded_seifert_knot(rng, 4, -1) for _ in range(3)]
+        gcds = []
+        gcd = polys.gcd
+        monkeypatch.setattr(polys, "gcd",
+                            lambda a, b: gcds.append(a) or gcd(a, b))
+        found = 0
+        for k in cases:
+            double = connected_sum(k, knot_inverse(k))
+            gcds.clear()
+            found += len(self.check(double))
+            assert gcds, k.psi
+            factors = factor._factor_int(knots._det_one_minus(double))
+            assert {m for _, m in factors} == {2}, k.psi
+        assert found >= 4
+
+    def test_products_of_cyclotomics(self):
+        rng = random.Random("integer-steps-cyclotomic")
+        for _ in range(16):
+            es = rng.sample(range(1, 41), rng.randint(1, 4))
+            dense = [1]
+            for e in es + es[:rng.randint(0, 2)]:
+                dense = polys.mul(dense, qpolys.ints(cyclotomic_polynomial(e)))
+            if rng.random() < 0.5:  # roots off the circle, or not integral
+                dense = polys.mul(dense, rng.choice([[1, -3, 1], [2, -3, 2]]))
+            marked, cyclotomic = knots._circle_roots(dense)
+            want, want_cyclotomic = laurent_circle_roots(
+                LaurentPoly.from_dense(dense))
+            assert bracketed(marked) == bracketed(want), es
+            assert cyclotomic == want_cyclotomic == set(es), es
+
+    def test_root_free_knots_take_no_bracket(self, monkeypatch):
+        def refuse(t, bits):
+            raise AssertionError("2 cos(2 pi t) was bracketed")
+
+        monkeypatch.setattr(knots, "_two_cos_bracket", refuse)
+        # the figure-eight and a genus-1 ladder knot [[a, b + 1], [b, c]]
+        for psi in (FIG8, [[-2, -1], [-2, 2]]):
+            k = KnotInput("root-free", psi, -1)
+            assert k.lt_steps.roots == []
+            for t in SIX_TURNS:
+                assert levine_tristram_signature(k, t) == \
+                    cyclotomic_lt_signature(k, t), (psi, t)
 
 
 class TestWideRoots:
@@ -857,8 +972,8 @@ class TestStepFunction:
     def test_one_build_per_knot(self, monkeypatch):
         determinants = count_calls(monkeypatch, "_det_one_minus",
                                    knots._det_one_minus)
-        factored = count_calls(monkeypatch, "factor_rational_poly",
-                               factor_rational_poly)
+        factored = count_calls(monkeypatch, "_factor_int",
+                               factor._factor_int)
         k = KnotInput("T(2,5)", T25, -1)
         values = {}
         for t in (Fraction(1, 8), Fraction(1, 33), Fraction(2, 5),

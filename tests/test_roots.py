@@ -14,11 +14,14 @@ from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
     CertifiedRoot,
     hermitian_signature_at_root,
-    signature_of_symmetric,
     unit_circle_roots,
 )
 
-from hermitian_oracle import ResidueField as OracleField, express_in_y
+from hermitian_oracle import (
+    ResidueField as OracleField,
+    express_in_y,
+    signature_of_symmetric,
+)
 from lt_oracle import (
     cyclotomic_polynomial,
     descartes_signature,
@@ -29,6 +32,12 @@ import qpolys
 
 F = Fraction
 z = LaurentPoly.z()
+
+
+def ints(p):
+    """The LaurentPoly p as the primitive integer list that
+    `unit_circle_roots` takes."""
+    return polys.primitive(p.ordinary()[0])
 
 
 def _theta_contains(root, value):
@@ -72,37 +81,37 @@ def test_y_minimal_poly():
     # the minimal polynomial of y = z + 1/z is the modulus written in y
     field = ResidueField([F(1), F(0), F(0), F(0), F(1)])
     assert polys.palindromic_to_y(field.modulus) == [F(-2), F(0), F(1)]
-    assert [r.y_poly for r in unit_circle_roots(z**4 + 1)] == [
+    assert [r.y_poly for r in unit_circle_roots(ints(z**4 + 1))] == [
         [F(-2), F(0), F(1)]] * 2
-    assert unit_circle_roots(z - 1)[0].y_poly == [F(-2), F(1)]
+    assert unit_circle_roots(ints(z - 1))[0].y_poly == [F(-2), F(1)]
 
 
 # ---- root enumeration ----
 
 def test_unit_circle_roots_of_cyclotomic():
-    roots = unit_circle_roots(z**2 - z + 1)
+    roots = unit_circle_roots(ints(z**2 - z + 1))
     assert len(roots) == 1
     assert roots[0].is_rational
     assert _theta_contains(roots[0], math.pi / 3)
 
 
 def test_unit_circle_roots_ordering():
-    roots = unit_circle_roots(z**4 + 1)
+    roots = unit_circle_roots(ints(z**4 + 1))
     assert len(roots) == 2
     assert _theta_contains(roots[0], math.pi / 4)
     assert _theta_contains(roots[1], 3 * math.pi / 4)
 
 
 def test_no_roots_off_circle():
-    assert unit_circle_roots(z**2 - 3 * z + 1) == []
-    assert unit_circle_roots(z - 2) == []
+    assert unit_circle_roots(ints(z**2 - 3 * z + 1)) == []
+    assert unit_circle_roots(ints(z - 2)) == []
 
 
 def test_degenerate_linear_factors():
-    r1 = unit_circle_roots(z - 1)
+    r1 = unit_circle_roots(ints(z - 1))
     assert len(r1) == 1 and r1[0].lo == 2
     assert _theta_contains(r1[0], 0.0)
-    r2 = unit_circle_roots(z + 1)
+    r2 = unit_circle_roots(ints(z + 1))
     assert len(r2) == 1 and r2[0].lo == -2
     assert _theta_contains(r2[0], math.pi)
 
@@ -110,7 +119,7 @@ def test_degenerate_linear_factors():
 def test_mixed_roots_partial_circle():
     # (z^2+1)(z^2-3z+1): only the first factor sits on the circle,
     # but the product is not irreducible so enumerate factor by factor
-    roots = unit_circle_roots(z**2 + 1)
+    roots = unit_circle_roots(ints(z**2 + 1))
     assert len(roots) == 1
     assert _theta_contains(roots[0], math.pi / 2)
 
@@ -118,7 +127,7 @@ def test_mixed_roots_partial_circle():
 # ---- certified sign decisions ----
 
 def test_sign_of_exact_zero():
-    root = unit_circle_roots(z**4 + 1)[0]  # y0 = sqrt(2)
+    root = unit_circle_roots(ints(z**4 + 1))[0]  # y0 = sqrt(2)
     assert root.sign_of([-2, 0, 1]) == 0  # y^2 - 2 vanishes
     assert root.sign_of([-1, 1]) == 1  # y - 1 > 0 at sqrt(2)
     assert root.sign_of([-3, 1]) == -1
@@ -129,7 +138,7 @@ def test_sign_of_exact_zero():
 
 
 def test_sign_of_rational_point():
-    root = unit_circle_roots(z**2 - z + 1)[0]  # y0 = 1
+    root = unit_circle_roots(ints(z**2 - z + 1))[0]  # y0 = 1
     assert root.sign_of([-1, 1]) == 0
     assert root.sign_of([1, 7]) == 1
     assert root.sign_of([3, 0, -4]) == -1
@@ -138,20 +147,20 @@ def test_sign_of_rational_point():
 def test_refine_rejects_a_width_that_never_comes():
     # an irrational root's bracket never reaches width 0: refine and
     # unit_circle_roots refuse it instead of bisecting forever
-    root = unit_circle_roots(z**4 + 1)[0]
+    root = unit_circle_roots(ints(z**4 + 1))[0]
     for width in (F(0), F(-1)):
         with pytest.raises(ValueError):
             root.refine(width)
         with pytest.raises(ValueError):
-            unit_circle_roots(z**4 + 1, width)
+            unit_circle_roots(ints(z**4 + 1), width)
     # a point bracket is already as narrow as it gets
-    point = unit_circle_roots(z**2 - z + 1, F(0))[0]
+    point = unit_circle_roots(ints(z**2 - z + 1), F(0))[0]
     point.refine(F(0))
     assert point.lo == point.hi == 1
 
 
 def test_refine_narrows():
-    root = unit_circle_roots(z**4 + 1)[0]
+    root = unit_circle_roots(ints(z**4 + 1))[0]
     root.refine(F(1, 2**100))
     assert root.hi - root.lo <= F(1, 2**100)
     y0 = math.sqrt(2)
@@ -162,7 +171,7 @@ def test_refine_narrows():
 
 def test_hermitian_signature_definite():
     field = ResidueField([F(1), F(-1), F(1)])
-    root = unit_circle_roots(z**2 - z + 1)[0]
+    root = unit_circle_roots(ints(z**2 - z + 1))[0]
     h = Matrix([[field.one(), field.zero()], [field.zero(), field.elem([-1])]])
     assert hermitian_signature_at_root(h, [root])[0] == 0
     h2 = Matrix([[field.one()]])
@@ -172,7 +181,7 @@ def test_hermitian_signature_definite():
 def test_hermitian_signature_off_diagonal():
     # [[0, z], [1/z, 0]] is hermitian and hyperbolic
     field = ResidueField([F(1), F(-1), F(1)])
-    root = unit_circle_roots(z**2 - z + 1)[0]
+    root = unit_circle_roots(ints(z**2 - z + 1))[0]
     h = Matrix([[field.zero(), field.gen()],
                 [field.from_laurent(z**-1), field.zero()]])
     assert hermitian_signature_at_root(h, [root])[0] == 0
@@ -182,7 +191,7 @@ def test_hermitian_signature_y_dependent():
     # [[y, 0], [0, 1]] at theta = pi/4 (y = sqrt 2 > 0): signature 2;
     # at theta = 3pi/4, y = -sqrt 2 < 0: signature 0
     field = ResidueField([F(1), F(0), F(0), F(0), F(1)])
-    root_small, root_big = unit_circle_roots(z**4 + 1)
+    root_small, root_big = unit_circle_roots(ints(z**4 + 1))
     y = field.from_laurent(z + z**-1)
     h = Matrix([[y, field.zero()], [field.zero(), field.one()]])
     assert hermitian_signature_at_root(h, [root_small, root_big]) == [2, 0]
@@ -192,7 +201,7 @@ def test_hermitian_signature_y_dependent():
 
 def test_singular_hermitian_raises():
     field = ResidueField([F(1), F(-1), F(1)])
-    root = unit_circle_roots(z**2 - z + 1)[0]
+    root = unit_circle_roots(ints(z**2 - z + 1))[0]
     h = Matrix([[field.zero()]])
     with pytest.raises(SingularForm):
         hermitian_signature_at_root(h, [root])
