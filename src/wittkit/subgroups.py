@@ -15,23 +15,22 @@ and g is kept only when
   candidate mask),
 - (o/p^b) t lies in W_c: the lattice holds o e_(c-1), which is
   (o/p^b) g - (o/p^b) t, so otherwise g is not its HNF row, and
-- the child's order |W_c| o/p^b, known before any closure, can still end
+- the child's order |W_c| o/p^b, known before it is built, can still end
   at the requested order: it does not exceed it, and times the largest
   order the columns before c-1 can add, o_0 ... o_(c-2), it reaches it.
 The order bound drops only subgroups of other orders, so a search for
 order sqrt|T| finds every lagrangian.  Candidate and element sets are int
-bitmasks over the self-annihilating elements, which one linear table of the
-functionals x^T N finds.  One enumeration serves all three questions:
-`brute_force_lagrangians(form)` returns {mode: {"mode", "witnesses",
-"exhausted"}} for every mode in MODES.  Any prime is allowed here,
-including 2.
+bitmasks over the self-annihilating elements, found by a recurrence of
+x^T N x over the columns.  Orthogonality masks come from the column masks,
+and a child is its parent's cosets by multiples of g.  One enumeration
+answers every mode in MODES.  Any prime is allowed here, including 2.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import gcd, isqrt, prod
-from operator import add, mod, mul
+from itertools import accumulate, compress, product
+from math import isqrt, prod
+from operator import mul, or_
 
 from wittkit.errors import SearchSpaceTooLarge
 from wittkit.finite import FiniteLinkingForm
@@ -48,13 +47,9 @@ MODES = ("any", "split", "complementary_pair")
 def _witness_matrix(key: tuple, mixed_orders) -> list[list[int]]:
     """Generator matrix (generators as columns) from an HNF lattice key,
     with relation-only columns dropped."""
-    n = len(mixed_orders)
-    cols = []
-    for basis_row in key:
-        col = [basis_row[i] % mixed_orders[i] for i in range(n)]
-        if any(col):
-            cols.append(col)
-    return [[col[i] for col in cols] for i in range(n)]
+    cols = [col for row in key
+            if any(col := [x % o for x, o in zip(row, mixed_orders)])]
+    return [[col[i] for col in cols] for i in range(len(mixed_orders))]
 
 
 class _SearchContext:
@@ -72,97 +67,112 @@ class _SearchContext:
     def elements(self):
         return product(*[range(o) for o in self.orders])
 
-    def closure(self, base, x) -> frozenset:
-        ord_x = max(
-            (o // gcd(xi, o) for xi, o in zip(x, self.orders)), default=1)
-        out = set()
-        for h in base:
-            for _ in range(ord_x):
-                out.add(h)
-                h = tuple(map(mod, map(add, h, x), self.orders))
-        return frozenset(out)
 
+class _Table:
+    """The self-annihilating elements `cands` in enumeration order and the
+    kernels on bitmasks over them.  Packed into one int, x_c in a b-bit field
+    (o_c <= 2^(b-1)), w + h in T is one sum and a fold of fields >= o_c."""
 
-def _elements(mask: int, cands) -> list:
-    """The elements of `cands` whose bits are set in `mask`."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(cands[low.bit_length() - 1])
-        mask ^= low
-    return out
+    def __init__(self, ctx: _SearchContext):
+        orders, rows, q = ctx.orders, ctx.rows, ctx.q
+        self.q, self.columns = q, list(zip(*rows))
+        n = len(orders)
+        b = max(orders, default=1).bit_length() + 1
+        # each prefix x_0..x_(c-1) in enumeration order, packed, with x^T N x
+        # over it and cross[j] = sum_(i<c) x_i (N_ij + N_ji) for each j >= c
+        vals, packed, cross = [0], [0], [[0] for _ in orders]
+        for c, o in enumerate(orders):
+            vals = [val + v * (s + v * rows[c][c])
+                    for val, s in zip(vals, cross[c]) for v in range(o)]
+            packed = [x << b | v for x in packed for v in range(o)]
+            for j in range(c + 1, n):
+                steps = [v * (rows[c][j] + rows[j][c]) for v in range(o)]
+                cross[j] = [s + t for s in cross[j] for t in steps]
+        keep = [not val % q for val in vals]
+        self.cands = list(compress(ctx.elements(), keep))
+        self.packed = list(compress(packed, keep))
+        self.bit = {x: 1 << i for i, x in enumerate(self.packed)}
+        self.everything = (1 << len(self.cands)) - 1
+        # col[c][v]: the candidates whose coordinate c is v
+        self.col = [[0] * o for o in orders]
+        for bit, x in zip(self.bit.values(), self.cands):
+            for c, v in enumerate(x):
+                self.col[c][v] |= bit
+        self.live = [[(v, m) for v, m in enumerate(col) if m]
+                     for col in self.col]
+        self.shifts = [b * (n - 1 - c) for c in range(n)]
+        carry = sum(1 << b - 1 << s for s in self.shifts)
+        wrap = sum(o << s for o, s in zip(orders, self.shifts))
+        self.fold = b - 1, (1 << b) - 1, carry, carry - wrap, wrap
+
+    def orthogonal(self, i: int) -> int:
+        """The candidates y with g^T N y = 0, g = cands[i]: a residue
+        recurrence over the columns, through the values column c takes."""
+        g, q = self.cands[i], self.q
+        acc = {0: self.everything}
+        for column, live in zip(self.columns, self.live):
+            fc = sum(map(mul, g, column)) % q
+            if fc:
+                nxt = {}
+                for r, m in acc.items():
+                    for v, bits in live:
+                        if both := m & bits:
+                            k = (r + fc * v) % q
+                            nxt[k] = nxt.get(k, 0) | both
+                acc = nxt
+        return acc.get(0, 0)
+
+    def child(self, elems: list, i: int, index: int):
+        """W + <g> for g = cands[i] and W's packed `elems`, with index * g
+        in W: the cosets W + k g for k < index, packed, and their mask."""
+        shift, field, carry, bias, wrap = self.fold
+        g, out = self.packed[i], list(elems)
+        for _ in range(index - 1):
+            out += [(s := w + g) - (wrap & ((s + bias & carry) >> shift)
+                                    * field) for w in out[-len(elems):]]
+        return sum(map(self.bit.__getitem__, out)), out
 
 
 def _isotropic_subgroups(ctx: _SearchContext, order: int):
     """Every self-annihilating subgroup of exactly `order` elements, each
-    once, as (hnf_key, element_mask), and the list `cands` the masks index;
-    ([], []) at once when `order` lies outside [1, |T|].
+    once, as (hnf_key, element_mask), and the list `cands` the masks index
+    (bit 0 is zero); ([], []) at once when `order` lies outside [1, |T|].
 
-    `cands` holds the self-annihilating elements in enumeration order, so
-    bit 0 is the zero element.  A node carries its rows, order, element
-    mask and `todo`: the candidates orthogonal to it and reduced against
-    its pivots, which are the only possible rows above it.  A child's
-    `todo` is its parent's ANDed with the new row g's orthogonality mask,
-    built once per g from its functional g^T N (the form is
-    epsilon-symmetric, so g^T N y = 0 exactly when y^T N g = 0), and with
-    the mask of elements below g's pivot in g's column.  A child's elements
-    are the closure of its parent's with g, decoded only for a parent with
-    a kept child."""
+    A node carries its rows, order, element mask, packed elements and
+    `todo`: the candidates orthogonal to it and reduced against its pivots,
+    the only possible rows above it.  A child's `todo` is its parent's ANDed
+    with the mask below g's pivot in g's column and with g's orthogonality
+    mask, built once per kept g (epsilon-symmetry makes it two-sided)."""
     orders = ctx.orders
     n = len(orders)
     # head[c]: the largest order the columns before c can add
-    head = [1]
-    for o in orders:
-        head.append(head[-1] * o)
+    head = [prod(orders[:c]) for c in range(n + 1)]
     if not 1 <= order <= head[n]:
         return [], []
-    q = ctx.q
-    # x^T N for every x in T, in `elements` order and unreduced: each
-    # coordinate step adds one multiple of a row of N
-    funcs = [(0,) * n]
-    for o, row in zip(orders, ctx.rows):
-        steps = [[a * r for r in row] for a in range(o)]
-        funcs = [tuple(map(add, f, s)) for f in funcs for s in steps]
-    table = [(x, f) for x, f in zip(ctx.elements(), funcs)
-             if not sum(map(mul, x, f)) % q]
-    cands = [x for x, _ in table]
-    index = {x: i for i, x in enumerate(cands)}
-    everything = (1 << len(cands)) - 1
-    # col[c][v]: the candidates whose coordinate c is v
-    col = [[0] * o for o in orders]
-    for i, x in enumerate(cands):
-        for c, v in enumerate(x):
-            col[c][v] |= 1 << i
+    table = _Table(ctx)
+    cands, col, shifts = table.cands, table.col, table.shifts
     # pivots[c]: (d, the candidates zero before column c and d at it, those
     # below d at it) for each pivot d = o_c/p, o_c/p^2, ..., 1 of column c
-    p = ctx.form.prime
     pivots = []
-    zero_before = everything
+    zero_before = table.everything
     for c, o in enumerate(orders):
-        below = [0]
-        for bits in col[c]:
-            below.append(below[-1] | bits)
-        pivots.append([])
-        d = o // p
-        while d:
-            pivots[c].append((d, zero_before & col[c][d], below[d]))
-            d //= p
+        below = list(accumulate(col[c], or_, initial=0))
+        pivots.append([(d, zero_before & col[c][d], below[d])
+                       for d in range(o - 1, 0, -1) if not o % d])
         zero_before &= col[c][0]
     trivial = [tuple(o if j == c else 0 for j in range(n))
                for c, o in enumerate(orders)]
-    orth = {}
-    found = []
-    stack = [(n, (), 1, 1, everything)]
+    orth, scaled, found = {}, {}, []
+    stack = [(n, (), 1, 1, [0], table.everything)]
     while stack:
-        c, rows, size, mask, todo = stack.pop()
+        c, rows, size, mask, elems, todo = stack.pop()
         if not c:
             found.append((rows, mask))
             continue
         c -= 1
         o = orders[c]
         if size * head[c] >= order:
-            stack.append((c, (trivial[c],) + rows, size, mask, todo))
-        elems = None
+            stack.append((c, (trivial[c],) + rows, size, mask, elems, todo))
         for d, led, under in pivots[c]:
             grown = size * (o // d)
             if grown > order:
@@ -174,38 +184,29 @@ def _isotropic_subgroups(ctx: _SearchContext, order: int):
                 low = rest & -rest
                 rest ^= low
                 i = low.bit_length() - 1
-                g = cands[i]
                 # (o/d) g, zero at column c, must lie in W_c
-                if not mask >> index[tuple(
-                        o // d * x % m for x, m in zip(g, orders))] & 1:
-                    continue
-                if elems is None:
-                    elems = _elements(mask, cands)
-                child = sum(1 << index[y] for y in ctx.closure(elems, g))
-                if i not in orth:
-                    f = table[i][1]
-                    orth[i] = sum(1 << j for j, y in enumerate(cands)
-                                  if not sum(map(mul, f, y)) % q)
-                stack.append((c, (g,) + rows, grown, child,
-                              todo & orth[i] & under))
+                if i not in scaled:
+                    scaled[i] = table.bit[sum(o // d * x % m << s for x, m, s
+                                          in zip(cands[i], orders, shifts))]
+                if mask & scaled[i]:
+                    if i not in orth:
+                        orth[i] = table.orthogonal(i)
+                    stack.append((c, (cands[i],) + rows, grown,
+                                  *table.child(elems, i, o // d),
+                                  todo & orth[i] & under))
     return found, cands
 
 
 def _is_pure(elems, ctx: _SearchContext) -> bool:
     """Pure subgroups (H intersect p^k T = p^k H for all k) are exactly the
     direct summands of a finite abelian p-group."""
-    p = ctx.form.prime
-    top = max(ctx.form.orders) if ctx.form.orders else 1
-    for k in range(1, top):
-        pk = p**k
-        in_pkt = {
-            x for x in elems
-            if all(xi % min(pk, o) == 0 for xi, o in zip(x, ctx.orders))
-        }
-        pk_h = {
-            tuple((pk * xi) % o for xi, o in zip(x, ctx.orders)) for x in elems
-        }
-        if in_pkt != pk_h:
+    orders = ctx.orders
+    for k in range(1, max(ctx.form.orders, default=1)):
+        pk = ctx.form.prime**k
+        if ({x for x in elems if all(xi % min(pk, o) == 0
+                                     for xi, o in zip(x, orders))}
+                != {tuple(pk * xi % o for xi, o in zip(x, orders))
+                    for x in elems}):
             return False
     return True
 
@@ -239,18 +240,17 @@ def brute_force_lagrangians(
     lagrangians = sorted(found, key=lambda t: t[0])
     keys = {
         "any": [key for key, _ in lagrangians[:1]],
+        # a mask's elements: its binary digits, lowest first, select cands
         "split": next(
             ([key] for key, mask in lagrangians
-             if _is_pure(_elements(mask, cands), ctx)), []),
+             if _is_pure([*compress(cands, map(int, bin(mask)[:1:-1]))], ctx)),
+            []),
         # two lagrangians meet trivially when they share bit 0 (zero) only
         "complementary_pair": next(
             ([key_a, key_b] for key_a, a in lagrangians
              for key_b, b in lagrangians if a & b == 1),
             []),
     }
-    return {
-        mode: {"mode": mode,
-               "witnesses": [_witness_matrix(k, ctx.orders) for k in keys[mode]],
-               "exhausted": True}
-        for mode in MODES
-    }
+    return {mode: {"mode": mode, "witnesses": [_witness_matrix(k, ctx.orders)
+                                               for k in keys[mode]],
+                   "exhausted": True} for mode in MODES}

@@ -23,6 +23,12 @@ Slow, exhaustive or structural routes that `wittkit.finite` and
   HNF of its parent's key plus the new generator, deduplicating by key,
   which `wittkit.subgroups` replaced by bitmasks and one HNF row per
   column.
+- `functional_table`, `dot_orthogonal` and `closure`: the candidates from
+  one table of the functionals x^T N over all of T, a row's orthogonality
+  mask by one dot product per candidate, and a subgroup's closure with a
+  new element by ord(x) steps over tuples, which `wittkit.subgroups`
+  replaced by a prefix recurrence, a residue recurrence on column masks and
+  cosets of packed elements.
 - `_check_pairing`, `_adjoint_is_iso` and `witt_class_fp`: the checks of a
   gram of reduced `Fraction`s, the adjoint's bijectivity by a Smith form of
   [N | diag(n)], and the Witt class by a `Fraction` determinant, which
@@ -40,6 +46,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from math import gcd
+from operator import add, mod, mul
 
 from wittkit.errors import (
     ComputationError,
@@ -391,6 +398,37 @@ def _hnf_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
 # isotropic subgroups by list filtering and whole-list HNF keys
 # ---------------------------------------------------------------------------
 
+def functional_table(ctx: _SearchContext) -> list:
+    """The self-annihilating elements x in enumeration order, each with its
+    unreduced functional x^T N: one table over all of T, each coordinate
+    step adding one multiple of a row of N."""
+    funcs = [(0,) * len(ctx.orders)]
+    for o, row in zip(ctx.orders, ctx.rows):
+        steps = [[a * r for r in row] for a in range(o)]
+        funcs = [tuple(map(add, f, s)) for f in funcs for s in steps]
+    return [(x, f) for x, f in zip(ctx.elements(), funcs)
+            if not sum(map(mul, x, f)) % ctx.q]
+
+
+def dot_orthogonal(ctx: _SearchContext, table: list, f) -> int:
+    """The mask of the candidates y in `table` with f . y = 0 mod q, one dot
+    product each."""
+    return sum(1 << j for j, (y, _) in enumerate(table)
+               if not sum(map(mul, f, y)) % ctx.q)
+
+
+def closure(ctx: _SearchContext, base, x) -> frozenset:
+    """The subgroup `base` + <x>, by ord(x) steps from each element."""
+    ord_x = max(
+        (o // gcd(xi, o) for xi, o in zip(x, ctx.orders)), default=1)
+    out = set()
+    for h in base:
+        for _ in range(ord_x):
+            out.add(h)
+            h = tuple(map(mod, map(add, h, x), ctx.orders))
+    return frozenset(out)
+
+
 def list_filter_subgroups(ctx: _SearchContext):
     """Every self-annihilating subgroup, as (hnf_key, element_set), in
     breadth-first discovery order.  Each node carries the self-annihilating
@@ -426,7 +464,7 @@ def list_filter_subgroups(ctx: _SearchContext):
                 continue
             new_key = tuple(tuple(r) for r in _hnf_rows([*key, x], n))
             if new_key not in seen:
-                seen[new_key] = ctx.closure(elems, x)
+                seen[new_key] = closure(ctx, elems, x)
                 f = functional[x]
                 queue.append((new_key, seen[new_key], [
                     y for y in cands if not sum(a * b for a, b in zip(f, y)) % q

@@ -260,7 +260,9 @@ def midpoints(lo, hi, depth):
     return out
 
 
-@settings(max_examples=20, deadline=None,
+# derandomize: the same 20 examples on every run, so that the oracle's cost,
+# which moves with the draw, does not move tier-1 time
+@settings(max_examples=20, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(structured_poly(), structured_poly(20))
 def test_generated_polynomials_against_the_oracle(p, other):

@@ -22,6 +22,9 @@ from linking_oracle import (
     _hnf_rows,
     _lattice_key,
     brute_force_isomorphism,
+    closure,
+    dot_orthogonal,
+    functional_table,
     list_filter_subgroups,
 )
 from wittkit.errors import SearchSpaceTooLarge
@@ -34,10 +37,12 @@ from wittkit.finite import (
 )
 from wittkit.serialize import finite_form_from_json
 from wittkit.subgroups import (
+    DEFAULT_SEARCH_BOUND,
     MODES,
     _is_pure,
     _isotropic_subgroups,
     _SearchContext,
+    _Table,
     _witness_matrix,
     brute_force_lagrangians,
 )
@@ -82,17 +87,17 @@ def test_search_bound_enforced():
 def test_non_square_order_searches_nothing(monkeypatch):
     """When |T| is not a square no lagrangian exists: every mode certifies
     absence without building a single subgroup."""
-    closures = []
-    close = _SearchContext.closure
+    children = []
+    child = _Table.child
 
-    def counting(ctx, base, x):
-        closures.append(x)
-        return close(ctx, base, x)
+    def counting(table, elems, i, index):
+        children.append(i)
+        return child(table, elems, i, index)
 
-    monkeypatch.setattr(_SearchContext, "closure", counting)
+    monkeypatch.setattr(_Table, "child", counting)
     brute_force_lagrangians(FiniteLinkingForm(3, [2], [[F(1, 9)]], 1))
-    assert closures
-    closures.clear()
+    assert children
+    children.clear()
     fixture = Path(__file__).parent / "fixtures" / "elementary-3-7.json"
     for f in (diagonal_form(3, [1], [1]), diagonal_form(3, [1] * 3, [1] * 3),
               finite_form_from_json(json.loads(fixture.read_text()))):
@@ -100,7 +105,7 @@ def test_non_square_order_searches_nothing(monkeypatch):
         for mode in MODES:
             assert out[mode] == {"mode": mode, "witnesses": [],
                                  "exhausted": True}, (f, mode)
-    assert closures == []
+    assert children == []
 
 
 def _subgroup_elements(form, witness):
@@ -202,7 +207,7 @@ def _reference_subgroups(ctx):
             if new_key in seen:
                 continue
             seen.add(new_key)
-            queue.append((new_key, ctx.closure(elems, x), gens + (x,)))
+            queue.append((new_key, closure(ctx, elems, x), gens + (x,)))
     return found
 
 
@@ -400,6 +405,104 @@ def test_mask_enumeration_matches_list_filter_on_large_forms():
     for f in forms:
         ctx = _SearchContext(f, 10**4)
         _assert_enumerates_by_order(ctx, list_filter_subgroups(ctx))
+
+
+# ---------------------------------------------------------------------------
+# the candidate table's kernels against the old routes
+# ---------------------------------------------------------------------------
+
+def _random_form(rng, p, epsilon, total):
+    """A random epsilon-symmetric form on levels adding up to at most
+    `total` (at least 2): hyperbolic planes (Z/p^l)^2 with pairing 1/p^l
+    and cyclic pieces Z/p^l with pairing u/p^l, u a unit; at epsilon = -1
+    the only cyclic piece is Z/2 with 1/2."""
+    cyclic = epsilon == 1 or p == 2
+    levels, entries = [], []
+    while not levels or total - sum(levels) >= 2 - cyclic \
+            and rng.random() < 0.7:
+        room = total - sum(levels)
+        i = len(levels)
+        if room >= 2 and (not cyclic or rng.random() < 0.4):
+            l = rng.randint(1, room // 2)
+            levels += [l, l]
+            entries += [(i, i + 1, F(1, p**l)),
+                        (i + 1, i, F(epsilon, p**l) % 1)]
+        else:
+            l = rng.randint(1, room) if epsilon == 1 else 1
+            unit = rng.choice([u for u in range(1, p**l) if u % p])
+            levels.append(l)
+            entries.append((i, i, F(unit, p**l)))
+    gram = [[F(0)] * len(levels) for _ in levels]
+    for i, j, value in entries:
+        gram[i][j] = value
+    return FiniteLinkingForm(p, levels, gram, epsilon)
+
+
+def _kernel_bank():
+    """Random forms at p = 2, 3, 5, 7 and epsilon = +-1, each also
+    re-presented by a random automorphism; the deepest cyclic Z/p^k within
+    the search bound; mixed levels 3^5 + 3^2 + 3; rank 0, the one
+    presentation of |T| = 1."""
+    rng = random.Random(38)
+    bank = []
+    for p, total in ((2, 6), (3, 4), (5, 3), (7, 3)):
+        for epsilon in (1, -1):
+            for _ in range(5):
+                f = _random_form(rng, p, epsilon, total)
+                bank.append(f)
+                if f.rank >= 2:
+                    bank.append(apply_generator_change(
+                        f, random_automorphism(rng, f)))
+            bank.append(FiniteLinkingForm(p, [], [], epsilon))
+        deep = max(k for k in range(1, 20) if p**k <= DEFAULT_SEARCH_BOUND)
+        bank.append(diagonal_form(p, [deep], [1]))
+    bank.append(diagonal_form(3, [5, 2, 1], [1, 2, 1]))
+    return bank
+
+
+def test_table_kernels_match_the_old_routes(monkeypatch):
+    """The prefix recurrence finds the functional table's candidates, in
+    the same order; every residue-recurrence orthogonality mask is the
+    dot-product mask; and every child the search builds from cosets is the
+    closure of its parent with g, each element once."""
+    children = []
+    child = _Table.child
+
+    def recording(table, elems, i, index):
+        out = child(table, elems, i, index)
+        children.append((table, elems, i, out))
+        return out
+
+    monkeypatch.setattr(_Table, "child", recording)
+    bank = _kernel_bank()
+    assert {(f.prime, f.epsilon) for f in bank} == {
+        (p, e) for p in (2, 3, 5, 7) for e in (1, -1)}
+    assert any(f.gram[i][j] and i != j and f.epsilon == 1 for f in bank
+               for i in range(f.rank) for j in range(f.rank))
+    assert any(len(set(f.orders)) > 1 for f in bank)
+    built = 0
+    for f in bank:
+        ctx = _SearchContext(f, DEFAULT_SEARCH_BOUND)
+        old = functional_table(ctx)
+        table = _Table(ctx)
+        assert table.cands == [x for x, _ in old], f
+        for i, (_, func) in enumerate(old):
+            assert table.orthogonal(i) == dot_orthogonal(ctx, old, func), \
+                (f, i)
+        index = {x: i for i, x in enumerate(table.cands)}
+        children.clear()
+        order = 1
+        while order <= ctx.size:
+            _isotropic_subgroups(ctx, order)
+            order *= f.prime
+        for searched, elems, i, (mask, out) in children:
+            unpack = dict(zip(searched.packed, searched.cands))
+            want = closure(ctx, [unpack[w] for w in elems], searched.cands[i])
+            assert len(out) == len(want), (f, i)
+            assert {unpack[w] for w in out} == want, (f, i)
+            assert mask == sum(1 << index[y] for y in want), (f, i)
+        built += len(children)
+    assert built > 1000
 
 
 # ---------------------------------------------------------------------------
