@@ -442,9 +442,11 @@ def _selftest_anchors(precision: Fraction):
             dw_multisignature_laurent(blanchfield_form(k), precision))
         jumps = lt_jumps(k)
         check(jumps, "trefoil has a unit-circle Alexander root")
+        check(set(jumps) == set(sums),
+              f"jump keys {set(jumps)} != odd-level sum keys {set(sums)}")
         for key, jump in jumps.items():
-            check(jump == sums.get(key, 0),
-                  f"jump {jump} != odd-level sum {sums.get(key, 0)} at {key}")
+            check(jump == sums[key],
+                  f"jump {jump} != odd-level sum {sums[key]} at {key}")
 
     return [
         ("trace-function", trace_function),

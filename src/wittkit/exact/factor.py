@@ -1,7 +1,8 @@
-"""Factorization of Laurent polynomials over Q, on integers.
+"""Factorization of polynomials over Q, on integer lists.
 
-Pipeline: strip the unit c*z^k, leaving the primitive integer polynomial f
-with leading coefficient b > 0.  An odd prime p (among the first eleven)
+Pipeline: a polynomial is its primitive integer multiple
+(`polys.primitive`); dropping the unit z^k leaves f, with leading
+coefficient b > 0.  An odd prime p (among the first eleven)
 with p not dividing b and f squarefree mod p certifies that f is
 squarefree over Q, since g^2 | f has lc(g) | b, so g^2 | f mod p keeps
 deg g; p is then the lifting prime.  Only without one does f give way to
@@ -20,8 +21,10 @@ when it divides the rest over Z.  Products and derivatives mod m are
 `polys.mul` and `polys.derivative` reduced once mod m; only division, gcd
 and powering mod p, which need inverses mod p, run on loops of their own.
 
-`_factor_int` gives the primitive factors g_i of f with multiplicities
-m_i, checked as prod(g_i ** m_i) == f on either route.
+`factor_rational_poly` gives the primitive factors g_i of f with
+multiplicities m_i, checked as prod(g_i ** m_i) == f on either route, in
+the order of the report; a factor is keyed by g_i made monic
+(`factor_key`), the one place a `Fraction` is made for it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from math import gcd as int_gcd, isqrt
 
 from wittkit.errors import check
 from wittkit.exact import polys
-from wittkit.exact.laurent import LaurentPoly
 
 _RNG_SEED = 0x5EED
 
@@ -306,9 +308,22 @@ def _lifting_prime(f: list[int], primes) -> int | None:
 
 # ---- driver ----
 
-def _factor_int(f: list[int]) -> list[tuple[list[int], int]]:
-    """Primitive f's irreducible factors but z (a unit), each with its
-    multiplicity: 1 if f is certified squarefree, else read by division."""
+def factor_key(g: list[int]) -> tuple:
+    """The report's key of a factor g: its coefficients, low degree
+    first, made monic over Q."""
+    return tuple(Fraction(c, g[-1]) for c in g)
+
+
+def factor_rational_poly(f: list) -> list[tuple[list[int], int]]:
+    """The irreducible factors over Q of f, an integer or rational list,
+    but z (a unit): each primitive, with its multiplicity, 1 if f is
+    certified squarefree and else read by division, so that prod(g ** m)
+    is `polys.primitive(f)` up to z^k.  They come in the report's order:
+    by degree, then by the nonzero (degree, coefficient) pairs of their
+    keys (`factor_key`)."""
+    f = polys.primitive(f)
+    if not f:
+        raise ValueError("cannot factor zero")
     f = f[next(i for i, c in enumerate(f) if c):]
     sf, q = f, None
     if len(f) > 3 or len(f) == 3 and f[1] ** 2 == 4 * f[0] * f[2]:
@@ -320,17 +335,5 @@ def _factor_int(f: list[int]) -> list[tuple[list[int], int]]:
                for g in _factor_squarefree_int(sf, q)]
     prod = reduce(polys.mul, (g for g, m in factors for _ in range(m)), [1])
     check(prod == f, "factorization lost a factor")
-    return factors
-
-
-def factor_rational_poly(p: LaurentPoly) -> tuple[LaurentPoly, list[tuple[LaurentPoly, int]]]:
-    """Factor p over Q[z, z^-1]: (unit, factors) with unit = c * z^k and
-    the factors monic irreducible ordinary polynomials (as LaurentPoly)
-    paired with their multiplicities, unit * prod(f**m) == p exactly."""
-    if p.is_zero():
-        raise ValueError("cannot factor zero")
-    dense, k = p.ordinary()
-    factors = [(LaurentPoly.from_dense([Fraction(c, g[-1]) for c in g]), m)
-               for g, m in _factor_int(polys.primitive(dense))]
-    factors.sort(key=lambda fm: (fm[0].max_deg(), sorted(fm[0].coeffs.items())))
-    return LaurentPoly.monomial(dense[-1], k), factors
+    return sorted(factors, key=lambda gm: (len(gm[0]), [
+        (i, c) for i, c in enumerate(factor_key(gm[0])) if c]))

@@ -5,8 +5,8 @@ Fractions.  The empty dict is the zero polynomial.  All operations return new
 objects; instances are treated as immutable (and are hashable).
 
 The involution ("bar") negates every degree.  A polynomial p is called
-self-conjugate when bar(p) differs from p only by a unit +-z^k; the unit is
-the interesting datum and `is_self_conjugate` returns it.
+self-conjugate when bar(p) differs from p only by a unit +-z^k; factors are
+tested on their integer lists (`polys.self_conjugate`).
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ class LaurentPoly:
             if not self.is_unit():
                 raise ValueError("negative power of a non-unit")
             ((d, c),) = self.coeffs.items()
-            return LaurentPoly({d * n: c**n})
+            return LaurentPoly.monomial(c**n, d * n)
         result = LaurentPoly.one()
         base = self
         while n:
@@ -170,9 +170,9 @@ class LaurentPoly:
         """
         if not self.coeffs:
             return [], 0
-        k, zero = min(self.coeffs), Fraction(0)
+        k, zero = self.min_deg(), Fraction(0)
         return [self.coeffs.get(d, zero)
-                for d in range(k, max(self.coeffs) + 1)], k
+                for d in range(k, self.max_deg() + 1)], k
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -205,22 +205,3 @@ def _coerce(x) -> LaurentPoly:
     if isinstance(x, (int, Fraction)):
         return LaurentPoly.const(x)
     raise TypeError(f"cannot coerce {type(x)!r} to LaurentPoly")
-
-
-def is_self_conjugate(p: LaurentPoly) -> Optional[LaurentPoly]:
-    """Return the unit u = +-z^k with u * bar(p) = p, or None.
-
-    If such a unit exists it is forced: comparing degree supports gives
-    k = min_deg + max_deg, and the sign is read off the end coefficients.
-    """
-    if p.is_zero():
-        return None
-    lo, hi = p.min_deg(), p.max_deg()
-    top, bottom = p.coeffs[hi], p.coeffs[lo]
-    sign = 1 if bottom == top else -1 if bottom == -top else 0
-    # coefficient-wise: bar(p) z^k has c_d at k - d
-    if sign and all(p.coeffs.get(lo + hi - d) == (c if sign == 1 else -c)
-                    for d, c in p.coeffs.items()):
-        return LaurentPoly.monomial(sign, lo + hi)
-    return None
-

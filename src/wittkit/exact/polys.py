@@ -8,7 +8,9 @@ One pseudo-division (`divmod_poly`) gives remainders and exact quotients,
 and one primitive remainder sequence (W. S. Brown, J. ACM 18, 1971) serves
 both the gcd and Sturm chains.  Every integer polynomial loop but
 `factor`'s division, gcd and powering mod p and `roots._interval_horner`
-is here, z -> a + b z (`compose`) among them.  `LaurentPoly` remains the
+is here, z -> a + b z (`compose`) and the one self-conjugacy test
+(`self_conjugate`) among them.  A factor stays such a list from
+`factor.factor_rational_poly` to the report; `LaurentPoly` remains the
 user-facing type (conversion via `LaurentPoly.ordinary` and `from_dense`).
 """
 
@@ -121,6 +123,12 @@ def gcd(p: Sequence, q: Sequence) -> Poly:
 
 def derivative(p: Sequence) -> Poly:
     return trim([c * i for i, c in enumerate(p)][1:])
+
+
+def self_conjugate(p: Poly) -> bool:
+    """Whether p, with p(0) != 0, is self-conjugate: z^deg(p) p(1/z), p
+    reversed, is +-p."""
+    return p[::-1] in (p, [-c for c in p])
 
 
 # ---- real root machinery (Sturm) ----

@@ -33,7 +33,7 @@ class ResidueField:
             raise ValueError("modulus must not vanish at 0")
         self.modulus = p
         self.degree = len(p) - 1
-        self.self_conjugate = p[::-1] in (p, [-c for c in p])
+        self.self_conjugate = polys.self_conjugate(p)
 
     def element(self, num, den: int, shift: int = 0) -> "ResidueElem":
         """num z^shift / den for integers num and den != 0: r, num
@@ -61,12 +61,6 @@ class ResidueField:
 
     def gen(self) -> "ResidueElem":
         return self.element([0, 1], 1)
-
-    def from_laurent(self, p) -> "ResidueElem":
-        """Image of a Laurent polynomial under z -> generator: its
-        numerator as an ordinary polynomial, reduced once."""
-        dense, low = p.ordinary()
-        return self.element(*matrix._integral(dense), low)
 
     def bar_elem(self, e: "ResidueElem") -> "ResidueElem":
         if not self.self_conjugate:

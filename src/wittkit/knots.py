@@ -29,7 +29,7 @@ from wittkit.errors import (
     check,
 )
 from wittkit.exact import polys
-from wittkit.exact.factor import _factor_int
+from wittkit.exact.factor import factor_key, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _berkowitz
 from wittkit.exact.roots import (
@@ -136,13 +136,11 @@ def _det_one_minus(k: KnotInput) -> list:
 
 
 def _module_order(module: LaurentModule) -> LaurentPoly:
-    """The divisors' product over |its coefficient sum|, its value at 1:
-    det((1-e) + ez) up to c z^k (Trotter's), so integral with p(1) = +-1."""
+    """The divisors' primitive product: det((1-e) + ez) up to c z^k
+    (Trotter's), so it is the Alexander polynomial when |p(1)| = 1."""
     order = module.total_divisor
-    alex = order * Fraction(1, abs(sum(order.coeffs.values())))
-    check(all(c.denominator == 1 for c in alex.coeffs.values()),
-          "Alexander polynomial is not integral")
-    return alex
+    check(abs(sum(order)) == 1, "Alexander polynomial is not integral")
+    return LaurentPoly.from_dense(order)
 
 
 def alexander_polynomial(k: KnotInput) -> LaurentPoly:
@@ -298,18 +296,14 @@ def levine_tristram_signature(k: KnotInput, turn) -> int:
 
 
 def _circle_roots(det: list) -> tuple[list, set]:
-    """Unit-circle roots of the integer `det`'s factors as (key,
-    root_index, CertifiedRoot), by increasing angle, with disjoint
+    """Unit-circle roots of the integer `det`'s self-conjugate factors as
+    (key, root_index, CertifiedRoot), by increasing angle, with disjoint
     y-brackets, and the set of e with Phi_e | det; refining to width 4
-    leaves each isolating bracket as it is.  A factor g is self-conjugate
-    if g or -g is g reversed; keys and order are `factor_rational_poly`'s."""
-    circle = sorted(((tuple(Fraction(c, g[-1]) for c in g), g)
-                     for g, _ in _factor_int(det)
-                     if g[::-1] in (g, [-c for c in g])),
-                    key=lambda kg: (len(kg[1]), [(i, c) for i, c in
-                                                 enumerate(kg[0]) if c]))
+    leaves each isolating bracket as it is."""
     marked, cyclotomic = [], set()
-    for key, g in circle:
+    for g, _ in factor_rational_poly(det):
+        if not polys.self_conjugate(g):
+            continue
         roots = unit_circle_roots(g, Fraction(4))
         n = len(g) - 1
         # Kronecker: monic, integral, every root on the circle (one root
@@ -321,6 +315,7 @@ def _circle_roots(det: list) -> tuple[list, set]:
                 if power == [1]:
                     cyclotomic.add(e)
                     break
+        key = factor_key(g)
         for ridx, root in enumerate(roots):
             while not root.is_rational and (root.lo == -2 or root.hi == 2):
                 root.refine((root.hi - root.lo) / 2)  # keep end gaps open
@@ -376,10 +371,14 @@ def rochlin_invariant(k: KnotInput) -> int:
     return (sig // 8) % 2
 
 
-def _mirror_halves(psi: Matrix) -> Matrix | None:
-    """Top-left block A when psi is exactly blockdiag(A, -A)."""
-    h = Matrix([r[:psi.nrows // 2] for r in psi.rows[:psi.nrows // 2]])
-    return h if psi == Matrix.block_diag([h, -h]) else None
+def _mirror_halves(psi: Matrix) -> list | None:
+    """The integer rows of the top-left block A when psi is exactly
+    blockdiag(A, -A), compared in place."""
+    n, rows = psi.nrows // 2, psi.rows
+    if 2 * n == psi.nrows and all(
+            not top[n + j] and not bottom[j] and bottom[n + j] == -top[j]
+            for top, bottom in zip(rows[:n], rows[n:]) for j in range(n)):
+        return [[int(x) for x in r[:n]] for r in rows[:n]]
 
 
 def analyze(k: KnotInput,
@@ -403,7 +402,7 @@ def analyze(k: KnotInput,
 
     witnesses = None
     half = _mirror_halves(k.psi)
-    if half is not None and half.nrows:
+    if half:
         # psi is exactly A (+) -A, so the sum is the knot's own form
         fsum = k.seifert_form
         diag, twist = hyperbolic_witness_sum(SeifertForm(half, k.epsilon))

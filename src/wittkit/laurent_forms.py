@@ -6,11 +6,14 @@ over Q[z, z^-1] finds the chain: every module here is a Q-space with z
 acting as an automorphism h (Trotter's reduction of a pencil
 (z - c) E + 1, reached from any presentation through its block companion
 pencil), and the rational canonical decomposition of h over Q gives the
-divisors, the same routine the covering functors use.  For each
-self-conjugate irreducible factor p and level l the pairing induces a
-hermitian form over Q[z]/(p); its signatures at the unit-circle roots of p
-assemble into the multisignature.  Conjugate factor pairs and factors with
-no unit-circle roots contribute hyperbolically and carry no signature.
+divisors, the same routine the covering functors use.  The order's
+irreducible factors are integer records, primitive lists with their
+multiplicities in the report's order (`factor.factor_rational_poly`), keyed
+by `factor.factor_key`.  For each self-conjugate irreducible factor p and
+level l the pairing induces a hermitian form over Q[z]/(p); its signatures
+at the unit-circle roots of p assemble into the multisignature.  Conjugate
+factor pairs and factors with no unit-circle roots contribute
+hyperbolically and carry no signature.
 
 Sign conventions.  A self-conjugate even-degree factor satisfies
 p = z^{2m} bar(p); the symmetry scalar of the level-l auxiliary form is
@@ -45,8 +48,8 @@ from wittkit.errors import (
     check,
 )
 from wittkit.exact import matrix, polys
-from wittkit.exact.factor import factor_rational_poly
-from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
+from wittkit.exact.factor import factor_key, factor_rational_poly
+from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
@@ -63,19 +66,6 @@ SIGMA_SIGN = 1
 
 def _as_laurent(x) -> LaurentPoly:
     return x if isinstance(x, LaurentPoly) else LaurentPoly.const(x)
-
-
-def _dense(p: LaurentPoly) -> list:
-    dense, off = p.ordinary()
-    if off != 0:
-        raise ValueError("expected an ordinary polynomial")
-    return dense
-
-
-def _factor_key(p: LaurentPoly) -> tuple:
-    """p's dense coefficients, made monic and ordinary: the report's key."""
-    dense = p.ordinary()[0]
-    return tuple(c / dense[-1] for c in dense)
 
 
 def _monic(p: list) -> list:
@@ -114,9 +104,11 @@ class LaurentModule:
         return not self.divisors
 
     @cached_property
-    def total_divisor(self) -> LaurentPoly:
-        """The divisors' product, once for `factors` and the order."""
-        return reduce(mul, self.divisors or [LaurentPoly.one()])
+    def total_divisor(self) -> list:
+        """The divisors' product, primitive on integers, once for
+        `factors` and the order."""
+        return reduce(polys.mul, (polys.primitive(d.ordinary()[0])
+                                  for d in self.divisors), [1])
 
     @cached_property
     def basis_change(self) -> Matrix | None:
@@ -125,20 +117,22 @@ class LaurentModule:
 
     @cached_property
     def factors(self) -> list:
-        """Monic irreducible factors of the order, with multiplicities."""
-        return factor_rational_poly(self.total_divisor)[1]
+        """Primitive irreducible factors of the order, with multiplicities,
+        in the report's order (`factor_rational_poly`)."""
+        return factor_rational_poly(self.total_divisor)
 
-    def _split(self, p) -> tuple:
-        """(P, {i: (l, C)}) once per factor p: P is p made primitive, and
-        d_i = c P^l C, l > 0, with C primitive, by exact division over Z
-        (Gauss's lemma), where `polys.divmod_poly` leaves no remainder."""
-        key = _factor_key(_as_laurent(p))
-        if key not in self._splits:
-            if len(key) < 2:
+    def _split(self, p: list) -> tuple:
+        """(P, {i: (l, C)}) once per factor p, its primitive list P (any
+        multiple of it is made primitive), and d_i = c P^l C, l > 0, with
+        C primitive, by exact division over Z (Gauss's lemma), where
+        `polys.divmod_poly` leaves no remainder."""
+        prim = polys.primitive(p)
+        if (key := tuple(prim)) not in self._splits:
+            if len(prim) < 2:
                 raise ValueError("factor must have positive degree")
-            prim, split = polys.primitive(key), {}
+            split = {}
             for i, d in enumerate(self.divisors):
-                cof, level = polys.primitive(_dense(d)), 0
+                cof, level = polys.primitive(d.ordinary()[0]), 0
                 while not (qr := polys.divmod_poly(cof, prim))[1]:
                     cof, level = qr[0], level + 1
                 if level:
@@ -334,8 +328,9 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
     return LaurentModule(divisors, None, torsion_mode)
 
 
-def level_multiplicities(module: LaurentModule, p) -> dict[int, int]:
-    """How many divisors carry each positive p-adic valuation."""
+def level_multiplicities(module: LaurentModule, p: list) -> dict[int, int]:
+    """How many divisors carry each positive p-adic valuation, for the
+    primitive factor p (`LaurentModule._split`)."""
     levels = [v for v, _ in module._split(p)[1].values()]
     return {v: levels.count(v) for v in sorted(set(levels))}
 
@@ -396,8 +391,10 @@ def _hilbert90_unit(field: ResidueField, v):
     return u
 
 
-def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermitian:
-    """Level-l auxiliary form at a self-conjugate irreducible factor: on the
+def auxiliary_hermitian(form: LaurentLinkingForm, p: list,
+                        l: int) -> AuxiliaryHermitian:
+    """Level-l auxiliary form at a self-conjugate irreducible factor p, its
+    primitive integer list (`LaurentModule._split`): on the
     divisor classes of exact p-valuation l, the residue of p^l lambda(u_i,
     u_j) mod p, normalized to a hermitian form by a Hilbert-90 unit;
     `hermitian_signature_at_root` refuses it unless hermitian and
@@ -410,7 +407,7 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
     / d_j* = num_ij cof_i u^l z^(-D_j), a Laurent polynomial: for
     num_ij = N z^k / d and cof_i = C_i / lead(C_i) (`LaurentModule._split`),
     one integer product N C_i over s^l d lead(C_i), shifted by
-    k + n l - D_j and reduced once.  It does not depend on the
+    k + n l - D_j = k - deg C_j and reduced once.  It does not depend on the
     representative: num_ij + k d_j* changes it by k cof_i u^l bar(d_j) =
     k cof_i p^l bar(cof_j), which is 0 mod p since l >= 1."""
     prim, split = form.module._split(p)
@@ -422,18 +419,16 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p, l: int) -> AuxiliaryHermiti
     if l < 1:
         raise ValueError("level must be >= 1")
     n, unit = field.degree, (1 if prim[0] > 0 else -1) ** l  # s = sign P(0)
-    reads = {i: (cof, n * l - form.module.divisors[i].max_deg())
-             for i, (v, cof) in split.items() if v == l}  # C_i, n l - D_i
+    cofs = {i: cof for i, (v, cof) in split.items() if v == l}
 
-    def entry(i, j):
+    def entry(i, j):  # n l - D_j = -deg C_j
         dense, low = form.num[i, j].ordinary()
         num, den = matrix._integral(dense)
-        cof = reads[i][0]
-        return field.element(polys.mul(num, cof), unit * den * cof[-1],
-                             low + reads[j][1])
+        return field.element(polys.mul(num, cofs[i]),
+                             unit * den * cofs[i][-1], low + 1 - len(cofs[j]))
 
-    gram0 = Matrix([[entry(i, j) for j in reads] for i in reads])
-    v = field.from_laurent(LaurentPoly.monomial(form.epsilon * unit, n * l))
+    gram0 = Matrix([[entry(i, j) for j in cofs] for i in cofs])
+    v = field.element([form.epsilon * unit], 1, n * l)
     if n == 1:
         return AuxiliaryHermitian(field, gram0, 1 if v == field.one() else -1)
     u = _hilbert90_unit(field, v)
@@ -469,13 +464,7 @@ class DWMultiSignatureLaurent:
     def entries(self):
         return sorted(self.signatures.items())
 
-    def get(self, factor, root_index: int, level: int):
-        key = (_factor_key(_as_laurent(factor)), root_index, level)
-        return self.signatures.get(key)
-
-    def theta(self, factor, root_index: int) -> CertifiedRoot:
-        key = factor if isinstance(factor, tuple) \
-            else _factor_key(_as_laurent(factor))
+    def theta(self, key: tuple, root_index: int) -> CertifiedRoot:
         return self.roots[(key, root_index)]
 
     def __add__(self, other: "DWMultiSignatureLaurent"):
@@ -534,17 +523,15 @@ def dw_multisignature_laurent(
     read once (`LaurentModule._split`)."""
     module = form.module
     out = DWMultiSignatureLaurent()
-    seen_pairs = set()
     for p, _mult in module.factors:
-        pk = _factor_key(p)
-        if is_self_conjugate(p) is None:
-            pair = tuple(sorted((pk, _factor_key(p.bar()))))
-            if pair not in seen_pairs:
-                seen_pairs.add(pair)
+        pk = factor_key(p)
+        if not polys.self_conjugate(p):
+            pair = tuple(sorted((pk, factor_key(p[::-1]))))
+            if pair not in out.conjugate_pairs:
                 out.conjugate_pairs.append(pair)
             continue
-        deg = len(pk) - 1
-        roots = unit_circle_roots(polys.primitive(pk), precision)
+        deg = len(p) - 1
+        roots = unit_circle_roots(p, precision)
         if not roots:
             continue
         for ridx, root in enumerate(roots):

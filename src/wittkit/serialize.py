@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii
 from math import gcd, isfinite
 
 from wittkit.errors import NotAKnotForm
+from wittkit.exact.factor import factor_key
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.finite import FiniteLinkingForm
@@ -111,6 +112,12 @@ def laurent_to_json(p: LaurentPoly) -> dict:
     return {str(d): fraction_str(c) for d, c in sorted(p.coeffs.items())}
 
 
+def _key_json(key: tuple) -> dict:
+    """A factor's key (`factor.factor_key`, `Fraction`s) as its Laurent
+    polynomial."""
+    return {str(d): str(c) for d, c in enumerate(key) if c}
+
+
 def laurent_from_json(obj) -> LaurentPoly:
     if not isinstance(obj, dict):
         raise ValueError("a Laurent polynomial is a {degree: coefficient} "
@@ -197,7 +204,7 @@ def multisignature_to_json(ms: DWMultiSignatureLaurent) -> list:
         root = ms.theta(pk, ridx)
         lo, hi = root.theta_interval()
         out.append({
-            "factor": laurent_to_json(LaurentPoly.from_dense(list(pk))),
+            "factor": _key_json(pk),
             "theta": {"interval": [lo, hi], "approx": (lo + hi) / 2},
             "level": level,
             "signature": signature,
@@ -231,7 +238,7 @@ def report_to_json(report: ObstructionReport) -> dict:
         "name": report.name,
         "alexander": laurent_to_json(report.alexander),
         "factorization": [
-            {"factor": laurent_to_json(p), "multiplicity": mult}
+            {"factor": _key_json(factor_key(p)), "multiplicity": mult}
             for p, mult in report.factorization
         ],
         "multisignature": multisignature_to_json(report.multisignature),

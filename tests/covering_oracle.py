@@ -58,7 +58,6 @@ from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
     _as_laurent,
-    _dense,
 )
 from wittkit import seifert
 from wittkit.seifert import AutometricForm, SeifertForm, SeifertSubmodule
@@ -189,6 +188,14 @@ def frac_class(f) -> QZ:
         for _ in range(-m):
             c = qpolys.mod(qpolys.mul(c, zinv), den)
     return QZ.make(LaurentPoly.from_dense(c), den)
+
+
+def _dense(p: LaurentPoly) -> list:
+    """The dense coefficients of an ordinary polynomial."""
+    dense, off = p.ordinary()
+    if off != 0:
+        raise ValueError("expected an ordinary polynomial")
+    return dense
 
 
 def _conjugate_divisor(d: LaurentPoly) -> list:

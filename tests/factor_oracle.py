@@ -10,7 +10,13 @@ and the factors mapped back by x = y/lc.  The product check ran on
 `LaurentPoly`s with a `Fraction` division.  Factoring modulo p and the
 quadratic Hensel step are shared with `wittkit`; only the driver around them
 is kept here, and the schoolbook product mod m (`schoolbook_mul_mod`) that
-`factor._pmul` was before it reduced `polys.mul` once."""
+`factor._pmul` was before it reduced `polys.mul` once.
+
+The factors' records as the report read them before they were integer
+lists are kept too: monic `LaurentPoly` factors (`as_laurent`), keyed by
+their dense monic coefficients (`factor_key`), self-conjugate by a unit
++-z^k (`is_self_conjugate`), with the conjugate partner's key read from
+p.bar() (`conjugate_pair`)."""
 
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from wittkit.exact import polys
+from wittkit.exact import factor, polys
 from wittkit.exact.factor import (
     _RNG_SEED,
     _factor_mod_p,
@@ -176,3 +182,49 @@ def factor_rational_poly(p: LaurentPoly):
     if rem or qpolys.deg(quot) != 0:
         raise AssertionError("oracle factorization lost a factor")
     return LaurentPoly.monomial(quot[0], k), factors
+
+
+# ---- factor records on monic `LaurentPoly`s ----
+
+def factor_key(p: LaurentPoly) -> tuple:
+    """p's dense coefficients, made monic and ordinary: the report's key."""
+    dense = p.ordinary()[0]
+    return tuple(c / dense[-1] for c in dense)
+
+
+def is_self_conjugate(p: LaurentPoly):
+    """The unit u = +-z^k with u * bar(p) = p, or None.
+
+    If such a unit exists it is forced: comparing degree supports gives
+    k = min_deg + max_deg, and the sign is read off the end coefficients.
+    """
+    if p.is_zero():
+        return None
+    lo, hi = p.min_deg(), p.max_deg()
+    top, bottom = p.coeffs[hi], p.coeffs[lo]
+    sign = 1 if bottom == top else -1 if bottom == -top else 0
+    # coefficient-wise: bar(p) z^k has c_d at k - d
+    if sign and all(p.coeffs.get(lo + hi - d) == (c if sign == 1 else -c)
+                    for d, c in p.coeffs.items()):
+        return LaurentPoly.monomial(sign, lo + hi)
+    return None
+
+
+def conjugate_pair(p: LaurentPoly) -> tuple:
+    """The sorted keys of p and of its conjugate partner bar(p)."""
+    return tuple(sorted((factor_key(p), factor_key(p.bar()))))
+
+
+def as_laurent(records) -> list:
+    """Integer factor records (g, m) as (monic `LaurentPoly`, m)."""
+    return [(LaurentPoly.from_dense(factor.factor_key(g)), m)
+            for g, m in records]
+
+
+def laurent_factors(p: LaurentPoly):
+    """(unit, [(monic factor, multiplicity)]) of `factor.factor_rational_poly`
+    on p's ordinary part, unit * prod == p, as it returned them on
+    `LaurentPoly`s."""
+    dense, k = p.ordinary()
+    return (LaurentPoly.monomial(dense[-1], k),
+            as_laurent(factor.factor_rational_poly(dense)))

@@ -13,7 +13,9 @@ field elements) divided out one row at a time.  Under all of them, the
 residue field that `wittkit.exact.residue` replaced: dense `Fraction`
 tuples over the monic modulus, inverses by Euclid over Q (`ext_gcd`) and
 the involution as a product with a cached z^-(n-1); `as_oracle` carries
-an element of the integer field over."""
+an element of the integer field over, and `laurent_class` puts a Laurent
+polynomial into the integer field, as `ResidueField.from_laurent` did
+when the library had a caller for it."""
 
 from __future__ import annotations
 
@@ -24,8 +26,8 @@ from functools import cached_property, lru_cache
 from wittkit.errors import SingularForm
 from wittkit.exact import polys
 from wittkit.exact import residue as wittkit_residue
-from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.laurent import LaurentPoly
+from wittkit.exact.matrix import Matrix, _integral
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
     signature_of_int_rows,
@@ -33,6 +35,7 @@ from wittkit.exact.roots import (
 )
 from wittkit.laurent_forms import SIGMA_SIGN
 
+from factor_oracle import as_laurent, is_self_conjugate
 import qpolys
 
 
@@ -229,6 +232,13 @@ def as_oracle(e: wittkit_residue.ResidueElem) -> ResidueElem:
     element, over the monic modulus."""
     return _oracle_field(tuple(e.field.modulus)).elem(
         [Fraction(c, e.den) for c in e.num])
+
+
+def laurent_class(field: wittkit_residue.ResidueField, p: LaurentPoly):
+    """The class of a Laurent polynomial in a `wittkit.exact.residue`
+    field: its numerator as an ordinary polynomial, reduced once."""
+    dense, low = p.ordinary()
+    return field.element(*_integral(dense), low)
 
 
 def as_oracle_matrix(m):
@@ -520,7 +530,7 @@ def fraction_multisignature(form, precision=DEFAULT_PRECISION) -> tuple:
     `fraction_auxiliary`, the field-pivot signatures and the Chebyshev
     `phase_sign`; SingularForm where a level form is singular."""
     sigs, ranks = {}, {}
-    for p, _ in form.module.factors:
+    for p, _ in as_laurent(form.module.factors):
         if is_self_conjugate(p) is None:
             continue
         roots = unit_circle_roots(polys.primitive(p.ordinary()[0]), precision)

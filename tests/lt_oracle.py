@@ -20,8 +20,9 @@ before pi was computed once per precision: Machin's formula on every
 call.  And the step function as it was built before D, its factors and
 their circle roots ran on integer lists (`laurent_steps`): D from
 `Matrix.charpoly` of e with a `Fraction` integrality check, as a
-`LaurentPoly`; its factors from `factor_rational_poly`, self-conjugacy
-from `is_self_conjugate`; the gap signatures over a `Matrix` through
+`LaurentPoly`; its factors from `factor_rational_poly` as monic
+`LaurentPoly`s (`factor_oracle.laurent_factors`), self-conjugacy from
+`is_self_conjugate`; the gap signatures over a `Matrix` through
 `signature_of_symmetric`."""
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from wittkit.errors import (
     check,
 )
 from wittkit.exact import polys, residue
-from wittkit.exact.factor import factor_rational_poly
-from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
+from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
@@ -51,7 +51,8 @@ from wittkit.knots import _det_one_minus, _signature_at_u, _u_in_y_gap
 
 import hermitian_oracle
 import qpolys
-from hermitian_oracle import signature_of_symmetric
+from factor_oracle import is_self_conjugate, laurent_factors
+from hermitian_oracle import laurent_class, signature_of_symmetric
 import remainder_oracle
 from elimination_oracle import fraction_matrix
 from snf_oracle import _faddeev_leverrier
@@ -244,7 +245,7 @@ def cyclotomic_lt_signature(k, turn, precision=DEFAULT_PRECISION):
     phi = cyclotomic_polynomial(d)
     field = residue.ResidueField(phi)
     herm = Matrix([
-        [field.from_laurent(LaurentPoly({
+        [laurent_class(field, LaurentPoly({
             0: psi[i, j] + psi[j, i],
             1: -psi[i, j],
             -1: -psi[j, i]}))
@@ -295,11 +296,11 @@ def charpoly_det_one_minus(k) -> LaurentPoly:
 
 
 def laurent_circle_roots(det: LaurentPoly) -> tuple[list, set]:
-    """`knots._circle_roots` on `factor_rational_poly`'s monic factors,
+    """`knots._circle_roots` on `laurent_factors`' monic factors,
     self-conjugate by `is_self_conjugate`, each handed to
     `unit_circle_roots` as its integer multiple; cyclotomic when the monic
     key is integral."""
-    _, factors = factor_rational_poly(det)
+    _, factors = laurent_factors(det)
     marked, cyclotomic = [], set()
     for p, _mult in factors:
         if is_self_conjugate(p) is None:

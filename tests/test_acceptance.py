@@ -240,8 +240,10 @@ def test_criterion_11_lt_cross_oracle():
     for k in knots:
         sums = witt_forgetful_laurent(
             dw_multisignature_laurent(blanchfield_form(k)))
-        for key, jump in lt_jumps(k).items():
-            assert jump == sums.get(key, 0), (k.psi.rows, key)
+        jumps = lt_jumps(k)
+        assert set(jumps) == set(sums), k.psi.rows
+        for key, jump in jumps.items():
+            assert jump == sums[key], (k.psi.rows, key)
             roots += 1
     assert roots >= 2  # trefoil and granny each contribute one
     _finish(11, 120, t0, f"LT jump equals the odd-level signature sum at "

@@ -1,6 +1,10 @@
 """Factorization over Q[z, 1/z], cross-checked against sympy and against
 the route through the monic substitution and `Fraction` Yun that the
-integer factorizer replaced (`factor_oracle`)."""
+integer factorizer replaced (`factor_oracle`).  Most cases are built as
+`LaurentPoly`s and read back as monic `LaurentPoly` factors
+(`factor_oracle.laurent_factors`); the integer records themselves, their
+keys, self-conjugacy, conjugate pairs and order are checked against the
+monic `LaurentPoly` records the report was read from before."""
 
 import itertools
 import json
@@ -15,8 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from wittkit.errors import InvariantViolated
 from wittkit.exact import factor, polys
-from wittkit.exact.factor import factor_rational_poly
+from wittkit.exact.factor import factor_key, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
+from wittkit.laurent_forms import (
+    LaurentLinkingForm,
+    LaurentModule,
+    dw_multisignature_laurent,
+)
 from wittkit.knots import (
     KnotInput,
     _det_one_minus,
@@ -25,6 +34,7 @@ from wittkit.knots import (
 )
 
 import factor_oracle
+from factor_oracle import as_laurent, laurent_factors
 from lt_oracle import cyclotomic_polynomial
 
 F = Fraction
@@ -54,32 +64,42 @@ def reassemble(unit, factors):
 
 
 def test_known_factorizations():
-    unit, factors = factor_rational_poly((z**2 - z + 1) * (z - 1) ** 2)
+    p = (z**2 - z + 1) * (z - 1) ** 2
+    assert factor_rational_poly(p.ordinary()[0]) == [([-1, 1], 2),
+                                                     ([1, -1, 1], 1)]
+    unit, factors = laurent_factors(p)
     assert unit == LaurentPoly.one()
     assert factors == [(z - 1, 2), (z**2 - z + 1, 1)]
 
 
 def test_unit_extraction():
     p = LaurentPoly.monomial(F(3, 2), -5) * (z - 2)
-    unit, factors = factor_rational_poly(p)
+    unit, factors = laurent_factors(p)
     assert unit == LaurentPoly.monomial(F(3, 2), -5)
     assert factors == [(z - 2, 1)]
+    # the content and a power of z are units, left out of the records
+    for f in ([-3, F(3, 2)], [0, 0, 6, -3], [F(-1, 2), F(1, 4)]):
+        assert factor_rational_poly(f) == [([-2, 1], 1)]
 
 
 def test_constant_input():
-    unit, factors = factor_rational_poly(LaurentPoly.const(F(7, 3)))
+    unit, factors = laurent_factors(LaurentPoly.const(F(7, 3)))
     assert unit == LaurentPoly.const(F(7, 3))
     assert factors == []
+    assert factor_rational_poly([0, 0, -5]) == []
 
 
 def test_zero_rejected():
-    with pytest.raises(ValueError):
-        factor_rational_poly(LaurentPoly.zero())
+    for f in ([], [0], [F(0), F(0)]):
+        with pytest.raises(ValueError):
+            factor_rational_poly(f)
 
 
 def test_non_monic_irreducible():
     # 2z^2 - 3z + 2 is irreducible; monic form has fractional coefficients
-    unit, factors = factor_rational_poly(2 * z**2 - 3 * z + 2)
+    assert factor_rational_poly([2, -3, 2]) == [([2, -3, 2], 1)]
+    assert factor_key([2, -3, 2]) == (1, F(-3, 2), 1)
+    unit, factors = laurent_factors(2 * z**2 - 3 * z + 2)
     assert unit == LaurentPoly.const(2)
     assert factors == [(z**2 - F(3, 2) * z + 1, 1)]
 
@@ -87,7 +107,7 @@ def test_non_monic_irreducible():
 def test_high_degree_swinnerton_dyer_style():
     # (z^2-2)(z^2-3)(z^2+1): pairwise distinct irreducible quadratics
     p = (z**2 - 2) * (z**2 - 3) * (z**2 + 1)
-    unit, factors = factor_rational_poly(p)
+    unit, factors = laurent_factors(p)
     assert unit == LaurentPoly.one()
     assert sorted(f.max_deg() for f, _ in factors) == [2, 2, 2]
     assert reassemble(unit, factors) == p
@@ -97,7 +117,7 @@ def test_high_degree_swinnerton_dyer_style():
 @given(rand_int_poly(), rand_int_poly())
 def test_roundtrip_and_sympy_agreement(a, b):
     p = a * b * z**-3
-    unit, factors = factor_rational_poly(p)
+    unit, factors = laurent_factors(p)
     assert reassemble(unit, factors) == p
     assert unit.is_unit()
     # every reported factor is irreducible according to sympy
@@ -111,7 +131,7 @@ def test_roundtrip_and_sympy_agreement(a, b):
 
 def test_multiplicity_tracking():
     p = (z - 1) ** 3 * (z + 1) ** 2 * (z**2 + z + 1)
-    unit, factors = factor_rational_poly(p)
+    unit, factors = laurent_factors(p)
     mults = {tuple(sorted(f.coeffs.items())): m for f, m in factors}
     assert mults[tuple(sorted((z - 1).coeffs.items()))] == 3
     assert mults[tuple(sorted((z + 1).coeffs.items()))] == 2
@@ -130,7 +150,7 @@ def test_lost_factor_is_an_invariant_violation(monkeypatch):
     for p in (z**2 - z + 1, (z - 1) * (z**2 + 1), 3 * z**-2 * (z + 2),
               (2 * z - 1) * (z - 2)):
         with pytest.raises(InvariantViolated, match="lost a factor"):
-            factor_rational_poly(p)
+            laurent_factors(p)
 
 
 # ---- against the monic-substitution oracle and sympy ----
@@ -166,7 +186,7 @@ def sympy_factors(p):
 
 
 def assert_matches_oracles(p):
-    got = factor_rational_poly(p)
+    got = laurent_factors(p)
     assert got == factor_oracle.factor_rational_poly(p), p
     assert {tuple(f.ordinary()[0]): m for f, m in got[1]} \
         == sympy_factors(p), p
@@ -179,7 +199,7 @@ def gcd_calls(monkeypatch, p):
     gcd = polys.gcd
     monkeypatch.setattr(polys, "gcd",
                         lambda a, b: calls.append(a) or gcd(a, b))
-    factor_rational_poly(p)
+    laurent_factors(p)
     monkeypatch.undo()
     return len(calls)
 
@@ -211,7 +231,7 @@ def test_swinnerton_dyer_and_cyclotomic_products():
     for p in cases:
         assert_matches_oracles(p)
     # every irreducible here splits modulo every prime
-    assert factor_rational_poly(sd3)[1] == [(sd3, 1)]
+    assert laurent_factors(sd3)[1] == [(sd3, 1)]
 
 
 def test_squarefree_without_a_small_certificate_prime(monkeypatch):
@@ -240,7 +260,7 @@ def test_lines_and_squarefree_quadratics_search_no_prime(monkeypatch):
                     (2 * z - 3, [(z - F(3, 2), 1)]),
                     (z**2 - 1, [(z - 1, 1), (z + 1, 1)]),
                     (3 * z**-1, [])):
-        assert factor_rational_poly(p)[1] == want
+        assert laurent_factors(p)[1] == want
     assert calls == []
     assert assert_matches_oracles((2 * z - 3) ** 2)[1] == [(z - F(3, 2), 2)]
     assert calls
@@ -254,7 +274,7 @@ def test_connected_sum_with_inverse_squares_the_alexander_polynomial(
         square = det_of(connected_sum(k, knot_inverse(k)))
         assert gcd_calls(monkeypatch, square) == 1
         _, factors = assert_matches_oracles(square)
-        single = factor_rational_poly(det_of(k))[1]
+        single = laurent_factors(det_of(k))[1]
         assert factors == [(f, 2 * m) for f, m in single]
 
 
@@ -379,5 +399,73 @@ def test_a_wrong_shortcut_factorization_is_refused(fault, monkeypatch):
     fault(monkeypatch)
     for p in cases:
         with pytest.raises(InvariantViolated, match="lost a factor"):
-            factor_rational_poly(p)
+            laurent_factors(p)
     assert reads == []
+
+
+# ---- integer records against monic `LaurentPoly` records ----
+
+def phi(d):
+    return LaurentPoly.from_dense(cyclotomic_polynomial(d))
+
+
+# z -+ 1, cyclotomics (Phi_3 and Phi_4 sort by their sparse keys, Phi_3
+# first), the knots' non-monic 2z^2 - 3z + 2 and lines 3z - 2, 2z + 1,
+# whose monic keys sort before z^2 - z + 1, z - 1 and after z + 1 where
+# their integer lists sort the other way round
+SELF_CONJUGATE = [z - 1, z + 1, phi(3), phi(4), phi(5), phi(8), phi(12),
+                  2 * z**2 - 3 * z + 2, from_ints([3, -5, 3]),
+                  from_ints([1, -3, 1]), from_ints([2, -7, 2])]
+PAIRED = [z - 2, 2 * z - 1, 3 * z - 2, 2 * z - 3, 2 * z + 1, z + 2,
+          from_ints([2, 1, 1]), from_ints([1, 1, 2]), from_ints([5, -1, 3])]
+
+
+def test_records_match_the_laurent_route():
+    # records, multiplicities and order against the monic factors of the
+    # `Fraction` route, each key against the key read off a monic
+    # LaurentPoly, self-conjugacy against the unit +-z^k
+    rng = random.Random("factor-records")
+    cases = [(z - 2) * (2 * z - 1), (z - 1) ** 2 * (3 * z - 2) * (z + 1)
+             * (2 * z + 1), (z**2 - z + 1) ** 2 * (2 * z**2 - 3 * z + 2),
+             phi(3) * phi(4)]
+    for _ in range(60):
+        p = LaurentPoly.monomial(F(rng.randint(1, 9), rng.randint(1, 9)),
+                                 rng.randint(-3, 3))
+        for q in rng.sample(SELF_CONJUGATE + PAIRED, rng.randint(1, 5)):
+            p = p * q ** rng.randint(1, 3)
+        cases.append(p)
+    flipped = 0
+    for p in cases:
+        records = factor_rational_poly(p.ordinary()[0])
+        unit, want = factor_oracle.factor_rational_poly(p)
+        assert as_laurent(records) == want, p
+        for (g, _), (q, _) in zip(records, want):
+            assert g == polys.primitive(q.ordinary()[0])
+            assert factor_key(g) == factor_oracle.factor_key(q)
+            assert polys.self_conjugate(g) == (
+                factor_oracle.is_self_conjugate(q) is not None), q
+        flipped += records != sorted(records,
+                                     key=lambda gm: (len(gm[0]), gm[0]))
+    assert flipped >= 15
+
+
+def test_conjugate_pairs_match_the_laurent_route():
+    # the multisignature's conjugate-pair notes, keyed from the reversed
+    # integer list, against the keys of p and p.bar(); self-conjugate
+    # factors here have no circle roots, so no level form is read
+    rng = random.Random("conjugate-pairs")
+    no_roots = [from_ints([1, -3, 1]), from_ints([2, -7, 2])]
+    for _ in range(30):
+        p = LaurentPoly.one()
+        for q in rng.sample(PAIRED + no_roots, rng.randint(1, 4)):
+            p = p * q ** rng.randint(1, 2)
+        want = []
+        for q, _ in factor_oracle.factor_rational_poly(p)[1]:
+            pair = factor_oracle.conjugate_pair(q)
+            if factor_oracle.is_self_conjugate(q) is None \
+                    and pair not in want:
+                want.append(pair)
+        monic = p * (1 / p.coefficient(p.max_deg()))
+        form = LaurentLinkingForm(LaurentModule([monic], None, "Q"), [[0]],
+                                  -1)
+        assert dw_multisignature_laurent(form).conjugate_pairs == want, p

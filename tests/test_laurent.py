@@ -1,4 +1,8 @@
-"""Laurent polynomial arithmetic and the conjugation involution."""
+"""Laurent polynomial arithmetic and the conjugation involution.
+
+Self-conjugacy is tested on integer lists (`polys.self_conjugate`); the
+unit +-z^k the `LaurentPoly` route returned (`factor_oracle`) is checked
+against it and against the route before that."""
 
 import random
 from fractions import Fraction
@@ -6,7 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
+from wittkit.exact import polys
+from wittkit.exact.laurent import LaurentPoly
+
+from factor_oracle import is_self_conjugate
 
 z = LaurentPoly.z()
 
@@ -84,24 +91,36 @@ def test_evaluation():
 
 # ---- conjugation symmetry detection ----
 
+def self_conjugate(p) -> bool:
+    """`polys.self_conjugate` on p's ordinary part."""
+    return polys.self_conjugate(p.ordinary()[0])
+
+
 def test_self_conjugate_detects_palindromic():
     u = is_self_conjugate(z**2 - z + 1)
     assert u == z**2  # bar(p) * z^2 == p
+    assert polys.self_conjugate([1, -1, 1])
+    assert polys.self_conjugate([2, -3, 2])
 
 
 def test_self_conjugate_detects_antipalindromic():
     u = is_self_conjugate(z - 1)
     assert u == -z  # bar(z - 1) = z^-1 - 1 = -z^-1 (z - 1)
+    assert polys.self_conjugate([-1, 1])
+    assert polys.self_conjugate([1, 0, -1])
 
 
 def test_self_conjugate_rejects_generic():
     assert is_self_conjugate(z - 2) is None
     assert is_self_conjugate(z**2 + z + 2) is None
+    assert not polys.self_conjugate([-2, 1])
+    assert not polys.self_conjugate([2, 1, 1])
+    assert not polys.self_conjugate([1, 2, -1])
 
 
 def test_plus_one_is_palindromic():
     assert is_self_conjugate(z + 1) == z
-
+    assert polys.self_conjugate([1, 1])
 
 
 def parent_is_self_conjugate(p):
@@ -134,6 +153,8 @@ def symmetric_support(rng, sign, spoil):
 @given(rand_laurent())
 def test_self_conjugate_matches_parent_on_random(p):
     assert is_self_conjugate(p) == parent_is_self_conjugate(p)
+    if p:
+        assert self_conjugate(p) == (is_self_conjugate(p) is not None)
 
 
 def test_self_conjugate_matches_parent_on_built_inputs():
@@ -144,16 +165,19 @@ def test_self_conjugate_matches_parent_on_built_inputs():
         p = symmetric_support(rng, sign, spoil)
         got = is_self_conjugate(p)
         assert got == parent_is_self_conjugate(p), p
+        assert not p or self_conjugate(p) == (got is not None), p
         found[None if got is None else got.coefficient(got.max_deg())] += 1
     for k in range(-4, 5):  # monomials: bar(c z^k) z^2k = c z^k
         for c in (Fraction(1), Fraction(-3, 2)):
             p = LaurentPoly.monomial(c, k)
             assert is_self_conjugate(p) == parent_is_self_conjugate(p) \
                 == z ** (2 * k)
+            assert self_conjugate(p)
     # z^3 - 2z + 4 has support {0, 1, 3}, not symmetric; z^2 + 2z - 1 and
     # 2z^2 + 1 have symmetric support but are not self-conjugate
     for p in (z**3 - 2 * z + 4, z**2 + 2 * z - 1, 2 * z**2 + 1):
         assert is_self_conjugate(p) is None
         assert parent_is_self_conjugate(p) is None
+        assert not self_conjugate(p)
     assert is_self_conjugate(LaurentPoly.zero()) is None
     assert all(count > 30 for count in found.values()), found

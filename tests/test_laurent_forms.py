@@ -13,7 +13,8 @@ from wittkit.errors import (
     NotTorsion,
     SingularForm,
 )
-from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
+from wittkit.exact import polys
+from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
@@ -35,6 +36,7 @@ from covering_oracle import (
     validate_over_qz,
 )
 from elimination_oracle import parent_frobenius
+from factor_oracle import is_self_conjugate
 from snf_oracle import snf_decompose_module
 
 Z = LaurentPoly.z()
@@ -48,6 +50,11 @@ P12 = Z**4 - Z**2 + ONE      # roots at pi/6 and 5 pi/6
 def key_of(p):
     dense, _ = p.ordinary()
     return tuple(dense)
+
+
+def ints(p):
+    """A factor as the primitive integer list the module reads."""
+    return polys.primitive(p.ordinary()[0])
 
 
 def diag(*entries):
@@ -232,18 +239,18 @@ class TestDecomposeAgainstSmith:
 
 def test_level_multiplicities_mixed():
     m = decompose_module(diag(P6**2 * P8, P6), "P")
-    assert level_multiplicities(m, P6) == {1: 1, 2: 1}
-    assert level_multiplicities(m, P8) == {1: 1}
+    assert level_multiplicities(m, ints(P6)) == {1: 1, 2: 1}
+    assert level_multiplicities(m, ints(P8)) == {1: 1}
 
 
 def test_level_multiplicities_absent_factor():
     m = decompose_module([[P6]], "P")
-    assert level_multiplicities(m, P8) == {}
+    assert level_multiplicities(m, ints(P8)) == {}
 
 
 def test_level_multiplicities_repeated():
     m = decompose_module(diag(P6**2, P6**2), "P")
-    assert level_multiplicities(m, P6) == {2: 2}
+    assert level_multiplicities(m, ints(P6)) == {2: 2}
 
 
 # -- linking form validation --
@@ -335,7 +342,7 @@ def test_epsilon_checked():
 
 def test_auxiliary_unit_normalizes_to_inner_product():
     f = cyclic_block(P6, 1, ONE)
-    aux = auxiliary_hermitian(f, P6, 1)
+    aux = auxiliary_hermitian(f, ints(P6), 1)
     assert aux.rank == 1
     assert aux.symmetry == 1
     assert aux.gram[0, 0] == aux.field.one()
@@ -344,13 +351,13 @@ def test_auxiliary_unit_normalizes_to_inner_product():
 
 def test_auxiliary_rank_matches_multiplicity():
     f = laurent_direct_sum(cyclic_block(P6, 1, ONE), cyclic_block(P6, 2, ONE))
-    for l, mult in level_multiplicities(f.module, P6).items():
-        assert auxiliary_hermitian(f, P6, l).rank == mult
+    for l, mult in level_multiplicities(f.module, ints(P6)).items():
+        assert auxiliary_hermitian(f, ints(P6), l).rank == mult
 
 
 def test_auxiliary_empty_level():
     f = cyclic_block(P6, 1, ONE)
-    assert auxiliary_hermitian(f, P6, 2).rank == 0
+    assert auxiliary_hermitian(f, ints(P6), 2).rank == 0
 
 
 def test_auxiliary_rejects_conjugate_pair_factor():
@@ -359,19 +366,19 @@ def test_auxiliary_rejects_conjugate_pair_factor():
     f = form_from_qz(m, [[QZ.make(ONE + Z**2, d)]], 1)
     validate_over_qz(f)
     with pytest.raises(NotSelfConjugate):
-        auxiliary_hermitian(f, Z - LaurentPoly.const(2), 1)
+        auxiliary_hermitian(f, ints(Z - LaurentPoly.const(2)), 1)
 
 
 def test_auxiliary_rejects_level_zero():
     f = cyclic_block(P6, 1, ONE)
     with pytest.raises(ValueError):
-        auxiliary_hermitian(f, P6, 0)
+        auxiliary_hermitian(f, ints(P6), 0)
 
 
 def test_auxiliary_hermitian_after_normalization():
     f = laurent_direct_sum(cyclic_block(P6, 1, ONE + Z),
                            cyclic_block(P6, 1, Z**2))
-    aux = auxiliary_hermitian(f, P6, 1)
+    aux = auxiliary_hermitian(f, ints(P6), 1)
     for i in range(aux.rank):
         for j in range(aux.rank):
             assert aux.gram[i, j] == aux.field.bar_elem(aux.gram[j, i])
@@ -382,7 +389,7 @@ def test_auxiliary_hermitian_after_normalization():
 def test_rank_one_block_signature():
     ms = dw_multisignature_laurent(cyclic_block(P6, 1, ONE))
     assert ms.entries() == [((key_of(P6), 0, 1), 2)]
-    lo, hi = ms.theta(P6, 0).theta_interval()
+    lo, hi = ms.theta(key_of(P6), 0).theta_interval()
     import math
     assert lo <= math.pi / 3 <= hi
 
@@ -401,8 +408,8 @@ def test_two_roots_get_independent_entries():
     ms = dw_multisignature_laurent(cyclic_block(P12, 1, ONE))
     keys = [k for k, _ in ms.entries()]
     assert keys == [(key_of(P12), 0, 1), (key_of(P12), 1, 1)]
-    t0 = ms.theta(P12, 0).theta_interval()
-    t1 = ms.theta(P12, 1).theta_interval()
+    t0 = ms.theta(key_of(P12), 0).theta_interval()
+    t1 = ms.theta(key_of(P12), 1).theta_interval()
     assert t0[1] < t1[0]
     # y-roots of y^2 - 3 orient opposite ways; the relative sign is part
     # of the root-localization convention, not noise
@@ -437,7 +444,7 @@ def test_singular_point_root_odd_level_is_refused():
               [[zero, a, b], [-a, zero, a], [-b, -a, zero]])]
     for presentation, pairing in cases:
         f = form_from_qz(decompose_module(presentation, "Q"), pairing, 1)
-        aux = auxiliary_hermitian(f, Z - ONE, 1)
+        aux = auxiliary_hermitian(f, ints(Z - ONE), 1)
         assert aux.symmetry == -1 and aux.field.degree == 1
         with pytest.raises(SingularForm):
             dw_multisignature_laurent(f)

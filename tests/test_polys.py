@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wittkit.exact import polys
-from wittkit.exact.factor import factor_rational_poly
+from wittkit.exact.factor import factor_key, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.knots import KnotInput, _det_one_minus
 
@@ -214,9 +214,8 @@ def test_cyclotomic_and_swinnerton_dyer_products():
     ids=lambda k: k.name)
 def test_ladder_y_polynomials_against_the_oracle(knot):
     # the y-polynomials unit_circle_roots isolates, in (-2, 2]
-    for f, _ in factor_rational_poly(
-            LaurentPoly.from_dense(_det_one_minus(knot)))[1]:
-        dense = f.ordinary()[0]
+    for g, _ in factor_rational_poly(_det_one_minus(knot)):
+        dense = list(factor_key(g))
         if qpolys.deg(dense) >= 4:
             y = polys.primitive(polys.palindromic_to_y(polys.primitive(dense)))
             positive_multiple(y, hermitian_oracle.palindromic_to_y(dense))

@@ -24,7 +24,8 @@ from wittkit.errors import (
     SingularAutometricForm,
     SingularSeifertForm,
 )
-from wittkit.exact.laurent import LaurentPoly, is_self_conjugate
+from wittkit.exact.factor import factor_key, factor_rational_poly
+from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import (
     Matrix, _imul as imul, _integral, _integral_rows)
 from wittkit.exact.ratfunc import RatFunc
@@ -93,6 +94,7 @@ from elimination_oracle import (
     parent_frobenius,
     pencil_reduction,
 )
+from factor_oracle import as_laurent, is_self_conjugate
 from hermitian_oracle import as_oracle, as_oracle_matrix
 from snf_oracle import snf_covering_autometric, snf_covering_seifert
 import qpolys
@@ -132,10 +134,8 @@ def random_autometric(rng, eps=None, max_rank=4, bound=5):
 def elementary_divisor_counts(module):
     out = {}
     for d in module.divisors:
-        from wittkit.exact.factor import factor_rational_poly
-        _, factors = factor_rational_poly(d)
-        for p, mult in factors:
-            key = (tuple(p.ordinary()[0]), mult)
+        for g, mult in factor_rational_poly(d.ordinary()[0]):
+            key = (factor_key(g), mult)
             out[key] = out.get(key, 0) + 1
     return out
 
@@ -1002,11 +1002,12 @@ def assert_matches_qz(form):
     (factor, level) grams compared."""
     assert monodromy(form).theta == qz_monodromy_theta(form)
     compared = 0
-    for p, _ in form.module.factors:
+    for p, _ in as_laurent(form.module.factors):
         if is_self_conjugate(p) is None:
             continue
-        for level in level_multiplicities(form.module, p):
-            aux = auxiliary_hermitian(form, p, level)
+        g = polys.primitive(p.ordinary()[0])
+        for level in level_multiplicities(form.module, g):
+            aux = auxiliary_hermitian(form, g, level)
             want = qz_auxiliary_gram(form, p, level)
             if aux.unit is not None:
                 ubar = as_oracle(aux.unit).bar()
@@ -1575,13 +1576,12 @@ class TestRoundTrip:
         # divisor: h g(h) P = g(h) P h' keeps the h check, and g(h) is
         # singular, so with no rank check on P only theta' = P^T theta P,
         # nonsingular as the monodromy's form, can refuse it
-        from wittkit.exact.factor import factor_rational_poly
         real = seifert.covering_autometric
 
         def g_of_h(f, cov, x):
-            g = factor_rational_poly(cov.module.divisors[-1])[1][0][0]
+            g = factor_rational_poly(cov.module.divisors[-1].ordinary()[0])
             y = [Fraction(0)] * len(x)
-            for c in reversed(g.ordinary()[0]):
+            for c in reversed(factor_key(g[0][0])):
                 y = [sum(a * b for a, b in zip(r, y)) + c * xi
                      for r, xi in zip(f.h.rows, x)]
             return y
