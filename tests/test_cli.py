@@ -14,6 +14,7 @@ import pytest
 
 import wittkit
 from wittkit import cli, finite, serialize, subgroups
+from wittkit.catalog import catalog_names
 from wittkit.finite import classify
 
 from formbank import enumerate_symmetric_forms
@@ -564,6 +565,16 @@ def test_fixture_reports_are_pinned(path, capsys):
     assert cli.main(fixture_argv(path)) == 0
     got = capsys.readouterr().out.encode()
     assert got == (FIXTURES / "reports" / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_reports_are_pinned(name, capsys):
+    # fixtures/reports/catalog-<name>.json is `analyze --catalog <name>`;
+    # unlike the fixture knots, these level forms tell a wrong residue
+    # involution from the right one
+    assert cli.main(["analyze", "--catalog", name]) == 0
+    got = capsys.readouterr().out.encode()
+    assert got == (FIXTURES / "reports" / f"catalog-{name}.json").read_bytes()
 
 
 # -- selftest --
