@@ -24,7 +24,6 @@ from wittkit.errors import (
     InputError,
     check,
 )
-from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.roots import DEFAULT_PRECISION
 from wittkit.finite import (
     FiniteLinkingForm,
@@ -366,14 +365,16 @@ def cmd_catalog(config: CliConfig) -> int:
 def _selftest_anchors(precision: Fraction):
     def trace_function():
         for a in (Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2)):
-            check(trace_chi(LaurentPoly.one(), [a, -1]) == 1 / a,
+            # 1/(a - z) = q / (p - q z) for a = p / q
+            p, q = a.numerator, a.denominator
+            check(trace_chi(([q], 1), [p, -q]) == 1 / a,
                   f"chi(1/({a}-z)) != 1/{a}")
 
     def covering_sign():
         cov = covering_autometric(AutometricForm([[1]], [[-1]], 1))
         check(cov.epsilon == -1, "covering must flip the symmetry")
-        # d = 1 + z = d*, so -1/(1+z) has the numerator -1 over d*
-        check(cov.num[0, 0] == LaurentPoly.const(-1),
+        # M = 1 + z = M*, so -1/(1+z) has the numerator (-1, 1) over M*
+        check(cov.module.chain == [[1, 1]] and cov.num == [[([-1], 1)]],
               "rank-one covering class is not -1/(1+z)")
 
     def monodromy_roundtrip():

@@ -10,11 +10,11 @@ A `RatFunc` is built (`make`), compared and printed, but not by the
 package: the tests' `QZ` subclasses it with the field operations of Q(z),
 and the benchmark's `exact.ratfunc.make` span wraps `make`.
 
-`series_expand` embeds num / den into either completion: side "plus" is
+`series_expand` embeds N / (d D) into either completion: side "plus" is
 Q((z)) (series in z, finitely many negative terms), side "minus" is
-Q((z^-1)).  It reads a numerator and a dense denominator, not a `RatFunc`,
-so a linking form's entry num_ij / d_j* expands without being brought to
-this canonical form, and runs on integers: one `Fraction` per degree.
+Q((z^-1)).  It reads an integer pair (N, d) and a dense integer D, not a
+`RatFunc`, so a linking form's entry expands as it is stored, on
+integers: one `Fraction` per degree.
 """
 
 from __future__ import annotations
@@ -95,11 +95,11 @@ def _to_lp(x) -> LaurentPoly:
     raise TypeError(f"cannot coerce {type(x)!r} to LaurentPoly")
 
 
-def series_expand(num: LaurentPoly, den: list, side: str, lo: int,
+def series_expand(num: tuple, den: list, side: str, lo: int,
                   hi: int) -> dict[int, Fraction]:
-    """Coefficients in degrees lo..hi of the expansion of num / den, with
-    den a dense ordinary polynomial, not necessarily monic or in lowest
-    terms with num: the expansion is that of the function.
+    """Coefficients in degrees lo..hi of the expansion of N / (d D), num =
+    (N, d) with N dense from degree 0 and den = D on integers, not
+    necessarily in lowest terms: the expansion is that of the function.
 
     side "plus": expansion in Q((z)), which needs den(0) != 0; side
     "minus": in Q((z^-1)), which needs den's top coefficient nonzero.  The
@@ -107,9 +107,9 @@ def series_expand(num: LaurentPoly, den: list, side: str, lo: int,
     otherwise; their degree-0 discrepancy is what the trace function
     measures.
 
-    On integers: 1/D = sum_j B_j z^j / D_0^(j+1) for den = D / d_D by the
-    recurrence B_j = -sum_i D_i B_(j-i) D_0^(i-1), B_0 = 1.  Side "minus"
-    is "plus" on den reversed, num's degree r read as deg den - r.
+    On integers: 1/D = sum_j B_j z^j / D_0^(j+1) by the recurrence
+    B_j = -sum_i D_i B_(j-i) D_0^(i-1), B_0 = 1.  Side "minus" is "plus" on
+    D reversed, N's degree r read as deg D - r.
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
@@ -117,24 +117,23 @@ def series_expand(num: LaurentPoly, den: list, side: str, lo: int,
         raise NotInvertibleInNovikov(f"denominator not invertible in the "
                                      f"{side} completion")
     out = dict.fromkeys(range(lo, hi + 1), Fraction(0))
-    if num.is_zero() or not out:
+    terms, sign = [(r, x) for r, x in enumerate(num[0]) if x], 1
+    if not terms or not out:
         return out
-    (big_d, d_d), (a, d_a) = _integral(den), _integral(num.coeffs.values())
-    degs, sign = list(num.coeffs), 1
     if side == "minus":
-        big_d, degs, sign = big_d[::-1], [len(den) - 1 - r for r in degs], -1
-    need, d0 = max(lo * sign, hi * sign) - min(degs), big_d[0]
+        terms = [(len(den) - 1 - r, x) for r, x in terms]
+        den, sign = den[::-1], -1
+    need, d0 = max(lo * sign, hi * sign) - min(r for r, _ in terms), den[0]
     if need < 0:  # every degree lies below num / den's lowest term
         return out
-    steps = [x * d0 ** i for i, x in enumerate(big_d[1:need + 1])]
+    steps = [x * d0 ** i for i, x in enumerate(den[1:need + 1])]
     b = [1]
     for _ in range(need):
         b.append(-sum(map(mul, steps, reversed(b))))
     # b_0, ..., b_need over the one denominator D_0^(need+1)
     b = [x * d0 ** (need - j) for j, x in enumerate(b)]
-    scale = d_a * d0 ** (need + 1)
+    scale = num[1] * d0 ** (need + 1)
     for d in out:
-        out[d] = Fraction(d_d * sum(x * b[j] for x, r in zip(a, degs)
-                                    if 0 <= (j := sign * d - r) <= need),
-                          scale)
+        out[d] = Fraction(sum(x * b[j] for r, x in terms
+                              if 0 <= (j := sign * d - r) <= need), scale)
     return out

@@ -79,8 +79,9 @@ def _monic(p: list) -> list:
 
 @dataclass
 class LaurentModule:
-    """Torsion module (+) A/(d_i) with its elementary divisor chain (units
-    dropped, each d_i monic ordinary with nonzero constant term).
+    """Torsion module (+) A/(d_i) with its elementary divisor chain, units
+    dropped: chain[i] is `_frobenius`'s primitive integer list M_i, with
+    M_i(0) != 0 and d_i = M_i / lc(M_i).
 
     A covering module is a Q-space V with z acting as an automorphism h;
     basis is then the Q-basis P of V as reduced pairs, columns h^a g_i
@@ -89,26 +90,30 @@ class LaurentModule:
     when read, is P over Q: it traces generators back to the form.  Both
     are None for other modules.  No presentation over Q[z, z^-1] is kept."""
 
-    divisors: list
+    chain: list
     basis: list | None
     torsion_mode: str
     _splits: dict = dataclasses.field(default_factory=dict, init=False,
                                       repr=False, compare=False)
 
     @property
+    def divisors(self) -> list:
+        """The chain as monic `LaurentPoly`s; the package never reads it."""
+        return [LaurentPoly.from_dense(_monic(m)) for m in self.chain]
+
+    @property
     def rank(self) -> int:
-        return len(self.divisors)
+        return len(self.chain)
 
     @property
     def is_zero(self) -> bool:
-        return not self.divisors
+        return not self.chain
 
     @cached_property
     def total_divisor(self) -> list:
-        """The divisors' product, primitive on integers, once for
-        `factors` and the order."""
-        return reduce(polys.mul, (polys.primitive(d.ordinary()[0])
-                                  for d in self.divisors), [1])
+        """The chain's product, once for `factors` and the order: primitive
+        as each M_i is (Gauss's lemma)."""
+        return reduce(polys.mul, self.chain, [1])
 
     @cached_property
     def basis_change(self) -> Matrix | None:
@@ -123,7 +128,7 @@ class LaurentModule:
 
     def _split(self, p: list) -> tuple:
         """(P, {i: (l, C)}) once per factor p, its primitive list P (any
-        multiple of it is made primitive), and d_i = c P^l C, l > 0, with
+        multiple of it is made primitive), and M_i = P^l C, l > 0, with
         C primitive, by exact division over Z (Gauss's lemma), where
         `polys.divmod_poly` leaves no remainder."""
         prim = polys.primitive(p)
@@ -131,8 +136,8 @@ class LaurentModule:
             if len(prim) < 2:
                 raise ValueError("factor must have positive degree")
             split = {}
-            for i, d in enumerate(self.divisors):
-                cof, level = polys.primitive(d.ordinary()[0]), 0
+            for i, cof in enumerate(self.chain):
+                level = 0
                 while not (qr := polys.divmod_poly(cof, prim))[1]:
                     cof, level = qr[0], level + 1
                 if level:
@@ -183,7 +188,7 @@ def _coprime_part(a: list, b: list) -> list:
 def _frobenius(h: tuple, e_r: tuple | None = None, c=1) -> list:
     """Rational canonical decomposition of h = H / d_h: (Krylov vectors of
     g_i, d_i), d_1 | ... | d_r, vectors as reduced pairs and each d_i
-    primitive on integers (`LaurentModule` keeps it monic), every other
+    primitive on integers, as `LaurentModule.chain` keeps it, every other
     step on `_krylov`'s integer generator G: E for e|R = (E, d_e) when
     given (P mode), certified as (c d_h - H) E = d_h d_e I, and H
     otherwise.  On the h-invariant V = span(span), gcd splitting merges the
@@ -291,7 +296,7 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
     P mode additionally demands every divisor be invertible at z = 1, the
     condition that makes 1 - z act invertibly on the module.  The cost is
     cubic in N, so a presentation of high degree d is far slower here than
-    by Euclid over Q[z, z^-1].  The module keeps the divisors, not A."""
+    by Euclid over Q[z, z^-1].  The module keeps the chain, not A."""
     if torsion_mode not in ("P", "Q"):
         raise ValueError("torsion_mode must be 'P' or 'Q'")
     rows = presentation.rows if isinstance(presentation, Matrix) else presentation
@@ -319,13 +324,12 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
     else:
         raise NotTorsion("presentation is singular over the fraction field")
     _, h, e_r = _pencil_reduction(e, c)
-    divisors = [LaurentPoly.from_dense(_monic(mu))
-                for _, mu in _frobenius(h, e_r, c)]
+    chain = [mu for _, mu in _frobenius(h, e_r, c)]
     if torsion_mode == "P":
-        for div in divisors:
-            if div(1) == 0:
-                raise NotPTorsion(f"divisor {div!r} vanishes at z = 1")
-    return LaurentModule(divisors, None, torsion_mode)
+        for mu in chain:
+            if sum(mu) == 0:
+                raise NotPTorsion(f"divisor {mu} vanishes at z = 1")
+    return LaurentModule(chain, None, torsion_mode)
 
 
 def level_multiplicities(module: LaurentModule, p: list) -> dict[int, int]:
@@ -341,24 +345,24 @@ def level_multiplicities(module: LaurentModule, p: list) -> dict[int, int]:
 
 class LaurentLinkingForm:
     """Epsilon-symmetric linking form on a Laurent torsion module, stored as
-    numerators in the divisor basis: lambda_ij = num_ij / d_j* modulo
-    Q[z, z^-1], with num_ij a `LaurentPoly` and d_j* = z^D d_j(1/z),
-    D = deg d_j, the conjugate divisor.  Every linking form has such
-    numerators: lambda is conjugate-linear in its second argument and
-    d_j g_j = 0, so bar(d_j) lambda_ij, and with it d_j* lambda_ij, is a
-    Laurent polynomial.  Construction checks only epsilon and the shape:
-    `seifert._covering_form` certifies the covering forms over Q, and the
-    tests check forms over Q(z) with `covering_oracle.validate_over_qz`."""
+    integer numerators in the divisor basis: num[i][j] is a reduced pair
+    (N, d), N dense from degree 0, and lambda_ij = N / (d M_j*) modulo
+    Q[z, z^-1], M_j* = z^D M_j(1/z) the chain's M_j reversed.  Every
+    linking form has such numerators: lambda is conjugate-linear in its
+    second argument and M_j g_j = 0, so M_j* lambda_ij is a Laurent
+    polynomial, with no negative power modulo M_j* as M_j*(0) != 0.
+    Construction checks only epsilon and the shape: `seifert._covering_form`
+    certifies the covering forms over Q, and the tests check forms over
+    Q(z) with `covering_oracle.validate_over_qz`."""
 
-    def __init__(self, module: LaurentModule, num, epsilon: int):
+    def __init__(self, module: LaurentModule, num: list, epsilon: int):
         if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
-        rows = num.rows if isinstance(num, Matrix) else num
         r = module.rank
-        if len(rows) != r or any(len(row) != r for row in rows):
+        if len(num) != r or any(len(row) != r for row in num):
             raise ValueError("pairing shape does not match the divisor count")
         self.module = module
-        self.num = Matrix(rows)
+        self.num = num
         self.epsilon = epsilon
 
 
@@ -401,15 +405,13 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p: list,
     nonsingular; a skew one is checked where its rank is read.
 
     The entry is read off the numerators without a product over Q(z).
-    With p = u bar(p), u = s z^n, d_i = p^l cof_i and D_j = deg d_j,
-    d_j* = z^(D_j) bar(d_j) = z^(D_j) bar(p)^l bar(cof_j), so the level's
-    entry p^l lambda(cof_i g_i, cof_j g_j) is p^l cof_i bar(cof_j) num_ij
-    / d_j* = num_ij cof_i u^l z^(-D_j), a Laurent polynomial: for
-    num_ij = N z^k / d and cof_i = C_i / lead(C_i) (`LaurentModule._split`),
-    one integer product N C_i over s^l d lead(C_i), shifted by
-    k + n l - D_j = k - deg C_j and reduced once.  It does not depend on the
-    representative: num_ij + k d_j* changes it by k cof_i u^l bar(d_j) =
-    k cof_i p^l bar(cof_j), which is 0 mod p since l >= 1."""
+    With P = u bar(P), u = s z^n, s = sign P(0), M_i = P^l C_i and
+    D_j = deg M_j, M_j* = z^(D_j) bar(P)^l bar(C_j), so for num_ij = (N, d)
+    the level's entry p^l lambda(cof_i g_i, cof_j g_j), p = P / lc(P) and
+    cof_i = C_i / lc(C_i), is N C_i u^l z^(-D_j) / (d lc(M_j) lc(C_i)): one
+    integer product N C_i over s^l d lc(M_j) lc(C_i), shifted by
+    n l - D_j = -deg C_j and reduced once.  Another representative
+    N / d + k M_j* moves it by k p^l cof_i bar(cof_j), 0 mod p as l >= 1."""
     prim, split = form.module._split(p)
     field = ResidueField(prim)
     if not field.self_conjugate:
@@ -422,10 +424,9 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p: list,
     cofs = {i: cof for i, (v, cof) in split.items() if v == l}
 
     def entry(i, j):  # n l - D_j = -deg C_j
-        dense, low = form.num[i, j].ordinary()
-        num, den = matrix._integral(dense)
+        (num, den), lc_j = form.num[i][j], form.module.chain[j][-1]
         return field.element(polys.mul(num, cofs[i]),
-                             unit * den * cofs[i][-1], low + 1 - len(cofs[j]))
+                             unit * den * lc_j * cofs[i][-1], 1 - len(cofs[j]))
 
     gram0 = Matrix([[entry(i, j) for j in cofs] for i in cofs])
     v = field.element([form.epsilon * unit], 1, n * l)

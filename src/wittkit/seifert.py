@@ -27,7 +27,6 @@ from wittkit.errors import (
     check,
 )
 from wittkit.exact import matrix, polys
-from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _imul, _integral_rows, _shift
 from wittkit.exact.ratfunc import series_expand
 from wittkit.finite import _integral_solver
@@ -35,7 +34,6 @@ from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
     _frobenius,
-    _monic,
     _pencil_reduction,
 )
 
@@ -145,8 +143,7 @@ def _covering_module(mode: str, h: tuple, embed,
         images = zip(*_imul(embed[0], list(zip(*(x for x, _ in cols)))))
         cols = [matrix._reduced(y, embed[1] * d)
                 for y, (_, d) in zip(images, cols)]
-    return LaurentModule([LaurentPoly.from_dense(_monic(m))
-                          for _, m in blocks], cols, mode), blocks
+    return LaurentModule([m for _, m in blocks], cols, mode), blocks
 
 
 def _seifert_module(f: SeifertForm) -> LaurentModule:
@@ -159,18 +156,16 @@ def _seifert_module(f: SeifertForm) -> LaurentModule:
     return _covering_module("P", h, b, e_r)[0]
 
 
-def _pairing_entry(c: tuple, m: list, s: list) -> LaurentPoly:
-    """The numerator over m* of lambda_ij: s N mod m*, of degree < deg m,
-    for the block's gram row c = C / den, an integer s and the divisor
-    M / d_m, M primitive on integers and d_m = lc(M): each N_k is an
-    integer dot product over d_m den, and s N mod +-M reversed is a
-    pseudo-remainder (`polys.divmod_poly`)."""
-    (big_c, den), d, d_m = c, len(m) - 1, m[-1]
+def _pairing_entry(c: tuple, m: list, s: list) -> tuple:
+    """lambda_ij = s N / m* as the reduced pair (R, e), R of degree
+    < deg m, read as R / (e m*): for the block's gram row c = C / den, an
+    integer s and the divisor's primitive list m, m* = m reversed, each N_k
+    is an integer dot product n_k over den, and the pseudo-division
+    t s n = Q m* + R (`polys.divmod_poly`) gives e = t den."""
+    (big_c, den), d = c, len(m) - 1
     num = [sum(map(mul, m[d - k:], big_c)) for k in range(d)]
-    rev = m[::-1] if m[0] > 0 else [-x for x in m[::-1]]
-    _, rem, scale = polys.divmod_poly(polys.mul(s, num), rev)
-    return LaurentPoly.from_dense([Fraction(x, scale * d_m * den)
-                                   for x in rem])
+    _, rem, scale = polys.divmod_poly(polys.mul(s, num), m[::-1])
+    return matrix._reduced(rem, scale * den)
 
 
 def _covering_form(mode: str, theta: tuple, h: tuple, epsilon: int,
@@ -184,10 +179,9 @@ def _covering_form(mode: str, theta: tuple, h: tuple, epsilon: int,
     the one placement that is exactly symmetric and well defined.  For
     m = d_j of degree D, m(z^-1) - m(h) = (z^-1 - h) sum_a m_a sum_{b<a}
     z^(b+1-a) h^b makes lambda(g_i, g_j) = s N / m*, with m* = z^D m(1/z)
-    and N_k = sum_{a >= D-k} m_a theta'(g_i, h^(k-D+a) g_j).  The form
-    stores the numerator s N mod m* over the conjugate divisor m*, as
-    `LaurentLinkingForm` does for every form; no entry is canonicalized
-    over Q(z).
+    and N_k = sum_{a >= D-k} m_a theta'(g_i, h^(k-D+a) g_j), m primitive
+    as in `LaurentModule.chain`.  The form stores s N mod m* as its integer
+    pair (`LaurentLinkingForm`); no entry is canonicalized over Q(z).
 
     The three checks below serve both functors and stand in for the check
     over Q(z) that the tests run as `covering_oracle.validate_over_qz`:
@@ -261,10 +255,10 @@ def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
 # trace and monodromy
 # ---------------------------------------------------------------------------
 
-def trace_chi(num: LaurentPoly, den: list) -> Fraction:
+def trace_chi(num: tuple, den: list) -> Fraction:
     """Degree-zero discrepancy between the two Novikov expansions of
-    num / den, read as `series_expand` reads them.  Linear over Q and zero
-    on Laurent polynomials, so well defined on classes."""
+    N / (d den), num = (N, d), as `series_expand` reads them.  Linear over
+    Q and zero on Laurent polynomials, so well defined on classes."""
     return (series_expand(num, den, "plus", 0, 0)[0]
             - series_expand(num, den, "minus", 0, 0)[0])
 
@@ -276,22 +270,21 @@ def monodromy(form: LaurentLinkingForm) -> AutometricForm:
     trace is applied to the conjugated pairing value, the orientation that
     makes the round-trip exact rather than exact-up-to-sign:
     theta[(i,a),(j,b)] = -chi(z^(a-b) lambda_ij), read off one expansion
-    of lambda_ij = num_ij / d_j* on each side.  Neither needs lowest
-    terms: d_j*(0) = 1, d_j being monic, and its top coefficient d_j(0)
-    is nonzero."""
-    stars = [d.ordinary()[0][::-1] for d in form.module.divisors]
-    dims = [len(star) - 1 for star in stars]
+    of lambda_ij = N / (d M_j*) on each side, h from d_j = M_j / lc(M_j).
+    Neither needs lowest terms: M_j*(0) = lc(M_j) and M_j(0) are nonzero."""
+    chain = form.module.chain
+    dims = [len(m) - 1 for m in chain]
     theta = []
     for i, di in enumerate(dims):
-        sides = [(dj, *(series_expand(form.num[i, j], star, side, 1 - di,
+        sides = [(dj, *(series_expand(form.num[i][j], m[::-1], side, 1 - di,
                                       dj - 1) for side in ("minus", "plus")))
-                 for j, (dj, star) in enumerate(zip(dims, stars))]
+                 for j, (dj, m) in enumerate(zip(dims, chain))]
         theta += [[minus[b - a] - plus[b - a] for dj, minus, plus in sides
                    for b in range(dj)] for a in range(di)]
-    h = Matrix.block_diag([Matrix(  # companion blocks, d_j[a] = star[m - a]
-        [[-star[m - a] if b == m - 1 else Fraction(int(a == b + 1))
-          for b in range(m)] for a in range(m)])
-        for m, star in zip(dims, stars)])
+    h = Matrix.block_diag([Matrix(
+        [[Fraction(-m[a], m[-1]) if b == dj - 1 else Fraction(int(a == b + 1))
+          for b in range(dj)] for a in range(dj)])
+        for dj, m in zip(dims, chain)])
     return AutometricForm(theta, h, -form.epsilon)
 
 

@@ -14,11 +14,19 @@ form's space.
   e(1-e) nilpotent.
 - `QZ` is a `RatFunc` with the field operations of Q(z): sums, products,
   inverses and the involution z -> z^-1, which only tests perform.
+- `parent_form` turns a form's integer records back into the parent
+  route's form, monic `LaurentPoly` divisors d_j and `Fraction`
+  numerators num_ij over d_j* = z^D d_j(1/z), which the oracles below
+  read; `record_form` goes the other way, for forms tests build by hand
+  from such numerators, and `integer_ratio` gives num / den as the
+  integer pair and denominator that `series_expand` and `trace_chi` read.
+  `parent_covering` is a covering form by the parent's route, its
+  `_pairing_entry` (`parent_pairing_entry`), the oracle for the records.
 - `frac_class` is the canonical representative of a rational function
   modulo Q[z, z^-1]; `qz_pairing` is a form's pairing over Q(z), each
-  entry num_ij / d_j* brought to it, and `form_from_qz` the numerators of a pairing given over
-  Q(z): it refuses an entry with a pole deeper than its column divisor,
-  which no numerator over d_j* can carry.
+  entry num_ij / d_j* brought to it, and `form_from_qz` the numerators of
+  a pairing given over Q(z): it refuses an entry with a pole deeper than
+  its column divisor, which no numerator over d_j* can carry.
 - `validate_over_qz` checks a `LaurentLinkingForm` over Q(z): its
   symmetry, annihilation by the row divisors and a bijective adjoint (the
   numerators carry the column annihilation).  The constructor checks none
@@ -43,7 +51,9 @@ form's space.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from wittkit.errors import (
     ComputationError,
@@ -51,13 +61,15 @@ from wittkit.errors import (
     SingularForm,
     check,
 )
+from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.matrix import Matrix, _integral, _reduced
 from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
     _as_laurent,
+    _monic,
 )
 from wittkit import seifert
 from wittkit.seifert import AutometricForm, SeifertForm, SeifertSubmodule
@@ -145,6 +157,101 @@ def _to_qz(x) -> QZ:
 
 
 # ---------------------------------------------------------------------------
+# integer records and the parent's route
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ParentForm:
+    """A linking form as the parent route held it: its module (for its
+    chain's factors), the monic divisors d_j = M_j / lc(M_j) as
+    `LaurentPoly`s and the numerators num_ij over d_j* as a `Matrix`."""
+
+    module: LaurentModule
+    divisors: list
+    num: Matrix
+    epsilon: int
+
+
+def _monic_dense(m: list) -> list:
+    """The integer list m made monic, over Q."""
+    return [Fraction(c, m[-1]) for c in m]
+
+
+def monic_divisors(module: LaurentModule) -> list:
+    """The chain M_j as the monic d_j = M_j / lc(M_j)."""
+    return [LaurentPoly.from_dense(_monic_dense(m)) for m in module.chain]
+
+
+def parent_form(form) -> ParentForm:
+    """The records of `LaurentLinkingForm` in the parent's form: d_j* =
+    M_j* / lc(M_j), so lambda_ij = N / (d M_j*) has num_ij =
+    N / (d lc(M_j))."""
+    if isinstance(form, ParentForm):
+        return form
+    chain = form.module.chain
+    num = [[LaurentPoly.from_dense([Fraction(c, d * m[-1]) for c in n])
+            for (n, d), m in zip(row, chain)] for row in form.num]
+    return ParentForm(form.module, monic_divisors(form.module), Matrix(num),
+                      form.epsilon)
+
+
+def record(num: LaurentPoly, m: list) -> tuple:
+    """The pair (N, d) of a parent numerator num over d* = M* / lc(M),
+    M = m: N / d = lc(M) num, dense from degree 0.  A record holds no
+    negative power."""
+    dense, low = num.ordinary()
+    if low < 0:
+        raise ValueError("a record holds no negative power")
+    big_n, d = _integral([Fraction(0)] * low + dense)
+    return _reduced([c * m[-1] for c in big_n], d)
+
+
+def record_form(module: LaurentModule, num,
+                epsilon: int) -> LaurentLinkingForm:
+    """The form on module with the parent numerators num_ij over d_j*."""
+    rows = num.rows if isinstance(num, Matrix) else num
+    return LaurentLinkingForm(module, [
+        [record(_as_laurent(x), m) for x, m in zip(row, module.chain)]
+        for row in rows], epsilon)
+
+
+def integer_ratio(num: LaurentPoly, den: list) -> tuple:
+    """((N, d), D) with N / (d D) = num / den on integers, for num with no
+    negative power and a dense rational den, as `series_expand` and
+    `trace_chi` read them."""
+    big_d, d_d = _integral(den)
+    big_n, d = record(num, [1])
+    return _reduced([c * d_d for c in big_n], d), big_d
+
+
+def parent_pairing_entry(c: tuple, m: list, s: list) -> LaurentPoly:
+    """The parent's `seifert._pairing_entry`: the numerator over the monic
+    d* of lambda_ij, s N mod +-m reversed, each N_k an integer dot product
+    over lc(m) den."""
+    (big_c, den), d, d_m = c, len(m) - 1, m[-1]
+    num = [sum(map(mul, m[d - k:], big_c)) for k in range(d)]
+    rev = m[::-1] if m[0] > 0 else [-x for x in m[::-1]]
+    _, rem, scale = polys.divmod_poly(polys.mul(s, num), rev)
+    return LaurentPoly.from_dense([Fraction(x, scale * d_m * den)
+                                   for x in rem])
+
+
+def parent_covering(cover, f) -> ParentForm:
+    """cover(f) by the parent's route: `parent_pairing_entry` in for
+    `_pairing_entry`, and the chain made monic as the parent's
+    `_covering_module` made it."""
+    saved = seifert._pairing_entry
+    seifert._pairing_entry = parent_pairing_entry
+    try:
+        form = cover(f)
+    finally:
+        seifert._pairing_entry = saved
+    return ParentForm(form.module, [LaurentPoly.from_dense(_monic(m))
+                                    for m in form.module.chain],
+                      Matrix(form.num), form.epsilon)
+
+
+# ---------------------------------------------------------------------------
 # modules and forms
 # ---------------------------------------------------------------------------
 
@@ -203,9 +310,10 @@ def _conjugate_divisor(d: LaurentPoly) -> list:
     return _dense(d)[::-1]
 
 
-def qz_pairing(form: LaurentLinkingForm) -> Matrix:
+def qz_pairing(form) -> Matrix:
     """lambda_ij = num_ij / d_j* as canonical classes in Q(z) / Q[z, z^-1]."""
-    stars = [_conjugate_divisor(d) for d in form.module.divisors]
+    form = parent_form(form)
+    stars = [_conjugate_divisor(d) for d in form.divisors]
     return Matrix([[frac_class(QZ.make(x, star))
                     for x, star in zip(row, stars)] for row in form.num.rows])
 
@@ -214,33 +322,35 @@ def form_from_qz(module: LaurentModule, pairing,
                  epsilon: int) -> LaurentLinkingForm:
     """The form with the given Q(z) pairing in the divisor basis: num_ij =
     d_j* lambda_ij, refused unless a Laurent polynomial, that is unless d_j*
-    clears the pole of lambda_ij."""
+    clears the pole of lambda_ij, and taken on lambda_ij's canonical class,
+    so that it has no negative power."""
     rows = pairing.rows if isinstance(pairing, Matrix) else pairing
     stars = [QZ.make(LaurentPoly.from_dense(_conjugate_divisor(d)))
-             for d in module.divisors]
+             for d in monic_divisors(module)]
     nums = []
     for i, row in enumerate(rows):
         nums.append([])
         for j, x in enumerate(row):
-            num = stars[j] * x
+            num = stars[j] * frac_class(x)
             if not num.is_laurent():
                 raise ValueError(
                     f"pairing not annihilated by the column divisor: entry "
                     f"({i}, {j}) has a pole deeper than d_{j}*")
             nums[-1].append(num.num)
-    return LaurentLinkingForm(module, nums, epsilon)
+    return record_form(module, nums, epsilon)
 
 
-def validate_over_qz(form: LaurentLinkingForm) -> None:
+def validate_over_qz(form) -> None:
     """Raise unless form's pairing is killed by its row divisors,
     epsilon-symmetric modulo Q[z, z^-1] and has a bijective adjoint
     T -> T^.  The column divisors kill it by construction: d_j* clears
     num_ij / d_j*.  Annihilation is checked first, because with the
     columns killed a symmetric pairing is killed by its rows too."""
+    form = parent_form(form)
     eps = form.epsilon
     lam = qz_pairing(form)
-    divisors = form.module.divisors
-    r = form.module.rank
+    divisors = form.divisors
+    r = len(divisors)
     for i in range(r):
         for j in range(r):
             entry = lam[i, j]
@@ -282,15 +392,14 @@ def _adjoint_bijective(divisors: list, lam: Matrix) -> bool:
     return big.det() != 0
 
 
-def qz_auxiliary_gram(form: LaurentLinkingForm, p: LaurentPoly,
-                      l: int) -> Matrix:
+def qz_auxiliary_gram(form, p: LaurentPoly, l: int) -> Matrix:
     """The level-l form at p before normalization, by products over Q(z):
     p^l cof_i bar(cof_j) lambda_ij reduced mod p, on the divisors
     d_i = p^l cof_i of exact valuation l."""
     p = monic_ordinary(p)
     field = ResidueField(_dense(p))
     lam = qz_pairing(form)
-    divisors = form.module.divisors
+    divisors = parent_form(form).divisors
     p_pow = p**l
     cof = {}
     for i, d in enumerate(divisors):
@@ -308,11 +417,11 @@ def qz_auxiliary_gram(form: LaurentLinkingForm, p: LaurentPoly,
     return Matrix(entries)
 
 
-def qz_monodromy_theta(form: LaurentLinkingForm) -> Matrix:
+def qz_monodromy_theta(form) -> Matrix:
     """`monodromy`'s theta, read off the expansions of the canonical
     entries: theta[(i,a),(j,b)] = -chi(z^(a-b) lambda_ij)."""
     lam = qz_pairing(form)
-    dims = [len(_dense(d)) - 1 for d in form.module.divisors]
+    dims = [len(m) - 1 for m in form.module.chain]
     theta = []
     for i, di in enumerate(dims):
         sides = [(dj, *(series_expand_oracle(lam[i, j].num, lam[i, j].den,
@@ -385,7 +494,7 @@ def verify_roundtrip_oracle(f: AutometricForm) -> bool:
 
 
 def module_dimension_q(module: LaurentModule) -> int:
-    return sum(len(_dense(d)) - 1 for d in module.divisors)
+    return sum(len(m) - 1 for m in module.chain)
 
 
 def laurent_direct_sum(a: LaurentLinkingForm,
@@ -394,23 +503,25 @@ def laurent_direct_sum(a: LaurentLinkingForm,
         raise ValueError("direct sum needs matching symmetry")
     if a.module.torsion_mode != b.module.torsion_mode:
         raise ValueError("direct sum needs matching torsion mode")
-    # concatenated divisors sorted by degree; not a divisibility chain in
-    # general, which nothing downstream requires
-    divs = a.module.divisors + b.module.divisors
-    perm = sorted(range(len(divs)),
-                  key=lambda k: (len(_dense(divs[k])), _dense(divs[k])))
-    module = LaurentModule([divs[k] for k in perm], None,
+    # concatenated divisors sorted by degree, then by the monic divisor;
+    # not a divisibility chain in general, which nothing downstream requires
+    chain = a.module.chain + b.module.chain
+    perm = sorted(range(len(chain)),
+                  key=lambda k: (len(chain[k]), _monic_dense(chain[k])))
+    module = LaurentModule([chain[k] for k in perm], None,
                            a.module.torsion_mode)
-    # the numerators of column j are over d_j*, which the permutation
+    # the numerators of column j are over M_j*, which the permutation
     # moves with the column
-    combined = Matrix.block_diag([a.num, b.num], LaurentPoly.zero())
-    num = [[combined[i, j] for j in perm] for i in perm]
+    zero, ra, rb = ([], 1), a.module.rank, b.module.rank
+    combined = ([row + [zero] * rb for row in a.num]
+                + [[zero] * ra + row for row in b.num])
+    num = [[combined[i][j] for j in perm] for i in perm]
     return LaurentLinkingForm(module, num, a.epsilon)
 
 
 def laurent_negate(f: LaurentLinkingForm) -> LaurentLinkingForm:
-    return LaurentLinkingForm(f.module, [[-x for x in row]
-                                         for row in f.num.rows], f.epsilon)
+    return LaurentLinkingForm(f.module, [[([-c for c in n], d) for n, d in row]
+                                         for row in f.num], f.epsilon)
 
 
 def autometric_direct_sum(a: AutometricForm,
@@ -464,8 +575,8 @@ def covering_submodule_image(f: SeifertForm, cov: LaurentLinkingForm,
     # exact normal equations: p has full column rank, vecs lie in its span
     coords = ((p.transpose() * p).inverse() * p.transpose() * vecs).transpose()
     ends = [0]
-    for d in module.divisors:
-        ends.append(ends[-1] + len(d.ordinary()[0]) - 1)
+    for m in module.chain:
+        ends.append(ends[-1] + len(m) - 1)
     return Matrix([[LaurentPoly.from_dense(c[a:b]) for c in coords.rows]
                    for a, b in zip(ends, ends[1:])])
 
@@ -474,7 +585,7 @@ def submodule_dimension_q(module: LaurentModule, cols: Matrix) -> int:
     """Q-dimension of the submodule generated by the given column vectors
     (Laurent entries, coordinates in the divisor basis).  The span of the
     z-orbit stabilizes because multiplication by z is a linear bijection."""
-    fields = [ResidueField(_dense(d)) for d in module.divisors]
+    fields = [ResidueField(_dense(d)) for d in monic_divisors(module)]
     dims = [f.degree for f in fields]
     offsets = [sum(dims[:i]) for i in range(len(dims))]
     total = sum(dims)

@@ -470,11 +470,11 @@ def _monic_dense(p: LaurentPoly) -> list:
     return qpolys.monic(p.ordinary()[0])
 
 
-def _fraction_split(form, dense_p: list) -> dict:
+def _fraction_split(divisors: list, dense_p: list) -> dict:
     """Divisor index -> (valuation, d_i / p^l) by division over Q, for the
     divisors p divides."""
     out = {}
-    for i, d in enumerate(form.module.divisors):
+    for i, d in enumerate(divisors):
         q, level = _monic_dense(d), 0
         while len(q) >= len(dense_p) and not (
                 qr := qpolys.divmod_poly(q, dense_p))[1]:
@@ -489,15 +489,18 @@ def fraction_auxiliary(form, p, l: int) -> tuple:
     factor p as wittkit built it on the `Fraction` field: valuations and
     cofactors d_i / p^l by division over Q, each entry the Laurent product
     num_ij cof_i u^l z^(-D_j) read by `from_laurent`, and the gram
-    normalized by the first nonzero Hilbert-90 probe c0 + v bar(c0)."""
+    normalized by the first nonzero Hilbert-90 probe c0 + v bar(c0), on
+    the parent's form of the records (`covering_oracle.parent_form`)."""
+    from covering_oracle import parent_form  # it imports this module
+    form = parent_form(form)
     dense_p = _monic_dense(p)
     unit = is_self_conjugate(LaurentPoly.from_dense(dense_p))
     field = ResidueField(dense_p)
-    cof = {i: c for i, (level, c) in _fraction_split(form, dense_p).items()
-           if level == l}
+    cof = {i: c for i, (level, c)
+           in _fraction_split(form.divisors, dense_p).items() if level == l}
     gram = Matrix([[field.from_laurent(
         form.num[i, j] * cof[i] * unit**l
-        * LaurentPoly.monomial(1, -form.module.divisors[j].max_deg()))
+        * LaurentPoly.monomial(1, -form.divisors[j].max_deg()))
         for j in cof] for i in cof])
     v = field.from_laurent(unit**l) * form.epsilon
     if field.degree == 1:
@@ -529,7 +532,8 @@ def fraction_multisignature(form, precision=DEFAULT_PRECISION) -> tuple:
     """(signatures, rank_only) of `dw_multisignature_laurent` from
     `fraction_auxiliary`, the field-pivot signatures and the Chebyshev
     `phase_sign`; SingularForm where a level form is singular."""
-    sigs, ranks = {}, {}
+    from covering_oracle import parent_form  # it imports this module
+    sigs, ranks, divisors = {}, {}, parent_form(form).divisors
     for p, _ in as_laurent(form.module.factors):
         if is_self_conjugate(p) is None:
             continue
@@ -538,7 +542,8 @@ def fraction_multisignature(form, precision=DEFAULT_PRECISION) -> tuple:
             continue
         dense_p = _monic_dense(p)
         key, deg = tuple(dense_p), len(dense_p) - 1
-        levels = {level for level, _ in _fraction_split(form, dense_p).values()}
+        levels = {level for level, _
+                  in _fraction_split(divisors, dense_p).values()}
         for l in sorted(levels):
             gram, u, symmetry = fraction_auxiliary(form, p, l)
             if symmetry != 1:

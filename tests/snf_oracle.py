@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from wittkit.errors import NotPTorsion, NotTorsion
+from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _dot
 from wittkit.laurent_forms import LaurentModule, _as_laurent
@@ -312,14 +313,19 @@ def snf_decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule
         for d in divisors:
             if d(1) == 0:
                 raise NotPTorsion(f"divisor {d!r} vanishes at z = 1")
-    return LaurentModule(divisors, None, torsion_mode)
+    return LaurentModule(_chain(divisors), None, torsion_mode)
+
+
+def _chain(divisors: list) -> list:
+    """Monic `LaurentPoly` divisors as the primitive lists a module keeps."""
+    return [polys.primitive(d.ordinary()[0]) for d in divisors]
 
 
 def _snf_covering(pres, mode, num, den, epsilon):
     res = smith_normal_form(pres, ring="Q[z,z^-1]")
     kept = [i for i, d in enumerate(res.divisors) if not d.is_unit()]
     module = LaurentModule(
-        [monic_ordinary(res.divisors[i]) for i in kept], None, mode)
+        _chain([monic_ordinary(res.divisors[i]) for i in kept]), None, mode)
     # the generators g_i are the kept columns of U^-1
     g = Matrix([[row[i] for i in kept] for row in res.U_inv.rows])
     changed = g.transpose() * num * g.bar()

@@ -21,11 +21,7 @@ from wittkit.errors import InvariantViolated
 from wittkit.exact import factor, polys
 from wittkit.exact.factor import factor_key, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.laurent_forms import (
-    LaurentLinkingForm,
-    LaurentModule,
-    dw_multisignature_laurent,
-)
+from wittkit.laurent_forms import LaurentModule, dw_multisignature_laurent
 from wittkit.knots import (
     KnotInput,
     _det_one_minus,
@@ -34,6 +30,7 @@ from wittkit.knots import (
 )
 
 import factor_oracle
+from covering_oracle import record_form
 from factor_oracle import as_laurent, laurent_factors
 from lt_oracle import cyclotomic_polynomial
 
@@ -465,7 +462,6 @@ def test_conjugate_pairs_match_the_laurent_route():
             if factor_oracle.is_self_conjugate(q) is None \
                     and pair not in want:
                 want.append(pair)
-        monic = p * (1 / p.coefficient(p.max_deg()))
-        form = LaurentLinkingForm(LaurentModule([monic], None, "Q"), [[0]],
-                                  -1)
+        module = LaurentModule([polys.primitive(p.ordinary()[0])], None, "Q")
+        form = record_form(module, [[0]], -1)
         assert dw_multisignature_laurent(form).conjugate_pairs == want, p

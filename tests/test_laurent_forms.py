@@ -32,7 +32,9 @@ from covering_oracle import (
     laurent_direct_sum,
     laurent_negate,
     module_dimension_q,
+    parent_form,
     qz_pairing,
+    record_form,
     validate_over_qz,
 )
 from elimination_oracle import parent_frobenius
@@ -288,12 +290,12 @@ def test_row_divisor_violation_rejected():
     # (P6* = P6), which d_0 = P6 does not kill, and lambda_10 = 1/P6
     m = decompose_module(diag(P6, P6**2), "P")
     with pytest.raises(ValueError, match="not annihilated by the row"):
-        validate_over_qz(LaurentLinkingForm(m, [[NIL, ONE], [ONE, NIL]], 1))
+        validate_over_qz(record_form(m, [[NIL, ONE], [ONE, NIL]], 1))
 
 
 def test_column_divisor_violation_rejected():
     # the row divisor P6^2 kills 1/P6^2, the column divisor P6 does not
-    m = LaurentModule([P6**2, P6], None, "P")
+    m = LaurentModule([ints(P6**2), ints(P6)], None, "P")
     with pytest.raises(ValueError, match="not annihilated by the column"):
         form_from_qz(m, off_diagonal_pair(QZ.make(ONE, P6**2)), 1)
 
@@ -311,14 +313,15 @@ def test_numerators_round_trip_through_qz():
                            cyclic_block(P6, 2, Z**2))
     g = form_from_qz(f.module, qz_pairing(f), 1)
     assert qz_pairing(g) == qz_pairing(f)
-    # the numerators are representatives, not canonical: adding d_j* to
-    # num_ij leaves the class alone
+    # the numerators are representatives, not canonical: adding a multiple
+    # of d_j* to num_ij leaves the class alone (z^3 d_j*, as a record holds
+    # no negative power)
+    parent = parent_form(f)
     stars = [LaurentPoly.from_dense(d.ordinary()[0][::-1])
-             for d in f.module.divisors]
-    shifted = [[x + stars[j] * Z**-3 for j, x in enumerate(row)]
-               for row in f.num.rows]
-    assert qz_pairing(LaurentLinkingForm(f.module, shifted, 1)) == \
-        qz_pairing(f)
+             for d in parent.divisors]
+    shifted = [[x + stars[j] * Z**3 for j, x in enumerate(row)]
+               for row in parent.num.rows]
+    assert qz_pairing(record_form(f.module, shifted, 1)) == qz_pairing(f)
 
 def test_singular_pairing_rejected():
     m = decompose_module([[P6]], "P")
@@ -329,13 +332,13 @@ def test_singular_pairing_rejected():
 def test_pairing_shape_checked():
     m = decompose_module([[P6]], "P")
     with pytest.raises(ValueError):
-        LaurentLinkingForm(m, [[NIL, NIL]], 1)
+        LaurentLinkingForm(m, [[([], 1), ([], 1)]], 1)
 
 
 def test_epsilon_checked():
     m = decompose_module([[P6]], "P")
     with pytest.raises(ValueError):
-        LaurentLinkingForm(m, [[ONE + Z**2]], 2)
+        record_form(m, [[ONE + Z**2]], 2)
 
 
 # -- auxiliary hermitian forms --

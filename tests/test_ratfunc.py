@@ -11,10 +11,21 @@ from wittkit.errors import NotInvertibleInNovikov
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.ratfunc import RatFunc, series_expand
 
-from covering_oracle import QZ, frac_class, series_expand_oracle
+from covering_oracle import (
+    QZ, frac_class, integer_ratio, series_expand_oracle)
 
 F = Fraction
 z = LaurentPoly.z()
+
+
+def expand(num, den, side, lo, hi):
+    """`series_expand` of num / den for a `LaurentPoly` num, negative powers
+    allowed, and a rational den: num = z^k A, A ordinary, is read as the
+    integer ratio of A / den in degrees lo - k..hi - k."""
+    k = num.ordinary()[1]
+    got = series_expand(*integer_ratio(num.shift(-k), den), side, lo - k,
+                        hi - k)
+    return {d + k: v for d, v in got.items()}
 
 
 def rand_ratfunc():
@@ -102,7 +113,7 @@ def test_plus_expansion_of_simple_pole():
     # 1/(a - z) = a^-1 + a^-2 z + a^-3 z^2 + ...
     a = F(5)
     f = RatFunc.make(LaurentPoly.one(), LaurentPoly.const(a) - z)
-    got = series_expand(f.num, f.den, "plus", 0, 2)
+    got = series_expand(*integer_ratio(f.num, f.den), "plus", 0, 2)
     assert got == {0: F(1, 5), 1: F(1, 25), 2: F(1, 125)}
 
 
@@ -110,24 +121,33 @@ def test_minus_expansion_of_simple_pole():
     # 1/(a - z) = -z^-1 - a z^-2 - a^2 z^-3 - ...
     a = F(5)
     f = RatFunc.make(LaurentPoly.one(), LaurentPoly.const(a) - z)
-    got = series_expand(f.num, f.den, "minus", -3, -1)
+    got = series_expand(*integer_ratio(f.num, f.den), "minus", -3, -1)
     assert got == {-3: F(-25), -2: F(-5), -1: F(-1)}
 
 
 def test_two_expansions_differ_for_nonpolynomial():
     # the difference of the two tails detects the class of 1/(1+z)
     f = RatFunc.make(LaurentPoly.one(), 1 + z)
-    plus0 = series_expand(f.num, f.den, "plus", 0, 0)[0]
-    minus0 = series_expand(f.num, f.den, "minus", 0, 0)[0]
+    plus0 = series_expand(*integer_ratio(f.num, f.den), "plus", 0, 0)[0]
+    minus0 = series_expand(*integer_ratio(f.num, f.den), "minus", 0, 0)[0]
     assert plus0 == 1 and minus0 == 0
+
+
+def test_expansions_of_an_integer_pair():
+    # z / (1 - z) = z + z^2 + ... = -1 - z^-1 - z^-2 - ..., read off the
+    # pair ([0, 1], 1) over a denominator with a negative top coefficient
+    num, den = ([0, 1], 1), [1, -1]
+    assert series_expand(num, den, "plus", 0, 2) == {0: 0, 1: 1, 2: 1}
+    assert series_expand(num, den, "minus", -2, 0) == {-2: -1, -1: -1,
+                                                        0: -1}
 
 
 @given(rand_ratfunc())
 def test_expansions_agree_on_laurent_part(f):
     p = z**2 - 3 + z**-1
     g = f + QZ.make(p)
-    dplus = series_expand(g.num, g.den, "plus", -2, 3)
-    fplus = series_expand(f.num, f.den, "plus", -2, 3)
+    dplus = expand(g.num, g.den, "plus", -2, 3)
+    fplus = expand(f.num, f.den, "plus", -2, 3)
     for d in range(-2, 4):
         assert dplus[d] - fplus[d] == p.coefficient(d)
 
@@ -140,19 +160,21 @@ def test_expansions_need_no_lowest_terms(f):
     num = f.num * LaurentPoly.from_dense(q)
     den = LaurentPoly.from_dense(f.den) * LaurentPoly.from_dense(q)
     for side, lo, hi in (("plus", -2, 3), ("minus", -4, 1)):
-        assert series_expand(num, den.ordinary()[0], side, lo, hi) == \
-            series_expand(f.num, f.den, side, lo, hi)
+        assert expand(num, den.ordinary()[0], side, lo, hi) == \
+            expand(f.num, f.den, side, lo, hi)
 
 
 def test_expansion_refuses_a_denominator_vanishing_at_its_side():
     with pytest.raises(NotInvertibleInNovikov):
-        series_expand(LaurentPoly.one(), [F(0), F(1)], "plus", 0, 1)
+        series_expand(([1], 1), [0, 1], "plus", 0, 1)
     with pytest.raises(NotInvertibleInNovikov):
-        series_expand(LaurentPoly.one(), [], "minus", 0, 1)
+        series_expand(([1], 1), [], "minus", 0, 1)
 
 
 class TestExpansionAgainstOracle:
-    """The integer recurrence against the `Fraction` one it replaced."""
+    """The integer recurrence against the `Fraction` one it replaced, on
+    random numerators and denominators read through their integer ratio,
+    and on integer pairs as `LaurentLinkingForm` stores them."""
 
     @staticmethod
     def random_case(rng):
@@ -179,10 +201,10 @@ class TestExpansionAgainstOracle:
                     want = series_expand_oracle(num, den, side, lo, hi)
                 except NotInvertibleInNovikov:
                     with pytest.raises(NotInvertibleInNovikov):
-                        series_expand(num, den, side, lo, hi)
+                        expand(num, den, side, lo, hi)
                     seen["refused"] += 1
                     continue
-                got = series_expand(num, den, side, lo, hi)
+                got = expand(num, den, side, lo, hi)
                 assert got == want and list(got) == list(want)
                 assert all(type(v) is Fraction for v in got.values())
                 seen["zero"] += num.is_zero()
@@ -199,5 +221,27 @@ class TestExpansionAgainstOracle:
         num = LaurentPoly({-3: F(5, 7), 0: F(1), 4: F(-2, 3)})
         den = [F(2**61 - 1, 3), F(1, 5), F(-7), F(3, 2**40)]
         for side, lo, hi in (("plus", -3, 20), ("minus", -20, 4)):
-            assert series_expand(num, den, side, lo, hi) == \
+            assert expand(num, den, side, lo, hi) == \
                 series_expand_oracle(num, den, side, lo, hi)
+
+    def test_integer_pairs(self):
+        # N with zero low coefficients over d, the way a record keeps a
+        # numerator, and denominators that are not monic, half of them
+        # with a negative top coefficient
+        rng = random.Random("integer-pairs")
+        seen = {"low zeros": 0, "negative top": 0, "positive top": 0}
+        for _ in range(300):
+            big_n = [0] * rng.randint(0, 3) + [
+                rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+            d = rng.randint(1, 6)
+            den = [rng.choice([-5, -2, -1, 1, 3])] + [
+                rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+            den.append(rng.choice([-7, -3, -2, 2, 3, 5]))
+            lo = rng.randint(-8, 4)
+            for side in ("plus", "minus"):
+                num = LaurentPoly.from_dense([F(c, d) for c in big_n])
+                assert series_expand((big_n, d), den, side, lo, lo + 8) == \
+                    series_expand_oracle(num, den, side, lo, lo + 8)
+            seen["low zeros"] += big_n[0] == 0 and any(big_n)
+            seen["negative top" if den[-1] < 0 else "positive top"] += 1
+        assert min(seen.values()) > 50, seen
