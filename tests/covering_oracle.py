@@ -69,7 +69,6 @@ from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
     _as_laurent,
-    _monic,
 )
 from wittkit import seifert
 from wittkit.seifert import AutometricForm, SeifertForm, SeifertSubmodule
@@ -209,10 +208,9 @@ def record(num: LaurentPoly, m: list) -> tuple:
 def record_form(module: LaurentModule, num,
                 epsilon: int) -> LaurentLinkingForm:
     """The form on module with the parent numerators num_ij over d_j*."""
-    rows = num.rows if isinstance(num, Matrix) else num
     return LaurentLinkingForm(module, [
         [record(_as_laurent(x), m) for x, m in zip(row, module.chain)]
-        for row in rows], epsilon)
+        for row in num], epsilon)
 
 
 def integer_ratio(num: LaurentPoly, den: list) -> tuple:
@@ -238,17 +236,17 @@ def parent_pairing_entry(c: tuple, m: list, s: list) -> LaurentPoly:
 
 def parent_covering(cover, f) -> ParentForm:
     """cover(f) by the parent's route: `parent_pairing_entry` in for
-    `_pairing_entry`, and the chain made monic as the parent's
-    `_covering_module` made it."""
+    `_pairing_entry`, and the divisors made monic as the parent's
+    `_covering_module` made them, which the module's `divisors` view
+    still does."""
     saved = seifert._pairing_entry
     seifert._pairing_entry = parent_pairing_entry
     try:
         form = cover(f)
     finally:
         seifert._pairing_entry = saved
-    return ParentForm(form.module, [LaurentPoly.from_dense(_monic(m))
-                                    for m in form.module.chain],
-                      Matrix(form.num), form.epsilon)
+    return ParentForm(form.module, form.module.divisors, Matrix(form.num),
+                      form.epsilon)
 
 
 # ---------------------------------------------------------------------------
