@@ -577,6 +577,18 @@ def test_catalog_reports_are_pinned(name, capsys):
     assert got == (FIXTURES / "reports" / f"catalog-{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["e8", "mixed-factors", "mixed-5-6"])
+def test_text_reports_are_pinned(name, capsys):
+    # fixtures/reports/<name>.txt is the `--format text` output on
+    # fixtures/<name>.json: mixed-factors prints factors with fractional
+    # coefficients and a conjugate-pair note, e8 zero coefficients and a
+    # rochlin line, mixed-5-6 a linking summary with oracle witnesses
+    path = FIXTURES / f"{name}.json"
+    assert cli.main(fixture_argv(path) + ["--format", "text"]) == 0
+    got = capsys.readouterr().out.encode()
+    assert got == (FIXTURES / "reports" / f"{name}.txt").read_bytes()
+
+
 # -- selftest --
 
 class TestSelftest:

@@ -25,6 +25,7 @@ from wittkit.laurent_forms import (
     level_multiplicities,
     witt_forgetful_laurent,
 )
+from wittkit.serialize import multisignature_notes
 
 from covering_oracle import (
     QZ,
@@ -426,15 +427,28 @@ def test_point_root_even_level_symmetric():
     assert ms.rank_only == {}
 
 
-def test_point_root_odd_level_is_rank_only():
+def point_root_odd_level_form():
     m = decompose_module(diag(Z - ONE, Z - ONE), "Q")
     a = QZ.make(ONE, Z - ONE)
-    f = form_from_qz(m, [[QZ.zero(), a], [-a, QZ.zero()]], 1)
+    return form_from_qz(m, [[QZ.zero(), a], [-a, QZ.zero()]], 1)
+
+
+def test_point_root_odd_level_is_rank_only():
+    f = point_root_odd_level_form()
     validate_over_qz(f)
     ms = dw_multisignature_laurent(f)
     assert ms.entries() == []
     assert ms.rank_only == {(key_of(Z - ONE), 1): 2}
     assert ms.all_zero
+
+
+def test_rank_only_level_note():
+    # no knot report holds a rank-only level, so no pinned report reaches
+    # this note; its text is pinned here
+    ms = dw_multisignature_laurent(point_root_odd_level_form())
+    assert multisignature_notes(ms) == [
+        "level 1 at factor -1 + z is skew over a real residue field: "
+        "rank 2, no signature"]
 
 
 def test_singular_point_root_odd_level_is_refused():
