@@ -10,9 +10,10 @@ both the gcd and Sturm chains.  Every integer polynomial loop but
 `factor`'s division, gcd and powering mod p and `roots._interval_horner`
 is here, z -> a + b z (`compose`) and the one self-conjugacy test
 (`self_conjugate`) among them.  A factor stays such a list from
-`factor.factor_rational_poly` to the report, as a covering form's divisors
-and numerator pairs do from where they are made; `LaurentPoly` remains the
-user-facing type (conversion via `LaurentPoly.ordinary` and `from_dense`).
+`factor.factor_rational_poly` to the report, as the Alexander polynomial
+and a covering form's divisors and numerator pairs do from where they are
+made; `LaurentPoly` serves only the `decompose_module` path (conversion
+via `LaurentPoly.ordinary` and `from_dense`).
 """
 
 from __future__ import annotations

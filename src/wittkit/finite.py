@@ -302,15 +302,6 @@ def _adjoint_is_iso(mixed_orders: list[int], num, q: int) -> bool:
 # primary decomposition
 # ---------------------------------------------------------------------------
 
-def primary_decompose(orders, gram, epsilon: int) -> dict[int, FiniteLinkingForm]:
-    """Split a pairing on (+) Z/n_i, given as rationals mod 1, into
-    orthogonal p-primary linking forms: see `_primary_parts`."""
-    orders = [int(n) for n in orders]
-    if any(n < 1 for n in orders):
-        raise ValueError("orders must be positive")
-    return _primary_parts(orders, *_numerators(gram), epsilon)
-
-
 def _primary_parts(orders: list[int], num, q: int, epsilon: int) -> dict:
     """The p-primary parts of the pairing num / q on (+) Z/n_i.
 
@@ -403,8 +394,9 @@ def witt_class_fp(prime: int, gram, symmetry: int = 1) -> WittClassFp:
 def dw_multisignature(form: FiniteLinkingForm) -> DWMultiSignatureZ:
     """sigma_{p,l} for every level l with a nonzero level part of one
     validated p-primary form, p odd.  The form is not checked again: a
-    mixed-order presentation is checked and split by `primary_decompose`,
-    and the multisignature of the whole is the sum over its parts."""
+    mixed-order pairing is checked and split into such forms where it is
+    made (`boundary_of_form`), and the multisignature of the whole is the
+    sum over its parts."""
     p = form.prime
     if p == 2:
         raise EvenPrimeUnsupported(
@@ -431,7 +423,7 @@ def forgetful_witt(ms: DWMultiSignatureZ) -> dict[int, WittClassFp]:
 def classify(form: FiniteLinkingForm, question: str) -> bool:
     """Decide metabolic or hyperbolic for one validated p-primary form at an
     odd prime, from its multisignature (which raises at p = 2); a
-    mixed-order presentation is split by `primary_decompose` first.
+    mixed-order pairing is split into such forms first.
 
     Metabolic == the odd-level Witt sum vanishes; hyperbolic == every
     sigma_{p,l} is the zero class (stably hyperbolic == hyperbolic).

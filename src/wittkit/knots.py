@@ -30,7 +30,6 @@ from wittkit.errors import (
 )
 from wittkit.exact import polys
 from wittkit.exact.factor import factor_key, factor_rational_poly
-from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _berkowitz
 from wittkit.exact.roots import (
     DEFAULT_PRECISION,
@@ -99,7 +98,7 @@ class KnotInput:
 @dataclass
 class ObstructionReport:
     name: str
-    alexander: LaurentPoly
+    alexander: list
     factorization: list
     multisignature: DWMultiSignatureLaurent
     slice_obstructed: str
@@ -135,17 +134,17 @@ def _det_one_minus(k: KnotInput) -> list:
     return polys.primitive(polys.compose(_berkowitz(e)[::-1], 1, k.epsilon))
 
 
-def _module_order(module: LaurentModule) -> LaurentPoly:
+def _module_order(module: LaurentModule) -> list:
     """The divisors' primitive product: det((1-e) + ez) up to c z^k
     (Trotter's), so it is the Alexander polynomial when |p(1)| = 1."""
     order = module.total_divisor
     check(abs(sum(order)) == 1, "Alexander polynomial is not integral")
-    return LaurentPoly.from_dense(order)
+    return order
 
 
-def alexander_polynomial(k: KnotInput) -> LaurentPoly:
-    """The Blanchfield module's order, with positive leading coefficient;
-    the pairing is not built."""
+def alexander_polynomial(k: KnotInput) -> list:
+    """The Blanchfield module's order, a primitive integer list with
+    positive leading coefficient; the pairing is not built."""
     return _module_order(_seifert_module(k.seifert_form))
 
 

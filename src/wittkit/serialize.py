@@ -17,7 +17,6 @@ from math import gcd, isfinite
 
 from wittkit.errors import NotAKnotForm
 from wittkit.exact.factor import factor_key
-from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.finite import FiniteLinkingForm
 from wittkit.knots import KnotInput, ObstructionReport
@@ -72,10 +71,6 @@ def _scalar_json(x) -> str:
     raise TypeError(f"{type(x).__name__} {x!r:.40} is not JSON")
 
 
-def fraction_str(x) -> str:
-    return str(Fraction(x))
-
-
 def _scalar(x):
     """int when integral, "num/den" string otherwise."""
     f = Fraction(x)
@@ -106,23 +101,20 @@ def parse_int(s) -> int:
     return int(f)
 
 
-# -- Laurent polynomials --
+# -- polynomials --
 
-def laurent_to_json(p: LaurentPoly) -> dict:
-    return {str(d): fraction_str(c) for d, c in sorted(p.coeffs.items())}
-
-
-def _key_json(key: tuple) -> dict:
-    """A factor's key (`factor.factor_key`, `Fraction`s) as its Laurent
-    polynomial."""
-    return {str(d): str(c) for d, c in enumerate(key) if c}
+def poly_json(dense) -> dict:
+    """A dense coefficient list, low degree first (an integer record or a
+    factor's `Fraction` key), as its {degree: coefficient string} object."""
+    return {str(d): str(c) for d, c in enumerate(dense) if c}
 
 
-def laurent_from_json(obj) -> LaurentPoly:
-    if not isinstance(obj, dict):
-        raise ValueError("a Laurent polynomial is a {degree: coefficient} "
-                         "object")
-    return LaurentPoly({int(d): parse_fraction(c) for d, c in obj.items()})
+def poly_text(obj: dict) -> str:
+    """A `poly_json` object as text, lowest degree first: "1 - 1*z + z^2"."""
+    terms = (c if d == "0" else
+             ("" if c == "1" else f"{c}*") + ("z" if d == "1" else f"z^{d}")
+             for d, c in obj.items())
+    return " + ".join(terms).replace("+ -", "- ")
 
 
 def _matrix_json(m: Matrix, cell) -> list:
@@ -142,7 +134,7 @@ def finite_form_to_json(form: FiniteLinkingForm) -> dict:
     return {
         "prime": form.prime,
         "orders": list(form.orders),
-        # x / q in lowest terms, as fraction_str writes it
+        # x / q in lowest terms, as str(Fraction) writes it
         "gram": [[f"{x // g}/{q // g}" if (g := gcd(x, q)) < q else "0"
                   for x in row] for row in form.num],
         "epsilon": form.epsilon,
@@ -204,7 +196,7 @@ def multisignature_to_json(ms: DWMultiSignatureLaurent) -> list:
         root = ms.theta(pk, ridx)
         lo, hi = root.theta_interval()
         out.append({
-            "factor": _key_json(pk),
+            "factor": poly_json(pk),
             "theta": {"interval": [lo, hi], "approx": (lo + hi) / 2},
             "level": level,
             "signature": signature,
@@ -217,15 +209,13 @@ def multisignature_notes(ms: DWMultiSignatureLaurent) -> list:
     levels carry no real signature but should stay visible."""
     notes = []
     for (pk, level), rank in sorted(ms.rank_only.items()):
-        poly = LaurentPoly.from_dense(list(pk))
         notes.append(
-            f"level {level} at factor {poly!r} is skew over a real residue "
-            f"field: rank {rank}, no signature")
+            f"level {level} at factor {poly_text(poly_json(pk))} is skew "
+            f"over a real residue field: rank {rank}, no signature")
     for pa, pb in sorted(ms.conjugate_pairs):
-        qa = LaurentPoly.from_dense(list(pa))
-        qb = LaurentPoly.from_dense(list(pb))
         notes.append(
-            f"factors {qa!r} and {qb!r} are conjugate partners and "
+            f"factors {poly_text(poly_json(pa))} and "
+            f"{poly_text(poly_json(pb))} are conjugate partners and "
             "contribute hyperbolically")
     return notes
 
@@ -236,9 +226,9 @@ def report_to_json(report: ObstructionReport) -> dict:
         witnesses = [submodule_to_json(sub) for sub in report.witnesses]
     return {
         "name": report.name,
-        "alexander": laurent_to_json(report.alexander),
+        "alexander": poly_json(report.alexander),
         "factorization": [
-            {"factor": _key_json(factor_key(p)), "multiplicity": mult}
+            {"factor": poly_json(factor_key(p)), "multiplicity": mult}
             for p, mult in report.factorization
         ],
         "multisignature": multisignature_to_json(report.multisignature),
@@ -250,6 +240,6 @@ def report_to_json(report: ObstructionReport) -> dict:
             report.multisignature),
         "convention": {
             "sigma_sign": report.convention["sigma_sign"],
-            "precision": fraction_str(report.convention["precision"]),
+            "precision": str(report.convention["precision"]),
         },
     }

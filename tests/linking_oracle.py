@@ -6,6 +6,8 @@ Slow, exhaustive or structural routes that `wittkit.finite` and
 - `is_homogeneous`, `direct_sum` and `negate`: the constructions the
   acceptance criteria need of finite forms, which nothing in `wittkit`
   reads.
+- `primary_decompose`: the p-primary parts of a pairing on (+) Z/n_i
+  given as rationals mod 1, through the split `boundary_of_form` makes.
 - `mixed_multisignature`: the multisignature of a mixed-order
   presentation, as the sum over the parts `primary_decompose` returns.
 - `homogeneous_split`: an orthogonal splitting into pieces of one level,
@@ -64,8 +66,9 @@ from wittkit.finite import (
     _factor,
     _integral_solver,
     _legendre,
+    _numerators,
+    _primary_parts,
     dw_multisignature,
-    primary_decompose,
 )
 from wittkit.subgroups import DEFAULT_SEARCH_BOUND, _SearchContext
 
@@ -117,6 +120,16 @@ def negate(f: FiniteLinkingForm) -> FiniteLinkingForm:
 def multisignature_support(ms) -> list:
     """The (prime, level) keys of a `DWMultiSignatureZ`, sorted."""
     return sorted(ms.entries)
+
+
+def primary_decompose(orders, gram, epsilon: int) -> dict:
+    """Split a pairing on (+) Z/n_i, given as rationals mod 1, into
+    orthogonal p-primary linking forms: `finite._primary_parts` on its
+    numerators, which checks the whole pairing once."""
+    orders = [int(n) for n in orders]
+    if any(n < 1 for n in orders):
+        raise ValueError("orders must be positive")
+    return _primary_parts(orders, *_numerators(gram), epsilon)
 
 
 def mixed_multisignature(orders, gram, epsilon: int) -> DWMultiSignatureZ:

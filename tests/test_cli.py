@@ -168,6 +168,36 @@ class TestPrecision:
                              "--precision", text]) == 2, text
             capsys.readouterr()
 
+    @pytest.mark.parametrize("from_env", [False, True])
+    @pytest.mark.parametrize("text", ["2^-15000", "2^-100000", "1e-999999",
+                                      "0.5", "1e-3", "1/0"])
+    def test_refused_before_analyze(self, text, from_env, monkeypatch,
+                                    capsys):
+        # 2^-15000 once ran the whole analysis, then failed to write its
+        # 4516-digit denominator; Fraction read "1e-999999" as a
+        # million-digit integer.  Precisions take the documents' grammar.
+        ran = []
+        monkeypatch.setattr(cli, "analyze", lambda *args: ran.append(args))
+        argv = ["analyze", "--catalog", "trefoil"]
+        if from_env:
+            monkeypatch.setenv("WITTKIT_PRECISION", text)
+        else:
+            argv += ["--precision", text]
+        code, out, err = run_cli(argv, None, monkeypatch, capsys)
+        assert (code, out, ran) == (2, "", [])
+        assert "input error: --precision" in err
+        assert ("WITTKIT_PRECISION" in err) == from_env
+
+    def test_longest_writable_power_of_two(self):
+        # 2^k has at most `limit` digits exactly when 2^k < 10^limit
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer string conversion is unlimited")
+        k = (10 ** limit).bit_length() - 1
+        assert str(cli.parse_precision(f"2^-{k}")) == f"1/{2 ** k}"
+        with pytest.raises(ValueError, match="cannot write 2"):
+            cli.parse_precision(f"2^-{k + 1}")
+
 
     def test_read_only_where_precision_is_read(self, monkeypatch, capsys):
         # linking has no precision: a bad WITTKIT_PRECISION does not stop it
@@ -295,7 +325,7 @@ class TestLinking:
     @pytest.mark.parametrize("doc", [Z9_DOC, '{"alpha": [[45]], "epsilon": 1}'])
     def test_each_input_checked_once(self, doc, monkeypatch, capsys):
         """The adjoint of a `linking` input is checked where it enters: in
-        `FiniteLinkingForm` for a finite form, in `primary_decompose` for a
+        `FiniteLinkingForm` for a finite form, in `_primary_parts` for a
         boundary; its parts and the multisignature read the checked form."""
         checks = []
         check = finite._adjoint_is_iso

@@ -25,6 +25,7 @@ from linking_oracle import (
     homogeneous_split,
     mixed_multisignature,
     multisignature_support,
+    primary_decompose,
     verify_boundary_complementary,
 )
 from wittkit.errors import (
@@ -47,7 +48,6 @@ from wittkit.finite import (
     classify,
     dw_multisignature,
     forgetful_witt,
-    primary_decompose,
     witt_class_fp,
 )
 

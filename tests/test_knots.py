@@ -178,31 +178,31 @@ class TestKnotInput:
 
 class TestAlexander:
     def test_trefoil(self):
-        assert dense_of(alexander_polynomial(trefoil())) == [1, -1, 1]
+        assert alexander_polynomial(trefoil()) == [1, -1, 1]
 
     def test_figure_eight(self):
-        assert dense_of(alexander_polynomial(fig8())) == [1, -3, 1]
+        assert alexander_polynomial(fig8()) == [1, -3, 1]
 
     def test_unknot(self):
-        assert alexander_polynomial(unknot()) == LaurentPoly.one()
+        assert alexander_polynomial(unknot()) == [1]
 
     def test_granny(self):
         granny = connected_sum(trefoil(), trefoil())
-        assert dense_of(alexander_polynomial(granny)) == [1, -2, 3, -2, 1]
+        assert alexander_polynomial(granny) == [1, -2, 3, -2, 1]
 
     def test_multiplicative_under_sum(self):
         rng = random.Random(5)
         for _ in range(10):
             a, b = random_skew_knot(rng), random_skew_knot(rng)
-            assert alexander_polynomial(connected_sum(a, b)) == \
-                alexander_polynomial(a) * alexander_polynomial(b)
+            assert alexander_polynomial(connected_sum(a, b)) == qpolys.mul(
+                alexander_polynomial(a), alexander_polynomial(b))
 
     def test_value_at_one_is_a_unit(self):
         rng = random.Random(6)
         for _ in range(20):
             k = random_skew_knot(rng)
-            assert alexander_polynomial(k)(Fraction(1)) in (1, -1)
-            assert dense_of(alexander_polynomial(k))[-1] > 0
+            assert sum(alexander_polynomial(k)) in (1, -1)
+            assert alexander_polynomial(k)[-1] > 0
 
     def test_module_order_matches_pencil_determinant(self):
         knots = [catalog_knot(name) for name in catalog_names()]
@@ -243,9 +243,7 @@ def pencil_alexander(k):
     _, det = pencil_adjugate(fraction_matrix(k.seifert_form.e_pair), one,
                              one - LaurentPoly.z())
     dense = det.ordinary()[0]
-    if dense[-1] < 0:
-        dense = [-c for c in dense]
-    return LaurentPoly.from_dense(dense)
+    return dense if dense[-1] > 0 else [-c for c in dense]
 
 
 # -- Blanchfield form --
@@ -273,7 +271,7 @@ class TestBlanchfield:
             doc = json.load(fh)
         k = KnotInput(doc["name"], doc["psi"], doc["epsilon"])
         cov = blanchfield_form(k)
-        assert cov.module.total_divisor == dense_of(alexander_polynomial(k))
+        assert cov.module.total_divisor == alexander_polynomial(k)
         sums = witt_forgetful_laurent(dw_multisignature_laurent(cov))
         jumps = lt_jumps(k)
         assert set(jumps) == set(sums)
@@ -327,9 +325,8 @@ class TestDetOneMinus:
     def test_is_a_monomial_times_alexander(self):
         # D(z) = c z^j Delta(-epsilon z)
         for k in det_knots():
-            alex = alexander_polynomial(k)
-            turned = dense_of(LaurentPoly(
-                {d: c * (-k.epsilon) ** d for d, c in alex.coeffs.items()}))
+            turned = [c * (-k.epsilon) ** d
+                      for d, c in enumerate(alexander_polynomial(k))]
             det = det_dense(k)
             assert len(det) == len(turned), k.psi
             assert [c * turned[-1] for c in det] == \
@@ -1179,7 +1176,7 @@ class TestAnalyze:
     def test_trefoil_report(self):
         r = analyze(trefoil())
         assert r.name == "trefoil"
-        assert dense_of(r.alexander) == [1, -1, 1]
+        assert r.alexander == [1, -1, 1]
         assert r.slice_obstructed == "yes"
         assert r.doubly_slice_obstructed == "yes"
         assert r.rochlin is None
@@ -1205,7 +1202,7 @@ class TestAnalyze:
 
     def test_figure_eight_report(self):
         r = analyze(fig8())
-        assert dense_of(r.alexander) == [1, -3, 1]
+        assert r.alexander == [1, -3, 1]
         assert r.multisignature.entries() == []
         assert r.slice_obstructed == "no_obstruction_found"
         assert r.doubly_slice_obstructed == "no_obstruction_found"
