@@ -580,9 +580,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def fixture_argv(path: Path) -> list:
-    """`linking --search-bound 100000` for an elementary form, `analyze`
-    for a knot document."""
-    if "prime" in json.loads(path.read_text()):
+    """`linking --search-bound 100000` for a finite form or an integral
+    form's boundary, `analyze` for a knot document."""
+    if {"prime", "alpha"} & json.loads(path.read_text()).keys():
         return ["linking", "--input", str(path), "--search-bound", "100000"]
     return ["analyze", "--input", str(path)]
 
