@@ -43,10 +43,6 @@ class Matrix:
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, m: int, n: int, zero=Fraction(0)) -> "Matrix":
-        return cls([[zero for _ in range(n)] for _ in range(m)])
-
-    @classmethod
     def from_ints(cls, rows) -> "Matrix":
         rows = rows.rows if isinstance(rows, Matrix) else rows
         return cls([[x if type(x) is Fraction else Fraction(x) for x in r]

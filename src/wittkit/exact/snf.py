@@ -1,8 +1,8 @@
 """Smith normal form over Z.
 
 Returns U, V with determinant +-1 and U*A*V = D diagonal, the diagonal
-entries forming a divisibility chain of nonnegative integers, and
-U_inv = U^-1.  Rank-deficient inputs keep explicit trailing zero divisors.
+entries forming a divisibility chain of nonnegative integers.
+Rank-deficient inputs keep explicit trailing zero divisors.
 Modules over Q[z, z^-1] never come here: `wittkit.laurent_forms` finds
 their structure by linear algebra over Q.
 
@@ -11,9 +11,8 @@ pivot, clear its row and column by Euclidean steps, and restart whenever a
 division leaves a remainder; after clearing, any entry of the remaining
 block that the pivot does not divide is folded into the pivot row and the
 clearing repeats, which makes the divisibility chain hold by construction.
-Each row operation applied to U has its inverse applied to U_inv as a
-column operation (Kannan and Bachem's transform-keeping SNF), so U_inv is
-integral and no matrix is ever inverted.
+U^-1 is never formed: a caller that needs it reads the same data off V
+(`finite.boundary_of_form`).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ def _coerce(x) -> int:
 class SNFResult:
     A: Matrix
     U: Matrix
-    U_inv: Matrix
     V: Matrix
     D: Matrix
     divisors: list  # full diagonal, including trailing zeros
@@ -48,15 +46,12 @@ def smith_normal_form(a: Matrix) -> SNFResult:
     m, n = a.shape
     work = [[_coerce(x) for x in row] for row in a.rows]
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    u_inv = [row[:] for row in u]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, k, q):
-        # row i -= q * row k; undone on the right by col k += q * col i
+        # row i -= q * row k
         work[i] = [x - q * y for x, y in zip(work[i], work[k])]
         u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-        for r in u_inv:
-            r[k] = r[k] + q * r[i]
 
     def col_op(j, k, q):
         # col j -= q * col k
@@ -68,8 +63,6 @@ def smith_normal_form(a: Matrix) -> SNFResult:
     def swap_rows(i, k):
         work[i], work[k] = work[k], work[i]
         u[i], u[k] = u[k], u[i]
-        for r in u_inv:
-            r[i], r[k] = r[k], r[i]
 
     def swap_cols(j, k):
         for r in work:
@@ -116,17 +109,13 @@ def smith_normal_form(a: Matrix) -> SNFResult:
             row_op(t, offender, -1)
 
         if work[t][t] < 0:
-            # the unit -1 is its own inverse, on U and on U_inv alike
             work[t] = [-x for x in work[t]]
             u[t] = [-x for x in u[t]]
-            for r in u_inv:
-                r[t] = -r[t]
 
     divisors = [work[i][i] for i in range(min(m, n))]
     return SNFResult(
         A=a,
         U=Matrix(u),
-        U_inv=Matrix(u_inv),
         V=Matrix(v),
         D=Matrix(work),
         divisors=divisors,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import index, mul
+from operator import index
 
 from wittkit.errors import (
     EvenPrimeUnsupported,
@@ -29,7 +29,7 @@ from wittkit.errors import (
     SingularForm,
     SingularOverFractionField,
 )
-from wittkit.exact.matrix import Matrix, _integral
+from wittkit.exact.matrix import Matrix, _imul
 from wittkit.exact.snf import smith_normal_form
 
 
@@ -456,6 +456,8 @@ def boundary_of_form(alpha, epsilon: int) -> dict[int, FiniteLinkingForm]:
     """Boundary linking form of an integral epsilon-symmetric form:
     lambda([x],[y]) = x^T alpha^{-1} y mod Z on coker(alpha), presented on
     the Smith-basis generators and split into primary parts."""
+    if epsilon not in (1, -1):
+        raise ValueError("epsilon must be +1 or -1")
     a = _as_int_matrix(alpha)
     if a.transpose() != a.map(lambda x: epsilon * x):
         raise ValueError("alpha is not epsilon-symmetric")
@@ -465,34 +467,17 @@ def boundary_of_form(alpha, epsilon: int) -> dict[int, FiniteLinkingForm]:
     if 0 in res.divisors:
         raise SingularOverFractionField("alpha is singular over Q")
     # alpha^{-1} = V D^{-1} U, and the coker basis transform U gives the
-    # pairing matrix U^{-T} V D^{-1} on the Smith generators: the integers
-    # (U_inv^T V)_ij over d_j
-    keep = [j for j, d in enumerate(res.divisors) if d != 1]
-    orders = [res.divisors[j] for j in keep]
+    # pairing matrix U^{-T} V D^{-1} on the Smith generators.  It is read
+    # off V alone: U alpha V = D makes alpha^T = V^{-T} D U^{-T}, and
+    # alpha^T = epsilon alpha then gives U^{-T} = epsilon D^{-1} V^T alpha,
+    # so U^{-T} V D^{-1} = epsilon D^{-1} (V^T alpha V) D^{-1}.  Both d_i
+    # and d_j divide (V^T alpha V)_ij, so entry ij is the integer
+    # epsilon (V^T alpha V)_ij / d_i over d_j.
+    vt = [c for c, d in zip(zip(*res.V.rows), res.divisors) if d != 1]
+    orders = [d for d in res.divisors if d != 1]
     # the divisors form a chain, so the last is the lcm of all
     q = orders[-1] if orders else 1
-    cols = list(zip(*res.U_inv.rows))
-    v = res.V.rows
-    num = [[sum(u * r[j] for u, r in zip(cols[i], v)) % d * (q // d)
-            for j, d in zip(keep, orders)] for i in keep]
+    w = _imul(vt, _imul(a.rows, list(zip(*vt))))
+    num = [[epsilon * x // di % dj * (q // dj) for x, dj in zip(row, orders)]
+           for row, di in zip(w, orders)]
     return _primary_parts(orders, num, q, epsilon)
-
-
-# ---------------------------------------------------------------------------
-# integral membership
-# ---------------------------------------------------------------------------
-
-def _integral_solver(mat: Matrix):
-    """(member, divisors): a predicate telling whether a rational vector
-    lies in the Z-span of the columns of mat, and mat's Smith divisors.
-    U is unimodular, so U vec is integral exactly when vec is."""
-    res = smith_normal_form(mat)
-    padded = list(res.divisors) + [0] * (mat.nrows - len(res.divisors))
-
-    def member(vec) -> bool:
-        w, den = _integral(vec)
-        c = (sum(map(mul, row, w)) for row in res.U.rows)
-        return den == 1 and all(ci % d == 0 if d else ci == 0
-                                for ci, d in zip(c, padded))
-
-    return member, res.divisors

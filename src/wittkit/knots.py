@@ -170,15 +170,15 @@ def _u_in_y_gap(y_low: Fraction, y_high: Fraction) -> Fraction:
         k += 1
 
 
-def _signature_at_u(psi: Matrix, u: Fraction) -> int:
-    """Levine-Tristram signature at u = tan(pi t), 0 < t < 1/2.  There
-    (1-omega) psi + (1-conj(omega)) psi^T = 2 sin(pi t) cos(pi t) (u S + i K)
-    with S = psi + psi^T and K = psi^T - psi, whose signature is half that
-    of the real symmetric [[u S, -K], [K, u S]] (times u's denominator),
-    eliminated on its integer rows."""
+def _signature_at_u(psi: list, u: Fraction) -> int:
+    """Levine-Tristram signature at u = tan(pi t), 0 < t < 1/2, of the
+    integer rows psi.  There (1-omega) psi + (1-conj(omega)) psi^T =
+    2 sin(pi t) cos(pi t) (u S + i K) with S = psi + psi^T and
+    K = psi^T - psi, whose signature is half that of the real symmetric
+    [[u S, -K], [K, u S]] (times u's denominator), eliminated on its
+    integer rows."""
     n, d = u.numerator, u.denominator
-    a = [[x.numerator for x in row] for row in psi.rows]  # psi is integral
-    pairs = [list(zip(row, col)) for row, col in zip(a, zip(*a))]
+    pairs = [list(zip(row, col)) for row, col in zip(psi, zip(*psi))]
     rows = [[n * (x + y) for x, y in r] + [d * (x - y) for x, y in r]
             for r in pairs] + [[d * (y - x) for x, y in r]
                                + [n * (x + y) for x, y in r] for r in pairs]
@@ -237,7 +237,7 @@ class SignatureSteps:
     z mod p, at most 2 (deg p)^2 since phi(e) >= sqrt(e/2)."""
 
     def __init__(self, k: KnotInput):
-        self.psi = k.psi
+        self.psi = k.seifert_form.psi_pair[0]  # d = 1 in Z mode
         self.roots, self.cyclotomic = _circle_roots(_det_one_minus(k))
         self._values = {}
 
@@ -370,14 +370,14 @@ def rochlin_invariant(k: KnotInput) -> int:
     return (sig // 8) % 2
 
 
-def _mirror_halves(psi: Matrix) -> list | None:
-    """The integer rows of the top-left block A when psi is exactly
-    blockdiag(A, -A), compared in place."""
-    n, rows = psi.nrows // 2, psi.rows
-    if 2 * n == psi.nrows and all(
+def _mirror_halves(rows: list) -> list | None:
+    """The top-left block A of the integer rows of psi when psi is
+    exactly blockdiag(A, -A), compared in place."""
+    n = len(rows) // 2
+    if 2 * n == len(rows) and all(
             not top[n + j] and not bottom[j] and bottom[n + j] == -top[j]
             for top, bottom in zip(rows[:n], rows[n:]) for j in range(n)):
-        return [[int(x) for x in r[:n]] for r in rows[:n]]
+        return [r[:n] for r in rows[:n]]
 
 
 def analyze(k: KnotInput,
@@ -400,7 +400,7 @@ def analyze(k: KnotInput,
             notes.append(f"residue invariant unavailable: {exc}")
 
     witnesses = None
-    half = _mirror_halves(k.psi)
+    half = _mirror_halves(k.seifert_form.psi_pair[0])
     if half:
         # psi is exactly A (+) -A, so the sum is the knot's own form
         fsum = k.seifert_form

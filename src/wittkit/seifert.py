@@ -9,8 +9,9 @@ Q-spaces with z acting as an automorphism h: Q^n for (K, theta, h),
 Trotter's nonsingular part of e with h = 1 - e^-1 for a Seifert form.  A
 rational canonical decomposition of h over Q gives the generators, and the
 module records its Q-basis h^a g_i, which `canonical_identification`
-returns.  A Seifert form holds psi as given, and theta and e only as the
-reduced integer pairs its readers take.
+returns.  A Seifert form holds psi as given and as its integer pair, and
+theta and e only as the reduced integer pairs its readers take; an
+autometric form holds theta and h both ways.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from wittkit.errors import (
 from wittkit.exact import matrix, polys
 from wittkit.exact.matrix import Matrix, _imul, _integral_rows, _shift
 from wittkit.exact.ratfunc import series_expand
-from wittkit.finite import _integral_solver
+from wittkit.exact.snf import smith_normal_form
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
@@ -50,12 +51,13 @@ def _is_isometry(theta: tuple, h: tuple) -> bool:
 
 class SeifertForm:
     """(K, psi) with theta = psi + eps psi^T invertible; e = theta^{-1} psi
-    satisfies psi = theta e exactly.  psi is kept as given, theta and e
-    only as reduced integer pairs: with psi = P / d and T = P + eps P^T,
-    `theta_pair` is T / d, and `_solve` gives T^-1 = X / delta, so
-    `e_pair` is e = T^-1 P = X P / delta.  In Z mode theta must be
-    unimodular, which keeps e integral: d = 1, and as det T det T^-1 = 1,
-    T is unimodular exactly when delta = 1."""
+    satisfies psi = theta e exactly.  psi is kept as given and as its
+    reduced integer pair `psi_pair` = P / d, theta and e only as reduced
+    integer pairs: with T = P + eps P^T, `theta_pair` is T / d, and
+    `_solve` gives T^-1 = X / delta, so `e_pair` is e = T^-1 P = X P /
+    delta.  In Z mode theta must be unimodular, which keeps e integral:
+    d = 1, and as det T det T^-1 = 1, T is unimodular exactly when
+    delta = 1."""
 
     def __init__(self, psi, epsilon: int, coefficients: str = "Z"):
         if epsilon not in (1, -1):
@@ -69,6 +71,7 @@ class SeifertForm:
         if coefficients == "Z" and d != 1:
             raise ValueError("Z-coefficient form with non-integral entries")
         self.psi, self.epsilon, self.coefficients = psi, epsilon, coefficients
+        self.psi_pair = p, d
         t = [[a + epsilon * b for a, b in zip(*rc)] for rc in zip(p, zip(*p))]
         try:
             x, delta = matrix._solve(t, Matrix.identity(len(t), 1).rows)
@@ -87,7 +90,10 @@ class SeifertForm:
 
 class AutometricForm:
     """(K, theta, h): theta an eps-symmetric invertible Q-form, h an
-    isometry of it.  Both identities are checked exactly, on integers."""
+    isometry of it.  Both identities are checked exactly, on integers:
+    theta and h are kept as given and as the reduced integer pairs
+    `theta_pair` and `h_pair` that the checks, the covering and the round
+    trip read."""
 
     def __init__(self, theta, h, epsilon: int):
         if epsilon not in (1, -1):
@@ -95,14 +101,15 @@ class AutometricForm:
         theta, h = Matrix.from_ints(theta), Matrix.from_ints(h)
         if not theta.is_square() or theta.shape != h.shape:
             raise ValueError("theta and h must be square of equal size")
-        t = _integral_rows(theta.rows)
+        t, hp = _integral_rows(theta.rows), _integral_rows(h.rows)
         if t[0] != [[epsilon * x for x in c] for c in zip(*t[0])]:
             raise ValueError("theta is not eps-symmetric")
         if len(matrix._gauss_jordan(t[0])[1]) < theta.nrows:
             raise SingularAutometricForm("theta is singular")
-        if not _is_isometry(t, _integral_rows(h.rows)):
+        if not _is_isometry(t, hp):
             raise ValueError("h does not preserve theta")
         self.theta, self.h, self.epsilon = theta, h, epsilon
+        self.theta_pair, self.h_pair = t, hp
 
     @property
     def rank(self) -> int:
@@ -247,8 +254,7 @@ def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
     (-eps)-symmetric."""
     if f.rank == 0:
         return LaurentLinkingForm(LaurentModule([], None, "Q"), [], -f.epsilon)
-    return _covering_form(
-        "Q", *(_integral_rows(m.rows) for m in (f.theta, f.h)), -f.epsilon)
+    return _covering_form("Q", f.theta_pair, f.h_pair, -f.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +317,8 @@ def verify_roundtrip(f: AutometricForm) -> bool:
     if len(cols) != n or mono.rank != n or any(len(v) != n for v in cols):
         return False
     q = list(zip(*cols))
-    (t, d_t), (big_h, d_h), s, (big_m, d_m) = (
-        _integral_rows(m.rows) for m in (f.theta, f.h, mono.theta, mono.h))
+    (t, d_t), (big_h, d_h) = f.theta_pair, f.h_pair
+    s, (big_m, d_m) = mono.theta_pair, mono.h_pair
     # h P = P h', theta' = P^T theta P; s is reduced, d_s an lcm of theirs
     return (matrix._reduced_rows(_imul(big_h, q), d_h)
             == matrix._reduced_rows(_imul(q, big_m), d_m)
@@ -323,6 +329,22 @@ def verify_roundtrip(f: AutometricForm) -> bool:
 # ---------------------------------------------------------------------------
 # lagrangians
 # ---------------------------------------------------------------------------
+
+def _integral_solver(rows: list):
+    """(member, divisors): a predicate telling whether an integer vector
+    lies in the Z-span of the columns of the integer rows, and their Smith
+    divisors.  U is unimodular, so U vec is integral as vec is, and vec
+    is a member exactly when each coordinate of U vec is a multiple of its
+    divisor (zero past the rank)."""
+    res = smith_normal_form(Matrix(rows))
+    padded = list(res.divisors) + [0] * (len(rows) - len(res.divisors))
+
+    def member(vec) -> bool:
+        c = (sum(map(mul, row, vec)) for row in res.U.rows)
+        return all(ci % d == 0 if d else ci == 0 for ci, d in zip(c, padded))
+
+    return member, res.divisors
+
 
 def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
     """Classify a candidate: isotropic half-rank e-invariant submodules are
@@ -342,14 +364,15 @@ def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
     # (coordinates with divisor 0 must vanish)
     img = _imul(f.e_pair[0], big_b)
     if integral:
-        member, divisors = _integral_solver(basis)
+        member, divisors = _integral_solver(big_b)
         invariant = all(map(member, zip(*img)))
     else:
-        invariant = basis.hstack(Matrix(img)).rank() == basis.ncols
+        stacked = [b + i for b, i in zip(big_b, img)]
+        invariant = len(matrix._gauss_jordan(stacked)[1]) == basis.ncols
     if not invariant:
         raise NotEInvariant("e does not preserve the submodule")
-    if basis.transpose() * f.psi * basis != Matrix.zeros(
-            basis.ncols, basis.ncols):
+    # psi vanishes on B / d_b exactly when B^T P B = 0, psi = P / d
+    if any(map(any, _imul(list(zip(*big_b)), _imul(f.psi_pair[0], big_b)))):
         return "not_lagrangian"
     if n % 2 != 0 or basis.ncols != n // 2:
         return "not_lagrangian"

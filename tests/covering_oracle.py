@@ -653,7 +653,7 @@ def near_projection_decompose(k_rank: int, e) -> tuple[Matrix, Matrix]:
     if k_rank == 0:
         return Matrix([]), Matrix([])
     ident = Matrix.identity(k_rank)
-    if fitting_power(e) != Matrix.zeros(k_rank, k_rank):
+    if fitting_power(e) != Matrix([[0] * k_rank] * k_rank):
         raise NotNearProjection("e(1-e) is not nilpotent")
     e_k, one_minus_k = ident, ident
     for _ in range(k_rank):

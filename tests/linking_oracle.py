@@ -37,10 +37,13 @@ Slow, exhaustive or structural routes that `wittkit.finite` and
   `wittkit.finite` replaced by integer numerators and one elimination
   mod p; `fraction_check`, `fraction_gram`, `fraction_primary_grams` and
   `fraction_boundary_gram` are the validation and the grams of those
-  `Fraction` routes.
+  `Fraction` routes.  `fraction_boundary_gram` keeps the pairing
+  U^{-T} V D^{-1}, with U^{-1} the inverse of the Smith transform U over
+  Q, which `boundary_of_form` replaced by epsilon D^{-1} (V^T alpha V)
+  D^{-1} on integers.
 - `integral_member`: membership in a lattice read entry by entry off the
-  Smith transform U, with `Fraction` products, as `_integral_solver` did
-  before it read U's integer rows once.
+  Smith transform U, with `Fraction` products, as `seifert._integral_solver`
+  did before it read U's integer rows once.
 """
 
 from __future__ import annotations
@@ -64,12 +67,12 @@ from wittkit.finite import (
     WittClassFp,
     _as_int_matrix,
     _factor,
-    _integral_solver,
     _legendre,
     _numerators,
     _primary_parts,
     dw_multisignature,
 )
+from wittkit.seifert import _integral_solver
 from wittkit.subgroups import DEFAULT_SEARCH_BOUND, _SearchContext
 
 
@@ -531,8 +534,8 @@ def verify_boundary_complementary(alpha, lplus, lminus) -> bool:
     _check_s_lagrangian(a, jm)
     n = a.nrows
     r = n // 2
-    zero_nr = Matrix.zeros(n, r, 0)
-    zero_rn = Matrix.zeros(r, n, 0)
+    zero_nr = Matrix([[0] * r] * n)
+    zero_rn = Matrix([[0] * n] * r)
     phi = jp.hstack(jm).vstack(zero_nr.hstack(a * jm))
     psi = ((-1 * (jp.transpose() * a)).hstack(jp.transpose())).vstack(
         zero_rn.hstack(jm.transpose())
@@ -546,7 +549,7 @@ def verify_boundary_complementary(alpha, lplus, lminus) -> bool:
     if len(divs) != 2 * r or any(d != 1 for d in divs):
         return False  # psi not onto
     # im(phi) sits inside ker(psi) already; exactness needs the reverse
-    member, _ = _integral_solver(phi)
+    member, _ = _integral_solver(phi.rows)
     for vec in _kernel_basis(psi):
         if not member(vec):
             return False
@@ -640,7 +643,7 @@ def fraction_primary_grams(orders, gram) -> dict:
 def fraction_boundary_gram(alpha) -> tuple[list[int], list]:
     """(orders, gram) of the boundary pairing of a nonsingular integral
     alpha on its Smith generators of order > 1, by `Fraction` products:
-    U^{-T} V D^{-1}."""
+    U^{-T} V D^{-1}, with U^{-1} inverted over Q."""
     res = smith_normal_form(_as_int_matrix(alpha))
     divisors = res.divisors
     n = len(divisors)
@@ -648,7 +651,7 @@ def fraction_boundary_gram(alpha) -> tuple[list[int], list]:
         [[Fraction(res.V[i, j], divisors[j]) for j in range(n)]
          for i in range(n)]
     )
-    pairing = res.U_inv.map(Fraction).transpose() * vd
+    pairing = res.U.map(Fraction).inverse().transpose() * vd
     keep = [i for i in range(n) if divisors[i] != 1]
     orders = [divisors[i] for i in keep]
     gram = [[_mod1(pairing[i, j]) for j in keep] for i in keep]

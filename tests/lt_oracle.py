@@ -209,8 +209,9 @@ def per_call_lt_signature(k, turn, d_y=None) -> int:
         lo, hi = free_bracket(root, d_y or singular_poly_in_y(k))
     except SingularForm:
         raise SingularAtRoot(f"omega at turn {t} is an Alexander root")
-    return _signature_at_u(k.psi, _u_in_y_gap(max(lo, Fraction(-2)),
-                                              min(hi, Fraction(2))))
+    return _signature_at_u(k.seifert_form.psi_pair[0],
+                           _u_in_y_gap(max(lo, Fraction(-2)),
+                                       min(hi, Fraction(2))))
 
 
 def descartes_signature(m):

@@ -424,6 +424,22 @@ def test_strings_and_non_objects_exit_2(command, doc, monkeypatch, capsys):
     assert "input error" in err
 
 
+# boundary documents whose epsilon is no sign: the first exited 0 with no
+# parts, the second 3 ("singular"), before boundary_of_form checked it
+BAD_EPSILON_BOUNDARY_DOCS = [
+    '{"alpha": [], "epsilon": 5}',
+    '{"alpha": [[0]], "epsilon": 7}',
+]
+
+
+@pytest.mark.parametrize("doc", BAD_EPSILON_BOUNDARY_DOCS)
+def test_boundary_epsilon_must_be_a_sign(doc, monkeypatch, capsys):
+    code, out, err = run_cli(["linking", "--input", "-"], doc,
+                             monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert "input error: epsilon must be +1 or -1" in err
+
+
 NESTED_DOC = "[" * 50000 + "]" * 50000
 
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -36,7 +36,7 @@ from wittkit.errors import (
 )
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.snf import smith_normal_form
-from wittkit import finite
+from wittkit import finite, seifert
 from wittkit.finite import (
     AuxiliaryFormFp,
     DWMultiSignatureZ,
@@ -142,7 +142,7 @@ def test_primary_decompose_rejects_singular_cross_prime_pairing():
 @st.composite
 def nonsingular_integral_forms(draw):
     epsilon = draw(st.sampled_from([1, -1]))
-    n = draw(st.sampled_from([2, 4] if epsilon == -1 else [1, 2, 3]))
+    n = draw(st.sampled_from([2, 4, 6] if epsilon == -1 else range(1, 7)))
     entries = st.integers(-6, 6)
     a = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -778,8 +778,10 @@ def test_multisignature_classes_match_fraction_determinant(f):
 
 def test_integral_member_matches_entrywise_products():
     # _integral_solver's integer dot products against U's entries times
-    # Fraction vectors, on random bases of full and deficient rank, with
-    # vectors in the lattice, in its Q-span only, off it, and non-integral
+    # Fraction vectors, on random bases of full and deficient rank given as
+    # integer rows, with integer vectors in the lattice, in its Q-span
+    # only and off it; a non-integral vector is in no lattice, and its
+    # multiple over the lcm of its denominators is tested instead
     rng = random.Random(61)
     verdicts = []
     for _ in range(150):
@@ -787,9 +789,9 @@ def test_integral_member_matches_entrywise_products():
         cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
         if rng.random() < 0.3:
             cols.append([2 * x - y for x, y in zip(cols[0], cols[-1])])
-        mat = Matrix([[F(c[i]) for c in cols] for i in range(m)])
-        member, _ = finite._integral_solver(mat)
-        want = linking_oracle.integral_member(mat)
+        rows = [[c[i] for c in cols] for i in range(m)]
+        member, _ = seifert._integral_solver(rows)
+        want = linking_oracle.integral_member(Matrix.from_ints(rows))
         for _ in range(6):
             coeffs = [F(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
                       for _ in cols]
@@ -797,6 +799,10 @@ def test_integral_member_matches_entrywise_products():
                    for i in range(m)]
             if rng.random() < 0.3:
                 vec[rng.randrange(m)] += rng.choice([1, F(1, 2)])
-            verdicts.append(member(vec))
+            den = lcm(*(x.denominator for x in vec))
+            if den != 1:
+                assert not want(vec)
+                vec = [x * den for x in vec]
+            verdicts.append(member([int(x) for x in vec]))
             assert verdicts[-1] == want(vec)
     assert verdicts.count(True) > 100 and verdicts.count(False) > 100

@@ -1191,13 +1191,16 @@ class TestAnalyze:
     def test_mirror_halves_needs_exactly_a_plus_minus_a(self):
         a = Matrix.from_ints([[-1, 1], [0, -1]])
         zero = Matrix.from_ints([[0]])
-        assert knots._mirror_halves(Matrix.block_diag([a, -a])) == [
-            [-1, 1], [0, -1]]
-        assert knots._mirror_halves(Matrix([])) == []
-        off = Matrix.block_diag([a, -a])
-        off.rows[0][3] = Fraction(1)
-        for psi in (Matrix.block_diag([a, a]), off, zero,
-                    Matrix.block_diag([a, -a, zero])):
+
+        def rows(*blocks):
+            return [[int(x) for x in r]
+                    for r in Matrix.block_diag(blocks).rows]
+
+        assert knots._mirror_halves(rows(a, -a)) == [[-1, 1], [0, -1]]
+        assert knots._mirror_halves([]) == []
+        off = rows(a, -a)
+        off[0][3] = 1
+        for psi in (rows(a, a), off, rows(zero), rows(a, -a, zero)):
             assert knots._mirror_halves(psi) is None
 
     def test_figure_eight_report(self):

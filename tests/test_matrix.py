@@ -271,7 +271,7 @@ def test_from_ints_converts_only_what_is_not_a_fraction():
 def test_rank():
     assert Matrix.from_ints([[1, 2], [2, 4]]).rank() == 1
     assert Matrix.from_ints([[1, 0], [0, 1]]).rank() == 2
-    assert Matrix.zeros(2, 3).rank() == 0
+    assert Matrix([[F(0)] * 3] * 2).rank() == 0
 
 
 def test_bar_is_entrywise():
@@ -343,9 +343,9 @@ def test_fraction_product_of_zeros_and_negatives():
     b = Matrix([[F(0), F(-5, 7)], [F(2), F(0)]])
     assert a * b == product_oracle(a, b) == Matrix(
         [[F(0), F(5, 21)], [F(0), F(0)]])
-    zero = Matrix.zeros(3, 2)
-    prod = zero * Matrix.zeros(2, 4)
-    assert prod == Matrix.zeros(3, 4)
+    zero = Matrix([[F(0)] * 2] * 3)
+    prod = zero * Matrix([[F(0)] * 4] * 2)
+    assert prod == Matrix([[F(0)] * 4] * 3)
     assert all(t is Fraction for row in entry_types(prod) for t in row)
     # near-100-bit denominators that cancel in the sum
     d = 2 ** 100 - 3
