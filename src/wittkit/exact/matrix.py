@@ -3,9 +3,9 @@
 Products and sums take any ring entries: Fraction (Z and Q), LaurentPoly
 (Q[z, z^-1]) or residue field elements; a product of Fraction matrices
 takes integer dot products (`_products`).  Elimination is over Q only:
-`rank`, `inverse` and `det` run in one fraction-free kernel,
-`_gauss_jordan`, `charpoly` in division-free `_berkowitz` on integers, and
-all four raise TypeError on other entries.  `_gauss_jordan` and `_solve`
+`inverse` and `det` run in one fraction-free kernel, `_gauss_jordan`,
+`charpoly` in division-free `_berkowitz` on integers, and all three raise
+TypeError on other entries.  `_gauss_jordan` and `_solve`
 take integer rows only: rationals are scaled in `Matrix._rational`, per
 row, and in `laurent_forms.decompose_module`.  The covering path
 (`seifert`, `laurent_forms`) carries every rational vector or matrix as
@@ -126,22 +126,12 @@ class Matrix:
     def __repr__(self) -> str:
         return "Matrix(" + ", ".join(repr(r) for r in self.rows) + ")"
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row mismatch")
-        return Matrix([r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.rows and other.rows and self.ncols != other.ncols:
-            raise ValueError("column mismatch")
-        return Matrix(self.rows + other.rows)
-
     # ---- elimination over Q ----
 
-    def _rational(self, what: str, square: bool = True) -> tuple[list, list]:
+    def _rational(self, what: str) -> tuple[list, list]:
         """Integer rows N and scales d of the rows N_i / d_i, for `what`;
-        ValueError unless square where needed, TypeError unless rational."""
-        if square and not self.is_square():
+        ValueError unless square, TypeError unless rational."""
+        if not self.is_square():
             raise ValueError(f"{what} of non-square matrix")
         if not all(type(x) in (int, Fraction) for r in self.rows for x in r):
             raise TypeError(f"{what} needs int or Fraction entries")
@@ -158,9 +148,6 @@ class Matrix:
                     for b in pivots[i + 1:])
         minor *= len(pivots) == len(nums)
         return Fraction((-1) ** swaps * minor, prod(scales))
-
-    def rank(self) -> int:
-        return len(_gauss_jordan(self._rational("rank", False)[0])[1])
 
     def inverse(self) -> "Matrix":
         """(D^-1 N)^-1 = N^-1 D, D the diagonal of the row scales."""

@@ -1,8 +1,8 @@
 """Smith normal form over Z.
 
-Returns U, V with determinant +-1 and U*A*V = D diagonal, the diagonal
-entries forming a divisibility chain of nonnegative integers.
-Rank-deficient inputs keep explicit trailing zero divisors.
+Returns the divisors d_1 | d_2 | ... of A, nonnegative integers, and V
+with determinant +-1 such that U*A*V = D = diag(d_i) for some unimodular
+U.  Rank-deficient inputs keep explicit trailing zero divisors.
 Modules over Q[z, z^-1] never come here: `wittkit.laurent_forms` finds
 their structure by linear algebra over Q.
 
@@ -11,8 +11,8 @@ pivot, clear its row and column by Euclidean steps, and restart whenever a
 division leaves a remainder; after clearing, any entry of the remaining
 block that the pivot does not divide is folded into the pivot row and the
 clearing repeats, which makes the divisibility chain hold by construction.
-U^-1 is never formed: a caller that needs it reads the same data off V
-(`finite.boundary_of_form`).
+Neither U nor U^-1 is kept: the row operations act on A alone, and a
+caller that needs U's data reads it off V (`finite.boundary_of_form`).
 """
 
 from __future__ import annotations
@@ -35,23 +35,18 @@ def _coerce(x) -> int:
 
 @dataclass
 class SNFResult:
-    A: Matrix
-    U: Matrix
     V: Matrix
-    D: Matrix
     divisors: list  # full diagonal, including trailing zeros
 
 
 def smith_normal_form(a: Matrix) -> SNFResult:
     m, n = a.shape
     work = [[_coerce(x) for x in row] for row in a.rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_op(i, k, q):
         # row i -= q * row k
         work[i] = [x - q * y for x, y in zip(work[i], work[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
 
     def col_op(j, k, q):
         # col j -= q * col k
@@ -59,10 +54,6 @@ def smith_normal_form(a: Matrix) -> SNFResult:
             r[j] = r[j] - q * r[k]
         for r in v:
             r[j] = r[j] - q * r[k]
-
-    def swap_rows(i, k):
-        work[i], work[k] = work[k], work[i]
-        u[i], u[k] = u[k], u[i]
 
     def swap_cols(j, k):
         for r in work:
@@ -83,7 +74,7 @@ def smith_normal_form(a: Matrix) -> SNFResult:
                 break
             _, bi, bj = best
             if bi != t:
-                swap_rows(t, bi)
+                work[t], work[bi] = work[bi], work[t]
             if bj != t:
                 swap_cols(t, bj)
             piv = work[t][t]
@@ -108,15 +99,6 @@ def smith_normal_form(a: Matrix) -> SNFResult:
                 break
             row_op(t, offender, -1)
 
-        if work[t][t] < 0:
-            work[t] = [-x for x in work[t]]
-            u[t] = [-x for x in u[t]]
-
-    divisors = [work[i][i] for i in range(min(m, n))]
-    return SNFResult(
-        A=a,
-        U=Matrix(u),
-        V=Matrix(v),
-        D=Matrix(work),
-        divisors=divisors,
-    )
+    # row t ends as +-d_t e_t; flipping its sign, a unimodular row step,
+    # makes d_t >= 0
+    return SNFResult(Matrix(v), [abs(work[i][i]) for i in range(min(m, n))])

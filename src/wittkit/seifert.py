@@ -125,14 +125,16 @@ class AutometricForm:
 
 
 class SeifertSubmodule:
-    """Full-column-rank basis matrix; e-invariance is checked at use sites
-    against the ambient form."""
+    """A basis of full column rank, kept as given and as its reduced
+    integer pair `basis_pair` = B / d, as `SeifertForm` keeps `psi_pair`;
+    e-invariance is checked at use sites against the ambient form."""
 
     def __init__(self, basis):
         basis = Matrix.from_ints(basis)
-        if basis.ncols and basis.rank() != basis.ncols:
+        self.basis, self.basis_pair = basis, _integral_rows(basis.rows)
+        cols = list(zip(*self.basis_pair[0]))
+        if len(matrix._gauss_jordan(cols)[1]) < basis.ncols:
             raise ValueError("basis columns are dependent")
-        self.basis = basis
 
 
 # ---------------------------------------------------------------------------
@@ -330,20 +332,16 @@ def verify_roundtrip(f: AutometricForm) -> bool:
 # lagrangians
 # ---------------------------------------------------------------------------
 
-def _integral_solver(rows: list):
-    """(member, divisors): a predicate telling whether an integer vector
-    lies in the Z-span of the columns of the integer rows, and their Smith
-    divisors.  U is unimodular, so U vec is integral as vec is, and vec
-    is a member exactly when each coordinate of U vec is a multiple of its
-    divisor (zero past the rank)."""
-    res = smith_normal_form(Matrix(rows))
-    padded = list(res.divisors) + [0] * (len(rows) - len(res.divisors))
-
-    def member(vec) -> bool:
-        c = (sum(map(mul, row, vec)) for row in res.U.rows)
-        return all(ci % d == 0 if d else ci == 0 for ci, d in zip(c, padded))
-
-    return member, res.divisors
+def _spans(b: list, k: int, img: list, integral: bool) -> bool:
+    """Do the k independent columns of the integer rows b span the columns
+    of img over Q (over Z if integral)?  One `_gauss_jordan` of the rows
+    of [b | img]: the Q-span holds img exactly when the rank stays k.  The
+    pivots are then b's columns, and the reduced rows q / delta hold
+    [I | X] with b X = img, so the Z-span holds img exactly when delta
+    divides every entry of q past column k."""
+    out, pivots, delta = matrix._gauss_jordan([r + s for r, s in zip(b, img)])
+    return len(pivots) == k and not (
+        integral and any(x % delta for q in out for x in q[k:]))
 
 
 def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
@@ -351,57 +349,51 @@ def verify_seifert_lagrangian(f: SeifertForm, sub: SeifertSubmodule) -> str:
     lagrangians (theta being nonsingular makes the dual sequence exact over
     the fraction field); split additionally needs a torsion-free cokernel
     in Z mode.  e-invariance is a precondition, not a verdict."""
-    basis = sub.basis
-    n = f.rank
-    if basis.nrows != n:
+    (big_b, d_b), n, k = sub.basis_pair, f.rank, sub.basis.ncols
+    if sub.basis.nrows != n:
         raise ValueError("basis does not live in the form's space")
     integral = f.coefficients == "Z"
-    big_b, d_b = _integral_rows(basis.rows)
     if integral and d_b != 1:
         raise ValueError("Z-coefficient submodule with non-integral basis")
-    # e B = E B / (d_e d_b) spans what E B does, and d_e = d_b = 1 in Z
-    # mode, where the Smith-form test also decides Q-span membership
-    # (coordinates with divisor 0 must vanish)
-    img = _imul(f.e_pair[0], big_b)
-    if integral:
-        member, divisors = _integral_solver(big_b)
-        invariant = all(map(member, zip(*img)))
-    else:
-        stacked = [b + i for b, i in zip(big_b, img)]
-        invariant = len(matrix._gauss_jordan(stacked)[1]) == basis.ncols
-    if not invariant:
+    # e B = E B / (d_e d_b) spans what E B does, and d_e = d_b = 1 in Z mode
+    if not _spans(big_b, k, _imul(f.e_pair[0], big_b), integral):
         raise NotEInvariant("e does not preserve the submodule")
     # psi vanishes on B / d_b exactly when B^T P B = 0, psi = P / d
     if any(map(any, _imul(list(zip(*big_b)), _imul(f.psi_pair[0], big_b)))):
         return "not_lagrangian"
-    if n % 2 != 0 or basis.ncols != n // 2:
+    if n % 2 != 0 or k != n // 2:
         return "not_lagrangian"
-    if not integral:
-        return "split_lagrangian"
-    # split: the cokernel is torsion-free, every Smith divisor being 1
-    if all(d == 1 for d in divisors):
+    # split: in Z mode the cokernel is torsion-free, every Smith divisor 1
+    if not integral or all(
+            d == 1 for d in smith_normal_form(Matrix(big_b)).divisors):
         return "split_lagrangian"
     return "lagrangian"
 
 
 def hyperbolic_witness_sum(f: SeifertForm):
     """Split lagrangian pair for psi (+) -psi: the diagonal and the graph
-    of the near-projection twist ((1-e)x, -ex)."""
-    n = f.rank
-    if n == 0:
-        return SeifertSubmodule(Matrix([])), SeifertSubmodule(Matrix([]))
-    ident = Matrix.identity(n)
-    diag = ident.vstack(ident)
-    e, d = f.e_pair  # 1 - e over -e: the rows of d - E over -E, over d
-    twist = Matrix(_shift(e, d) + _shift(e, 0)).scale(Fraction(1, d))
-    return SeifertSubmodule(diag), SeifertSubmodule(twist)
+    of the near-projection twist ((1-e)x, -ex).  With e = E / d, the twist
+    is passed as the integer rows of d - E over -E: d times the graph's
+    basis, which spans the same submodule.  In Z mode d = 1."""
+    e, d = f.e_pair
+    ident = _shift(e, 1, 0)  # I = 1 I - 0 E
+    return (SeifertSubmodule(ident + ident),
+            SeifertSubmodule(_shift(e, d) + _shift(e, 0)))
 
 
 def is_complementary(f_sum: SeifertForm, a: SeifertSubmodule,
                      b: SeifertSubmodule) -> bool:
     """Do the two submodules decompose the ambient space (lattice, in Z
-    mode) as a direct sum?"""
-    if a.basis.ncols + b.basis.ncols != f_sum.rank:
+    mode) as a direct sum?  With bases A / d_a of k columns and B / d_b of
+    l, det [A / d_a | B / d_b] = det [A | B] / (d_a^k d_b^l), and det [A | B]
+    is +-the `_gauss_jordan` minor when [A | B] has full rank."""
+    (big_a, d_a), (big_b, d_b) = a.basis_pair, b.basis_pair
+    k, l, n = a.basis.ncols, b.basis.ncols, f_sum.rank
+    if a.basis.nrows != n or b.basis.nrows != n:
+        raise ValueError("basis does not live in the form's space")
+    if k + l != n:
         return False
-    det = a.basis.hstack(b.basis).det()  # 1 when empty
-    return abs(det) == 1 if f_sum.coefficients == "Z" else det != 0
+    _, pivots, minor = matrix._gauss_jordan(
+        [r + s for r, s in zip(big_a, big_b)])  # minor 1 when empty
+    return len(pivots) == n and (f_sum.coefficients == "Q"
+                                 or abs(minor) == d_a ** k * d_b ** l)

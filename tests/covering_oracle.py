@@ -73,7 +73,7 @@ from wittkit.laurent_forms import (
 from wittkit import seifert
 from wittkit.seifert import AutometricForm, SeifertForm, SeifertSubmodule
 
-from elimination_oracle import fitting_power, fraction_matrix, rref
+from elimination_oracle import fitting_power, fraction_matrix, rank, rref
 from hermitian_oracle import ResidueField
 import qpolys
 
@@ -602,16 +602,16 @@ def submodule_dimension_q(module: LaurentModule, cols: Matrix) -> int:
     if not vecs or total == 0:
         return 0
     span = [flatten(v) for v in vecs]
-    rank = Matrix(span).rank()
+    r = rank(Matrix(span))
     frontier = vecs
     while True:
         frontier = [[fields[i].gen() * e for i, e in enumerate(v)]
                     for v in frontier]
         span.extend(flatten(v) for v in frontier)
-        new_rank = Matrix(span).rank()
-        if new_rank == rank:
-            return rank
-        rank = new_rank
+        new_r = rank(Matrix(span))
+        if new_r == r:
+            return r
+        r = new_r
 
 
 def is_lagrangian_submodule(form: LaurentLinkingForm, cols) -> bool:

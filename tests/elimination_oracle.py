@@ -22,7 +22,9 @@ e|R became integer pairs; `covering_certificates` are the `Fraction`
 checks that `_covering_form`, `_frobenius` and `AutometricForm` made
 before they checked the same identities on integers.  `fraction_matrix`
 and `integer_pair` convert between the two; `integer_pair` gives the
-reduced pair."""
+reduced pair.  `hstack`, `vstack` and `rank` are the `Matrix` methods of
+those names, which left `src/` once the witness checks read integer
+rows."""
 
 from __future__ import annotations
 
@@ -34,7 +36,8 @@ from operator import mul
 from wittkit import laurent_forms, seifert
 from wittkit.errors import SingularMatrix, check
 from wittkit.exact import polys
-from wittkit.exact.matrix import Matrix, _integral, _integral_rows
+from wittkit.exact.matrix import (
+    Matrix, _gauss_jordan, _integral, _integral_rows)
 
 import qpolys
 import remainder_oracle
@@ -132,7 +135,8 @@ def inverse(m: Matrix) -> Matrix:
     n = m.nrows
     if n == 0:
         return Matrix([])
-    out, pivots = rref(m.hstack(Matrix.identity(n, _one_like(m.rows[0][0]))))
+    ident = Matrix.identity(n, _one_like(m.rows[0][0]))
+    out, pivots = rref(hstack(m, ident))
     if max(pivots) >= n:
         raise SingularMatrix("matrix is singular")
     rows = dict(zip(pivots, out))
@@ -216,18 +220,38 @@ def integer_pair(m: Matrix) -> tuple[list, int]:
     return _integral_rows(m.rows)
 
 
+def hstack(a: Matrix, b: Matrix) -> Matrix:
+    """[a | b]."""
+    if a.nrows != b.nrows:
+        raise ValueError("row mismatch")
+    return Matrix([r + s for r, s in zip(a.rows, b.rows)])
+
+
+def vstack(a: Matrix, b: Matrix) -> Matrix:
+    """a over b."""
+    if a.rows and b.rows and a.ncols != b.ncols:
+        raise ValueError("column mismatch")
+    return Matrix(a.rows + b.rows)
+
+
+def rank(m: Matrix) -> int:
+    """The rank of a rational matrix: the pivots of `_gauss_jordan` on its
+    rows, each scaled to integers."""
+    return len(_gauss_jordan([_integral(r)[0] for r in m.rows])[1])
+
+
 def fitting_power(e: Matrix, c=1) -> Matrix:
     """(e(1-ce))^k for a k past the nilpotent part's index: invertible on
     its image, zero on a complement.  Squaring stops once the rank does
     not fall, at once for a zero or an invertible e(1-ce)."""
     power = e * (Matrix.identity(e.nrows) - e.scale(c))
-    rank = power.rank()
-    while 0 < rank < e.nrows:
+    r = rank(power)
+    while 0 < r < e.nrows:
         square = power * power
-        square_rank = square.rank()
-        if square_rank == rank:
+        square_rank = rank(square)
+        if square_rank == r:
             break
-        power, rank = square, square_rank
+        power, r = square, square_rank
     return power
 
 

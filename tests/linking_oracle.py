@@ -38,12 +38,12 @@ Slow, exhaustive or structural routes that `wittkit.finite` and
   mod p; `fraction_check`, `fraction_gram`, `fraction_primary_grams` and
   `fraction_boundary_gram` are the validation and the grams of those
   `Fraction` routes.  `fraction_boundary_gram` keeps the pairing
-  U^{-T} V D^{-1}, with U^{-1} the inverse of the Smith transform U over
-  Q, which `boundary_of_form` replaced by epsilon D^{-1} (V^T alpha V)
-  D^{-1} on integers.
+  U^{-T} V D^{-1}, with U^{-1} the inverse over Q of the Smith transform U
+  of `snf_oracle`, which `boundary_of_form` replaced by epsilon D^{-1}
+  (V^T alpha V) D^{-1} on integers.
 - `integral_member`: membership in a lattice read entry by entry off the
-  Smith transform U, with `Fraction` products, as `seifert._integral_solver`
-  did before it read U's integer rows once.
+  Smith transform U of `snf_oracle`, with `Fraction` products, which
+  `seifert`'s witness check replaced by one `_gauss_jordan` of [B | E B].
 """
 
 from __future__ import annotations
@@ -72,8 +72,10 @@ from wittkit.finite import (
     _primary_parts,
     dw_multisignature,
 )
-from wittkit.seifert import _integral_solver
 from wittkit.subgroups import DEFAULT_SEARCH_BOUND, _SearchContext
+
+from elimination_oracle import hstack, rank, vstack
+import snf_oracle
 
 
 class NotAnSLagrangian(ComputationError):
@@ -512,7 +514,7 @@ def _check_s_lagrangian(alpha: Matrix, j: Matrix) -> None:
         raise NotAnSLagrangian("odd rank admits no S-lagrangian")
     if j.nrows != n or j.ncols != n // 2:
         raise NotAnSLagrangian("basis matrix must be n x n/2")
-    if j.rank() != n // 2:
+    if rank(j) != n // 2:
         raise NotAnSLagrangian("submodule does not halve the rank over Q")
     prod = j.transpose() * alpha * j
     if any(prod[i, k] != 0 for i in range(j.ncols) for k in range(j.ncols)):
@@ -536,20 +538,19 @@ def verify_boundary_complementary(alpha, lplus, lminus) -> bool:
     r = n // 2
     zero_nr = Matrix([[0] * r] * n)
     zero_rn = Matrix([[0] * n] * r)
-    phi = jp.hstack(jm).vstack(zero_nr.hstack(a * jm))
-    psi = ((-1 * (jp.transpose() * a)).hstack(jp.transpose())).vstack(
-        zero_rn.hstack(jm.transpose())
-    )
+    phi = vstack(hstack(jp, jm), hstack(zero_nr, a * jm))
+    psi = vstack(hstack(-1 * (jp.transpose() * a), jp.transpose()),
+                 hstack(zero_rn, jm.transpose()))
     if any(x != 0 for row in (psi * phi).rows for x in row):
         return False
-    if phi.rank() != 2 * r:
+    if rank(phi) != 2 * r:
         return False
     res = smith_normal_form(psi)
     divs = [d for d in res.divisors if d]
     if len(divs) != 2 * r or any(d != 1 for d in divs):
         return False  # psi not onto
     # im(phi) sits inside ker(psi) already; exactness needs the reverse
-    member, _ = _integral_solver(phi.rows)
+    member = integral_member(phi)
     for vec in _kernel_basis(psi):
         if not member(vec):
             return False
@@ -644,7 +645,7 @@ def fraction_boundary_gram(alpha) -> tuple[list[int], list]:
     """(orders, gram) of the boundary pairing of a nonsingular integral
     alpha on its Smith generators of order > 1, by `Fraction` products:
     U^{-T} V D^{-1}, with U^{-1} inverted over Q."""
-    res = smith_normal_form(_as_int_matrix(alpha))
+    res = snf_oracle.smith_normal_form(_as_int_matrix(alpha), "Z")
     divisors = res.divisors
     n = len(divisors)
     vd = Matrix(
@@ -661,7 +662,7 @@ def fraction_boundary_gram(alpha) -> tuple[list[int], list]:
 def integral_member(mat: Matrix):
     """Whether an integer vector lies in the Z-span of mat's columns: the
     entries of U vec, each a sum of U[i, j] vec[j], against the divisors."""
-    res = smith_normal_form(mat)
+    res = snf_oracle.smith_normal_form(mat, "Z")
     m = mat.nrows
     padded = list(res.divisors) + [0] * (m - len(res.divisors))
 

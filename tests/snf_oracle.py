@@ -1,7 +1,9 @@
 """Oracles over Q[z, z^-1] for the Q-linear routes in `wittkit`.
 
 The generic Smith normal form over Z, Q[z] and Q[z, z^-1] (Euclid over the
-ring, keeping U^-1); `decompose_module` on top of it; and the covering
+ring, keeping U, U^-1 and V; over Z it makes the same moves as
+`wittkit.exact.snf`, which keeps only V and the divisors, and its U serves
+the lattice and boundary oracles in `linking_oracle`); `decompose_module` on top of it; and the covering
 forms through it, for the Krylov construction in `wittkit.seifert`.  The
 covering pairing is the pencil's adjugate over its determinant, rewritten
 into the Smith generators: the kept columns of U^-1.  The adjugate comes

@@ -7,6 +7,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from elimination_oracle import hstack
 from formbank import (
     apply_generator_change,
     diagonal_form,
@@ -516,7 +517,7 @@ def _lagrangian_certificate(alpha: Matrix, witness: Matrix) -> bool:
     prod = witness.map(F).transpose() * inv * witness.map(F)
     if any(x.denominator != 1 for row in prod.rows for x in row):
         return False
-    stacked = witness.hstack(alpha)
+    stacked = hstack(witness, alpha)
     divs = [d for d in smith_normal_form(stacked).divisors if d]
     index = 1
     for d in divs:
@@ -777,21 +778,26 @@ def test_multisignature_classes_match_fraction_determinant(f):
 
 
 def test_integral_member_matches_entrywise_products():
-    # _integral_solver's integer dot products against U's entries times
-    # Fraction vectors, on random bases of full and deficient rank given as
-    # integer rows, with integer vectors in the lattice, in its Q-span
-    # only and off it; a non-integral vector is in no lattice, and its
-    # multiple over the lcm of its denominators is tested instead
+    # the witness check's one `_gauss_jordan` of [B | v] (`seifert._spans`)
+    # against the entrywise products with the oracle's Smith transform U,
+    # on random bases of full column rank given as integer rows, with
+    # integer vectors in the lattice, in its Q-span only and off it.  Z
+    # mode asks for the lattice; Q mode for the Q-span, which holds v
+    # exactly when the lattice holds q v, q the product of the divisors.
+    # A non-integral vector is in no lattice, and its multiple over the
+    # lcm of its denominators is tested instead.  A dependent basis is
+    # redrawn: SeifertSubmodule refuses one before the check runs
     rng = random.Random(61)
     verdicts = []
-    for _ in range(150):
+    while len(verdicts) < 900:
         m, k = rng.randint(1, 5), rng.randint(1, 4)
         cols = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(k)]
-        if rng.random() < 0.3:
-            cols.append([2 * x - y for x, y in zip(cols[0], cols[-1])])
         rows = [[c[i] for c in cols] for i in range(m)]
-        member, _ = seifert._integral_solver(rows)
+        divisors = smith_normal_form(Matrix(rows)).divisors
+        if len(divisors) < k or 0 in divisors:
+            continue
         want = linking_oracle.integral_member(Matrix.from_ints(rows))
+        vecs = []
         for _ in range(6):
             coeffs = [F(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
                       for _ in cols]
@@ -802,7 +808,16 @@ def test_integral_member_matches_entrywise_products():
             den = lcm(*(x.denominator for x in vec))
             if den != 1:
                 assert not want(vec)
-                vec = [x * den for x in vec]
-            verdicts.append(member([int(x) for x in vec]))
-            assert verdicts[-1] == want(vec)
-    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+                vec = [int(x * den) for x in vec]
+            vecs.append(vec)
+            img = [[x] for x in vec]
+            verdicts.append((seifert._spans(rows, k, img, True),
+                             seifert._spans(rows, k, img, False)))
+            assert verdicts[-1] == (want(vec),
+                                    want([prod(divisors) * x for x in vec]))
+        img = [list(r) for r in zip(*vecs)]
+        assert seifert._spans(rows, k, img, True) == all(
+            z for z, _ in verdicts[-6:])
+    counts = {v: verdicts.count(v) for v in set(verdicts)}
+    assert counts[True, True] > 100 and counts[False, False] > 100
+    assert counts[False, True] > 50

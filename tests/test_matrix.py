@@ -93,7 +93,7 @@ class TestCharpolyOracle:
                 assert got == _faddeev_leverrier(a)[0], a
                 assert all(type(c) is Fraction for c in got)
                 if kind == "deficient" and n:
-                    assert a.rank() < n and got[0] == 0
+                    assert oracle.rank(a) < n and got[0] == 0
 
     def test_integer_and_mixed_entries(self):
         for rows in ([[1, 2], [3, 4]], [[F(1, 2), 3], [0, F(-2, 3)]]):
@@ -115,8 +115,8 @@ def kernel_rref(a: Matrix) -> tuple[list, list]:
 
 
 class TestGaussJordanAgainstOracle:
-    """The reduced rows of the fraction-free `_gauss_jordan`, and `rank`,
-    `inverse` and `det`, which run in it.  They must return what the loops
+    """The reduced rows of the fraction-free `_gauss_jordan`, and `inverse`
+    and `det`, which run in it.  They must return what the loops
     over Q return: the same rows in the same order, the same pivots and the
     same determinant, also for int entries.  `det` and `charpoly` refuse
     entries that are not rational."""
@@ -164,7 +164,6 @@ class TestGaussJordanAgainstOracle:
             assert kernel_rref(a) == want, a
             assert all(type(x) is Fraction for row in kernel_rref(a)[0]
                        for x in row)
-            assert a.rank() == len(want[1])
             seen["wide"] += m < n
             seen["tall"] += m > n
             seen["rank 0"] += not want[1]
@@ -212,12 +211,9 @@ class TestGaussJordanAgainstOracle:
             laurent = Matrix([[z**rng.randint(-2, 2) - F(rng.randint(-3, 3))
                                for _ in range(n)] for _ in range(n)])
             for a in (residue, laurent):
-                for method in (a.det, a.charpoly, a.rank, a.inverse):
+                for method in (a.det, a.charpoly, a.inverse):
                     with pytest.raises(TypeError):
                         method()
-        # rank takes any shape
-        with pytest.raises(TypeError):
-            Matrix([[z, LaurentPoly.one()]]).rank()
 
 
 def test_ratfunc_inverse():
@@ -256,7 +252,7 @@ def test_block_diag_and_stack():
     c = Matrix.block_diag([a, b])
     assert c.shape == (3, 3)
     assert c[1, 1] == 2 and c[0, 1] == 0
-    assert a.hstack(Matrix.from_ints([[5]])).shape == (1, 2)
+    assert oracle.hstack(a, Matrix.from_ints([[5]])).shape == (1, 2)
 
 
 def test_from_ints_converts_only_what_is_not_a_fraction():
@@ -269,9 +265,9 @@ def test_from_ints_converts_only_what_is_not_a_fraction():
 
 
 def test_rank():
-    assert Matrix.from_ints([[1, 2], [2, 4]]).rank() == 1
-    assert Matrix.from_ints([[1, 0], [0, 1]]).rank() == 2
-    assert Matrix([[F(0)] * 3] * 2).rank() == 0
+    assert oracle.rank(Matrix.from_ints([[1, 2], [2, 4]])) == 1
+    assert oracle.rank(Matrix.from_ints([[1, 0], [0, 1]])) == 2
+    assert oracle.rank(Matrix([[F(0)] * 3] * 2)) == 0
 
 
 def test_bar_is_entrywise():

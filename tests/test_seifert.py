@@ -97,6 +97,7 @@ from elimination_oracle import (
     pair_blocks,
     parent_frobenius,
     pencil_reduction,
+    vstack,
 )
 from factor_oracle import as_laurent, is_self_conjugate
 from hermitian_oracle import as_oracle, as_oracle_matrix
@@ -331,7 +332,7 @@ class TestAutometricForm:
         # the form's checks and the covering's run on integer rows: no
         # Matrix is transposed, mapped, ranked or inverted to eliminate it
         f = random_autometric(random.Random(7), max_rank=4)
-        for name in ("transpose", "map", "rank", "det", "inverse"):
+        for name in ("transpose", "map", "det", "inverse"):
             monkeypatch.setattr(Matrix, name, None)
         g = AutometricForm(f.theta, f.h, f.epsilon)
         assert len(covering_autometric(g).module.basis) == f.rank
@@ -347,6 +348,13 @@ class TestSeifertSubmodule:
     def test_dependent_columns_rejected(self):
         with pytest.raises(ValueError):
             SeifertSubmodule([[1, 2], [1, 2]])
+        with pytest.raises(ValueError):
+            SeifertSubmodule([[Fraction(1, 2), 1], [1, 2], [0, 0]])
+
+    def test_basis_pair_is_reduced(self):
+        sub = SeifertSubmodule([[Fraction(1, 2), 0], [Fraction(1, 3), 1]])
+        assert sub.basis_pair == ([[3, 0], [2, 6]], 6)
+        assert SeifertSubmodule([]).basis_pair == ([], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1731,8 +1739,8 @@ class TestSeifertLagrangians:
             sub) == "split_lagrangian"
 
     def test_one_smith_form_per_z_check(self, monkeypatch):
-        # the e-invariance test's Smith form also gives the split test's
-        # divisors
+        # e-invariance is read off one elimination of [B | E B], so the
+        # split test's divisors are the one Smith form of a Z check
         calls = []
         original = snf.smith_normal_form
 
@@ -1769,7 +1777,7 @@ class TestSeifertLagrangians:
         half = Matrix([r[:n] for r in k.psi.rows[:n]])
         e = qz_inverse(half + half.transpose().scale(k.epsilon)) * half
         ident = Matrix.identity(n)
-        want = [ident.vstack(ident), (ident - e).vstack(-e)]
+        want = [vstack(ident, ident), vstack(ident - e, -e)]
         builds, init = [], SeifertForm.__init__
 
         def counting(self, *args, **kwargs):
@@ -1787,6 +1795,43 @@ class TestSeifertLagrangians:
         assert diag.basis.ncols == 0
         assert is_complementary(
             seifert_direct_sum(f, seifert_negate(f)), diag, twist)
+
+    @pytest.mark.parametrize("coefficients", ["Z", "Q"])
+    def test_witness_check_eliminates_no_matrix(self, coefficients,
+                                                monkeypatch):
+        # the witnesses and their checks run on integer rows: no Matrix is
+        # transposed, mapped, inverted or has its det taken
+        f = SeifertForm(ladder_psi(random.Random(3), 3), -1, coefficients)
+        fsum = seifert_direct_sum(f, seifert_negate(f))
+        for name in ("transpose", "map", "det", "inverse"):
+            monkeypatch.setattr(Matrix, name, None)
+        diag, twist = hyperbolic_witness_sum(f)
+        assert verify_seifert_lagrangian(fsum, diag) == "split_lagrangian"
+        assert verify_seifert_lagrangian(fsum, twist) == "split_lagrangian"
+        assert is_complementary(fsum, diag, twist)
+
+    def test_q_mode_twist_is_d_times_the_graph(self):
+        # e = 1/2: the graph of ((1-e)x, -ex) passed as the integer rows of
+        # d - E over -E, d = 2
+        f = SeifertForm([[0, 1], [1, 0]], 1, "Q")
+        fsum = seifert_direct_sum(f, seifert_negate(f))
+        diag, twist = hyperbolic_witness_sum(f)
+        assert twist.basis == Matrix.from_ints(
+            [[1, 0], [0, 1], [-1, 0], [0, -1]])
+        assert twist.basis_pair == ([[1, 0], [0, 1], [-1, 0], [0, -1]], 1)
+        assert verify_seifert_lagrangian(fsum, twist) == "split_lagrangian"
+        assert is_complementary(fsum, diag, twist)
+
+    def test_complementary_bases_must_live_in_the_form_space(self):
+        # two 3-row bases against a rank-2 form: an integer minor of their
+        # 3 x 2 stack would give a verdict, so both are refused first
+        f = SeifertForm(TREFOIL, -1, "Z")
+        good = SeifertSubmodule([[1], [0]])
+        tall = [SeifertSubmodule([[1], [0], [0]]),
+                SeifertSubmodule([[0], [1], [0]])]
+        for a, b in (tall, (good, tall[0]), (tall[1], good)):
+            with pytest.raises(ValueError, match="form's space"):
+                is_complementary(f, a, b)
 
     def test_overlapping_submodules_not_complementary(self):
         f = SeifertForm(TREFOIL, -1, "Z")

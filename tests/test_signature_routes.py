@@ -30,6 +30,7 @@ from wittkit.laurent_forms import dw_multisignature_laurent
 import hermitian_oracle as oracle
 from hermitian_oracle import signature_of_symmetric
 from covering_oracle import laurent_direct_sum
+from elimination_oracle import hstack, vstack
 import qpolys
 from lt_oracle import cyclotomic_polynomial
 from test_knots import seeded_seifert_knot
@@ -334,7 +335,7 @@ def test_levine_tristram_matrices_match_fraction_pivots():
                       F(3, 2), F(31, 16), F(3), F(5), F(9), F(40)):
                 s = (psi + psi.transpose()).scale(u.numerator)
                 kk = (psi.transpose() - psi).scale(u.denominator)
-                m = s.hstack(-kk).vstack(kk.hstack(s))
+                m = vstack(hstack(s, -kk), hstack(kk, s))
                 want = outcome(oracle.fraction_signature_of_symmetric, m)
                 assert outcome(signature_of_symmetric, m) == want
                 half = want if want == "singular" else want // 2

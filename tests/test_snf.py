@@ -1,5 +1,7 @@
 """Smith normal form over Z (`wittkit.exact.snf`), and over the polynomial
-rings through the generic oracle copy in `snf_oracle`."""
+rings through the generic oracle copy in `snf_oracle`.  `wittkit.exact.snf`
+keeps only V and the divisors; they must be the oracle's, and the oracle's
+U completes U A V = D."""
 
 import random
 from fractions import Fraction
@@ -39,14 +41,25 @@ def _check_invariants(res, divides=lambda a, b: b % a == 0):
         assert divides(a, b)
 
 
+def _oracle_twin(a, res):
+    """The oracle's Smith form of a, after checking that res, the one of
+    `wittkit.exact.snf`, has its V and divisors and that its U completes
+    U A V = D."""
+    want = snf_oracle.smith_normal_form(a, ring="Z")
+    assert res.V == want.V and res.divisors == want.divisors
+    _check_invariants(want)
+    return want
+
+
 def _check_poly_invariants(res):
     _check_invariants(res, snf_oracle._ops_for(res.ring).divides)
 
 
 def test_known_integer_case():
-    res = smith_normal_form(Matrix.from_ints([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]))
+    a = Matrix.from_ints([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+    res = smith_normal_form(a)
     assert _nonzero(res) == [2, 2, 156]
-    _check_invariants(res)
+    _oracle_twin(a, res)
 
 
 def test_identity_and_zero():
@@ -58,17 +71,17 @@ def test_identity_and_zero():
 
 
 def test_rectangular():
-    res = smith_normal_form(Matrix.from_ints([[2, 4, 6]]))
+    a = Matrix.from_ints([[2, 4, 6]])
+    res = smith_normal_form(a)
     assert _nonzero(res) == [2]
-    _check_invariants(res)
+    _oracle_twin(a, res)
 
 
 @given(rand_int_matrix())
 def test_integer_snf_invariants(a):
     res = smith_normal_form(a)
-    _check_invariants(res)
     # transforms are unimodular
-    assert abs(res.U.det()) == 1
+    assert abs(_oracle_twin(a, res).U.det()) == 1
     assert abs(res.V.det()) == 1
     divs = _nonzero(res)
     for d, e in zip(divs, divs[1:]):
@@ -77,18 +90,19 @@ def test_integer_snf_invariants(a):
         assert d > 0
 
 
-def _check_integral_inverses(res):
-    # SNFResult keeps no U^-1: U and V are unimodular exactly when their
-    # inverses over Q are integral, as the boundary oracle's U^-1 must be
-    for t in (res.U, res.V):
+def _check_integral_inverses(a):
+    # U and V are unimodular exactly when their inverses over Q are
+    # integral, as the boundary oracle's U^-1 must be; SNFResult keeps no
+    # U, so U is the oracle's
+    res = smith_normal_form(a)
+    for t in (_oracle_twin(a, res).U, res.V):
         inv = t.inverse()
         assert inv * t == Matrix.identity(t.nrows)
         assert all(x.denominator == 1 for row in inv.rows for x in row)
 
 
 def test_u_inverse_integer():
-    _check_integral_inverses(smith_normal_form(Matrix.from_ints(
-        [[4, 2], [2, 8]])))
+    _check_integral_inverses(Matrix.from_ints([[4, 2], [2, 8]]))
 
 
 def _check_u_inv(res, one):
@@ -106,14 +120,12 @@ def _check_u_inv(res, one):
     [[2], [4], [7]],
 ])
 def test_u_inv_integer_cases(rows):
-    res = smith_normal_form(Matrix.from_ints(rows))
-    _check_invariants(res)
-    _check_integral_inverses(res)
+    _check_integral_inverses(Matrix.from_ints(rows))
 
 
 @given(rand_int_matrix())
 def test_u_inv_integer_random(a):
-    _check_integral_inverses(smith_normal_form(a))
+    _check_integral_inverses(a)
 
 
 @pytest.mark.parametrize("rows", [
