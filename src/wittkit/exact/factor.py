@@ -23,8 +23,8 @@ and powering mod p, which need inverses mod p, run on loops of their own.
 
 `factor_rational_poly` gives the primitive factors g_i of f with
 multiplicities m_i, checked as prod(g_i ** m_i) == f on either route, in
-the order of the report; a factor is keyed by g_i made monic
-(`factor_key`), the one place a `Fraction` is made for it.
+the order of the report, sorted on integers; a factor is keyed by g_i
+made monic (`factor_key`), the one place a `Fraction` is made for it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import reduce
-from math import gcd as int_gcd, isqrt
+from math import gcd as int_gcd, isqrt, lcm
 
 from wittkit.errors import check
 from wittkit.exact import polys
@@ -320,7 +320,8 @@ def factor_rational_poly(f: list) -> list[tuple[list[int], int]]:
     certified squarefree and else read by division, so that prod(g ** m)
     is `polys.primitive(f)` up to z^k.  They come in the report's order:
     by degree, then by the nonzero (degree, coefficient) pairs of their
-    keys (`factor_key`)."""
+    keys (`factor_key`), each c / lc read as the integer c L / lc for the
+    lcm L of the leading coefficients."""
     f = polys.primitive(f)
     if not f:
         raise ValueError("cannot factor zero")
@@ -335,5 +336,6 @@ def factor_rational_poly(f: list) -> list[tuple[list[int], int]]:
                for g in _factor_squarefree_int(sf, q)]
     prod = reduce(polys.mul, (g for g, m in factors for _ in range(m)), [1])
     check(prod == f, "factorization lost a factor")
+    big = lcm(*(g[-1] for g, _ in factors))
     return sorted(factors, key=lambda gm: (len(gm[0]), [
-        (i, c) for i, c in enumerate(factor_key(gm[0])) if c]))
+        (i, c * (big // gm[0][-1])) for i, c in enumerate(gm[0]) if c]))

@@ -229,9 +229,9 @@ def _gauss_jordan(rows) -> tuple[list, list, int]:
     new row r becomes delta r - sum_j r[p_j] q_j, minors with one more row;
     its first nonzero entry is the next minor delta', and q_j becomes
     (delta' q_j - q_j[p] r) / delta, an exact division (Sylvester).
-    `roots._congruence_pivots` cannot be this kernel: a symmetric
-    congruence, it keeps only leading minors and no reduced rows to read
-    an rref or an inverse from."""
+    `roots.signature_of_int_rows` cannot be this kernel: a congruence on
+    hermitian rows over Z[i], it keeps only leading minors and no reduced
+    rows to read an rref or an inverse from."""
     out, pivots, minor = [], [], 1
     for r in rows:
         r = [minor * x for x in r]

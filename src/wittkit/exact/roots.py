@@ -16,9 +16,10 @@ Phi_e by Kronecker's theorem, with e at most 2 n^2 since phi(e) >=
 sqrt(e/2); `knots` reads the singular Levine-Tristram turns from this.
 
 Signatures come from one congruence elimination yielding the leading
-minors d_k, the signature being the sum of sign(d_k) sign(d_(k-1)): on
-integers (Bareiss) for symmetric integer matrices, over a residue field
-with its involution for hermitian ones.  A hermitian minor is fixed by the
+minors d_k, the signature being the sum of sign(d_k) sign(d_(k-1)): by
+Bareiss on pairs of integer rows for hermitian matrices over Z[i]
+(symmetric integer ones have every imaginary part 0), over a residue field
+with its involution otherwise.  A hermitian minor is fixed by the
 involution, so it is real at the root and equal to its real part there, a
 polynomial in y, of which `polys.cos_poly` gives an integer multiple whose
 sign at y0 is certified as above.  A hermitian form is eliminated once and
@@ -162,16 +163,16 @@ def unit_circle_roots(
     return out
 
 
-def _congruence_pivots(a: list, bar, divider) -> list:
+def _congruence_pivots(a: list) -> list:
     """Leading principal minors d_k of a matrix congruent to the hermitian
-    one with rows `a` (consumed), by Bareiss's symmetric elimination: past
-    d_k, an entry x of row r becomes (d_k x - r_k y) / d_(k-1), y in the
-    pivot row, by the exact division `divider(d_(k-1))`.  With no nonzero
-    diagonal left, adding c times row j and bar(c) times column j to row
-    and column i makes a_ii = c bar(a_ij) + bar(c) a_ij: c = 1 unless
-    a_ij + bar(a_ij) = 0 (never over Z), else c = a_ij; this is linear in
-    the rows, so the divisions stay exact.  A zero block left over means
-    the form is singular."""
+    one with rows `a` (consumed) over a residue field, by Bareiss's
+    symmetric elimination: past d_k, an entry x of row r becomes
+    (d_k x - r_k y) / d_(k-1), y in the pivot row, times d_(k-1)'s
+    inverse.  With no nonzero diagonal left, adding c times row j and
+    bar(c) times column j to row and column i makes a_ii = c bar(a_ij) +
+    bar(c) a_ij: c = 1 unless a_ij + bar(a_ij) = 0, else c = a_ij; this is
+    linear in the rows, so the divisions stay exact.  A zero block left
+    over means the form is singular."""
     minors, div = [], lambda x: x  # d_0 = 1
     while a:
         k = next((i for i in range(len(a)) if a[i][i]), None)
@@ -180,7 +181,7 @@ def _congruence_pivots(a: list, bar, divider) -> list:
                          for j, x in enumerate(row) if x), (None, None))
             if k is None:
                 raise SingularForm("form is singular")
-            e, ebar = a[k][j], bar(a[k][j])
+            e, ebar = a[k][j], a[k][j].bar()
             c, cbar = (1, 1) if e + ebar else (e, ebar)
             a[k] = [x + c * y for x, y in zip(a[k], a[j])]
             for row in a:
@@ -192,7 +193,7 @@ def _congruence_pivots(a: list, bar, divider) -> list:
             a = [[div(piv * x - r[k] * y)
                   for x, y in zip(r[:k] + r[k + 1:], row)] for r in a]
             if len(a) > 1:  # the last pivot divides nothing
-                div = divider(piv)
+                div = piv.inverse().__mul__
     return minors
 
 
@@ -207,15 +208,42 @@ def hermitian_signature_at_root(h: Matrix, roots: list) -> list[int]:
     singular one with SingularForm."""
     check(h == h.bar().transpose(), "matrix is not hermitian")
     minors = [polys.cos_poly(d.num) for d in _congruence_pivots(
-        [list(row) for row in h.rows], lambda x: x.bar(),
-        lambda d: d.inverse().__mul__)]
+        [list(row) for row in h.rows])]
     signs = ([1] + [root.sign_of(g) for g in minors] for root in roots)
     return [sum(a * b for a, b in zip(s, s[1:])) for s in signs]
 
 
-def signature_of_int_rows(rows: list) -> int:
-    """Signature of a nonsingular symmetric integer matrix given by its
-    rows (consumed), SingularForm otherwise: Bareiss on integers."""
-    s = [1] + [_sign(d) for d in _congruence_pivots(
-        rows, int, lambda d: d.__rfloordiv__)]
-    return sum(a * b for a, b in zip(s, s[1:]))
+def signature_of_int_rows(re: list, im: list) -> int:
+    """Signature of the nonsingular hermitian matrix re + i im over Z[i],
+    given by the integer rows of its two parts (consumed; im all 0 for a
+    symmetric one), SingularForm otherwise.  Bareiss on pairs of rows:
+    each pivot is a leading minor, so it is real, and each division by the
+    one before is exact on both parts.  With no nonzero diagonal left,
+    row k gains c times row j and column k bar(c) times column j, with c
+    as in `_congruence_pivots`: 1 unless Re(a_kj) = 0, else a_kj."""
+    signs, prev = [1], 1
+    while re:
+        k = next((i for i in range(len(re)) if re[i][i]), None)
+        if k is None:
+            k, j = next(((i, j) for i, (r, s) in enumerate(zip(re, im))
+                         for j in range(len(r)) if r[j] or s[j]),
+                        (None, None))
+            if k is None:
+                raise SingularForm("form is singular")
+            cr, ci = (1, 0) if re[k][j] else (0, im[k][j])
+            yr, yi = re[j], im[j]
+            re[k] = [x + cr * a - ci * b for x, a, b in zip(re[k], yr, yi)]
+            im[k] = [x + cr * b + ci * a for x, a, b in zip(im[k], yr, yi)]
+            for r, s in zip(re, im):
+                r[k], s[k] = (r[k] + cr * r[j] + ci * s[j],
+                              s[k] + cr * s[j] - ci * r[j])
+        yr, yi = re.pop(k), im.pop(k)
+        piv, _ = yr.pop(k), yi.pop(k)
+        signs.append(_sign(piv))
+        pairs = [(r, s, r.pop(k), s.pop(k)) for r, s in zip(re, im)]
+        re = [[(piv * x - a * p + b * q) // prev for x, p, q in zip(r, yr, yi)]
+              for r, _, a, b in pairs]
+        im = [[(piv * x - a * q - b * p) // prev for x, p, q in zip(s, yr, yi)]
+              for _, s, a, b in pairs]
+        prev = piv
+    return sum(a * b for a, b in zip(signs, signs[1:]))

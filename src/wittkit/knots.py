@@ -174,15 +174,13 @@ def _signature_at_u(psi: list, u: Fraction) -> int:
     """Levine-Tristram signature at u = tan(pi t), 0 < t < 1/2, of the
     integer rows psi.  There (1-omega) psi + (1-conj(omega)) psi^T =
     2 sin(pi t) cos(pi t) (u S + i K) with S = psi + psi^T and
-    K = psi^T - psi, whose signature is half that of the real symmetric
-    [[u S, -K], [K, u S]] (times u's denominator), eliminated on its
-    integer rows."""
+    K = psi^T - psi, so its signature is that of the hermitian n x n
+    n_u S + i d_u K (u = n_u / d_u), eliminated over Z[i] on the integer
+    rows of its two parts."""
     n, d = u.numerator, u.denominator
     pairs = [list(zip(row, col)) for row, col in zip(psi, zip(*psi))]
-    rows = [[n * (x + y) for x, y in r] + [d * (x - y) for x, y in r]
-            for r in pairs] + [[d * (y - x) for x, y in r]
-                               + [n * (x + y) for x, y in r] for r in pairs]
-    return signature_of_int_rows(rows) // 2
+    return signature_of_int_rows([[n * (x + y) for x, y in r] for r in pairs],
+                                 [[d * (y - x) for x, y in r] for r in pairs])
 
 
 @lru_cache(maxsize=32)  # bits doubles from 64: one entry per doubling
@@ -206,12 +204,12 @@ def _two_cos_bracket(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     (`_pi`), then cos x, x = 2 pi t <= pi/2, by its Taylor series.  Every
     floor division errs by under one unit and every alternating tail is
     below its first omitted term, so `err` is a few units per bit."""
-    sign = 1
-    if t > Fraction(1, 4):  # cos(pi - x) = -cos x
-        t, sign = Fraction(1, 2) - t, -1
+    n, d, sign = t.numerator, t.denominator, 1
+    if 4 * n > d:  # cos(pi - x) = -cos x
+        n, d, sign = d - 2 * n, 2 * d, -1
     one = 1 << bits
     pi, err = _pi(bits)
-    x = 2 * pi * t.numerator // t.denominator  # off by < err/2 + 1 units
+    x = 2 * pi * n // d  # off by < err/2 + 1 units
     total = term = one
     k = 0
     while term:  # each term off by < 3 units (x/one < 1.6)
@@ -239,7 +237,7 @@ class SignatureSteps:
     def __init__(self, k: KnotInput):
         self.psi = k.seifert_form.psi_pair[0]  # d = 1 in Z mode
         self.roots, self.cyclotomic = _circle_roots(_det_one_minus(k))
-        self._values = {}
+        self._values, self.turns = {}, {}  # sigma by gap, by (n, d)
 
     def value(self, gap: int) -> int:
         if gap not in self._values:
@@ -250,16 +248,17 @@ class SignatureSteps:
                                                 _u_in_y_gap(y_low, y_high))
         return self._values[gap]
 
-    def gap_at(self, t: Fraction) -> int:
-        """The gap holding y0 = 2 cos(2 pi t), 0 < t <= 1/2, when y0 is
-        no root: y0 is exact for t in {1/2, 1/3, 1/4, 1/6}; otherwise its
-        enclosure and the brackets it meets narrow until they part."""
+    def gap_at(self, n: int, d: int) -> int:
+        """The gap holding y0 = 2 cos(2 pi n / d), 0 < n / d <= 1/2 in
+        lowest terms, when y0 is no root: y0 is exact for n / d in {1/2,
+        1/3, 1/4, 1/6}; otherwise its enclosure and the brackets it meets
+        narrow until they part."""
         if not self.roots:
             return 0
-        exact = {2: -2, 3: -1, 4: 0, 6: 1}.get(t.denominator)
+        exact = {2: -2, 3: -1, 4: 0, 6: 1}.get(d)
         bits = 64
         lo, hi = ((Fraction(exact),) * 2 if exact is not None
-                  else _two_cos_bracket(t, bits))
+                  else _two_cos_bracket(Fraction(n, d), bits))
         while True:
             clash = [root for _, _, root in self.roots
                      if root.lo <= hi and lo <= root.hi]
@@ -269,7 +268,7 @@ class SignatureSteps:
                 root.refine((root.hi - root.lo) / 2)
             if all(root.hi - root.lo < hi - lo for root in clash):
                 bits *= 2
-                lo, hi = _two_cos_bracket(t, bits)
+                lo, hi = _two_cos_bracket(Fraction(n, d), bits)
 
 
 def levine_tristram_signature(k: KnotInput, turn) -> int:
@@ -278,20 +277,25 @@ def levine_tristram_signature(k: KnotInput, turn) -> int:
     vanishes, and otherwise the value of `k.lt_steps` on the gap holding
     y0 = 2 cos(2 pi turn).  omega is a primitive d-th root of unity, a
     root of D exactly when Phi_d is one of D's factors, so the singular
-    test is a lookup of d in `k.lt_steps.cyclotomic`."""
+    test is a lookup of d in `k.lt_steps.cyclotomic`.  The turn n / d is
+    normalized on integers, and its value kept in `k.lt_steps.turns`."""
     if isinstance(turn, float):
         raise TypeError(
             "pass the turn exactly (Fraction, int, or string), not a float")
-    t = Fraction(turn) % 1
-    t = min(t, 1 - t)  # conjugate symmetry
+    if not isinstance(turn, (int, Fraction)):
+        turn = Fraction(turn)  # "num/den" strings and other rationals
+    d = turn.denominator
+    n = min(turn.numerator % d, -turn.numerator % d)  # conjugate symmetry
     if k.rank == 0:
         return 0
-    if t == 0:
+    if n == 0:
         raise SingularAtRoot("omega = 1 degenerates the form")
     steps = k.lt_steps
-    if t.denominator in steps.cyclotomic:
-        raise SingularAtRoot(f"omega at turn {t} is an Alexander root")
-    return steps.value(steps.gap_at(t))
+    if d in steps.cyclotomic:
+        raise SingularAtRoot(f"omega at turn {n}/{d} is an Alexander root")
+    if (n, d) not in steps.turns:
+        steps.turns[n, d] = steps.value(steps.gap_at(n, d))
+    return steps.turns[n, d]
 
 
 def _circle_roots(det: list) -> tuple[list, set]:
@@ -363,7 +367,8 @@ def rochlin_invariant(k: KnotInput) -> int:
     if k.epsilon != 1:
         raise NotSymmetricCase("the residue invariant needs epsilon = +1")
     theta, _ = k.seifert_form.theta_pair  # theta = T, d = 1 in Z mode
-    sig = signature_of_int_rows([list(r) for r in theta])
+    sig = signature_of_int_rows([list(r) for r in theta],
+                                [[0] * len(r) for r in theta])
     if sig % 8 != 0:
         raise SignatureNotDivisibleBy8(
             f"signature {sig} of the symmetrization is not divisible by 8")
@@ -418,7 +423,8 @@ def analyze(k: KnotInput,
     return ObstructionReport(
         name=k.name,
         alexander=_module_order(form.module),
-        factorization=form.module.factors,
+        factorization=[(form.module.factor_keys[tuple(g)], m)
+                       for g, m in form.module.factors],
         multisignature=ms,
         slice_obstructed=slice_flag,
         doubly_slice_obstructed=ds_flag,

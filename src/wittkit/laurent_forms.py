@@ -126,6 +126,11 @@ class LaurentModule:
         in the report's order (`factor_rational_poly`)."""
         return factor_rational_poly(self.total_divisor)
 
+    @cached_property
+    def factor_keys(self) -> dict:
+        """Each factor's key (`factor_key`) by its tuple, made once."""
+        return {tuple(g): factor_key(g) for g, _ in self.factors}
+
     def _split(self, p: list) -> tuple:
         """(P, {i: (l, C)}) once per factor p, its primitive list P (any
         multiple of it is made primitive), and M_i = P^l C, l > 0, with
@@ -524,10 +529,12 @@ def dw_multisignature_laurent(
     read once (`LaurentModule._split`)."""
     module = form.module
     out = DWMultiSignatureLaurent()
+    keys = module.factor_keys
     for p, _mult in module.factors:
-        pk = factor_key(p)
+        pk = keys[tuple(p)]
         if not polys.self_conjugate(p):
-            pair = tuple(sorted((pk, factor_key(p[::-1]))))
+            bar = tuple(polys.primitive(p[::-1]))  # bar(p) | the order
+            pair = tuple(sorted((pk, keys.get(bar) or factor_key(bar))))
             if pair not in out.conjugate_pairs:
                 out.conjugate_pairs.append(pair)
             continue

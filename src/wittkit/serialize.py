@@ -16,7 +16,6 @@ from json.encoder import encode_basestring_ascii
 from math import gcd, isfinite
 
 from wittkit.errors import NotAKnotForm
-from wittkit.exact.factor import factor_key
 from wittkit.exact.matrix import Matrix
 from wittkit.finite import FiniteLinkingForm
 from wittkit.knots import KnotInput, ObstructionReport
@@ -228,8 +227,8 @@ def report_to_json(report: ObstructionReport) -> dict:
         "name": report.name,
         "alexander": poly_json(report.alexander),
         "factorization": [
-            {"factor": poly_json(factor_key(p)), "multiplicity": mult}
-            for p, mult in report.factorization
+            {"factor": poly_json(pk), "multiplicity": mult}
+            for pk, mult in report.factorization
         ],
         "multisignature": multisignature_to_json(report.multisignature),
         "slice_obstructed": report.slice_obstructed,

@@ -441,12 +441,13 @@ def congruence_pivots(a: list, bar) -> list:
 def signature_of_symmetric(m) -> int:
     """Signature of a nonsingular symmetric rational matrix (SingularForm
     otherwise): its rows scaled by the lcm of its denominators, then
-    `roots.signature_of_int_rows`, as `wittkit` took it before its callers
-    handed it integer rows."""
+    `roots.signature_of_int_rows` with every imaginary part 0, as
+    `wittkit` took it before its callers handed it integer rows."""
     den = math.lcm(*(Fraction(x).denominator for row in m.rows for x in row))
     return signature_of_int_rows([[Fraction(x).numerator
                                    * (den // Fraction(x).denominator)
-                                   for x in row] for row in m.rows])
+                                   for x in row] for row in m.rows],
+                                 [[0] * len(row) for row in m.rows])
 
 
 def fraction_signature_of_symmetric(m) -> int:

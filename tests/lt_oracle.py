@@ -23,7 +23,11 @@ their circle roots ran on integer lists (`laurent_steps`): D from
 `LaurentPoly`; its factors from `factor_rational_poly` as monic
 `LaurentPoly`s (`factor_oracle.laurent_factors`), self-conjugacy from
 `is_self_conjugate`; the gap signatures over a `Matrix` through
-`signature_of_symmetric`."""
+`signature_of_symmetric`.  And the gap signature as it was taken before
+it went over Z[i] (`realified_signature_at_u`): half the signature of the
+real symmetric 2n x 2n realification [[u S, -K], [K, u S]] of the
+hermitian u S + i K, by Bareiss on integers as the integer route of
+`roots._congruence_pivots` took it (`symmetric_int_signature`)."""
 
 from __future__ import annotations
 
@@ -212,6 +216,51 @@ def per_call_lt_signature(k, turn, d_y=None) -> int:
     return _signature_at_u(k.seifert_form.psi_pair[0],
                            _u_in_y_gap(max(lo, Fraction(-2)),
                                        min(hi, Fraction(2))))
+
+
+def symmetric_int_signature(a: list) -> int:
+    """Signature of a nonsingular symmetric integer matrix given by its
+    rows (consumed), SingularForm otherwise, as `roots.signature_of_int_rows`
+    took it before it went over Z[i]: the integer route of
+    `roots._congruence_pivots`, Bareiss with exact divisions by the last
+    pivot, where a zero diagonal takes c = 1 (a_ij + bar(a_ij) = 2 a_ij
+    is never 0 over Z)."""
+    signs, last = [1], 1
+    while a:
+        k = next((i for i in range(len(a)) if a[i][i]), None)
+        if k is None:
+            k, j = next(((i, j) for i, row in enumerate(a)
+                         for j, x in enumerate(row) if x), (None, None))
+            if k is None:
+                raise SingularForm("form is singular")
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        row = a.pop(k)
+        piv = row.pop(k)
+        signs.append((piv > 0) - (piv < 0))
+        a = [[(piv * x - r[k] * y) // last
+              for x, y in zip(r[:k] + r[k + 1:], row)] for r in a]
+        last = piv
+    return sum(x * y for x, y in zip(signs, signs[1:]))
+
+
+def realified_signature(re: list, im: list) -> int:
+    """Signature of the hermitian re + i im (integer rows) as half that of
+    its real symmetric realification [[re, -im], [im, re]]."""
+    rows = ([a + [-x for x in b] for a, b in zip(re, im)]
+            + [b + a for a, b in zip(re, im)])
+    return symmetric_int_signature(rows) // 2
+
+
+def realified_signature_at_u(psi: list, u: Fraction) -> int:
+    """`knots._signature_at_u` as it was before it went over Z[i]: the
+    realification of n_u S + i d_u K, S = psi + psi^T, K = psi^T - psi,
+    u = n_u / d_u, built as [[n_u S, -d_u K], [d_u K, n_u S]]."""
+    n, d = u.numerator, u.denominator
+    pairs = [list(zip(row, col)) for row, col in zip(psi, zip(*psi))]
+    return realified_signature([[n * (x + y) for x, y in r] for r in pairs],
+                               [[d * (y - x) for x, y in r] for r in pairs])
 
 
 def descartes_signature(m):

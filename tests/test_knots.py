@@ -39,6 +39,7 @@ from wittkit.knots import (
     lt_jumps,
     rochlin_invariant,
 )
+from wittkit.serialize import report_to_json
 from wittkit.laurent_forms import (
     SIGMA_SIGN,
     dw_multisignature_laurent,
@@ -56,6 +57,7 @@ from lt_oracle import (
     per_call_lt_signature,
     per_call_two_cos_bracket,
     singular_poly_in_y,
+    symmetric_int_signature,
     turn_in_y_gap,
 )
 from covering_oracle import module_dimension_q
@@ -92,6 +94,13 @@ def fig8(**kw):
 
 def unknot():
     return KnotInput("unknot", [], -1)
+
+
+def fixture_knot(name):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", f"{name}.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    return KnotInput(doc["name"], doc["psi"], doc["epsilon"])
 
 
 def upper_half(sym):
@@ -378,6 +387,55 @@ class TestLevineTristram:
     def test_singular_at_one(self):
         with pytest.raises(SingularAtRoot):
             levine_tristram_signature(trefoil(), 0)
+
+    def test_turns_normalize_on_integers(self):
+        # int, "num/den", negative and > 1 turns all read as n / d with
+        # 0 <= n <= d / 2: n mod d, then d - n past one half
+        k = fixture_knot("scale-6")
+        assert k.lt_steps.roots
+        for t in SIX_TURNS + (Fraction(1, 2), Fraction(1, 1009)):
+            want = levine_tristram_signature(fixture_knot("scale-6"), t)
+            n, d = t.numerator, t.denominator
+            for same in (f"{n}/{d}", f"-{n}/{d}", f"{n + 5 * d}/{d}",
+                         -t, 1 - t, t + 3, -t - 2, Fraction(-n - 4 * d, d)):
+                assert levine_tristram_signature(k, same) == want, same
+        for turn in (0, 1, -3, 7, True, "4", "-2/1", Fraction(5), "6/3"):
+            with pytest.raises(SingularAtRoot, match="omega = 1"):
+                levine_tristram_signature(k, turn)
+        # rank 0 answers before the turn is checked; a singular turn is
+        # named in lowest terms, in [0, 1/2]
+        assert levine_tristram_signature(unknot(), 0) == 0
+        with pytest.raises(SingularAtRoot, match="turn 1/6 is"):
+            levine_tristram_signature(trefoil(), "-7/6")
+        with pytest.raises(SingularAtRoot, match="turn 1/6 is"):
+            levine_tristram_signature(trefoil(), Fraction(10, 12))
+
+    def test_warm_turns_take_no_bracket_and_no_fraction(self, monkeypatch):
+        # a placed turn's value is kept on the knot's step function by its
+        # normalized (n, d): asking again brackets nothing and makes no
+        # Fraction, whatever form the turn comes in
+        k = fixture_knot("scale-6")
+        brackets = count_calls(monkeypatch, "_two_cos_bracket",
+                               knots._two_cos_bracket)
+        cold = [levine_tristram_signature(k, t) for t in SIX_TURNS]
+        placed = len(brackets)
+        assert k.lt_steps.roots and placed >= 4
+        made, new = [], Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        mirrored = [1 - t for t in SIX_TURNS]
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", staticmethod(counting_new))
+            for turns in (SIX_TURNS, mirrored):
+                assert [levine_tristram_signature(k, t)
+                        for t in turns] == cold
+        assert made == [] and len(brackets) == placed
+        assert [levine_tristram_signature(k, str(t))
+                for t in SIX_TURNS] == cold
+        assert len(brackets) == placed
 
     def test_singular_at_alexander_root(self):
         with pytest.raises(SingularAtRoot):
@@ -1033,6 +1091,17 @@ class TestOneComputation:
             assert report.alexander == alexander_polynomial(k)
         assert determinants == []
 
+    def test_analyze_keys_each_factor_once(self, monkeypatch):
+        # the factor order is read on integers, and the multisignature and
+        # the report share one key per factor (`LaurentModule.factor_keys`)
+        keyed = count_calls(monkeypatch, "factor_key", factor_key)
+        for k in (fixture_knot("mixed-factors"), fixture_knot("scale-6"),
+                  trefoil(), connected_sum(trefoil(), knot_inverse(fig8()))):
+            keyed.clear()
+            report_to_json(analyze(k))
+            factors = blanchfield_form(k).module.factors
+            assert sorted(keyed) == sorted((g,) for g, _ in factors), k.name
+
     def test_lt_jumps_builds_no_covering_form(self, monkeypatch):
         cases = [connected_sum(trefoil(), trefoil()),
                  KnotInput("scale-3", SCALE_3, -1)]
@@ -1091,6 +1160,16 @@ class TestObstructions:
 # -- residue invariant of symmetric forms --
 
 class TestRochlin:
+    def test_e8_fixtures(self):
+        # the only epsilon = +1 fixtures: theta = E8 has signature 8, and
+        # E8 # -E8 cancels; the kernel over Z[i] takes them with every
+        # imaginary part 0, against the integer route it replaced
+        for name, sig, want in (("e8", 8, 1), ("e8-mirror", 0, 0)):
+            k = fixture_knot(name)
+            theta = k.seifert_form.theta_pair[0]
+            assert symmetric_int_signature([list(r) for r in theta]) == sig
+            assert rochlin_invariant(k) == want
+
     def test_hyperbolic_is_zero(self):
         assert rochlin_invariant(KnotInput("h", [[0, 1], [0, 0]], 1)) == 0
 

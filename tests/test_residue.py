@@ -260,8 +260,7 @@ def pivot_signs(gram, roots) -> list:
     """Per root, the signs of the leading minors that
     `hermitian_signature_at_root` reads."""
     minors = roots_module._congruence_pivots(
-        [list(row) for row in gram.rows], lambda x: x.bar(),
-        lambda d: d.inverse().__mul__)
+        [list(row) for row in gram.rows])
     for d in minors:
         assert_integer_pair(d)
     return [[root.sign_of(polys.cos_poly(d.num)) for d in minors]

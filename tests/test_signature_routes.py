@@ -22,9 +22,10 @@ from wittkit.exact.matrix import Matrix
 from wittkit.exact.residue import ResidueField
 from wittkit.exact.roots import (
     hermitian_signature_at_root,
+    signature_of_int_rows,
     unit_circle_roots,
 )
-from wittkit.knots import _signature_at_u
+from wittkit.knots import KnotInput, _signature_at_u, _u_in_y_gap
 from wittkit.laurent_forms import dw_multisignature_laurent
 
 import hermitian_oracle as oracle
@@ -32,7 +33,11 @@ from hermitian_oracle import signature_of_symmetric
 from covering_oracle import laurent_direct_sum
 from elimination_oracle import hstack, vstack
 import qpolys
-from lt_oracle import cyclotomic_polynomial
+from lt_oracle import (
+    cyclotomic_polynomial,
+    realified_signature,
+    realified_signature_at_u,
+)
 from test_knots import seeded_seifert_knot
 from test_laurent_forms import P6, P12, ONE, Z, cyclic_block
 
@@ -344,3 +349,138 @@ def test_levine_tristram_matrices_match_fraction_pivots():
                 compared += 1
                 nonzero += want not in (0, "singular")
     assert compared == 96 and nonzero > 12
+
+
+# ---- Levine-Tristram gap signatures over Z[i] against the realification ----
+
+def rand_gaussian_hermitian(rng, n, kind):
+    """Integer rows (re, im) of an n x n hermitian re + i im: dense, with
+    zero diagonal, with zero diagonal and its first nonzero entry purely
+    imaginary (so elimination opens with c = a_kj), or singular (the last
+    row and column repeat the first)."""
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+            if i == j:
+                re[i][i] = 0 if kind in ("zero-diagonal", "imaginary") else a
+            else:
+                re[i][j], re[j][i], im[i][j], im[j][i] = a, a, b, -b
+    if kind == "imaginary" and n > 1:
+        b = rng.choice((-3, -1, 1, 2))
+        re[0][1] = re[1][0] = 0
+        im[0][1], im[1][0] = b, -b
+    if kind == "singular" and n > 1:
+        re[-1], im[-1] = list(re[0]), list(im[0])
+        for r, s in zip(re, im):
+            r[-1], s[-1] = r[0], s[0]
+    return re, im
+
+
+def opens_with_imaginary_fix(re, im) -> bool:
+    """Whether the first congruence fix takes c = a_kj: no nonzero
+    diagonal, and the first nonzero entry by rows has real part 0."""
+    if any(re[i][i] for i in range(len(re))):
+        return False
+    first = next(((a, b) for r, s in zip(re, im) for a, b in zip(r, s)
+                  if a or b), None)
+    return first is not None and first[0] == 0
+
+
+def test_gaussian_kernel_matches_realification():
+    rng = random.Random(20261020)
+    tally = {"singular": 0, "signature": 0, "imaginary-fix": 0}
+    for trial in range(1200):
+        n = 1 + trial % 16 if trial % 3 else 1 + trial % 5
+        kind = ("dense", "zero-diagonal", "imaginary", "singular")[trial % 4]
+        re, im = rand_gaussian_hermitian(rng, n, kind)
+        tally["imaginary-fix"] += opens_with_imaginary_fix(re, im)
+        want = outcome(realified_signature, [list(r) for r in re],
+                       [list(r) for r in im])
+        got = outcome(signature_of_int_rows, re, im)
+        assert got == want, (re, im)
+        tally["singular" if want == "singular" else "signature"] += 1
+    assert tally["singular"] > 250 and tally["signature"] > 800
+    assert tally["imaginary-fix"] > 200
+
+
+def test_gaussian_kernel_refuses_singular_forms():
+    # the third opens with c = a_kj = i: zero diagonal, a_01 = i
+    zero = [[0] * 3 for _ in range(3)]
+    for re, im in (([[0]], [[0]]), ([[1, 1], [1, 1]], [[0, 0], [0, 0]]),
+                   (zero, [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]),
+                   ([[2, 1], [1, 1]], [[0, 1], [-1, 0]])):
+        with pytest.raises(SingularForm):
+            signature_of_int_rows([list(r) for r in re],
+                                  [list(r) for r in im])
+        with pytest.raises(SingularForm):
+            realified_signature(re, im)
+
+
+def zero_diagonal_psi(rng, n):
+    """An integer psi with zero diagonal, so S = psi + psi^T has one too;
+    entries with psi_ij = -psi_ji make S_ij = 0 beside K_ij != 0."""
+    psi = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = rng.randint(-3, 3)
+            psi[i][j] = a
+            psi[j][i] = -a if rng.random() < 0.5 else rng.randint(-3, 3)
+    return psi
+
+
+def mirror(psi) -> list:
+    """psi of K # -K: blockdiag(psi, -psi)."""
+    n = len(psi)
+    return ([row + [0] * n for row in psi]
+            + [[0] * n + [-x for x in row] for row in psi])
+
+
+def gaps_next_to_roots(k) -> list:
+    """u in each gap of `k.lt_steps` (`_u_in_y_gap`) and in the narrow
+    y-gaps just above and below each root's bracket."""
+    roots = [root for _, _, root in k.lt_steps.roots]
+    walls = [F(2)] + [y for r in roots for y in (r.hi, r.lo)] + [F(-2)]
+    out = [_u_in_y_gap(low, high) for high, low in zip(walls[::2],
+                                                        walls[1::2])]
+    for r in roots:
+        pad = (r.hi - r.lo) / 64
+        if r.hi + pad < 2:
+            out.append(_u_in_y_gap(r.hi, r.hi + pad))
+        if r.lo - pad > -2:
+            out.append(_u_in_y_gap(r.lo - pad, r.lo))
+    return out
+
+
+def same_at_u(psi, us) -> list:
+    """`_signature_at_u` of psi at each u, checked against the
+    realification ("singular" on both routes where the form is)."""
+    values = []
+    for u in us:
+        want = outcome(realified_signature_at_u, psi, u)
+        assert outcome(_signature_at_u, psi, u) == want, (psi, u)
+        values.append(want)
+    return values
+
+
+def test_signature_at_u_matches_realification():
+    rng = random.Random(44)
+    us = (F(1, 9), F(1, 3), F(1), F(7, 4), F(12))
+    near = singular = 0
+    for rank in range(2, 17, 2):
+        for epsilon in (-1, 1):
+            k = seeded_seifert_knot(rng, rank, epsilon)
+            gaps = gaps_next_to_roots(k) if epsilon == -1 else []
+            near += len(gaps)
+            same_at_u(k.seifert_form.psi_pair[0], us + tuple(gaps))
+    for rank in range(1, 11):
+        singular += same_at_u(zero_diagonal_psi(rng, rank),
+                              us).count("singular")
+    for rank in (2, 4, 6):
+        k = KnotInput("K # -K", mirror(seeded_seifert_knot(
+            rng, rank, -1).seifert_form.psi_pair[0]), -1)
+        values = same_at_u(k.seifert_form.psi_pair[0],
+                           us + tuple(gaps_next_to_roots(k)))
+        assert set(values) <= {0, "singular"} and 0 in values
+    assert near > 20 and singular > 3
