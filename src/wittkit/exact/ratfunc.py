@@ -10,11 +10,11 @@ A `RatFunc` is built (`make`), compared and printed, but not by the
 package: the tests' `QZ` subclasses it with the field operations of Q(z),
 and the benchmark's `exact.ratfunc.make` span wraps `make`.
 
-`series_expand` embeds N / (d D) into either completion: side "plus" is
+`series_ints` embeds N / (d D) into either completion: side "plus" is
 Q((z)) (series in z, finitely many negative terms), side "minus" is
-Q((z^-1)).  It reads an integer pair (N, d) and a dense integer D, not a
-`RatFunc`, so a linking form's entry expands as it is stored, on
-integers: one `Fraction` per degree.
+Q((z^-1)).  It reads an integer pair (N, d) and a dense integer D, as a
+linking form stores an entry, and returns integers over one scale, which
+the monodromy reads; `series_expand` is their view, a `Fraction` a degree.
 """
 
 from __future__ import annotations
@@ -95,11 +95,11 @@ def _to_lp(x) -> LaurentPoly:
     raise TypeError(f"cannot coerce {type(x)!r} to LaurentPoly")
 
 
-def series_expand(num: tuple, den: list, side: str, lo: int,
-                  hi: int) -> dict[int, Fraction]:
-    """Coefficients in degrees lo..hi of the expansion of N / (d D), num =
-    (N, d) with N dense from degree 0 and den = D on integers, not
-    necessarily in lowest terms: the expansion is that of the function.
+def series_ints(num: tuple, den: list, side: str, lo: int,
+                hi: int) -> tuple[list, int]:
+    """Coefficients c_lo..c_hi of the expansion of N / (d D) as (C, s), c_k
+    = C[k - lo] / s, num = (N, d) with N dense from degree 0 and den = D on
+    integers, not necessarily in lowest terms: that of the function.
 
     side "plus": expansion in Q((z)), which needs den(0) != 0; side
     "minus": in Q((z^-1)), which needs den's top coefficient nonzero.  The
@@ -108,32 +108,36 @@ def series_expand(num: tuple, den: list, side: str, lo: int,
     measures.
 
     On integers: 1/D = sum_j B_j z^j / D_0^(j+1) by the recurrence
-    B_j = -sum_i D_i B_(j-i) D_0^(i-1), B_0 = 1.  Side "minus" is "plus" on
-    D reversed, N's degree r read as deg D - r.
+    B_j = -sum_i D_i B_(j-i) D_0^(i-1), B_0 = 1: s = d D_0^(need+1).  Side
+    "minus" is "plus" on D reversed, N's degree r read as deg D - r.
     """
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
     if not den or not den[0 if side == "plus" else -1]:
         raise NotInvertibleInNovikov(f"denominator not invertible in the "
                                      f"{side} completion")
-    out = dict.fromkeys(range(lo, hi + 1), Fraction(0))
+    out = [0] * max(hi + 1 - lo, 0)
     terms, sign = [(r, x) for r, x in enumerate(num[0]) if x], 1
     if not terms or not out:
-        return out
+        return out, num[1]
     if side == "minus":
         terms = [(len(den) - 1 - r, x) for r, x in terms]
         den, sign = den[::-1], -1
     need, d0 = max(lo * sign, hi * sign) - min(r for r, _ in terms), den[0]
     if need < 0:  # every degree lies below num / den's lowest term
-        return out
+        return out, num[1]
     steps = [x * d0 ** i for i, x in enumerate(den[1:need + 1])]
     b = [1]
     for _ in range(need):
         b.append(-sum(map(mul, steps, reversed(b))))
     # b_0, ..., b_need over the one denominator D_0^(need+1)
     b = [x * d0 ** (need - j) for j, x in enumerate(b)]
-    scale = num[1] * d0 ** (need + 1)
-    for d in out:
-        out[d] = Fraction(sum(x * b[j] for r, x in terms
-                              if 0 <= (j := sign * d - r) <= need), scale)
-    return out
+    return ([sum(x * b[j] for r, x in terms if 0 <= (j := sign * d - r) <= need)
+             for d in range(lo, hi + 1)], num[1] * d0 ** (need + 1))
+
+
+def series_expand(num: tuple, den: list, side: str, lo: int,
+                  hi: int) -> dict[int, Fraction]:
+    """`series_ints` as a `Fraction` per degree, which the trace reads."""
+    coeffs, scale = series_ints(num, den, side, lo, hi)
+    return {lo + k: Fraction(c, scale) for k, c in enumerate(coeffs)}

@@ -11,12 +11,13 @@ rational canonical decomposition of h over Q gives the generators, and the
 module records its Q-basis h^a g_i, which `canonical_identification`
 returns.  A Seifert form holds psi as given and as its integer pair, and
 theta and e only as the reduced integer pairs its readers take; an
-autometric form holds theta and h both ways.
+autometric form holds theta and h as such pairs, with `Fraction` views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -29,7 +30,7 @@ from wittkit.errors import (
 )
 from wittkit.exact import matrix, polys
 from wittkit.exact.matrix import Matrix, _imul, _integral_rows, _shift
-from wittkit.exact.ratfunc import series_expand
+from wittkit.exact.ratfunc import series_expand, series_ints
 from wittkit.exact.snf import smith_normal_form
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
@@ -90,38 +91,47 @@ class SeifertForm:
 
 class AutometricForm:
     """(K, theta, h): theta an eps-symmetric invertible Q-form, h an
-    isometry of it.  Both identities are checked exactly, on integers:
-    theta and h are kept as given and as the reduced integer pairs
-    `theta_pair` and `h_pair` that the checks, the covering and the round
-    trip read."""
+    isometry of it, both checked exactly on the reduced integer pairs
+    `theta_pair` and `h_pair`; `theta` and `h` are `Fraction` views."""
 
     def __init__(self, theta, h, epsilon: int):
+        self._adopt((_integral_rows(Matrix.from_ints(m).rows)
+                     for m in (theta, h)), epsilon)
+
+    @classmethod
+    def _from_pairs(cls, theta: tuple, h: tuple, epsilon: int):
+        (form := cls.__new__(cls))._adopt((theta, h), epsilon)
+        return form
+
+    def _adopt(self, pairs, epsilon: int) -> None:
+        """Check, in order, and keep the pairs theta = T / d_t and h =
+        H / d_h; `pairs` is read only once epsilon has passed."""
         if epsilon not in (1, -1):
             raise ValueError("epsilon must be +1 or -1")
-        theta, h = Matrix.from_ints(theta), Matrix.from_ints(h)
-        if not theta.is_square() or theta.shape != h.shape:
+        t, hp = pairs
+        if list(map(len, t[0] + hp[0])) != [n := len(t[0])] * 2 * n:
             raise ValueError("theta and h must be square of equal size")
-        t, hp = _integral_rows(theta.rows), _integral_rows(h.rows)
         if t[0] != [[epsilon * x for x in c] for c in zip(*t[0])]:
             raise ValueError("theta is not eps-symmetric")
-        if len(matrix._gauss_jordan(t[0])[1]) < theta.nrows:
+        if len(matrix._gauss_jordan(t[0])[1]) < n:
             raise SingularAutometricForm("theta is singular")
         if not _is_isometry(t, hp):
             raise ValueError("h does not preserve theta")
-        self.theta, self.h, self.epsilon = theta, h, epsilon
-        self.theta_pair, self.h_pair = t, hp
+        self.theta_pair, self.h_pair, self.epsilon = t, hp, epsilon
+
+    theta = cached_property(lambda f: Matrix(
+        [[Fraction(x, f.theta_pair[1]) for x in r] for r in f.theta_pair[0]]))
+    h = cached_property(lambda f: Matrix(
+        [[Fraction(x, f.h_pair[1]) for x in r] for r in f.h_pair[0]]))
 
     @property
     def rank(self) -> int:
-        return self.theta.nrows
+        return len(self.theta_pair[0])
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AutometricForm)
-            and self.theta == other.theta
-            and self.h == other.h
-            and self.epsilon == other.epsilon
-        )
+    def __eq__(self, other):  # reduced pairs are canonical
+        return isinstance(other, AutometricForm) and (
+            self.theta_pair, self.h_pair, self.epsilon) == (
+            other.theta_pair, other.h_pair, other.epsilon)
 
 
 class SeifertSubmodule:
@@ -277,23 +287,29 @@ def monodromy(form: LaurentLinkingForm) -> AutometricForm:
     covering_autometric up to the canonical basis identification.  The
     trace is applied to the conjugated pairing value, the orientation that
     makes the round-trip exact rather than exact-up-to-sign:
-    theta[(i,a),(j,b)] = -chi(z^(a-b) lambda_ij), read off one expansion
-    of lambda_ij = N / (d M_j*) on each side, h from d_j = M_j / lc(M_j).
-    Neither needs lowest terms: M_j*(0) = lc(M_j) and M_j(0) are nonzero."""
+    theta[(i,a),(j,b)] = -chi(z^(a-b) lambda_ij), read off one integer
+    expansion of lambda_ij = N / (d M_j*) on each side over the lcm of their
+    scales, h from d_j = M_j / lc(M_j) over d_h = lcm(lc(M_j)).  Neither
+    needs lowest terms: M_j*(0) = lc(M_j) and M_j(0) are nonzero."""
     chain = form.module.chain
     dims = [len(m) - 1 for m in chain]
-    theta = []
-    for i, di in enumerate(dims):
-        sides = [(dj, *(series_expand(form.num[i][j], m[::-1], side, 1 - di,
-                                      dj - 1) for side in ("minus", "plus")))
-                 for j, (dj, m) in enumerate(zip(dims, chain))]
-        theta += [[minus[b - a] - plus[b - a] for dj, minus, plus in sides
+    sides = [[[series_ints(x, m[::-1], side, 1 - di, dj - 1)
+               for side in ("minus", "plus")]
+              for x, dj, m in zip(row, dims, chain)]
+             for di, row in zip(dims, form.num)]
+    den, theta = lcm(*(s for r in sides for pair in r for _, s in pair)), []
+    for di, row in zip(dims, sides):  # degree b - a at b - a + di - 1
+        diffs = [[x * (den // s) - y * (den // t) for x, y in zip(c, e)]
+                 for (c, s), (e, t) in row]
+        theta += [[v[b - a + di - 1] for dj, v in zip(dims, diffs)
                    for b in range(dj)] for a in range(di)]
+    d_h = lcm(*(m[-1] for m in chain))
     h = Matrix.block_diag([Matrix(
-        [[Fraction(-m[a], m[-1]) if b == dj - 1 else Fraction(int(a == b + 1))
+        [[-m[a] * (d_h // m[-1]) if b == dj - 1 else d_h * (a == b + 1)
           for b in range(dj)] for a in range(dj)])
-        for dj, m in zip(dims, chain)])
-    return AutometricForm(theta, h, -form.epsilon)
+        for dj, m in zip(dims, chain)], 0).rows
+    return AutometricForm._from_pairs(matrix._reduced_rows(theta, den),
+                                      (h, d_h), -form.epsilon)
 
 
 def canonical_identification(f: AutometricForm,

@@ -37,8 +37,12 @@ form's space.
   product p^l cof_i bar(cof_j) lambda_ij over Q(z), with entries in the
   `Fraction` residue field of `hermitian_oracle`, and theta from the
   expansions of the canonical entries.
+- `monodromy_oracle` is `monodromy` on `Fraction`s, as it was before it
+  built its pairs from `series_ints`: theta entry by entry from
+  `series_expand`, h as a `Fraction` companion matrix, both scaled back
+  to integer pairs by `AutometricForm`'s public constructor.
 - `series_expand_oracle` is the `Fraction` recurrence that the integer
-  `series_expand` replaced, and `verify_roundtrip_oracle` the round trip's
+  `series_ints` replaced, and `verify_roundtrip_oracle` the round trip's
   check on `Fraction` matrices through `canonical_identification`, which
   the integer check replaced.
 - `module_dimension_q`, `laurent_direct_sum` and `laurent_negate` are what
@@ -64,7 +68,7 @@ from wittkit.errors import (
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _integral, _reduced
-from wittkit.exact.ratfunc import RatFunc
+from wittkit.exact.ratfunc import RatFunc, series_expand
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
@@ -429,6 +433,26 @@ def qz_monodromy_theta(form) -> Matrix:
         theta += [[minus[b - a] - plus[b - a] for dj, minus, plus in sides
                    for b in range(dj)] for a in range(di)]
     return Matrix(theta)
+
+
+def monodromy_oracle(form) -> AutometricForm:
+    """`seifert.monodromy` through `Fraction`s: theta[(i,a),(j,b)] =
+    -chi(z^(a-b) lambda_ij), one `Fraction` per expanded degree, and h in
+    companion form from d_j = M_j / lc(M_j)."""
+    chain = form.module.chain
+    dims = [len(m) - 1 for m in chain]
+    theta = []
+    for i, di in enumerate(dims):
+        sides = [(dj, *(series_expand(form.num[i][j], m[::-1], side, 1 - di,
+                                      dj - 1) for side in ("minus", "plus")))
+                 for j, (dj, m) in enumerate(zip(dims, chain))]
+        theta += [[minus[b - a] - plus[b - a] for dj, minus, plus in sides
+                   for b in range(dj)] for a in range(di)]
+    h = Matrix.block_diag([Matrix(
+        [[Fraction(-m[a], m[-1]) if b == dj - 1 else Fraction(int(a == b + 1))
+          for b in range(dj)] for a in range(dj)])
+        for dj, m in zip(dims, chain)])
+    return AutometricForm(theta, h, -form.epsilon)
 
 
 def series_expand_oracle(num: LaurentPoly, den: list, side: str, lo: int,

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from wittkit.errors import NotInvertibleInNovikov
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.ratfunc import RatFunc, series_expand
+from wittkit.exact.ratfunc import RatFunc, series_expand, series_ints
 
 from covering_oracle import (
     QZ, frac_class, integer_ratio, series_expand_oracle)
@@ -245,3 +245,46 @@ class TestExpansionAgainstOracle:
             seen["low zeros"] += big_n[0] == 0 and any(big_n)
             seen["negative top" if den[-1] < 0 else "positive top"] += 1
         assert min(seen.values()) > 50, seen
+
+
+class TestIntegerExpansion:
+    """`series_ints`, the integers over one scale that the monodromy
+    reads, against the `Fraction` recurrence, on the cases that return
+    early as well: a zero numerator, lo > hi, and every degree below the
+    expansion's lowest term (need < 0), on both sides."""
+
+    def test_against_the_oracle(self):
+        rng = random.Random("series-ints")
+        seen = dict.fromkeys(("plus", "minus", "zero numerator", "lo > hi",
+                              "need < 0", "scaled"), 0)
+        for _ in range(800):
+            num, den, lo, hi = TestExpansionAgainstOracle.random_case(rng)
+            num = num.shift(-num.ordinary()[1])  # no negative power
+            for side in ("plus", "minus"):
+                try:
+                    want = series_expand_oracle(num, den, side, lo, hi)
+                except NotInvertibleInNovikov:
+                    with pytest.raises(NotInvertibleInNovikov):
+                        series_ints(*integer_ratio(num, den), side, lo, hi)
+                    continue
+                pair, big_d = integer_ratio(num, den)
+                coeffs, scale = series_ints(pair, big_d, side, lo, hi)
+                assert all(type(c) is int for c in coeffs + [scale])
+                assert len(coeffs) == len(want)
+                assert [F(c, scale) for c in coeffs] == list(want.values())
+                seen[side] += 1
+                seen["zero numerator"] += num.is_zero()
+                seen["lo > hi"] += hi < lo
+                seen["scaled"] += scale != pair[1]
+                if not num.is_zero() and lo <= hi:
+                    degrees = sorted(num.coeffs)
+                    need = (hi - degrees[0] if side == "plus" else
+                            degrees[-1] - (len(big_d) - 1) - lo)
+                    seen["need < 0"] += need < 0
+        assert min(seen.values()) > 10, seen
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="side"):
+            series_ints(([1], 1), [1, 1], "both", 0, 1)
+        with pytest.raises(NotInvertibleInNovikov):
+            series_ints(([1], 1), [1, 0], "minus", 0, 1)

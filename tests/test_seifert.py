@@ -72,6 +72,7 @@ from covering_oracle import (
     laurent_direct_sum,
     laurent_negate,
     module_dimension_q,
+    monodromy_oracle,
     near_projection_decompose,
     form_from_qz,
     frac_class,
@@ -942,9 +943,12 @@ class TestMonodromy:
         pairing = [[QZ.make(LaurentPoly.z(), d.ordinary()[0])]]
         form = form_from_qz(module, pairing, 1)
         validate_over_qz(form)
-        mono = monodromy(form)
+        mono = TestMonodromyAgainstOracle.assert_same(form)
         assert mono.h.charpoly() == [Fraction(1), Fraction(-5, 2), Fraction(1)]
         assert mono.epsilon == -1
+        # the chain's M = [2, -5, 2] puts h' over d_h = 2
+        assert module.chain == [[2, -5, 2]]
+        assert mono.h_pair == ([[0, -2], [2, 5]], 2)
 
     def test_direct_sum_gives_block_sum(self):
         rng = random.Random(5)
@@ -964,6 +968,118 @@ class TestMonodromy:
         got = mono.h.charpoly()
         # normalize leading coefficients before comparing
         assert [c / got[-1] for c in got] == [c / want[-1] for c in want]
+
+
+class TestMonodromyAgainstOracle:
+    """`monodromy` builds theta' and h' as integer pairs from `series_ints`;
+    `monodromy_oracle` is the `Fraction` route it replaced.  Both must give
+    the same pairs, views and rank, and refuse a corrupted covering with
+    the same typed error and message."""
+
+    @staticmethod
+    def assert_same(cov):
+        got, want = monodromy(cov), monodromy_oracle(cov)
+        assert got.theta_pair == want.theta_pair
+        assert got.h_pair == want.h_pair
+        assert got.theta == want.theta and got.h == want.h
+        assert got.rank == want.rank == module_dimension_q(cov.module)
+        assert got == want and got.epsilon == want.epsilon
+        return got
+
+    def test_seeded_forms_of_ranks_0_to_8(self):
+        rng = random.Random("monodromy-oracle")
+        seen, scaled = set(), 0
+        for n in range(9):
+            # an odd skew-symmetric theta is always singular
+            for eps in (1, -1) if n % 2 == 0 else (1,):
+                for _ in range(3 if n < 6 else 1):
+                    f, _ = TestRoundTrip.autometric_of_rank(rng, n, eps)
+                    mono = self.assert_same(covering_autometric(f))
+                    seen.add((f.rank, mono.epsilon))
+                    scaled += mono.h_pair[1] > 1
+        assert seen == {(n, e) for n in range(9) for e in (1, -1)
+                        if n % 2 == 0 or e == 1}
+        # chains whose leading coefficient is not 1 put h' over d_h > 1
+        assert scaled > 10
+
+    def test_non_cyclic_modules(self):
+        # f (+) f doubles every divisor; f (+) g, g = (2 theta, h), shares
+        # all of f's factors with a theta that differs; s (+) s (+) k, for
+        # a small s whose divisor k rarely has, gives blocks of unequal
+        # degrees, where a block's rows and columns start apart
+        rng = random.Random("monodromy-non-cyclic")
+        blocks = scaled = unequal = 0
+        for _ in range(12):
+            f = random_autometric(rng, max_rank=4)
+            g = AutometricForm(f.theta.map(lambda x: 2 * x), f.h, f.epsilon)
+            small = AutometricForm([[2]], [[-1]], 1) if f.epsilon == 1 \
+                else AutometricForm([[0, 1], [-1, 0]],
+                                    [[2, 0], [0, Fraction(1, 2)]], -1)
+            k = random_autometric(rng, f.epsilon, max_rank=3, bound=3)
+            for form in (autometric_direct_sum(f, f),
+                         autometric_direct_sum(f, g),
+                         autometric_direct_sum(small, autometric_direct_sum(
+                             small, k))):
+                cov = covering_autometric(form)
+                assert cov.module.rank >= 2
+                blocks += cov.module.rank
+                unequal += len({len(m) for m in cov.module.chain}) > 1
+                scaled += self.assert_same(cov).h_pair[1] > 1
+        assert blocks >= 72 and scaled > 5 and unequal > 5
+
+    def test_corrupted_coverings_refused_alike(self):
+        # a numerator bumped, all numerators zero, epsilon flipped, and a
+        # chain divisor with its constant term zeroed, raised by one or its
+        # leading coefficient doubled: each reaches a different check
+        rng = random.Random("monodromy-corrupted")
+        outcomes = set()
+
+        def outcome(run, cov):
+            try:
+                mono = run(cov)
+            except (ValueError, SingularAutometricForm,
+                    NotInvertibleInNovikov) as err:
+                return type(err), str(err)
+            return mono.theta_pair, mono.h_pair
+
+        for _ in range(20):
+            f = random_autometric(rng, max_rank=3)
+            for form in (f, autometric_direct_sum(f, f)):
+                cov = covering_autometric(form)
+                i, j = (rng.randrange(cov.module.rank) for _ in range(2))
+                num = [list(row) for row in cov.num]
+                n, d = num[i][j]
+                num[i][j] = ([c + 1 for c in n] or [1], d)
+                k = rng.randrange(cov.module.rank)
+                m = cov.module.chain[k]
+                zero = [[([], 1)] * len(row) for row in cov.num]
+                bad = [LaurentLinkingForm(cov.module, num, cov.epsilon),
+                       LaurentLinkingForm(cov.module, zero, cov.epsilon),
+                       LaurentLinkingForm(cov.module, cov.num, -cov.epsilon)]
+                for chain_k in ([0] + m[1:], [m[0] + 1] + m[1:],
+                                m[:-1] + [2 * m[-1]]):
+                    chain = cov.module.chain[:k] + [chain_k] \
+                        + cov.module.chain[k + 1:]
+                    bad.append(LaurentLinkingForm(dataclasses.replace(
+                        cov.module, chain=chain), cov.num, cov.epsilon))
+                for c in bad:
+                    got = outcome(monodromy, c)
+                    assert got == outcome(monodromy_oracle, c)
+                    if isinstance(got[0], type):
+                        outcomes.add(got)
+        assert {(SingularAutometricForm, "theta is singular"),
+                (ValueError, "theta is not eps-symmetric"),
+                (ValueError, "h does not preserve theta")} <= outcomes
+        assert any(kind is NotInvertibleInNovikov for kind, _ in outcomes)
+
+    def test_bad_epsilon_refused_first(self):
+        # before the shape, the entries and the checks: neither matrix is
+        # read, so an unreadable one does not mask the epsilon error
+        for theta, h in (([[1]], [[1]]), ([[1, 2]], [[1]]),
+                         ([["x"]], None)):
+            for eps in (0, 2, -2):
+                with pytest.raises(ValueError, match="epsilon"):
+                    AutometricForm(theta, h, eps)
 
 
 def ladder_psi(rng, genus, bound=2):
