@@ -4,10 +4,12 @@ and the selftest anchor suite."""
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -611,6 +613,64 @@ def test_fixture_reports_are_pinned(path, capsys):
     assert cli.main(fixture_argv(path)) == 0
     got = capsys.readouterr().out.encode()
     assert got == (FIXTURES / "reports" / path.name).read_bytes()
+
+
+def mirror_rows(psi: list) -> list:
+    """The Seifert matrix of K # -K, A (+) -A, for the Seifert matrix A of K."""
+    n = len(psi)
+    return ([row + [0] * n for row in psi]
+            + [[0] * n + [-x for x in row] for row in psi])
+
+
+def scrambled_psi(psi: list, genus: int) -> list:
+    """P^T (A (+) -A) P for the Seifert matrix A of a genus-g knot: P starts
+    as the identity, and with rng = random.Random(f"scramble-{g}") each
+    column i < 2g gains column 2g + rng.randrange(2g).  P is unimodular, so
+    the form is A (+) -A in another basis."""
+    n, rng = 4 * genus, random.Random(f"scramble-{genus}")
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for i in range(2 * genus):
+        j = 2 * genus + rng.randrange(2 * genus)
+        cols[i] = [x + y for x, y in zip(cols[i], cols[j])]
+    moved = [[sum(map(mul, row, c)) for c in cols] for row in mirror_rows(psi)]
+    return [[sum(map(mul, c, col)) for col in zip(*moved)] for c in cols]
+
+
+def without_witnesses(block: dict, scrambled: dict) -> tuple:
+    """The two reports with name, witnesses and the witness note taken
+    out, after checking that only the block sum has witnesses."""
+    block, scrambled = dict(block), dict(scrambled)
+    assert scrambled.pop("witnesses") is None
+    assert block.pop("witnesses")
+    block["notes"] = block["notes"][:-1]
+    assert block["notes"] == scrambled["notes"]
+    del block["name"], scrambled["name"]
+    return block, scrambled
+
+
+@pytest.mark.parametrize("genus", [6, 10])
+def test_scrambled_sums_report_as_block_sums(genus, monkeypatch, capsys):
+    # the scrambled K # -K fixtures are K # -K of the pinned ladder knots in
+    # a unimodular basis, an isometry, so their pinned reports are the
+    # block-diagonal sum's but for the name and the witnesses, which
+    # `analyze` finds only on a block-diagonal psi
+    psi = json.loads((FIXTURES / f"scale-{genus}.json").read_text())["psi"]
+    path = (FIXTURES if genus == 6 else FIXTURES / "scrambled"
+            ) / f"scale-{genus}-scrambled.json"
+    assert json.loads(path.read_text())["psi"] == scrambled_psi(psi, genus)
+    pinned = json.loads((path.parent / "reports" / path.name).read_text())
+    block_path = FIXTURES / "reports" / f"scale-{genus}-mirror.json"
+    if block_path.exists():
+        block = json.loads(block_path.read_text())
+    else:
+        doc = json.dumps({"name": f"scale-{genus}-mirror", "epsilon": -1,
+                          "psi": mirror_rows(psi)})
+        code, out, _ = run_cli(["analyze", "--input", "-"], doc,
+                               monkeypatch, capsys)
+        assert code == 0
+        block = json.loads(out)
+    block, scrambled = without_witnesses(block, pinned)
+    assert block == scrambled
 
 
 @pytest.mark.parametrize("name", catalog_names())
