@@ -212,13 +212,13 @@ def _reduced_rows(rows, d) -> tuple[list, int]:
     return [[x // g for x in r] for r in rows], d // g
 
 
-def _combination(coeffs, vecs) -> tuple[list, int]:
-    """The reduced pair of sum_k a_k v_k, for rational a_k and pairs v_k."""
-    den = lcm(*(a.denominator * d for a, (_, d) in zip(coeffs, vecs)))
-    fs = [a.numerator * den // (a.denominator * d)
-          for a, (_, d) in zip(coeffs, vecs)]
+def _combination(coeffs, den, vecs) -> tuple[list, int]:
+    """The reduced pair of sum_k a_k v_k / den, for integers a_k and
+    den != 0 and pairs v_k."""
+    scale = lcm(*(d for _, d in vecs))
+    fs = [a * (scale // d) for a, (_, d) in zip(coeffs, vecs)]
     return _reduced([sum(map(mul, fs, x)) for x in zip(*(v for v, _ in vecs))],
-                    den)
+                    scale * den)
 
 
 def _gauss_jordan(rows) -> tuple[list, list, int]:

@@ -373,14 +373,14 @@ def witt_class_fp(prime: int, gram, symmetry: int = 1) -> WittClassFp:
         raise EvenPrimeUnsupported("Witt classification requires odd p")
     rows = [list(r) for r in (gram.rows if isinstance(gram, Matrix) else gram)]
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("gram must be square")
     for i in range(n):
         for j in range(n):
             if (rows[i][j] - symmetry * rows[j][i]) % prime != 0:
                 raise ValueError("gram breaks its claimed symmetry")
     if n == 0:
         return WittClassFp.zero(prime)
-    if any(len(r) != n for r in rows):
-        raise ValueError("det of non-square matrix")
     det = _det_mod_p(rows, prime)
     if det == 0:
         raise SingularForm("singular form over F_p")

@@ -40,6 +40,7 @@ from itertools import chain
 from operator import mul
 
 from wittkit.errors import (
+    InvariantViolated,
     NotPTorsion,
     NotSelfConjugate,
     NotTorsion,
@@ -199,16 +200,15 @@ def _frobenius(h: tuple, e_r: tuple | None = None, c=1) -> list:
     otherwise.  On the h-invariant V = span(span), gcd splitting merges the
     spanning vectors into w with the minimal polynomial mu of h on V: if
     lcm(mu, nu) = a b, a | mu and b | nu coprime, then (mu/a)(h) w +
-    (nu/b)(h) u, mu/a and nu/b monic, has it; if w's relation alpha(G), a
-    unit times mu(h), kills u, then nu | mu and u is skipped.  C = <w>
-    splits off with W = {x in V : phi(h^k x) = 0, k < D}, phi in C dual to
-    h^(D-1) w on the basis h^k w.  On V, h and G span the same algebra in
-    degree < D, so phi G^k, k < D, cut out W too, and x - U^T T^-1 Phi x
-    projects onto C along W, rows G^k w of U and phi G^k of Phi.
-    T = Phi U^T is Hankel in t_j = phi(G^j w), up to a scalar the residue sum
-    [z^(D-1)] (y^j mod mu), G = y(h): in y's variable alpha's recurrence
-    run from D - 1 zeros and a one, read from index 0 (y = d_h z, Q mode)
-    or max(D - 2, 0) (y = d_e / (c - z), P mode).  phi = t^T (U U^T)^-1 U.
+    (nu/b)(h) u, mu/a and nu/b monic, has it, built on integers over
+    lc(mu/a) lc(nu/b); if w's relation alpha(G), a unit times mu(h), kills
+    u, then nu | mu and u is skipped.  C = <w> splits off with
+    W = {x in V : phi G^j x = 0, j < D}, G-invariant as alpha(G) = 0 on V,
+    phi = (1, k, ..., k^(n-1)) for the first k >= 0 that makes T = Phi U^T
+    nonsingular, rows phi G^j of Phi and G^j w of U (Wiedemann 1986), and
+    x - U^T T^-1 Phi x projects onto C along W.  phi fails only if it is a
+    non-unit of Q[y]/(alpha) on C, in one of at most D proper subspaces
+    that the curve meets n - 1 times at most: k <= (n - 1) D.
     """
     n, gen = len(h[0]), h if e_r is None else e_r
     check(e_r is None or matrix._imul(matrix._shift(h[0], c * h[1]), e_r[0])
@@ -229,25 +229,24 @@ def _frobenius(h: tuple, e_r: tuple | None = None, c=1) -> list:
                 cut = polys.divmod_poly(nu, _coprime_part(
                     nu, polys.divmod_poly(mu, keep)[0]))[0]
                 vecs, mu, us, alpha = _krylov(h, gen, c, matrix._combination(
-                    _monic(keep) + _monic(cut),
-                    vecs[:len(keep)] + powers[:len(cut)]))
+                    [x * cut[-1] for x in keep] + [x * keep[-1] for x in cut],
+                    keep[-1] * cut[-1], vecs[:len(keep)] + powers[:len(cut)]))
         deg = len(us)
         blocks.insert(0, (vecs[:deg], mu))
         dim -= deg
         if dim:
-            t = [0] * (deg - 1) + [1]
-            while len(t) < 3 * deg - 2:
-                t.append(-sum(map(mul, alpha, t[-deg:])))
-            t = t[0 if e_r is None else max(deg - 2, 0):]
-            u_t = list(zip(*us))
-            y, den = matrix._solve(matrix._imul(us, u_t),
-                                   [[x] for x in t[:deg]])
-            rows = _powers(list(zip(*gen[0])),
-                           [r[0] for r in matrix._imul(u_t, y)], deg - 1)
-            xs, ds = zip(*span)
-            z, delta = matrix._solve([t[k:k + deg] for k in range(deg)],
-                                     matrix._imul(rows, list(zip(*xs))))
-            s = den * delta
+            u_t, (xs, ds) = list(zip(*us)), zip(*span)
+            for k in range((n - 1) * deg + 1):
+                rows = _powers(list(zip(*gen[0])), [k**i for i in range(n)],
+                               deg - 1)
+                try:
+                    z, s = matrix._solve(matrix._imul(rows, u_t),
+                                         matrix._imul(rows, list(zip(*xs))))
+                    break
+                except SingularMatrix:
+                    continue
+            else:
+                raise InvariantViolated("no covector cuts out a complement")
             cols = zip(*matrix._imul(u_t, z))
             span = [matrix._reduced(x, s * d) for x, d in (
                 ([s * p - q for p, q in zip(x, col)], d)

@@ -9,9 +9,12 @@ decomposition as it ran before each local minimal polynomial came from an
 integer generator: `krylov` row-reduces h's own Krylov matrix over Q, and
 `frobenius` eliminates with the loops above, projecting onto each
 complement over h's Krylov vectors, where `_frobenius` reads only the
-generator's; it skips a spanning vector u with mu(h) u = 0 (`_kills`,
-on its own integers), whose nu divides mu, as the merge would leave w as
-it is.  `_apply` is its own product, on the entries' arithmetic.  Under
+generator's.  It cuts each complement with `_frobenius`'s covector, so the
+two give the same basis, or with `oblique` by the oblique projection that
+the covector replaced, which gives the same chains in another basis.  It
+skips a spanning vector u with mu(h) u = 0 (`_kills`, on its own
+integers), whose nu divides mu, as the merge would leave w as it is.
+`_apply` is its own product, on the entries' arithmetic.  Under
 `parent_frobenius`, the covering functors and `decompose_module` run on
 that `frobenius`, its Krylov vectors handed on as reduced pairs
 (`pair_blocks`).
@@ -165,11 +168,17 @@ def _coprime_part(a: list, b: list) -> list:
     return a
 
 
-def frobenius(h: list) -> list:
+def frobenius(h: list, oblique: bool = False) -> list:
     """Rational canonical decomposition of h: (Krylov vectors of g_i, d_i),
-    d_1 | ... | d_r, by `krylov` and eliminations over Q."""
-    ident = Matrix.identity(len(h))
-    span, dim, blocks = ident.rows, len(h), []
+    d_1 | ... | d_r, by `krylov` and eliminations over Q.  Each complement
+    is cut out by phi h^j, j < D, for `_frobenius`'s covector phi, the
+    first (1, k, ..., k^(n-1)) for which they are independent on the
+    block, or with `oblique` by the phi the decomposition took before it:
+    dual to h^(D-1) v on the basis h^j v and zero on the block's orthogonal
+    complement, phi = e_D^T (K K^T)^-1 K for the rows h^j v of K."""
+    n = len(h)
+    ident = Matrix.identity(n)
+    span, dim, blocks = ident.rows, n, []
     while dim:
         vecs, mu = krylov(h, span[0])
         for u in span[1:]:
@@ -192,11 +201,19 @@ def frobenius(h: list) -> list:
         dim -= len(vecs)
         if dim:
             k = Matrix(vecs)
-            rows = [(inverse(k * k.transpose()) * k).rows[-1]]
-            for _ in vecs[1:]:
-                rows.append(_apply(list(zip(*h)), rows[-1]))
-            k, phi = k.transpose(), Matrix(rows)
-            proj = ident - k * inverse(phi * k) * phi
+            phis = [(inverse(k * k.transpose()) * k).rows[-1]] if oblique \
+                else [[Fraction(j**i) for i in range(n)]
+                      for j in range((n - 1) * len(vecs) + 1)]
+            for phi in phis:
+                rows = [phi]
+                for _ in vecs[1:]:
+                    rows.append(_apply(list(zip(*h)), rows[-1]))
+                try:
+                    t_inv = inverse(Matrix(rows) * k.transpose())
+                    break
+                except SingularMatrix:
+                    continue
+            proj = ident - k.transpose() * t_inv * Matrix(rows)
             span = [x for x in (Matrix(span) * proj.transpose()).rows
                     if any(x)]
     return blocks
@@ -289,13 +306,13 @@ def covering_certificates(theta: Matrix, h: Matrix, epsilon: int,
 
 
 @contextmanager
-def parent_frobenius():
+def parent_frobenius(oblique: bool = False):
     """Swap `frobenius` in for `_frobenius` where the covering functors and
     `decompose_module` call it, ignoring the generator they pass."""
     saved = laurent_forms._frobenius, seifert._frobenius
     laurent_forms._frobenius = seifert._frobenius = (
         lambda h, e_r=None, c=1: pair_blocks(
-            frobenius(fraction_matrix(h).rows)))
+            frobenius(fraction_matrix(h).rows, oblique)))
     try:
         yield
     finally:

@@ -596,6 +596,8 @@ def witt_class_fp(prime: int, gram, symmetry: int = 1) -> WittClassFp:
         raise EvenPrimeUnsupported("Witt classification requires odd p")
     rows = [list(r) for r in (gram.rows if isinstance(gram, Matrix) else gram)]
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("gram must be square")
     for i in range(n):
         for j in range(n):
             if (rows[i][j] - symmetry * rows[j][i]) % prime != 0:

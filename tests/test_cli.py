@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
-from operator import mul
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,7 @@ from wittkit.finite import classify
 
 from formbank import enumerate_symmetric_forms
 from test_factor import drop_last_factor
+from test_knots import block_sum, change_of_basis
 
 TREFOIL_DOC = '{"name": "trefoil", "psi": [[-1, 1], [0, -1]], "epsilon": -1}'
 Z4_DOC = '{"prime": 2, "orders": [2], "gram": [["1/4"]], "epsilon": 1}'
@@ -617,9 +617,7 @@ def test_fixture_reports_are_pinned(path, capsys):
 
 def mirror_rows(psi: list) -> list:
     """The Seifert matrix of K # -K, A (+) -A, for the Seifert matrix A of K."""
-    n = len(psi)
-    return ([row + [0] * n for row in psi]
-            + [[0] * n + [-x for x in row] for row in psi])
+    return block_sum(psi, [[-x for x in row] for row in psi])
 
 
 def scrambled_psi(psi: list, genus: int) -> list:
@@ -627,13 +625,10 @@ def scrambled_psi(psi: list, genus: int) -> list:
     as the identity, and with rng = random.Random(f"scramble-{g}") each
     column i < 2g gains column 2g + rng.randrange(2g).  P is unimodular, so
     the form is A (+) -A in another basis."""
-    n, rng = 4 * genus, random.Random(f"scramble-{genus}")
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]
-    for i in range(2 * genus):
-        j = 2 * genus + rng.randrange(2 * genus)
-        cols[i] = [x + y for x, y in zip(cols[i], cols[j])]
-    moved = [[sum(map(mul, row, c)) for c in cols] for row in mirror_rows(psi)]
-    return [[sum(map(mul, c, col)) for col in zip(*moved)] for c in cols]
+    rng = random.Random(f"scramble-{genus}")
+    return change_of_basis(mirror_rows(psi), [
+        (i, 2 * genus + rng.randrange(2 * genus), 1)
+        for i in range(2 * genus)])
 
 
 def without_witnesses(block: dict, scrambled: dict) -> tuple:
@@ -659,17 +654,12 @@ def test_scrambled_sums_report_as_block_sums(genus, monkeypatch, capsys):
             ) / f"scale-{genus}-scrambled.json"
     assert json.loads(path.read_text())["psi"] == scrambled_psi(psi, genus)
     pinned = json.loads((path.parent / "reports" / path.name).read_text())
-    block_path = FIXTURES / "reports" / f"scale-{genus}-mirror.json"
-    if block_path.exists():
-        block = json.loads(block_path.read_text())
-    else:
-        doc = json.dumps({"name": f"scale-{genus}-mirror", "epsilon": -1,
-                          "psi": mirror_rows(psi)})
-        code, out, _ = run_cli(["analyze", "--input", "-"], doc,
-                               monkeypatch, capsys)
-        assert code == 0
-        block = json.loads(out)
-    block, scrambled = without_witnesses(block, pinned)
+    doc = json.dumps({"name": "K # -K", "epsilon": -1,
+                      "psi": mirror_rows(psi)})
+    code, out, _ = run_cli(["analyze", "--input", "-"], doc, monkeypatch,
+                           capsys)
+    assert code == 0
+    block, scrambled = without_witnesses(json.loads(out), pinned)
     assert block == scrambled
 
 

@@ -302,6 +302,13 @@ def test_witt_class_skew_is_zero():
     assert witt_class_fp(3, [[0, 1], [2, 0]], symmetry=-1).is_zero
 
 
+@pytest.mark.parametrize("gram", [[[1], [2]], [[1, 0], [0]]])
+def test_witt_class_rejects_non_square(gram):
+    # the symmetry check once read entries past a short row: IndexError
+    with pytest.raises(ValueError, match="gram must be square"):
+        witt_class_fp(3, gram)
+
+
 def test_witt_class_rejects_singular():
     with pytest.raises(SingularForm):
         witt_class_fp(3, [[3]])

@@ -22,6 +22,7 @@ from wittkit.errors import (
     NotPTorsion,
     NotTorsion,
     SingularAutometricForm,
+    SingularMatrix,
     SingularSeifertForm,
 )
 from wittkit.exact.factor import factor_key, factor_rational_poly
@@ -46,6 +47,7 @@ from wittkit.knots import (
     connected_sum,
     knot_inverse,
 )
+from wittkit.serialize import report_to_json
 from wittkit.seifert import (
     AutometricForm,
     SeifertForm,
@@ -898,6 +900,113 @@ class TestKrylovAgainstParentChain:
                             lambda *args: calls.append(args) or krylov(*args))
         assert covering_seifert(fixture_seifert("scale-10-mirror")) \
             .module.rank == len(calls) == 2
+
+    def test_scrambled_mirror_sum(self):
+        # K # -K of the genus-6 ladder knot in a unimodular basis: the
+        # first block no longer lies in one half
+        f = fixture_seifert("scale-6-scrambled")
+        assert assert_matches_parent_chain(covering_seifert, f) == 2
+
+
+def failed_covectors(monkeypatch) -> list:
+    """The covectors `_frobenius` turns down, one entry per singular T."""
+    failed, solve = [], laurent_forms.matrix._solve
+
+    def counting(a, b):
+        try:
+            return solve(a, b)
+        except SingularMatrix:
+            failed.append(a)
+            raise
+
+    monkeypatch.setattr(laurent_forms.matrix, "_solve", counting)
+    return failed
+
+
+class TestCovector:
+    """`_frobenius` cuts each complement with the first covector
+    phi = (1, k, ..., k^(n-1)) whose T = Phi U^T is nonsingular."""
+
+    @pytest.mark.parametrize("c", [1, -1, 4])
+    def test_first_unit_covector_fails(self, c, monkeypatch):
+        # h = diag(2, 3, 3): the block C = <w> holds e_1 and an eigenvector
+        # of 3, on which e_1 vanishes, a non-unit; (1, 1, 1) cuts
+        h = Matrix.from_ints([[2, 0, 0], [0, 3, 0], [0, 0, 3]])
+        want = pair_blocks(frobenius(h.rows))
+        ident = Matrix.identity(3)
+        e_r = integer_pair((ident.scale(c) - h).inverse())
+        failed = failed_covectors(monkeypatch)
+        for gen in (None, e_r):
+            assert laurent_forms._frobenius(integer_pair(h), gen, c) == want
+        # e_1 fails once for each generator
+        assert len(failed) == 2
+
+    def test_no_covector_raises(self, monkeypatch):
+        # the loop is bounded: (n - 1) D + 1 = 5 covectors for the first
+        # block, of degree 2, then a typed error
+        calls = []
+
+        def singular(a, b):
+            calls.append(a)
+            raise SingularMatrix("matrix is singular")
+
+        monkeypatch.setattr(laurent_forms.matrix, "_solve", singular)
+        h = integer_pair(Matrix.from_ints([[2, 0, 0], [0, 3, 0], [0, 0, 3]]))
+        with pytest.raises(InvariantViolated, match="no covector"):
+            laurent_forms._frobenius(h)
+        assert len(calls) == 5
+
+
+def assert_matches_oblique(cover, f):
+    """The covering form of f against the one whose complements came from
+    the oblique projection `_frobenius` took before the covector: another
+    basis of the same module, so equal chains and multisignatures."""
+    got = cover(f)
+    with parent_frobenius(oblique=True):
+        want = cover(f)
+    assert got.module.chain == want.module.chain
+    assert dw_multisignature_laurent(got) == dw_multisignature_laurent(want)
+    return got.module.rank
+
+
+class TestCovectorAgainstOblique:
+    """Complements cut out by a small covector against the oblique
+    projection phi = t^T (U U^T)^-1 U they replaced: chains, multisignatures
+    and whole reports agree; only the basis and the numerators move."""
+
+    def test_autometric_and_seifert_sums(self):
+        rng = random.Random(301)
+        ranks = []
+        for _ in range(6):
+            f = random_autometric(rng, max_rank=4, bound=5)
+            for g in (autometric_direct_sum(f, f), autometric_direct_sum(
+                    autometric_direct_sum(f, f), f)):
+                ranks.append(assert_matches_oblique(covering_autometric, g))
+        trefoil = SeifertForm(TREFOIL, -1, "Z")
+        for f in (seifert_direct_sum(trefoil, SeifertForm(
+                      [[2 * x for x in row] for row in TREFOIL], -1, "Q")),
+                  SeifertForm(SCALE_3, -1, "Z")):
+            for g in (f, seifert_direct_sum(f, seifert_negate(f))):
+                ranks.append(assert_matches_oblique(covering_seifert, g))
+        assert max(ranks) >= 3
+
+    @staticmethod
+    def assert_same_report(psi):
+        got = report_to_json(analyze(KnotInput("k", psi, -1)))
+        with parent_frobenius(oblique=True):
+            assert report_to_json(analyze(KnotInput("k", psi, -1))) == got
+
+    @pytest.mark.parametrize("name", ["scale-6-scrambled", "scale-7-mirror"])
+    def test_fixture_reports(self, name):
+        self.assert_same_report(fixture_seifert(name).psi.rows)
+
+    def test_knot_sums(self):
+        # K # K and K # -K of ladder knots of genus 2-4
+        rng = random.Random(47)
+        for genus in (2, 3, 4):
+            k = KnotInput("k", ladder_psi(rng, genus), -1)
+            for s in (connected_sum(k, k), connected_sum(k, knot_inverse(k))):
+                self.assert_same_report(s.psi.rows)
 
 
 class TestCoveringSeifertFunctoriality:
