@@ -12,9 +12,14 @@ multiplicity read by exact division of f (`polys.divmod_poly`); a
 certified squarefree f has every multiplicity 1.  No prime is sought
 for a line or a quadratic a z^2 + b z + c with b^2 != 4ac, both
 squarefree; the quadratic is irreducible unless b^2 - 4ac = s^2, and
-then splits into the primitive parts of 2az + b -+ s.  Longer ones go by
-Zassenhaus's modular route: factor b^-1 f mod p (distinct-degree, then
-Cantor-Zassenhaus with a fixed RNG seed), Hensel-lift the monic factors
+then splits into the primitive parts of 2az + b -+ s.  A palindromic f
+of even degree 2k, as a knot's orders are, is z^k P(z + 1/z), and P
+(`polys.palindromic_to_y`), squarefree mod p as f is, is factored
+instead, less a factor y (z^2 + 1 of f); each irreducible q(y) gives
+r = z^j q(z + 1/z), irreducible unless q(2) q(-2) is a square, and only
+then factored by the route below.  The rest go by Zassenhaus's modular
+route: factor b^-1 f mod p (distinct-degree, then Cantor-Zassenhaus
+with a fixed RNG seed), Hensel-lift the monic factors
 to p^k above twice 2^(n+1) |f|_2 b, and recombine subsets: the primitive
 part of lc * prod(u_i) mod p^k (symmetric range) is a factor exactly
 when it divides the rest over Z.  Products and derivatives mod m are
@@ -241,6 +246,16 @@ def _multiplicity(g: list[int], f: list[int]) -> int:
     return m
 
 
+def _from_y(q: list[int]) -> list[int]:
+    """z^k q(z + 1/z) for q of degree k, by Horner on integers: the
+    partial sums R_m = (z^2 + 1) R_(m-1) + q_(k-m) z^m."""
+    r = q[-1:]
+    for m, c in enumerate(reversed(q[:-1]), 1):
+        r = [a + b for a, b in zip(r + [0, 0], [0, 0] + r)]
+        r[m] += c
+    return r
+
+
 def _factor_squarefree_int(f: list[int], p: int) -> list[list[int]]:
     """Irreducible primitive factors of a primitive squarefree integer
     polynomial f with positive leading coefficient b, given an odd prime p
@@ -255,6 +270,27 @@ def _factor_squarefree_int(f: list[int], p: int) -> list[list[int]]:
             return [f]
         return [[x // int_gcd(b + r, 2 * a) for x in (b + r, 2 * a)]
                 for r in (-s, s)]  # (2az + b - s)(2az + b + s) = 4a f
+    if n % 2 or f != f[::-1]:
+        return _factor_modular(f, p)
+    # palindromic f = z^k P(z + 1/z); P is squarefree mod p as f is
+    y, out = polys.palindromic_to_y(f), []
+    if not y[0]:  # y | P: z^2 + 1 | f
+        y, out = y[1:], [[1, 0, 1]]
+    for q in _factor_squarefree_int(y, p):
+        # r splits only where y^2 - 4 is a square mod q, whose norm is
+        # q(2) q(-2) / lc(q)^2; for a line q that is r's discriminant
+        r, v = _from_y(q), polys.value(q, 2, 1) * polys.value(q, -2, 1)
+        if isqrt(max(v, 0)) ** 2 != v:
+            out.append(r)
+        else:
+            out += (_factor_squarefree_int if len(q) == 2
+                    else _factor_modular)(r, p)
+    return out
+
+
+def _factor_modular(f: list[int], p: int) -> list[list[int]]:
+    """Zassenhaus's route for `_factor_squarefree_int`, past degree 2."""
+    n = len(f) - 1
     b = f[-1]
     binv = pow(b, -1, p)
     mod_factors = sorted(_factor_mod_p([c * binv % p for c in f], p,

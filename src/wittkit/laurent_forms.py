@@ -124,8 +124,16 @@ class LaurentModule:
     @cached_property
     def factors(self) -> list:
         """Primitive irreducible factors of the order, with multiplicities,
-        in the report's order (`factor_rational_poly`)."""
-        return factor_rational_poly(self.total_divisor)
+        in the report's order: the largest divisor's (`factor_rational_poly`),
+        each with the sum of its levels in the chain (`_split`)."""
+        found = factor_rational_poly(self.chain[-1] if self.chain else [1])
+        if len(self.chain) < 2:  # the order itself, as checked there
+            return found
+        out = [(g, sum(l for l, _ in self._split(g)[1].values()))
+               for g, _ in found]
+        prod = reduce(polys.mul, (g for g, m in out for _ in range(m)), [1])
+        check(prod == self.total_divisor, "factors do not give the order")
+        return out
 
     @cached_property
     def factor_keys(self) -> dict:

@@ -66,6 +66,7 @@ from wittkit.errors import (
     check,
 )
 from wittkit.exact import polys
+from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _integral, _reduced
 from wittkit.exact.ratfunc import RatFunc, series_expand
@@ -526,12 +527,14 @@ def laurent_direct_sum(a: LaurentLinkingForm,
     if a.module.torsion_mode != b.module.torsion_mode:
         raise ValueError("direct sum needs matching torsion mode")
     # concatenated divisors sorted by degree, then by the monic divisor;
-    # not a divisibility chain in general, which nothing downstream requires
+    # not a divisibility chain in general, so the factors are read off the
+    # whole order: `LaurentModule.factors` reads a chain's largest divisor
     chain = a.module.chain + b.module.chain
     perm = sorted(range(len(chain)),
                   key=lambda k: (len(chain[k]), _monic_dense(chain[k])))
     module = LaurentModule([chain[k] for k in perm], None,
                            a.module.torsion_mode)
+    module.factors = factor_rational_poly(module.total_divisor)
     # the numerators of column j are over M_j*, which the permutation
     # moves with the column
     zero, ra, rb = ([], 1), a.module.rank, b.module.rank

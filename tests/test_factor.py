@@ -10,6 +10,7 @@ import itertools
 import json
 import os
 import random
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -22,6 +23,7 @@ from wittkit.exact import factor, polys
 from wittkit.exact.factor import factor_key, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.laurent_forms import LaurentModule, dw_multisignature_laurent
+from wittkit.seifert import _seifert_module
 from wittkit.knots import (
     KnotInput,
     _det_one_minus,
@@ -33,6 +35,7 @@ import factor_oracle
 from covering_oracle import record_form
 from factor_oracle import as_laurent, laurent_factors
 from lt_oracle import cyclotomic_polynomial
+from test_seifert import ladder_psi
 
 F = Fraction
 z = LaurentPoly.z()
@@ -465,3 +468,140 @@ def test_conjugate_pairs_match_the_laurent_route():
         module = LaurentModule([polys.primitive(p.ordinary()[0])], None, "Q")
         form = record_form(module, [[0]], -1)
         assert dw_multisignature_laurent(form).conjugate_pairs == want, p
+
+
+# ---- palindromic orders, factored at half degree in y = z + 1/z ----
+
+CALL_SECONDS = 1
+
+
+def modular_route(f):
+    """`factor_rational_poly(f)` with every squarefree part past degree 2
+    factored by Zassenhaus's route at its full degree, the route before
+    palindromic parts were factored in y = z + 1/z."""
+    found = factor._factor_squarefree_int
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factor, "_factor_squarefree_int", lambda f, p: (
+            factor._factor_modular if len(f) > 3 else found)(f, p))
+        return factor_rational_poly(f)
+
+
+def timed_records(f):
+    start = time.perf_counter()
+    out = factor_rational_poly(f)
+    assert time.perf_counter() - start < CALL_SECONDS, f
+    return out
+
+
+def from_y(q):
+    """z^k q(z + 1/z) for an integer q of degree k, as a LaurentPoly."""
+    return sum((c * (z + z**-1) ** j for j, c in enumerate(q)),
+               LaurentPoly.zero()) * z ** (len(q) - 1)
+
+
+def conjugate_pair(g):
+    """g g* for g* = z^deg(g) g(1/z), the reversed list: palindromic."""
+    return from_ints(g) * from_ints(g[::-1])
+
+
+SQUARE_NORM_PAIR = from_ints([3, 1, 2]) * from_ints([2, 1, 3])
+HALF_DEGREE_PIECES = [z**2 + 1, phi(3), phi(5), phi(8), phi(10), phi(12),
+                      (z - 1) ** 2, (z + 1) ** 2, SQUARE_NORM_PAIR]
+
+
+def palindromic_product(rng, size, degree):
+    """A seeded palindromic product of even degree from `degree` / 2 to
+    `degree`: fixed pieces (z^2 + 1, cyclotomics, (z -+ 1)^2 and
+    (2z^2 + z + 3)(3z^2 + z + 2)), z^k q(z + 1/z) for random q and
+    conjugate pairs g g* for random g, each to the power 1 or 2, random
+    coefficients up to `size`."""
+    entry = lambda: rng.randint(-size, size)
+    p, target = LaurentPoly.one(), rng.randrange(degree // 2, degree + 1, 2)
+    while (room := target - p.max_deg() + p.min_deg()) >= 4:
+        kind = rng.randrange(3)
+        top = rng.randint(1, min(room // 4, 10))
+        if kind == 0:
+            q = rng.choice(HALF_DEGREE_PIECES)
+        elif kind == 1:
+            q = from_y([entry() for _ in range(top)] + [rng.randint(1, size)])
+        else:
+            q = conjugate_pair([rng.randint(1, size)]
+                               + [entry() for _ in range(top)])
+        p = p * q ** (2 if 2 * (q.max_deg() - q.min_deg()) <= room
+                      and rng.random() < 0.25 else 1)
+    return polys.primitive(p.ordinary()[0])
+
+
+@pytest.mark.parametrize("size,degree,count", [
+    (3, 8, 120), (2**20, 16, 60), (2**200, 12, 25), (5, 80, 6)],
+    ids=["small", "2^20", "2^200", "degree-80"])
+def test_half_degree_route_matches_the_modular_route(size, degree, count):
+    # seeded draws, each call time-bounded; sympy reads every product but
+    # those of degree 80, where it takes 0.3-0.6 s a product
+    rng = random.Random(f"half-degree-{size}-{degree}")
+    for _ in range(count):
+        f = palindromic_product(rng, size, degree)
+        got = timed_records(f)
+        assert got == modular_route(f), f
+        if degree < 80:
+            assert {factor_key(g): m for g, m in got} == sympy_factors(
+                from_ints(f)), f
+
+
+def test_half_degree_pieces_match_the_oracle():
+    # z^2 + 1 (y | P), Phi_5, 8, 10, 12, repeats, and conjugate pairs
+    # whose norm q(2) q(-2) is a square, so r_q = z^2 q(z + 1/z) splits
+    cases = [(z**2 + 1) * phi(5), phi(8) * phi(12), phi(10) ** 2 * phi(5),
+             SQUARE_NORM_PAIR, SQUARE_NORM_PAIR ** 2 * (z**2 + 1),
+             conjugate_pair([2**200 + 1, 3, -2**199]) * phi(8)]
+    for p in cases:
+        f = p.ordinary()[0]
+        assert timed_records(f) == modular_route(f), p
+        assert_matches_oracles(p)
+    y = polys.palindromic_to_y(polys.primitive(SQUARE_NORM_PAIR.ordinary()[0]))
+    assert polys.value(y, 2, 1) * polys.value(y, -2, 1) == 24**2
+    assert factor_rational_poly(SQUARE_NORM_PAIR.ordinary()[0]) == [
+        ([2, 1, 3], 1), ([3, 1, 2], 1)]
+
+
+def test_an_irreducible_half_degree_order_makes_no_modular_call(
+        monkeypatch):
+    # the genus-2 ladder knot's D = 15z^4 - 66z^3 + 103z^2 - 66z + 15 is
+    # z^2 P(z + 1/z) with P = 15y^2 - 66y + 73 irreducible and
+    # P(2) P(-2) = 265 no square: irreducible without factoring mod p
+    d = _det_one_minus(KnotInput("k", ladder_psi(random.Random(0), 2), -1))
+    assert d == [15, -66, 103, -66, 15]
+    calls = []
+    modular = factor._factor_mod_p
+    monkeypatch.setattr(factor, "_factor_mod_p",
+                        lambda f, p, rng: calls.append(f) or modular(f, p, rng))
+    assert factor_rational_poly(d) == [(d, 1)]
+    assert calls == []
+    assert modular_route(d) == [(d, 1)]
+    assert calls
+
+
+# ---- the module's factors through its largest divisor ----
+
+def test_module_factors_read_the_largest_divisor():
+    # seeded ladder knots of genus 1-4 and their K # -K, whose modules
+    # have two divisors: the largest divisor's factors, with the levels
+    # summed over the chain, are the whole order's records
+    rng = random.Random("largest-divisor")
+    two = 0
+    for genus in (1, 1, 2, 2, 3, 3, 4, 4) * 2:
+        k = KnotInput("k", ladder_psi(rng, genus), -1)
+        for knot in (k, connected_sum(k, knot_inverse(k))):
+            module = _seifert_module(knot.seifert_form)
+            want = factor_rational_poly(module.total_divisor)
+            assert module.factors == want, knot.psi.rows
+            two += module.rank > 1
+    assert two >= 10
+
+
+def test_factors_that_miss_the_order_are_refused():
+    # (z - 2) and (z + 3) do not form a divisor chain, so the largest
+    # divisor misses a factor of the order: a typed error, under -O too
+    module = LaurentModule([[-2, 1], [3, 1]], None, "Q")
+    with pytest.raises(InvariantViolated, match="do not give the order"):
+        module.factors

@@ -1,6 +1,7 @@
 """Finite linking forms: decomposition, auxiliaries, Witt classes, boundaries."""
 
 import random
+import time
 from fractions import Fraction as F
 from math import gcd, lcm, prod
 
@@ -612,6 +613,80 @@ def test_complementary_under_base_change(seed):
     lp = binv * Matrix([[1, 0], [0, 1], [0, 0], [0, 0]])
     lm = binv * Matrix([[0, 0], [0, 0], [1, 0], [0, 1]])
     assert verify_boundary_complementary(moved, lp, lm)
+
+
+# invariance under change of basis: the multisignature and the verdicts are
+# isometry invariants, so a unimodular P^T alpha P, or new generators within
+# one order of a part, must give the same answers
+
+CALL_SECONDS = 1
+
+
+def timed(f, *args):
+    start = time.perf_counter()
+    out = f(*args)
+    assert time.perf_counter() - start < CALL_SECONDS, f.__name__
+    return out
+
+
+def odd_answers(parts) -> dict:
+    """{p: (multisignature, metabolic, hyperbolic)} of the odd parts."""
+    return {p: (timed(dw_multisignature, part),
+                timed(classify, part, "metabolic"),
+                timed(classify, part, "hyperbolic"))
+            for p, part in parts.items() if p != 2}
+
+
+@st.composite
+def forms_in_new_bases(draw):
+    """A nonsingular integral form alpha and P^T alpha P for the unimodular
+    P made from the identity by a few column operations."""
+    alpha, epsilon = draw(nonsingular_integral_forms())
+    n = len(alpha)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(draw(st.integers(1, 5)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        s = draw(st.integers(-2, 2))
+        cols[i] = [x + s * y for x, y in zip(cols[i], cols[j])]
+    moved = [[sum(a * alpha[r][c] * b for r, a in enumerate(u)
+                  for c, b in enumerate(v)) for v in cols] for u in cols]
+    return alpha, moved, epsilon
+
+
+# derandomize: the same draw on every run, so that tier-1 time repeats
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(forms_in_new_bases())
+def test_boundary_invariants_do_not_see_the_basis(forms):
+    alpha, moved, epsilon = forms
+    parts = timed(boundary_of_form, alpha, epsilon)
+    moved_parts = timed(boundary_of_form, moved, epsilon)
+    assert sorted(moved_parts) == sorted(parts)
+    assert odd_answers(moved_parts) == odd_answers(parts)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(nonsingular_integral_forms(), st.randoms(use_true_random=False))
+def test_invariants_do_not_see_generators_within_one_order(form, rng):
+    # a matrix invertible mod p on the generators of one order l of a
+    # boundary part is an automorphism of its group
+    parts = boundary_of_form(*form)
+    for p, part in parts.items():
+        if p == 2:
+            continue
+        level = rng.choice(part.orders)
+        block = [i for i, l in enumerate(part.orders) if l == level]
+        while True:
+            change = [[rng.randrange(p**level) for _ in block]
+                      for _ in block]
+            if Matrix.from_ints(change).det() % p:
+                break
+        cols = [[int(a == i) for i in range(part.rank)]
+                for a in range(part.rank)]
+        for x, a in enumerate(block):
+            for y, i in enumerate(block):
+                cols[a][i] = change[x][y]
+        moved = apply_generator_change(part, cols)
+        assert odd_answers({p: moved}) == odd_answers({p: part})
 
 
 # ---------------------------------------------------------------------------
