@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from wittkit import serialize
@@ -32,6 +31,7 @@ from wittkit.finite import (
     dw_multisignature,
 )
 from wittkit.knots import (
+    KnotInput,
     alexander_polynomial,
     analyze,
     blanchfield_form,
@@ -55,17 +55,6 @@ from wittkit.subgroups import (
     MODES,
     brute_force_lagrangians,
 )
-
-
-@dataclass
-class CliConfig:
-    command: str
-    input: str | None = None
-    output: str | None = None
-    format: str | None = None
-    precision: Fraction | None = None
-    search_bound: int | None = None
-    catalog: str | None = None
 
 
 def parse_precision(text: str) -> Fraction:
@@ -127,24 +116,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> CliConfig:
-    opts = dict(vars(args))
-    if "precision" in opts:
-        text, name = opts["precision"], "--precision"
+def _check_args(args: argparse.Namespace) -> None:
+    """Read --precision (or WITTKIT_PRECISION) into a Fraction in place and
+    refuse a bad value or a search bound below 1 with ValueError.  Each
+    command's namespace carries only the options that command accepts."""
+    if hasattr(args, "precision"):
+        text, name = args.precision, "--precision"
         if text is None:
             text = os.environ.get("WITTKIT_PRECISION") or None
             name = "--precision from WITTKIT_PRECISION"
         try:
-            opts["precision"] = (DEFAULT_PRECISION if text is None
-                                 else parse_precision(text))
+            args.precision = (DEFAULT_PRECISION if text is None
+                              else parse_precision(text))
         except ValueError as exc:
             raise ValueError(f"{name} {text!r:.40}: {exc}") from None
-    if opts.get("search_bound") is not None and opts["search_bound"] < 1:
+    if getattr(args, "search_bound", None) is not None \
+            and args.search_bound < 1:
         raise ValueError("--search-bound must be positive")
-    return CliConfig(**opts)
 
 
-def _load_doc(config: CliConfig):
+def _load_doc(config: argparse.Namespace):
     if config.input is None:
         raise ValueError("no --input given")
     try:  # json.load recurses once per level of nesting
@@ -156,7 +147,7 @@ def _load_doc(config: CliConfig):
         raise ValueError("the document nests too deeply") from None
 
 
-def _emit(config: CliConfig, text: str) -> None:
+def _emit(config: argparse.Namespace, text: str) -> None:
     if config.output is None or config.output == "-":
         sys.stdout.write(text)
     else:
@@ -234,7 +225,7 @@ def _linking_text(doc: dict) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(config: CliConfig) -> int:
+def cmd_analyze(config: argparse.Namespace) -> int:
     if config.catalog is not None:
         knot = catalog_knot(config.catalog)
     else:
@@ -264,7 +255,8 @@ def _oracle_verdict(results: dict) -> str:
     return "split metabolic, no complementary pair"
 
 
-def _linking_part(form: FiniteLinkingForm, config: CliConfig) -> dict:
+def _linking_part(form: FiniteLinkingForm,
+                  config: argparse.Namespace) -> dict:
     part = {
         "form": serialize.finite_form_to_json(form),
         "multisignature": None,
@@ -300,7 +292,7 @@ def _linking_part(form: FiniteLinkingForm, config: CliConfig) -> dict:
     return part
 
 
-def cmd_linking(config: CliConfig) -> int:
+def cmd_linking(config: argparse.Namespace) -> int:
     doc = _load_doc(config)
     if isinstance(doc, dict) and "prime" in doc:
         forms = [serialize.finite_form_from_json(doc)]
@@ -320,7 +312,7 @@ def cmd_linking(config: CliConfig) -> int:
     return 0
 
 
-def cmd_oracle(config: CliConfig) -> int:
+def cmd_oracle(config: argparse.Namespace) -> int:
     form = serialize.finite_form_from_json(_load_doc(config))
     bound = config.search_bound or DEFAULT_SEARCH_BOUND
     results = _run_oracle(form, bound)
@@ -339,7 +331,7 @@ def cmd_oracle(config: CliConfig) -> int:
     return 0
 
 
-def cmd_catalog(config: CliConfig) -> int:
+def cmd_catalog(config: argparse.Namespace) -> int:
     if config.catalog is not None:
         doc = serialize.knot_to_json(catalog_knot(config.catalog))
         doc["note"] = CATALOG[config.catalog]["note"]
@@ -407,7 +399,6 @@ def _selftest_anchors(precision: Fraction):
               "<2> is not a direct summand, no split lagrangian exists")
 
     def trefoil_pipeline():
-        from wittkit.knots import KnotInput
         k = KnotInput("trefoil", [[-1, 1], [0, -1]], -1)
         check(alexander_polynomial(k) == [1, -1, 1],
               "trefoil Alexander polynomial is not 1 - z + z^2")
@@ -422,7 +413,6 @@ def _selftest_anchors(precision: Fraction):
               "trefoil must be slice and doubly-slice obstructed")
 
     def figure_eight_clear():
-        from wittkit.knots import KnotInput
         k = KnotInput("figure-eight", [[1, 1], [0, -1]], -1)
         check(alexander_polynomial(k) == [1, -3, 1],
               "figure-eight Alexander polynomial is not 1 - 3z + z^2")
@@ -433,7 +423,6 @@ def _selftest_anchors(precision: Fraction):
               "figure-eight must carry no obstruction")
 
     def mirror_witnesses():
-        from wittkit.knots import KnotInput
         k = KnotInput("trefoil", [[-1, 1], [0, -1]], -1)
         report = analyze(connected_sum(k, knot_inverse(k)), precision)
         check(report.doubly_slice_obstructed == "no_obstruction_found",
@@ -442,7 +431,6 @@ def _selftest_anchors(precision: Fraction):
               "hyperbolic witnesses must attach to K # -K")
 
     def lt_consistency():
-        from wittkit.knots import KnotInput
         k = KnotInput("trefoil", [[-1, 1], [0, -1]], -1)
         sums = witt_forgetful_laurent(
             dw_multisignature_laurent(blanchfield_form(k), precision))
@@ -467,7 +455,7 @@ def _selftest_anchors(precision: Fraction):
     ]
 
 
-def cmd_selftest(config: CliConfig) -> int:
+def cmd_selftest(config: argparse.Namespace) -> int:
     failures = 0
     lines = []
     for name, anchor in _selftest_anchors(config.precision):
@@ -501,8 +489,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
+        config = parser.parse_args(argv)
+        _check_args(config)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     except ValueError as exc:

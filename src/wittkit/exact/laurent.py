@@ -12,19 +12,16 @@ tested on their integer lists (`polys.self_conjugate`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
-
-Scalar = Union[int, Fraction]
 
 
-def _frac(x: Scalar) -> Fraction:
+def _frac(x: int | Fraction) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class LaurentPoly:
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[Mapping[int, Scalar]] = None):
+    def __init__(self, coeffs: dict[int, int | Fraction] | None = None):
         clean: dict[int, Fraction] = {}
         if coeffs:
             for d, c in coeffs.items():
@@ -48,15 +45,15 @@ class LaurentPoly:
         return cls({k: 1})
 
     @classmethod
-    def const(cls, c: Scalar) -> "LaurentPoly":
+    def const(cls, c: int | Fraction) -> "LaurentPoly":
         return cls({0: c})
 
     @classmethod
-    def monomial(cls, c: Scalar, k: int) -> "LaurentPoly":
+    def monomial(cls, c: int | Fraction, k: int) -> "LaurentPoly":
         return cls({k: c})
 
     @classmethod
-    def from_dense(cls, coeffs: Iterable[Scalar], offset: int = 0) -> "LaurentPoly":
+    def from_dense(cls, coeffs: list, offset: int = 0) -> "LaurentPoly":
         """coeffs[i] is the coefficient of z^(offset+i)."""
         return cls({offset + i: c for i, c in enumerate(coeffs)})
 
@@ -152,7 +149,7 @@ class LaurentPoly:
         """The involution z -> z^-1."""
         return LaurentPoly({-d: c for d, c in self.coeffs.items()})
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         x = _frac(x)
         if x == 0 and self.coeffs and self.min_deg() < 0:
             raise ZeroDivisionError("evaluating negative powers at 0")

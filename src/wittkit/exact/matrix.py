@@ -19,7 +19,6 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Callable, Sequence
 
 from wittkit.errors import SingularMatrix
 
@@ -27,7 +26,7 @@ from wittkit.errors import SingularMatrix
 class Matrix:
     __slots__ = ("rows",)
 
-    def __init__(self, rows: Sequence[Sequence]):
+    def __init__(self, rows: list | tuple):
         rows = [list(r) for r in rows]
         if rows:
             w = len(rows[0])
@@ -49,7 +48,7 @@ class Matrix:
                     for r in rows])
 
     @classmethod
-    def block_diag(cls, blocks: Sequence["Matrix"], zero=Fraction(0)) -> "Matrix":
+    def block_diag(cls, blocks: list[Matrix], zero=Fraction(0)) -> "Matrix":
         n, left, out = sum(b.ncols for b in blocks), 0, []
         for b in blocks:
             right = [zero] * (n - left - b.ncols)
@@ -80,7 +79,7 @@ class Matrix:
 
     # ---- generic ops ----
 
-    def map(self, f: Callable) -> "Matrix":
+    def map(self, f) -> "Matrix":
         return Matrix([[f(x) for x in r] for r in self.rows])
 
     def transpose(self) -> "Matrix":

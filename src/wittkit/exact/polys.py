@@ -21,24 +21,23 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd as int_gcd, lcm
-from typing import Sequence
 
-Poly = list  # list[int]
+Poly = list  # list[int]; the functions also read tuples
 
 
-def trim(p: Sequence) -> Poly:
+def trim(p: Poly) -> Poly:
     p = list(p)
     while p and not p[-1]:
         p.pop()
     return p
 
 
-def deg(p: Sequence) -> int:
+def deg(p: Poly) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(p) - 1
 
 
-def primitive(p: Sequence) -> Poly:
+def primitive(p: Poly) -> Poly:
     """The integer multiple of p with content 1 and a positive leading
     coefficient, for integer or rational coefficients; zero for zero."""
     p = trim(p)
@@ -50,7 +49,7 @@ def primitive(p: Sequence) -> Poly:
     return [c // g for c in ints]
 
 
-def mul(p: Sequence, q: Sequence) -> Poly:
+def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return []
     out = [0] * (len(p) + len(q) - 1)
@@ -60,7 +59,7 @@ def mul(p: Sequence, q: Sequence) -> Poly:
     return out
 
 
-def value(g: Sequence, n: int, d: int) -> int:
+def value(g: Poly, n: int, d: int) -> int:
     """d^deg(g) g(n / d), for d > 0: g(n / d) times a positive integer."""
     v, scale = 0, 1
     for c in reversed(g):
@@ -68,7 +67,7 @@ def value(g: Sequence, n: int, d: int) -> int:
     return v
 
 
-def compose(p: Sequence, a: int, b: int) -> Poly:
+def compose(p: Poly, a: int, b: int) -> Poly:
     """p(a + b z), by Horner on integers."""
     out = []
     for c in reversed(p):
@@ -77,7 +76,7 @@ def compose(p: Sequence, a: int, b: int) -> Poly:
     return trim(out)
 
 
-def divmod_poly(p: Sequence, q: Sequence) -> tuple[Poly, Poly, int]:
+def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly, int]:
     """(quot, rem, s) with s p = quot q + rem, deg rem < deg q and s > 0:
     each step clears p's top coefficient c as (a/g) p - (c/g) z^k q,
     a = lc(q), g = +-gcd(a, c) with a/g > 0, and puts a/g into s, so no
@@ -102,7 +101,7 @@ def divmod_poly(p: Sequence, q: Sequence) -> tuple[Poly, Poly, int]:
     return trim(quot), trim(p), s
 
 
-def _remainders(a: Sequence, b: Sequence) -> list[Poly]:
+def _remainders(a: Poly, b: Poly) -> list[Poly]:
     """The primitive remainder sequence a, b, r_2, ... up to its last
     nonzero member, a gcd of a and b: r_(k+1) is the pseudo-remainder of
     r_(k-1) by r_k, negated and divided by its content.  A pseudo-remainder
@@ -118,12 +117,12 @@ def _remainders(a: Sequence, b: Sequence) -> list[Poly]:
     return seq
 
 
-def gcd(p: Sequence, q: Sequence) -> Poly:
+def gcd(p: Poly, q: Poly) -> Poly:
     """The primitive gcd, with positive leading coefficient."""
     return primitive(_remainders(p, q)[-1])
 
 
-def derivative(p: Sequence) -> Poly:
+def derivative(p: Poly) -> Poly:
     return trim([c * i for i, c in enumerate(p)][1:])
 
 
@@ -135,7 +134,7 @@ def self_conjugate(p: Poly) -> bool:
 
 # ---- real root machinery (Sturm) ----
 
-def sturm_chain(p: Sequence) -> list[Poly]:
+def sturm_chain(p: Poly) -> list[Poly]:
     """The Sturm sequence of p: the remainder sequence of (p, p')."""
     return _remainders(p, derivative(p))
 
@@ -153,7 +152,7 @@ def sturm_count(chain: list[Poly], a: int, b: int, d: int) -> int:
     return va - vb
 
 
-def isolate_real_roots(p: Sequence, lo, hi) -> list[tuple[int, int, int]]:
+def isolate_real_roots(p: Poly, lo, hi) -> list[tuple[int, int, int]]:
     """Brackets (a, b, d), d > 0, of disjoint open-ended intervals
     (a/d, b/d], one distinct real root of p in each, all roots of p inside
     (lo, hi], for rationals lo < hi, in increasing order: bisection keeps
@@ -198,7 +197,7 @@ def _chebyshev(top: int) -> tuple:
     return tuple(table)
 
 
-def cos_poly(coeffs: Sequence, offset: int = 0) -> Poly:
+def cos_poly(coeffs: Poly, offset: int = 0) -> Poly:
     """2 g, for g with g(2 cos t) = sum_k c_k cos((k + offset) t): twice
     the real part at z = e^{it} of sum_k c_k z^(k + offset), for integers
     c_k.  2 g = sum_k c_k Q_|k + offset|, read off one table
@@ -210,7 +209,7 @@ def cos_poly(coeffs: Sequence, offset: int = 0) -> Poly:
     return trim(out)
 
 
-def palindromic_to_y(p: Sequence) -> Poly:
+def palindromic_to_y(p: Poly) -> Poly:
     """For palindromic integer p of even degree 2m (coefficients
     c_i = c_{2m-i}) return the integer Y of degree m with
     p(z) = z^m * Y(z + 1/z): `cos_poly(p, -m)` is 2 Y, each of its terms

@@ -17,7 +17,7 @@ caller that needs U's data reads it off V (`finite.boundary_of_form`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from wittkit.exact.matrix import Matrix
@@ -33,10 +33,8 @@ def _coerce(x) -> int:
     raise TypeError(f"bad entry {type(x)!r} for integer SNF")
 
 
-@dataclass
-class SNFResult:
-    V: Matrix
-    divisors: list  # full diagonal, including trailing zeros
+# divisors: the full diagonal, including trailing zeros
+SNFResult = namedtuple("SNFResult", "V divisors")
 
 
 def smith_normal_form(a: Matrix) -> SNFResult:

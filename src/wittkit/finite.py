@@ -18,7 +18,7 @@ the brute-force oracle in `subgroups` covers p = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import index
@@ -91,21 +91,21 @@ def _legendre(a: int, p: int) -> int:
 # types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WittClassFp:
+class WittClassFp(namedtuple("WittClassFp",
+                             "prime rank_mod_2 discriminant_class")):
     """Witt class of a nonsingular symmetric form over F_p, odd p.  The class
-    is determined by (rank mod 2, square class of the signed discriminant);
-    addition twists the discriminants by (-1)^{r1 r2}."""
+    is determined by (rank mod 2, square class of the signed discriminant,
+    "square" or "nonsquare"); addition twists the discriminants by
+    (-1)^{r1 r2}."""
 
-    prime: int
-    rank_mod_2: int
-    discriminant_class: str  # "square" | "nonsquare"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.discriminant_class not in ("square", "nonsquare"):
+    def __new__(cls, prime: int, rank_mod_2: int, discriminant_class: str):
+        if discriminant_class not in ("square", "nonsquare"):
             raise ValueError("bad discriminant class")
-        if self.rank_mod_2 not in (0, 1):
+        if rank_mod_2 not in (0, 1):
             raise ValueError("bad rank parity")
+        return super().__new__(cls, prime, rank_mod_2, discriminant_class)
 
     @classmethod
     def zero(cls, p: int) -> "WittClassFp":
@@ -146,15 +146,12 @@ class WittClassFp:
                 f"disc={self.discriminant_class})")
 
 
-@dataclass(frozen=True)
-class AuxiliaryFormFp:
-    """Level-l auxiliary form over F_p: Gram matrix with the v-symmetry
-    gram = v * gram^T, which `witt_class_fp` checks."""
+class AuxiliaryFormFp(namedtuple("AuxiliaryFormFp", "prime level gram v")):
+    """Level-l auxiliary form over F_p: Gram matrix, a tuple of tuples of
+    ints in [0, p), with the v-symmetry gram = v * gram^T (v = +-1), which
+    `witt_class_fp` checks."""
 
-    prime: int
-    level: int
-    gram: tuple  # tuple of tuples of ints in [0, p)
-    v: int  # +1 or -1
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

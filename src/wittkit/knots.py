@@ -15,7 +15,7 @@ sliceness certificate, and every report carries that caveat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -38,7 +38,6 @@ from wittkit.exact.roots import (
 )
 from wittkit.laurent_forms import (
     SIGMA_SIGN,
-    DWMultiSignatureLaurent,
     LaurentLinkingForm,
     LaurentModule,
     dw_multisignature_laurent,
@@ -95,18 +94,11 @@ class KnotInput:
         return SignatureSteps(self)
 
 
-@dataclass
-class ObstructionReport:
-    name: str
-    alexander: list
-    factorization: list
-    multisignature: DWMultiSignatureLaurent
-    slice_obstructed: str
-    doubly_slice_obstructed: str
-    rochlin: int | None
-    witnesses: tuple | None
-    notes: list
-    convention: dict
+# multisignature is a `DWMultiSignatureLaurent`; rochlin and witnesses (the
+# diagonal and twisted-graph submodules) may be None
+ObstructionReport = namedtuple("ObstructionReport", (
+    "name alexander factorization multisignature slice_obstructed "
+    "doubly_slice_obstructed rochlin witnesses notes convention"))
 
 
 def connected_sum(a: KnotInput, b: KnotInput) -> KnotInput:

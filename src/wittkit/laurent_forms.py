@@ -32,8 +32,7 @@ fields, plain signatures at z = +-1.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
@@ -78,7 +77,6 @@ def _monic(p: list) -> list:
 # modules
 # ---------------------------------------------------------------------------
 
-@dataclass
 class LaurentModule:
     """Torsion module (+) A/(d_i) with its elementary divisor chain, units
     dropped: chain[i] is `_frobenius`'s primitive integer list M_i, with
@@ -89,13 +87,22 @@ class LaurentModule:
     (a < deg d_i) in the coordinates of the form's space (Q^n, or Q^n
     around Trotter's part R for a Seifert form), and basis_change, built
     when read, is P over Q: it traces generators back to the form.  Both
-    are None for other modules.  No presentation over Q[z, z^-1] is kept."""
+    are None for other modules.  No presentation over Q[z, z^-1] is kept.
+    Equality reads the three fields, not the caches."""
 
-    chain: list
-    basis: list | None
-    torsion_mode: str
-    _splits: dict = dataclasses.field(default_factory=dict, init=False,
-                                      repr=False, compare=False)
+    def __init__(self, chain: list, basis: list | None, torsion_mode: str):
+        self.chain, self.basis, self.torsion_mode = chain, basis, torsion_mode
+        self._splits = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.chain, self.basis, self.torsion_mode) == (
+            other.chain, other.basis, other.torsion_mode)
+
+    def __repr__(self):
+        return (f"LaurentModule({self.chain!r}, {self.basis!r}, "
+                f"{self.torsion_mode!r})")
 
     @property
     def divisors(self) -> list:
@@ -382,12 +389,13 @@ class LaurentLinkingForm:
 # auxiliary hermitian forms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AuxiliaryHermitian:
-    field: ResidueField
-    gram: Matrix  # ResidueElem entries
-    symmetry: int  # +1 after normalization; -1 only for skew real residue
-    unit: object = None  # normalizing unit as a ResidueElem, when one is used
+class AuxiliaryHermitian(namedtuple(
+        "AuxiliaryHermitian", "field gram symmetry unit", defaults=(None,))):
+    """field: the `ResidueField`; gram: a `Matrix` of its `ResidueElem`s;
+    symmetry: +1 after normalization, -1 only for a skew real residue;
+    unit: the normalizing unit as a `ResidueElem`, when one is used."""
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

@@ -28,6 +28,7 @@ answers every mode in MODES.  Any prime is allowed here, including 2.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate, compress, product
 from math import isqrt, prod
 from operator import mul, or_
@@ -122,6 +123,22 @@ class _Table:
                 acc = nxt
         return acc.get(0, 0)
 
+    def purity(self, prime: int) -> list:
+        """(div_k, ker_k) for each k >= 1 with p^k below the largest order:
+        the candidates in p^k T, coordinate c a multiple of min(p^k, o_c),
+        and those p^k kills, coordinate c a multiple of o_c / min(p^k, o_c).
+        """
+        out, pk, top = [], prime, max(map(len, self.col), default=1)
+        while pk < top:
+            div = ker = self.everything
+            for col in self.col:
+                step = min(pk, len(col))
+                div &= reduce(or_, col[::step])
+                ker &= reduce(or_, col[::len(col) // step])
+            out.append((div, ker))
+            pk *= prime
+        return out
+
     def child(self, elems: list, i: int, index: int):
         """W + <g> for g = cands[i] and W's packed `elems`, with index * g
         in W: the cosets W + k g for k < index, packed, and their mask."""
@@ -135,8 +152,9 @@ class _Table:
 
 def _isotropic_subgroups(ctx: _SearchContext, order: int):
     """Every self-annihilating subgroup of exactly `order` elements, each
-    once, as (hnf_key, element_mask), and the list `cands` the masks index
-    (bit 0 is zero); ([], []) at once when `order` lies outside [1, |T|].
+    once, as (hnf_key, element_mask), and the `_Table` whose `cands` the
+    masks index (bit 0 is zero); ([], None) at once when `order` lies
+    outside [1, |T|].
 
     A node carries its rows, order, element mask, packed elements and
     `todo`: the candidates orthogonal to it and reduced against its pivots,
@@ -148,7 +166,7 @@ def _isotropic_subgroups(ctx: _SearchContext, order: int):
     # head[c]: the largest order the columns before c can add
     head = [prod(orders[:c]) for c in range(n + 1)]
     if not 1 <= order <= head[n]:
-        return [], []
+        return [], None
     table = _Table(ctx)
     cands, col, shifts = table.cands, table.col, table.shifts
     # pivots[c]: (d, the candidates zero before column c and d at it, those
@@ -194,21 +212,17 @@ def _isotropic_subgroups(ctx: _SearchContext, order: int):
                     stack.append((c, (cands[i],) + rows, grown,
                                   *table.child(elems, i, o // d),
                                   todo & orth[i] & under))
-    return found, cands
+    return found, table
 
 
-def _is_pure(elems, ctx: _SearchContext) -> bool:
-    """Pure subgroups (H intersect p^k T = p^k H for all k) are exactly the
-    direct summands of a finite abelian p-group."""
-    orders = ctx.orders
-    for k in range(1, max(ctx.form.orders, default=1)):
-        pk = ctx.form.prime**k
-        if ({x for x in elems if all(xi % min(pk, o) == 0
-                                     for xi, o in zip(x, orders))}
-                != {tuple(pk * xi % o for xi, o in zip(x, orders))
-                    for x in elems}):
-            return False
-    return True
+def _is_pure(mask: int, purity: list) -> bool:
+    """Pure subgroups (H meet p^k T = p^k H for all k) are exactly the
+    direct summands of a finite abelian p-group.  As p^k H <= H meet p^k T
+    and |p^k H| = |H| / |H[p^k]|, H is pure exactly when |H meet p^k T|
+    |H[p^k]| = |H| for each (div_k, ker_k) in `_Table.purity`."""
+    size = mask.bit_count()
+    return all((mask & div).bit_count() * (mask & ker).bit_count() == size
+               for div, ker in purity)
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +249,14 @@ def brute_force_lagrangians(
     ctx = _SearchContext(form, bound)
     # a lagrangian has order sqrt|T|, so a non-square |T| admits none
     root = isqrt(ctx.size)
-    found, cands = _isotropic_subgroups(
+    found, table = _isotropic_subgroups(
         ctx, root if root * root == ctx.size else 0)
     lagrangians = sorted(found, key=lambda t: t[0])
+    purity = table.purity(form.prime) if found else []
     keys = {
         "any": [key for key, _ in lagrangians[:1]],
-        # a mask's elements: its binary digits, lowest first, select cands
         "split": next(
-            ([key] for key, mask in lagrangians
-             if _is_pure([*compress(cands, map(int, bin(mask)[:1:-1]))], ctx)),
+            ([key] for key, mask in lagrangians if _is_pure(mask, purity)),
             []),
         # two lagrangians meet trivially when they share bit 0 (zero) only
         "complementary_pair": next(

@@ -31,6 +31,9 @@ Slow, exhaustive or structural routes that `wittkit.finite` and
   new element by ord(x) steps over tuples, which `wittkit.subgroups`
   replaced by a prefix recurrence, a residue recurrence on column masks and
   cosets of packed elements.
+- `is_pure`: purity of a subgroup by comparing the sets H meet p^k T and
+  p^k H for each k, which `wittkit.subgroups` replaced by popcounts of its
+  element mask against two candidate masks per k.
 - `_check_pairing`, `_adjoint_is_iso` and `witt_class_fp`: the checks of a
   gram of reduced `Fraction`s, the adjoint's bijectivity by a Smith form of
   [N | diag(n)], and the Witt class by a `Fraction` determinant, which
@@ -490,6 +493,20 @@ def list_filter_subgroups(ctx: _SearchContext):
             if len(seen[new_key]) == ctx.form.prime * len(elems):
                 covered |= seen[new_key]
     return found
+
+
+def is_pure(elems, ctx: _SearchContext) -> bool:
+    """Pure subgroups (H intersect p^k T = p^k H for all k) are exactly the
+    direct summands of a finite abelian p-group."""
+    orders = ctx.orders
+    for k in range(1, max(ctx.form.orders, default=1)):
+        pk = ctx.form.prime**k
+        if ({x for x in elems if all(xi % min(pk, o) == 0
+                                     for xi, o in zip(x, orders))}
+                != {tuple(pk * xi % o for xi, o in zip(x, orders))
+                    for x in elems}):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

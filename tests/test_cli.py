@@ -741,3 +741,19 @@ class TestSelftest:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 1
         assert "FAIL lt-consistency" in proc.stdout
+
+
+# -- cold start --
+
+def test_import_loads_no_introspection_modules():
+    # the records are plain classes and namedtuples, and no annotation
+    # needs typing; -S keeps out whatever the site module itself imports
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wittkit.__file__)))
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import wittkit.cli\n"
+            "print(*sorted({'dataclasses', 'inspect', 'typing', 'ast', 'dis',\n"
+            "               'tokenize'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\n", "")

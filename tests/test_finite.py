@@ -299,6 +299,28 @@ def test_witt_class_anchors():
     assert witt_class_fp(3, [[1, 0], [0, 2]]).is_zero
 
 
+def test_witt_class_refuses_a_bad_parity_or_class():
+    with pytest.raises(ValueError, match="bad rank parity"):
+        WittClassFp(5, 2, "square")
+    with pytest.raises(ValueError, match="bad discriminant class"):
+        WittClassFp(5, 1, "cube")
+
+
+def test_witt_class_and_auxiliary_form_are_frozen_values():
+    a, b = WittClassFp(7, 1, "nonsquare"), witt_class_fp(7, [[3]])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != WittClassFp(7, 1, "square") and a != WittClassFp(5, 1,
+                                                                "nonsquare")
+    aux = AuxiliaryFormFp(3, 1, ((0, 1), (2, 0)), -1)
+    assert aux == AuxiliaryFormFp(3, 1, ((0, 1), (2, 0)), -1)
+    assert aux.rank == 2
+    for record, field in ((a, "rank_mod_2"), (aux, "gram"), (aux, "v")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        a.note = "a value has no other attributes"
+
+
 def test_witt_class_skew_is_zero():
     assert witt_class_fp(3, [[0, 1], [2, 0]], symmetry=-1).is_zero
 

@@ -294,6 +294,20 @@ def test_row_divisor_violation_rejected():
         validate_over_qz(record_form(m, [[NIL, ONE], [ONE, NIL]], 1))
 
 
+def test_module_equality_ignores_its_caches():
+    a, b = (LaurentModule([ints(P6), ints(P6**2)], None, "P")
+            for _ in range(2))
+    prim, split = a._split(ints(P6))
+    assert split == {0: (1, [1]), 1: (2, [1])}
+    assert a._splits and not b._splits
+    assert a == b
+    assert a != LaurentModule([ints(P6**2)], None, "P")
+    assert a != LaurentModule([ints(P6), ints(P6**2)], None, "Q")
+    # cached_property and the oracles write to the instance's __dict__
+    a.factors = [(prim, 3)]
+    assert a.factors == [(prim, 3)] and a == b
+
+
 def test_column_divisor_violation_rejected():
     # the row divisor P6^2 kills 1/P6^2, the column divisor P6 does not
     m = LaurentModule([ints(P6**2), ints(P6)], None, "P")

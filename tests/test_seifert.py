@@ -1,6 +1,5 @@
 """Covering functors, trace recovery, and Seifert lagrangian machinery."""
 
-import dataclasses
 import json
 import random
 import sys
@@ -32,6 +31,7 @@ from wittkit.exact.matrix import (
 from wittkit.exact.ratfunc import RatFunc
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
+    LaurentModule,
     _krylov,
     auxiliary_hermitian,
     _pencil_reduction,
@@ -1169,8 +1169,9 @@ class TestMonodromyAgainstOracle:
                                 m[:-1] + [2 * m[-1]]):
                     chain = cov.module.chain[:k] + [chain_k] \
                         + cov.module.chain[k + 1:]
-                    bad.append(LaurentLinkingForm(dataclasses.replace(
-                        cov.module, chain=chain), cov.num, cov.epsilon))
+                    bad.append(LaurentLinkingForm(LaurentModule(
+                        chain, cov.module.basis, cov.module.torsion_mode),
+                        cov.num, cov.epsilon))
                 for c in bad:
                     got = outcome(monodromy, c)
                     assert got == outcome(monodromy_oracle, c)
@@ -1845,8 +1846,8 @@ class TestRoundTrip:
                      "narrow": [(v[:-1], d) for v, d in basis],
                      "wide": [(v + [0], d) for v, d in basis]}[bend]
             return LaurentLinkingForm(
-                dataclasses.replace(cov.module, basis=basis), cov.num,
-                cov.epsilon)
+                LaurentModule(cov.module.chain, basis,
+                              cov.module.torsion_mode), cov.num, cov.epsilon)
 
         forms = [f for f in self.seeded_forms(9)[0] if f.rank > 1]
         monkeypatch.setattr(seifert, "covering_autometric", bent)
@@ -1873,8 +1874,8 @@ class TestRoundTrip:
             basis = [_integral(g_of_h(f, cov, [Fraction(x, d) for x in v]))
                      for v, d in cov.module.basis]
             return LaurentLinkingForm(
-                dataclasses.replace(cov.module, basis=basis), cov.num,
-                cov.epsilon)
+                LaurentModule(cov.module.chain, basis,
+                              cov.module.torsion_mode), cov.num, cov.epsilon)
 
         forms = [f for f in self.seeded_forms(10)[0] if f.rank]
         monkeypatch.setattr(seifert, "covering_autometric", bent)

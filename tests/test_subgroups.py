@@ -25,6 +25,7 @@ from linking_oracle import (
     closure,
     dot_orthogonal,
     functional_table,
+    is_pure,
     list_filter_subgroups,
 )
 from wittkit.errors import SearchSpaceTooLarge
@@ -32,6 +33,7 @@ from wittkit.finite import (
     FiniteLinkingForm,
     auxiliary_form,
     auxiliary_modules,
+    boundary_of_form,
     classify,
     witt_class_fp,
 )
@@ -213,8 +215,9 @@ def _reference_subgroups(ctx):
 
 def _decoded_subgroups(ctx, order):
     """The mask enumeration of one order as (hnf_key, element_set) pairs."""
-    found, cands = _isotropic_subgroups(ctx, order)
-    return [(key, frozenset(x for i, x in enumerate(cands) if mask >> i & 1))
+    found, table = _isotropic_subgroups(ctx, order)
+    return [(key, frozenset(x for i, x in enumerate(table.cands)
+                            if mask >> i & 1))
             for key, mask in found]
 
 
@@ -246,7 +249,7 @@ def _reference_witnesses(ctx, found, mode):
             witnesses.append(_witness_matrix(lagrangians[0][0], ctx.orders))
     elif mode == "split":
         for key, elems in lagrangians:
-            if _is_pure(elems, ctx):
+            if is_pure(elems, ctx):
                 witnesses.append(_witness_matrix(key, ctx.orders))
                 break
     else:
@@ -319,6 +322,49 @@ def test_enumeration_matches_reference():
         for mode in MODES:
             assert out[mode]["witnesses"] == \
                 _reference_witnesses(ctx, ref, mode), (f, mode)
+
+
+def _boundary_parts():
+    """The primary parts of the boundary fixtures and of diagonal and
+    non-diagonal integral forms whose parts have mixed levels, at p = 2
+    and 3, with both signs."""
+    fixtures = Path(__file__).parent / "fixtures"
+    docs = [json.loads((fixtures / name).read_text())
+            for name in ("boundary-12-60.json", "boundary-skew-2-12.json")]
+    docs += [{"alpha": alpha, "epsilon": 1} for alpha in (
+        [[2, 0, 0], [0, 4, 0], [0, 0, 8]], [[4, 2], [2, 9]],
+        [[3, 0, 0], [0, 9, 0], [0, 0, 27]], [[3, 3], [3, 30]])]
+    docs.append({"alpha": [[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 8],
+                           [0, 0, -8, 0]], "epsilon": -1})
+    for doc in docs:
+        parts = boundary_of_form(doc["alpha"], doc["epsilon"])
+        yield from (parts[p] for p in sorted(parts))
+
+
+def test_purity_popcounts_match_the_set_route():
+    """On every isotropic subgroup of every order, of the enumerated forms
+    and of the boundary parts, the popcount test agrees with comparing the
+    sets H meet p^k T and p^k H."""
+    forms = _reference_bank() + list(_boundary_parts())
+    seen = {True: 0, False: 0}
+    primes = set()
+    for f in forms:
+        ctx = _SearchContext(f, 10**4)
+        order = 1
+        while order <= ctx.size:
+            found, table = _isotropic_subgroups(ctx, order)
+            if found:
+                purity = table.purity(f.prime)
+            for key, mask in found:
+                elems = {x for i, x in enumerate(table.cands)
+                         if mask >> i & 1}
+                pure = is_pure(elems, ctx)
+                assert _is_pure(mask, purity) is pure, (f, key)
+                seen[pure] += 1
+                primes.add(f.prime)
+            order *= f.prime
+    assert seen[True] > 100 and seen[False] > 100, seen
+    assert {2, 3, 5, 7} <= primes
 
 
 # ---------------------------------------------------------------------------
