@@ -1,10 +1,9 @@
-"""Dense matrices over the rings used in this package.
+"""Dense matrices, with products and elimination over Q.
 
-Products and sums take any ring entries: Fraction (Z and Q), LaurentPoly
-(Q[z, z^-1]) or residue field elements; a product of Fraction matrices
-takes integer dot products (`_products`).  Elimination is over Q only:
+Sums and scalar multiples take any ring entries; products take int or
+Fraction entries only, in integer dot products (`_products`).
 `inverse` and `det` run in one fraction-free kernel, `_gauss_jordan`,
-`charpoly` in division-free `_berkowitz` on integers, and all three raise
+`charpoly` in division-free `_berkowitz` on integers, and all four raise
 TypeError on other entries.  `_gauss_jordan` and `_solve`
 take integer rows only: rationals are scaled in `Matrix._rational`, per
 row, and in `laurent_forms.decompose_module`.  The covering path
@@ -85,9 +84,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
-    def bar(self) -> "Matrix":
-        return self.map(lambda x: x.bar() if hasattr(x, "bar") else x)
-
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
@@ -132,9 +128,7 @@ class Matrix:
         ValueError unless square, TypeError unless rational."""
         if not self.is_square():
             raise ValueError(f"{what} of non-square matrix")
-        if not all(type(x) in (int, Fraction) for r in self.rows for x in r):
-            raise TypeError(f"{what} needs int or Fraction entries")
-        pairs = [_integral(r) for r in self.rows]
+        pairs = _integral_pairs(self.rows, what)
         return [v for v, _ in pairs], [d for _, d in pairs]
 
     def det(self) -> Fraction:
@@ -166,27 +160,23 @@ class Matrix:
                 for k, c in enumerate(_berkowitz(nums))]
 
 
-def _dot(row, col):
-    # the first product fixes the result's type; zero terms are skipped
-    it = zip(row, col)
-    a, b = next(it)
-    total = a * b
-    for a, b in it:
-        if a and b:
-            total = total + a * b
-    return total
+def _integral_pairs(rows, what: str) -> list:
+    """`_integral` of each row, for `what`; TypeError unless every entry
+    is an int or a Fraction."""
+    if not all(type(x) in (int, Fraction) for r in rows for x in r):
+        raise TypeError(f"{what} needs int or Fraction entries")
+    return [_integral(r) for r in rows]
 
 
 def _products(rows, cols) -> list:
-    """[[_dot(r, c) for c in cols] for r in rows].  If every entry is a
-    Fraction, each row and column is scaled to integers by the lcm of its
-    denominators: an entry is an integer dot product, where a zero term
-    costs an int product, and one Fraction(num, d_row * d_col), one gcd."""
-    if not all(type(x) is Fraction for v in chain(rows, cols) for x in v):
-        return [[_dot(r, c) for c in cols] for r in rows]
-    right = [_integral(c) for c in cols]
+    """The Fraction dot products of rational rows with rational columns:
+    each row and column is scaled to integers by the lcm of its
+    denominators, so an entry is an integer dot product, where a zero term
+    costs an int product, and one Fraction(num, d_row * d_col), one gcd.
+    Other entries raise TypeError."""
+    right = _integral_pairs(cols, "product")
     return [[Fraction(sum(map(mul, nums, c)), d * dc) for c, dc in right]
-            for nums, d in map(_integral, rows)]
+            for nums, d in _integral_pairs(rows, "product")]
 
 
 def _integral(v) -> tuple[list, int]:

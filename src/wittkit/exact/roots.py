@@ -19,11 +19,12 @@ Signatures come from one congruence elimination yielding the leading
 minors d_k, the signature being the sum of sign(d_k) sign(d_(k-1)): by
 Bareiss on pairs of integer rows for hermitian matrices over Z[i]
 (symmetric integer ones have every imaginary part 0), over a residue field
-with its involution otherwise.  A hermitian minor is fixed by the
-involution, so it is real at the root and equal to its real part there, a
-polynomial in y, of which `polys.cos_poly` gives an integer multiple whose
-sign at y0 is certified as above.  A hermitian form is eliminated once and
-its minors are read at every root of the field's modulus.
+with its involution otherwise, on rows of `ResidueElem`s.  A hermitian
+minor is fixed by the involution, so it is real at the root and equal to
+its real part there, a polynomial in y, of which `polys.cos_poly` gives an
+integer multiple whose sign at y0 is certified as above.  A hermitian
+form is eliminated once and its minors are read at every root of the
+field's modulus.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 from wittkit.errors import SingularForm, check
 from wittkit.exact import polys
-from wittkit.exact.matrix import Matrix, _integral
+from wittkit.exact.matrix import _integral
 
 DEFAULT_PRECISION = Fraction(1, 2**64)
 
@@ -197,18 +198,21 @@ def _congruence_pivots(a: list) -> list:
     return minors
 
 
-def hermitian_signature_at_root(h: Matrix, roots: list) -> list[int]:
-    """Signatures of a hermitian matrix over Q[z]/(factor), one per root in
-    `roots`, at the embeddings z -> e^{i*theta}: one elimination, each
-    leading minor N / d's real part in y taken once, from N as d > 0, and
-    its sign read at every root.  Entries must be ResidueElem over a
-    self-conjugate field, pivots inverted by `ResidueElem.inverse`; a
-    matrix with bar(h)^T != h is refused with InvariantViolated (the
-    auxiliary forms of a certified covering form are hermitian), a
-    singular one with SingularForm."""
-    check(h == h.bar().transpose(), "matrix is not hermitian")
+def hermitian_signature_at_root(rows: list, roots: list) -> list[int]:
+    """Signatures of the hermitian form with `rows` over Q[z]/(factor), one
+    per root in `roots`, at the embeddings z -> e^{i*theta}: one
+    elimination of copies of the rows, each leading minor N / d's real
+    part in y taken once, from N as d > 0, and its sign read at every
+    root.  Entries must be ResidueElem over a self-conjugate field, pivots
+    inverted by `ResidueElem.inverse`; rows with rows[i][j] !=
+    bar(rows[j][i]) are refused with InvariantViolated (the auxiliary
+    forms of a certified covering form are hermitian), a singular form
+    with SingularForm."""
+    check(all(len(r) == len(rows) for r in rows) and all(
+        x == y.bar() for r, col in zip(rows, zip(*rows))
+        for x, y in zip(r, col)), "matrix is not hermitian")
     minors = [polys.cos_poly(d.num) for d in _congruence_pivots(
-        [list(row) for row in h.rows])]
+        [list(row) for row in rows])]
     signs = ([1] + [root.sign_of(g) for g in minors] for root in roots)
     return [sum(a * b for a, b in zip(s, s[1:])) for s in signs]
 

@@ -319,16 +319,16 @@ def decompose_module(presentation, torsion_mode: str = "Q") -> LaurentModule:
     if torsion_mode not in ("P", "Q"):
         raise ValueError("torsion_mode must be 'P' or 'Q'")
     rows = presentation.rows if isinstance(presentation, Matrix) else presentation
-    m = Matrix([[_as_laurent(x) for x in row] for row in rows])
-    if m.nrows != m.ncols:
+    m = [[_as_laurent(x) for x in row] for row in rows]
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("presentation must be square")
-    n = m.nrows
-    low = [min((k for x in row for k in x.coeffs), default=0) for row in m.rows]
-    d = max([1] + [k - lo for row, lo in zip(m.rows, low)
+    low = [min((k for x in row for k in x.coeffs), default=0) for row in m]
+    d = max([1] + [k - lo for row, lo in zip(m, low)
                    for x in row for k in x.coeffs])
     scaled = [matrix._integral([x.coefficient(lo + k) for k in range(d + 1)
                                 for x in row])[0]
-              for row, lo in zip(m.rows, low)]
+              for row, lo in zip(m, low)]
     # row i < n (d - 1) of B is the unit row e_i, of C e_(i + n)
     unit = Matrix.identity(n * d, 1).rows
     big_b = unit[:n * (d - 1)] + [[0] * (n * d - n) + r[n * d:] for r in scaled]
@@ -391,15 +391,16 @@ class LaurentLinkingForm:
 
 class AuxiliaryHermitian(namedtuple(
         "AuxiliaryHermitian", "field gram symmetry unit", defaults=(None,))):
-    """field: the `ResidueField`; gram: a `Matrix` of its `ResidueElem`s;
-    symmetry: +1 after normalization, -1 only for a skew real residue;
-    unit: the normalizing unit as a `ResidueElem`, when one is used."""
+    """field: the `ResidueField`; gram: the form's rows, lists of its
+    `ResidueElem`s; symmetry: +1 after normalization, -1 only for a skew
+    real residue; unit: the normalizing unit as a `ResidueElem`, when one
+    is used."""
 
     __slots__ = ()
 
     @property
     def rank(self) -> int:
-        return self.gram.nrows
+        return len(self.gram)
 
 
 def _hilbert90_unit(field: ResidueField, v):
@@ -448,13 +449,14 @@ def auxiliary_hermitian(form: LaurentLinkingForm, p: list,
         return field.element(polys.mul(num, cofs[i]),
                              unit * den * lc_j * cofs[i][-1], 1 - len(cofs[j]))
 
-    gram0 = Matrix([[entry(i, j) for j in cofs] for i in cofs])
+    gram0 = [[entry(i, j) for j in cofs] for i in cofs]
     v = field.element([form.epsilon * unit], 1, n * l)
     if n == 1:
         return AuxiliaryHermitian(field, gram0, 1 if v == field.one() else -1)
     u = _hilbert90_unit(field, v)
     ubar = u.bar()
-    return AuxiliaryHermitian(field, gram0.map(lambda x: ubar * x), 1, u)
+    return AuxiliaryHermitian(
+        field, [[ubar * x for x in row] for row in gram0], 1, u)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +564,8 @@ def dw_multisignature_laurent(
         for l in level_multiplicities(module, p):
             aux = auxiliary_hermitian(form, p, l)
             if aux.symmetry != 1:  # z = +-1: a skew form over Q
-                if not aux.gram.map(
-                        lambda x: Fraction(sum(x.num), x.den)).det():
+                if not Matrix([[Fraction(sum(x.num), x.den) for x in row]
+                               for row in aux.gram]).det():
                     raise SingularForm("auxiliary form is singular")
                 out.rank_only[(pk, l)] = aux.rank
                 continue

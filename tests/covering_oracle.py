@@ -395,10 +395,10 @@ def _adjoint_bijective(divisors: list, lam: Matrix) -> bool:
     return big.det() != 0
 
 
-def qz_auxiliary_gram(form, p: LaurentPoly, l: int) -> Matrix:
-    """The level-l form at p before normalization, by products over Q(z):
-    p^l cof_i bar(cof_j) lambda_ij reduced mod p, on the divisors
-    d_i = p^l cof_i of exact valuation l."""
+def qz_auxiliary_gram(form, p: LaurentPoly, l: int) -> list:
+    """The rows of the level-l form at p before normalization, by products
+    over Q(z): p^l cof_i bar(cof_j) lambda_ij reduced mod p, on the
+    divisors d_i = p^l cof_i of exact valuation l."""
     p = monic_ordinary(p)
     field = ResidueField(_dense(p))
     lam = qz_pairing(form)
@@ -417,7 +417,7 @@ def qz_auxiliary_gram(form, p: LaurentPoly, l: int) -> Matrix:
             check(e.is_laurent(), "level entry escapes the coefficient ring")
             row.append(field.from_laurent(e.num))
         entries.append(row)
-    return Matrix(entries)
+    return entries
 
 
 def qz_monodromy_theta(form) -> Matrix:

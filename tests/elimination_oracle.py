@@ -14,7 +14,10 @@ two give the same basis, or with `oblique` by the oblique projection that
 the covector replaced, which gives the same chains in another basis.  It
 skips a spanning vector u with mu(h) u = 0 (`_kills`, on its own
 integers), whose nu divides mu, as the merge would leave w as it is.
-`_apply` is its own product, on the entries' arithmetic.  Under
+`_apply` is its own product, on the entries' arithmetic; `product` and
+`bar` are the ring product and involution `Matrix` kept before its
+products took rational entries only, for the tests' matrices over
+Q[z, z^-1], Q(z) and residue fields.  Under
 `parent_frobenius`, the covering functors and `decompose_module` run on
 that `frobenius`, its Krylov vectors handed on as reduced pairs
 (`pair_blocks`).
@@ -50,6 +53,32 @@ def _apply(a: list, x: list) -> list:
     """The product of the rows a with the vector x, on the entries' own
     arithmetic."""
     return [sum(p * q for p, q in zip(row, x)) for row in a]
+
+
+def _dot(row, col):
+    # the first product fixes the result's type; zero terms are skipped
+    it = zip(row, col)
+    a, b = next(it)
+    total = a * b
+    for a, b in it:
+        if a and b:
+            total = total + a * b
+    return total
+
+
+def product(a: Matrix, b: Matrix) -> Matrix:
+    """a * b on the entries' own arithmetic, for entries of any ring
+    (`LaurentPoly`, `QZ`, `ResidueElem`), as `Matrix.__mul__` ran before it
+    took int and Fraction entries only."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in product")
+    cols = b.transpose().rows
+    return Matrix([[_dot(r, c) for c in cols] for r in a.rows])
+
+
+def bar(m: Matrix) -> Matrix:
+    """The involution entry by entry, `Matrix.bar` before it left `src/`."""
+    return m.map(lambda x: x.bar() if hasattr(x, "bar") else x)
 
 
 def _scaled(rows: list) -> tuple[list, int]:

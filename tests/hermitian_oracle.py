@@ -241,8 +241,9 @@ def laurent_class(field: wittkit_residue.ResidueField, p: LaurentPoly):
     return field.element(*_integral(dense), low)
 
 
-def as_oracle_matrix(m):
-    return m.map(as_oracle)
+def as_oracle_rows(rows) -> list:
+    """`as_oracle` on every entry of the rows of a form."""
+    return [[as_oracle(x) for x in row] for row in rows]
 
 
 @lru_cache(maxsize=None)
@@ -382,15 +383,16 @@ def express_in_y(field, e) -> list:
     return qpolys.trim(sol)
 
 
-def charpoly_in_y(h) -> list:
-    """The characteristic polynomial of a hermitian matrix over a
-    self-conjugate residue field, each coefficient written in y."""
+def charpoly_in_y(rows) -> list:
+    """The characteristic polynomial of the hermitian form with `rows` over
+    a self-conjugate residue field, each coefficient written in y."""
     # snf_oracle reaches this module through covering_oracle
     from snf_oracle import _faddeev_leverrier
 
-    if h.nrows == 0:
+    if not rows:
         return [[Fraction(1)]]
-    return [express_in_y(h[0, 0].field, c) for c in _faddeev_leverrier(h)[0]]
+    return [express_in_y(rows[0][0].field, c)
+            for c in _faddeev_leverrier(Matrix(rows))[0]]
 
 
 def descartes_signature_at_root(in_y, root) -> int:
@@ -402,9 +404,9 @@ def descartes_signature_at_root(in_y, root) -> int:
     return descartes_signature([root.sign_of(g) for g in in_y])
 
 
-def charpoly_signature_at_root(h, root) -> int:
+def charpoly_signature_at_root(rows, root) -> int:
     """The old `hermitian_signature_at_root`."""
-    return descartes_signature_at_root(charpoly_in_y(h), root)
+    return descartes_signature_at_root(charpoly_in_y(rows), root)
 
 
 # ---- congruence pivots over a field ----
@@ -457,11 +459,11 @@ def fraction_signature_of_symmetric(m) -> int:
         [[Fraction(x) for x in row] for row in m.rows], lambda x: x))
 
 
-def pivot_signatures_at_root(h, roots) -> list[int]:
-    """The hermitian signatures at `roots` from field pivots, each pivot's
-    real part in y read at every root."""
+def pivot_signatures_at_root(rows, roots) -> list[int]:
+    """The signatures at `roots` of the hermitian form with `rows`, from
+    field pivots, each pivot's real part in y read at every root."""
     pivots = [qpolys.ints(qpolys.cos_poly(piv.coeffs)) for piv in congruence_pivots(
-        [list(row) for row in h.rows], lambda x: x.bar())]
+        [list(row) for row in rows], lambda x: x.bar())]
     return [sum(root.sign_of(g) for g in pivots) for root in roots]
 
 
@@ -499,10 +501,10 @@ def fraction_auxiliary(form, p, l: int) -> tuple:
     field = ResidueField(dense_p)
     cof = {i: c for i, (level, c)
            in _fraction_split(form.divisors, dense_p).items() if level == l}
-    gram = Matrix([[field.from_laurent(
+    gram = [[field.from_laurent(
         form.num[i, j] * cof[i] * unit**l
         * LaurentPoly.monomial(1, -form.divisors[j].max_deg()))
-        for j in cof] for i in cof])
+        for j in cof] for i in cof]
     v = field.from_laurent(unit**l) * form.epsilon
     if field.degree == 1:
         return gram, None, 1 if v == field.one() else -1
@@ -511,14 +513,14 @@ def fraction_auxiliary(form, p, l: int) -> tuple:
         gen ** k for k in range(2, field.degree + 1)]
     u = next(u for u in (c0 + v * c0.bar() for c0 in probes)
              if not u.is_zero())
-    return gram.map(lambda x: u.bar() * x), u, 1
+    return [[u.bar() * x for x in row] for row in gram], u, 1
 
 
 def fraction_pivot_signs(gram, roots) -> list:
-    """Per root, the signs of the leading minors of the hermitian gram:
-    running products of the signs of its `congruence_pivots`."""
+    """Per root, the signs of the leading minors of the hermitian form with
+    rows `gram`: running products of the signs of its `congruence_pivots`."""
     pivots = [qpolys.ints(qpolys.cos_poly(piv.coeffs)) for piv in congruence_pivots(
-        [list(row) for row in gram.rows], lambda x: x.bar())]
+        [list(row) for row in gram], lambda x: x.bar())]
     out = []
     for root in roots:
         signs, s = [], 1
@@ -548,9 +550,10 @@ def fraction_multisignature(form, precision=DEFAULT_PRECISION) -> tuple:
         for l in sorted(levels):
             gram, u, symmetry = fraction_auxiliary(form, p, l)
             if symmetry != 1:
-                if not gram.map(lambda x: sum(x.coeffs, Fraction(0))).det():
+                if not Matrix([[sum(x.coeffs, Fraction(0)) for x in row]
+                               for row in gram]).det():
                     raise SingularForm("skew level form is singular")
-                ranks[(key, l)] = gram.nrows
+                ranks[(key, l)] = len(gram)
                 continue
             per_root = pivot_signatures_at_root(gram, roots)
             for ridx, (root, sig) in enumerate(zip(roots, per_root)):

@@ -294,12 +294,11 @@ def cyclotomic_lt_signature(k, turn, precision=DEFAULT_PRECISION):
     d = t.denominator
     phi = cyclotomic_polynomial(d)
     field = residue.ResidueField(phi)
-    herm = Matrix([
-        [laurent_class(field, LaurentPoly({
-            0: psi[i, j] + psi[j, i],
-            1: -psi[i, j],
-            -1: -psi[j, i]}))
-         for j in range(n)] for i in range(n)])
+    herm = [[laurent_class(field, LaurentPoly({
+                0: psi[i, j] + psi[j, i],
+                1: -psi[i, j],
+                -1: -psi[j, i]}))
+             for j in range(n)] for i in range(n)]
     y_poly, lo, hi = _cached_minimal_poly(t.numerator, d)
     root = CertifiedRoot(y_poly, lo, hi)
     root.refine(precision)

@@ -19,10 +19,10 @@ from fractions import Fraction
 from wittkit.errors import NotPTorsion, NotTorsion
 from wittkit.exact import polys
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.matrix import Matrix, _dot
+from wittkit.exact.matrix import Matrix
 from wittkit.laurent_forms import LaurentModule, _as_laurent
 
-from elimination_oracle import _one_like, fraction_matrix
+from elimination_oracle import _dot, _one_like, bar, fraction_matrix, product
 import qpolys
 from covering_oracle import (
     QZ, covering_pencil, form_from_qz, frac_class, monic_ordinary,
@@ -270,7 +270,7 @@ def _faddeev_leverrier(a: Matrix) -> tuple[list, list]:
     coeffs[n] = one
     ms = [ident]
     for k in range(1, n + 1):
-        am = a * ms[-1]
+        am = product(a, ms[-1])
         ck = matrix_trace(am) * Fraction(-1, k)
         coeffs[n - k] = ck
         if k < n:
@@ -330,7 +330,7 @@ def _snf_covering(pres, mode, num, den, epsilon):
         _chain([monic_ordinary(res.divisors[i]) for i in kept]), None, mode)
     # the generators g_i are the kept columns of U^-1
     g = Matrix([[row[i] for i in kept] for row in res.U_inv.rows])
-    changed = g.transpose() * num * g.bar()
+    changed = product(product(g.transpose(), num), bar(g))
     pairing = [[frac_class(QZ.make(x, den)) for x in row]
                for row in changed.rows]
     form = form_from_qz(module, pairing, epsilon)
@@ -343,12 +343,12 @@ def snf_covering_seifert(f):
     adj, det = pencil_adjugate(fraction_matrix(f.e_pair), LaurentPoly.one(),
                                -scale)
     theta = fraction_matrix(f.theta_pair)
-    return _snf_covering(covering_pencil(f), "P", theta * adj * scale, det,
-                         -f.epsilon)
+    return _snf_covering(covering_pencil(f), "P", product(theta, adj) * scale,
+                         det, -f.epsilon)
 
 
 def snf_covering_autometric(f):
     adj, det = pencil_adjugate(f.h, LaurentPoly.z(-1), LaurentPoly.one())
     scale = LaurentPoly({-1: Fraction(-1)})
-    return _snf_covering(covering_pencil(f), "Q", f.theta * adj * scale, det,
-                         -f.epsilon)
+    return _snf_covering(covering_pencil(f), "Q", product(f.theta, adj) * scale,
+                         det, -f.epsilon)

@@ -363,7 +363,7 @@ def test_auxiliary_unit_normalizes_to_inner_product():
     aux = auxiliary_hermitian(f, ints(P6), 1)
     assert aux.rank == 1
     assert aux.symmetry == 1
-    assert aux.gram[0, 0] == aux.field.one()
+    assert aux.gram[0][0] == aux.field.one()
     assert aux.unit == aux.field.gen()
 
 
@@ -399,7 +399,7 @@ def test_auxiliary_hermitian_after_normalization():
     aux = auxiliary_hermitian(f, ints(P6), 1)
     for i in range(aux.rank):
         for j in range(aux.rank):
-            assert aux.gram[i, j] == aux.field.bar_elem(aux.gram[j, i])
+            assert aux.gram[i][j] == aux.field.bar_elem(aux.gram[j][i])
 
 
 # -- multisignature anchors --

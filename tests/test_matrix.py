@@ -10,7 +10,7 @@ from wittkit.errors import SingularMatrix
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact import matrix
 from wittkit.exact.matrix import (
-    Matrix, _dot, _gauss_jordan, _imul, _integral, _solve)
+    Matrix, _gauss_jordan, _imul, _integral, _solve)
 from wittkit.exact.residue import ResidueField
 
 from covering_oracle import QZ
@@ -202,6 +202,8 @@ class TestGaussJordanAgainstOracle:
         assert a.det() == oracle.det(a)
 
     def test_other_entries_raise_type_error(self):
+        # so do products, for one such entry among Fractions too: a
+        # TypeError, not an AttributeError from the integer route
         field = ResidueField(cyclotomic_polynomial(12))
         rng = random.Random("residue-det")
         for n in range(1, 4):
@@ -210,16 +212,22 @@ class TestGaussJordanAgainstOracle:
                                for _ in range(n)] for _ in range(n)])
             laurent = Matrix([[z**rng.randint(-2, 2) - F(rng.randint(-3, 3))
                                for _ in range(n)] for _ in range(n)])
-            for a in (residue, laurent):
-                for method in (a.det, a.charpoly, a.inverse):
-                    with pytest.raises(TypeError):
+            ints = Matrix.identity(n, 1)
+            for a in (residue, laurent, laurent.map(QZ.make)):
+                one_entry = Matrix.identity(n)
+                one_entry.rows[-1][0] = a[0, 0]
+                for method in (a.det, a.charpoly, a.inverse,
+                               lambda: a * a, lambda: a * ints,
+                               lambda: ints * a, lambda: one_entry * ints):
+                    with pytest.raises(TypeError,
+                                       match="needs int or Fraction"):
                         method()
 
 
 def test_ratfunc_inverse():
     m = Matrix([[z - 1, LaurentPoly.one()], [LaurentPoly.zero(), z + 1]])
     inv = qz_inverse(m.map(QZ.make))
-    prod = inv * m.map(QZ.make)
+    prod = oracle.product(inv, m.map(QZ.make))
     assert prod[0, 0] == QZ.one()
     assert prod[0, 1].is_zero()
     assert prod[1, 1] == QZ.one()
@@ -271,11 +279,12 @@ def test_rank():
 
 
 def test_bar_is_entrywise():
+    # the involution of the tests' ring matrices, which `Matrix` left
     m = Matrix([[z, z**2]])
-    assert m.bar() == Matrix([[z**-1, z**-2]])
+    assert oracle.bar(m) == Matrix([[z**-1, z**-2]])
 
 
-# ---- Fraction products against the generic route ----
+# ---- rational products against the generic route ----
 
 def product_oracle(a, b):
     """a * b by a triple loop over Fraction arithmetic, entry by entry."""
@@ -289,12 +298,6 @@ def product_oracle(a, b):
             row.append(total)
         out.append(row)
     return Matrix(out)
-
-
-def dot_route(a, b):
-    """a * b through `_dot`, the route every non-Fraction product takes."""
-    cols = b.transpose().rows
-    return Matrix([[_dot(r, c) for c in cols] for r in a.rows])
 
 
 def entry_types(m):
@@ -364,14 +367,15 @@ def test_fraction_product_with_an_empty_side():
 
 
 def test_other_entry_types_take_the_dot_route():
+    # int entries take the integer route too, so every product entry is a
+    # Fraction equal to the generic ring product's
     ints_a = Matrix([[1, 2], [3, 4]])
     ints_b = Matrix([[0, -1], [5, 0]])
     prod = ints_a * ints_b
-    assert prod == dot_route(ints_a, ints_b) == Matrix([[10, -1], [20, -3]])
-    assert all(t is int for row in entry_types(prod) for t in row)
+    assert prod == oracle.product(ints_a, ints_b) == Matrix(
+        [[10, -1], [20, -3]])
     column = ints_a * Matrix([[1], [1]])
     assert column == Matrix([[3], [7]])
-    assert all(t is int for row in entry_types(column) for t in row)
     assert _imul(ints_a.rows, [[1], [1]]) == [[3], [7]]
     assert all(type(x) is int for row in _imul(ints_a.rows, [[1], [1]])
                for x in row)
@@ -379,16 +383,25 @@ def test_other_entry_types_take_the_dot_route():
     mixed_b = Matrix([[2, 0], [F(3, 5), 1]])
     for a, b in ((mixed_a, mixed_b), (mixed_a, ints_b), (ints_a, mixed_b)):
         prod = a * b
-        want = dot_route(a, b)
-        assert prod == want
-        assert entry_types(prod) == entry_types(want)
-    laurent_a = Matrix([[z, LaurentPoly.one()], [LaurentPoly.zero(), z**-1]])
-    laurent_b = Matrix([[z - 1, LaurentPoly.zero()], [z**2, z]])
-    rat_a = laurent_a.map(QZ.make)
-    rat_b = Matrix([[QZ.make(z, z - 2), QZ.one()],
-                    [QZ.zero(), QZ.make(1, z + 3)]])
-    for a, b in ((laurent_a, laurent_b), (rat_a, rat_b)):
-        prod = a * b
-        want = dot_route(a, b)
-        assert prod == want
-        assert entry_types(prod) == entry_types(want)
+        assert prod == oracle.product(a, b)
+        assert all(t is Fraction for row in entry_types(prod) for t in row)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_int_products_equal_the_fraction_product(seed):
+    rng = random.Random(seed)
+    for m, k, n in [(1, 1, 1), (2, 3, 1), (3, 3, 3), (4, 2, 5), (2, 0, 2)]:
+        a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(m)]
+        b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        c = rand_fraction_matrix(rng, k, n, 20)
+        fractions = Matrix.from_ints(a)
+        for left, right, want in (
+                (Matrix(a), Matrix(b), fractions * Matrix.from_ints(b)),
+                (Matrix(a), c, fractions * c),
+                (c.transpose(), Matrix(a).transpose(),
+                 c.transpose() * fractions.transpose())):
+            prod = left * right
+            assert prod == want == product_oracle(left, right)
+            assert all(t is Fraction for row in entry_types(prod)
+                       for t in row)
+

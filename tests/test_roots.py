@@ -173,9 +173,9 @@ def test_refine_narrows():
 def test_hermitian_signature_definite():
     field = ResidueField([F(1), F(-1), F(1)])
     root = unit_circle_roots(ints(z**2 - z + 1))[0]
-    h = Matrix([[field.one(), field.zero()], [field.zero(), field.elem([-1])]])
+    h = [[field.one(), field.zero()], [field.zero(), field.elem([-1])]]
     assert hermitian_signature_at_root(h, [root])[0] == 0
-    h2 = Matrix([[field.one()]])
+    h2 = [[field.one()]]
     assert hermitian_signature_at_root(h2, [root])[0] == 1
 
 
@@ -183,8 +183,8 @@ def test_hermitian_signature_off_diagonal():
     # [[0, z], [1/z, 0]] is hermitian and hyperbolic
     field = ResidueField([F(1), F(-1), F(1)])
     root = unit_circle_roots(ints(z**2 - z + 1))[0]
-    h = Matrix([[field.zero(), field.gen()],
-                [laurent_class(field, z**-1), field.zero()]])
+    h = [[field.zero(), field.gen()],
+         [laurent_class(field, z**-1), field.zero()]]
     assert hermitian_signature_at_root(h, [root])[0] == 0
 
 
@@ -194,7 +194,7 @@ def test_hermitian_signature_y_dependent():
     field = ResidueField([F(1), F(0), F(0), F(0), F(1)])
     root_small, root_big = unit_circle_roots(ints(z**4 + 1))
     y = laurent_class(field, z + z**-1)
-    h = Matrix([[y, field.zero()], [field.zero(), field.one()]])
+    h = [[y, field.zero()], [field.zero(), field.one()]]
     assert hermitian_signature_at_root(h, [root_small, root_big]) == [2, 0]
     assert hermitian_signature_at_root(h, [root_big]) == [0]
     assert hermitian_signature_at_root(h, []) == []
@@ -203,7 +203,7 @@ def test_hermitian_signature_y_dependent():
 def test_singular_hermitian_raises():
     field = ResidueField([F(1), F(-1), F(1)])
     root = unit_circle_roots(ints(z**2 - z + 1))[0]
-    h = Matrix([[field.zero()]])
+    h = [[field.zero()]]
     with pytest.raises(SingularForm):
         hermitian_signature_at_root(h, [root])
 

@@ -91,6 +91,7 @@ from covering_oracle import (
     verify_roundtrip_oracle,
 )
 from elimination_oracle import (
+    bar,
     covering_certificates,
     det as qz_det,
     fraction_matrix,
@@ -100,10 +101,11 @@ from elimination_oracle import (
     pair_blocks,
     parent_frobenius,
     pencil_reduction,
+    product,
     vstack,
 )
 from factor_oracle import as_laurent, is_self_conjugate
-from hermitian_oracle import as_oracle, as_oracle_matrix
+from hermitian_oracle import as_oracle, as_oracle_rows
 from snf_oracle import snf_covering_autometric, snf_covering_seifert
 import qpolys
 
@@ -470,16 +472,16 @@ def _q_z_pairing(f, module, scale):
     g^T (scale * theta * B-bar^-1) g, with B the pencil of f, on the
     generators g_i, the columns of the module's Q-basis that start its
     cyclic blocks."""
-    b_bar_inv = qz_inverse(covering_pencil(f).bar().map(QZ.make))
+    b_bar_inv = qz_inverse(bar(covering_pencil(f)).map(QZ.make))
     theta = fraction_matrix(f.theta_pair) if isinstance(f, SeifertForm) \
         else f.theta
-    raw = (theta.map(QZ.make) * b_bar_inv).map(lambda x: scale * x)
+    raw = product(theta.map(QZ.make), b_bar_inv).map(lambda x: scale * x)
     starts = [0]
     for d in module.divisors[:-1]:
         starts.append(starts[-1] + len(d.ordinary()[0]) - 1)
     g = Matrix([[row[k] for k in starts]
                 for row in module.basis_change.rows]).map(QZ.make)
-    changed = g.transpose() * raw * g
+    changed = product(product(g.transpose(), raw), g)
     return [[frac_class(x) for x in row] for row in changed.rows]
 
 
@@ -1294,8 +1296,8 @@ def assert_matches_qz(form):
             want = qz_auxiliary_gram(form, p, level)
             if aux.unit is not None:
                 ubar = as_oracle(aux.unit).bar()
-                want = want.map(lambda x: ubar * x)
-            assert as_oracle_matrix(aux.gram) == want
+                want = [[ubar * x for x in row] for row in want]
+            assert as_oracle_rows(aux.gram) == want
             compared += 1
     return compared
 

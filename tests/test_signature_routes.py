@@ -9,7 +9,10 @@ field that the fraction-free elimination of `signature_of_symmetric`
 replaced.
 Every comparison asks for equal answers, or `SingularForm` on both sides."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -31,7 +34,7 @@ from wittkit.laurent_forms import dw_multisignature_laurent
 import hermitian_oracle as oracle
 from hermitian_oracle import signature_of_symmetric
 from covering_oracle import laurent_direct_sum
-from elimination_oracle import hstack, vstack
+from elimination_oracle import bar, hstack, product, vstack
 import qpolys
 from lt_oracle import (
     cyclotomic_polynomial,
@@ -64,8 +67,8 @@ def rand_elem(rng, field):
 
 
 def rand_hermitian(rng, field, n, kind):
-    """A hermitian n x n matrix: dense, with zero diagonal, with zero
-    diagonal and purely imaginary entries e - bar(e), or singular."""
+    """The rows of a hermitian n x n form: dense, with zero diagonal, with
+    zero diagonal and purely imaginary entries e - bar(e), or singular."""
     h = [[field.zero()] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -76,14 +79,13 @@ def rand_hermitian(rng, field, n, kind):
                 e = field.zero() if kind in ("zero-diagonal", "imaginary") \
                     else e + e.bar()
             h[i][j], h[j][i] = e, e.bar()
-    h = Matrix(h)
     if kind == "singular":
         # C^* h C with the last column of C repeating the first
         c = [[rand_elem(rng, field) for _ in range(n)] for _ in range(n)]
         for row in c:
             row[-1] = row[0]
         c = Matrix(c)
-        h = c.bar().transpose() * h * c
+        h = product(product(bar(c).transpose(), Matrix(h)), c).rows
     return h
 
 
@@ -114,7 +116,7 @@ def test_hermitian_signature_matches_charpoly_route():
         for trial in range(20):  # every (size, kind) pair once
             n = trial % 5
             h = rand_hermitian(rng, field, n, kinds[trial % 4])
-            old = oracle.as_oracle_matrix(h)
+            old = oracle.as_oracle_rows(h)
             in_y = oracle.charpoly_in_y(old)
             want = outcome(lambda: [oracle.descartes_signature_at_root(
                 in_y, root) for root in roots])
@@ -132,13 +134,13 @@ def test_purely_imaginary_off_diagonal():
     # 2 a_ij bar(a_ij), so the hyperbolic plane still gives 0
     field = ResidueField(cyclotomic_polynomial(5))
     w = oracle.laurent_class(field, Z - Z**-1)
-    h = Matrix([[field.zero(), w], [w.bar(), field.zero()]])
+    h = [[field.zero(), w], [w.bar(), field.zero()]]
     roots = unit_circle_roots(field.modulus)
     assert hermitian_signature_at_root(h, roots) == [0, 0]
     for root in roots:
         assert oracle.charpoly_signature_at_root(
-            oracle.as_oracle_matrix(h), root) == 0
-    zero = Matrix([[field.zero()] * 2] * 2)
+            oracle.as_oracle_rows(h), root) == 0
+    zero = [[field.zero()] * 2 for _ in range(2)]
     with pytest.raises(SingularForm):
         hermitian_signature_at_root(zero, roots)
 
@@ -149,9 +151,42 @@ def test_non_hermitian_input_rejected():
     for rows in ([[field.gen()]],
                  [[field.one(), field.gen()], [field.gen(), field.one()]],
                  [[field.zero(), field.one()],
-                  [field.elem([2]), field.zero()]]):
+                  [field.elem([2]), field.zero()]],
+                 [[field.one(), field.zero()]],
+                 [[field.one(), field.zero()], [field.zero()]]):
         with pytest.raises(InvariantViolated, match="not hermitian"):
-            hermitian_signature_at_root(Matrix(rows), [root])
+            hermitian_signature_at_root(rows, [root])
+
+
+def test_rows_refused_alike_under_optimize():
+    # python -O strips assert statements; the hermitian check and the
+    # singular pivot must still raise on rows
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        roots_module.__file__)))
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from wittkit.errors import InvariantViolated, SingularForm\n"
+            "from wittkit.exact.residue import ResidueField\n"
+            "from wittkit.exact.roots import (\n"
+            "    hermitian_signature_at_root, unit_circle_roots)\n"
+            "field = ResidueField([1, -1, 1])\n"
+            "roots = unit_circle_roots([1, -1, 1])\n"
+            "zero, one, gen = field.zero(), field.one(), field.gen()\n"
+            "for rows, error in (([[gen]], InvariantViolated),\n"
+            "                    ([[one, gen], [gen, one]], InvariantViolated),\n"
+            "                    ([[zero, one], [one, zero], [zero, zero]],\n"
+            "                     InvariantViolated),\n"
+            "                    ([[zero]], SingularForm),\n"
+            "                    ([[zero, zero], [zero, zero]], SingularForm)):\n"
+            "    try:\n"
+            "        hermitian_signature_at_root(rows, roots)\n"
+            "    except error as e:\n"
+            "        print(type(e).__name__)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, src],
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.split() == ["InvariantViolated"] * 3 + [
+        "SingularForm"] * 2
 
 
 def test_bar_matches_horner():
@@ -246,8 +281,8 @@ def test_multisignature_matches_old_helpers(monkeypatch):
     ]
     new = [dw_multisignature_laurent(f) for f in forms]
 
-    def charpoly_signatures(h, roots):
-        return [oracle.charpoly_signature_at_root(oracle.as_oracle_matrix(h),
+    def charpoly_signatures(rows, roots):
+        return [oracle.charpoly_signature_at_root(oracle.as_oracle_rows(rows),
                                                   root) for root in roots]
 
     def chebyshev_signs(u, shift, roots, epsilon):
@@ -269,23 +304,23 @@ def test_one_diagonalization_per_level(monkeypatch):
     form = laurent_direct_sum(cyclic_block(P12, 1, ONE),
                               cyclic_block(P12, 1, ONE))
     eliminations, checks = [], []
-    pivots, bar = roots_module._congruence_pivots, Matrix.bar
+    pivots, check = roots_module._congruence_pivots, roots_module.check
 
     def counting_pivots(*args):
         eliminations.append(args)
         return pivots(*args)
 
-    def counting_bar(self):
-        checks.append(self)
-        return bar(self)
+    def counting_check(ok, message):
+        checks.append(message)
+        return check(ok, message)
 
     monkeypatch.setattr(roots_module, "_congruence_pivots", counting_pivots)
-    monkeypatch.setattr(Matrix, "bar", counting_bar)
+    monkeypatch.setattr(roots_module, "check", counting_check)
     ms = dw_multisignature_laurent(form)
     assert len(ms.roots) == 2
     assert sorted(ms.signatures.values()) == [-4, 4]
     assert len(eliminations) == 1
-    assert len(checks) == 1
+    assert checks.count("matrix is not hermitian") == 1
 
 
 # ---- symmetric signatures: fraction-free against Fraction pivots ----

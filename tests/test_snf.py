@@ -13,6 +13,7 @@ from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix
 from wittkit.exact.snf import smith_normal_form
 
+from elimination_oracle import product
 import snf_oracle
 
 F = Fraction
@@ -35,7 +36,7 @@ def _nonzero(res) -> list:
 
 
 def _check_invariants(res, divides=lambda a, b: b % a == 0):
-    assert res.U * res.A * res.V == res.D
+    assert product(product(res.U, res.A), res.V) == res.D
     divs = _nonzero(res)
     for a, b in zip(divs, divs[1:]):
         assert divides(a, b)
@@ -107,8 +108,8 @@ def test_u_inverse_integer():
 
 def _check_u_inv(res, one):
     ident = Matrix.identity(res.U.nrows, one)
-    assert res.U_inv * res.U == ident
-    assert res.U * res.U_inv == ident
+    assert product(res.U_inv, res.U) == ident
+    assert product(res.U, res.U_inv) == ident
 
 
 @pytest.mark.parametrize("rows", [
