@@ -4,7 +4,7 @@ Sums and scalar multiples take any ring entries; products take int or
 Fraction entries only, in integer dot products (`_products`).
 `inverse` and `det` run in one fraction-free kernel, `_gauss_jordan`,
 `charpoly` in division-free `_berkowitz` on integers, and all four raise
-TypeError on other entries.  `_gauss_jordan` and `_solve`
+TypeError on other entries.  `_gauss_jordan`, `_solve` and `_det`
 take integer rows only: rationals are scaled in `Matrix._rational`, per
 row, and in `laurent_forms.decompose_module`.  The covering path
 (`seifert`, `laurent_forms`) carries every rational vector or matrix as
@@ -133,14 +133,9 @@ class Matrix:
 
     def det(self) -> Fraction:
         """Determinant of a rational matrix, 1 when empty: det N / prod d_i,
-        det N the minor of `_gauss_jordan` with columns in pivot order.
-        Other entries raise TypeError."""
+        det N from `_det`.  Other entries raise TypeError."""
         nums, scales = self._rational("det")
-        _, pivots, minor = _gauss_jordan(nums)
-        swaps = sum(a > b for i, a in enumerate(pivots)
-                    for b in pivots[i + 1:])
-        minor *= len(pivots) == len(nums)
-        return Fraction((-1) ** swaps * minor, prod(scales))
+        return Fraction(_det(nums), prod(scales))
 
     def inverse(self) -> "Matrix":
         """(D^-1 N)^-1 = N^-1 D, D the diagonal of the row scales."""
@@ -234,6 +229,15 @@ def _gauss_jordan(rows) -> tuple[list, list, int]:
             pivots.append(p)
             minor = r[p]
     return out, pivots, minor
+
+
+def _det(rows) -> int:
+    """The determinant of square integer rows, 1 when empty, for `det` and
+    for `finite`'s determinants mod p: `_gauss_jordan`'s minor, signed by
+    the order of its pivots, and 0 below full rank."""
+    _, pivots, minor = _gauss_jordan(rows)
+    swaps = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:])
+    return (-1) ** swaps * minor * (len(pivots) == len(rows))
 
 
 def _solve(a, b) -> tuple[list, int]:

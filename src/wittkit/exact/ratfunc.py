@@ -14,7 +14,7 @@ and the benchmark's `exact.ratfunc.make` span wraps `make`.
 Q((z)) (series in z, finitely many negative terms), side "minus" is
 Q((z^-1)).  It reads an integer pair (N, d) and a dense integer D, as a
 linking form stores an entry, and returns integers over one scale, which
-the monodromy reads; `series_expand` is their view, a `Fraction` a degree.
+the monodromy and the trace function read.
 """
 
 from __future__ import annotations
@@ -135,9 +135,3 @@ def series_ints(num: tuple, den: list, side: str, lo: int,
     return ([sum(x * b[j] for r, x in terms if 0 <= (j := sign * d - r) <= need)
              for d in range(lo, hi + 1)], num[1] * d0 ** (need + 1))
 
-
-def series_expand(num: tuple, den: list, side: str, lo: int,
-                  hi: int) -> dict[int, Fraction]:
-    """`series_ints` as a `Fraction` per degree, which the trace reads."""
-    coeffs, scale = series_ints(num, den, side, lo, hi)
-    return {lo + k: Fraction(c, scale) for k, c in enumerate(coeffs)}

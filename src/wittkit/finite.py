@@ -29,7 +29,7 @@ from wittkit.errors import (
     SingularForm,
     SingularOverFractionField,
 )
-from wittkit.exact.matrix import Matrix, _imul
+from wittkit.exact.matrix import Matrix, _det, _imul
 from wittkit.exact.snf import smith_normal_form
 
 
@@ -62,22 +62,6 @@ def _numerators(gram, q: int = 1) -> tuple[list, int]:
     big = lcm(q, *(x.denominator for row in rows for x in row))
     return [[x.numerator * (big // x.denominator) % big for x in row]
             for row in rows], big
-
-
-def _det_mod_p(rows, p: int) -> int:
-    """The determinant mod p of a square integer matrix, by elimination
-    over F_p."""
-    rows, det = [[x % p for x in row] for row in rows], 1
-    for c in range(len(rows)):
-        k = next((k for k in range(c, len(rows)) if rows[k][c]), None)
-        if k is None:
-            return 0
-        top, rows[k] = rows[k], rows[c]
-        det = (det if k == c else -det) * top[c] % p
-        inv = pow(top[c], -1, p)
-        rows[c + 1:] = [[(a - r[c] * inv * b) % p for a, b in zip(r, top)]
-                        for r in rows[c + 1:]]
-    return det
 
 
 def _legendre(a: int, p: int) -> int:
@@ -290,7 +274,7 @@ def _adjoint_is_iso(mixed_orders: list[int], num, q: int) -> bool:
     m = [[o * x // q for x in row] for o, row in zip(mixed_orders, num)]
     for p in set().union(*map(_factor, mixed_orders)):
         idx = [i for i, o in enumerate(mixed_orders) if o % p == 0]
-        if not _det_mod_p([[m[i][j] for j in idx] for i in idx], p):
+        if not _det([[m[i][j] % p for j in idx] for i in idx]) % p:
             return False
     return True
 
@@ -365,10 +349,12 @@ def auxiliary_form(form: FiniteLinkingForm, l: int) -> AuxiliaryFormFp:
 
 def witt_class_fp(prime: int, gram, symmetry: int = 1) -> WittClassFp:
     """Witt class of a nonsingular v-symmetric F_p form, odd p.  Skew forms
-    are always hyperbolic over a field, so they map to the zero class."""
+    are always hyperbolic over a field, so they map to the zero class.
+    Entries that are not integers (bools are) raise TypeError."""
     if prime == 2:
         raise EvenPrimeUnsupported("Witt classification requires odd p")
-    rows = [list(r) for r in (gram.rows if isinstance(gram, Matrix) else gram)]
+    rows = [[index(x) for x in r]
+            for r in (gram.rows if isinstance(gram, Matrix) else gram)]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("gram must be square")
@@ -378,7 +364,7 @@ def witt_class_fp(prime: int, gram, symmetry: int = 1) -> WittClassFp:
                 raise ValueError("gram breaks its claimed symmetry")
     if n == 0:
         return WittClassFp.zero(prime)
-    det = _det_mod_p(rows, prime)
+    det = _det([[x % prime for x in r] for r in rows]) % prime
     if det == 0:
         raise SingularForm("singular form over F_p")
     if symmetry == -1:

@@ -44,7 +44,6 @@ from wittkit.laurent_forms import (
 )
 from wittkit.seifert import (
     SeifertForm,
-    _seifert_module,
     covering_seifert,
     hyperbolic_witness_sum,
     is_complementary,
@@ -93,6 +92,10 @@ class KnotInput:
     def lt_steps(self) -> SignatureSteps:
         return SignatureSteps(self)
 
+    @cached_property
+    def _blanchfield(self) -> LaurentLinkingForm:
+        return covering_seifert(self.seifert_form)
+
 
 # multisignature is a `DWMultiSignatureLaurent`; rochlin and witnesses (the
 # diagonal and twisted-graph submodules) may be None
@@ -136,12 +139,12 @@ def _module_order(module: LaurentModule) -> list:
 
 def alexander_polynomial(k: KnotInput) -> list:
     """The Blanchfield module's order, a primitive integer list with
-    positive leading coefficient; the pairing is not built."""
-    return _module_order(_seifert_module(k.seifert_form))
+    positive leading coefficient, read off k's one Blanchfield form."""
+    return _module_order(blanchfield_form(k).module)
 
 
 def blanchfield_form(k: KnotInput) -> LaurentLinkingForm:
-    return covering_seifert(k.seifert_form)
+    return k._blanchfield
 
 
 def _u_in_y_gap(y_low: Fraction, y_high: Fraction) -> Fraction:

@@ -85,10 +85,9 @@ class LaurentModule:
     A covering module is a Q-space V with z acting as an automorphism h;
     basis is then the Q-basis P of V as reduced pairs, columns h^a g_i
     (a < deg d_i) in the coordinates of the form's space (Q^n, or Q^n
-    around Trotter's part R for a Seifert form), and basis_change, built
-    when read, is P over Q: it traces generators back to the form.  Both
-    are None for other modules.  No presentation over Q[z, z^-1] is kept.
-    Equality reads the three fields, not the caches."""
+    around Trotter's part R for a Seifert form): it traces generators back
+    to the form.  It is None for other modules.  No presentation over
+    Q[z, z^-1] is kept.  Equality reads the three fields, not the caches."""
 
     def __init__(self, chain: list, basis: list | None, torsion_mode: str):
         self.chain, self.basis, self.torsion_mode = chain, basis, torsion_mode
@@ -122,11 +121,6 @@ class LaurentModule:
         """The chain's product, once for `factors` and the order: primitive
         as each M_i is (Gauss's lemma)."""
         return reduce(polys.mul, self.chain, [1])
-
-    @cached_property
-    def basis_change(self) -> Matrix | None:
-        return None if self.basis is None else Matrix(
-            [[Fraction(x, d) for x in v] for v, d in self.basis]).transpose()
 
     @cached_property
     def factors(self) -> list:

@@ -30,7 +30,7 @@ from wittkit.errors import (
 )
 from wittkit.exact import matrix, polys
 from wittkit.exact.matrix import Matrix, _imul, _integral_rows, _shift
-from wittkit.exact.ratfunc import series_expand, series_ints
+from wittkit.exact.ratfunc import series_ints
 from wittkit.exact.snf import smith_normal_form
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
@@ -165,16 +165,6 @@ def _covering_module(mode: str, h: tuple, embed,
     return LaurentModule([m for _, m in blocks], cols, mode), blocks
 
 
-def _seifert_module(f: SeifertForm) -> LaurentModule:
-    """The covering module of f, the cokernel of (1-e) + ez: Trotter's
-    nonsingular part R with z acting as h = 1 - (e|R)^-1, from
-    `_pencil_reduction`.  No pairing is built."""
-    b, h, e_r = _pencil_reduction(f.e_pair)
-    if not h[0]:
-        return LaurentModule([], None, "P")
-    return _covering_module("P", h, b, e_r)[0]
-
-
 def _pairing_entry(c: tuple, m: list, s: list) -> tuple:
     """lambda_ij = s N / m* as the reduced pair (R, e), R of degree
     < deg m, read as R / (e m*): for the block's gram row c = C / den, an
@@ -275,10 +265,11 @@ def covering_autometric(f: AutometricForm) -> LaurentLinkingForm:
 
 def trace_chi(num: tuple, den: list) -> Fraction:
     """Degree-zero discrepancy between the two Novikov expansions of
-    N / (d den), num = (N, d), as `series_expand` reads them.  Linear over
-    Q and zero on Laurent polynomials, so well defined on classes."""
-    return (series_expand(num, den, "plus", 0, 0)[0]
-            - series_expand(num, den, "minus", 0, 0)[0])
+    N / (d den), num = (N, d), read off `series_ints`.  Linear over Q and
+    zero on Laurent polynomials, so well defined on classes."""
+    (plus,), s = series_ints(num, den, "plus", 0, 0)
+    (minus,), t = series_ints(num, den, "minus", 0, 0)
+    return Fraction(plus * t - minus * s, s * t)
 
 
 def monodromy(form: LaurentLinkingForm) -> AutometricForm:
@@ -313,10 +304,12 @@ def monodromy(form: LaurentLinkingForm) -> AutometricForm:
 
 
 def canonical_identification(f: AutometricForm,
-                             cov: LaurentLinkingForm) -> Matrix:
+                             cov: LaurentLinkingForm) -> Matrix | None:
     """The monodromy basis z^a g_i of cov = covering_autometric(f) in f's
-    Q-basis: the covering records it as the columns h^a g_i."""
-    return cov.module.basis_change
+    Q-basis: the recorded columns h^a g_i over Q, or None at rank 0."""
+    basis = cov.module.basis
+    return None if basis is None else Matrix(
+        [[Fraction(x, d) for x in v] for v, d in basis]).transpose()
 
 
 def verify_roundtrip(f: AutometricForm) -> bool:

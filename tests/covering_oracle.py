@@ -6,8 +6,10 @@ form's space.
   its form, the pencil (1-e) + ez or z - h, which the module does not keep;
   `restricted_e` rebuilds e|R from R's basis and the Fitting power, the
   oracle for the e|R that `_pencil_reduction` returns.
-- `covering_submodule_image` writes a Seifert submodule in the covering
-  module's generators, through `LaurentModule.basis_change`;
+- `basis_matrix` is a covering module's Q-basis over Q, as
+  `canonical_identification` returns it for an autometric form;
+  `covering_submodule_image` writes a Seifert submodule in the covering
+  module's generators through it;
   `is_lagrangian_submodule` (with `submodule_dimension_q`) then checks
   that a Seifert lagrangian covers a lagrangian of the linking form.
 - `near_projection_decompose` splits the space as K+ (+) K- for an e with
@@ -19,7 +21,8 @@ form's space.
   numerators num_ij over d_j* = z^D d_j(1/z), which the oracles below
   read; `record_form` goes the other way, for forms tests build by hand
   from such numerators, and `integer_ratio` gives num / den as the
-  integer pair and denominator that `series_expand` and `trace_chi` read.
+  integer pair and denominator that `series_ints` and `trace_chi` read,
+  and `fraction_series` is `series_ints` as a `Fraction` per degree.
   `parent_covering` is a covering form by the parent's route, its
   `_pairing_entry` (`parent_pairing_entry`), the oracle for the records.
 - `frac_class` is the canonical representative of a rational function
@@ -39,7 +42,7 @@ form's space.
   expansions of the canonical entries.
 - `monodromy_oracle` is `monodromy` on `Fraction`s, as it was before it
   built its pairs from `series_ints`: theta entry by entry from
-  `series_expand`, h as a `Fraction` companion matrix, both scaled back
+  `fraction_series`, h as a `Fraction` companion matrix, both scaled back
   to integer pairs by `AutometricForm`'s public constructor.
 - `series_expand_oracle` is the `Fraction` recurrence that the integer
   `series_ints` replaced, and `verify_roundtrip_oracle` the round trip's
@@ -69,7 +72,7 @@ from wittkit.exact import polys
 from wittkit.exact.factor import factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.exact.matrix import Matrix, _integral, _reduced
-from wittkit.exact.ratfunc import RatFunc, series_expand
+from wittkit.exact.ratfunc import RatFunc, series_ints
 from wittkit.laurent_forms import (
     LaurentLinkingForm,
     LaurentModule,
@@ -220,7 +223,7 @@ def record_form(module: LaurentModule, num,
 
 def integer_ratio(num: LaurentPoly, den: list) -> tuple:
     """((N, d), D) with N / (d D) = num / den on integers, for num with no
-    negative power and a dense rational den, as `series_expand` and
+    negative power and a dense rational den, as `series_ints` and
     `trace_chi` read them."""
     big_d, d_d = _integral(den)
     big_n, d = record(num, [1])
@@ -444,8 +447,9 @@ def monodromy_oracle(form) -> AutometricForm:
     dims = [len(m) - 1 for m in chain]
     theta = []
     for i, di in enumerate(dims):
-        sides = [(dj, *(series_expand(form.num[i][j], m[::-1], side, 1 - di,
-                                      dj - 1) for side in ("minus", "plus")))
+        sides = [(dj, *(fraction_series(form.num[i][j], m[::-1], side,
+                                        1 - di, dj - 1)
+                        for side in ("minus", "plus")))
                  for j, (dj, m) in enumerate(zip(dims, chain))]
         theta += [[minus[b - a] - plus[b - a] for dj, minus, plus in sides
                    for b in range(dj)] for a in range(di)]
@@ -456,10 +460,17 @@ def monodromy_oracle(form) -> AutometricForm:
     return AutometricForm(theta, h, -form.epsilon)
 
 
+def fraction_series(num: tuple, den: list, side: str, lo: int,
+                    hi: int) -> dict[int, Fraction]:
+    """`series_ints` as a `Fraction` per degree lo..hi."""
+    coeffs, scale = series_ints(num, den, side, lo, hi)
+    return {lo + k: Fraction(c, scale) for k, c in enumerate(coeffs)}
+
+
 def series_expand_oracle(num: LaurentPoly, den: list, side: str, lo: int,
                          hi: int) -> dict[int, Fraction]:
-    """`series_expand` by its `Fraction` recurrence, `_inverse_coeffs`, on
-    den or on den reversed: what the integer recurrence replaced."""
+    """`fraction_series` by its `Fraction` recurrence, `_inverse_coeffs`,
+    on den or on den reversed: what the integer recurrence replaced."""
     if side not in ("plus", "minus"):
         raise ValueError("side must be 'plus' or 'minus'")
     if not den or not den[0 if side == "plus" else -1]:
@@ -583,6 +594,12 @@ def pairing_entry_oracle(c: list, m: list, s: list) -> QZ:
 # submodules through the covering
 # ---------------------------------------------------------------------------
 
+def basis_matrix(module: LaurentModule) -> Matrix:
+    """The columns h^a g_i of a covering module's basis, over Q."""
+    return Matrix([[Fraction(x, d) for x in v]
+                   for v, d in module.basis]).transpose()
+
+
 def covering_submodule_image(f: SeifertForm, cov: LaurentLinkingForm,
                              sub: SeifertSubmodule) -> Matrix:
     """Push a submodule of f through its covering cov: coordinates of its
@@ -593,7 +610,7 @@ def covering_submodule_image(f: SeifertForm, cov: LaurentLinkingForm,
     module = cov.module
     if module.is_zero:
         return Matrix([])
-    p, vecs = module.basis_change, sub.basis
+    p, vecs = basis_matrix(module), sub.basis
     if module.torsion_mode == "P":
         kill = fitting_power(fraction_matrix(f.e_pair))
         p, vecs = kill * p, kill * vecs

@@ -38,7 +38,8 @@ Slow, exhaustive or structural routes that `wittkit.finite` and
   gram of reduced `Fraction`s, the adjoint's bijectivity by a Smith form of
   [N | diag(n)], and the Witt class by a `Fraction` determinant, which
   `wittkit.finite` replaced by integer numerators and one elimination
-  mod p; `fraction_check`, `fraction_gram`, `fraction_primary_grams` and
+  mod p.  `det_mod_p` is that elimination over F_p, which `wittkit.finite`
+  replaced by `matrix._det` of the rows reduced mod p; `fraction_check`, `fraction_gram`, `fraction_primary_grams` and
   `fraction_boundary_gram` are the validation and the grams of those
   `Fraction` routes.  `fraction_boundary_gram` keeps the pairing
   U^{-T} V D^{-1}, with U^{-1} the inverse over Q of the Smith transform U
@@ -604,6 +605,22 @@ def _adjoint_is_iso(mixed_orders: list[int], gram) -> bool:
             for i, o in enumerate(mixed_orders)]
     divs = [d for d in smith_normal_form(Matrix(rows)).divisors if d]
     return len(divs) == n and all(d == 1 for d in divs)
+
+
+def det_mod_p(rows, p: int) -> int:
+    """The determinant mod p of a square integer matrix, by elimination
+    over F_p."""
+    rows, det = [[x % p for x in row] for row in rows], 1
+    for c in range(len(rows)):
+        k = next((k for k in range(c, len(rows)) if rows[k][c]), None)
+        if k is None:
+            return 0
+        top, rows[k] = rows[k], rows[c]
+        det = (det if k == c else -det) * top[c] % p
+        inv = pow(top[c], -1, p)
+        rows[c + 1:] = [[(a - r[c] * inv * b) % p for a, b in zip(r, top)]
+                        for r in rows[c + 1:]]
+    return det
 
 
 def witt_class_fp(prime: int, gram, symmetry: int = 1) -> WittClassFp:

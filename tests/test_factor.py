@@ -23,10 +23,10 @@ from wittkit.exact import factor, polys
 from wittkit.exact.factor import factor_key, factor_rational_poly
 from wittkit.exact.laurent import LaurentPoly
 from wittkit.laurent_forms import LaurentModule, dw_multisignature_laurent
-from wittkit.seifert import _seifert_module
 from wittkit.knots import (
     KnotInput,
     _det_one_minus,
+    blanchfield_form,
     connected_sum,
     knot_inverse,
 )
@@ -592,7 +592,7 @@ def test_module_factors_read_the_largest_divisor():
     for genus in (1, 1, 2, 2, 3, 3, 4, 4) * 2:
         k = KnotInput("k", ladder_psi(rng, genus), -1)
         for knot in (k, connected_sum(k, knot_inverse(k))):
-            module = _seifert_module(knot.seifert_form)
+            module = blanchfield_form(knot).module
             want = factor_rational_poly(module.total_divisor)
             assert module.factors == want, knot.psi.rows
             two += module.rank > 1

@@ -14,8 +14,12 @@ import pytest
 
 from wittkit.catalog import catalog_knot, catalog_names
 from wittkit.exact.factor import factor_rational_poly
-from wittkit.knots import KnotInput, _det_one_minus, connected_sum
-from wittkit.seifert import _seifert_module
+from wittkit.knots import (
+    KnotInput,
+    _det_one_minus,
+    blanchfield_form,
+    connected_sum,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 # under factor/, as the report pins glob the top level for knots
@@ -61,7 +65,7 @@ def test_factor_records_match_the_pins(label, knot):
     if label in SLOW_MODULES:
         assert pin["order"] == pin["D"]
         return
-    module = _seifert_module(knot.seifert_form)
+    module = blanchfield_form(knot).module
     assert factor_rational_poly(module.total_divisor) == records(
         pin["order"])
     assert module.factors == records(pin["order"])

@@ -19,6 +19,7 @@ from formbank import (
 import linking_oracle
 from linking_oracle import (
     NotAnSLagrangian,
+    det_mod_p,
     form_order,
     fraction_boundary_gram,
     fraction_check,
@@ -36,7 +37,7 @@ from wittkit.errors import (
     SingularForm,
     SingularOverFractionField,
 )
-from wittkit.exact.matrix import Matrix
+from wittkit.exact.matrix import Matrix, _det
 from wittkit.exact.snf import smith_normal_form
 from wittkit import finite, seifert
 from wittkit.finite import (
@@ -340,6 +341,60 @@ def test_witt_class_rejects_singular():
 def test_witt_class_rejects_even_prime():
     with pytest.raises(EvenPrimeUnsupported):
         witt_class_fp(2, [[1]])
+
+
+@pytest.mark.parametrize("entry", [1.0, 0.0, F(1), F(0), "1"])
+def test_witt_class_refuses_entries_that_are_not_integers(entry):
+    # the elimination's // would take a float or a Fraction, and a zero
+    # one would read as singular: the refusal comes first
+    for gram in ([[entry]], [[1, entry], [entry, 1]]):
+        with pytest.raises(TypeError):
+            witt_class_fp(3, gram)
+
+
+def test_witt_class_takes_bools_as_integers():
+    assert witt_class_fp(3, [[True]]) == witt_class_fp(3, [[1]])
+    assert witt_class_fp(5, [[True, False], [False, True]]) == \
+        witt_class_fp(5, [[1, 0], [0, 1]])
+
+
+def test_determinant_mod_p_against_the_fp_elimination():
+    """`_det` of rows reduced mod p, the route `witt_class_fp` and the
+    adjoint check take, against the elimination over F_p it replaced, on
+    sizes 0-8, entries in [0, p) and in +-10^6, and matrices singular over
+    Z or singular only mod p; `_det` of the rows themselves agrees mod p."""
+    rng = random.Random("det-mod-p")
+    seen = dict.fromkeys(("nonzero mod p", "singular over Z",
+                          "singular mod p only"), 0)
+    for p in (3, 5, 7, 2**61 - 1):
+        for n in range(9):
+            for kind in ("residues", "wide", "singular", "singular mod p"):
+                def entry():
+                    if kind == "residues":
+                        return rng.randrange(p)
+                    return rng.randint(-10**6, 10**6)
+
+                rows = [[entry() for _ in range(n)] for _ in range(n)]
+                if n and kind.startswith("singular"):
+                    coeffs = [rng.randint(-3, 3) for _ in range(n - 1)]
+                    rows[-1] = [sum(c * r[j] for c, r in zip(coeffs, rows))
+                                for j in range(n)]
+                    if kind == "singular mod p":
+                        rows[-1] = [x + p * entry() for x in rows[-1]]
+                    rng.shuffle(rows)
+                want = det_mod_p(rows, p)
+                assert _det([[x % p for x in r] for r in rows]) % p == want
+                det = _det(rows)
+                assert det % p == want
+                if n and kind == "singular":
+                    assert det == 0
+                    seen["singular over Z"] += 1
+                elif n and kind == "singular mod p":
+                    assert want == 0
+                    seen["singular mod p only"] += det != 0
+                else:
+                    seen["nonzero mod p"] += want != 0
+    assert min(seen.values()) >= 20, seen
 
 
 def test_witt_group_exponent_four_at_three_mod_four():

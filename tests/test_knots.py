@@ -43,6 +43,7 @@ from wittkit.knots import (
     lt_jumps,
     rochlin_invariant,
 )
+from wittkit.seifert import covering_seifert
 from wittkit.serialize import report_to_json
 from wittkit.laurent_forms import (
     SIGMA_SIGN,
@@ -1094,6 +1095,23 @@ class TestOneComputation:
             assert len(factored) == 1, k.name
             assert report.alexander == alexander_polynomial(k)
         assert determinants == []
+
+    def test_one_blanchfield_form_per_knot(self, monkeypatch):
+        # analyze, alexander_polynomial and blanchfield_form on one
+        # KnotInput read one covering form, in either order
+        covered = count_calls(monkeypatch, "covering_seifert",
+                              covering_seifert)
+        k = connected_sum(trefoil(), knot_inverse(fig8()))
+        report = analyze(k)
+        assert alexander_polynomial(k) == report.alexander
+        assert blanchfield_form(k) is blanchfield_form(k)
+        assert analyze(k) == report
+        assert len(covered) == 1
+        covered.clear()
+        k = KnotInput("level-2", LEVEL2, -1)
+        alexander_polynomial(k)
+        analyze(k)
+        assert len(covered) == 1
 
     def test_analyze_keys_each_factor_once(self, monkeypatch):
         # the factor order is read on integers, and the multisignature and

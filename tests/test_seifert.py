@@ -67,6 +67,7 @@ from covering_oracle import (
     QZ,
     NotNearProjection,
     autometric_direct_sum,
+    basis_matrix,
     covering_pencil,
     covering_submodule_image,
     integer_ratio,
@@ -87,6 +88,7 @@ from covering_oracle import (
     restricted_e,
     seifert_direct_sum,
     seifert_negate,
+    series_expand_oracle,
     validate_over_qz,
     verify_roundtrip_oracle,
 )
@@ -231,6 +233,42 @@ class TestTraceChi:
         # RatFunc.make shifts it
         with pytest.raises(NotInvertibleInNovikov):
             trace_chi(([1], 1), [0, 1])
+
+    def test_against_the_fraction_recurrence(self):
+        """trace_chi on random integer triples (N, d, D) against the
+        degree-0 discrepancy of `series_expand_oracle`: D(0) of either
+        sign, pairs (N, d) and quotients N / D not in lowest terms, N = 0,
+        and a D vanishing at 0 or at infinity, which both refuse."""
+        rng = random.Random("trace-chi-oracle")
+        seen = dict.fromkeys(("negative D(0)", "unreduced pair",
+                              "common factor", "zero N", "refused at 0",
+                              "refused at infinity"), 0)
+        for _ in range(600):
+            big_n = [rng.randint(-9, 9) for _ in range(rng.randint(0, 5))]
+            big_d = [rng.randint(-5, 5) for _ in range(rng.randint(1, 5))]
+            d = rng.randint(1, 6)
+            if rng.random() < 0.3:
+                g = rng.randint(2, 4)
+                big_n, d = [g * x for x in big_n], g * d
+                seen["unreduced pair"] += 1
+            if rng.random() < 0.3:
+                g = [rng.choice([-2, -1, 1, 3]), rng.choice([-1, 1, 2])]
+                big_n, big_d = polys.mul(big_n, g), polys.mul(big_d, g)
+                seen["common factor"] += 1
+            num = LaurentPoly.from_dense([Fraction(x, d) for x in big_n])
+            if not big_d[0] or not big_d[-1]:
+                with pytest.raises(NotInvertibleInNovikov):
+                    trace_chi((big_n, d), big_d)
+                seen["refused at 0" if not big_d[0]
+                     else "refused at infinity"] += 1
+                continue
+            got = trace_chi((big_n, d), big_d)
+            want = (series_expand_oracle(num, big_d, "plus", 0, 0)[0]
+                    - series_expand_oracle(num, big_d, "minus", 0, 0)[0])
+            assert got == want and type(got) is Fraction
+            seen["negative D(0)"] += big_d[0] < 0
+            seen["zero N"] += not any(big_n)
+        assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +489,21 @@ class TestCoveringAutometric:
         with pytest.raises(NotPTorsion):
             decompose_module(pres, "P")
 
+    def test_canonical_identification_reads_the_basis(self):
+        # None at rank 0, where the covering records no basis; otherwise
+        # column j is the j-th recorded pair (v, d) as v / d
+        empty = AutometricForm([], [], 1)
+        assert canonical_identification(
+            empty, covering_autometric(empty)) is None
+        rng = random.Random("canonical-identification")
+        for _ in range(20):
+            f = random_autometric(rng)
+            cov = covering_autometric(f)
+            p = canonical_identification(f, cov)
+            assert p.rows == [[Fraction(v[i], d) for v, d in cov.module.basis]
+                              for i in range(f.rank)]
+            assert all(type(x) is Fraction for r in p.rows for x in r)
+
     def test_block_sums_to_direct_sums(self):
         rng = random.Random(11)
         for _ in range(4):
@@ -480,7 +533,7 @@ def _q_z_pairing(f, module, scale):
     for d in module.divisors[:-1]:
         starts.append(starts[-1] + len(d.ordinary()[0]) - 1)
     g = Matrix([[row[k] for k in starts]
-                for row in module.basis_change.rows]).map(QZ.make)
+                for row in basis_matrix(module).rows]).map(QZ.make)
     changed = product(product(g.transpose(), raw), g)
     return [[frac_class(x) for x in row] for row in changed.rows]
 
@@ -727,7 +780,6 @@ def assert_matches_parent_chain(cover, f):
     with parent_frobenius():
         want = cover(f)
     assert got.module == want.module
-    assert got.module.basis_change == want.module.basis_change
     assert got.num == want.num
     return got.module.rank
 
@@ -1716,11 +1768,10 @@ class TestReducedPairs:
             assert is_reduced(h) and is_reduced(e_r)
 
     def test_analyze_builds_no_basis_change(self, monkeypatch, capsys):
-        def fail(module):
-            raise AssertionError("basis_change built")
+        def fail(*args):
+            raise AssertionError("canonical_identification called")
 
-        monkeypatch.setattr(laurent_forms.LaurentModule, "basis_change",
-                            property(fail))
+        monkeypatch.setattr(seifert, "canonical_identification", fail)
         path = Path(__file__).parent / "fixtures" / "scale-7-mirror.json"
         assert cli.main(["analyze", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)
